@@ -15,8 +15,9 @@ below double precision).
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm as _expm
@@ -153,13 +154,10 @@ def displacement(space: FockSpace, w: complex, warn_inadequate: bool = True) -> 
 
     Exactly unitary.  Emits TruncationInadequateWarning when the vacuum
     leak past the cutoff exceeds 1e-6, i.e. when displaced states are no
-    longer faithfully represented.
+    longer faithfully represented.  The matrix is built once per (D, w)
+    and shared between calls, so it is read-only.
     """
     d = space.dim
-    gen = np.zeros((d, d), dtype=complex)
-    ns = np.arange(1, d)
-    gen[ns, ns - 1] = w * np.sqrt(ns)        # w a^dag
-    gen[ns - 1, ns] = -np.conj(w) * np.sqrt(ns)  # -conj(w) a
     if warn_inadequate:
         leak = vacuum_truncation_leak(space, w)
         if leak > 1e-6:
@@ -169,8 +167,18 @@ def displacement(space: FockSpace, w: complex, warn_inadequate: bool = True) -> 
                 TruncationInadequateWarning,
                 stacklevel=2,
             )
+    return FockOperator(_displacement_matrix(d, w), space)
+
+
+@functools.lru_cache(maxsize=32)
+def _displacement_matrix(d: int, w: complex) -> np.ndarray:
+    gen = np.zeros((d, d), dtype=complex)
+    ns = np.arange(1, d)
+    gen[ns, ns - 1] = w * np.sqrt(ns)        # w a^dag
+    gen[ns - 1, ns] = -np.conj(w) * np.sqrt(ns)  # -conj(w) a
     mat = _expm(gen)
-    return FockOperator(mat, space)
+    mat.setflags(write=False)
+    return mat
 
 
 def coherent_state(space: FockSpace, zeta: complex, warn_inadequate: bool = True) -> FockVector:

@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,10 +71,9 @@ class ResultManifest:
     artifacts: list
     results: dict
     duration_seconds: float
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "experiment": self.experiment,
             "config": self.config,
             "seed": self.seed,
@@ -83,8 +82,6 @@ class ResultManifest:
             "results": self.results,
             "duration_seconds": self.duration_seconds,
         }
-        out.update(self.extra)
-        return out
 
 
 def _fmt(value) -> str:
@@ -321,7 +318,7 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
 def _run_jc(cfg: ExperimentConfig, outdir: Path):
     p = cfg.parameters
     omega = p["jc.omega"]
-    if omega <= 0:
+    if not omega > 0:
         raise ConfigError("jc.omega must be positive")
     dim = p["jc.dim"]
     if dim < 2:
@@ -338,8 +335,8 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
     space = FockSpace(dim)
     if p["jc.samples"] < 2:
         raise ConfigError("jc.samples must be at least 2")
-    if p["jc.nu_t_max"] <= 0:
-        raise ConfigError("jc.nu_t_max must be positive")
+    if not 0 < p["jc.nu_t_max"] < np.inf:
+        raise ConfigError("jc.nu_t_max must be positive and finite")
     if params.nu > 0:
         t_max = p["jc.nu_t_max"] / params.nu
     else:
@@ -367,9 +364,6 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
     zeta = jc.pointer_path(params, times)
 
     report = jc.distinguishability(params)
-    seg = times[1] - times[0]
-    h_norm = float(np.linalg.norm(jc.total_hamiltonian(params, space), 2))
-    steps_per_segment = max(1, int(np.ceil(h_norm * seg / jc.MAX_STEP_NORM)))
     arts = [
         write_csv(
             outdir / "timeseries.csv",
@@ -383,7 +377,6 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
                 "omega": params.omega,
                 "g": params.g,
                 "dim": dim,
-                "steps_per_segment": steps_per_segment,
                 "samples": int(times.size),
                 "deterministic": True,  # no randomness enters this experiment
             },
@@ -492,7 +485,8 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     # Two-point correlators: delta-limit vs full quadrature at a few offsets.
     corr_rows = []
     t1, t2 = 0.1, 0.35
-    for dr in (10.0 * smear.s_x, 20.0 * smear.s_x, 0.5):
+    # dict.fromkeys drops repeated offsets (10 s_x = 0.5 at s_x = 0.05).
+    for dr in dict.fromkeys((10.0 * smear.s_x, 20.0 * smear.s_x, 0.5)):
         r2 = -0.5 * dr
         r1 = 0.5 * dr
         mean_d, corr_d = dn.smeared_corr_phase_space(grid, smear, r1, t1, r2, t2, m,

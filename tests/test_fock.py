@@ -85,6 +85,19 @@ class TestDisplacement:
         with pytest.warns(TruncationInadequateWarning):
             displacement(FockSpace(8), 2.5)
 
+    def test_built_once_and_read_only(self):
+        # the matrix is shared between calls: equal, read-only, and the
+        # truncation warning still fires on every call
+        sp = FockSpace(8)
+        with pytest.warns(TruncationInadequateWarning):
+            first = displacement(sp, 2.5).matrix
+        with pytest.warns(TruncationInadequateWarning):
+            second = displacement(sp, 2.5).matrix
+        assert np.array_equal(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+        with pytest.raises(ValueError):
+            second[0, 0] = 0.0
+
     def test_leak_estimate(self):
         # Poisson tail beyond the cutoff, checked against direct summation
         lam = 6.25

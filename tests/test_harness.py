@@ -167,6 +167,17 @@ class TestCli:
         cfg = write_config(tmp_path, "c.json", {**JC_CFG, "jc.g_over_omega": 4.0, "jc.dim": 32})
         assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("key,value", [
+        ("jc.nu_over_omega", float("nan")),
+        ("jc.omega", float("nan")),
+        ("jc.nu_t_max", float("nan")),
+        ("jc.g_over_omega", float("inf")),
+    ])
+    def test_non_finite_jc_input_is_config_error(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, "c.json", {**JC_CFG, key: value})
+        assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**FORCE_CFG, "seed": 1,
                                                 "force.dump_trajectories": 1})
