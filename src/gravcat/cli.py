@@ -2,8 +2,7 @@
 
 Commands: g2s-correlations | force-trajectories | jc-suite | density-suite.
 Exit codes: 0 success, 2 config error, 3 numerical-regime rejection,
-4 internal invariant failure.  GRAVCAT_THREADS caps the worker count where
-work is fanned out.
+4 internal invariant failure.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,14 +179,6 @@ def resolve_config(experiment: str, raw: dict, seed: int | None = None,
                             output_dir=out)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GRAVCAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"GRAVCAT_THREADS must be an integer, got {raw!r}")
-
-
 def _domain(builder, *args, **kwargs):
     """Build a library value object, mapping its range checks to ConfigError."""
     try:
@@ -244,28 +235,38 @@ def _run_g2s(cfg: ExperimentConfig, outdir: Path):
 # force-trajectory experiment
 
 
+def _fit_leading_window(name: str, t, y, stderr) -> float:
+    """Exponential rate fitted to the leading samples with |y| > 2 stderr
+    and the sign of the first; the window ends at the first that is not."""
+    keep = (np.abs(y) > 2.0 * stderr) & (np.sign(y) == np.sign(y[0]))
+    n = keep.size if keep.all() else int(np.argmin(keep))
+    if n < 2:
+        raise RegimeError(f"{name} fit window has {n} significant sample(s) of one sign; need 2")
+    rate, _ = ms.fit_exponential_rate(t[:n], y[:n])
+    return rate
+
+
 def _run_force(cfg: ExperimentConfig, outdir: Path):
     p = cfg.parameters
     if p["force.count"] < 100:
         raise RegimeError("statistics mode needs force.count >= 100")
     sched = _domain(ms.MeasurementSchedule, tau=p["force.tau"],
                     n_steps=p["force.steps"], nu=p["force.nu"])
-    if np.isnan(p["force.f0"]):
+    f0 = p["force.f0"]
+    if f0 is None:
         geo = _domain(ms.ProbeGeometry, G=p["probe.G"], m=p["probe.m"],
                       m0=p["probe.m0"], L=p["probe.L"], y=p["probe.y"])
         f0 = ms.force_amplitude(geo)
-    else:
-        f0 = p["force.f0"]
+    elif not 0 < f0 < np.inf:
+        raise ConfigError(f"force.f0 must be positive and finite, got {f0}")
 
-    ensemble = ms.sample_trajectories(sched, p["force.count"], cfg.seed,
-                                      max_workers=_worker_count())
+    ensemble = ms.sample_trajectories(sched, p["force.count"], cfg.seed)
     max_lag = p["force.max_lag"] if p["force.max_lag"] > 0 else sched.n_steps
     stats = ms.estimate_force_statistics(ensemble, sched, f0, max_lag=max_lag)
 
-    fit_lags = stats.lag_steps >= 1
-    gamma_corr, _ = ms.fit_exponential_rate(stats.lag_time[fit_lags], stats.corr[fit_lags])
-    mean_window = stats.mean < 0
-    gamma_mean, _ = ms.fit_exponential_rate(stats.time[mean_window], stats.mean[mean_window])
+    gamma_corr = _fit_leading_window("corr", stats.lag_time[1:], stats.corr[1:],
+                                     stats.corr_stderr[1:])
+    gamma_mean = _fit_leading_window("mean", stats.time, stats.mean, stats.mean_stderr)
 
     arts = [
         write_csv(
@@ -538,7 +539,7 @@ SCHEMAS = {
         "force.tau": (float, _REQUIRED),
         "force.steps": (int, _REQUIRED),
         "force.count": (int, _REQUIRED),
-        "force.f0": (float, float("nan")),
+        "force.f0": (float, None),
         "force.max_lag": (int, 0),
         "force.dump_trajectories": (int, 0),
         "probe.G": (float, 1.0),

@@ -26,6 +26,11 @@ from .two_state import TunnelingParams, tunneling_propagator
 
 _FORMS = ("exact", "approximate")
 
+# Trajectories per random stream; fixed, so a smaller draw is a prefix of a larger.
+_STREAM_BLOCK = 4096
+# Complex-spectrum bytes per estimator FFT block, small enough to stay in cache.
+_FFT_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ProbeGeometry:
@@ -39,10 +44,10 @@ class ProbeGeometry:
 
     def __post_init__(self):
         for name in ("G", "m", "m0", "L"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.y < 0:
-            raise ValueError("transverse offset must be nonnegative")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.y < np.inf:
+            raise ValueError("transverse offset must be nonnegative and finite")
 
 
 def force_amplitude(geo: ProbeGeometry) -> float:
@@ -67,12 +72,12 @@ class MeasurementSchedule:
     nu: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"temporal resolution must be positive, got {self.tau}")
-        if self.n_steps < 1:
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"temporal resolution must be positive and finite, got {self.tau}")
+        if not self.n_steps >= 1:
             raise ValueError(f"need at least one subinterval, got {self.n_steps}")
-        if self.nu < 0:
-            raise ValueError(f"tunneling rate must be nonnegative, got {self.nu}")
+        if not 0 <= self.nu < np.inf:
+            raise ValueError(f"tunneling rate must be nonnegative and finite, got {self.nu}")
 
     @property
     def lam(self) -> float:
@@ -254,39 +259,30 @@ def analytic_force_corr(t1: float, t2: float, sched: MeasurementSchedule,
     return float(f0**2 * np.exp(-sched.gamma * abs(t2 - t1)))
 
 
-def sample_trajectories(sched: MeasurementSchedule, count: int, seed: int,
-                        max_workers: int = 1) -> TrajectoryEnsemble:
+def sample_trajectories(sched: MeasurementSchedule, count: int,
+                        seed: int) -> TrajectoryEnsemble:
     """Draw `count` i.i.d. records starting from +1.
 
-    Each trajectory consumes its own PCG64 stream derived from
-    (seed, trajectory index), so results are bit-reproducible and
-    independent of how the work is split across workers.  One uniform draw
-    per step decides each flip against sin^2(nu tau / 2).
+    Block b of _STREAM_BLOCK rows is filled row by row from the PCG64 stream
+    of SeedSequence(seed, spawn_key=(b,)), so results are bit-reproducible
+    and a draw is the prefix of any larger one with the same seed.  One
+    uniform draw per step decides each flip against sin^2(nu tau / 2).
     """
     if count < 1:
         raise ValueError(f"need at least one trajectory, got {count}")
     n = sched.n_steps
     p_flip = sched.flip_probability
-    flips = np.empty((count, n), dtype=bool)
-
-    def fill(lo: int, hi: int):
-        for i in range(lo, hi):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
-            flips[i] = rng.random(n) < p_flip
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = 4096
-        spans = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
-    else:
-        fill(0, count)
-
-    signs = np.ones((count, n + 1), dtype=np.int8)
-    signs[:, 1:] = np.where(flips, -1, 1)
-    readings = np.cumprod(signs, axis=1, dtype=np.int8)
+    readings = np.empty((count, n + 1), dtype=np.int8)
+    readings[:, 0] = 1
+    for b, lo in enumerate(range(0, count, _STREAM_BLOCK)):
+        hi = min(lo + _STREAM_BLOCK, count)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        parity = rng.random((hi - lo, n)) < p_flip
+        np.bitwise_xor.accumulate(parity, axis=1, out=parity)
+        # reading = 1 - 2 * (number of flips so far mod 2)
+        out = readings[lo:hi, 1:]
+        np.multiply(parity.view(np.int8), -2, out=out)
+        out += 1
     return TrajectoryEnsemble(readings, seed=seed, metadata={"count": count})
 
 
@@ -310,23 +306,22 @@ class ForceStatistics:
     metadata: dict = field(default_factory=dict)
 
 
-def _as_readings(records) -> np.ndarray:
-    if isinstance(records, TrajectoryEnsemble):
-        return records.readings
-    if isinstance(records, np.ndarray):
-        return records
-    return np.vstack([np.asarray(r.readings) for r in records])
-
-
 def estimate_force_statistics(records, sched: MeasurementSchedule, f0: float,
                               max_lag: int | None = None) -> ForceStatistics:
     """Sample mean series and two-time correlation of the force readings.
 
-    The per-trajectory autocorrelation is computed by FFT over all pairs at
-    each lag; standard errors come from the spread across independent
-    trajectories.
+    `records` is a TrajectoryEnsemble or a 2-D int8 array of +/-1 readings,
+    one row per trajectory.  The per-trajectory autocorrelation is computed
+    by FFT over all pairs at each lag; its lag sums are sums of +/-1
+    products, so they are rounded to the integers they are.  Standard
+    errors come from the spread across independent trajectories, in
+    integer sums: a +/-1 column with sum S has sample variance
+    (count - S^2/count) / (count - 1).
     """
-    readings = _as_readings(records)
+    readings = records.readings if isinstance(records, TrajectoryEnsemble) else records
+    if not (isinstance(readings, np.ndarray) and readings.dtype == np.int8
+            and readings.ndim == 2):
+        raise ValueError("readings must be a 2-D int8 array of +/-1")
     if readings.size == 0:
         raise ValueError("need at least one record")
     count, length = readings.shape
@@ -336,30 +331,30 @@ def estimate_force_statistics(records, sched: MeasurementSchedule, f0: float,
         max_lag = sched.n_steps
     max_lag = min(max_lag, sched.n_steps)
 
-    force = -f0 * readings.astype(float)
-    mean = force.mean(axis=0)
-    mean_stderr = force.std(axis=0, ddof=1) / np.sqrt(count) if count > 1 else np.zeros(length)
+    dof = max(count - 1, 1)  # a single record has zero spread
+    col_sum = readings.sum(axis=0, dtype=np.int64)
+    mean = f0 * -col_sum / count
+    mean_stderr = f0 * np.sqrt((count**2 - col_sum**2) / dof) / count
 
     # Per-trajectory autocorrelation over all pairs at each lag, via FFT.
     n_fft = 1 << int(np.ceil(np.log2(2 * length)))
     lags = np.arange(max_lag + 1)
     pair_counts = length - lags
-    sum_x = np.zeros(max_lag + 1)
-    sum_x2 = np.zeros(max_lag + 1)
-    block = max(1, int(2e7 // n_fft))
+    sum_a = np.zeros(max_lag + 1)
+    sum_a2 = np.zeros(max_lag + 1)
+    block = max(1, _FFT_BLOCK_BYTES // (16 * n_fft))
     for lo in range(0, count, block):
-        chunk = readings[lo : lo + block].astype(float)
-        spectrum = np.fft.rfft(chunk, n=n_fft, axis=1)
-        auto = np.fft.irfft(np.abs(spectrum) ** 2, n=n_fft, axis=1)[:, : max_lag + 1]
-        per_traj = auto / pair_counts[None, :]
-        sum_x += per_traj.sum(axis=0)
-        sum_x2 += (per_traj**2).sum(axis=0)
-    corr = f0**2 * sum_x / count
-    if count > 1:
-        var = (sum_x2 - sum_x**2 / count) / (count - 1)
-        corr_stderr = f0**2 * np.sqrt(np.maximum(var, 0.0) / count)
-    else:
-        corr_stderr = np.zeros_like(corr)
+        chunk = readings[lo : lo + block]
+        if np.any(np.abs(chunk) != 1):
+            raise ValueError("readings must be +1 or -1")
+        spec = np.fft.rfft(chunk, n=n_fft, axis=1)
+        power = spec.real**2 + spec.imag**2
+        auto = np.rint(np.fft.irfft(power, n=n_fft, axis=1)[:, : max_lag + 1])
+        sum_a += auto.sum(axis=0)
+        sum_a2 += (auto**2).sum(axis=0)
+    scale = f0**2 / (count * pair_counts)
+    corr = scale * sum_a
+    corr_stderr = scale * np.sqrt(np.maximum(count * sum_a2 - sum_a**2, 0.0) / dof)
 
     return ForceStatistics(
         time=sched.times,

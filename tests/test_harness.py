@@ -137,14 +137,6 @@ class TestDeterminism:
         for key in ("nu", "tau", "N", "Gamma", "f0", "count"):
             assert meta_a[key] == meta_b[key]
 
-    def test_worker_fanout_does_not_change_output(self, tmp_path, monkeypatch):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("GRAVCAT_THREADS", "1")
-        man_a = run_experiment(resolve_config("force-trajectories", FORCE_CFG, seed=3, output_dir=out_a))
-        monkeypatch.setenv("GRAVCAT_THREADS", "4")
-        man_b = run_experiment(resolve_config("force-trajectories", FORCE_CFG, seed=3, output_dir=out_b))
-        assert self._artifact_bytes(out_a, man_a) == self._artifact_bytes(out_b, man_b)
-
 
 class TestCli:
     def test_success_exit_code(self, tmp_path):
@@ -177,6 +169,37 @@ class TestCli:
         cfg = write_config(tmp_path, "c.json", {**JC_CFG, key: value})
         assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("force.nu", float("nan")),
+        ("force.tau", float("inf")),
+        ("force.f0", float("nan")),
+        ("force.f0", 0.0),
+        ("probe.y", float("nan")),
+        ("probe.G", float("inf")),
+    ])
+    def test_non_finite_force_input_is_config_error(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, "c.json", {**FORCE_CFG, key: value})
+        assert main(["force-trajectories", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_fit_window_stops_at_noise(self, tmp_path):
+        # at nu tau = 0.5 the correlation of 100 records sinks into its noise
+        # after a few dozen lags; the fit stops there instead of failing
+        payload = {"force.nu": 0.5, "force.tau": 1.0, "force.steps": 200, "force.count": 100}
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["force-trajectories", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        results = json.loads((tmp_path / "o" / "manifest.json").read_text())["results"]
+        assert 0 < results["fitted_gamma_corr"] < np.inf
+        assert 0 < results["fitted_gamma_mean"] < np.inf
+
+    @pytest.mark.parametrize("nu", [np.pi / 2, 2.5])
+    def test_no_fit_window_is_regime_error(self, tmp_path, nu):
+        # cos(nu tau) = 0: nothing after lag 0 is significant;
+        # cos(nu tau) < 0: the correlation changes sign at every lag
+        payload = {"force.nu": nu, "force.tau": 1.0, "force.steps": 50, "force.count": 1000}
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["force-trajectories", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**FORCE_CFG, "seed": 1,

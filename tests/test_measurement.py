@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,23 @@ class TestForceAmplitude:
     def test_linear_in_probe_mass(self):
         base = force_amplitude(ProbeGeometry(L=1.5, y=0.7))
         assert abs(force_amplitude(ProbeGeometry(L=1.5, y=0.7, m0=3.0)) - 3.0 * base) < 1e-14
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("kwargs", [
+        {"tau": math.nan}, {"tau": math.inf}, {"nu": math.nan}, {"nu": math.inf},
+    ])
+    def test_schedule_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            MeasurementSchedule(**{"tau": 1.0, "n_steps": 10, "nu": 0.1, **kwargs})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"G": math.nan}, {"m": math.inf}, {"m0": math.nan}, {"L": math.inf},
+        {"y": math.nan}, {"y": math.inf},
+    ])
+    def test_geometry_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            ProbeGeometry(**kwargs)
 
 
 class TestSequenceProbability:
@@ -244,11 +262,15 @@ class TestSampling:
         c = sample_trajectories(s, 200, seed=43)
         assert not np.array_equal(a.readings, c.readings)
 
-    def test_worker_count_invariance(self):
+    def test_prefix_stability(self):
+        # a smaller draw is the first rows of a larger one, across the
+        # 4096-trajectory stream block boundary
         s = sched(0.3, n_steps=25)
-        a = sample_trajectories(s, 5000, seed=7, max_workers=1)
-        b = sample_trajectories(s, 5000, seed=7, max_workers=3)
-        assert np.array_equal(a.readings, b.readings)
+        a = sample_trajectories(s, 5000, seed=7)
+        b = sample_trajectories(s, 9000, seed=7)
+        assert np.array_equal(a.readings, b.readings[:5000])
+        # each block has its own stream
+        assert not np.array_equal(b.readings[:4096], b.readings[4096:8192])
 
     def test_flip_frequency(self):
         s = sched(0.4, n_steps=200)
@@ -302,6 +324,54 @@ class TestEstimator:
         stats = estimate_force_statistics(ens, s, f0=1.0)
         assert np.all(stats.corr <= 1.0 + 1e-12)
         assert np.all(stats.corr >= -1.0 - 1e-12)
+
+    def test_lag_sums_match_direct_products(self):
+        s = sched(0.5, n_steps=40)
+        ens = sample_trajectories(s, 300, seed=13)
+        f0 = 1.3
+        stats = estimate_force_statistics(ens, s, f0=f0)
+        x = ens.readings.astype(float)
+        length = x.shape[1]
+        per_traj = np.stack(
+            [(x[:, k:] * x[:, : length - k]).sum(axis=1) / (length - k) for k in range(length)],
+            axis=1,
+        )
+        corr = f0**2 * per_traj.mean(axis=0)
+        stderr = f0**2 * per_traj.std(axis=0, ddof=1) / math.sqrt(len(ens))
+        assert np.max(np.abs(stats.corr - corr)) < 1e-12
+        assert np.max(np.abs(stats.corr_stderr - stderr)) < 1e-12
+
+    def test_mean_matches_float_route(self):
+        s = sched(0.5, n_steps=40)
+        ens = sample_trajectories(s, 300, seed=13)
+        f0 = 1.3
+        stats = estimate_force_statistics(ens, s, f0=f0)
+        force = -f0 * ens.readings.astype(float)
+        assert np.max(np.abs(stats.mean - force.mean(axis=0))) < 1e-14
+        stderr = force.std(axis=0, ddof=1) / math.sqrt(len(ens))
+        assert np.max(np.abs(stats.mean_stderr - stderr)) < 1e-14
+
+    def test_memory_bounded_by_fft_blocks(self):
+        s = sched(0.1, n_steps=200)
+        ens = sample_trajectories(s, 20_000, seed=17)
+        tracemalloc.start()
+        try:
+            estimate_force_statistics(ens, s, f0=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the readings themselves (3.8 MB) were allocated before tracing
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("readings", [
+        np.ones((4, 9)),                          # float copy
+        np.zeros((4, 9), dtype=np.int8),          # not +/-1
+        np.ones(9, dtype=np.int8),                # one record, not a stack
+        [TrajectoryRecord(np.ones(9, dtype=np.int8))],
+    ])
+    def test_rejects_non_ensemble_input(self, readings):
+        with pytest.raises(ValueError):
+            estimate_force_statistics(readings, sched(0.3, n_steps=8), f0=1.0)
 
     def test_fit_recovers_analytic_rate(self):
         t = np.linspace(0.0, 10.0, 50)
