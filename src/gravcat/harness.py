@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,32 +73,29 @@ class ResultManifest:
     duration_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "artifacts": self.artifacts,
-            "results": self.results,
-            "duration_seconds": self.duration_seconds,
-        }
+        return asdict(self)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+# Rows formatted per write; bounds the Python objects alive at once.
+_CSV_BLOCK_ROWS = 4096
 
 
-def write_csv(path: Path, header: list[str], rows) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+def write_csv(path: Path, header: list[str], columns) -> Path:
+    """Write equal-length 1-D columns under `header`, one row per index.
+
+    Integer and boolean columns print as %d, all others as %.17g; rows go
+    out in fixed blocks so a large table never exists as one string.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n_rows = columns[0].size if columns else 0
+    if len(columns) != len(header) or any(c.ndim != 1 or c.size != n_rows for c in columns):
+        raise ValueError(f"need {len(header)} 1-D columns of equal length for {path.name}")
+    row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
+    with path.open("w", encoding="ascii") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = zip(*(c[lo:lo + _CSV_BLOCK_ROWS].tolist() for c in columns))
+            fh.write("".join(map(row.__mod__, block)))
     return path
 
 
@@ -164,19 +162,32 @@ def resolve_config(experiment: str, raw: dict, seed: int | None = None,
     params = {}
     for key, (typ, default) in schema.items():
         if key in raw:
-            try:
-                params[key] = typ(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key} has invalid value {raw[key]!r}") from exc
+            params[key] = _coerce(key, typ, raw[key])
         elif default is _REQUIRED:
             raise ConfigError(f"config key {key} is required for {experiment}")
         else:
             params[key] = default
     if seed is None:
-        seed = int(cfg_seed) if cfg_seed is not None else 0
+        seed = cfg_seed if cfg_seed is not None else 0
+    seed = _coerce("seed", int, seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     out = Path(output_dir if output_dir is not None else (cfg_out or "gravcat_out"))
-    return ExperimentConfig(experiment=experiment, parameters=params, seed=int(seed),
+    return ExperimentConfig(experiment=experiment, parameters=params, seed=seed,
                             output_dir=out)
+
+
+# Values each schema type accepts; booleans are never numbers here.
+_ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _coerce(key: str, typ, value):
+    """`value` as `typ`; a float is an integer only when whole (no truncation)."""
+    if typ is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTED[typ]):
+        raise ConfigError(f"config key {key} has invalid value {value!r}")
+    return typ(value)
 
 
 def _domain(builder, *args, **kwargs):
@@ -195,8 +206,10 @@ def _run_g2s(cfg: ExperimentConfig, outdir: Path):
     p = cfg.parameters
     if p["grid.t_count"] < 1:
         raise ConfigError("time grid is empty (grid.t_count must be >= 1)")
-    if p["grid.t_max"] < p["grid.t_min"]:
-        raise ConfigError("grid.t_max must be >= grid.t_min")
+    if not -np.inf < p["grid.t_min"] < np.inf:
+        raise ConfigError("grid.t_min must be finite")
+    if not p["grid.t_min"] <= p["grid.t_max"] < np.inf:
+        raise ConfigError("grid.t_max must be finite and >= grid.t_min")
     c_plus = complex(p["g2s.c_plus_re"], p["g2s.c_plus_im"])
     c_minus = complex(p["g2s.c_minus_re"], p["g2s.c_minus_im"])
     norm = np.hypot(abs(c_plus), abs(c_minus))
@@ -207,28 +220,24 @@ def _run_g2s(cfg: ExperimentConfig, outdir: Path):
     dens = _domain(ts.SmearedDensityParams, p["g2s.m"], p["g2s.ell"])
     times = np.linspace(p["grid.t_min"], p["grid.t_max"], p["grid.t_count"])
 
-    mean_rows = [
-        (a, t, ts.mean_density(state, dens, a, params, t))
-        for t in times
-        for a in (1, -1)
-    ]
-    corr_rows = []
-    for i, t1 in enumerate(times):
-        for t2 in times[i:]:
-            for a1 in (1, -1):
-                for a2 in (1, -1):
-                    q = ts.two_time_quantum_corr(state, dens, a1, a2, params, t1, t2)
-                    s = ts.two_time_statistical_corr(state, dens, a1, a2, params, t1, t2)
-                    corr_rows.append((a1, a2, t1, t2, q.real, q.imag, s))
+    # Rows: time-major, a = +1 before -1; correlations run over t1 <= t2
+    # (row-major upper triangle) with (a1, a2) innermost.
+    mean_a, mean_t = np.tile([1, -1], times.size), np.repeat(times, 2)
+    mean = ts.mean_density(state, dens, mean_a, params, mean_t)
+    i, j = np.triu_indices(times.size)
+    a1, a2 = np.tile([1, 1, -1, -1], i.size), np.tile([1, -1, 1, -1], i.size)
+    t1, t2 = np.repeat(times[i], 4), np.repeat(times[j], 4)
+    q = ts.two_time_quantum_corr(state, dens, a1, a2, params, t1, t2)
+    stat = ts.two_time_statistical_corr(state, dens, a1, a2, params, t1, t2)
     arts = [
-        write_csv(outdir / "mean_density.csv", ["a", "t", "mean"], mean_rows),
+        write_csv(outdir / "mean_density.csv", ["a", "t", "mean"], [mean_a, mean_t, mean]),
         write_csv(
             outdir / "correlations.csv",
             ["a1", "a2", "t1", "t2", "quantum_re", "quantum_im", "statistical"],
-            corr_rows,
+            [a1, a2, t1, t2, q.real, q.imag, stat],
         ),
     ]
-    return arts, {"rows_mean": len(mean_rows), "rows_corr": len(corr_rows)}
+    return arts, {"rows_mean": mean.size, "rows_corr": stat.size}
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +281,12 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
         write_csv(
             outdir / "statistics.csv",
             ["lag_steps", "lag_time", "corr", "stderr"],
-            zip(stats.lag_steps, stats.lag_time, stats.corr, stats.corr_stderr),
+            [stats.lag_steps, stats.lag_time, stats.corr, stats.corr_stderr],
         ),
         write_csv(
             outdir / "mean_series.csv",
             ["step", "time", "mean", "stderr"],
-            zip(range(sched.n_steps + 1), stats.time, stats.mean, stats.mean_stderr),
+            [np.arange(sched.n_steps + 1), stats.time, stats.mean, stats.mean_stderr],
         ),
         write_json(
             outdir / "metadata.json",
@@ -294,14 +303,11 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
         ),
     ]
     if p["force.dump_trajectories"]:
-        rows = (
-            (i, step, int(ensemble.readings[i, step]))
-            for i in range(len(ensemble))
-            for step in range(sched.n_steps + 1)
-        )
+        count, length = ensemble.readings.shape
         arts.append(
-            write_csv(outdir / "trajectories.csv",
-                      ["trajectory_id", "step", "reading"], rows)
+            write_csv(outdir / "trajectories.csv", ["trajectory_id", "step", "reading"],
+                      [np.repeat(np.arange(count), length), np.tile(np.arange(length), count),
+                       ensemble.readings.ravel()])
         )
     results = {
         "f0": f0,
@@ -369,7 +375,7 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
         write_csv(
             outdir / "timeseries.csv",
             ["t", "p_exact", "p_perturbative", "p_rabi", "purity", "zeta_re", "zeta_im"],
-            zip(times, p_exact, p_pert, p_rabi, purities, zeta.real, zeta.imag),
+            [times, p_exact, p_pert, p_rabi, purities, zeta.real, zeta.imag],
         ),
         write_json(
             outdir / "metadata.json",
@@ -419,6 +425,8 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     state = _density_state(p)
     smear = _domain(SmearingParams, p["density.s_x"])
     m = p["density.m"]
+    if not 0 < m < np.inf:
+        raise ConfigError(f"density.m must be positive and finite, got {m}")
     axis_state = state.axis_state(0)
 
     try:
@@ -426,13 +434,10 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     except GridAliasingError as exc:
         raise RegimeError(str(exc)) from exc
 
-    wig_rows = (
-        (x, pp, grid.values[i, j])
-        for i, x in enumerate(grid.x)
-        for j, pp in enumerate(grid.p)
-    )
-    arts = [write_csv(outdir / "wigner.csv", ["x", "p", "w"], wig_rows)]
-    arts.append(
+    arts = [
+        write_csv(outdir / "wigner.csv", ["x", "p", "w"],
+                  [np.repeat(grid.x, grid.p.size), np.tile(grid.p, grid.x.size),
+                   grid.values.ravel()]),
         write_json(
             outdir / "wigner_meta.json",
             {
@@ -453,69 +458,53 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
                 "sampling_width": p["density.s_x"],
                 "mass": m,
             },
-        )
-    )
+        ),
+    ]
 
     # Static-limit mean profile along the axis vs m |psi|^2.
     xs = np.linspace(grid.x[0], grid.x[-1], 101)
-    mean_rows = []
-    for x in xs:
-        mean_ps = dn.smeared_mean_phase_space(grid, float(x), 0.0, m)
-        exact = m * float(np.abs(axis_state.psi(x)) ** 2)
-        mean_rows.append((x, mean_ps, exact))
-    arts.append(
-        write_csv(outdir / "static_mean.csv", ["x", "smeared_mean", "density_exact"],
-                  mean_rows)
-    )
+    mean_ps = [dn.smeared_mean_phase_space(grid, float(x), 0.0, m) for x in xs]
+    exact = m * np.abs(axis_state.psi(xs)) ** 2
+    arts.append(write_csv(outdir / "static_mean.csv", ["x", "smeared_mean", "density_exact"],
+                          [xs, mean_ps, exact]))
 
-    # Relative fluctuation profile (3D states, both exponent conventions).
-    prof_rows = []
+    # Relative fluctuation profile (3D states, both exponent conventions);
+    # points where the density vanishes have no ratio and are left out.
+    profile = []
     for x in xs:
-        r = (float(x), 0.0, 0.0)
         try:
-            c2 = dn.fluctuation_ratio(state, smear, r, m, density_exponent=2)
-            c3 = dn.fluctuation_ratio(state, smear, r, m, density_exponent=3)
+            profile.append([x] + [dn.fluctuation_ratio(state, smear, (float(x), 0.0, 0.0), m,
+                                                       density_exponent=k) for k in (2, 3)])
         except ValueError:
             continue
-        prof_rows.append((x, c2, c3))
-    arts.append(
-        write_csv(outdir / "fluctuation_profile.csv",
-                  ["x", "c_ratio_quadratic", "c_ratio_cubic"], prof_rows)
-    )
+    arts.append(write_csv(outdir / "fluctuation_profile.csv",
+                          ["x", "c_ratio_quadratic", "c_ratio_cubic"],
+                          np.reshape(profile, (-1, 3)).T))
 
-    # Two-point correlators: delta-limit vs full quadrature at a few offsets.
-    corr_rows = []
+    # Two-point correlators at +/- dr/2: delta-limit vs full quadrature at a
+    # few offsets; dict.fromkeys drops repeats (10 s_x = 0.5 at s_x = 0.05).
     t1, t2 = 0.1, 0.35
-    # dict.fromkeys drops repeated offsets (10 s_x = 0.5 at s_x = 0.05).
-    for dr in dict.fromkeys((10.0 * smear.s_x, 20.0 * smear.s_x, 0.5)):
-        r2 = -0.5 * dr
-        r1 = 0.5 * dr
-        mean_d, corr_d = dn.smeared_corr_phase_space(grid, smear, r1, t1, r2, t2, m,
-                                                     method="delta")
-        _, corr_q = dn.smeared_corr_phase_space(grid, smear, r1, t1, r2, t2, m,
-                                                method="quadrature")
-        corr_rows.append((r1, t1, r2, t2, mean_d, corr_d, corr_q))
-    arts.append(
-        write_csv(
-            outdir / "correlators.csv",
-            ["r", "t", "r2", "t2", "mean_delta", "corr_delta", "corr_quadrature"],
-            corr_rows,
-        )
-    )
+    r1 = 0.5 * np.array(list(dict.fromkeys((10.0 * smear.s_x, 20.0 * smear.s_x, 0.5))))
+    delta = [dn.smeared_corr_phase_space(grid, smear, r, t1, -r, t2, m, method="delta")
+             for r in r1]
+    quad = [dn.smeared_corr_phase_space(grid, smear, r, t1, -r, t2, m, method="quadrature")[1]
+            for r in r1]
+    arts.append(write_csv(
+        outdir / "correlators.csv",
+        ["r", "t", "r2", "t2", "mean_delta", "corr_delta", "corr_quadrature"],
+        [r1, np.full(r1.size, t1), -r1, np.full(r1.size, t2), *np.transpose(delta), quad],
+    ))
 
     # Marginalization defect of two-time sampling records: generic mass vs
     # quasi-commuting heavy mass.
     sam = SmearingParams(max(p["density.s_x"], p["density.sigma"] / 4.0))
     r1_comb = hist.partition_points(0.0, 6.0 * p["density.sigma"], sam.s_x)
-    defect_rows = []
-    for dt, mass in ((0.4, m), (0.2, m), (0.1, m), (0.2, 1e14)):
-        defect = hist.additivity_defect(axis_state, sam, 0.1, 0.1 + dt, r1_comb,
-                                        [0.0, p["density.sigma"]], mass)
-        defect_rows.append((dt, mass, defect))
-    arts.append(
-        write_csv(outdir / "kolmogorov_defect.csv", ["delta_t", "mass", "defect"],
-                  defect_rows)
-    )
+    dts, masses = (0.4, 0.2, 0.1, 0.2), (m, m, m, 1e14)
+    defects = [hist.additivity_defect(axis_state, sam, 0.1, 0.1 + dt, r1_comb,
+                                      [0.0, p["density.sigma"]], mass)
+               for dt, mass in zip(dts, masses)]
+    arts.append(write_csv(outdir / "kolmogorov_defect.csv", ["delta_t", "mass", "defect"],
+                          [dts, masses, defects]))
     results = {"wigner_normalization": grid.meta.get("normalization")}
     return arts, results
 

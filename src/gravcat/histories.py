@@ -72,10 +72,6 @@ def free_evolve(psi: np.ndarray, grid: SpatialGrid, dt: float, m: float = 1.0) -
     return np.fft.ifft(phases * np.fft.fft(psi))
 
 
-def _norm_sq(psi: np.ndarray, grid: SpatialGrid) -> float:
-    return float(np.sum(np.abs(psi) ** 2) * grid.dx)
-
-
 def position_probability(state, sampling, r: float, t: float, m: float = 1.0,
                          grid: SpatialGrid | None = None) -> float:
     """Single-sampling probability <P_{r t}> = Integral g(x - r) |psi(x, t)|^2."""
@@ -131,6 +127,25 @@ def smeared_two_point(state, sampling, r: float, t: float, r2: float, t2: float,
     )
 
 
+def _record_probabilities(state, sampling, r1_values, t1: float, events_tail, m: float,
+                          grid: SpatialGrid | None) -> np.ndarray:
+    """P(r1, t1; tail...) for every first-sampling center r1, the records
+    propagated together as one (len(r1_values), n_x) array."""
+    times = [t1] + [t for _, t in events_tail]
+    if any(t_next <= t_prev for t_prev, t_next in zip(times, times[1:])):
+        raise ValueError(f"sampling times must be strictly increasing, got {times}")
+    if grid is None:
+        grid = auto_grid(state, sampling, max(times), m)
+    r1_values = np.asarray(r1_values, dtype=float)
+    cur = state.psi(grid.x, t1, m) * sampling.sqrt_g(grid.x - r1_values[:, None])
+    t_prev = t1
+    for r_i, t_i in events_tail:
+        cur = free_evolve(cur, grid, t_i - t_prev, m)
+        cur = cur * sampling.sqrt_g(grid.x - r_i)
+        t_prev = t_i
+    return np.sum(np.abs(cur) ** 2, axis=1) * grid.dx
+
+
 def n_time_probability(state, sampling, events, m: float = 1.0,
                        grid: SpatialGrid | None = None) -> float:
     """Probability of the record ((r_1, t_1), ..., (r_n, t_n)).
@@ -142,19 +157,8 @@ def n_time_probability(state, sampling, events, m: float = 1.0,
     events = list(events)
     if not events:
         raise ValueError("need at least one sampling event")
-    times = [t for _, t in events]
-    if any(t_next <= t_prev for t_prev, t_next in zip(times, times[1:])):
-        raise ValueError(f"sampling times must be strictly increasing, got {times}")
-    if grid is None:
-        grid = auto_grid(state, sampling, max(times), m)
-    r1, t1 = events[0]
-    cur = state.psi(grid.x, t1, m) * sampling.sqrt_g(grid.x - r1)
-    t_prev = t1
-    for r_i, t_i in events[1:]:
-        cur = free_evolve(cur, grid, t_i - t_prev, m)
-        cur = cur * sampling.sqrt_g(grid.x - r_i)
-        t_prev = t_i
-    return _norm_sq(cur, grid)
+    (r1, t1), *tail = events
+    return float(_record_probabilities(state, sampling, [r1], t1, tail, m, grid)[0])
 
 
 def partition_points(center: float, half_width: float, spacing: float) -> np.ndarray:
@@ -175,10 +179,9 @@ def partition_probability_sum(state, sampling, events_tail, r1_values: np.ndarra
     spacing = float(r1_values[1] - r1_values[0]) if r1_values.size > 1 else sampling.ell
     w = sampling.partition_weight(spacing)
     total = 0.0
-    for r1 in r1_values:
-        total += w * n_time_probability(
-            state, sampling, [(float(r1), t1), *events_tail], m, grid
-        )
+    for prob in _record_probabilities(state, sampling, r1_values, t1, events_tail, m,
+                                      grid).tolist():
+        total += w * prob
     return total
 
 

@@ -36,8 +36,8 @@ class Gaussian1D:
     center: float = 0.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"spread must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"spread must be positive and finite, got {self.sigma}")
 
     def psi(self, x, t: float = 0.0, m: float = 1.0):
         return _free_gaussian(x, t, m, self.sigma, self.center)
@@ -69,10 +69,10 @@ class Cat1D:
     exact_norm: bool = True
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"spread must be positive, got {self.sigma}")
-        if self.separation < 0:
-            raise ValueError(f"separation must be nonnegative, got {self.separation}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"spread must be positive and finite, got {self.sigma}")
+        if not 0 <= self.separation < np.inf:
+            raise ValueError(f"separation must be nonnegative and finite, got {self.separation}")
 
     @property
     def branch_overlap(self) -> float:
@@ -117,8 +117,8 @@ class GaussianState:
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"spread must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"spread must be positive and finite, got {self.sigma}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     def axis_state(self, axis: int) -> Gaussian1D:
@@ -142,9 +142,11 @@ class CatState:
     exact_norm: bool = True
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"spread must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"spread must be positive and finite, got {self.sigma}")
         object.__setattr__(self, "L", tuple(float(c) for c in self.L))
+        if not all(abs(c) < np.inf for c in self.L):
+            raise ValueError(f"separation vector must be finite, got {self.L}")
 
     @property
     def separation(self) -> float:
@@ -203,8 +205,8 @@ class SmearingParams:
     s_x: float
 
     def __post_init__(self):
-        if self.s_x <= 0:
-            raise ValueError(f"sampling width must be positive, got {self.s_x}")
+        if not 0 < self.s_x < np.inf:
+            raise ValueError(f"sampling width must be positive and finite, got {self.s_x}")
 
     @property
     def ell(self) -> float:
@@ -242,8 +244,8 @@ class BoxSampling:
     half_width: float
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError(f"half-width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half-width must be positive and finite, got {self.half_width}")
 
     @property
     def ell(self) -> float:

@@ -37,16 +37,18 @@ class TunnelingParams:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError(f"tunneling rate must be nonnegative, got {self.nu}")
+        if not 0 <= self.nu < np.inf:
+            raise ValueError(f"tunneling rate must be nonnegative and finite, got {self.nu}")
+        if not abs(self.chi) < np.inf:
+            raise ValueError(f"tunneling phase must be finite, got {self.chi}")
         if (self.theta is None) != (self.epsilon is None):
             raise ValueError("theta and epsilon must be supplied together")
         if self.theta is not None:
-            if self.epsilon <= 0:
-                raise ValueError("stabilization time-step must be positive")
+            if not 0 < self.epsilon < np.inf:
+                raise ValueError("stabilization time-step must be positive and finite")
             implied = 2.0 * self.theta / self.epsilon
             scale = max(abs(self.nu), abs(implied), 1e-300)
-            if abs(self.nu - implied) > 1e-12 * scale:
+            if not abs(self.nu - implied) <= 1e-12 * scale:
                 raise ValueError(
                     f"nu = {self.nu} inconsistent with 2*theta/epsilon = {implied}"
                 )
@@ -67,7 +69,7 @@ class QubitState:
 
     def __post_init__(self):
         n2 = abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2
-        if abs(n2 - 1.0) > _NORM_TOL:
+        if not abs(n2 - 1.0) <= _NORM_TOL:
             raise ValueError(f"amplitudes have squared norm {n2}, expected 1")
 
     @property
@@ -103,16 +105,15 @@ class SmearedDensityParams:
     ell: float
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if self.ell <= 0:
-            raise ValueError(f"smearing scale must be positive, got {self.ell}")
+        if not 0 < self.m < np.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.m}")
+        if not 0 < self.ell < np.inf:
+            raise ValueError(f"smearing scale must be positive and finite, got {self.ell}")
 
 
-def _check_sign(a: int) -> int:
-    if a not in (1, -1):
+def _check_sign(a) -> None:
+    if not np.all(np.isin(a, (1, -1))):
         raise ValueError(f"well label must be +1 or -1, got {a!r}")
-    return a
 
 
 def tunneling_hamiltonian(params: TunnelingParams) -> np.ndarray:
@@ -150,41 +151,42 @@ def heisenberg_projector(a: int, params: TunnelingParams, t: float) -> np.ndarra
 def mean_density(
     state: QubitState,
     density: SmearedDensityParams,
-    a: int,
+    a,
     params: TunnelingParams,
-    t: float,
-) -> float:
+    t,
+) -> float | np.ndarray:
     """Mean smeared mass density read off well a at time t.
 
     (m / 2 ell^3) [1 + a (delta cos(nu t) + beta sin(nu t))]; the sum over
-    both wells is m / ell^3 identically.
+    both wells is m / ell^3 identically.  Arrays of a and t broadcast.
     """
     _check_sign(a)
     delta, beta, _ = state.bloch(params.chi)
     nt = params.nu * t
     bracket = 1.0 + a * (delta * np.cos(nt) + beta * np.sin(nt))
-    return density.m / (2.0 * density.ell**3) * bracket
+    val = density.m / (2.0 * density.ell**3) * bracket
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def two_time_quantum_corr(
     state: QubitState,
     density: SmearedDensityParams,
-    a1: int,
-    a2: int,
+    a1,
+    a2,
     params: TunnelingParams,
-    t1: float,
-    t2: float,
-) -> complex:
+    t1,
+    t2,
+) -> complex | np.ndarray:
     """Quantum two-time density correlation <mu(a2, t2) mu(a1, t1)>.
 
     Equals (m^2/ell^6) <P(a2, t2) P(a1, t1)> with Heisenberg projectors; the
     lag term a1 a2 (cos(nu (t2-t1)) - i gamma sin(nu (t2-t1))) carries unit
     weight, as the projector product algebra requires.  Times must be
-    ordered t1 <= t2.
+    ordered t1 <= t2.  Arrays of labels and times broadcast.
     """
     _check_sign(a1)
     _check_sign(a2)
-    if t2 < t1:
+    if not np.all(np.less_equal(t1, t2)):
         raise ValueError(f"times must be ordered t1 <= t2, got {t1} > {t2}")
     delta, beta, gamma = state.bloch(params.chi)
     nu = params.nu
@@ -197,32 +199,34 @@ def two_time_quantum_corr(
         + a2 * x2
         + a1 * a2 * (np.cos(lag) - 1j * gamma * np.sin(lag))
     )
-    return density.m**2 / (4.0 * density.ell**6) * complex(bracket)
+    val = density.m**2 / (4.0 * density.ell**6) * bracket
+    return complex(val) if np.ndim(val) == 0 else val
 
 
 def two_time_statistical_corr(
     state: QubitState,
     density: SmearedDensityParams,
-    a1: int,
-    a2: int,
+    a1,
+    a2,
     params: TunnelingParams,
-    t1: float,
-    t2: float,
-) -> float:
+    t1,
+    t2,
+) -> float | np.ndarray:
     """Statistical (measured) two-time correlation of the well densities.
 
     Equals (m^2/ell^6) P_2(a1, t1; a2, t2) where P_2 is the two-step
     projective measurement probability for outcome a1 at t1 followed by a2
     at t2.  Real by construction; marginalizing over a2 returns
-    (m^2/ell^6) P_1(a1, t1).
+    (m^2/ell^6) P_1(a1, t1).  Arrays of labels and times broadcast.
     """
     _check_sign(a1)
     _check_sign(a2)
-    if t2 < t1:
+    if not np.all(np.less_equal(t1, t2)):
         raise ValueError(f"times must be ordered t1 <= t2, got {t1} > {t2}")
     delta, beta, _ = state.bloch(params.chi)
     nu = params.nu
     x1 = delta * np.cos(nu * t1) + beta * np.sin(nu * t1)
     lag_cos = np.cos(nu * (t2 - t1))
     bracket = 1.0 + a1 * x1 + a2 * lag_cos * x1 + a1 * a2 * lag_cos
-    return density.m**2 / (4.0 * density.ell**6) * float(bracket)
+    val = density.m**2 / (4.0 * density.ell**6) * bracket
+    return float(val) if np.ndim(val) == 0 else val

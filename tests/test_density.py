@@ -17,8 +17,36 @@ from gravcat.density import (
     static_limit_mean,
 )
 from gravcat.quadrature import gauss_legendre
-from gravcat.states import CatState, Gaussian1D, GaussianState, SmearingParams
+from gravcat.states import (
+    BoxSampling,
+    Cat1D,
+    CatState,
+    Gaussian1D,
+    GaussianState,
+    SmearingParams,
+)
 from gravcat.wigner import wigner_function
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestStateInputChecks:
+    @pytest.mark.parametrize("build", [
+        lambda: Gaussian1D(NAN),
+        lambda: Gaussian1D(INF),
+        lambda: Cat1D(NAN, 2.0),
+        lambda: Cat1D(1.0, INF),
+        lambda: GaussianState(NAN),
+        lambda: CatState(INF, (2.0, 0.0, 0.0)),
+        lambda: CatState(1.0, (NAN, 0.0, 0.0)),
+        lambda: SmearingParams(NAN),
+        lambda: SmearingParams(INF),
+        lambda: BoxSampling(NAN),
+    ])
+    def test_non_finite_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestNewtonianForce:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gravcat import harness
 from gravcat.cli import main
 from gravcat.harness import (
     ConfigError,
@@ -30,11 +31,99 @@ def read_csv(path: Path):
     return header, rows
 
 
+def write_csv_rows_oracle(path: Path, header, rows):
+    """The former row writer: every value formatted on its own."""
+    def fmt(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        return str(value)
+
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
 G2S_CFG = {"g2s.nu": 1.0, "grid.t_max": 1.5, "grid.t_count": 4}
 FORCE_CFG = {"force.nu": 0.5, "force.tau": 0.2, "force.steps": 40,
              "force.count": 400, "force.max_lag": 20}
 JC_CFG = {"jc.nu_over_omega": 0.02, "jc.samples": 7, "jc.nu_t_max": 0.5}
 DENS_CFG = {"density.state": "gaussian", "density.sigma": 1.0, "density.s_x": 0.05}
+
+
+class TestCsvWriter:
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]
+
+    def _both(self, tmp_path, header, columns):
+        new = harness.write_csv(tmp_path / "new.csv", header, columns)
+        write_csv_rows_oracle(tmp_path / "old.csv", header, zip(*columns))
+        return new.read_bytes(), (tmp_path / "old.csv").read_bytes()
+
+    def test_matches_row_oracle_across_blocks(self, tmp_path):
+        n = 2 * harness._CSV_BLOCK_ROWS + 3
+        rng = np.random.default_rng(11)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        floats[: len(self.SPECIAL)] = self.SPECIAL
+        floats[-len(self.SPECIAL):] = self.SPECIAL
+        columns = [
+            np.arange(n) - n // 2,
+            rng.integers(0, 2, size=n).astype(bool),
+            floats,
+            rng.integers(-128, 128, size=n).astype(np.int8),
+            rng.integers(0, 2**64, size=n, dtype=np.uint64),
+            rng.normal(size=n).astype(np.float32),
+        ]
+        new, old = self._both(tmp_path, ["i", "b", "f", "i8", "u64", "f32"], columns)
+        assert new == old
+        assert new.count(b"\n") == n + 1
+
+    def test_empty_table_is_header_line(self, tmp_path):
+        new, old = self._both(tmp_path, ["a", "t"], [np.array([], dtype=int), np.array([])])
+        assert new == old == b"a,t\n"
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            harness.write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+        with pytest.raises(ValueError):
+            harness.write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3)])
+
+    def test_dump_matches_ensemble(self, tmp_path):
+        # oracle: the seeded ensemble, one row per (trajectory, step)
+        from gravcat import measurement as ms
+
+        payload = {**FORCE_CFG, "force.dump_trajectories": 1}
+        run_experiment(resolve_config("force-trajectories", payload, seed=4,
+                                      output_dir=tmp_path / "o"))
+        sched = ms.MeasurementSchedule(tau=FORCE_CFG["force.tau"],
+                                       n_steps=FORCE_CFG["force.steps"], nu=FORCE_CFG["force.nu"])
+        readings = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 4).readings
+        rows = ((i, step, readings[i, step])
+                for i in range(readings.shape[0]) for step in range(readings.shape[1]))
+        write_csv_rows_oracle(tmp_path / "dump.csv", ["trajectory_id", "step", "reading"], rows)
+        assert (tmp_path / "o" / "trajectories.csv").read_bytes() == \
+            (tmp_path / "dump.csv").read_bytes()
+
+    def test_dump_memory_bounded(self, tmp_path):
+        # tracemalloc peak of a whole 2000 x 50 dumping run (102,000 rows,
+        # 25 writer blocks): 2.2 MB measured, of which the id and step
+        # columns are 1.6 MB; the row-list writer it replaced peaked at
+        # 8.4 MB.  At 20,000 x 200 the same run peaks at 66 MB against
+        # 348 MB, but takes a minute under tracemalloc.
+        import tracemalloc
+
+        payload = {"force.nu": 0.1, "force.tau": 1.0, "force.steps": 50,
+                   "force.count": 2000, "force.dump_trajectories": 1}
+        cfg = resolve_config("force-trajectories", payload, seed=3, output_dir=tmp_path)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert (tmp_path / "trajectories.csv").read_bytes().count(b"\n") == 2000 * 51 + 1
 
 
 class TestConfigHandling:
@@ -183,6 +272,48 @@ class TestCli:
         assert main(["force-trajectories", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("experiment,payload", [
+        ("g2s-correlations", {**G2S_CFG, "g2s.nu": float("nan")}),
+        ("g2s-correlations", {**G2S_CFG, "g2s.chi": float("inf")}),
+        ("g2s-correlations", {**G2S_CFG, "g2s.m": float("nan")}),
+        ("g2s-correlations", {**G2S_CFG, "g2s.ell": float("inf")}),
+        ("g2s-correlations", {**G2S_CFG, "g2s.c_plus_re": float("nan")}),
+        ("g2s-correlations", {**G2S_CFG, "grid.t_max": float("inf")}),
+        ("g2s-correlations", {**G2S_CFG, "grid.t_min": float("nan")}),
+        ("density-suite", {**DENS_CFG, "density.sigma": float("nan")}),
+        ("density-suite", {**DENS_CFG, "density.s_x": float("inf")}),
+        ("density-suite", {**DENS_CFG, "density.m": float("nan")}),
+        ("density-suite", {**DENS_CFG, "density.m": -1.0}),
+        ("density-suite", {**DENS_CFG, "density.state": "cat", "density.L": float("nan")}),
+    ])
+    def test_non_finite_g2s_and_density_input_is_config_error(self, tmp_path, experiment,
+                                                              payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("experiment,payload,extra", [
+        ("g2s-correlations", {**G2S_CFG, "grid.t_count": 3.9}, []),
+        ("jc-suite", {**JC_CFG, "jc.samples": 3.9}, []),
+        ("jc-suite", {**JC_CFG, "jc.dim": True}, []),
+        ("g2s-correlations", {**G2S_CFG, "g2s.nu": True}, []),
+        ("force-trajectories", {**FORCE_CFG, "force.dump_trajectories": 1.7}, []),
+        ("force-trajectories", FORCE_CFG, ["--seed", "-1"]),
+        ("force-trajectories", {**FORCE_CFG, "seed": -1}, []),
+        ("force-trajectories", {**FORCE_CFG, "seed": 1.5}, []),
+    ])
+    def test_integer_keys_and_seed_are_validated(self, tmp_path, experiment, payload, extra):
+        cfg = write_config(tmp_path, "c.json", payload)
+        argv = [experiment, "--config", str(cfg), "--out", str(tmp_path / "o"), *extra]
+        assert main(argv) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_whole_number_float_is_an_integer(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {**G2S_CFG, "grid.t_count": 4.0})
+        assert main(["g2s-correlations", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        _, rows = read_csv(tmp_path / "o" / "mean_density.csv")
+        assert len(rows) == 2 * 4
+
     def test_fit_window_stops_at_noise(self, tmp_path):
         # at nu tau = 0.5 the correlation of 100 records sinks into its noise
         # after a few dozen lags; the fit stops there instead of failing
@@ -234,6 +365,36 @@ class TestG2sExperiment:
             expected = {("1", "1"): 0.64, ("-1", "-1"): 0.36}.get((a1, a2), 0.0)
             assert abs(q_re - expected) < 1e-12
             assert abs(float(row[cols["quantum_im"]])) < 1e-15
+
+    def test_rows_match_scalar_loop(self, tmp_path):
+        # oracle: the scalar closed forms in the experiment's documented row
+        # order, written by the former row writer; the files must be equal
+        from gravcat import two_state as ts
+
+        payload = {"g2s.nu": 1.3, "g2s.chi": 0.7, "g2s.c_plus_re": 0.6, "g2s.c_plus_im": 0.48,
+                   "g2s.c_minus_im": 0.64, "g2s.m": 2.5, "g2s.ell": 0.7,
+                   "grid.t_min": -1.0, "grid.t_max": 4.0, "grid.t_count": 6}
+        run_experiment(resolve_config("g2s-correlations", payload, output_dir=tmp_path / "o"))
+        state = ts.QubitState(0.6 + 0.48j, 0.64j)
+        params, dens = ts.TunnelingParams(1.3, 0.7), ts.SmearedDensityParams(2.5, 0.7)
+        times = np.linspace(-1.0, 4.0, 6)
+        mean_rows = [(a, t, ts.mean_density(state, dens, a, params, t))
+                     for t in times for a in (1, -1)]
+        corr_rows = []
+        for i, t1 in enumerate(times):
+            for t2 in times[i:]:
+                for a1 in (1, -1):
+                    for a2 in (1, -1):
+                        q = ts.two_time_quantum_corr(state, dens, a1, a2, params, t1, t2)
+                        st = ts.two_time_statistical_corr(state, dens, a1, a2, params, t1, t2)
+                        corr_rows.append((a1, a2, t1, t2, q.real, q.imag, st))
+        write_csv_rows_oracle(tmp_path / "mean.csv", ["a", "t", "mean"], mean_rows)
+        write_csv_rows_oracle(tmp_path / "corr.csv", ["a1", "a2", "t1", "t2", "quantum_re",
+                                                      "quantum_im", "statistical"], corr_rows)
+        assert (tmp_path / "o" / "mean_density.csv").read_bytes() == \
+            (tmp_path / "mean.csv").read_bytes()
+        assert (tmp_path / "o" / "correlations.csv").read_bytes() == \
+            (tmp_path / "corr.csv").read_bytes()
 
     def test_row_count_matches_grid(self, tmp_path):
         cfg = resolve_config("g2s-correlations", G2S_CFG, seed=0, output_dir=tmp_path)

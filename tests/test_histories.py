@@ -18,7 +18,20 @@ from gravcat.histories import (
     uniform_grid,
 )
 from gravcat.quadrature import gauss_legendre
-from gravcat.states import BoxSampling, Gaussian1D, SmearingParams
+from gravcat.states import BoxSampling, Cat1D, Gaussian1D, SmearingParams
+
+
+def record_probability_oracle(state, sampling, events, m=1.0, grid=None):
+    """One record at a time on 1-D arrays: sample, evolve, sample, ..., norm."""
+    if grid is None:
+        grid = auto_grid(state, sampling, max(t for _, t in events), m)
+    (r1, t1), *tail = events
+    cur = state.psi(grid.x, t1, m) * sampling.sqrt_g(grid.x - r1)
+    t_prev = t1
+    for r_i, t_i in tail:
+        cur = free_evolve(cur, grid, t_i - t_prev, m) * sampling.sqrt_g(grid.x - r_i)
+        t_prev = t_i
+    return float(np.sum(np.abs(cur) ** 2) * grid.dx)
 
 
 class TestFreeEvolve:
@@ -156,6 +169,36 @@ class TestRecordProbabilities:
         comb = partition_points(0.0, 9.0, smear.s_x)
         total = partition_probability_sum(state, smear, [], comb, 0.8)
         assert abs(total - 1.0) < 1e-6
+
+    def test_matches_record_oracle(self):
+        state = Cat1D(0.7, 3.0)
+        smear = SmearingParams(0.4)
+        for events in ([(0.2, 0.3)], [(1.4, 0.3), (-0.5, 0.9)],
+                       [(1.4, 0.3), (0.0, 0.9), (-1.2, 1.6)]):
+            expected = record_probability_oracle(state, smear, events, m=1.3)
+            got = n_time_probability(state, smear, events, m=1.3)
+            assert abs(got - expected) <= 1e-13 * expected
+
+    def test_batched_comb_matches_record_loop(self):
+        # oracle: one record at a time over the comb, summed in order
+        state = Gaussian1D(0.9, center=0.3)
+        smear = SmearingParams(0.3)
+        comb = partition_points(0.2, 4.0, smear.s_x)
+        w = smear.partition_weight(smear.s_x)
+        grid = auto_grid(state, smear, 1.5)
+        for tail, g in (([], grid), ([(0.4, 1.1)], grid), ([(0.4, 1.1), (-0.3, 1.5)], None)):
+            expected = 0.0
+            for r1 in comb:
+                expected += w * record_probability_oracle(state, smear,
+                                                          [(float(r1), 0.5), *tail], grid=g)
+            got = partition_probability_sum(state, smear, tail, comb, 0.5, grid=g)
+            assert abs(got - expected) <= 1e-13 * expected
+
+    def test_partition_sum_rejects_unordered_tail(self):
+        state = Gaussian1D(1.0)
+        comb = partition_points(0.0, 2.0, 0.5)
+        with pytest.raises(ValueError):
+            partition_probability_sum(state, SmearingParams(0.5), [(0.0, 0.5)], comb, 0.5)
 
     def test_two_time_partition_sums_to_one(self):
         state = Gaussian1D(1.0)

@@ -57,12 +57,34 @@ class TestTunnelingParams:
         with pytest.raises(ValueError):
             TunnelingParams(nu=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"nu": float("nan")},
+        {"nu": float("inf")},
+        {"nu": 1.0, "chi": float("nan")},
+        {"nu": 1.0, "theta": float("nan"), "epsilon": 0.1},
+        {"nu": 0.0, "theta": 0.05, "epsilon": float("inf")},
+        {"nu": 1.0, "theta": 0.05, "epsilon": float("nan")},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TunnelingParams(**kwargs)
+
     def test_lone_theta_rejected(self):
         with pytest.raises(ValueError):
             TunnelingParams(nu=1.0, theta=0.1)
 
 
 class TestQubitState:
+    @pytest.mark.parametrize("amps", [(float("nan"), 0.0), (1.0, complex(0.0, float("inf")))])
+    def test_non_finite_amplitudes_rejected(self, amps):
+        with pytest.raises(ValueError):
+            QubitState(*amps)
+
+    @pytest.mark.parametrize("m,ell", [(float("nan"), 1.0), (1.0, float("inf")), (0.0, 1.0)])
+    def test_density_params_must_be_positive_and_finite(self, m, ell):
+        with pytest.raises(ValueError):
+            SmearedDensityParams(m, ell)
+
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             QubitState(1.0, 1.0)
@@ -301,3 +323,55 @@ class TestStatisticalCorrelator:
     def test_unordered_times_rejected(self):
         with pytest.raises(ValueError):
             two_time_statistical_corr(QubitState.plus(), DENS, 1, 1, TunnelingParams(1.0), 2.0, 1.0)
+
+
+class TestArrayForms:
+    def test_elements_equal_scalar_calls(self):
+        rng = np.random.default_rng(47)
+        for _ in range(5):
+            s = random_state(rng)
+            params = TunnelingParams(rng.uniform(0.1, 4), rng.uniform(0.1, np.pi))
+            t1 = rng.uniform(0, 5, size=40)
+            t2 = t1 + rng.uniform(0, 5, size=40)
+            t2[::7] = t1[::7]
+            a1, a2 = rng.choice([1, -1], size=(2, 40))
+            mean = mean_density(s, DENS, a1, params, t1)
+            quantum = two_time_quantum_corr(s, DENS, a1, a2, params, t1, t2)
+            stat = two_time_statistical_corr(s, DENS, a1, a2, params, t1, t2)
+            for k in range(40):
+                args = (int(a1[k]), int(a2[k]), params, float(t1[k]), float(t2[k]))
+                assert mean[k] == mean_density(s, DENS, args[0], params, args[3])
+                assert quantum[k] == two_time_quantum_corr(s, DENS, *args)
+                assert stat[k] == two_time_statistical_corr(s, DENS, *args)
+
+    def test_arguments_broadcast(self):
+        s, params = QubitState(0.6, 0.8j), TunnelingParams(0.7, 0.4)
+        times = np.linspace(0.0, 3.0, 5)
+        grid = two_time_quantum_corr(s, DENS, 1, np.array([[1], [-1]])[..., None], params,
+                                     times[:, None], times[:, None] + times[None, :])
+        assert grid.shape == (2, 5, 5)
+        assert grid[1, 2, 3] == two_time_quantum_corr(s, DENS, 1, -1, params, times[2],
+                                                      times[2] + times[3])
+        assert mean_density(s, DENS, np.array([1, -1]), params, 0.5).shape == (2,)
+
+    def test_scalar_calls_return_python_scalars(self):
+        s, params = QubitState(0.6, 0.8j), TunnelingParams(0.7, 0.4)
+        assert type(mean_density(s, DENS, 1, params, 0.5)) is float
+        assert type(two_time_quantum_corr(s, DENS, 1, -1, params, 0.5, 0.9)) is complex
+        assert type(two_time_statistical_corr(s, DENS, 1, -1, params, 0.5, 0.9)) is float
+        assert type(mean_density(s, DENS, np.int64(-1), params, np.float64(0.5))) is float
+
+    @pytest.mark.parametrize("fn", [two_time_quantum_corr, two_time_statistical_corr])
+    def test_bad_element_rejected(self, fn):
+        s, params = QubitState(0.6, 0.8j), TunnelingParams(0.7, 0.4)
+        t1, t2 = np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6, 0.7])
+        with pytest.raises(ValueError, match="well label"):
+            fn(s, DENS, np.array([1, 0, -1]), 1, params, t1, t2)
+        with pytest.raises(ValueError, match="well label"):
+            fn(s, DENS, 1, np.array([1, -1, 2]), params, t1, t2)
+        with pytest.raises(ValueError, match="ordered"):
+            fn(s, DENS, 1, 1, params, t1, np.array([0.5, 0.15, 0.7]))
+        with pytest.raises(ValueError, match="ordered"):
+            fn(s, DENS, 1, 1, params, t1, np.array([0.5, np.nan, 0.7]))
+        with pytest.raises(ValueError, match="well label"):
+            mean_density(s, DENS, np.array([1, -1, 3]), params, t1)
