@@ -23,7 +23,6 @@ from .fock import (
     coherent_state,
     displacement,
     ladder_operators,
-    matrix_exponential,
     number_operator,
     vacuum,
     vacuum_truncation_leak,

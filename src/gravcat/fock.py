@@ -1,11 +1,13 @@
 """Truncated harmonic-oscillator Hilbert space.
 
 Dense complex linear algebra on the number basis |0>, ..., |D-1> with
-hbar = 1 and <n-1|a|n> = sqrt(n).  Displacement operators are built as
-matrix exponentials of the truncated generator w a^dag - conj(w) a; the
-generator is exactly anti-Hermitian, so the resulting operator is unitary
-to machine precision regardless of the cutoff.  Truncation error instead
-shows up as leakage of displaced states past the top level, which
+hbar = 1 and <n-1|a|n> = sqrt(n).  The truncated displacement generator
+w a^dag - conj(w) a equals -i |w| R K R^dag with the Hermitian
+K = i (a^dag - a) and the phase rotation R = diag(e^{i n arg w}), so every
+displacement of a cutoff is built from one cached eigendecomposition of K:
+D(w) = R V e^{-i |w| E} V^dag R^dag.  The result is unitary to machine
+precision regardless of the cutoff.  Truncation error instead shows up as
+leakage of displaced states past the top level, which
 `vacuum_truncation_leak` quantifies analytically.
 
 Rule of thumb used throughout: a cutoff D is adequate for displacements w
@@ -16,12 +18,11 @@ below double precision).
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _expm
-from scipy.special import gammainc as _gammainc
 
 
 class TruncationInadequateWarning(UserWarning):
@@ -125,37 +126,41 @@ def number_operator(space: FockSpace) -> FockOperator:
     return FockOperator(np.diag(np.arange(space.dim, dtype=complex)), space)
 
 
-def matrix_exponential(op: FockOperator, scale: complex = 1.0) -> FockOperator:
-    """exp(scale * op) by scaling-and-squaring (Pade); no eigendecomposition.
-
-    Raises OverflowError if the result is not finite (pathological norms).
-    """
-    result = _expm(scale * op.matrix)
-    if not np.all(np.isfinite(result.view(float))):
-        raise OverflowError("matrix exponential overflowed; rescale the operator")
-    return FockOperator(result, op.space)
-
-
 def vacuum_truncation_leak(space: FockSpace, w: complex) -> float:
     """Probability weight of D(w)|0> beyond the top retained level.
 
-    This is the tail of a Poisson distribution with mean |w|^2, evaluated
-    through the regularized incomplete gamma function for stability at
-    large |w|.
+    This is the Poisson tail P(N >= D) with mean |w|^2.  Below the mean it
+    is summed upward from k = D; at or above it, one minus the head summed
+    downward from k = D - 1.  Either way the terms fall monotonically from
+    the first, which is taken from `math.lgamma`.
     """
     lam = abs(w) ** 2
     if lam == 0.0:
         return 0.0
-    return float(_gammainc(space.dim, lam))
+    d = space.dim
+    log_lam = math.log(lam)
+    if lam < d:
+        k, term, total = d, 1.0, 0.0
+        while term > 1e-17 * total:
+            total += term
+            k += 1
+            term *= lam / k
+        return math.exp(d * log_lam - lam - math.lgamma(d + 1)) * total
+    term, total = 1.0, 0.0
+    for k in range(d - 1, -1, -1):
+        total += term
+        term *= k / lam
+    return 1.0 - math.exp((d - 1) * log_lam - lam - math.lgamma(d)) * total
 
 
 def displacement(space: FockSpace, w: complex, warn_inadequate: bool = True) -> FockOperator:
     """Displacement operator exp(w a^dag - conj(w) a) on the truncated space.
 
-    Exactly unitary.  Emits TruncationInadequateWarning when the vacuum
-    leak past the cutoff exceeds 1e-6, i.e. when displaced states are no
-    longer faithfully represented.  The matrix is built once per (D, w)
-    and shared between calls, so it is read-only.
+    Unitary to machine precision, and exactly the identity at w = 0.
+    Emits TruncationInadequateWarning when the vacuum leak past the cutoff
+    exceeds 1e-6, i.e. when displaced states are no longer faithfully
+    represented.  The matrix is built once per (D, w) and shared between
+    calls, so it is read-only.
     """
     d = space.dim
     if warn_inadequate:
@@ -172,13 +177,21 @@ def displacement(space: FockSpace, w: complex, warn_inadequate: bool = True) -> 
 
 @functools.lru_cache(maxsize=32)
 def _displacement_matrix(d: int, w: complex) -> np.ndarray:
-    gen = np.zeros((d, d), dtype=complex)
-    ns = np.arange(1, d)
-    gen[ns, ns - 1] = w * np.sqrt(ns)        # w a^dag
-    gen[ns - 1, ns] = -np.conj(w) * np.sqrt(ns)  # -conj(w) a
-    mat = _expm(gen)
+    if w == 0:
+        mat = np.eye(d, dtype=complex)
+    else:
+        energies, vecs = _generator_eigh(d)
+        rotated = np.exp(1j * np.angle(w) * np.arange(d))[:, None] * vecs
+        mat = (rotated * np.exp(-1j * abs(w) * energies)) @ rotated.conj().T
     mat.setflags(write=False)
     return mat
+
+
+@functools.lru_cache(maxsize=8)
+def _generator_eigh(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the Hermitian generator K = i (a^dag - a)."""
+    a, adag = ladder_operators(FockSpace(d))
+    return np.linalg.eigh(1j * (adag.matrix - a.matrix))
 
 
 def coherent_state(space: FockSpace, zeta: complex, warn_inadequate: bool = True) -> FockVector:

@@ -78,6 +78,8 @@ class ResultManifest:
 
 # Rows formatted per write; bounds the Python objects alive at once.
 _CSV_BLOCK_ROWS = 4096
+# Bytes read per checksum update, so an artifact is never held whole.
+_HASH_CHUNK_BYTES = 1 << 20
 
 
 def write_csv(path: Path, header: list[str], columns) -> Path:
@@ -123,7 +125,11 @@ def write_json(path: Path, obj: dict) -> Path:
 
 def sha256_file(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    buf = bytearray(_HASH_CHUNK_BYTES)
+    view = memoryview(buf)
+    with path.open("rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            h.update(view[:size])
     return h.hexdigest()
 
 
@@ -306,7 +312,8 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
         count, length = ensemble.readings.shape
         arts.append(
             write_csv(outdir / "trajectories.csv", ["trajectory_id", "step", "reading"],
-                      [np.repeat(np.arange(count), length), np.tile(np.arange(length), count),
+                      [np.repeat(np.arange(count, dtype=np.int32), length),
+                       np.tile(np.arange(length, dtype=np.int32), count),
                        ensemble.readings.ravel()])
         )
     results = {

@@ -8,13 +8,13 @@ around a circle of center zeta_0 = -g/omega in phase space), and the probe
 resolves the wells once the pointer coherent states are distinguishable,
 |<zeta_0|-zeta_0>|^2 = exp(-4 |zeta_0|^2) << 1.  Tunneling-induced
 transitions between the pointer states are computed from the full H,
-diagonalised once (`evolve_series`; the step integrator `exact_propagate`
-is kept only as its oracle), and from a first-order interaction-picture
-propagator, the paper's result: a pointer swap at the bare rate nu.
-Exact dynamics matches the first-order law only when
-2 |zeta_0|^2 << 1; in general the swap runs at the polaron-dressed rate
-nu exp(-2 |zeta_0|^2), the tunneling matrix element being weighted by the
-pointer overlap <zeta_0|-zeta_0> (see `tunneling_block_time_average`).
+diagonalised once (`evolve_series`; its step-integration oracle lives in
+the test suite), and from a first-order interaction-picture propagator,
+the paper's result: a pointer swap at the bare rate nu.  Exact dynamics
+matches the first-order law only when 2 |zeta_0|^2 << 1; in general the
+swap runs at the polaron-dressed rate nu exp(-2 |zeta_0|^2), the
+tunneling matrix element being weighted by the pointer overlap
+<zeta_0|-zeta_0> (see `tunneling_block_time_average`).
 
 Composite vectors are ordered (qubit |+> block, qubit |-> block), each
 block a Fock vector; composite operators are 2D x 2D dense arrays built
@@ -37,8 +37,6 @@ from .fock import (
     number_operator,
 )
 from .two_state import PAULI_1, PAULI_3
-
-MAX_STEP_NORM = 0.1
 
 
 class RegimeWarning(UserWarning):
@@ -204,22 +202,15 @@ def evolved_cat(c_plus: complex, c_minus: complex, params: JCParams,
     return CompositeState(FockVector(up, space), FockVector(down, space))
 
 
-def reduced_oscillator_state(state: CompositeState,
-                             include_branch_coherences: bool = False) -> np.ndarray:
+def reduced_oscillator_state(state: CompositeState) -> np.ndarray:
     """Oscillator density matrix after tracing out the qubit.
 
     The partial trace of a block state is up up^dag + down down^dag; branch
-    cross terms do not survive it.  `include_branch_coherences=True` adds
-    them anyway (up down^dag + h.c.), which is not a partial trace and is
-    kept only for comparison against treatments that ignore the qubit's
-    orthogonality.
+    cross terms do not survive it.
     """
     up = state.up.amplitudes
     down = state.down.amplitudes
-    rho = np.outer(up, up.conj()) + np.outer(down, down.conj())
-    if include_branch_coherences:
-        rho = rho + np.outer(up, down.conj()) + np.outer(down, up.conj())
-    return rho
+    return np.outer(up, up.conj()) + np.outer(down, down.conj())
 
 
 def purity(rho: np.ndarray) -> float:
@@ -296,54 +287,6 @@ def rabi_probability(params: JCParams, t) -> float | np.ndarray:
     """
     val = np.sin(params.nu * np.asarray(t)) ** 2
     return float(val) if np.ndim(t) == 0 else val
-
-
-def stationary_state_check(params: JCParams, space: FockSpace, t: float,
-                           sign: int) -> float:
-    """Residual || e^{-i H0 t} |s zeta_0, s> - e^{i g^2 t / omega} |s zeta_0, s> ||.
-
-    H0 is the nu = 0 Hamiltonian integrated by matrix exponential; the
-    residual is a pure truncation diagnostic (<= 1e-8 at D = 64 for
-    |zeta_0| <= 2).
-    """
-    h0 = total_hamiltonian(JCParams(0.0, params.omega, params.g), space)
-    psi = pointer_state(params, space, sign).as_vector()
-    from scipy.linalg import expm
-
-    evolved = expm(-1j * h0 * t) @ psi
-    expected = np.exp(1j * params.g**2 * t / params.omega) * psi
-    return float(np.linalg.norm(evolved - expected))
-
-
-def hamiltonian_step_count(params: JCParams, space: FockSpace, t: float,
-                           max_step_norm: float = MAX_STEP_NORM) -> int:
-    """Smallest step count with ||H|| t / steps <= max_step_norm."""
-    h_norm = float(np.linalg.norm(total_hamiltonian(params, space), 2))
-    return max(1, int(np.ceil(h_norm * abs(t) / max_step_norm)))
-
-
-def exact_propagate(params: JCParams, space: FockSpace, state: CompositeState,
-                    t: float, steps: int) -> CompositeState:
-    """Integrate the full H by repeated application of exp(-i H t / steps).
-
-    Requires ||H|| (t / steps) <= 0.1 (step-size contract); the step
-    exponential is exactly unitary, so the norm is preserved.  Only the
-    oracle of `evolve_series`: its cost grows as ||H|| t.
-    """
-    h = total_hamiltonian(params, space)
-    h_norm = float(np.linalg.norm(h, 2))
-    if h_norm * abs(t) / steps > MAX_STEP_NORM * (1.0 + 1e-9):
-        raise ValueError(
-            f"step too large: ||H|| t / steps = {h_norm * abs(t) / steps:.3g} "
-            f"> {MAX_STEP_NORM}; need steps >= {hamiltonian_step_count(params, space, t)}"
-        )
-    from scipy.linalg import expm
-
-    u_step = expm(-1j * h * (t / steps))
-    vec = state.as_vector()
-    for _ in range(steps):
-        vec = u_step @ vec
-    return CompositeState.from_vector(space, vec)
 
 
 def evolve_series(params: JCParams, space: FockSpace, state: CompositeState,

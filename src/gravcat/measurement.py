@@ -197,21 +197,6 @@ def conditional_g(a2: int, a1: int, m_steps: int, sched: MeasurementSchedule,
     return float(0.5 * c2m * (plus + minus if same else plus - minus))
 
 
-def conditional_g_series(a2: int, a1: int, m_steps: int,
-                         sched: MeasurementSchedule) -> float:
-    """Direct binomial-sum evaluation of the approximate conditional:
-    sum over even (same outcome) or odd (flipped) jump numbers n of
-    C(m, n) (sin^2(nu tau)/4)^n, times cos^(2m)(nu tau/2)."""
-    from math import comb
-
-    if m_steps < 0:
-        raise ValueError(f"step lag must be nonnegative, got {m_steps}")
-    x = 0.25 * np.sin(sched.nu * sched.tau) ** 2
-    start = 0 if a1 == a2 else 1
-    total = sum(comb(m_steps, n) * x**n for n in range(start, m_steps + 1, 2))
-    return float(np.cos(0.5 * sched.nu * sched.tau) ** (2 * m_steps) * total)
-
-
 def force_mean_steps(m_step: int, sched: MeasurementSchedule, f0: float,
                      form: str = "exact") -> float:
     """Discrete mean force at step m for a right-well start.

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .quadrature import gauss_legendre, panels_for_oscillation
 
@@ -69,6 +68,9 @@ class PhaseSpaceGrid:
     def evaluate(self, x, p):
         """Cubic-spline interpolation; zero outside the grid."""
         if self._spline is None:
+            # imported here so that only callers of evaluate load scipy
+            from scipy.interpolate import RectBivariateSpline
+
             self._spline = RectBivariateSpline(self.x, self.p, self.values)
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)

@@ -1,9 +1,14 @@
 """Truncated oscillator space: ladder algebra, displacements, coherent states."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.special import gammainc
 
 from gravcat.fock import (
     FockOperator,
@@ -13,11 +18,13 @@ from gravcat.fock import (
     coherent_state,
     displacement,
     ladder_operators,
-    matrix_exponential,
     number_operator,
     vacuum,
     vacuum_truncation_leak,
 )
+from oracles import matrix_exponential
+
+ORACLE_CUTOFFS = (2, 8, 32, 64, 128)
 
 
 class TestLadder:
@@ -103,6 +110,45 @@ class TestDisplacement:
         lam = 6.25
         direct = 1.0 - sum(math.exp(-lam) * lam**n / math.factorial(n) for n in range(8))
         assert abs(vacuum_truncation_leak(FockSpace(8), 2.5) - direct) < 1e-12
+
+
+class TestDisplacementOracles:
+    """The eigh-built displacement against scipy's scaling-and-squaring
+    exponential of its generator, and the summed Poisson tail against the
+    regularized incomplete gamma function."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.sampled_from(ORACLE_CUTOFFS), radius=st.floats(0.0, 1.0),
+           angle=st.floats(-np.pi, np.pi))
+    def test_matches_matrix_exponential(self, d, radius, angle):
+        w = complex(radius * math.sqrt(d / 4) * np.exp(1j * angle))  # |w|^2 <= D/4
+        sp = FockSpace(d)
+        a, adag = ladder_operators(sp)
+        mat = displacement(sp, w, warn_inadequate=False).matrix
+        assert np.max(np.abs(mat - expm(w * adag.matrix - np.conj(w) * a.matrix))) < 1e-13
+        assert np.max(np.abs(mat.conj().T @ mat - np.eye(d))) < 1e-13
+
+    @staticmethod
+    def _leak_close(d: int, lam: float) -> bool:
+        # relative where the tail is a normal double; below that both are ~0
+        got = vacuum_truncation_leak(FockSpace(d), math.sqrt(lam))
+        return math.isclose(got, gammainc(d, lam), rel_tol=1e-12, abs_tol=sys.float_info.min)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(d=st.sampled_from(ORACLE_CUTOFFS), fraction=st.floats(0.0, 1.0))
+    def test_leak_matches_incomplete_gamma(self, d, fraction):
+        lam = 1e-3 * (1e4 * d) ** fraction  # |w|^2 from 1e-3 to 10 D
+        assert self._leak_close(d, lam)
+
+    @pytest.mark.parametrize("d", ORACLE_CUTOFFS)
+    @pytest.mark.parametrize("ratio", [0.25, 0.9, 1.0 - 1e-12, 1.0, 1.5, 10.0])
+    def test_leak_on_both_sides_of_the_cutoff(self, d, ratio):
+        # |w|^2 < D sums the tail, |w|^2 >= D subtracts the head from 1
+        assert self._leak_close(d, ratio * d)
+
+    def test_leak_is_zero_without_displacement(self):
+        for d in ORACLE_CUTOFFS:
+            assert vacuum_truncation_leak(FockSpace(d), 0.0) == 0.0 == gammainc(d, 0.0)
 
 
 class TestCoherentState:

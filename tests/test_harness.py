@@ -1,12 +1,16 @@
 """End-to-end experiment harness: configs, determinism, manifests, exit codes."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gravcat
 from gravcat import harness
 from gravcat.cli import main
 from gravcat.harness import (
@@ -105,11 +109,29 @@ class TestCsvWriter:
         assert (tmp_path / "o" / "trajectories.csv").read_bytes() == \
             (tmp_path / "dump.csv").read_bytes()
 
+    def test_dump_index_columns_match_int64_route(self, tmp_path):
+        # the int32 trajectory-id and step columns print as the int64 ones did
+        from gravcat import measurement as ms
+
+        payload = {**FORCE_CFG, "force.dump_trajectories": 1}
+        run_experiment(resolve_config("force-trajectories", payload, seed=6,
+                                      output_dir=tmp_path / "o"))
+        sched = ms.MeasurementSchedule(tau=FORCE_CFG["force.tau"],
+                                       n_steps=FORCE_CFG["force.steps"], nu=FORCE_CFG["force.nu"])
+        readings = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 6).readings
+        count, length = readings.shape
+        harness.write_csv(tmp_path / "wide.csv", ["trajectory_id", "step", "reading"],
+                          [np.repeat(np.arange(count, dtype=np.int64), length),
+                           np.tile(np.arange(length, dtype=np.int64), count), readings.ravel()])
+        assert (tmp_path / "o" / "trajectories.csv").read_bytes() == \
+            (tmp_path / "wide.csv").read_bytes()
+
     def test_dump_memory_bounded(self, tmp_path):
         # tracemalloc peak of a whole 2000 x 50 dumping run (102,000 rows,
-        # 25 writer blocks): 2.2 MB measured, of which the id and step
-        # columns are 1.6 MB; the row-list writer it replaced peaked at
-        # 8.4 MB.  At 20,000 x 200 the same run peaks at 66 MB against
+        # 25 writer blocks): 2.9 MB measured, of which the int32 id and step
+        # columns are 0.8 MB and numpy.random and numpy.fft, first imported
+        # by the run, 0.8 MB; the row-list writer it replaced peaked at
+        # 8.4 MB.  At 20,000 x 200 the same run peaks at 36 MB against
         # 348 MB, but takes a minute under tracemalloc.
         import tracemalloc
 
@@ -174,6 +196,22 @@ class TestManifest:
             assert sha256_file(path) == entry["sha256"]
             assert path.stat().st_size == entry["bytes"]
 
+    def test_checksum_streams_in_chunks(self, tmp_path):
+        # digest equals the whole-file digest across chunk boundaries, and
+        # hashing an 8 MiB file holds one chunk buffer, not the file
+        import tracemalloc
+
+        path = tmp_path / "blob.bin"
+        path.write_bytes(np.random.default_rng(5).bytes(8 * harness._HASH_CHUNK_BYTES + 17))
+        tracemalloc.start()
+        try:
+            digest = sha256_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert peak < 1.5 * harness._HASH_CHUNK_BYTES
+
     def test_manifest_json_is_strict(self, tmp_path):
         cfg = resolve_config("force-trajectories", FORCE_CFG, seed=1, output_dir=tmp_path)
         run_experiment(cfg)
@@ -228,6 +266,16 @@ class TestDeterminism:
 
 
 class TestCli:
+    def test_import_loads_no_scipy(self):
+        # a fresh interpreter, because this test process has scipy loaded
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(gravcat.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        code = ("import gravcat, gravcat.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+
     def test_success_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**G2S_CFG})
         assert main(["g2s-correlations", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -23,8 +23,6 @@ from gravcat.jc import (
     distinguishability,
     evolve_series,
     evolved_cat,
-    exact_propagate,
-    hamiltonian_step_count,
     interaction_picture_potential,
     jc_coupling,
     perturbative_propagator,
@@ -33,11 +31,11 @@ from gravcat.jc import (
     purity,
     rabi_probability,
     reduced_oscillator_state,
-    stationary_state_check,
     total_hamiltonian,
     transition_probability_series,
     tunneling_block_time_average,
 )
+from oracles import exact_propagate, hamiltonian_step_count, stationary_state_check
 
 SPACE = FockSpace(64)
 DEEP = JCParams(nu=0.0, omega=1.0, g=2.0)  # zeta_0 = -2, deep strong coupling
@@ -181,11 +179,13 @@ class TestReducedState:
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
-    def test_branch_coherences_flag_adds_cross_terms(self):
+    def test_partial_trace_drops_branch_cross_terms(self):
+        # the projector on up + down, which ignores the qubit's
+        # orthogonality, keeps exactly the cross terms the partial trace drops
         st = evolved_cat(1 / np.sqrt(2), 1 / np.sqrt(2), DEEP, SPACE, 1.0)
         plain = reduced_oscillator_state(st)
-        crossed = reduced_oscillator_state(st, include_branch_coherences=True)
         up, down = st.up.amplitudes, st.down.amplitudes
+        crossed = np.outer(up + down, (up + down).conj())
         expected = plain + np.outer(up, down.conj()) + np.outer(down, up.conj())
         assert np.max(np.abs(crossed - expected)) < 1e-14
 

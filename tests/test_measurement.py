@@ -15,7 +15,6 @@ from gravcat.measurement import (
     analytic_force_corr,
     analytic_force_mean,
     conditional_g,
-    conditional_g_series,
     estimate_force_statistics,
     fit_exponential_rate,
     force_amplitude,
@@ -25,6 +24,7 @@ from gravcat.measurement import (
     sample_trajectories,
     sequence_probability,
 )
+from oracles import conditional_g_series
 
 
 def sched(nu_tau: float, n_steps: int = 10, tau: float = 1.0) -> MeasurementSchedule:
