@@ -152,14 +152,17 @@ def _require_grid(w0) -> PhaseSpaceGrid:
     return w0
 
 
-def smeared_mean_phase_space(
-    w0: PhaseSpaceGrid, r: float, t: float, m: float = 1.0
-) -> float:
+def smeared_mean_phase_space(w0: PhaseSpaceGrid, r, t: float, m: float = 1.0):
     """1D smeared mean density from the initial Wigner function W0:
-    (m / 2 pi) Integral dp W0(r - p t / m, p)  (delta-limit form)."""
+    (m / 2 pi) Integral dp W0(r - p t / m, p)  (delta-limit form).
+
+    `r` may be an array (the result has its shape); a scalar `r` gives a
+    float.  Each element equals the scalar call bit for bit."""
     w0 = _require_grid(w0)
-    vals = w0.evaluate(r - w0.p * t / m, w0.p)
-    return m * float(np.trapezoid(vals, w0.p)) / (2.0 * np.pi)
+    r = np.asarray(r, dtype=float)
+    vals = w0.evaluate(r[..., None] - w0.p * t / m, w0.p)
+    mean = m * np.trapezoid(vals, w0.p, axis=-1) / (2.0 * np.pi)
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def smeared_corr_phase_space(
@@ -207,9 +210,8 @@ def smeared_corr_phase_space(
     p_nodes, p_weights = gauss_legendre(w0.p[0], w0.p[-1], 32)
     u_nodes, u_weights = gauss_legendre(-8.0 * s, 8.0 * s, 8)
     xx = (r - p_nodes[:, None] * t / m) + u_nodes[None, :]
-    pp = np.broadcast_to(p_nodes[:, None], xx.shape)
     g_vals = np.exp(-(u_nodes**2) / (2.0 * s**2))
-    integrand = w0.evaluate(xx.ravel(), pp.ravel()).reshape(xx.shape) * g_vals[None, :]
+    integrand = w0.evaluate(xx, p_nodes[:, None]) * g_vals[None, :]
     mean = m / ell * float(p_weights @ integrand @ u_weights) / (2.0 * np.pi)
 
     # Correlation: (m^2 / ell^2) (1/2pi) Int dx dp W0 exp(-A^2/s^2 - C (p - p*)^2)
@@ -221,8 +223,7 @@ def smeared_corr_phase_space(
     p_nodes, p_weights = gauss_legendre(p_star - 8.0 * p_width, p_star + 8.0 * p_width, 12)
     c_coef = (t - t2) ** 2 / (4.0 * m**2 * s**2)
     xx = (0.5 * (r + r2) - p_nodes[:, None] * (t + t2) / (2.0 * m)) + u_nodes[None, :]
-    pp = np.broadcast_to(p_nodes[:, None], xx.shape)
     f_vals = np.exp(-(u_nodes[None, :] ** 2) / s**2 - c_coef * (p_nodes[:, None] - p_star) ** 2)
-    integrand = w0.evaluate(xx.ravel(), pp.ravel()).reshape(xx.shape) * f_vals
+    integrand = w0.evaluate(xx, p_nodes[:, None]) * f_vals
     corr = m**2 / ell**2 * float(p_weights @ integrand @ u_weights) / (2.0 * np.pi)
     return mean, corr

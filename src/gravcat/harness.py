@@ -470,10 +470,9 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
 
     # Static-limit mean profile along the axis vs m |psi|^2.
     xs = np.linspace(grid.x[0], grid.x[-1], 101)
-    mean_ps = [dn.smeared_mean_phase_space(grid, float(x), 0.0, m) for x in xs]
     exact = m * np.abs(axis_state.psi(xs)) ** 2
     arts.append(write_csv(outdir / "static_mean.csv", ["x", "smeared_mean", "density_exact"],
-                          [xs, mean_ps, exact]))
+                          [xs, dn.smeared_mean_phase_space(grid, xs, 0.0, m), exact]))
 
     # Relative fluctuation profile (3D states, both exponent conventions);
     # points where the density vanishes have no ratio and are left out.

@@ -31,7 +31,10 @@ class SpatialGrid:
         if x.ndim != 1 or x.size < 8:
             raise ValueError("grid must be a 1D array with at least 8 points")
         steps = np.diff(x)
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        # linspace rounds each coordinate by up to eps |x|, so far from the
+        # origin a step can be off by 2 eps max|x|; allow four times that
+        atol = 8.0 * np.finfo(float).eps * float(np.max(np.abs(x)))
+        if not np.allclose(steps, steps[0], rtol=1e-12, atol=atol):
             raise ValueError("grid must be uniform")
         object.__setattr__(self, "x", x)
 

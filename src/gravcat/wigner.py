@@ -9,6 +9,11 @@ transform.
 The transform is evaluated by composite Gauss-Legendre quadrature in y with
 the panel count tied to the largest requested |p|, so under-resolved grids
 fail the normalization check rather than silently aliasing.
+
+Off the nodes a grid is read through its tensor-product cubic interpolating
+spline, the one FITPACK's regrid fits at s = 0 (Dierckx, Curve and Surface
+Fitting with Splines, 1993), with B-splines from de Boor's recursion
+(A Practical Guide to Splines, 1978).
 """
 
 from __future__ import annotations
@@ -18,6 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import gauss_legendre, panels_for_oscillation
+
+
+# Largest element count of the (x, y) psi arrays and of the (y, p) phase
+# matrix of one transform: 8.4M complex elements, 134 MB each.  The largest
+# grid of the tests and the benchmark has 87,312.
+MAX_GRID_ELEMENTS = 1 << 23
 
 
 class GridAliasingError(ValueError):
@@ -66,19 +77,84 @@ class PhaseSpaceGrid:
         return np.trapezoid(self.values, self.x, axis=0)
 
     def evaluate(self, x, p):
-        """Cubic-spline interpolation; zero outside the grid."""
+        """Tensor-product cubic interpolating spline (the s = 0 spline of
+        FITPACK's regrid); `x` and `p` broadcast, zero outside the grid."""
         if self._spline is None:
-            # imported here so that only callers of evaluate load scipy
-            from scipy.interpolate import RectBivariateSpline
-
-            self._spline = RectBivariateSpline(self.x, self.p, self.values)
+            tx, tp = _knots(self.x), _knots(self.p)
+            coef = _collocation_solve(tx, self.x, self.values)
+            coef = _collocation_solve(tp, self.p, coef.T).T
+            self._spline = (tx, tp, coef.ravel())
+        tx, tp, coef = self._spline
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
-        out = self._spline(x, p, grid=False)
+        # B-splines of each input as given; the sum broadcasts them
+        ix, bx = _basis(tx, x)
+        ip, bp = _basis(tp, p)
+        # coef is the row-major (x, p) coefficient table, flattened
+        corner = ix * self.p.size + ip
+        out = np.zeros(corner.shape)
+        for i in range(4):
+            for j in range(4):
+                out += coef[corner + (i * self.p.size + j)] * bx[i] * bp[j]
         inside = (
             (x >= self.x[0]) & (x <= self.x[-1]) & (p >= self.p[0]) & (p <= self.p[-1])
         )
         return np.where(inside, out, 0.0)
+
+
+def _knots(axis: np.ndarray) -> np.ndarray:
+    """Knots of the cubic interpolating spline on `axis` that FITPACK's
+    regrid builds at s = 0: axis[2:-2] between the two end points, each
+    end point repeated four times."""
+    if axis.size < 4:
+        raise ValueError(f"cubic spline needs at least 4 points per axis, got {axis.size}")
+    return np.concatenate([np.repeat(axis[0], 4), axis[2:-2], np.repeat(axis[-1], 4)])
+
+
+def _basis(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """The four cubic B-splines that can be nonzero at each of `x`: the
+    index of the first and their four value arrays, by de Boor's recursion
+    in the form of FITPACK's fpbspl.  Points are clamped to the knot span."""
+    n_coef = t.size - 4
+    x = np.clip(x, t[3], t[n_coef])
+    # interval t[l] <= x < t[l + 1]; the right end joins the last interval
+    left = np.clip(np.searchsorted(t, x, side="right") - 1, 3, n_coef - 1)
+    knot = {d: t[left + d] for d in range(-2, 4)}
+    h = [np.ones(x.shape)]
+    for j in range(1, 4):
+        nxt = [np.zeros(x.shape)]
+        for i in range(j):
+            t_right, t_left = knot[i + 1], knot[i + 1 - j]
+            f = h[i] / (t_right - t_left)
+            nxt[i] += f * (t_right - x)
+            nxt.append(f * (x - t_left))
+        h = nxt
+    return left - 3, h
+
+
+def _collocation_solve(t: np.ndarray, nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Coefficients c with sum_j c[j] B_j(nodes[i]) = rhs[i] for every row
+    of `rhs`.  The collocation matrix has at most four nonzeros per row and
+    a band of three on either side of the diagonal; it is totally positive,
+    so Gaussian elimination without pivoting is stable (de Boor and Pinkus,
+    1977) and costs O(n) per right-hand side."""
+    n = nodes.size
+    first, vals = _basis(t, nodes)
+    rows = np.arange(n)[:, None]
+    band = np.zeros((n, 7))  # band[i, 3 + j - i] = B_j(nodes[i])
+    band[rows, 3 + first[:, None] + np.arange(4) - rows] = np.column_stack(vals)
+    c = np.array(rhs, dtype=float)
+    for k in range(n - 1):
+        for i in range(k + 1, min(k + 4, n)):
+            f = band[i, 3 + k - i] / band[k, 3]
+            if f != 0.0:
+                band[i, 3 + k - i:7 + k - i] -= f * band[k, 3:]
+                c[i] -= f * c[k]
+    for k in range(n - 1, -1, -1):
+        for j in range(k + 1, min(k + 4, n)):
+            c[k] -= band[k, 3 + j - k] * c[j]
+        c[k] /= band[k, 3]
+    return c
 
 
 def _axis_state(state, axis: int):
@@ -98,6 +174,11 @@ def default_axes(state, axis: int = 0, nx: int = 257, n_p: int = 321):
         # >= 8 samples per fringe period pi / fringe_scale in p
         needed = int(np.ceil(2.0 * p_half / (np.pi / fringe) * 8.0)) + 1
         n_p = max(n_p, needed)
+    if n_p > MAX_GRID_ELEMENTS:
+        raise GridAliasingError(
+            f"{n_p} momentum points needed to resolve the fringes exceed the "
+            f"bound of {MAX_GRID_ELEMENTS} grid elements"
+        )
     p_axis = np.linspace(-p_half, p_half, n_p)
     return x_axis, p_axis
 
@@ -114,7 +195,8 @@ def wigner_function(
 
     Raises GridAliasingError when the result is not real within 1e-9 or its
     normalization misses 1 by more than `normalization_tol` (both symptoms
-    of an inadequate grid).
+    of an inadequate grid), and, before allocating, when a psi array or the
+    phase matrix would exceed MAX_GRID_ELEMENTS.
     """
     st = _axis_state(state, axis)
     if x_axis is None or p_axis is None:
@@ -128,8 +210,16 @@ def wigner_function(
     lo, hi = st.support()
     y_half = hi - lo
     p_max = float(np.max(np.abs(p_axis))) if p_axis.size else 0.0
-    panels = panels_for_oscillation(-y_half, y_half, p_max)
-    y, wy = gauss_legendre(-y_half, y_half, panels)
+    order = 16  # Gauss-Legendre nodes per y panel
+    panels = panels_for_oscillation(-y_half, y_half, p_max, order=order)
+    n_y = panels * order
+    if max(x_axis.size, p_axis.size) * n_y > MAX_GRID_ELEMENTS:
+        raise GridAliasingError(
+            f"transform needs a {x_axis.size} x {n_y} psi array and a {n_y} x "
+            f"{p_axis.size} phase matrix, beyond the bound of {MAX_GRID_ELEMENTS} "
+            "elements; the state is too fine for its support"
+        )
+    y, wy = gauss_legendre(-y_half, y_half, panels, order)
 
     psi_minus = st.psi(x_axis[:, None] - 0.5 * y[None, :])
     psi_plus = st.psi(x_axis[:, None] + 0.5 * y[None, :])

@@ -218,6 +218,23 @@ class TestPhaseSpaceEvaluation:
             expected = abs(state.psi(x)) ** 2
             assert abs(got - expected) < 1e-6
 
+    def test_array_r_matches_scalar_loop(self):
+        grid = wigner_function(Cat1D(1.0, 6.0))
+        xs = np.linspace(grid.x[0], grid.x[-1], 101)
+        for t in (0.0, 0.7):
+            loop = np.array([smeared_mean_phase_space(grid, float(x), t, 1.3) for x in xs])
+            batch = smeared_mean_phase_space(grid, xs, t, 1.3)
+            assert batch.shape == xs.shape
+            assert np.array_equal(batch, loop)
+        table = smeared_mean_phase_space(grid, xs[:12].reshape(3, 4), 0.2)
+        assert table.shape == (3, 4)
+        assert np.array_equal(table.ravel(), smeared_mean_phase_space(grid, xs[:12], 0.2))
+
+    def test_scalar_r_gives_float(self):
+        grid = wigner_function(Gaussian1D(sigma=1.0))
+        assert type(smeared_mean_phase_space(grid, 0.3, 0.0)) is float
+        assert type(smeared_mean_phase_space(grid, np.float64(0.3), 0.0)) is float
+
     def test_delta_matches_quadrature_at_wide_separation(self):
         # |r - r2| = 20 s_x; the sampling-width -> 0 collapse should agree
         # with the full finite-width quadrature to 5%

@@ -276,6 +276,41 @@ class TestCli:
                              text=True, check=True, timeout=120)
         assert out.stdout.strip() == "[]"
 
+    def test_density_suite_loads_no_scipy(self, tmp_path):
+        # a whole default density-suite run, Wigner spline included
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(gravcat.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        cfg = write_config(tmp_path, "c.json", {})
+        code = ("import sys; from gravcat.cli import main; "
+                f"code = main(['density-suite', '--config', {str(cfg)!r}, "
+                f"'--out', {str(tmp_path / 'o')!r}]); "
+                "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip().splitlines()[-1] == "0 []"
+
+    def test_narrow_gaussian_density_suite_succeeds(self, tmp_path):
+        # its history grid reaches |x| ~ 102 at dx ~ 0.012, where linspace
+        # rounding once failed the uniformity check (exit 4)
+        cfg = write_config(tmp_path, "c.json",
+                           {"density.state": "gaussian", "density.sigma": 0.02})
+        assert main(["density-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_oversized_wigner_grid_is_regime_error(self, tmp_path):
+        # a 34,608 x 45,838 phase matrix (25 GB complex), rejected before it
+        # is allocated: the run peaks at 0.9 MB under tracemalloc
+        import tracemalloc
+
+        cfg = write_config(tmp_path, "c.json", {"density.state": "cat", "density.sigma": 0.001})
+        tracemalloc.start()
+        try:
+            code = main(["density-suite", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 4 * 2**20
+
     def test_success_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**G2S_CFG})
         assert main(["g2s-correlations", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -506,6 +541,21 @@ class TestDensityExperiment:
         _, rows = read_csv(tmp_path / "static_mean.csv")
         for row in rows:
             assert abs(float(row[1]) - float(row[2])) < 1e-6
+
+    def test_static_mean_matches_scalar_loop(self, tmp_path):
+        payload = {"density.state": "cat", "density.sigma": 1.0, "density.L": 6.0}
+        run_experiment(resolve_config("density-suite", payload, seed=0, output_dir=tmp_path))
+        from gravcat import density as dn
+        from gravcat.states import Cat1D
+        from gravcat.wigner import wigner_function
+
+        state = Cat1D(1.0, 6.0)
+        grid = wigner_function(state)
+        xs = np.linspace(grid.x[0], grid.x[-1], 101)
+        loop = [dn.smeared_mean_phase_space(grid, float(x), 0.0, 1.0) for x in xs]
+        harness.write_csv(tmp_path / "loop.csv", ["x", "smeared_mean", "density_exact"],
+                          [xs, loop, np.abs(state.psi(xs)) ** 2])
+        assert (tmp_path / "static_mean.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     def test_cat_state_fringes_present(self, tmp_path):
         payload = {"density.state": "cat", "density.sigma": 0.5, "density.L": 4.0,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gravcat.histories import (
+    SpatialGrid,
     additivity_defect,
     auto_grid,
     decoherence_functional,
@@ -47,6 +48,25 @@ class TestFreeEvolve:
         psi = state.psi(grid.x)
         roundtrip = free_evolve(free_evolve(psi, grid, 1.2), grid, -1.2)
         assert np.max(np.abs(roundtrip - psi)) < 1e-12
+
+
+class TestSpatialGrid:
+    def test_accepts_linspace_far_from_origin(self):
+        # |x| / dx ~ 1.6e4: the rounding of the coordinates moves the steps
+        # by ~1e-12 relative
+        grid = uniform_grid(-102.000128, 102.000128, 1 << 14)
+        assert grid.x.size == 1 << 14
+
+    def test_auto_grid_of_narrow_packet(self):
+        state = Gaussian1D(0.02)
+        grid = auto_grid(state, SmearingParams(0.05), 0.5)
+        assert grid.x[-1] > 100.0
+
+    def test_rejects_nonuniform_grid(self):
+        x = np.linspace(-122.5, 122.5, 1 << 15, endpoint=False)
+        x[1000] += 1e-11  # 45 times the rounding allowance, 1.3e-9 of a step
+        with pytest.raises(ValueError, match="uniform"):
+            SpatialGrid(x)
 
 
 class TestDecoherenceFunctional:

@@ -1,10 +1,18 @@
 """Numerical Wigner transform against analytic phase-space oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from gravcat.states import Cat1D, CatState, Gaussian1D, GaussianState
-from gravcat.wigner import GridAliasingError, wigner_function
+from gravcat.wigner import (
+    GridAliasingError,
+    PhaseSpaceGrid,
+    _knots,
+    wigner_function,
+)
 
 
 def gaussian_wigner(x, p, sigma, center=0.0):
@@ -141,3 +149,108 @@ class TestValidation:
         x, w = gauss_legendre(-12, 12, 60)
         norm = np.sum(w * np.abs(state.psi(x)) ** 2)
         assert abs(norm - (1.0 + state.branch_overlap)) < 1e-12
+
+
+class TestSplineOracle:
+    """PhaseSpaceGrid.evaluate against FITPACK's s = 0 interpolating spline."""
+
+    @staticmethod
+    def probe_points(grid, rng):
+        """Random points, every grid node, every knot pair and the four edges."""
+        x, p = grid.x, grid.p
+        rx = rng.uniform(x[0], x[-1], 20000)
+        rp = rng.uniform(p[0], p[-1], 20000)
+        nx, np_ = (a.ravel() for a in np.meshgrid(x, p, indexing="ij"))
+        kx, kp = (a.ravel() for a in np.meshgrid(_knots(x), _knots(p), indexing="ij"))
+        line_x, line_p = np.linspace(x[0], x[-1], 301), np.linspace(p[0], p[-1], 301)
+        ex = np.concatenate([line_x, line_x, np.full(301, x[0]), np.full(301, x[-1])])
+        ep = np.concatenate([np.full(301, p[0]), np.full(301, p[-1]), line_p, line_p])
+        return np.concatenate([rx, nx, kx, ex]), np.concatenate([rp, np_, kp, ep])
+
+    @pytest.mark.parametrize("state", [Cat1D(1.0, 6.0), Gaussian1D(0.8, center=0.4)],
+                             ids=["cat", "gaussian"])
+    def test_matches_rect_bivariate_spline(self, state):
+        grid = wigner_function(state)
+        x, p = self.probe_points(grid, np.random.default_rng(11))
+        oracle = RectBivariateSpline(grid.x, grid.p, grid.values)
+        scale = np.max(np.abs(grid.values))
+        assert np.max(np.abs(grid.evaluate(x, p) - oracle(x, p, grid=False))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("nx,n_p", [(4, 4), (5, 4), (4, 7), (6, 9), (40, 33)])
+    def test_short_and_uneven_axes(self, nx, n_p):
+        # the shortest axes give the fullest bands; random spacing and values
+        rng = np.random.default_rng(nx * 100 + n_p)
+        x = np.cumsum(rng.uniform(0.2, 1.0, nx))
+        p = np.cumsum(rng.uniform(0.1, 2.0, n_p)) - 3.0
+        grid = PhaseSpaceGrid(x, p, rng.normal(size=(nx, n_p)))
+        px, pp = self.probe_points(grid, rng)
+        oracle = RectBivariateSpline(x, p, grid.values)
+        scale = np.max(np.abs(grid.values))
+        assert np.max(np.abs(grid.evaluate(px, pp) - oracle(px, pp, grid=False))) <= 1e-14 * scale
+
+    def test_knots_are_fitpack_knots(self):
+        grid = wigner_function(Cat1D(1.0, 6.0))
+        oracle = RectBivariateSpline(grid.x, grid.p, grid.values)
+        tx, tp = oracle.get_knots()
+        assert np.array_equal(_knots(grid.x), tx)
+        assert np.array_equal(_knots(grid.p), tp)
+
+    def test_interpolates_the_nodes(self):
+        grid = wigner_function(Cat1D(1.0, 6.0))
+        xx, pp = np.meshgrid(grid.x, grid.p, indexing="ij")
+        assert np.max(np.abs(grid.evaluate(xx, pp) - grid.values)) <= 1e-14 * 2.0
+
+    def test_exact_zero_outside_grid(self):
+        grid = wigner_function(Gaussian1D(1.0))
+        x0, x1, p0, p1 = grid.x[0], grid.x[-1], grid.p[0], grid.p[-1]
+        x = np.array([np.nextafter(x0, -np.inf), np.nextafter(x1, np.inf), 0.0, 0.0,
+                      x0 - 5.0, x1 + 5.0, np.nan, 0.0])
+        p = np.array([0.0, 0.0, np.nextafter(p0, -np.inf), np.nextafter(p1, np.inf),
+                      p1 + 1.0, p0 - 1.0, 0.0, np.nan])
+        out = grid.evaluate(x, p)
+        assert out.shape == x.shape
+        assert np.all(out == 0.0)
+        assert grid.evaluate(x0, 0.0) != 0.0 and grid.evaluate(0.0, p1) != 0.0
+
+    def test_scalar_input_gives_zero_dim(self):
+        grid = wigner_function(Gaussian1D(1.0))
+        inside, outside = grid.evaluate(0.1, 0.2), grid.evaluate(1e3, 0.2)
+        assert inside.shape == () and outside.shape == ()
+        assert abs(float(inside) - 2.0 * np.exp(-0.1**2 / 2 - 2 * 0.2**2)) < 1e-6
+        assert float(outside) == 0.0
+
+    def test_broadcasts(self):
+        grid = wigner_function(Cat1D(1.0, 6.0))
+        x = np.linspace(-3.0, 3.0, 7)[:, None]
+        p = np.linspace(-1.0, 1.0, 5)[None, :]
+        out = grid.evaluate(x, p)
+        assert out.shape == (7, 5)
+        assert np.array_equal(out[3], grid.evaluate(np.zeros(5), p[0]))
+
+    def test_too_few_points_rejected(self):
+        grid = PhaseSpaceGrid(np.arange(3.0), np.arange(5.0), np.zeros((3, 5)))
+        with pytest.raises(ValueError):
+            grid.evaluate(0.5, 0.5)
+
+
+class TestSizeBound:
+    def test_fine_cat_rejected_before_allocating(self):
+        # sigma = 0.001 needs a 34,608 x 45,838 phase matrix (25 GB complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridAliasingError, match="phase matrix"):
+                wigner_function(Cat1D(0.001, 6.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_unresolvable_fringes_rejected_before_building_axes(self):
+        with pytest.raises(GridAliasingError, match="momentum points"):
+            wigner_function(Cat1D(1e-12, 6.0))
+
+    def test_explicit_axes_are_bounded_too(self):
+        x = np.linspace(-10.0, 10.0, 40000)
+        p = np.linspace(-3.0, 3.0, 33)
+        with pytest.raises(GridAliasingError, match="psi array"):
+            wigner_function(Gaussian1D(1.0), x_axis=x, p_axis=p)
