@@ -138,11 +138,16 @@ def fluctuation_ratio(
     ell3 = smear.ell**3
     dens = mean / m  # |psi(r)|^2
     if density_exponent == 2:
+        if mean**2 == 0.0:
+            raise ValueError("fluctuation ratio undefined where the squared density underflows")
         second = (m / ell3) * mean
         eta = second - mean**2
         return abs(eta) / mean**2
     if density_exponent == 3:
-        return abs(1.0 / (ell3 * dens**1.5) - 1.0)
+        denominator = ell3 * dens**1.5
+        if denominator == 0.0:
+            raise ValueError("fluctuation ratio undefined where ell^3 |psi|^3 underflows")
+        return abs(1.0 / denominator - 1.0)
     raise ValueError(f"density_exponent must be 2 or 3, got {density_exponent}")
 
 

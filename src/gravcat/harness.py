@@ -88,16 +88,40 @@ def write_csv(path: Path, header: list[str], columns) -> Path:
     Integer and boolean columns print as %d, all others as %.17g; rows go
     out in fixed blocks so a large table never exists as one string.
     """
+    text = _csv_blocks(path, header, columns)
+    with path.open("w", encoding="ascii") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(text)
+    return path
+
+
+def _csv_blocks(path: Path, header: list[str], columns):
+    """write_csv's rows of `columns`, as text blocks of _CSV_BLOCK_ROWS rows;
+    the columns are checked before the first block is made."""
     columns = [np.asarray(c) for c in columns]
     n_rows = columns[0].size if columns else 0
     if len(columns) != len(header) or any(c.ndim != 1 or c.size != n_rows for c in columns):
         raise ValueError(f"need {len(header)} 1-D columns of equal length for {path.name}")
     row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
+    return ("".join(map(row.__mod__, zip(*(c[lo:lo + _CSV_BLOCK_ROWS].tolist() for c in columns))))
+            for lo in range(0, n_rows, _CSV_BLOCK_ROWS))
+
+
+def _write_trajectories(path: Path, readings: np.ndarray) -> Path:
+    """One (trajectory_id, step, reading) row per reading, as write_csv prints
+    the whole table, made a block of whole trajectories at a time so the
+    index columns never exist for the whole ensemble."""
+    header = ["trajectory_id", "step", "reading"]
+    count, length = readings.shape
+    per_block = max(1, _CSV_BLOCK_ROWS // length)
+    steps = np.arange(length)
     with path.open("w", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = zip(*(c[lo:lo + _CSV_BLOCK_ROWS].tolist() for c in columns))
-            fh.write("".join(map(row.__mod__, block)))
+        for lo in range(0, count, per_block):
+            chunk = readings[lo:lo + per_block]
+            ids = np.arange(lo, lo + chunk.shape[0])
+            fh.writelines(_csv_blocks(path, header, [np.repeat(ids, length),
+                                                     np.tile(steps, ids.size), chunk.ravel()]))
     return path
 
 
@@ -309,13 +333,7 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
         ),
     ]
     if p["force.dump_trajectories"]:
-        count, length = ensemble.readings.shape
-        arts.append(
-            write_csv(outdir / "trajectories.csv", ["trajectory_id", "step", "reading"],
-                      [np.repeat(np.arange(count, dtype=np.int32), length),
-                       np.tile(np.arange(length, dtype=np.int32), count),
-                       ensemble.readings.ravel()])
-        )
+        arts.append(_write_trajectories(outdir / "trajectories.csv", ensemble.readings))
     results = {
         "f0": f0,
         "gamma_theory": sched.gamma,
@@ -506,9 +524,12 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     sam = SmearingParams(max(p["density.s_x"], p["density.sigma"] / 4.0))
     r1_comb = hist.partition_points(0.0, 6.0 * p["density.sigma"], sam.s_x)
     dts, masses = (0.4, 0.2, 0.1, 0.2), (m, m, m, 1e14)
-    defects = [hist.additivity_defect(axis_state, sam, 0.1, 0.1 + dt, r1_comb,
-                                      [0.0, p["density.sigma"]], mass)
-               for dt, mass in zip(dts, masses)]
+    try:
+        defects = [hist.additivity_defect(axis_state, sam, 0.1, 0.1 + dt, r1_comb,
+                                          [0.0, p["density.sigma"]], mass)
+                   for dt, mass in zip(dts, masses)]
+    except GridAliasingError as exc:
+        raise RegimeError(str(exc)) from exc
     arts.append(write_csv(outdir / "kolmogorov_defect.csv", ["delta_t", "mass", "defect"],
                           [dts, masses, defects]))
     results = {"wigner_normalization": grid.meta.get("normalization")}

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .wigner import MAX_GRID_ELEMENTS, GridAliasingError
+
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -54,15 +56,23 @@ def uniform_grid(lo: float, hi: float, n: int) -> SpatialGrid:
 def auto_grid(state, sampling=None, t_max: float = 0.0, m: float = 1.0,
               margin: float = 2.0, min_points: int = 4096) -> SpatialGrid:
     """Grid covering the state support at all times up to t_max, resolved
-    well below the sampling width."""
+    well below the sampling width.
+
+    Raises GridAliasingError, before allocating, if that takes more than
+    MAX_GRID_ELEMENTS points."""
     lo, hi = state.support(t_max, m)
     lo0, hi0 = state.support(0.0, m)
     lo, hi = min(lo, lo0) - margin, max(hi, hi0) + margin
     n = min_points
     if sampling is not None:
         width = getattr(sampling, "s_x", None) or getattr(sampling, "half_width")
-        needed = int(np.ceil((hi - lo) / (width / 4.0)))
-        n = max(n, needed)
+        needed = np.ceil((hi - lo) / (width / 4.0))
+        if not needed <= MAX_GRID_ELEMENTS:
+            raise GridAliasingError(
+                f"{needed:.4g} points needed to resolve the sampling width over "
+                f"[{lo:.4g}, {hi:.4g}] exceed the bound of {MAX_GRID_ELEMENTS} grid points"
+            )
+        n = max(n, int(needed))
     n = 1 << int(np.ceil(np.log2(n)))
     return uniform_grid(lo, hi, n)
 

@@ -30,6 +30,8 @@ _FORMS = ("exact", "approximate")
 _STREAM_BLOCK = 4096
 # Complex-spectrum bytes per estimator FFT block, small enough to stay in cache.
 _FFT_BLOCK_BYTES = 1 << 20
+# Odd 64-bit multiplier (2^64 / golden ratio) of the record-key hash.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True)
@@ -291,6 +293,59 @@ class ForceStatistics:
     metadata: dict = field(default_factory=dict)
 
 
+def _distinct_records(readings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row index of each distinct record, ascending, and its multiplicity.
+
+    Rows are keyed by their sign bits packed into whole uint64 words,
+    _STREAM_BLOCK rows at a time, and every row is checked to hold only
+    +/-1, repeats included.  Rows are sorted by a polynomial hash of the key
+    and a group starts wherever the full key differs from the row before; a
+    hash collision can only split a group, never merge two.
+    """
+    count, length = readings.shape
+    keys = np.zeros((count, 8 * -(-length // 64)), dtype=np.uint8)
+    for lo in range(0, count, _STREAM_BLOCK):
+        chunk = readings[lo : lo + _STREAM_BLOCK]
+        if np.any(np.abs(chunk) != 1):
+            raise ValueError("readings must be +1 or -1")
+        keys[lo : lo + _STREAM_BLOCK, : -(-length // 8)] = np.packbits(chunk < 0, axis=1)
+    words = keys.view(np.uint64)
+    digest = words[:, 0].copy()
+    for column in words.T[1:]:
+        digest *= _HASH_MULTIPLIER
+        digest += column
+    order = np.argsort(digest)
+    new_key = np.zeros(count, dtype=bool)
+    new_key[0] = True
+    for column in words.T:  # one word at a time: no sorted copy of all keys
+        ordered = column[order]
+        new_key[1:] |= ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new_key)
+    first, weight = order[starts], np.diff(starts, append=count)
+    ascending = np.argsort(first)
+    return first[ascending], weight[ascending]
+
+
+def _lag_sums(readings: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over records of each record's all-pairs lag sum a_k and of a_k^2,
+    k = 0..max_lag, by FFT once per distinct record, weighted by its
+    multiplicity."""
+    first, weight = _distinct_records(readings)
+    weight = weight.astype(float)
+    n_fft = 1 << int(np.ceil(np.log2(2 * readings.shape[1])))
+    sum_a = np.zeros(max_lag + 1)
+    sum_a2 = np.zeros(max_lag + 1)
+    block = max(1, _FFT_BLOCK_BYTES // (16 * n_fft))
+    for lo in range(0, first.size, block):
+        spec = np.fft.rfft(readings[first[lo : lo + block]], n=n_fft, axis=1)
+        power = spec.real**2 + spec.imag**2
+        auto = np.rint(np.fft.irfft(power, n=n_fft, axis=1)[:, : max_lag + 1])
+        w = weight[lo : lo + block]
+        sum_a += w @ auto
+        sum_a2 += w @ (auto * auto)
+    return sum_a, sum_a2
+
+
 def estimate_force_statistics(records, sched: MeasurementSchedule, f0: float,
                               max_lag: int | None = None) -> ForceStatistics:
     """Sample mean series and two-time correlation of the force readings.
@@ -298,7 +353,12 @@ def estimate_force_statistics(records, sched: MeasurementSchedule, f0: float,
     `records` is a TrajectoryEnsemble or a 2-D int8 array of +/-1 readings,
     one row per trajectory.  The per-trajectory autocorrelation is computed
     by FFT over all pairs at each lag; its lag sums are sums of +/-1
-    products, so they are rounded to the integers they are.  Standard
+    products, so they are rounded to the integers they are.  Identical
+    records have identical autocorrelations, so the records are grouped by
+    their packed sign bits and each distinct record is transformed once,
+    its lag sums weighted by its multiplicity.  Every product and partial
+    sum is an integer, below 2^53 whenever count (N+1)^2 is, so the totals
+    do not depend on the grouping or the summation order.  Standard
     errors come from the spread across independent trajectories, in
     integer sums: a +/-1 column with sum S has sample variance
     (count - S^2/count) / (count - 1).
@@ -321,22 +381,9 @@ def estimate_force_statistics(records, sched: MeasurementSchedule, f0: float,
     mean = f0 * -col_sum / count
     mean_stderr = f0 * np.sqrt((count**2 - col_sum**2) / dof) / count
 
-    # Per-trajectory autocorrelation over all pairs at each lag, via FFT.
-    n_fft = 1 << int(np.ceil(np.log2(2 * length)))
+    sum_a, sum_a2 = _lag_sums(readings, max_lag)
     lags = np.arange(max_lag + 1)
     pair_counts = length - lags
-    sum_a = np.zeros(max_lag + 1)
-    sum_a2 = np.zeros(max_lag + 1)
-    block = max(1, _FFT_BLOCK_BYTES // (16 * n_fft))
-    for lo in range(0, count, block):
-        chunk = readings[lo : lo + block]
-        if np.any(np.abs(chunk) != 1):
-            raise ValueError("readings must be +1 or -1")
-        spec = np.fft.rfft(chunk, n=n_fft, axis=1)
-        power = spec.real**2 + spec.imag**2
-        auto = np.rint(np.fft.irfft(power, n=n_fft, axis=1)[:, : max_lag + 1])
-        sum_a += auto.sum(axis=0)
-        sum_a2 += (auto**2).sum(axis=0)
     scale = f0**2 / (count * pair_counts)
     corr = scale * sum_a
     corr_stderr = scale * np.sqrt(np.maximum(count * sum_a2 - sum_a**2, 0.0) / dof)

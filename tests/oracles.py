@@ -4,8 +4,9 @@ Each function here is an alternative to a route in `gravcat`: a
 scaling-and-squaring matrix exponential (against the `eigh`-built
 displacement), a step integrator of the full probe Hamiltonian (against
 the spectral `jc.evolve_series`), a stationarity residual of the pointer
-states, and a direct binomial sum for the small-angle conditional law.
-None of them runs in a CLI experiment.
+states, a direct binomial sum for the small-angle conditional law, and one
+FFT autocorrelation per force record (against the estimator's one per
+distinct record).  None of them runs in a CLI experiment.
 """
 
 from math import comb
@@ -91,3 +92,31 @@ def conditional_g_series(a2: int, a1: int, m_steps: int,
     start = 0 if a1 == a2 else 1
     total = sum(comb(m_steps, n) * x**n for n in range(start, m_steps + 1, 2))
     return float(np.cos(0.5 * sched.nu * sched.tau) ** (2 * m_steps) * total)
+
+
+def per_record_force_corr(readings: np.ndarray, f0: float, max_lag: int):
+    """The estimator's lag sums, correlation and its standard error with one
+    FFT autocorrelation per record, summed row by row in 1 MiB blocks.
+
+    Returns (sum_a, sum_a2, corr, corr_stderr) for `measurement`'s
+    `_lag_sums` and `estimate_force_statistics` to match exactly.
+    """
+    count, length = readings.shape
+    n_fft = 1 << int(np.ceil(np.log2(2 * length)))
+    sum_a = np.zeros(max_lag + 1)
+    sum_a2 = np.zeros(max_lag + 1)
+    block = max(1, (1 << 20) // (16 * n_fft))
+    for lo in range(0, count, block):
+        chunk = readings[lo : lo + block]
+        if np.any(np.abs(chunk) != 1):
+            raise ValueError("readings must be +1 or -1")
+        spec = np.fft.rfft(chunk, n=n_fft, axis=1)
+        power = spec.real**2 + spec.imag**2
+        auto = np.rint(np.fft.irfft(power, n=n_fft, axis=1)[:, : max_lag + 1])
+        sum_a += auto.sum(axis=0)
+        sum_a2 += (auto**2).sum(axis=0)
+    scale = f0**2 / (count * (length - np.arange(max_lag + 1)))
+    corr = scale * sum_a
+    dof = max(count - 1, 1)
+    corr_stderr = scale * np.sqrt(np.maximum(count * sum_a2 - sum_a**2, 0.0) / dof)
+    return sum_a, sum_a2, corr, corr_stderr

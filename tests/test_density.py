@@ -200,6 +200,20 @@ class TestFluctuationRatio:
         with pytest.raises(ValueError):
             fluctuation_ratio(state, SmearingParams(0.1), [80.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("x, exponents", [(28.0, (2,)), (34.0, (2, 3))])
+    def test_underflowing_density_power_rejected(self, x, exponents):
+        # the density is positive, but its square (x = 28) or also
+        # ell^3 |psi|^3 (x = 34) underflows to zero: a ValueError, which
+        # density-suite drops like a vanishing density, not a ZeroDivisionError
+        state, smear = GaussianState(sigma=1.0), SmearingParams(0.5)
+        assert static_limit_mean(state, [x, 0.0, 0.0]) > 0.0
+        for k in (2, 3):
+            if k in exponents:
+                with pytest.raises(ValueError, match="underflows"):
+                    fluctuation_ratio(state, smear, [x, 0.0, 0.0], density_exponent=k)
+            else:
+                assert fluctuation_ratio(state, smear, [x, 0.0, 0.0], density_exponent=k) > 1e250
+
 
 class TestPhaseSpaceEvaluation:
     def test_static_mean_matches_density_gaussian(self):

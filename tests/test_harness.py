@@ -311,6 +311,32 @@ class TestCli:
         assert code == 3
         assert peak < 4 * 2**20
 
+    def test_underflowing_fluctuation_rows_are_dropped(self, tmp_path):
+        # between the branches of a sigma = 0.1 cat the density is positive
+        # but its square underflows; those profile points are left out (exit
+        # 0) instead of failing the run with a ZeroDivisionError (exit 4)
+        cfg = write_config(tmp_path, "c.json", {"density.state": "cat", "density.sigma": 0.1})
+        assert main(["density-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        _, rows = read_csv(tmp_path / "o" / "fluctuation_profile.csv")
+        assert 0 < len(rows) < 101
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+    def test_oversized_history_grid_is_regime_error(self, tmp_path):
+        # the sigma = 1e-5 Gaussian's history grid would take 2^25 points
+        # (512 MiB per complex array); it is refused before allocation and
+        # the run peaks at 12 MB under tracemalloc, in the Wigner stages
+        import tracemalloc
+
+        cfg = write_config(tmp_path, "c.json", {"density.sigma": 1e-5})
+        tracemalloc.start()
+        try:
+            code = main(["density-suite", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 32 * 2**20
+
     def test_success_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**G2S_CFG})
         assert main(["g2s-correlations", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

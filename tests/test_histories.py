@@ -20,6 +20,7 @@ from gravcat.histories import (
 )
 from gravcat.quadrature import gauss_legendre
 from gravcat.states import BoxSampling, Cat1D, Gaussian1D, SmearingParams
+from gravcat.wigner import GridAliasingError
 
 
 def record_probability_oracle(state, sampling, events, m=1.0, grid=None):
@@ -61,6 +62,22 @@ class TestSpatialGrid:
         state = Gaussian1D(0.02)
         grid = auto_grid(state, SmearingParams(0.05), 0.5)
         assert grid.x[-1] > 100.0
+
+    def test_auto_grid_size_bound(self):
+        # sigma = 1e-4 spreads to |x| ~ 2e4 by t = 0.5 and needs 2^22 points
+        # at s_x / 4; sigma = 1e-5 would need 2^25, beyond MAX_GRID_ELEMENTS,
+        # and is refused before any grid array exists
+        import tracemalloc
+
+        assert auto_grid(Gaussian1D(1e-4), SmearingParams(0.05), 0.5).x.size == 1 << 22
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridAliasingError, match="exceed the bound"):
+                auto_grid(Gaussian1D(1e-5), SmearingParams(0.05), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rejects_nonuniform_grid(self):
         x = np.linspace(-122.5, 122.5, 1 << 15, endpoint=False)

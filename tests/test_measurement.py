@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from gravcat import measurement
 from gravcat.measurement import (
     MeasurementSchedule,
     ProbeGeometry,
@@ -24,7 +25,7 @@ from gravcat.measurement import (
     sample_trajectories,
     sequence_probability,
 )
-from oracles import conditional_g_series
+from oracles import conditional_g_series, per_record_force_corr
 
 
 def sched(nu_tau: float, n_steps: int = 10, tau: float = 1.0) -> MeasurementSchedule:
@@ -382,6 +383,75 @@ class TestEstimator:
     def test_fit_rejects_sign_changes(self):
         with pytest.raises(ValueError):
             fit_exponential_rate(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+
+
+class TestGroupedEstimator:
+    """Each distinct record is transformed once and weighted by its count;
+    the per-record FFT loop it replaced (tests/oracles.py) must give the
+    same bits."""
+
+    F0 = 1.3
+
+    def _check(self, readings, s, max_lag=None):
+        stats = estimate_force_statistics(readings, s, f0=self.F0, max_lag=max_lag)
+        lag = int(stats.lag_steps[-1])
+        got = (*measurement._lag_sums(readings, lag), stats.corr, stats.corr_stderr)
+        for a, b in zip(got, per_record_force_corr(readings, self.F0, lag)):
+            assert np.array_equal(a, b)
+
+    def test_low_jump_ensemble_with_repeats(self):
+        s = sched(0.05, n_steps=200)
+        readings = sample_trajectories(s, 9000, seed=3).readings
+        first, weight = measurement._distinct_records(readings)
+        assert first.size < 1000 and weight.sum() == 9000
+        self._check(readings, s)
+
+    def test_all_distinct_ensemble(self):
+        s = sched(1.0, n_steps=100)
+        readings = sample_trajectories(s, 5000, seed=5).readings
+        first, weight = measurement._distinct_records(readings)
+        assert np.array_equal(first, np.arange(5000)) and np.all(weight == 1)
+        self._check(readings, s)
+
+    def test_max_lag_below_steps(self):
+        s = sched(0.2, n_steps=80)
+        self._check(sample_trajectories(s, 3000, seed=8).readings, s, max_lag=17)
+
+    @pytest.mark.parametrize("length, count", [(13, 4097), (64, 8191), (65, 5000),
+                                               (201, 10001)])
+    def test_record_lengths_and_ragged_counts(self, length, count):
+        s = sched(0.3, n_steps=length - 1)
+        self._check(sample_trajectories(s, count, seed=length).readings, s)
+
+    @pytest.mark.parametrize("length", [13, 64, 65, 201])
+    def test_last_reading_separates_groups(self, length):
+        readings = np.ones((8, length), dtype=np.int8)
+        readings[[1, 4, 6], -1] = -1
+        first, weight = measurement._distinct_records(readings)
+        assert first.tolist() == [0, 1] and weight.tolist() == [5, 3]
+        self._check(readings, sched(0.3, n_steps=length - 1))
+
+    def test_hash_collisions_split_but_never_merge(self, monkeypatch):
+        # multiplier 0 leaves only the last key word in the hash
+        monkeypatch.setattr(measurement, "_HASH_MULTIPLIER", np.uint64(0))
+        s = sched(0.4, n_steps=200)
+        readings = sample_trajectories(s, 6000, seed=12).readings
+        self._check(readings, s)
+
+    # the mean path, which runs before the +/-1 check, takes the square root
+    # of a negative variance when 127 pushes a column sum past the count
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+    @pytest.mark.parametrize("col, value", [(2, 0), (2, 3), (2, 127), (1, -3), (1, -128)])
+    def test_bad_value_in_a_repeated_row_rejected(self, col, value):
+        s = sched(0.05, n_steps=200)
+        readings = sample_trajectories(s, 10_000, seed=2).readings
+        readings[0, 1::2] = -1
+        readings[9000] = readings[0]
+        readings[9000, col] = value
+        # same sign bits as row 0, so the same group key
+        assert np.array_equal(readings[9000] < 0, readings[0] < 0)
+        with pytest.raises(ValueError):
+            estimate_force_statistics(readings, s, f0=1.0)
 
 
 class TestKolmogorovDefect:
