@@ -192,7 +192,8 @@ def smeared_corr_phase_space(
 
     valid when observation scales far exceed the sampling width (and t !=
     t2).  method="quadrature" integrates the finite-width Gaussian sampling
-    kernel against W0 directly and has no such restriction.
+    kernel against W0 directly and has no such restriction; its correlation
+    is smeared_corr_quadrature.
     """
     w0 = _require_grid(w0)
     if method == "delta":
@@ -219,16 +220,29 @@ def smeared_corr_phase_space(
     integrand = w0.evaluate(xx, p_nodes[:, None]) * g_vals[None, :]
     mean = m / ell * float(p_weights @ integrand @ u_weights) / (2.0 * np.pi)
 
-    # Correlation: (m^2 / ell^2) (1/2pi) Int dx dp W0 exp(-A^2/s^2 - C (p - p*)^2)
-    # with A = x - (r + r2)/2 + p (t + t2) / (2 m).
+    return mean, smeared_corr_quadrature(w0, smear, r, t, r2, t2, m)
+
+
+def smeared_corr_quadrature(
+    w0: PhaseSpaceGrid, smear, r: float, t: float, r2: float, t2: float, m: float = 1.0
+) -> float:
+    """1D smeared two-point function from the initial Wigner function: the
+    finite-width Gaussian sampling kernel integrated against W0 (the
+    correlation half of smeared_corr_phase_space(method="quadrature")).
+
+    (m^2 / ell^2) (1/2pi) Int dx dp W0 exp(-A^2/s^2 - C (p - p*)^2) with
+    A = x - (r + r2)/2 + p (t + t2) / (2 m); needs t != t2.
+    """
+    w0 = _require_grid(w0)
     if t == t2:
         raise ValueError("two-point quadrature needs distinct times")
+    s = smear.s_x
     p_star = m * (r - r2) / (t - t2)
     p_width = 2.0 * m * s / abs(t - t2)
     p_nodes, p_weights = gauss_legendre(p_star - 8.0 * p_width, p_star + 8.0 * p_width, 12)
+    u_nodes, u_weights = gauss_legendre(-8.0 * s, 8.0 * s, 8)
     c_coef = (t - t2) ** 2 / (4.0 * m**2 * s**2)
     xx = (0.5 * (r + r2) - p_nodes[:, None] * (t + t2) / (2.0 * m)) + u_nodes[None, :]
     f_vals = np.exp(-(u_nodes[None, :] ** 2) / s**2 - c_coef * (p_nodes[:, None] - p_star) ** 2)
     integrand = w0.evaluate(xx, p_nodes[:, None]) * f_vals
-    corr = m**2 / ell**2 * float(p_weights @ integrand @ u_weights) / (2.0 * np.pi)
-    return mean, corr
+    return m**2 / smear.ell**2 * float(p_weights @ integrand @ u_weights) / (2.0 * np.pi)

@@ -86,7 +86,9 @@ def write_csv(path: Path, header: list[str], columns) -> Path:
     """Write equal-length 1-D columns under `header`, one row per index.
 
     Integer and boolean columns print as %d, all others as %.17g; rows go
-    out in fixed blocks so a large table never exists as one string.
+    out in fixed blocks so a large table never exists as one string.  In a
+    block where at most half of a float column's bit patterns are distinct,
+    each distinct pattern is formatted once and its text reused.
     """
     text = _csv_blocks(path, header, columns)
     with path.open("w", encoding="ascii") as fh:
@@ -102,9 +104,42 @@ def _csv_blocks(path: Path, header: list[str], columns):
     n_rows = columns[0].size if columns else 0
     if len(columns) != len(header) or any(c.ndim != 1 or c.size != n_rows for c in columns):
         raise ValueError(f"need {len(header)} 1-D columns of equal length for {path.name}")
-    row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
-    return ("".join(map(row.__mod__, zip(*(c[lo:lo + _CSV_BLOCK_ROWS].tolist() for c in columns))))
+    return (_csv_block([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])
             for lo in range(0, n_rows, _CSV_BLOCK_ROWS))
+
+
+def _csv_block(columns) -> str:
+    """One block of rows: %d for integer and boolean columns, %.17g for the
+    others, with the text of a float column built by _repeated_text where
+    it repeats enough."""
+    slots, cells = [], []
+    for c in columns:
+        if c.dtype.kind in "biu":
+            slots.append("%d")
+            cells.append(c.tolist())
+        elif (text := _repeated_text(c)) is not None:
+            slots.append("%s")
+            cells.append(text)
+        else:
+            slots.append("%.17g")
+            cells.append(c.tolist())
+    row = ",".join(slots) + "\n"
+    return "".join(map(row.__mod__, zip(*cells)))
+
+
+def _repeated_text(c: np.ndarray) -> list[str] | None:
+    """The %.17g text of each value of a float column, each distinct bit
+    pattern formatted once (so -0.0 and each NaN payload keep their own
+    text), or None when more than half of the patterns are distinct."""
+    if c.dtype.kind != "f" or c.dtype.itemsize not in (2, 4, 8):
+        return None
+    bits = c.view(f"u{c.dtype.itemsize}")
+    ordered = np.sort(bits)
+    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > c.size:
+        return None
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    text = ["%.17g" % v for v in c[first].tolist()]
+    return list(map(text.__getitem__, inverse.tolist()))
 
 
 def _write_trajectories(path: Path, readings: np.ndarray) -> Path:
@@ -511,8 +546,7 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     r1 = 0.5 * np.array(list(dict.fromkeys((10.0 * smear.s_x, 20.0 * smear.s_x, 0.5))))
     delta = [dn.smeared_corr_phase_space(grid, smear, r, t1, -r, t2, m, method="delta")
              for r in r1]
-    quad = [dn.smeared_corr_phase_space(grid, smear, r, t1, -r, t2, m, method="quadrature")[1]
-            for r in r1]
+    quad = [dn.smeared_corr_quadrature(grid, smear, r, t1, -r, t2, m) for r in r1]
     arts.append(write_csv(
         outdir / "correlators.csv",
         ["r", "t", "r2", "t2", "mean_delta", "corr_delta", "corr_quadrature"],

@@ -326,24 +326,28 @@ def _distinct_records(readings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[ascending], weight[ascending]
 
 
-def _lag_sums(readings: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums over records of each record's all-pairs lag sum a_k and of a_k^2,
-    k = 0..max_lag, by FFT once per distinct record, weighted by its
-    multiplicity."""
+def _lag_sums(readings: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column sums of the readings (int64), and sums over records of each
+    record's all-pairs lag sum a_k and of a_k^2, k = 0..max_lag, by FFT once
+    per distinct record, each weighted by its multiplicity.  Nothing is
+    summed before _distinct_records has checked every reading."""
     first, weight = _distinct_records(readings)
-    weight = weight.astype(float)
+    float_weight = weight.astype(float)
     n_fft = 1 << int(np.ceil(np.log2(2 * readings.shape[1])))
+    col_sum = np.zeros(readings.shape[1], dtype=np.int64)
     sum_a = np.zeros(max_lag + 1)
     sum_a2 = np.zeros(max_lag + 1)
     block = max(1, _FFT_BLOCK_BYTES // (16 * n_fft))
     for lo in range(0, first.size, block):
-        spec = np.fft.rfft(readings[first[lo : lo + block]], n=n_fft, axis=1)
+        rows = readings[first[lo : lo + block]]
+        col_sum += weight[lo : lo + block] @ rows
+        spec = np.fft.rfft(rows, n=n_fft, axis=1)
         power = spec.real**2 + spec.imag**2
         auto = np.rint(np.fft.irfft(power, n=n_fft, axis=1)[:, : max_lag + 1])
-        w = weight[lo : lo + block]
+        w = float_weight[lo : lo + block]
         sum_a += w @ auto
         sum_a2 += w @ (auto * auto)
-    return sum_a, sum_a2
+    return col_sum, sum_a, sum_a2
 
 
 def estimate_force_statistics(records, sched: MeasurementSchedule, f0: float,
@@ -356,12 +360,12 @@ def estimate_force_statistics(records, sched: MeasurementSchedule, f0: float,
     products, so they are rounded to the integers they are.  Identical
     records have identical autocorrelations, so the records are grouped by
     their packed sign bits and each distinct record is transformed once,
-    its lag sums weighted by its multiplicity.  Every product and partial
-    sum is an integer, below 2^53 whenever count (N+1)^2 is, so the totals
-    do not depend on the grouping or the summation order.  Standard
-    errors come from the spread across independent trajectories, in
-    integer sums: a +/-1 column with sum S has sample variance
-    (count - S^2/count) / (count - 1).
+    its lag sums and its readings weighted by its multiplicity.  Every
+    product and partial sum is an integer, below 2^53 whenever count
+    (N+1)^2 is, so the totals do not depend on the grouping or the
+    summation order.  Standard errors come from the spread across
+    independent trajectories, in integer sums: a +/-1 column with sum S
+    has sample variance (count - S^2/count) / (count - 1).
     """
     readings = records.readings if isinstance(records, TrajectoryEnsemble) else records
     if not (isinstance(readings, np.ndarray) and readings.dtype == np.int8
@@ -377,11 +381,10 @@ def estimate_force_statistics(records, sched: MeasurementSchedule, f0: float,
     max_lag = min(max_lag, sched.n_steps)
 
     dof = max(count - 1, 1)  # a single record has zero spread
-    col_sum = readings.sum(axis=0, dtype=np.int64)
+    col_sum, sum_a, sum_a2 = _lag_sums(readings, max_lag)
     mean = f0 * -col_sum / count
     mean_stderr = f0 * np.sqrt((count**2 - col_sum**2) / dof) / count
 
-    sum_a, sum_a2 = _lag_sums(readings, max_lag)
     lags = np.arange(max_lag + 1)
     pair_counts = length - lags
     scale = f0**2 / (count * pair_counts)

@@ -12,10 +12,12 @@ from gravcat.density import (
     free_propagator_1d,
     newtonian_force,
     smeared_corr_phase_space,
+    smeared_corr_quadrature,
     smeared_mean_phase_space,
     static_limit_corr,
     static_limit_mean,
 )
+from gravcat import density
 from gravcat.quadrature import gauss_legendre
 from gravcat.states import (
     BoxSampling,
@@ -266,3 +268,37 @@ class TestPhaseSpaceEvaluation:
         grid = wigner_function(Gaussian1D(sigma=1.0))
         with pytest.raises(ValueError):
             smeared_corr_phase_space(grid, SmearingParams(0.05), 0.1, 0.5, 0.2, 0.5)
+
+
+class TestCorrelationQuadrature:
+    # the density-suite benchmark cat and its correlator table: r = -r2 at
+    # 10 and 20 s_x, t = 0.1, t2 = 0.35
+    STATE = CatState(sigma=1.0, L=(6.0, 0.0, 0.0)).axis_state(0)
+    SMEAR = SmearingParams(0.05)
+    ROWS = [(0.25, 0.1, -0.25, 0.35), (0.5, 0.1, -0.5, 0.35)]
+
+    def test_pair_carries_the_quadrature_correlation(self):
+        grid = wigner_function(self.STATE)
+        for r, t, r2, t2 in self.ROWS + [(0.1, 0.3, -0.1, 0.1)]:
+            _, corr = smeared_corr_phase_space(grid, self.SMEAR, r, t, r2, t2, 1.3,
+                                               method="quadrature")
+            assert corr == smeared_corr_quadrature(grid, self.SMEAR, r, t, r2, t2, 1.3)
+
+    def test_equal_times_rejected(self):
+        grid = wigner_function(self.STATE)
+        with pytest.raises(ValueError, match="distinct times"):
+            smeared_corr_quadrature(grid, self.SMEAR, 0.1, 0.5, 0.2, 0.5)
+
+    def test_doubling_the_panels_moves_little(self, monkeypatch):
+        # both panel counts doubled (p 12 -> 24, u 8 -> 16); the far row,
+        # -1.6e-12, sits at the spline's noise and is bounded by the table's
+        # largest value, 7.2e-4, as the near row is
+        grid = wigner_function(self.STATE)
+        base = [smeared_corr_quadrature(grid, self.SMEAR, *row) for row in self.ROWS]
+        monkeypatch.setattr(density, "gauss_legendre",
+                            lambda lo, hi, n: gauss_legendre(lo, hi, 2 * n))
+        fine = [smeared_corr_quadrature(grid, self.SMEAR, *row) for row in self.ROWS]
+        scale = max(map(abs, base))
+        assert scale > 1e-4
+        for a, b in zip(base, fine):
+            assert abs(a - b) <= 1e-6 * scale

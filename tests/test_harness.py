@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gravcat
 from gravcat import harness
@@ -57,6 +59,46 @@ JC_CFG = {"jc.nu_over_omega": 0.02, "jc.samples": 7, "jc.nu_t_max": 0.5}
 DENS_CFG = {"density.state": "gaussian", "density.sigma": 1.0, "density.s_x": 0.05}
 
 
+_NAN_BITS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                      0xFFF4000000000ABC], dtype=np.uint64)
+_SPECIAL_POOL = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, 0.1],
+                                _NAN_BITS.view(np.float64)])
+
+
+def _per_block(n, make):
+    """A column made one write_csv block at a time by make(block_size)."""
+    sizes = [min(harness._CSV_BLOCK_ROWS, n - lo) for lo in range(0, n, harness._CSV_BLOCK_ROWS)]
+    return np.concatenate([make(b) for b in sizes]) if sizes else np.array([])
+
+
+def _distinct_per_block(rng, n, distinct):
+    """Float64 blocks holding distinct(b) distinct values each, shuffled."""
+    def make(b):
+        k = max(1, min(distinct(b), b))
+        values = np.arange(1, k + 1) / 3.0
+        return rng.permutation(np.concatenate([values, rng.choice(values, b - k)]))
+    return _per_block(n, make)
+
+
+# Column generators for the writer's property test: (rng, length) -> column.
+CSV_COLUMN_KINDS = {
+    "pool": lambda rng, n: rng.choice(rng.normal(size=3) * 1e5, n),
+    "special": lambda rng, n: rng.choice(_SPECIAL_POOL, n),
+    "special_or_distinct": lambda rng, n: np.where(rng.random(n) < 0.5, rng.choice(_SPECIAL_POOL, n),
+                                                   rng.normal(size=n)),
+    "distinct": lambda rng, n: rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),
+    "half_distinct": lambda rng, n: _distinct_per_block(rng, n, lambda b: b // 2),
+    "half_plus_one": lambda rng, n: _distinct_per_block(rng, n, lambda b: b // 2 + 1),
+    "strided": lambda rng, n: (rng.choice([0.25, -1.5], n) + 1j * rng.normal(size=n)).real,
+    "float32_pool": lambda rng, n: rng.choice(rng.normal(size=4), n).astype(np.float32),
+    "float32": lambda rng, n: rng.normal(size=n).astype(np.float32),
+    "int8": lambda rng, n: rng.integers(-128, 128, size=n).astype(np.int8),
+    "int64": lambda rng, n: rng.integers(-2**63, 2**63, size=n, dtype=np.int64),
+    "uint64": lambda rng, n: rng.integers(0, 2**64, size=n, dtype=np.uint64),
+    "bool": lambda rng, n: rng.integers(0, 2, size=n).astype(bool),
+}
+
+
 class TestCsvWriter:
     SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]
 
@@ -82,6 +124,31 @@ class TestCsvWriter:
         new, old = self._both(tmp_path, ["i", "b", "f", "i8", "u64", "f32"], columns)
         assert new == old
         assert new.count(b"\n") == n + 1
+
+    def test_repeated_text_route_choice(self):
+        # exactly half of the patterns distinct takes the table, one more does not
+        half = np.repeat(np.arange(2048) / 7.0, 2)
+        assert harness._repeated_text(half) == ["%.17g" % v for v in half.tolist()]
+        assert harness._repeated_text(np.append(half[:-2], [0.5, 0.25])) is None
+        assert harness._repeated_text(np.array([1.5])) is None
+        assert harness._repeated_text(np.arange(4)) is None
+
+    def test_repeated_text_keeps_each_bit_pattern(self):
+        column = np.tile(np.concatenate([[0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf],
+                                         _NAN_BITS.view(np.float64)]), 3)
+        assert harness._repeated_text(column) == ["%.17g" % v for v in column.tolist()]
+        assert harness._repeated_text(column)[:2] == ["0", "-0"]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([0, 1, 2, 7, 4095, 4096, 4097, 8193]),
+           kinds=st.lists(st.sampled_from(sorted(CSV_COLUMN_KINDS)), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_oracle_property(self, tmp_path_factory, n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        columns = [CSV_COLUMN_KINDS[kind](rng, n) for kind in kinds]
+        header = [f"c{i}" for i in range(len(kinds))]
+        new, old = self._both(tmp_path_factory.mktemp("csv"), header, columns)
+        assert new == old
 
     def test_empty_table_is_header_line(self, tmp_path):
         new, old = self._both(tmp_path, ["a", "t"], [np.array([], dtype=int), np.array([])])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gravcat import histories
 from gravcat.histories import (
     SpatialGrid,
     additivity_defect,
@@ -36,6 +37,20 @@ def record_probability_oracle(state, sampling, events, m=1.0, grid=None):
     return float(np.sum(np.abs(cur) ** 2) * grid.dx)
 
 
+def additivity_defect_oracle(state, sampling, t1, t2, r1_values, r2_values, m=1.0,
+                             grid=None):
+    """The per-r2 route: the whole first-sampling comb propagated again for
+    every r2, against the one-record probability at (r2, t2)."""
+    if grid is None:
+        grid = auto_grid(state, sampling, t2, m)
+    worst = 0.0
+    for r2 in np.atleast_1d(r2_values):
+        event = [(float(r2), t2)]
+        summed = partition_probability_sum(state, sampling, event, r1_values, t1, m, grid)
+        worst = max(worst, abs(summed - n_time_probability(state, sampling, event, m, grid)))
+    return worst
+
+
 class TestFreeEvolve:
     def test_matches_closed_form(self):
         state = Gaussian1D(1.0, center=0.5)
@@ -49,6 +64,17 @@ class TestFreeEvolve:
         psi = state.psi(grid.x)
         roundtrip = free_evolve(free_evolve(psi, grid, 1.2), grid, -1.2)
         assert np.max(np.abs(roundtrip - psi)) < 1e-12
+
+    def test_in_place_spectrum_matches_product_route(self):
+        # the phases multiply the spectrum in place, phases first: the same
+        # bits as ifft(phases * fft(psi)), for one record and for a comb
+        grid = uniform_grid(-18.0, 18.0, 4096)
+        psi = Cat1D(0.7, 3.0).psi(grid.x) * SmearingParams(0.3).sqrt_g(
+            grid.x - np.linspace(-2.0, 2.0, 5)[:, None])
+        phases = np.exp(-1j * grid.k**2 * 0.7 / (2.0 * 1.3))
+        for p in (psi, psi[2]):
+            assert np.array_equal(free_evolve(p, grid, 0.7, 1.3),
+                                  np.fft.ifft(phases * np.fft.fft(p)))
 
 
 class TestSpatialGrid:
@@ -268,3 +294,60 @@ class TestAdditivityDefect:
         comb = partition_points(0.0, 8.0, smear.s_x)
         defect = additivity_defect(state, smear, 0.5, 1.2, comb, [0.0, 0.8], m=1e14)
         assert defect < 1e-10
+
+
+class TestAdditivityDefectOracle:
+    """One comb propagation per call, read off for every r2, against the
+    per-r2 route it replaced."""
+
+    @pytest.mark.parametrize("state", [Gaussian1D(0.9, center=0.3), Cat1D(0.7, 3.0)])
+    @pytest.mark.parametrize("sampling", [SmearingParams(0.3), BoxSampling(0.4)])
+    @pytest.mark.parametrize("r2_values", [[0.2], [0.0, 0.8], np.linspace(-1.5, 1.5, 5)])
+    @pytest.mark.parametrize("explicit_grid", [False, True])
+    def test_matches_per_r2_route(self, state, sampling, r2_values, explicit_grid):
+        comb = partition_points(0.1, 4.0, 0.3)
+        grid = uniform_grid(-14.0, 14.0, 2048) if explicit_grid else None
+        args = (state, sampling, 0.4, 1.1, comb, r2_values, 1.3, grid)
+        expected = additivity_defect_oracle(*args)
+        assert expected > 1e-4
+        assert abs(additivity_defect(*args) - expected) <= 1e-14
+
+    def test_ragged_comb_blocks(self, monkeypatch):
+        # 4 comb rows per block over a 27-row comb: six full blocks and one of 3
+        state, smear = Cat1D(0.7, 3.0), SmearingParams(0.3)
+        comb = partition_points(0.1, 4.0, 0.3)
+        grid = auto_grid(state, smear, 1.1)
+        monkeypatch.setattr(histories, "_COMB_BLOCK_BYTES", 4 * 16 * grid.x.size)
+        args = (state, smear, 0.4, 1.1, comb, np.linspace(-1.5, 1.5, 5), 1.0, grid)
+        assert comb.size == 27
+        assert abs(additivity_defect(*args) - additivity_defect_oracle(*args)) <= 1e-14
+
+    def test_lone_comb_center(self):
+        state, smear = Gaussian1D(1.0), SmearingParams(0.3)
+        args = (state, smear, 0.4, 1.1, [0.0], [0.0, 0.5])
+        assert abs(additivity_defect(*args) - additivity_defect_oracle(*args)) <= 1e-14
+
+    @pytest.mark.parametrize("t2", [0.4, 0.2])
+    def test_unordered_times_rejected(self, t2):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            additivity_defect(Gaussian1D(1.0), SmearingParams(0.3), 0.4, t2,
+                              partition_points(0.0, 2.0, 0.3), [0.0])
+
+    def test_memory_bounded_by_comb_blocks(self):
+        import tracemalloc
+
+        # density-suite's 49-row comb on 2^17 points: one complex array of
+        # the whole comb would take 103 MB before any FFT temporary
+        grid = uniform_grid(-40.0, 40.0, 1 << 17)
+        smear = SmearingParams(0.25)
+        comb = partition_points(0.0, 6.0, smear.s_x)
+        assert comb.size == 49 and comb.size * grid.x.size * 16 > 100e6
+        tracemalloc.start()
+        try:
+            defect = additivity_defect(Gaussian1D(1.0), smear, 0.1, 0.5, comb, [0.0, 1.0],
+                                       grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert defect > 1e-4

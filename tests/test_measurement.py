@@ -395,8 +395,11 @@ class TestGroupedEstimator:
     def _check(self, readings, s, max_lag=None):
         stats = estimate_force_statistics(readings, s, f0=self.F0, max_lag=max_lag)
         lag = int(stats.lag_steps[-1])
-        got = (*measurement._lag_sums(readings, lag), stats.corr, stats.corr_stderr)
-        for a, b in zip(got, per_record_force_corr(readings, self.F0, lag)):
+        col_sum, *sums = measurement._lag_sums(readings, lag)
+        assert np.array_equal(col_sum, readings.sum(axis=0, dtype=np.int64))
+        assert np.array_equal(stats.mean, self.F0 * -col_sum / readings.shape[0])
+        got = (*sums, stats.corr, stats.corr_stderr)
+        for a, b in zip(got, per_record_force_corr(readings, self.F0, lag), strict=True):
             assert np.array_equal(a, b)
 
     def test_low_jump_ensemble_with_repeats(self):
@@ -438,9 +441,9 @@ class TestGroupedEstimator:
         readings = sample_trajectories(s, 6000, seed=12).readings
         self._check(readings, s)
 
-    # the mean path, which runs before the +/-1 check, takes the square root
-    # of a negative variance when 127 pushes a column sum past the count
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+    # the readings are checked before any sum, so no warning (a 127 summed
+    # first would take the square root of a negative variance) precedes the error
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("col, value", [(2, 0), (2, 3), (2, 127), (1, -3), (1, -128)])
     def test_bad_value_in_a_repeated_row_rejected(self, col, value):
         s = sched(0.05, n_steps=200)
