@@ -8,8 +8,9 @@ around a circle of center zeta_0 = -g/omega in phase space), and the probe
 resolves the wells once the pointer coherent states are distinguishable,
 |<zeta_0|-zeta_0>|^2 = exp(-4 |zeta_0|^2) << 1.  Tunneling-induced
 transitions between the pointer states are computed from the full H,
-diagonalised once (`evolve_series`; its step-integration oracle lives in
-the test suite), and from a first-order interaction-picture propagator,
+diagonalised once (`evolve_rows`; its step-integration oracle lives in
+the test suite), and from a first-order interaction-picture propagator
+(`first_order_probability_series` evaluates it for a whole time series),
 the paper's result: a pointer swap at the bare rate nu.  Exact dynamics
 matches the first-order law only when 2 |zeta_0|^2 << 1; in general the
 swap runs at the polaron-dressed rate nu exp(-2 |zeta_0|^2), the
@@ -217,6 +218,19 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
+def reduced_purity(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """tr rho^2 of rho = u u^dag + d d^dag for each row of the block arrays.
+
+    tr rho^2 = |u|^4 + |d|^4 + 2 |<u, d>|^2, so no density matrix is built;
+    `up` and `down` are (..., D) block amplitudes, as the rows of
+    `evolve_rows` split at D.
+    """
+    n_up = np.einsum("...i,...i->...", up.conj(), up).real
+    n_down = np.einsum("...i,...i->...", down.conj(), down).real
+    cross = np.einsum("...i,...i->...", up.conj(), down)
+    return n_up**2 + n_down**2 + 2.0 * (cross.real**2 + cross.imag**2)
+
+
 @dataclass(frozen=True)
 class DistinguishabilityReport:
     """Pointer-state overlap and the probe-quality inequality it implies.
@@ -289,22 +303,67 @@ def rabi_probability(params: JCParams, t) -> float | np.ndarray:
     return float(val) if np.ndim(t) == 0 else val
 
 
-def evolve_series(params: JCParams, space: FockSpace, state: CompositeState,
-                  times: np.ndarray) -> list[CompositeState]:
-    """States V e^{-i E t} V^dag psi0 at uniformly spaced times starting at
-    times[0] = 0, from one diagonalisation H = V diag(E) V^dag."""
+def first_order_probability_series(params: JCParams, space: FockSpace,
+                                   times: np.ndarray,
+                                   initial: CompositeState | None = None,
+                                   target: CompositeState | None = None) -> np.ndarray:
+    """|<target | A(t) O_t | initial>|^2 for every t in `times`, the
+    first-order law of `adiabatic_propagator(t) @ perturbative_propagator(t)`.
+
+    With D = D(g/omega) and R(t) = diag(e^{-i omega n t}), A(t) is the phase
+    e^{i g^2 t / omega} times blockdiag(D^dag R D, D R D^dag), so the
+    amplitude is sum_n e^{-i omega n t} [cos(nu t) stay_n - i sin(nu t) swap_n]
+    with
+        stay = conj(D u_t) (D u_i) + conj(D^dag d_t) (D^dag d_i),
+        swap = conj(D u_t) (D D(2 zeta_0) d_i) + conj(D^dag d_t) (D^dag D(-2 zeta_0) u_i)
+    for blocks (u, d) of target and initial; the global phase drops out of
+    the modulus.  Defaults as in `transition_probability_series`.  Unlike
+    `perturbative_propagator` it does not warn outside the first-order
+    regime, as `rabi_probability` does not.
+    """
+    if initial is None:
+        initial = pointer_state(params, space, +1)
+    if target is None:
+        target = pointer_state(params, space, -1)
+    times = np.asarray(times, dtype=float)
+    d_op = displacement(space, params.g / params.omega).matrix
+    d_adj = d_op.conj().T
+    z2 = 2.0 * params.zeta0
+    up_i, down_i = initial.up.amplitudes, initial.down.amplitudes
+    up_t = (d_op @ target.up.amplitudes).conj()
+    down_t = (d_adj @ target.down.amplitudes).conj()
+    stay = up_t * (d_op @ up_i) + down_t * (d_adj @ down_i)
+    swap = (up_t * (d_op @ (displacement(space, z2).matrix @ down_i))
+            + down_t * (d_adj @ (displacement(space, -z2).matrix @ up_i)))
+    rot = np.exp(-1j * params.omega * np.outer(times, np.arange(space.dim)))
+    stay_t, swap_t = (rot @ np.stack([stay, swap], axis=1)).T
+    amp = np.cos(params.nu * times) * stay_t - 1j * np.sin(params.nu * times) * swap_t
+    return amp.real**2 + amp.imag**2
+
+
+def evolve_rows(params: JCParams, space: FockSpace, state: CompositeState,
+                times: np.ndarray) -> np.ndarray:
+    """Composite vectors V e^{-i E t} V^dag psi0, one row per time, at
+    uniformly spaced times starting at times[0] = 0, from one
+    diagonalisation H = V diag(E) V^dag.  Shape (len(times), 2 D)."""
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("time series must start at 0")
     if times.size < 2:
-        return [state]
+        return state.as_vector()[None, :]
     seg = np.diff(times)
     if not np.allclose(seg, seg[0], rtol=1e-9, atol=0.0):
         raise ValueError("time series must be uniformly spaced")
     energies, vecs = np.linalg.eigh(total_hamiltonian(params, space))
     coeffs = vecs.conj().T @ state.as_vector()
-    rows = (np.exp(-1j * np.outer(times, energies)) * coeffs) @ vecs.T
-    return [CompositeState.from_vector(space, row) for row in rows]
+    return (np.exp(-1j * np.outer(times, energies)) * coeffs) @ vecs.T
+
+
+def evolve_series(params: JCParams, space: FockSpace, state: CompositeState,
+                  times: np.ndarray) -> list[CompositeState]:
+    """The rows of `evolve_rows` as states."""
+    return [CompositeState.from_vector(space, row)
+            for row in evolve_rows(params, space, state, times)]
 
 
 def transition_probability_series(params: JCParams, space: FockSpace,
@@ -320,9 +379,8 @@ def transition_probability_series(params: JCParams, space: FockSpace,
         initial = pointer_state(params, space, +1)
     if target is None:
         target = pointer_state(params, space, -1)
-    states = evolve_series(params, space, initial, times)
-    tvec = target.as_vector()
-    return np.array([abs(np.vdot(tvec, st.as_vector())) ** 2 for st in states])
+    amp = evolve_rows(params, space, initial, times) @ target.as_vector().conj()
+    return amp.real**2 + amp.imag**2
 
 
 def interaction_picture_potential(params: JCParams, space: FockSpace,

@@ -425,28 +425,19 @@ def kolmogorov_defect(sched: MeasurementSchedule, n_steps: int) -> float:
 
     Records at times tau, 2 tau, ..., n tau from a right-well start:
     max over later outcomes of | Sum_{a1} P_n - P_{n-1} |, where P_{n-1}
-    drops the first measurement.  Vanishes when the evolution commutes with
-    the well projectors (nu = 0) and shrinks as nu tau -> 0.
+    drops the first measurement.  Both sides share the chain of n - 2 later
+    transition probabilities, so the defect is the first-step difference
+    max_b |(T v1)_b - v2_b| times the largest chain max(p, 1 - p)^(n-2),
+    with T the one-step transition matrix, p = cos^2(nu tau / 2) its
+    diagonal, and v1, v2 the well probabilities at tau and 2 tau.
+    Vanishes when the evolution commutes with the well projectors (nu = 0)
+    and shrinks as nu tau -> 0.
     """
     if n_steps < 2:
         raise ValueError(f"need at least two measurements, got {n_steps}")
-    from itertools import product
-
     params = TunnelingParams(sched.nu, 0.0)
-    u_tau = tunneling_propagator(params, sched.tau)
-    u_2tau = tunneling_propagator(params, 2.0 * sched.tau)
-    idx = {1: 0, -1: 1}
-    # transition[b, a] = |<b| U_tau |a>|^2 ; start vectors from |+>
-    trans = np.abs(u_tau) ** 2
-    v1 = np.abs(u_tau[:, 0]) ** 2        # first measurement at tau
-    v2 = np.abs(u_2tau[:, 0]) ** 2       # first measurement at 2 tau instead
-    worst = 0.0
-    for tail in product((1, -1), repeat=n_steps - 1):
-        ids = [idx[a] for a in tail]
-        chain = 1.0
-        for prev, nxt in zip(ids, ids[1:]):
-            chain *= trans[nxt, prev]
-        with_first = sum(v1[a1] * trans[ids[0], a1] for a1 in (0, 1)) * chain
-        without_first = v2[ids[0]] * chain
-        worst = max(worst, abs(with_first - without_first))
-    return worst
+    # trans[b, a] = |<b| U_tau |a>|^2, symmetric with entries p and 1 - p
+    trans = np.abs(tunneling_propagator(params, sched.tau)) ** 2
+    v2 = np.abs(tunneling_propagator(params, 2.0 * sched.tau)[:, 0]) ** 2
+    first = np.max(np.abs(trans @ trans[:, 0] - v2))
+    return float(first * trans.max() ** (n_steps - 2))

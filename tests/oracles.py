@@ -6,9 +6,12 @@ displacement), a step integrator of the full probe Hamiltonian (against
 the spectral `jc.evolve_series`), a stationarity residual of the pointer
 states, a direct binomial sum for the small-angle conditional law, and one
 FFT autocorrelation per force record (against the estimator's one per
-distinct record).  None of them runs in a CLI experiment.
+distinct record), and an enumeration of all 2^(n-1) later-outcome tails
+(against the closed-form Kolmogorov defect).  None of them runs in a CLI
+experiment.
 """
 
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -22,6 +25,7 @@ from gravcat.jc import (
     total_hamiltonian,
 )
 from gravcat.measurement import MeasurementSchedule
+from gravcat.two_state import TunnelingParams, tunneling_propagator
 
 MAX_STEP_NORM = 0.1
 
@@ -120,3 +124,29 @@ def per_record_force_corr(readings: np.ndarray, f0: float, max_lag: int):
     dof = max(count - 1, 1)
     corr_stderr = scale * np.sqrt(np.maximum(count * sum_a2 - sum_a**2, 0.0) / dof)
     return sum_a, sum_a2, corr, corr_stderr
+
+
+def kolmogorov_defect_enumerated(sched: MeasurementSchedule, n_steps: int) -> float:
+    """max over every tail of n - 1 later outcomes of
+    | Sum_{a1} P_n - P_{n-1} |, each record probability a product of
+    transition probabilities along the tail."""
+    if n_steps < 2:
+        raise ValueError(f"need at least two measurements, got {n_steps}")
+    params = TunnelingParams(sched.nu, 0.0)
+    u_tau = tunneling_propagator(params, sched.tau)
+    u_2tau = tunneling_propagator(params, 2.0 * sched.tau)
+    idx = {1: 0, -1: 1}
+    # transition[b, a] = |<b| U_tau |a>|^2 ; start vectors from |+>
+    trans = np.abs(u_tau) ** 2
+    v1 = np.abs(u_tau[:, 0]) ** 2        # first measurement at tau
+    v2 = np.abs(u_2tau[:, 0]) ** 2       # first measurement at 2 tau instead
+    worst = 0.0
+    for tail in product((1, -1), repeat=n_steps - 1):
+        ids = [idx[a] for a in tail]
+        chain = 1.0
+        for prev, nxt in zip(ids, ids[1:]):
+            chain *= trans[nxt, prev]
+        with_first = sum(v1[a1] * trans[ids[0], a1] for a1 in (0, 1)) * chain
+        without_first = v2[ids[0]] * chain
+        worst = max(worst, abs(with_first - without_first))
+    return worst

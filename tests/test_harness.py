@@ -177,7 +177,8 @@ class TestCsvWriter:
             (tmp_path / "dump.csv").read_bytes()
 
     def test_dump_index_columns_match_int64_route(self, tmp_path):
-        # the int32 trajectory-id and step columns print as the int64 ones did
+        # the dump, built a block of whole trajectories at a time, prints as
+        # write_csv prints the whole table with int64 id and step columns
         from gravcat import measurement as ms
 
         payload = {**FORCE_CFG, "force.dump_trajectories": 1}
@@ -195,11 +196,12 @@ class TestCsvWriter:
 
     def test_dump_memory_bounded(self, tmp_path):
         # tracemalloc peak of a whole 2000 x 50 dumping run (102,000 rows,
-        # 25 writer blocks): 2.9 MB measured, of which the int32 id and step
-        # columns are 0.8 MB and numpy.random and numpy.fft, first imported
-        # by the run, 0.8 MB; the row-list writer it replaced peaked at
-        # 8.4 MB.  At 20,000 x 200 the same run peaks at 36 MB against
-        # 348 MB, but takes a minute under tracemalloc.
+        # 25 writer blocks of 80 trajectories): 1.8 MB measured, of which
+        # numpy.random and numpy.fft, first imported by the run, take
+        # 0.8 MB; the int64 id and step columns exist for one block at a
+        # time (65 kB).  The row-list writer the block writer replaced
+        # peaked at 8.4 MB.  At 20,000 x 200 the same run peaks at 12 MB
+        # against that writer's 348 MB, but takes a minute under tracemalloc.
         import tracemalloc
 
         payload = {"force.nu": 0.1, "force.tau": 1.0, "force.steps": 50,
@@ -603,6 +605,22 @@ class TestJcExperiment:
         for row in rows:
             assert abs(float(row[cols["p_exact"]])) < 1e-12
             assert abs(float(row[cols["p_rabi"]])) < 1e-15
+
+    def test_probe_dynamics_config_follows_dressed_law(self, tmp_path):
+        # one dressed half period at g/omega = 1 (nu_eff t <= pi/2, nu_eff =
+        # nu e^-2), run with every warning an error: no per-sample route is
+        # left that needs a warnings filter
+        import warnings
+
+        payload = {"jc.g_over_omega": 1.0, "jc.nu_over_omega": 0.05, "jc.dim": 64,
+                   "jc.samples": 61, "jc.nu_t_max": 0.5 * np.pi * np.e**2}
+        cfg = write_config(tmp_path, "c.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        results = json.loads((tmp_path / "o" / "manifest.json").read_text())["results"]
+        assert results["max_abs_dev_exact_vs_dressed"] <= 2e-3
+        assert results["max_transition_probability"] >= 0.99
 
     def test_rabi_column_is_sine_squared(self, tmp_path):
         cfg = resolve_config("jc-suite", JC_CFG, seed=0, output_dir=tmp_path)

@@ -9,6 +9,8 @@ exact dynamics once 2 |zeta_0|^2 is not small.  The dressed rate always
 comes from this closed form, never from a fit to the propagated data.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -21,8 +23,10 @@ from gravcat.jc import (
     RegimeWarning,
     adiabatic_propagator,
     distinguishability,
+    evolve_rows,
     evolve_series,
     evolved_cat,
+    first_order_probability_series,
     interaction_picture_potential,
     jc_coupling,
     perturbative_propagator,
@@ -31,6 +35,7 @@ from gravcat.jc import (
     purity,
     rabi_probability,
     reduced_oscillator_state,
+    reduced_purity,
     total_hamiltonian,
     transition_probability_series,
     tunneling_block_time_average,
@@ -43,6 +48,13 @@ DEEP = JCParams(nu=0.0, omega=1.0, g=2.0)  # zeta_0 = -2, deep strong coupling
 # touch is 2 zeta_0, and |2 zeta_0|^2 = 4 <= D/4 keeps D = 32 faithful
 # (fock rule of thumb) at a third of the cost of D = 64.
 SWAP_SPACE = FockSpace(32)
+
+
+def random_state(space: FockSpace, rng) -> CompositeState:
+    """A normalized composite state with random complex amplitudes in both
+    blocks, so no pointer-state reduction applies."""
+    vec = rng.normal(size=2 * space.dim) + 1j * rng.normal(size=2 * space.dim)
+    return CompositeState.from_vector(space, vec / np.linalg.norm(vec))
 
 
 def dressed_rate(params: JCParams) -> float:
@@ -179,6 +191,20 @@ class TestReducedState:
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
+    def test_reduced_purity_matches_density_matrix(self):
+        rng = np.random.default_rng(11)
+        params = JCParams(0.05, 1.0, 1.0)
+        states = [evolved_cat(0.8, 0.6j, DEEP, SPACE, 2.2),
+                  evolved_cat(1.0, 0.0, DEEP, SPACE, 1.3),
+                  random_state(SPACE, rng), random_state(SPACE, rng)]
+        states += evolve_series(params, SPACE, pointer_state(params, SPACE, +1),
+                                np.linspace(0.0, 40.0, 5))
+        rows = np.array([st.as_vector() for st in states])
+        got = reduced_purity(rows[:, :SPACE.dim], rows[:, SPACE.dim:])
+        expected = [purity(reduced_oscillator_state(st)) for st in states]
+        assert np.max(np.abs(got - expected)) <= 1e-13
+        assert got.shape == (len(states),)
+
     def test_partial_trace_drops_branch_cross_terms(self):
         # the projector on up + down, which ignores the qubit's
         # orthogonality, keeps exactly the cross terms the partial trace drops
@@ -261,6 +287,50 @@ class TestRabiProbability:
         p = rabi_probability(params, ts)
         assert np.all((p >= 0.0) & (p <= 1.0))
         assert np.allclose(p, rabi_probability(params, ts + np.pi / params.nu), atol=1e-12)
+
+
+class TestFirstOrderProbabilitySeries:
+    @pytest.mark.parametrize("dim", [16, 64])
+    @pytest.mark.parametrize("nu", [0.01, 0.05])
+    @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+    def test_matches_propagator_product(self, g, nu, dim):
+        # the oracle builds both 2D x 2D block propagators at each time;
+        # the times are not uniform and reach omega t > 2 pi and a bare quarter period
+        params = JCParams(nu, 1.0, g)
+        space = FockSpace(dim)
+        rng = np.random.default_rng(dim + int(100 * g) + int(1000 * nu))
+        times = np.array([0.0, 0.4, 3.0, 7.5, 19.0, 0.5 * np.pi / nu, 61.3])
+        pairs = [(None, None), (random_state(space, rng), random_state(space, rng))]
+        for initial, target in pairs:
+            with warnings.catch_warnings():
+                # RegimeWarning, and the truncation warnings of D = 16 at g = 2
+                warnings.simplefilter("ignore")
+                ivec = (initial or pointer_state(params, space, +1)).as_vector()
+                tvec = (target or pointer_state(params, space, -1)).as_vector()
+                got = first_order_probability_series(params, space, times, initial, target)
+                expected = [abs(np.vdot(tvec, adiabatic_propagator(params, space, t)
+                                        @ perturbative_propagator(params, space, t) @ ivec)) ** 2
+                            for t in times]
+            assert np.max(np.abs(got - expected)) <= 1e-13
+
+    def test_random_pair_departs_from_pointer_law(self):
+        # the general amplitude, not its sin^2(nu t) pointer reduction, is used
+        params = JCParams(0.05, 1.0, 1.0)
+        rng = np.random.default_rng(5)
+        times = np.linspace(0.0, 40.0, 9)
+        pointer = first_order_probability_series(params, SPACE, times)
+        assert np.max(np.abs(pointer - rabi_probability(params, times))) <= 1e-13
+        mixed = first_order_probability_series(params, SPACE, times,
+                                               random_state(SPACE, rng), random_state(SPACE, rng))
+        assert np.max(np.abs(mixed - pointer)) > 0.01
+
+    def test_does_not_warn_outside_regime(self):
+        # perturbative_propagator warns here; the array law does not
+        params = JCParams(0.5, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = first_order_probability_series(params, SPACE, np.array([0.0, 1.0, 50.0]))
+        assert np.allclose(p, rabi_probability(params, np.array([0.0, 1.0, 50.0])), atol=1e-13)
 
 
 class TestStationaryStates:
@@ -450,6 +520,17 @@ class TestEvolveSeries:
         assert np.max(np.abs(p - np.sin(nu_eff * times) ** 2)) <= 1e-3
         assert np.max(p) >= 0.999
         assert np.max(np.abs(p - rabi_probability(params, times))) > 0.5
+
+    def test_rows_are_the_series_vectors(self):
+        params = JCParams(0.05, 1.0, 1.0)
+        init = pointer_state(params, SPACE, +1)
+        times = np.linspace(0.0, 30.0, 6)
+        rows = evolve_rows(params, SPACE, init, times)
+        assert rows.shape == (times.size, 2 * SPACE.dim)
+        for row, st in zip(rows, evolve_series(params, SPACE, init, times)):
+            assert np.array_equal(row, st.as_vector())
+        assert np.array_equal(evolve_rows(params, SPACE, init, np.zeros(1)),
+                              init.as_vector()[None, :])
 
     def test_nonuniform_times_rejected(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from gravcat.measurement import (
     sample_trajectories,
     sequence_probability,
 )
-from oracles import conditional_g_series, per_record_force_corr
+from oracles import conditional_g_series, kolmogorov_defect_enumerated, per_record_force_corr
 
 
 def sched(nu_tau: float, n_steps: int = 10, tau: float = 1.0) -> MeasurementSchedule:
@@ -224,6 +224,24 @@ class TestDiscreteForceLaws:
         factor = np.cos(0.25) ** 2 * (1 + 0.25 * np.sin(0.5) ** 2)
         assert np.allclose(ratios, factor ** np.arange(11), rtol=1e-12)
         assert np.max(np.abs(ratios - 1.0)) > 0.01
+
+    def test_start_prefactor_is_one_step_probability_leak(self):
+        # what acceptance criterion 3 witnesses: the ratio at start step m1
+        # is q^m1, q = cos^2(nu tau/2)(1 + sin^2(nu tau)/4), the one-step
+        # total probability g(+,+;1) + g(-,+;1) of the unnormalized
+        # approximate law; the exact law sums to 1 and its correlation
+        # depends on the lag alone
+        for nu_tau in (0.05, 0.5, 1.0, 1.3, 2.5):
+            s = sched(nu_tau)
+            q = np.cos(0.5 * nu_tau) ** 2 * (1.0 + 0.25 * np.sin(nu_tau) ** 2)
+            leak = sum(conditional_g(a2, 1, 1, s, "approximate") for a2 in (1, -1))
+            assert abs(leak - q) <= 1e-15
+            assert abs(sum(conditional_g(a2, 1, 1, s) for a2 in (1, -1)) - 1.0) <= 1e-15
+            for lag in (0, 1, 5, 17):
+                base = force_corr_steps(0, lag, s, 1.3, "approximate")
+                for m1 in range(31):
+                    got = force_corr_steps(m1, m1 + lag, s, 1.3, "approximate") / base
+                    assert got == pytest.approx(q**m1, rel=1e-14, abs=0.0)
 
     def test_discrete_vs_continuum_small_angle(self):
         f0 = 0.9
@@ -465,7 +483,7 @@ class TestKolmogorovDefect:
         assert kolmogorov_defect(sched(np.pi / 4), 2) > 0.0
 
     def test_two_step_closed_form(self):
-        # enumeration equals sin^2(nu tau) / 2 for two measurements
+        # the defect equals sin^2(nu tau) / 2 for two measurements
         for nu_tau in (0.3, 0.8, 1.2):
             got = kolmogorov_defect(sched(nu_tau), 2)
             assert abs(got - 0.5 * np.sin(nu_tau) ** 2) < 1e-12
@@ -473,3 +491,14 @@ class TestKolmogorovDefect:
     def test_decreasing_with_resolution(self):
         vals = [kolmogorov_defect(sched(x), 3) for x in (0.4, 0.2, 0.1, 0.05)]
         assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
+
+    def test_closed_form_matches_tail_enumeration(self):
+        for n_steps in (2, 3, 4, 6, 8, 10):
+            for nu_tau in (0.0, 0.05, 0.4, np.pi / 4, 1.3, 2.5):
+                s = sched(nu_tau)
+                got = kolmogorov_defect(s, n_steps)
+                assert abs(got - kolmogorov_defect_enumerated(s, n_steps)) <= 1e-15
+
+    def test_single_measurement_rejected(self):
+        with pytest.raises(ValueError):
+            kolmogorov_defect(sched(0.4), 1)
