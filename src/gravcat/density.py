@@ -121,34 +121,21 @@ def static_limit_corr(state, smear, r, r2, m: float = 1.0) -> float:
     return m**2 * float(np.abs(state.psi(r, 0.0)) ** 2) * float(smear.f3(u_sq))
 
 
-def fluctuation_ratio(
-    state, smear, r, m: float = 1.0, density_exponent: int = 2
-) -> float:
+def fluctuation_ratio(state, smear, r, m: float = 1.0) -> float:
     """Relative size of equal-point density fluctuations.
 
     Built from the module's own static-limit moments: the second moment is
     (m / ell^3) x mean (sampling-profile identity), so
-    C = |eta| / mean^2 = |1 / (ell^3 |psi|^2) - 1|.  `density_exponent=3`
-    evaluates the variant with |psi|^3 in the denominator instead, kept for
-    comparison; 2 is the derived value.
+    C = |eta| / mean^2 = |1 / (ell^3 |psi|^2) - 1|.
     """
     mean = static_limit_mean(state, r, m)
     if mean == 0.0:
         raise ValueError("fluctuation ratio undefined where the density vanishes")
-    ell3 = smear.ell**3
-    dens = mean / m  # |psi(r)|^2
-    if density_exponent == 2:
-        if mean**2 == 0.0:
-            raise ValueError("fluctuation ratio undefined where the squared density underflows")
-        second = (m / ell3) * mean
-        eta = second - mean**2
-        return abs(eta) / mean**2
-    if density_exponent == 3:
-        denominator = ell3 * dens**1.5
-        if denominator == 0.0:
-            raise ValueError("fluctuation ratio undefined where ell^3 |psi|^3 underflows")
-        return abs(1.0 / denominator - 1.0)
-    raise ValueError(f"density_exponent must be 2 or 3, got {density_exponent}")
+    if mean**2 == 0.0:
+        raise ValueError("fluctuation ratio undefined where the squared density underflows")
+    second = (m / smear.ell**3) * mean
+    eta = second - mean**2
+    return abs(eta) / mean**2
 
 
 def _require_grid(w0) -> PhaseSpaceGrid:
@@ -171,64 +158,35 @@ def smeared_mean_phase_space(w0: PhaseSpaceGrid, r, t: float, m: float = 1.0):
 
 
 def smeared_corr_phase_space(
-    w0: PhaseSpaceGrid,
-    smear,
-    r: float,
-    t: float,
-    r2: float,
-    t2: float,
-    m: float = 1.0,
-    method: str = "delta",
+    w0: PhaseSpaceGrid, r: float, t: float, r2: float, t2: float, m: float = 1.0
 ) -> tuple[float, float]:
-    """1D smeared (mean, two-point) pair from the initial Wigner function.
-
-    method="delta" uses the sampling-width -> 0 limit: the mean is the
-    free-streamed momentum integral and the correlation collapses onto the
-    time-of-flight point,
+    """1D smeared (mean, two-point) pair from the initial Wigner function in
+    the sampling-width -> 0 limit: the mean is the free-streamed momentum
+    integral and the correlation collapses onto the time-of-flight point,
 
         corr = m^3 / (2 pi |t - t2|) * W0(x*, p*),
         p* = m (r - r2) / (t - t2),
         x* = (r + r2)/2 - p* (t + t2) / (2 m),
 
     valid when observation scales far exceed the sampling width (and t !=
-    t2).  method="quadrature" integrates the finite-width Gaussian sampling
-    kernel against W0 directly and has no such restriction; its correlation
-    is smeared_corr_quadrature.
+    t2).  smeared_corr_quadrature integrates the finite-width Gaussian
+    sampling kernel against W0 instead and has no such restriction.
     """
     w0 = _require_grid(w0)
-    if method == "delta":
-        if t == t2:
-            raise ValueError("delta-limit correlation undefined at equal times")
-        mean = smeared_mean_phase_space(w0, r, t, m)
-        p_star = m * (r - r2) / (t - t2)
-        x_star = 0.5 * (r + r2) - p_star * (t + t2) / (2.0 * m)
-        corr = m**3 / (2.0 * np.pi * abs(t - t2)) * float(w0.evaluate(x_star, p_star))
-        return mean, corr
-
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-
-    s = smear.s_x
-    ell = smear.ell
-
-    # Mean: (m / ell) (1/2pi) Int dx dp W0(x, p) g(r - x - p t / m).
-    # The x integral is a Gaussian window of width s riding along x = r - p t / m.
-    p_nodes, p_weights = gauss_legendre(w0.p[0], w0.p[-1], 32)
-    u_nodes, u_weights = gauss_legendre(-8.0 * s, 8.0 * s, 8)
-    xx = (r - p_nodes[:, None] * t / m) + u_nodes[None, :]
-    g_vals = np.exp(-(u_nodes**2) / (2.0 * s**2))
-    integrand = w0.evaluate(xx, p_nodes[:, None]) * g_vals[None, :]
-    mean = m / ell * float(p_weights @ integrand @ u_weights) / (2.0 * np.pi)
-
-    return mean, smeared_corr_quadrature(w0, smear, r, t, r2, t2, m)
+    if t == t2:
+        raise ValueError("delta-limit correlation undefined at equal times")
+    mean = smeared_mean_phase_space(w0, r, t, m)
+    p_star = m * (r - r2) / (t - t2)
+    x_star = 0.5 * (r + r2) - p_star * (t + t2) / (2.0 * m)
+    corr = m**3 / (2.0 * np.pi * abs(t - t2)) * float(w0.evaluate(x_star, p_star))
+    return mean, corr
 
 
 def smeared_corr_quadrature(
     w0: PhaseSpaceGrid, smear, r: float, t: float, r2: float, t2: float, m: float = 1.0
 ) -> float:
     """1D smeared two-point function from the initial Wigner function: the
-    finite-width Gaussian sampling kernel integrated against W0 (the
-    correlation half of smeared_corr_phase_space(method="quadrature")).
+    finite-width Gaussian sampling kernel integrated against W0.
 
     (m^2 / ell^2) (1/2pi) Int dx dp W0 exp(-A^2/s^2 - C (p - p*)^2) with
     A = x - (r + r2)/2 + p (t + t2) / (2 m); needs t != t2.

@@ -153,7 +153,7 @@ def vacuum_truncation_leak(space: FockSpace, w: complex) -> float:
     return 1.0 - math.exp((d - 1) * log_lam - lam - math.lgamma(d)) * total
 
 
-def displacement(space: FockSpace, w: complex, warn_inadequate: bool = True) -> FockOperator:
+def displacement(space: FockSpace, w: complex) -> FockOperator:
     """Displacement operator exp(w a^dag - conj(w) a) on the truncated space.
 
     Unitary to machine precision, and exactly the identity at w = 0.
@@ -163,15 +163,14 @@ def displacement(space: FockSpace, w: complex, warn_inadequate: bool = True) -> 
     calls, so it is read-only.
     """
     d = space.dim
-    if warn_inadequate:
-        leak = vacuum_truncation_leak(space, w)
-        if leak > 1e-6:
-            warnings.warn(
-                f"displacement |w|^2 = {abs(w)**2:.3g} leaks {leak:.3g} of the "
-                f"vacuum image past cutoff D = {d}; increase the cutoff",
-                TruncationInadequateWarning,
-                stacklevel=2,
-            )
+    leak = vacuum_truncation_leak(space, w)
+    if leak > 1e-6:
+        warnings.warn(
+            f"displacement |w|^2 = {abs(w)**2:.3g} leaks {leak:.3g} of the "
+            f"vacuum image past cutoff D = {d}; increase the cutoff",
+            TruncationInadequateWarning,
+            stacklevel=2,
+        )
     return FockOperator(_displacement_matrix(d, w), space)
 
 
@@ -194,8 +193,8 @@ def _generator_eigh(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(1j * (adag.matrix - a.matrix))
 
 
-def coherent_state(space: FockSpace, zeta: complex, warn_inadequate: bool = True) -> FockVector:
+def coherent_state(space: FockSpace, zeta: complex) -> FockVector:
     """Coherent state D(zeta)|0>."""
-    op = displacement(space, zeta, warn_inadequate=warn_inadequate)
+    op = displacement(space, zeta)
     amp = op.matrix[:, 0].copy()
     return FockVector(amp, space, normalized=True)

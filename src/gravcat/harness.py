@@ -385,13 +385,10 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
 def _run_jc(cfg: ExperimentConfig, outdir: Path):
     p = cfg.parameters
     omega = p["jc.omega"]
-    if not omega > 0:
-        raise ConfigError("jc.omega must be positive")
     dim = p["jc.dim"]
-    if dim < 2:
-        raise ConfigError("jc.dim must be at least 2")
     params = _domain(jc.JCParams, nu=p["jc.nu_over_omega"] * omega, omega=omega,
                      g=p["jc.g_over_omega"] * omega)
+    space = _domain(FockSpace, dim)
     # The pointer orbit reaches 2 |zeta_0|; demand headroom in the cutoff.
     max_reach = 2.0 * abs(params.zeta0)
     if max_reach**2 > dim / 4.0:
@@ -399,15 +396,18 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
             f"Fock cutoff {dim} inadequate for pointer reach |zeta| = {max_reach:.3g} "
             f"(need |zeta|^2 <= dim/4)"
         )
-    space = FockSpace(dim)
     if p["jc.samples"] < 2:
         raise ConfigError("jc.samples must be at least 2")
-    if not 0 < p["jc.nu_t_max"] < np.inf:
+    nu_t_max = p["jc.nu_t_max"]
+    if nu_t_max is not None and not 0 < nu_t_max < np.inf:
         raise ConfigError("jc.nu_t_max must be positive and finite")
-    if params.nu > 0:
-        t_max = p["jc.nu_t_max"] / params.nu
-    else:
-        t_max = p["jc.nu_t_max"] / omega
+    with np.errstate(over="ignore"):  # an unbounded window is rejected below
+        if nu_t_max is None:
+            # one dressed half period, nu exp(-2 zeta_0^2) t = pi / 2; pi / omega at nu = 0
+            nu_t_max = 0.5 * np.pi * np.exp(2.0 * params.zeta0**2) if params.nu > 0 else np.pi
+        t_max = nu_t_max / (params.nu if params.nu > 0 else omega)
+    if not t_max < np.inf:
+        raise RegimeError(f"jc time window t_max = {t_max} is not finite")
     times = np.linspace(0.0, t_max, p["jc.samples"])
 
     initial = jc.pointer_state(params, space, +1)
@@ -520,25 +520,22 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     arts.append(write_csv(outdir / "static_mean.csv", ["x", "smeared_mean", "density_exact"],
                           [xs, dn.smeared_mean_phase_space(grid, xs, 0.0, m), exact]))
 
-    # Relative fluctuation profile (3D states, both exponent conventions);
-    # points where the density vanishes have no ratio and are left out.
+    # Relative fluctuation profile of the 3D state; points where the density
+    # (or its square) vanishes have no ratio and are left out.
     profile = []
     for x in xs:
         try:
-            profile.append([x] + [dn.fluctuation_ratio(state, smear, (float(x), 0.0, 0.0), m,
-                                                       density_exponent=k) for k in (2, 3)])
+            profile.append([x, dn.fluctuation_ratio(state, smear, (float(x), 0.0, 0.0), m)])
         except ValueError:
             continue
-    arts.append(write_csv(outdir / "fluctuation_profile.csv",
-                          ["x", "c_ratio_quadratic", "c_ratio_cubic"],
-                          np.reshape(profile, (-1, 3)).T))
+    arts.append(write_csv(outdir / "fluctuation_profile.csv", ["x", "c_ratio_quadratic"],
+                          np.reshape(profile, (-1, 2)).T))
 
     # Two-point correlators at +/- dr/2: delta-limit vs full quadrature at a
     # few offsets; dict.fromkeys drops repeats (10 s_x = 0.5 at s_x = 0.05).
     t1, t2 = 0.1, 0.35
     r1 = 0.5 * np.array(list(dict.fromkeys((10.0 * smear.s_x, 20.0 * smear.s_x, 0.5))))
-    delta = [dn.smeared_corr_phase_space(grid, smear, r, t1, -r, t2, m, method="delta")
-             for r in r1]
+    delta = [dn.smeared_corr_phase_space(grid, r, t1, -r, t2, m) for r in r1]
     quad = [dn.smeared_corr_quadrature(grid, smear, r, t1, -r, t2, m) for r in r1]
     arts.append(write_csv(
         outdir / "correlators.csv",
@@ -596,7 +593,7 @@ SCHEMAS = {
         "jc.g_over_omega": (float, 2.0),
         "jc.nu_over_omega": (float, 0.01),
         "jc.dim": (int, 64),
-        "jc.nu_t_max": (float, float(np.pi)),
+        "jc.nu_t_max": (float, None),
         "jc.samples": (int, 61),
     },
     "density-suite": {

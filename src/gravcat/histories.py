@@ -7,7 +7,9 @@ measures interference between a pair of one-record histories; multi-time
 record probabilities use the square-root sampling rule
 P_n = || sqrt(P_n) ... sqrt(P_1) |psi> ||^2.  Failure of the marginalization
 (additivity) identity Sum_{r1} P_2 = P_1 is the quantitative signature that
-these records do not form a classical stochastic process.
+these records do not form a classical stochastic process; `additivity_defect`
+measures it in closed form from one comb propagation (its record-by-record
+oracle lives in the test suite).
 
 Free evolution between samplings is exact in momentum space (FFT); the
 initial state is laid down analytically at the first sampling time.
@@ -57,17 +59,17 @@ def uniform_grid(lo: float, hi: float, n: int) -> SpatialGrid:
     return SpatialGrid(np.linspace(lo, hi, n, endpoint=False))
 
 
-def auto_grid(state, sampling=None, t_max: float = 0.0, m: float = 1.0,
-              margin: float = 2.0, min_points: int = 4096) -> SpatialGrid:
-    """Grid covering the state support at all times up to t_max, resolved
-    well below the sampling width.
+def auto_grid(state, sampling=None, t_max: float = 0.0, m: float = 1.0) -> SpatialGrid:
+    """Grid covering the state support at all times up to t_max, with a
+    margin of 2 on either side, in at least 4096 points and resolved well
+    below the sampling width.
 
     Raises GridAliasingError, before allocating, if that takes more than
     MAX_GRID_ELEMENTS points."""
     lo, hi = state.support(t_max, m)
     lo0, hi0 = state.support(0.0, m)
-    lo, hi = min(lo, lo0) - margin, max(hi, hi0) + margin
-    n = min_points
+    lo, hi = min(lo, lo0) - 2.0, max(hi, hi0) + 2.0
+    n = 4096
     if sampling is not None:
         width = getattr(sampling, "s_x", None) or getattr(sampling, "half_width")
         needed = np.ceil((hi - lo) / (width / 4.0))
@@ -146,40 +148,6 @@ def smeared_two_point(state, sampling, r: float, t: float, r2: float, t2: float,
     )
 
 
-def _record_probabilities(state, sampling, r1_values, t1: float, events_tail, m: float,
-                          grid: SpatialGrid | None) -> np.ndarray:
-    """P(r1, t1; tail...) for every first-sampling center r1, the records
-    propagated together as one (len(r1_values), n_x) array."""
-    times = [t1] + [t for _, t in events_tail]
-    if any(t_next <= t_prev for t_prev, t_next in zip(times, times[1:])):
-        raise ValueError(f"sampling times must be strictly increasing, got {times}")
-    if grid is None:
-        grid = auto_grid(state, sampling, max(times), m)
-    r1_values = np.asarray(r1_values, dtype=float)
-    cur = state.psi(grid.x, t1, m) * sampling.sqrt_g(grid.x - r1_values[:, None])
-    t_prev = t1
-    for r_i, t_i in events_tail:
-        cur = free_evolve(cur, grid, t_i - t_prev, m)
-        cur = cur * sampling.sqrt_g(grid.x - r_i)
-        t_prev = t_i
-    return np.sum(np.abs(cur) ** 2, axis=1) * grid.dx
-
-
-def n_time_probability(state, sampling, events, m: float = 1.0,
-                       grid: SpatialGrid | None = None) -> float:
-    """Probability of the record ((r_1, t_1), ..., (r_n, t_n)).
-
-    Square-root sampling rule: the state is multiplied by sqrt(g)(x - r_i)
-    at each strictly increasing t_i, freely evolving in between; the final
-    squared norm is the record probability.
-    """
-    events = list(events)
-    if not events:
-        raise ValueError("need at least one sampling event")
-    (r1, t1), *tail = events
-    return float(_record_probabilities(state, sampling, [r1], t1, tail, m, grid)[0])
-
-
 def partition_points(center: float, half_width: float, spacing: float) -> np.ndarray:
     """Uniform comb of sampling centers covering [center - hw, center + hw]."""
     n = int(np.floor(half_width / spacing))
@@ -190,23 +158,6 @@ def _comb_weight(sampling, r1_values: np.ndarray) -> float:
     """Partition weight of a uniform comb (one lone center counts as width ell)."""
     spacing = float(r1_values[1] - r1_values[0]) if r1_values.size > 1 else sampling.ell
     return sampling.partition_weight(spacing)
-
-
-def partition_probability_sum(state, sampling, events_tail, r1_values: np.ndarray,
-                              t1: float, m: float = 1.0,
-                              grid: SpatialGrid | None = None) -> float:
-    """Sum_{r1} w P(r1, t1; tail...) over an exhaustive first-sampling comb.
-
-    `events_tail` may be empty, in which case this is the total single-
-    sampling probability of the partition (1 up to comb truncation error).
-    """
-    r1_values = np.asarray(r1_values, dtype=float)
-    w = _comb_weight(sampling, r1_values)
-    total = 0.0
-    for prob in _record_probabilities(state, sampling, r1_values, t1, events_tail, m,
-                                      grid).tolist():
-        total += w * prob
-    return total
 
 
 def _comb_marginal_density(state, sampling, r1_values: np.ndarray, t1: float, t2: float,

@@ -8,14 +8,15 @@ around a circle of center zeta_0 = -g/omega in phase space), and the probe
 resolves the wells once the pointer coherent states are distinguishable,
 |<zeta_0|-zeta_0>|^2 = exp(-4 |zeta_0|^2) << 1.  Tunneling-induced
 transitions between the pointer states are computed from the full H,
-diagonalised once (`evolve_rows`; its step-integration oracle lives in
-the test suite), and from a first-order interaction-picture propagator
-(`first_order_probability_series` evaluates it for a whole time series),
-the paper's result: a pointer swap at the bare rate nu.  Exact dynamics
-matches the first-order law only when 2 |zeta_0|^2 << 1; in general the
-swap runs at the polaron-dressed rate nu exp(-2 |zeta_0|^2), the
-tunneling matrix element being weighted by the pointer overlap
-<zeta_0|-zeta_0> (see `tunneling_block_time_average`).
+diagonalised once (`evolve_rows`, one composite vector per time; its
+step-integration oracle lives in the test suite), and from a first-order
+interaction-picture propagator (`first_order_probability_series`
+evaluates it for a whole time series), the paper's result: a pointer
+swap at the bare rate nu.  Exact dynamics matches the first-order law
+only when 2 |zeta_0|^2 << 1; in general the swap runs at the
+polaron-dressed rate nu exp(-2 |zeta_0|^2), the tunneling matrix element
+being weighted by the pointer overlap <zeta_0|-zeta_0> (see
+`tunneling_block_time_average`).
 
 Composite vectors are ordered (qubit |+> block, qubit |-> block), each
 block a Fock vector; composite operators are 2D x 2D dense arrays built
@@ -97,20 +98,16 @@ def jc_coupling(f0: float, m0: float, omega: float) -> float:
 
 @dataclass
 class CompositeState:
-    """Qubit (x) oscillator state as (up block, down block) Fock vectors.
-
-    Total norm must be 1 within 1e-10 (pass check_norm=False for
-    intentionally unnormalized intermediates).
-    """
+    """Qubit (x) oscillator state as (up block, down block) Fock vectors;
+    the total norm must be 1 within 1e-10."""
 
     up: FockVector
     down: FockVector
-    check_norm: bool = True
 
     def __post_init__(self):
         if self.up.space != self.down.space:
             raise ValueError("blocks must live on the same Fock space")
-        if self.check_norm and abs(self.norm() - 1.0) > 1e-10:
+        if abs(self.norm() - 1.0) > 1e-10:
             raise ValueError(f"composite state has norm {self.norm()!r}, expected 1")
 
     @property
@@ -231,6 +228,10 @@ def reduced_purity(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     return n_up**2 + n_down**2 + 2.0 * (cross.real**2 + cross.imag**2)
 
 
+# Pointer overlap below which the probe resolves the wells.
+_PROBE_OK_OVERLAP = 1e-2
+
+
 @dataclass(frozen=True)
 class DistinguishabilityReport:
     """Pointer-state overlap and the probe-quality inequality it implies.
@@ -247,13 +248,14 @@ class DistinguishabilityReport:
     coupling_scale: float
 
 
-def distinguishability(params: JCParams, threshold: float = 1e-2) -> DistinguishabilityReport:
-    """Pointer overlap exp(-4 |zeta_0|^2) and whether it clears `threshold`."""
+def distinguishability(params: JCParams) -> DistinguishabilityReport:
+    """Pointer overlap exp(-4 |zeta_0|^2) and whether it is below
+    _PROBE_OK_OVERLAP."""
     overlap = float(np.exp(-4.0 * abs(params.zeta0) ** 2))
     return DistinguishabilityReport(
         overlap=overlap,
-        probe_ok=overlap < threshold,
-        threshold=threshold,
+        probe_ok=overlap < _PROBE_OK_OVERLAP,
+        threshold=_PROBE_OK_OVERLAP,
         omega_cubed=params.omega**3,
         coupling_scale=2.0 * abs(params.zeta0) ** 2 * params.omega**3,
     )
@@ -357,13 +359,6 @@ def evolve_rows(params: JCParams, space: FockSpace, state: CompositeState,
     energies, vecs = np.linalg.eigh(total_hamiltonian(params, space))
     coeffs = vecs.conj().T @ state.as_vector()
     return (np.exp(-1j * np.outer(times, energies)) * coeffs) @ vecs.T
-
-
-def evolve_series(params: JCParams, space: FockSpace, state: CompositeState,
-                  times: np.ndarray) -> list[CompositeState]:
-    """The rows of `evolve_rows` as states."""
-    return [CompositeState.from_vector(space, row)
-            for row in evolve_rows(params, space, state, times)]
 
 
 def transition_probability_series(params: JCParams, space: FockSpace,

@@ -32,12 +32,17 @@ def gauss_legendre(lo: float, hi: float, n_panels: int, order: int = 16):
     return nodes, weights
 
 
+# Panels every oscillation rule starts from, and the nodes it spends per
+# cycle of the fastest oscillation on top of them.
+_MIN_PANELS = 8
+_NODES_PER_CYCLE = 6.0
+
+
 def panels_for_oscillation(lo: float, hi: float, max_wavenumber: float,
-                           min_panels: int = 8, nodes_per_cycle: float = 6.0,
                            order: int = 16) -> int:
     """Panel count so an integrand oscillating up to e^{i k x}, |k| <=
-    max_wavenumber, is resolved with at least `nodes_per_cycle` nodes per
+    max_wavenumber, is resolved with at least _NODES_PER_CYCLE nodes per
     cycle."""
     cycles = abs(max_wavenumber) * (hi - lo) / (2.0 * np.pi)
-    needed = int(np.ceil(cycles * nodes_per_cycle / order)) + min_panels
-    return max(min_panels, needed)
+    needed = int(np.ceil(cycles * _NODES_PER_CYCLE / order)) + _MIN_PANELS
+    return max(_MIN_PANELS, needed)

@@ -18,6 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 _SUPPORT_SIGMAS = 8.0
+# Amplitude of each branch of a cat state, before the overlap correction.
+_BRANCH_WEIGHT = 1.0 / np.sqrt(2.0)
+
+
+def _norm_constant(overlap: float) -> float:
+    """1 / || w |right> + w |left> || for the branch weight w and the
+    branch overlap <right|left>."""
+    wp = wm = _BRANCH_WEIGHT
+    n2 = abs(wp) ** 2 + abs(wm) ** 2 + 2.0 * (np.conj(wp) * wm).real * overlap
+    return 1.0 / np.sqrt(n2)
 
 
 def _free_gaussian(x, t: float, m: float, sigma: float, center: float):
@@ -56,17 +66,12 @@ class Gaussian1D:
 
 @dataclass(frozen=True)
 class Cat1D:
-    """Superposition of two Gaussian branches at +/- separation/2.
-
-    With `exact_norm` the overall constant includes the branch overlap
-    exp(-separation^2 / 8 sigma^2); switching it off keeps the bare weights
-    (the large-separation convention where 1/sqrt(2) weights suffice).
-    """
+    """Equal-weight superposition of two Gaussian branches at +/-
+    separation/2; the overall constant includes the branch overlap
+    exp(-separation^2 / 8 sigma^2)."""
 
     sigma: float
     separation: float
-    weights: tuple[complex, complex] = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-    exact_norm: bool = True
 
     def __post_init__(self):
         if not 0 < self.sigma < np.inf:
@@ -81,15 +86,11 @@ class Cat1D:
 
     @property
     def norm_constant(self) -> float:
-        if not self.exact_norm:
-            return 1.0
-        wp, wm = self.weights
-        n2 = abs(wp) ** 2 + abs(wm) ** 2 + 2.0 * (np.conj(wp) * wm).real * self.branch_overlap
-        return 1.0 / np.sqrt(n2)
+        return _norm_constant(self.branch_overlap)
 
     def psi(self, x, t: float = 0.0, m: float = 1.0):
         a = 0.5 * self.separation
-        wp, wm = self.weights
+        wp = wm = _BRANCH_WEIGHT
         branches = wp * _free_gaussian(x, t, m, self.sigma, a) + wm * _free_gaussian(
             x, t, m, self.sigma, -a
         )
@@ -134,12 +135,11 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class CatState:
-    """3D cat state: branches at +/- L/2, each a Gaussian of spread sigma."""
+    """3D equal-weight cat state: branches at +/- L/2, each a Gaussian of
+    spread sigma."""
 
     sigma: float
     L: tuple[float, float, float]
-    weights: tuple[complex, complex] = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-    exact_norm: bool = True
 
     def __post_init__(self):
         if not 0 < self.sigma < np.inf:
@@ -158,11 +158,7 @@ class CatState:
 
     @property
     def norm_constant(self) -> float:
-        if not self.exact_norm:
-            return 1.0
-        wp, wm = self.weights
-        n2 = abs(wp) ** 2 + abs(wm) ** 2 + 2.0 * (np.conj(wp) * wm).real * self.branch_overlap
-        return 1.0 / np.sqrt(n2)
+        return _norm_constant(self.branch_overlap)
 
     def _separation_axis(self) -> int:
         nonzero = [i for i in range(3) if self.L[i] != 0.0]
@@ -178,17 +174,12 @@ class CatState:
         Gaussian transverse to it.  Requires axis-aligned L."""
         sep_axis = self._separation_axis()
         if axis == sep_axis:
-            return Cat1D(
-                self.sigma,
-                abs(self.L[axis]),
-                weights=self.weights,
-                exact_norm=self.exact_norm,
-            )
+            return Cat1D(self.sigma, abs(self.L[axis]))
         return Gaussian1D(self.sigma, 0.0)
 
     def psi(self, r, t: float = 0.0, m: float = 1.0):
         r = np.asarray(r, dtype=float)
-        wp, wm = self.weights
+        wp = wm = _BRANCH_WEIGHT
         plus = 1.0 + 0.0j
         minus = 1.0 + 0.0j
         for axis in range(3):

@@ -24,34 +24,16 @@ _NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TunnelingParams:
-    """Tunneling rate nu and phase chi of the double-well qubit.
-
-    Optionally carries the underlying per-step angle theta and
-    stabilization time-step epsilon; when both are given they must satisfy
-    nu = 2 * theta / epsilon to relative 1e-12.
-    """
+    """Tunneling rate nu and phase chi of the double-well qubit."""
 
     nu: float
     chi: float = 0.0
-    theta: float | None = None
-    epsilon: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.nu < np.inf:
             raise ValueError(f"tunneling rate must be nonnegative and finite, got {self.nu}")
         if not abs(self.chi) < np.inf:
             raise ValueError(f"tunneling phase must be finite, got {self.chi}")
-        if (self.theta is None) != (self.epsilon is None):
-            raise ValueError("theta and epsilon must be supplied together")
-        if self.theta is not None:
-            if not 0 < self.epsilon < np.inf:
-                raise ValueError("stabilization time-step must be positive and finite")
-            implied = 2.0 * self.theta / self.epsilon
-            scale = max(abs(self.nu), abs(implied), 1e-300)
-            if not abs(self.nu - implied) <= 1e-12 * scale:
-                raise ValueError(
-                    f"nu = {self.nu} inconsistent with 2*theta/epsilon = {implied}"
-                )
 
 
 @dataclass(frozen=True)

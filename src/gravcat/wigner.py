@@ -161,14 +161,15 @@ def _axis_state(state, axis: int):
     return state.axis_state(axis) if hasattr(state, "axis_state") else state
 
 
-def default_axes(state, axis: int = 0, nx: int = 257, n_p: int = 321):
-    """Reasonable grid axes for a packet: position over its +/-8 sigma
-    support, momentum over +/-6 momentum spreads, with the momentum count
+def default_axes(state, axis: int = 0):
+    """Reasonable grid axes for a packet: 257 positions over its +/-8 sigma
+    support, 321 momenta over +/-6 momentum spreads, with the momentum count
     raised as needed to resolve interference fringes."""
     st = _axis_state(state, axis)
     lo, hi = st.support()
-    x_axis = np.linspace(lo, hi, nx)
+    x_axis = np.linspace(lo, hi, 257)
     p_half = 6.0 * st.momentum_spread
+    n_p = 321
     fringe = st.fringe_scale()
     if fringe > 0.0:
         # >= 8 samples per fringe period pi / fringe_scale in p
@@ -188,13 +189,12 @@ def wigner_function(
     x_axis: np.ndarray | None = None,
     p_axis: np.ndarray | None = None,
     axis: int = 0,
-    normalization_tol: float = 1e-6,
 ) -> PhaseSpaceGrid:
     """Numerical Wigner transform of a pure 1D state (or the 1D factor of a
     separable 3D state along `axis`).
 
     Raises GridAliasingError when the result is not real within 1e-9 or its
-    normalization misses 1 by more than `normalization_tol` (both symptoms
+    normalization misses 1 by more than 1e-6 (both symptoms
     of an inadequate grid), and, before allocating, when a psi array or the
     phase matrix would exceed MAX_GRID_ELEMENTS.
     """
@@ -240,10 +240,10 @@ def wigner_function(
         meta={"axis": axis, "state": repr(state), "y_panels": panels},
     )
     norm = grid.normalization()
-    if abs(norm - 1.0) > normalization_tol:
+    if abs(norm - 1.0) > 1e-6:
         raise GridAliasingError(
-            f"Wigner normalization {norm!r} deviates from 1 beyond "
-            f"{normalization_tol}; grid does not capture the state"
+            f"Wigner normalization {norm!r} deviates from 1 beyond 1e-6; "
+            "grid does not capture the state"
         )
     grid.meta["normalization"] = norm
     return grid

@@ -3,11 +3,15 @@
 Each function here is an alternative to a route in `gravcat`: a
 scaling-and-squaring matrix exponential (against the `eigh`-built
 displacement), a step integrator of the full probe Hamiltonian (against
-the spectral `jc.evolve_series`), a stationarity residual of the pointer
-states, a direct binomial sum for the small-angle conditional law, and one
+the spectral `jc.evolve_rows`), a stationarity residual of the pointer
+states, a direct binomial sum for the small-angle conditional law, one
 FFT autocorrelation per force record (against the estimator's one per
-distinct record), and an enumeration of all 2^(n-1) later-outcome tails
-(against the closed-form Kolmogorov defect).  None of them runs in a CLI
+distinct record), an enumeration of all 2^(n-1) later-outcome tails
+(against the closed-form Kolmogorov defect), multi-time record
+probabilities propagated record by record (against the one comb
+propagation of `histories.additivity_defect`), and the finite-width
+quadrature of the smeared mean (against the delta-limit mean of
+`density.smeared_corr_phase_space`).  None of them runs in a CLI
 experiment.
 """
 
@@ -17,7 +21,9 @@ from math import comb
 import numpy as np
 from scipy.linalg import expm
 
+from gravcat.density import _require_grid
 from gravcat.fock import FockOperator, FockSpace
+from gravcat.histories import SpatialGrid, _comb_weight, auto_grid, free_evolve
 from gravcat.jc import (
     CompositeState,
     JCParams,
@@ -25,7 +31,9 @@ from gravcat.jc import (
     total_hamiltonian,
 )
 from gravcat.measurement import MeasurementSchedule
+from gravcat.quadrature import gauss_legendre
 from gravcat.two_state import TunnelingParams, tunneling_propagator
+from gravcat.wigner import PhaseSpaceGrid
 
 MAX_STEP_NORM = 0.1
 
@@ -150,3 +158,72 @@ def kolmogorov_defect_enumerated(sched: MeasurementSchedule, n_steps: int) -> fl
         without_first = v2[ids[0]] * chain
         worst = max(worst, abs(with_first - without_first))
     return worst
+
+
+def _record_probabilities(state, sampling, r1_values, t1: float, events_tail, m: float,
+                          grid: SpatialGrid | None) -> np.ndarray:
+    """P(r1, t1; tail...) for every first-sampling center r1, the records
+    propagated together as one (len(r1_values), n_x) array."""
+    times = [t1] + [t for _, t in events_tail]
+    if any(t_next <= t_prev for t_prev, t_next in zip(times, times[1:])):
+        raise ValueError(f"sampling times must be strictly increasing, got {times}")
+    if grid is None:
+        grid = auto_grid(state, sampling, max(times), m)
+    r1_values = np.asarray(r1_values, dtype=float)
+    cur = state.psi(grid.x, t1, m) * sampling.sqrt_g(grid.x - r1_values[:, None])
+    t_prev = t1
+    for r_i, t_i in events_tail:
+        cur = free_evolve(cur, grid, t_i - t_prev, m)
+        cur = cur * sampling.sqrt_g(grid.x - r_i)
+        t_prev = t_i
+    return np.sum(np.abs(cur) ** 2, axis=1) * grid.dx
+
+
+def n_time_probability(state, sampling, events, m: float = 1.0,
+                       grid: SpatialGrid | None = None) -> float:
+    """Probability of the record ((r_1, t_1), ..., (r_n, t_n)).
+
+    Square-root sampling rule: the state is multiplied by sqrt(g)(x - r_i)
+    at each strictly increasing t_i, freely evolving in between; the final
+    squared norm is the record probability.
+    """
+    events = list(events)
+    if not events:
+        raise ValueError("need at least one sampling event")
+    (r1, t1), *tail = events
+    return float(_record_probabilities(state, sampling, [r1], t1, tail, m, grid)[0])
+
+
+def partition_probability_sum(state, sampling, events_tail, r1_values: np.ndarray,
+                              t1: float, m: float = 1.0,
+                              grid: SpatialGrid | None = None) -> float:
+    """Sum_{r1} w P(r1, t1; tail...) over an exhaustive first-sampling comb.
+
+    `events_tail` may be empty, in which case this is the total single-
+    sampling probability of the partition (1 up to comb truncation error).
+    """
+    r1_values = np.asarray(r1_values, dtype=float)
+    w = _comb_weight(sampling, r1_values)
+    total = 0.0
+    for prob in _record_probabilities(state, sampling, r1_values, t1, events_tail, m,
+                                      grid).tolist():
+        total += w * prob
+    return total
+
+
+def smeared_mean_quadrature(w0: PhaseSpaceGrid, smear, r: float, t: float,
+                            m: float = 1.0) -> float:
+    """1D smeared mean density with the finite-width Gaussian sampling
+    kernel integrated against the initial Wigner function W0."""
+    w0 = _require_grid(w0)
+    s = smear.s_x
+    ell = smear.ell
+
+    # Mean: (m / ell) (1/2pi) Int dx dp W0(x, p) g(r - x - p t / m).
+    # The x integral is a Gaussian window of width s riding along x = r - p t / m.
+    p_nodes, p_weights = gauss_legendre(w0.p[0], w0.p[-1], 32)
+    u_nodes, u_weights = gauss_legendre(-8.0 * s, 8.0 * s, 8)
+    xx = (r - p_nodes[:, None] * t / m) + u_nodes[None, :]
+    g_vals = np.exp(-(u_nodes**2) / (2.0 * s**2))
+    integrand = w0.evaluate(xx, p_nodes[:, None]) * g_vals[None, :]
+    return m / ell * float(p_weights @ integrand @ u_weights) / (2.0 * np.pi)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,32 @@ class TestCli:
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("key,value", [
+        ("jc.omega", 0.0),
+        ("jc.omega", -1.0),
+        ("jc.dim", 0),
+        ("jc.dim", 1),
+    ])
+    def test_out_of_range_jc_value_is_config_error(self, tmp_path, key, value):
+        # rejected by JCParams and FockSpace themselves, before the cutoff check
+        cfg = write_config(tmp_path, "c.json", {**JC_CFG, key: value})
+        assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"jc.nu_over_omega": 5e-324},
+        {"jc.omega": 5e-324},
+        {**JC_CFG, "jc.nu_over_omega": 5e-324},
+        {**JC_CFG, "jc.nu_t_max": 1e300, "jc.nu_over_omega": 1e-10},
+    ])
+    def test_unbounded_jc_window_is_regime_error(self, tmp_path, payload):
+        # t_max = nu_t_max / nu (or pi / omega at nu = 0) overflows to inf
+        cfg = write_config(tmp_path, "c.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("key,value", [
         ("force.nu", float("nan")),
         ("force.tau", float("inf")),
         ("force.f0", float("nan")),
@@ -610,8 +637,6 @@ class TestJcExperiment:
         # one dressed half period at g/omega = 1 (nu_eff t <= pi/2, nu_eff =
         # nu e^-2), run with every warning an error: no per-sample route is
         # left that needs a warnings filter
-        import warnings
-
         payload = {"jc.g_over_omega": 1.0, "jc.nu_over_omega": 0.05, "jc.dim": 64,
                    "jc.samples": 61, "jc.nu_t_max": 0.5 * np.pi * np.e**2}
         cfg = write_config(tmp_path, "c.json", payload)
@@ -621,6 +646,18 @@ class TestJcExperiment:
         results = json.loads((tmp_path / "o" / "manifest.json").read_text())["results"]
         assert results["max_abs_dev_exact_vs_dressed"] <= 2e-3
         assert results["max_transition_probability"] >= 0.99
+
+    def test_default_config_shows_the_pointer_swap(self, tmp_path):
+        # the default window is one dressed half period at g/omega = 2,
+        # nu/omega = 0.01: omega t_max = (pi / 2) e^8 / 0.01 ~ 4.7e5
+        cfg = write_config(tmp_path, "c.json", {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"]["jc.nu_t_max"] is None
+        assert manifest["results"]["max_transition_probability"] >= 0.99
+        assert manifest["results"]["max_abs_dev_exact_vs_dressed"] <= 1e-3
 
     def test_rabi_column_is_sine_squared(self, tmp_path):
         cfg = resolve_config("jc-suite", JC_CFG, seed=0, output_dir=tmp_path)

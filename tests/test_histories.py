@@ -10,9 +10,7 @@ from gravcat.histories import (
     auto_grid,
     decoherence_functional,
     free_evolve,
-    n_time_probability,
     partition_points,
-    partition_probability_sum,
     position_probability,
     smeared_mean,
     smeared_second_moment,
@@ -22,6 +20,7 @@ from gravcat.histories import (
 from gravcat.quadrature import gauss_legendre
 from gravcat.states import BoxSampling, Cat1D, Gaussian1D, SmearingParams
 from gravcat.wigner import GridAliasingError
+from oracles import n_time_probability, partition_probability_sum
 
 
 def record_probability_oracle(state, sampling, events, m=1.0, grid=None):

@@ -24,7 +24,6 @@ from gravcat.jc import (
     adiabatic_propagator,
     distinguishability,
     evolve_rows,
-    evolve_series,
     evolved_cat,
     first_order_probability_series,
     interaction_picture_potential,
@@ -197,8 +196,8 @@ class TestReducedState:
         states = [evolved_cat(0.8, 0.6j, DEEP, SPACE, 2.2),
                   evolved_cat(1.0, 0.0, DEEP, SPACE, 1.3),
                   random_state(SPACE, rng), random_state(SPACE, rng)]
-        states += evolve_series(params, SPACE, pointer_state(params, SPACE, +1),
-                                np.linspace(0.0, 40.0, 5))
+        states += [CompositeState.from_vector(SPACE, row) for row in evolve_rows(
+            params, SPACE, pointer_state(params, SPACE, +1), np.linspace(0.0, 40.0, 5))]
         rows = np.array([st.as_vector() for st in states])
         got = reduced_purity(rows[:, :SPACE.dim], rows[:, SPACE.dim:])
         expected = [purity(reduced_oscillator_state(st)) for st in states]
@@ -492,18 +491,18 @@ class TestEvolveSeries:
     @pytest.mark.parametrize("dim", [32, 64])
     @pytest.mark.parametrize("g", [1.0, 2.0])
     def test_spectral_route_matches_stepped_oracle(self, dim, g):
-        # evolve_series diagonalises H; exact_propagate steps it from t = 0
+        # evolve_rows diagonalises H; exact_propagate steps it from t = 0
         # to each sample independently, at the step count its contract needs
         params = JCParams(0.05, 1.0, g)
         space = FockSpace(dim)
         init = pointer_state(params, space, +1)
         tvec = pointer_state(params, space, -1).as_vector()
         times = np.linspace(0.0, 12.0, 4)
-        spectral = evolve_series(params, space, init, times)
-        for t, got in zip(times, spectral):
+        spectral = evolve_rows(params, space, init, times)
+        for t, row in zip(times, spectral):
             stepped = exact_propagate(params, space, init, t,
                                       hamiltonian_step_count(params, space, t)).as_vector()
-            vec = got.as_vector()
+            vec = CompositeState.from_vector(space, row).as_vector()
             assert np.linalg.norm(vec - stepped) <= 1e-10
             assert abs(abs(np.vdot(tvec, vec)) ** 2 - abs(np.vdot(tvec, stepped)) ** 2) <= 1e-11
 
@@ -527,15 +526,15 @@ class TestEvolveSeries:
         times = np.linspace(0.0, 30.0, 6)
         rows = evolve_rows(params, SPACE, init, times)
         assert rows.shape == (times.size, 2 * SPACE.dim)
-        for row, st in zip(rows, evolve_series(params, SPACE, init, times)):
-            assert np.array_equal(row, st.as_vector())
+        for row in rows:
+            assert np.array_equal(row, CompositeState.from_vector(SPACE, row).as_vector())
         assert np.array_equal(evolve_rows(params, SPACE, init, np.zeros(1)),
                               init.as_vector()[None, :])
 
     def test_nonuniform_times_rejected(self):
         with pytest.raises(ValueError):
-            evolve_series(DEEP, SPACE, pointer_state(DEEP, SPACE, +1),
-                          np.array([0.0, 0.1, 0.3]))
+            evolve_rows(DEEP, SPACE, pointer_state(DEEP, SPACE, +1),
+                        np.array([0.0, 0.1, 0.3]))
 
     def test_purity_bounds_along_balanced_evolution(self):
         params = JCParams(0.0, 1.0, 1.0)

@@ -45,14 +45,6 @@ def random_state(rng):
 
 
 class TestTunnelingParams:
-    def test_consistent_step_parameters(self):
-        p = TunnelingParams(nu=2.0, chi=0.1, theta=0.01, epsilon=0.01)
-        assert p.nu == 2.0
-
-    def test_inconsistent_step_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            TunnelingParams(nu=2.0, chi=0.1, theta=0.02, epsilon=0.01)
-
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             TunnelingParams(nu=-1.0)
@@ -61,17 +53,10 @@ class TestTunnelingParams:
         {"nu": float("nan")},
         {"nu": float("inf")},
         {"nu": 1.0, "chi": float("nan")},
-        {"nu": 1.0, "theta": float("nan"), "epsilon": 0.1},
-        {"nu": 0.0, "theta": 0.05, "epsilon": float("inf")},
-        {"nu": 1.0, "theta": 0.05, "epsilon": float("nan")},
     ])
     def test_non_finite_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TunnelingParams(**kwargs)
-
-    def test_lone_theta_rejected(self):
-        with pytest.raises(ValueError):
-            TunnelingParams(nu=1.0, theta=0.1)
 
 
 class TestQubitState:

@@ -142,14 +142,6 @@ class TestValidation:
         norm = np.sum(w * np.abs(axis.psi(x)) ** 2)
         assert abs(norm - 1.0) < 1e-12
 
-    def test_bare_weight_flag_skips_cross_term(self):
-        state = Cat1D(1.0, 1.0, exact_norm=False)
-        from gravcat.quadrature import gauss_legendre
-
-        x, w = gauss_legendre(-12, 12, 60)
-        norm = np.sum(w * np.abs(state.psi(x)) ** 2)
-        assert abs(norm - (1.0 + state.branch_overlap)) < 1e-12
-
 
 class TestSplineOracle:
     """PhaseSpaceGrid.evaluate against FITPACK's s = 0 interpolating spline."""
