@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass
@@ -52,6 +53,9 @@ class InternalCheckError(GravcatError):
 
 
 _REQUIRED = object()
+# Largest max|E| t_max jc-suite accepts: E and t carry relative rounding
+# 2^-53, so the phase E t is then off by up to about 2^-10 rad.
+_MAX_JC_PHASE = 2.0**43
 
 
 @dataclass
@@ -316,7 +320,10 @@ def _fit_leading_window(name: str, t, y, stderr) -> float:
     n = keep.size if keep.all() else int(np.argmin(keep))
     if n < 2:
         raise RegimeError(f"{name} fit window has {n} significant sample(s) of one sign; need 2")
-    rate, _ = ms.fit_exponential_rate(t[:n], y[:n])
+    try:
+        rate, _ = ms.fit_exponential_rate(t[:n], y[:n])
+    except ValueError as exc:
+        raise RegimeError(f"{name} fit window: {exc}") from exc
     return rate
 
 
@@ -333,6 +340,9 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
         f0 = ms.force_amplitude(geo)
     elif not 0 < f0 < np.inf:
         raise ConfigError(f"force.f0 must be positive and finite, got {f0}")
+    # The estimator scales by f0 and f0^2; f0^2 normal implies f0 normal.
+    if not np.finfo(float).tiny <= f0 * f0 < np.inf:
+        raise RegimeError(f"force amplitude f0 = {f0:.3g}: f0^2 is not a normal float")
 
     ensemble = ms.sample_trajectories(sched, p["force.count"], cfg.seed)
     max_lag = p["force.max_lag"] if p["force.max_lag"] > 0 else sched.n_steps
@@ -406,8 +416,16 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
             # one dressed half period, nu exp(-2 zeta_0^2) t = pi / 2; pi / omega at nu = 0
             nu_t_max = 0.5 * np.pi * np.exp(2.0 * params.zeta0**2) if params.nu > 0 else np.pi
         t_max = nu_t_max / (params.nu if params.nu > 0 else omega)
+        # ||H|| <= nu + omega (dim - 1) + 2 |g| sqrt(dim - 1) bounds max |E|
+        phase_max = (params.nu + omega * (dim - 1)
+                     + 2.0 * abs(params.g) * math.sqrt(dim - 1)) * t_max
     if not t_max < np.inf:
         raise RegimeError(f"jc time window t_max = {t_max} is not finite")
+    if not phase_max <= _MAX_JC_PHASE:
+        raise RegimeError(
+            f"jc window t_max = {t_max:.3g} lets the phases E t reach {phase_max:.3g}, "
+            "above 2^43: exp(-i E t) would keep under three significant digits"
+        )
     times = np.linspace(0.0, t_max, p["jc.samples"])
 
     initial = jc.pointer_state(params, space, +1)

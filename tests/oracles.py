@@ -6,10 +6,12 @@ displacement), a step integrator of the full probe Hamiltonian (against
 the spectral `jc.evolve_rows`), a stationarity residual of the pointer
 states, a direct binomial sum for the small-angle conditional law, one
 FFT autocorrelation per force record (against the estimator's one per
-distinct record), an enumeration of all 2^(n-1) later-outcome tails
-(against the closed-form Kolmogorov defect), multi-time record
-probabilities propagated record by record (against the one comb
-propagation of `histories.additivity_defect`), and the finite-width
+distinct record), a record-by-record flip count of the geometric-gap
+marks (against the sampler's running xor over a boolean block), an
+enumeration of all 2^(n-1) later-outcome tails (against the closed-form
+Kolmogorov defect), multi-time record probabilities propagated record by
+record (against the one comb propagation of `histories.additivity_defect`),
+and the finite-width
 quadrature of the smeared mean (against the delta-limit mean of
 `density.smeared_corr_phase_space`).  None of them runs in a CLI
 experiment.
@@ -30,7 +32,7 @@ from gravcat.jc import (
     pointer_state,
     total_hamiltonian,
 )
-from gravcat.measurement import MeasurementSchedule
+from gravcat.measurement import _STREAM_BLOCK, MeasurementSchedule, _rare_cells
 from gravcat.quadrature import gauss_legendre
 from gravcat.two_state import TunnelingParams, tunneling_propagator
 from gravcat.wigner import PhaseSpaceGrid
@@ -132,6 +134,32 @@ def per_record_force_corr(readings: np.ndarray, f0: float, max_lag: int):
     dof = max(count - 1, 1)
     corr_stderr = scale * np.sqrt(np.maximum(count * sum_a2 - sum_a**2, 0.0) / dof)
     return sum_a, sum_a2, corr, corr_stderr
+
+
+def gap_route_records(sched: MeasurementSchedule, count: int, seed: int) -> np.ndarray:
+    """Records of `sample_trajectories` on its geometric-gap route (q <= 0.2).
+
+    The marks come from the sampler's own per-block streams and its mark
+    generator `_rare_cells`, so this checks only how marks become readings,
+    not the marks themselves.  Record by record, the marks are split off
+    by row, taken as the flips (p <= 1/2) or the stays (p > 1/2), and the
+    reading after step k is (-1) ** (number of flips in steps 1..k).
+    """
+    n, p = sched.n_steps, sched.flip_probability
+    q = min(p, 1.0 - p)
+    readings = np.ones((count, n + 1), dtype=np.int8)
+    for b, lo in enumerate(range(0, count, _STREAM_BLOCK)):
+        rows = min(_STREAM_BLOCK, count - lo)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        marks = _rare_cells(rng, rows * n, q) if q > 0.0 else np.empty(0, dtype=np.int64)
+        row_of, step_of = np.divmod(marks, n)
+        bounds = np.searchsorted(row_of, np.arange(rows + 1))
+        for r in range(rows):
+            marked = np.zeros(n, dtype=np.int64)
+            marked[step_of[bounds[r] : bounds[r + 1]]] = 1
+            flips = 1 - marked if p > 0.5 else marked
+            readings[lo + r, 1:] = np.where(np.cumsum(flips) % 2 == 0, 1, -1)
+    return readings
 
 
 def kolmogorov_defect_enumerated(sched: MeasurementSchedule, n_steps: int) -> float:

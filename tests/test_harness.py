@@ -455,9 +455,12 @@ class TestCli:
         {"jc.omega": 5e-324},
         {**JC_CFG, "jc.nu_over_omega": 5e-324},
         {**JC_CFG, "jc.nu_t_max": 1e300, "jc.nu_over_omega": 1e-10},
+        {"jc.omega": 1000, "jc.nu_over_omega": 1e-5, "jc.nu_t_max": 1e300},
+        {**JC_CFG, "jc.nu_over_omega": 1e-5, "jc.nu_t_max": 1e10},
     ])
     def test_unbounded_jc_window_is_regime_error(self, tmp_path, payload):
-        # t_max = nu_t_max / nu (or pi / omega at nu = 0) overflows to inf
+        # t_max = nu_t_max / nu (or pi / omega at nu = 0) overflows to inf,
+        # or is finite but puts the phases E t past 2^43 (1e307 and 1e17 here)
         cfg = write_config(tmp_path, "c.json", payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -475,6 +478,39 @@ class TestCli:
     def test_non_finite_force_input_is_config_error(self, tmp_path, key, value):
         cfg = write_config(tmp_path, "c.json", {**FORCE_CFG, key: value})
         assert main(["force-trajectories", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"force.tau": 1e-300},
+        {"force.tau": 5e-324},
+        {"force.tau": 1e300, "force.nu": 1e-300},
+    ])
+    def test_unresolvable_fit_window_is_regime_error(self, tmp_path, capfd, payload):
+        # the fit's time column squares to 0 or inf: polyfit failed inside
+        # LAPACK (exit 4), or at tau 1e300 returned a fitted rate of 0
+        cfg = write_config(tmp_path, "c.json", {"force.nu": 0.5, "force.steps": 20,
+                                                "force.count": 200, **payload})
+        assert main(["force-trajectories", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gravcat: regime rejection: corr fit window")
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("force.f0", 1e300),
+        ("force.f0", 1e-160),
+        ("probe.G", 1e300),
+        ("probe.m", 1e300),
+        ("probe.m0", 1e300),
+        ("probe.L", 1e300),
+        ("probe.y", 1e300),
+        ("probe.L", 1e-300),
+    ])
+    def test_out_of_range_force_scale_is_regime_error(self, tmp_path, capfd, key, value):
+        # f0 or f0^2 leaves the normal float range: OverflowError or
+        # ZeroDivisionError gave exit 4, and f0 1e-160 a corr[0] of 0
+        cfg = write_config(tmp_path, "c.json", {**FORCE_CFG, key: value})
+        assert main(["force-trajectories", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "f0^2 is not a normal float" in capfd.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("experiment,payload", [

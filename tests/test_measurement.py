@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,12 @@ from gravcat.measurement import (
     sample_trajectories,
     sequence_probability,
 )
-from oracles import conditional_g_series, kolmogorov_defect_enumerated, per_record_force_corr
+from oracles import (
+    conditional_g_series,
+    gap_route_records,
+    kolmogorov_defect_enumerated,
+    per_record_force_corr,
+)
 
 
 def sched(nu_tau: float, n_steps: int = 10, tau: float = 1.0) -> MeasurementSchedule:
@@ -52,6 +61,16 @@ class TestForceAmplitude:
     def test_far_field_decay(self):
         values = [force_amplitude(ProbeGeometry(L=2.0, y=y)) for y in (0.0, 1.0, 3.0, 10.0, 100.0)]
         assert all(a > b > 0 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("kwargs,expected", [
+        ({"L": 1e300}, 0.0),
+        ({"y": 1e300}, 0.0),
+        ({"L": 1e-300}, np.inf),
+        ({"G": 1e300, "m": 1e300}, np.inf),
+    ])
+    def test_out_of_range_geometry_gives_ieee_value(self, kwargs, expected):
+        # a squared length or the mass product leaves the float range
+        assert force_amplitude(ProbeGeometry(**kwargs)) == expected
 
     def test_linear_in_probe_mass(self):
         base = force_amplitude(ProbeGeometry(L=1.5, y=0.7))
@@ -268,10 +287,67 @@ class TestDiscreteForceLaws:
         assert abs(s.gamma - 2 * s.lam / s.tau) < 1e-18
 
 
+# nu tau on each sampler route, and whether it draws geometric gaps: the
+# flips (p = 0.01, 0.04 or 0.09), the stays (p = 0.97), or one uniform per
+# step (p = 0.47).
+ROUTES = [(0.2, True), (0.4, True), (2.8, True), (1.5, False)]
+
+
+def draws_gaps(s: MeasurementSchedule) -> bool:
+    p = s.flip_probability
+    return min(p, 1.0 - p) <= measurement._GAP_CROSSOVER
+
+
+def markov_order_p_value(readings: np.ndarray) -> float:
+    """Likelihood-ratio p-value of a second-order against a first-order
+    Markov chain, from the reading triples pooled over time: G = 2 sum
+    n_ijk log(n_ijk n_j / (n_ij n_jk)) is chi^2 with (2^2)(2-1) - 2(2-1) = 2
+    degrees of freedom, whose survival function is exp(-G / 2)."""
+    bits = (readings < 0).astype(np.int64)
+    code = 4 * bits[:, :-2] + 2 * bits[:, 1:-1] + bits[:, 2:]
+    n = np.bincount(code.ravel(), minlength=8).reshape(2, 2, 2).astype(float)
+    n_ij, n_jk, n_j = n.sum(axis=2), n.sum(axis=0), n.sum(axis=(0, 2))
+    expected = n_ij[:, :, None] * n_jk[None, :, :] / n_j[None, :, None]
+    seen = n > 0
+    g = 2.0 * np.sum(n[seen] * np.log(n[seen] / expected[seen]))
+    return math.exp(-g / 2.0)
+
+
 class TestSampling:
     def test_frozen_dynamics_constant(self):
         ens = sample_trajectories(sched(0.0, n_steps=20), 50, seed=3)
         assert np.all(ens.readings == 1)
+
+    def test_certain_flips_alternate(self):
+        s = sched(np.pi, n_steps=15)
+        assert s.flip_probability == 1.0
+        ens = sample_trajectories(s, 5000, seed=4)
+        assert np.array_equal(ens.readings, np.broadcast_to((-1) ** np.arange(16), (5000, 16)))
+
+    def test_vanishing_rate_returns_promptly(self):
+        # p = 2.5e-301 and a subnormal 2.5e-321: every geometric gap
+        # overflows int64 unless it is clipped to the block first, and the
+        # unclipped draw loop never ends; a fresh process bounds the wait
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(measurement.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        code = ("import numpy as np; from gravcat.measurement import MeasurementSchedule, "
+                "sample_trajectories as draw\n"
+                "for nu in (1e-150, 1e-160):\n"
+                "    s = MeasurementSchedule(tau=1.0, n_steps=200, nu=nu)\n"
+                "    print(s.flip_probability > 0, bool(np.all(draw(s, 5000, 1).readings == 1)))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.split() == ["True"] * 4
+        assert out.stderr == ""
+
+    @pytest.mark.parametrize("nu_tau", [1e-150, 0.1, 0.6, 2.5, 2.9, np.pi])
+    def test_gap_route_matches_record_parity_oracle(self, nu_tau):
+        # marks on flips and on stays; 9000 records span three stream
+        # blocks, the last one partial
+        s = sched(nu_tau, n_steps=37)
+        assert draws_gaps(s)
+        ens = sample_trajectories(s, 9000, seed=21)
+        assert np.array_equal(ens.readings, gap_route_records(s, 9000, seed=21))
 
     def test_reproducibility(self):
         s = sched(0.3, n_steps=25)
@@ -281,18 +357,22 @@ class TestSampling:
         c = sample_trajectories(s, 200, seed=43)
         assert not np.array_equal(a.readings, c.readings)
 
-    def test_prefix_stability(self):
+    @pytest.mark.parametrize("nu_tau,gaps", ROUTES)
+    def test_prefix_stability(self, nu_tau, gaps):
         # a smaller draw is the first rows of a larger one, across the
         # 4096-trajectory stream block boundary
-        s = sched(0.3, n_steps=25)
+        s = sched(nu_tau, n_steps=25)
+        assert draws_gaps(s) is gaps
         a = sample_trajectories(s, 5000, seed=7)
         b = sample_trajectories(s, 9000, seed=7)
         assert np.array_equal(a.readings, b.readings[:5000])
         # each block has its own stream
         assert not np.array_equal(b.readings[:4096], b.readings[4096:8192])
 
-    def test_flip_frequency(self):
-        s = sched(0.4, n_steps=200)
+    @pytest.mark.parametrize("nu_tau,gaps", ROUTES)
+    def test_flip_frequency(self, nu_tau, gaps):
+        s = sched(nu_tau, n_steps=200)
+        assert draws_gaps(s) is gaps
         count = 100_000
         ens = sample_trajectories(s, count, seed=11)
         flips = ens.readings[:, 1:] != ens.readings[:, :-1]
@@ -301,8 +381,10 @@ class TestSampling:
         stderr = math.sqrt(p * (1 - p) / flips.size)
         assert abs(freq - p) < 3 * stderr
 
-    def test_jump_count_distribution_chi_square(self):
-        s = sched(0.6, n_steps=10)
+    @pytest.mark.parametrize("nu_tau,gaps", [(0.2, True), (0.6, True), (2.8, True), (1.5, False)])
+    def test_jump_count_distribution_chi_square(self, nu_tau, gaps):
+        s = sched(nu_tau, n_steps=10)
+        assert draws_gaps(s) is gaps
         count = 100_000
         ens = sample_trajectories(s, count, seed=5)
         observed = np.bincount(ens.jump_counts(), minlength=11).astype(float)
@@ -310,12 +392,31 @@ class TestSampling:
         expected = np.array(
             [math.comb(10, n) * p**n * (1 - p) ** (10 - n) * count for n in range(11)]
         )
-        # pool the sparse tail so every expected count is >= 5
+        # pool the sparse tail, if any, so every expected count is >= 5
         keep = expected >= 5.0
-        obs = np.append(observed[keep], observed[~keep].sum())
-        exp = np.append(expected[keep], expected[~keep].sum())
+        obs, exp = observed[keep], expected[keep]
+        if not keep.all():
+            obs = np.append(obs, observed[~keep].sum())
+            exp = np.append(exp, expected[~keep].sum())
         result = sps.chisquare(obs, exp)
         assert result.pvalue > 0.001
+
+    @pytest.mark.parametrize("nu_tau,gaps", [(0.2, True), (0.5, True), (2.8, True), (1.5, False)])
+    def test_records_are_first_order_markov(self, nu_tau, gaps):
+        s = sched(nu_tau, n_steps=30)
+        assert draws_gaps(s) is gaps
+        readings = sample_trajectories(s, 50_000, seed=3).readings
+        assert markov_order_p_value(readings) > 0.001
+
+    def test_markov_order_statistic_detects_second_order(self):
+        # flip with 0.1 after a stay and 0.3 after a flip: a second-order chain
+        rng = np.random.default_rng(8)
+        readings = np.ones((50_000, 31), dtype=np.int8)
+        flipped = np.zeros(50_000, dtype=bool)
+        for k in range(1, 31):
+            flipped = rng.random(50_000) < np.where(flipped, 0.3, 0.1)
+            readings[:, k] = np.where(flipped, -readings[:, k - 1], readings[:, k - 1])
+        assert markov_order_p_value(readings) < 1e-10
 
     def test_record_view(self):
         ens = sample_trajectories(sched(0.5, n_steps=12), 10, seed=1)
@@ -401,6 +502,14 @@ class TestEstimator:
     def test_fit_rejects_sign_changes(self):
         with pytest.raises(ValueError):
             fit_exponential_rate(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e300])
+    def test_fit_rejects_unresolvable_times(self, tau):
+        # polyfit scales the time column by its norm, which under- or
+        # overflows here; it failed in LAPACK or returned rate 0
+        t = tau * np.arange(20)
+        with pytest.raises(ValueError, match="least-squares fit"):
+            fit_exponential_rate(t, np.exp(-0.1 * np.arange(20)))
 
 
 class TestGroupedEstimator:
