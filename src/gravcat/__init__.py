@@ -11,34 +11,10 @@ Library layout:
 - measurement: continuously measured Newtonian force (records, statistics)
 - jc: oscillator probe (deep-strong-coupling dynamics, pointer states)
 - harness / cli: reproducible named experiments with manifests
+
+Import names from their modules (`from gravcat.fock import FockSpace`);
+the package itself loads none of them, so a CLI run imports only the
+modules of the experiment it runs.
 """
 
 __version__ = "0.1.0"
-
-from .fock import (
-    FockOperator,
-    FockSpace,
-    FockVector,
-    TruncationInadequateWarning,
-    coherent_state,
-    displacement,
-    ladder_operators,
-    number_operator,
-    vacuum,
-    vacuum_truncation_leak,
-)
-from .states import BoxSampling, Cat1D, CatState, Gaussian1D, GaussianState, SmearingParams
-from .two_state import (
-    QubitState,
-    SmearedDensityParams,
-    TunnelingParams,
-    heisenberg_projector,
-    mean_density,
-    tunneling_hamiltonian,
-    tunneling_propagator,
-    two_time_quantum_corr,
-    two_time_statistical_corr,
-)
-from .wigner import GridAliasingError, PhaseSpaceGrid, wigner_function
-
-__all__ = [name for name in dir() if not name.startswith("_")]

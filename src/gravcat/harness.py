@@ -6,7 +6,8 @@ significant digits, locale independent) plus a manifest echoing the fully
 resolved config with SHA-256 checksums of every artifact.  Unknown config
 keys abort before any computation.  Reruns with identical config and seed
 produce byte-identical artifacts; wall-clock duration lives only in the
-manifest and is excluded from checksummed content.
+manifest and is excluded from checksummed content.  Each runner imports
+the library modules it uses, so a run loads only its own experiment's.
 
 Exit-code policy (mapped by the CLI): ConfigError for malformed or unknown
 configuration, RegimeError for parameter sets the numerics reject,
@@ -26,14 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import density as dn
-from . import histories as hist
-from . import jc
-from . import measurement as ms
-from . import two_state as ts
-from .fock import FockSpace
-from .states import CatState, GaussianState, SmearingParams
-from .wigner import GridAliasingError, wigner_function
 
 
 class GravcatError(Exception):
@@ -272,6 +265,8 @@ def _domain(builder, *args, **kwargs):
 
 
 def _run_g2s(cfg: ExperimentConfig, outdir: Path):
+    from . import two_state as ts
+
     p = cfg.parameters
     if p["grid.t_count"] < 1:
         raise ConfigError("time grid is empty (grid.t_count must be >= 1)")
@@ -287,6 +282,14 @@ def _run_g2s(cfg: ExperimentConfig, outdir: Path):
     state = _domain(ts.QubitState, c_plus / norm, c_minus / norm)
     params = _domain(ts.TunnelingParams, p["g2s.nu"], p["g2s.chi"])
     dens = _domain(ts.SmearedDensityParams, p["g2s.m"], p["g2s.ell"])
+    # two_state scales by m / (2 ell^3) and m^2 / (4 ell^6) in Python floats,
+    # whose ** raises on overflow: each power and scale must be a normal float.
+    with np.errstate(all="ignore"):
+        m, ell = np.float64(dens.m), np.float64(dens.ell)
+        scales = (m**2, ell**6, m / (2.0 * ell**3), m**2 / (4.0 * ell**6))
+    if not all(np.finfo(float).tiny <= s < np.inf for s in scales):
+        raise RegimeError(f"g2s.m = {dens.m:.3g}, g2s.ell = {dens.ell:.3g}: m^2, ell^6, "
+                          "m / ell^3 or m^2 / ell^6 is not a normal float")
     times = np.linspace(p["grid.t_min"], p["grid.t_max"], p["grid.t_count"])
 
     # Rows: time-major, a = +1 before -1; correlations run over t1 <= t2
@@ -316,6 +319,8 @@ def _run_g2s(cfg: ExperimentConfig, outdir: Path):
 def _fit_leading_window(name: str, t, y, stderr) -> float:
     """Exponential rate fitted to the leading samples with |y| > 2 stderr
     and the sign of the first; the window ends at the first that is not."""
+    from . import measurement as ms
+
     keep = (np.abs(y) > 2.0 * stderr) & (np.sign(y) == np.sign(y[0]))
     n = keep.size if keep.all() else int(np.argmin(keep))
     if n < 2:
@@ -328,6 +333,8 @@ def _fit_leading_window(name: str, t, y, stderr) -> float:
 
 
 def _run_force(cfg: ExperimentConfig, outdir: Path):
+    from . import measurement as ms
+
     p = cfg.parameters
     if p["force.count"] < 100:
         raise RegimeError("statistics mode needs force.count >= 100")
@@ -393,6 +400,9 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_jc(cfg: ExperimentConfig, outdir: Path):
+    from . import jc
+    from .fock import FockSpace
+
     p = cfg.parameters
     omega = p["jc.omega"]
     dim = p["jc.dim"]
@@ -401,11 +411,17 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
     space = _domain(FockSpace, dim)
     # The pointer orbit reaches 2 |zeta_0|; demand headroom in the cutoff.
     max_reach = 2.0 * abs(params.zeta0)
-    if max_reach**2 > dim / 4.0:
+    if max_reach * max_reach > dim / 4.0:  # * gives inf where ** would raise
         raise RegimeError(
             f"Fock cutoff {dim} inadequate for pointer reach |zeta| = {max_reach:.3g} "
             f"(need |zeta|^2 <= dim/4)"
         )
+    # distinguishability reports omega^3 and 2 |zeta_0|^2 omega^3; ** would raise
+    with np.errstate(all="ignore"):
+        coupling_scale = 2.0 * params.zeta0**2 * np.float64(omega) ** 3
+    if not coupling_scale < np.inf:
+        raise RegimeError(f"jc.omega = {omega:.3g}: omega^3 or 2 |zeta_0|^2 omega^3 "
+                          "is not finite")
     if p["jc.samples"] < 2:
         raise ConfigError("jc.samples must be at least 2")
     nu_t_max = p["jc.nu_t_max"]
@@ -483,6 +499,8 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
 
 
 def _density_state(p):
+    from .states import CatState, GaussianState
+
     kind = p["density.state"]
     if kind == "gaussian":
         return _domain(GaussianState, p["density.sigma"])
@@ -492,6 +510,11 @@ def _density_state(p):
 
 
 def _run_density(cfg: ExperimentConfig, outdir: Path):
+    from . import density as dn
+    from . import histories as hist
+    from .states import SmearingParams
+    from .wigner import GridAliasingError, wigner_function
+
     p = cfg.parameters
     state = _density_state(p)
     smear = _domain(SmearingParams, p["density.s_x"])

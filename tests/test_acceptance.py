@@ -121,7 +121,8 @@ def test_criterion_3_non_markovianity_witness():
         3,
         ok,
         f"start-time-dependent prefactor of the small-angle correlation "
-        f"deviates from 1 by {deviation:.1%} (> 1%) at nu tau = 0.5",
+        f"deviates from 1 by {deviation:.1%} (> 1%) at nu tau = 0.5; the ratio is "
+        f"q^m1, the approximate law's one-step probability leak",
     )
 
 

@@ -335,29 +335,53 @@ class TestDeterminism:
             assert meta_a[key] == meta_b[key]
 
 
+def run_fresh(code: str) -> str:
+    """Last stdout line of `python -c code` in a fresh interpreter, which
+    sees gravcat but none of the modules this test process has loaded."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(gravcat.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.strip().splitlines()[-1]
+
+
 class TestCli:
     def test_import_loads_no_scipy(self):
-        # a fresh interpreter, because this test process has scipy loaded
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(gravcat.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
         code = ("import gravcat, gravcat.cli, sys; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.strip() == "[]"
+        assert run_fresh(code) == "[]"
 
     def test_density_suite_loads_no_scipy(self, tmp_path):
         # a whole default density-suite run, Wigner spline included
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(gravcat.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
         cfg = write_config(tmp_path, "c.json", {})
         code = ("import sys; from gravcat.cli import main; "
                 f"code = main(['density-suite', '--config', {str(cfg)!r}, "
                 f"'--out', {str(tmp_path / 'o')!r}]); "
                 "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.strip().splitlines()[-1] == "0 []"
+        assert run_fresh(code) == "0 []"
+
+    # The library modules each run loads besides gravcat, gravcat.cli and
+    # gravcat.harness (no experiment: the import alone), on the configs of
+    # the CI console-script step; scipy is never among them.
+    @pytest.mark.parametrize("experiment,payload,modules", [
+        (None, None, []),
+        ("g2s-correlations", G2S_CFG, ["two_state"]),
+        ("force-trajectories", {"force.nu": 0.5, "force.tau": 0.2, "force.steps": 40,
+                                "force.count": 400}, ["measurement", "two_state"]),
+        ("jc-suite", JC_CFG, ["fock", "jc", "two_state"]),
+        ("density-suite", {"density.sigma": 1.0},
+         ["density", "histories", "quadrature", "states", "wigner"]),
+    ])
+    def test_run_imports_only_its_experiments_modules(self, tmp_path, experiment, payload,
+                                                      modules):
+        code = "import sys; from gravcat.cli import main; "
+        if experiment is not None:
+            cfg = write_config(tmp_path, "c.json", payload)
+            code += (f"assert main([{experiment!r}, '--config', {str(cfg)!r}, "
+                     f"'--out', {str(tmp_path / 'o')!r}]) == 0; ")
+        code += "print(sorted(m for m in sys.modules if m.startswith(('gravcat', 'scipy'))))"
+        expected = ["gravcat", "gravcat.cli", "gravcat.harness"] + [f"gravcat.{m}" for m in modules]
+        assert run_fresh(code) == str(sorted(expected))
 
     def test_narrow_gaussian_density_suite_succeeds(self, tmp_path):
         # its history grid reaches |x| ~ 102 at dx ~ 0.012, where linspace
@@ -465,6 +489,28 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("experiment,payload", [
+        ("g2s-correlations", {**G2S_CFG, "g2s.m": 1e300}),
+        ("g2s-correlations", {**G2S_CFG, "g2s.ell": 1e300}),
+        ("g2s-correlations", {**G2S_CFG, "g2s.ell": 1e-300}),
+        ("g2s-correlations", {**G2S_CFG, "g2s.ell": 5e-324}),
+        ("g2s-correlations", {**G2S_CFG, "g2s.m": 1e200, "g2s.ell": 1e100}),
+        ("g2s-correlations", {**G2S_CFG, "g2s.m": 1e-160}),
+        ("jc-suite", {**JC_CFG, "jc.omega": 1e300}),
+        ("jc-suite", {**JC_CFG, "jc.g_over_omega": 1e300}),
+    ])
+    def test_out_of_range_scale_is_regime_error(self, tmp_path, capfd, experiment, payload):
+        # a Python-float ** overflowed (OverflowError) or ell^6 underflowed
+        # to a division by zero, both exit 4; m 1e-160 wrote m^2 / ell^6 as a
+        # subnormal 9.9998886718268301e-321 with exit 0
+        cfg = write_config(tmp_path, "c.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gravcat: regime rejection: ")
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("key,value", [
