@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 import time
+import types
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -73,88 +74,265 @@ class ResultManifest:
         return asdict(self)
 
 
-# Rows formatted per write; bounds the Python objects alive at once.
-_CSV_BLOCK_ROWS = 4096
+# Bytes of word slots per block (at most 7 words a float cell, 3 an integer
+# one), so a large table never exists as one array or string.  Rendering a
+# g2s-grid table then peaks at 0.9 MB (tracemalloc), against 1.6 MB for the
+# former 4096-row text blocks; larger blocks were no faster.
+_CSV_BLOCK_BYTES = 1 << 18
 # Bytes read per checksum update, so an artifact is never held whole.
 _HASH_CHUNK_BYTES = 1 << 20
+_P10 = 10 ** np.arange(18, dtype=np.int64)
 
 
 def write_csv(path: Path, header: list[str], columns) -> Path:
     """Write equal-length 1-D columns under `header`, one row per index.
 
-    Integer and boolean columns print as %d, all others as %.17g; rows go
-    out in fixed blocks so a large table never exists as one string.  In a
-    block where at most half of a float column's bit patterns are distinct,
-    each distinct pattern is formatted once and its text reused.
+    Integer and boolean columns print as %d, all others as %.17g, byte for
+    byte as Python's % prints them.  Blocks of rows are rendered by numpy
+    into fixed 8-byte word slots, NUL-padded, and the NULs are dropped
+    before each block is written, so a large table never exists as text.
+    The 17 digits of a float come from a double-double product (see
+    _float_digits); a value that could round either way, and every value
+    the product does not cover, is printed by Python's % instead.
     """
-    text = _csv_blocks(path, header, columns)
-    with path.open("w", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(text)
-    return path
-
-
-def _csv_blocks(path: Path, header: list[str], columns):
-    """write_csv's rows of `columns`, as text blocks of _CSV_BLOCK_ROWS rows;
-    the columns are checked before the first block is made."""
     columns = [np.asarray(c) for c in columns]
     n_rows = columns[0].size if columns else 0
-    if len(columns) != len(header) or any(c.ndim != 1 or c.size != n_rows for c in columns):
-        raise ValueError(f"need {len(header)} 1-D columns of equal length for {path.name}")
-    return (_csv_block([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])
-            for lo in range(0, n_rows, _CSV_BLOCK_ROWS))
-
-
-def _csv_block(columns) -> str:
-    """One block of rows: %d for integer and boolean columns, %.17g for the
-    others, with the text of a float column built by _repeated_text where
-    it repeats enough."""
-    slots, cells = [], []
-    for c in columns:
-        if c.dtype.kind in "biu":
-            slots.append("%d")
-            cells.append(c.tolist())
-        elif (text := _repeated_text(c)) is not None:
-            slots.append("%s")
-            cells.append(text)
-        else:
-            slots.append("%.17g")
-            cells.append(c.tolist())
-    row = ",".join(slots) + "\n"
-    return "".join(map(row.__mod__, zip(*cells)))
-
-
-def _repeated_text(c: np.ndarray) -> list[str] | None:
-    """The %.17g text of each value of a float column, each distinct bit
-    pattern formatted once (so -0.0 and each NaN payload keep their own
-    text), or None when more than half of the patterns are distinct."""
-    if c.dtype.kind != "f" or c.dtype.itemsize not in (2, 4, 8):
-        return None
-    bits = c.view(f"u{c.dtype.itemsize}")
-    ordered = np.sort(bits)
-    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > c.size:
-        return None
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    text = ["%.17g" % v for v in c[first].tolist()]
-    return list(map(text.__getitem__, inverse.tolist()))
+    if len(columns) != len(header) or any(c.ndim != 1 or c.size != n_rows
+                                          or c.dtype.kind not in "biuf" for c in columns):
+        raise ValueError(f"need {len(header)} 1-D real columns of equal length for {path.name}")
+    return _write_blocks(path, header, n_rows, [c.dtype for c in columns],
+                         lambda lo, hi: [c[lo:hi] for c in columns])
 
 
 def _write_trajectories(path: Path, readings: np.ndarray) -> Path:
     """One (trajectory_id, step, reading) row per reading, as write_csv prints
-    the whole table, made a block of whole trajectories at a time so the
-    index columns never exist for the whole ensemble."""
-    header = ["trajectory_id", "step", "reading"]
-    count, length = readings.shape
-    per_block = max(1, _CSV_BLOCK_ROWS // length)
-    steps = np.arange(length)
-    with path.open("w", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, count, per_block):
-            chunk = readings[lo:lo + per_block]
-            ids = np.arange(lo, lo + chunk.shape[0])
-            fh.writelines(_csv_blocks(path, header, [np.repeat(ids, length),
-                                                     np.tile(steps, ids.size), chunk.ravel()]))
+    the whole table; the index columns are made one block of rows at a time,
+    so they never exist for the whole ensemble."""
+    length = readings.shape[1]
+    flat = readings.reshape(-1)
+
+    def block(lo, hi):
+        row = np.arange(lo, hi, dtype=np.int64)
+        return [row // length, row % length, flat[lo:hi]]
+
+    dtypes = [np.dtype(np.int64), np.dtype(np.int64), flat.dtype]
+    return _write_blocks(path, ["trajectory_id", "step", "reading"], flat.size, dtypes, block)
+
+
+def _block_rows(dtypes) -> int:
+    """Rows per block: a float cell takes at most 7 words, an integer one 3."""
+    words = sum(3 if d.kind in "biu" else 7 for d in dtypes)
+    return max(1, _CSV_BLOCK_BYTES // (8 * max(words, 1)))
+
+
+def _write_blocks(path: Path, header: list[str], n_rows: int, dtypes, block) -> Path:
+    """The header line, then rows lo to hi - 1 as block(lo, hi) gives their
+    columns, _block_rows(dtypes) rows at a time.  Each row starts with the
+    newline that ends the line before it."""
+    rows = _block_rows(dtypes)
+    buf = bytearray(_CSV_BLOCK_BYTES)
+    with path.open("wb") as fh:
+        fh.write(",".join(header).encode("ascii"))
+        for lo in range(0, n_rows, rows):
+            fh.write(_render_rows(block(lo, min(lo + rows, n_rows)), buf))
+        fh.write(b"\n")
     return path
+
+
+def _render_rows(columns, buf: bytearray) -> bytes:
+    """ASCII rows of equal-length columns, laid out in `buf` as 8-byte words
+    (cell by cell, NUL-padded) and returned without the NULs.  The columns
+    of one render type are rendered as one array: on a g2s-grid table that
+    takes a third of the writer's time off, against a column at a time."""
+    m = columns[0].size
+    cells = [None] * len(columns)
+    for kind in (np.float64, np.int64, np.uint64):
+        group = [i for i, c in enumerate(columns) if _render_type(c) is kind]
+        if group:
+            words = _cell_words(np.concatenate([columns[i] for i in group], dtype=kind))
+            for g, i in enumerate(group):
+                cells[i] = [w[g * m:(g + 1) * m] for w in words]
+                cells[i][0] |= np.uint64(ord("," if i else "\n"))
+    words = np.frombuffer(buf, "<u8", m * sum(map(len, cells))).reshape(m, -1)
+    for j, w in enumerate([w for cell in cells for w in cell]):
+        words[:, j] = w
+    del cells, w
+    return bytearray(words).translate(None, b"\0")
+
+
+def _render_type(c):
+    """The dtype a column is rendered in: every float and integer type fits
+    float64 or int64 exactly, except uint64."""
+    if c.dtype.kind == "f":
+        return np.float64
+    return np.uint64 if c.dtype == np.uint64 else np.int64
+
+
+def _lookup_tables():
+    """The renderer's lookup tables, built once at import.
+
+    hi, hh, hl, lo: 10^p = hi + lo for p in [-240, 270], hi correctly
+    rounded and lo the rounded rest (Python's integer true division rounds
+    correctly), hi split for _scaled.  quad: the ASCII of 0000-9999.  sig:
+    where a 4-digit group j of a fraction ends, 4 j + its digits through the
+    last nonzero one (0 for 0000).  Per decade k, at k + 400: split and
+    scale (10^s and 10^(17 - s): a rounded value is D // 10^s before the
+    point and D % 10^s after it), nd (digits before the point), lead (the
+    word ".", ".0", ".00" or ".000") and exp (the word "e+XX", 0 in fixed
+    notation).  head, frac: word masks by digit count.
+    """
+    t = types.SimpleNamespace()
+    hi, lo = [], []
+    for p in range(-240, 271):
+        num, den = 10 ** max(p, 0), 10 ** max(-p, 0)
+        h = num / den
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    t.hi, t.lo = np.array(hi), np.array(lo)
+    t.hh, t.hl = _split(t.hi)
+    pair = np.arange(100)
+    text = (pair // 10 + 48 | (pair % 10 + 48) << 8).astype(np.uint64)
+    t.quad = (text[:, None] | text << 16).ravel()
+    sig = np.where(pair % 10 > 0, 2, np.where(pair > 0, 1, 0)).astype(np.uint8)  # "ab"
+    sig = np.where(pair > 0, 2 + sig, sig[:, None]).ravel()
+    t.sig = np.where(sig > 0, sig + np.arange(0, 20, 4, dtype=np.uint8)[:, None], 0)
+    k = np.arange(-400, 400)
+    sci = (k < -4) | (k > 16)
+    s = np.where(sci, 16, np.clip(16 - k, 0, 17))
+    t.split, t.scale = _P10[s], _P10[17 - s]
+    t.nd = np.where(sci | (k < 0), 1, k + 1)
+    t.lead = np.array([int.from_bytes(b".000"[:z], "little")
+                       for z in np.where(sci | (k >= 0), 1, -k).tolist()], np.uint64)
+    t.exp = np.array([int.from_bytes(b"e%+03d" % e, "little") * f
+                      for e, f in zip(k.tolist(), sci.tolist())], np.uint64)
+    keep = np.array([2 ** (8 * n) - 1 for n in range(9)], np.uint64)  # low n bytes
+    n = np.arange(24)
+    t.head = ~keep[np.clip(8 * np.arange(3)[:, None] + 8 - n, 0, 8)]
+    t.frac = keep[np.clip(n[:18] - np.array([[0], [4], [12]]), 0, [[4], [8], [8]])]
+    t.frac[0] = t.frac[0] << 32 | keep[4] * (n[:18] > 0)
+    return t
+
+
+def _split(a):
+    """Veltkamp split: a = high + low, each with at most 26 significant bits."""
+    c = 134217729.0 * a
+    high = c - (c - a)
+    return high, a - high
+
+
+# Built at import, not on first use: built mid-run they land among the
+# run's own arrays in the malloc heap, and a density-suite run then
+# peaked 2 MB (4%) higher.
+_TABLES = _lookup_tables()
+
+
+def _scaled(a, k):
+    """a 10^(16 - k) as a float product P, exact as an integer above 2^53,
+    and its error (Dekker's TwoProduct) plus a lo, good to about 1e-14."""
+    t, i = _TABLES, 256 - k
+    prod = a * t.hi[i]
+    ah, al = _split(a)
+    hh, hl = t.hh[i], t.hl[i]
+    return prod, ((ah * hh - prod) + ah * hl + al * hh) + al * hl + a * t.lo[i]
+
+
+def _float_digits(x):
+    """(D, k, fallback) for float64 x: |x| rounds to D 10^(k - 16) with D
+    in [10^16, 10^17] (D = k = 0 at zero).  The fast path covers 1e-250 <=
+    |x| <= 1e250; fallback indexes the values left to Python's %: those
+    outside it, NaN, and any whose product lies within 1e-6 of a rounding
+    tie, far above the product's error."""
+    a = np.abs(x)
+    fast = (a >= 1e-250) & (a <= 1e250)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    prod, rest = _scaled(a, k)
+    # log10 may miss the decade by one; correct it from the unrounded product,
+    # which lies within 20 of prod
+    redo = np.flatnonzero((prod < 1e16 + 1e3) | (prod > 1e17 - 1e3))
+    step = ((prod[redo] - 1e17) + rest[redo] >= 0).astype(np.int64)
+    step -= (prod[redo] - 1e16) + rest[redo] < 0
+    redo, step = redo[step != 0], step[step != 0]
+    if redo.size:
+        k[redo] += step
+        prod[redo], rest[redo] = _scaled(a[redo], k[redo])
+    near = np.floor(rest + 0.5)
+    digits = prod.astype(np.int64) + near.astype(np.int64)
+    carry = np.flatnonzero(digits == 10**17)
+    digits[carry] = 10**16
+    k[carry] += 1
+    odd = np.flatnonzero(~fast)
+    digits[odd[x[odd] == 0]] = 0
+    tie = np.flatnonzero(np.abs(rest - near) > 0.5 - 1e-6)
+    return digits, k, np.concatenate([odd[x[odd] != 0], tie])
+
+
+def _float_parts(x):
+    """(whole, frac, k + 400, fallback) of _float_digits: the digits before
+    the point, and those after it as a left-aligned 17-digit integer."""
+    t = _TABLES
+    digits, k, fallback = _float_digits(x)
+    k += 400
+    split = t.split[k]
+    whole = digits // split
+    digits -= whole * split
+    digits *= t.scale[k]
+    return whole, digits, k, fallback
+
+
+def _ascii8(n):
+    """The 8 ASCII digits of n < 10^8, zero-padded, first digit in the low byte."""
+    quad = _TABLES.quad
+    high = n // 10000
+    return quad[high] | quad[n - 10000 * high] << 32
+
+
+def _cell_words(c) -> list:
+    """The cells of a float64, int64 or uint64 array as 8-byte words: [NUL
+    for the separator, sign, up to 6 digits], 8 more digits per further
+    word before the point, then ".000" with up to 4 digits, 8 digits and 5
+    digits of the fraction, then the exponent; NULs are padding.  Every
+    word is kept, even one that is NUL in every cell: the first word's low
+    byte, NUL in every cell Python's % prints too, takes the separator."""
+    t = _TABLES
+    if c.dtype.kind != "f":
+        fallback = np.flatnonzero((c >= 10**17) | (c <= -10**17))
+        whole = np.abs(c.astype(np.int64))
+        whole[fallback] = 0
+        nd = np.maximum(np.searchsorted(_P10, whole, side="right"), 1)
+        neg, fmt = c < 0, b"%d"
+    else:
+        whole, frac, k, fallback = _float_parts(c)
+        nd = t.nd[k]
+        neg, fmt = np.signbit(c), b"%.17g"
+    extra = (int(nd.max(initial=1)) + 1) // 8  # words after the first
+    words = [_ascii8(whole // 10 ** (8 * extra)) & t.head[extra][nd]]
+    words += [_ascii8(whole // 10 ** (8 * i) % 10**8) & t.head[i][nd]
+              for i in range(extra - 1, -1, -1)]
+    words[0] |= neg * np.uint64(ord("-") << 8)
+    if fmt == b"%.17g":
+        groups = []
+        for scale in (10**13, 10**9, 10**5, 10, 1):
+            groups.append(frac // scale)
+            frac -= groups[-1] * scale
+        groups[-1] = groups[-1] * 1000
+        nsig = t.sig[0][groups[0]]
+        for j in range(1, 5):
+            np.maximum(nsig, t.sig[j][groups[j]], out=nsig)
+        quad = [t.quad[g] for g in groups]
+        words += [(quad[0] << 32 | t.lead[k]) & t.frac[0][nsig],
+                  (quad[1] | quad[2] << 32) & t.frac[1][nsig],
+                  (quad[3] | quad[4] << 32) & t.frac[2][nsig],
+                  t.exp[k]]
+    if fallback.size:
+        text = [b"\0" + fmt % v for v in c[fallback].tolist()]
+        width = max(len(words), -(-max(map(len, text)) // 8))
+        words += [np.zeros(c.size, np.uint64) for _ in range(width - len(words))]
+        text = np.frombuffer(b"".join(s.ljust(8 * width, b"\0") for s in text), "<u8")
+        for j, w in enumerate(words):
+            w[fallback] = text[j::width]
+    return words
 
 
 def _json_safe(obj):
@@ -562,7 +740,7 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
                           [xs, dn.smeared_mean_phase_space(grid, xs, 0.0, m), exact]))
 
     # Relative fluctuation profile of the 3D state; points where the density
-    # (or its square) vanishes have no ratio and are left out.
+    # (or its square) vanishes have no ratio and are left out, and counted.
     profile = []
     for x in xs:
         try:
@@ -597,7 +775,8 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
         raise RegimeError(str(exc)) from exc
     arts.append(write_csv(outdir / "kolmogorov_defect.csv", ["delta_t", "mass", "defect"],
                           [dts, masses, defects]))
-    results = {"wigner_normalization": grid.meta.get("normalization")}
+    results = {"wigner_normalization": grid.meta.get("normalization"),
+               "profile_points_dropped": xs.size - len(profile)}
     return arts, results
 
 

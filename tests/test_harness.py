@@ -66,9 +66,9 @@ _SPECIAL_POOL = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.
                                 _NAN_BITS.view(np.float64)])
 
 
-def _per_block(n, make):
-    """A column made one write_csv block at a time by make(block_size)."""
-    sizes = [min(harness._CSV_BLOCK_ROWS, n - lo) for lo in range(0, n, harness._CSV_BLOCK_ROWS)]
+def _per_block(n, make, block=4096):
+    """A column made in runs of `block` rows by make(run_length)."""
+    sizes = [min(block, n - lo) for lo in range(0, n, block)]
     return np.concatenate([make(b) for b in sizes]) if sizes else np.array([])
 
 
@@ -109,7 +109,8 @@ class TestCsvWriter:
         return new.read_bytes(), (tmp_path / "old.csv").read_bytes()
 
     def test_matches_row_oracle_across_blocks(self, tmp_path):
-        n = 2 * harness._CSV_BLOCK_ROWS + 3
+        dtypes = [np.int64, bool, np.float64, np.int8, np.uint64, np.float32]
+        n = 2 * harness._block_rows([np.dtype(d) for d in dtypes]) + 3
         rng = np.random.default_rng(11)
         floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
         floats[: len(self.SPECIAL)] = self.SPECIAL
@@ -126,19 +127,109 @@ class TestCsvWriter:
         assert new == old
         assert new.count(b"\n") == n + 1
 
-    def test_repeated_text_route_choice(self):
-        # exactly half of the patterns distinct takes the table, one more does not
-        half = np.repeat(np.arange(2048) / 7.0, 2)
-        assert harness._repeated_text(half) == ["%.17g" % v for v in half.tolist()]
-        assert harness._repeated_text(np.append(half[:-2], [0.5, 0.25])) is None
-        assert harness._repeated_text(np.array([1.5])) is None
-        assert harness._repeated_text(np.arange(4)) is None
+    @staticmethod
+    def _cells(tmp_path, column):
+        """The cells write_csv prints for a one-column table, and the cells
+        Python's % prints for it."""
+        path = harness.write_csv(tmp_path / "one.csv", ["c"], [column])
+        fmt = "%d" if column.dtype.kind in "biu" else "%.17g"
+        return path.read_bytes().split(b"\n")[1:-1], [(fmt % v).encode() for v in column.tolist()]
 
-    def test_repeated_text_keeps_each_bit_pattern(self):
-        column = np.tile(np.concatenate([[0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf],
-                                         _NAN_BITS.view(np.float64)]), 3)
-        assert harness._repeated_text(column) == ["%.17g" % v for v in column.tolist()]
-        assert harness._repeated_text(column)[:2] == ["0", "-0"]
+    def test_random_bit_patterns_match_percent_format(self, tmp_path):
+        bits = np.random.default_rng(21).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        got, want = self._cells(tmp_path, bits.view(np.float64))
+        assert got == want
+
+    def test_decimal_values_match_percent_format(self, tmp_path):
+        # short decimals end in zeros at every digit position; the grid's
+        # values are spaced by steps with long binary expansions
+        rng = np.random.default_rng(22)
+        places = rng.integers(0, 18, size=50_000)
+        short = np.round(rng.uniform(-1, 1, places.size) * 10.0**places) / 10.0**places
+        column = np.concatenate([short * 10.0 ** rng.integers(-8, 20, size=places.size),
+                                 np.linspace(-3.0, 7.0, 10_001)])
+        got, want = self._cells(tmp_path, column)
+        assert got == want
+
+    def test_exact_ties_round_half_even(self, tmp_path):
+        # the 18th significant digit is an exact 5: Python's % rounds to even
+        ties = np.array([1234567890123456.75, 1234567890123456.25, -1234567890123456.75,
+                         123456789012345.125, 123456789012345.375, 12345678901234.0625,
+                         (2**53 - 1) / 4])
+        got, want = self._cells(tmp_path, ties)
+        assert got == want
+        assert got[:2] == [b"1234567890123456.8", b"1234567890123456.2"]
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)] + [1e250, 1e-250])
+        column = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        got, want = self._cells(tmp_path, np.concatenate([column, -column]))
+        assert got == want
+
+    def test_fixed_scientific_switch(self, tmp_path):
+        column = np.array([9.9999999999999991e-05, 1e-4, 1e-5, 0.00012345, 1e16, 1e17,
+                           99999999999999984.0, 1.2345678901234567e16, 123.0, 0.5])
+        got, want = self._cells(tmp_path, column)
+        assert got == want
+        assert got[:2] == [b"9.9999999999999991e-05", b"0.0001"]
+        assert got[4:6] == [b"10000000000000000", b"1e+17"]
+
+    def test_special_values(self, tmp_path):
+        column = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310,
+                                  np.finfo(float).tiny, -np.finfo(float).max],
+                                 _NAN_BITS.view(np.float64)])
+        got, want = self._cells(tmp_path, column)
+        assert got == want
+        assert got[:4] == [b"0", b"-0", b"inf", b"-inf"]
+
+    @pytest.mark.parametrize("column", [
+        np.array([10**17 - 1, -(10**17 - 1), 10**17, -10**17, -2**63, 2**63 - 1, 0, -7]),
+        np.array([2**64 - 1, 10**17, 10**17 - 1, 0], dtype=np.uint64),
+        np.array([True, False]),
+    ], ids=["int64", "uint64", "bool"])
+    def test_integer_extremes(self, tmp_path, column):
+        got, want = self._cells(tmp_path, column)
+        assert got == want
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_every_digit_count_before_the_point(self, tmp_path, dtype):
+        # the widest cell of a column sets how many words its cells take;
+        # columns of non-negative values widest at each digit count, alone
+        # and after a one-digit column
+        for digits in range(1, 18):
+            widest = int("12345678901234567"[:digits])
+            column = np.array([widest, 7, 10 ** (digits - 1)], dtype=dtype)
+            got, want = self._cells(tmp_path, column)
+            assert got == want
+            new, old = self._both(tmp_path, ["a", "b"], [np.ones(3, dtype), column])
+            assert new == old
+        got, _ = self._cells(tmp_path, np.array([12345678.0]))
+        assert got == [b"12345678"]
+        new, _ = self._both(tmp_path, ["a", "b"], [np.array([1.0]), np.array([12345678.0])])
+        assert new == b"a,b\n1,12345678\n"
+
+    def test_g2s_sized_table_memory_bounded(self, tmp_path):
+        # tracemalloc peak of writing an 80,400 x 7 table shaped like
+        # g2s-grid's correlations.csv (two +/-1 columns, two time columns,
+        # three all-distinct float columns): 1.56 MB for the former
+        # 4096-row text blocks, 0.93 MB for 256 KiB word blocks.
+        import tracemalloc
+
+        n = 80_400
+        rng = np.random.default_rng(2)
+        i, j = np.triu_indices(200)
+        t = np.linspace(0.0, 20.0, 200)
+        columns = [np.tile([1, 1, -1, -1], n // 4), np.tile([1, -1, 1, -1], n // 4),
+                   np.repeat(t[i], 4), np.repeat(t[j], 4), *rng.normal(size=(3, n))]
+        harness.write_csv(tmp_path / "warm.csv", list("abcdefg"), columns)
+        tracemalloc.start()
+        try:
+            harness.write_csv(tmp_path / "big.csv", list("abcdefg"), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+        assert (tmp_path / "big.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.sampled_from([0, 1, 2, 7, 4095, 4096, 4097, 8193]),
@@ -178,8 +269,9 @@ class TestCsvWriter:
             (tmp_path / "dump.csv").read_bytes()
 
     def test_dump_index_columns_match_int64_route(self, tmp_path):
-        # the dump, built a block of whole trajectories at a time, prints as
-        # write_csv prints the whole table with int64 id and step columns
+        # the dump, whose index columns are made a block of rows at a time,
+        # prints as write_csv prints the whole table with int64 id and step
+        # columns
         from gravcat import measurement as ms
 
         payload = {**FORCE_CFG, "force.dump_trajectories": 1}
@@ -195,12 +287,35 @@ class TestCsvWriter:
         assert (tmp_path / "o" / "trajectories.csv").read_bytes() == \
             (tmp_path / "wide.csv").read_bytes()
 
+    def test_dump_of_trajectories_longer_than_a_block(self, tmp_path):
+        # 11,001 readings a trajectory: one trajectory is more rows than a
+        # writer block holds
+        from gravcat import measurement as ms
+
+        cfg = {**FORCE_CFG, "force.steps": 11000, "force.count": 100}
+        payload = {**cfg, "force.dump_trajectories": 1}
+        run_experiment(resolve_config("force-trajectories", payload, seed=5,
+                                      output_dir=tmp_path / "o"))
+        sched = ms.MeasurementSchedule(tau=cfg["force.tau"], n_steps=cfg["force.steps"],
+                                       nu=cfg["force.nu"])
+        readings = ms.sample_trajectories(sched, cfg["force.count"], 5).readings
+        assert readings.shape[1] > harness._block_rows([np.dtype(np.int64)] * 2
+                                                       + [readings.dtype])
+        rows = ((i, step, readings[i, step])
+                for i in range(readings.shape[0]) for step in range(readings.shape[1]))
+        write_csv_rows_oracle(tmp_path / "dump.csv", ["trajectory_id", "step", "reading"], rows)
+        assert (tmp_path / "o" / "trajectories.csv").read_bytes() == \
+            (tmp_path / "dump.csv").read_bytes()
+
+    def test_empty_header_is_bare_line(self, tmp_path):
+        assert harness.write_csv(tmp_path / "x.csv", [], []).read_bytes() == b"\n"
+
     def test_dump_memory_bounded(self, tmp_path):
         # tracemalloc peak of a whole 2000 x 50 dumping run (102,000 rows,
-        # 25 writer blocks of 80 trajectories): 1.8 MB measured, of which
-        # numpy.random and numpy.fft, first imported by the run, take
-        # 0.8 MB; the int64 id and step columns exist for one block at a
-        # time (65 kB).  The row-list writer the block writer replaced
+        # 29 writer blocks of 3640 rows): 2.1 MB measured in a fresh
+        # process (2.0 MB with 4096-row text blocks), of which numpy.random
+        # and numpy.fft, first imported by the run, take 0.8 MB; the int64
+        # id and step columns exist for one block at a time (58 kB).  The row-list writer the block writer replaced
         # peaked at 8.4 MB.  At 20,000 x 200 the same run peaks at 12 MB
         # against that writer's 348 MB, but takes a minute under tracemalloc.
         import tracemalloc
@@ -414,6 +529,21 @@ class TestCli:
         _, rows = read_csv(tmp_path / "o" / "fluctuation_profile.csv")
         assert 0 < len(rows) < 101
         assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+    @pytest.mark.parametrize("payload,dropped", [
+        ({"density.state": "cat", "density.sigma": 0.1}, True),
+        ({"density.state": "cat", "density.sigma": 1.0, "density.L": 6.0}, False),
+    ])
+    def test_manifest_counts_dropped_profile_points(self, tmp_path, payload, dropped):
+        # the narrow cat drops the points between its branches; the
+        # density-phase-space benchmark config drops none
+        man = run_experiment(resolve_config("density-suite", payload, output_dir=tmp_path))
+        _, rows = read_csv(tmp_path / "fluctuation_profile.csv")
+        count = man.results["profile_points_dropped"]
+        assert count == 101 - len(rows)
+        assert (count > 0) == dropped
+        assert json.loads((tmp_path / "manifest.json").read_text())["results"][
+            "profile_points_dropped"] == count
 
     def test_oversized_history_grid_is_regime_error(self, tmp_path):
         # the sigma = 1e-5 Gaussian's history grid would take 2^25 points
