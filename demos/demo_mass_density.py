@@ -4,8 +4,9 @@
 For a zero-mean-momentum packet the smeared mass density is static,
 m |psi(r)|^2, but its fluctuations are not small: the equal-point connected
 correlation is of the order of the mean squared.  The demo computes the
-Wigner function of a Gaussian and of a cat state (interference fringes),
-evaluates the smeared moments through phase space, prints the relative
+Wigner function of a Gaussian and of a cat state (interference fringes)
+in closed form, evaluates the smeared moments through phase space (each a
+Gaussian integral over the state's Wigner terms), prints the relative
 fluctuation profile, and shows where the decoherence functional of a pair
 of position records is supported (the time-of-flight momentum locus).
 """
@@ -32,7 +33,7 @@ print(f"  cat: midpoint fringe extremes {slice_p.min():+.3f} .. {slice_p.max():+
 
 print("== static smeared mean through phase space ==")
 for x in (0.0, 1.0, 2.0):
-    ps = smeared_mean_phase_space(grid, x, 0.0, m=1.0)
+    ps = smeared_mean_phase_space(gauss.axis_state(0), x, 0.0, m=1.0)
     direct = abs(gauss.axis_state(0).psi(x)) ** 2
     print(f"  x = {x:4.1f}: phase-space mean {ps:.8f}, m |psi|^2 = {direct:.8f}")
 print()

@@ -5,8 +5,10 @@ two-point function is complex: the real part (the noise kernel) is the
 candidate classical correlation, the connected part eta measures genuine
 fluctuation strength.  This module provides the pointwise correlators built
 from the free propagator, their smeared phase-space evaluation through the
-Wigner function of the initial state, and the static-limit closed forms for
-zero-mean-momentum packets.
+Wigner function of the initial state, and the static-limit fluctuation
+ratio of zero-mean-momentum packets.  The phase-space forms are closed form: the
+state's Wigner terms (`wigner.wigner_terms`) times Gaussian sampling
+kernels are Gaussian integrals (`states.GaussianTerms`).
 
 Phase-space evaluation is one-dimensional (per axis); separable 3D states
 factorize, with the 3D density being m times the product of per-axis
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_legendre
-from .wigner import PhaseSpaceGrid
+from .states import GaussianTerms
+from .wigner import wigner_terms
 
 
 def newtonian_force(m: float, m0: float, R, x, G: float = 1.0) -> np.ndarray:
@@ -83,9 +85,14 @@ class MassDensityCorrelator:
         return self.value - self.mean_left * self.mean_right
 
 
-def density_mean(state, r, t: float = 0.0, m: float = 1.0) -> float:
-    """Mean mass density m |psi(r, t)|^2 of a normalized 3D state."""
-    return m * float(np.abs(state.psi(r, t, m)) ** 2)
+def density_mean(state, r, t: float = 0.0, m: float = 1.0):
+    """Mean mass density m |psi(r, t)|^2 of a normalized 3D state at one
+    point r (3,), a float, or at an array of points (..., 3).  For a
+    zero-mean-momentum packet at t = 0 it is the static-limit smeared mean."""
+    # float_power squares with the C library's pow, as Python's float **
+    # does, so a point of an array call squares as the single-point call
+    mean = m * np.float_power(np.abs(state.psi(r, t, m)), 2.0)
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def density_corr(state, r, t: float, r2, t2: float, m: float = 1.0) -> MassDensityCorrelator:
@@ -105,64 +112,48 @@ def density_corr(state, r, t: float, r2, t2: float, m: float = 1.0) -> MassDensi
     )
 
 
-def static_limit_mean(state, r, m: float = 1.0) -> float:
-    """Smeared mean density of a zero-mean-momentum packet: m |psi(r, 0)|^2,
-    time independent in the narrow-momentum regime."""
-    return m * float(np.abs(state.psi(r, 0.0)) ** 2)
+def fluctuation_ratio(state, smear, r, m: float = 1.0):
+    """Relative size of equal-point density fluctuations at one point r (3,)
+    or at an array of points (..., 3).
 
-
-def static_limit_corr(state, smear, r, r2, m: float = 1.0) -> float:
-    """Static-limit smeared two-point function m^2 |psi(r)|^2 f(r - r2),
-    the sharp-density delta replaced by the smearing profile f; at r = r2
-    this is (m / ell^3) times the smeared mean."""
-    r = np.asarray(r, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    u_sq = float(np.sum((r - r2) ** 2))
-    return m**2 * float(np.abs(state.psi(r, 0.0)) ** 2) * float(smear.f3(u_sq))
-
-
-def fluctuation_ratio(state, smear, r, m: float = 1.0) -> float:
-    """Relative size of equal-point density fluctuations.
-
-    Built from the module's own static-limit moments: the second moment is
-    (m / ell^3) x mean (sampling-profile identity), so
-    C = |eta| / mean^2 = |1 / (ell^3 |psi|^2) - 1|.
+    In the static limit the mean is `density_mean` at t = 0 and the second
+    moment is (m / ell^3) x mean (sampling-profile identity), so
+    C = |eta| / mean^2 = |1 / (ell^3 |psi|^2) - 1|.  C is undefined where
+    the density or its square vanishes: such a point is NaN in an array
+    result, and a single such point raises ValueError.
     """
-    mean = static_limit_mean(state, r, m)
-    if mean == 0.0:
-        raise ValueError("fluctuation ratio undefined where the density vanishes")
-    if mean**2 == 0.0:
+    mean = density_mean(state, r, 0.0, m)
+    square = np.float_power(mean, 2.0)
+    if square.ndim == 0 and not square > 0.0:
+        if mean == 0.0:
+            raise ValueError("fluctuation ratio undefined where the density vanishes")
         raise ValueError("fluctuation ratio undefined where the squared density underflows")
-    second = (m / smear.ell**3) * mean
-    eta = second - mean**2
-    return abs(eta) / mean**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(square > 0.0, np.abs((m / smear.ell**3) * mean - square) / square, np.nan)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def _require_grid(w0) -> PhaseSpaceGrid:
-    if not isinstance(w0, PhaseSpaceGrid):
-        raise TypeError(f"expected a PhaseSpaceGrid, got {type(w0)!r}")
-    return w0
-
-
-def smeared_mean_phase_space(w0: PhaseSpaceGrid, r, t: float, m: float = 1.0):
-    """1D smeared mean density from the initial Wigner function W0:
-    (m / 2 pi) Integral dp W0(r - p t / m, p)  (delta-limit form).
+def smeared_mean_phase_space(state, r, t: float, m: float = 1.0):
+    """1D smeared mean density from the initial Wigner function W0 of a 1D
+    state: (m / 2 pi) Integral dp W0(r - p t / m, p)  (delta-limit form),
+    each Wigner term's p integral in closed form.
 
     `r` may be an array (the result has its shape); a scalar `r` gives a
     float.  Each element equals the scalar call bit for bit."""
-    w0 = _require_grid(w0)
     r = np.asarray(r, dtype=float)
-    vals = w0.evaluate(r[..., None] - w0.p * t / m, w0.p)
-    mean = m * np.trapezoid(vals, w0.p, axis=-1) / (2.0 * np.pi)
+    shift = np.stack([r, np.zeros_like(r)], axis=-1)[..., None, :]
+    line = wigner_terms(state).pullback([[-t / m], [1.0]], shift)
+    mean = m * np.sum(line.integral(), axis=-1).real / (2.0 * np.pi)
     return float(mean) if mean.ndim == 0 else mean
 
 
 def smeared_corr_phase_space(
-    w0: PhaseSpaceGrid, r: float, t: float, r2: float, t2: float, m: float = 1.0
+    state, r: float, t: float, r2: float, t2: float, m: float = 1.0
 ) -> tuple[float, float]:
-    """1D smeared (mean, two-point) pair from the initial Wigner function in
-    the sampling-width -> 0 limit: the mean is the free-streamed momentum
-    integral and the correlation collapses onto the time-of-flight point,
+    """1D smeared (mean, two-point) pair from the initial Wigner function of
+    a 1D state in the sampling-width -> 0 limit: the mean is the
+    free-streamed momentum integral and the correlation collapses onto the
+    time-of-flight point,
 
         corr = m^3 / (2 pi |t - t2|) * W0(x*, p*),
         p* = m (r - r2) / (t - t2),
@@ -172,35 +163,33 @@ def smeared_corr_phase_space(
     t2).  smeared_corr_quadrature integrates the finite-width Gaussian
     sampling kernel against W0 instead and has no such restriction.
     """
-    w0 = _require_grid(w0)
     if t == t2:
         raise ValueError("delta-limit correlation undefined at equal times")
-    mean = smeared_mean_phase_space(w0, r, t, m)
+    mean = smeared_mean_phase_space(state, r, t, m)
     p_star = m * (r - r2) / (t - t2)
     x_star = 0.5 * (r + r2) - p_star * (t + t2) / (2.0 * m)
-    corr = m**3 / (2.0 * np.pi * abs(t - t2)) * float(w0.evaluate(x_star, p_star))
-    return mean, corr
+    w0 = float(np.sum(wigner_terms(state).pullback(np.zeros((2, 0)), (x_star, p_star))
+                      .integral()).real)
+    return mean, m**3 / (2.0 * np.pi * abs(t - t2)) * w0
 
 
 def smeared_corr_quadrature(
-    w0: PhaseSpaceGrid, smear, r: float, t: float, r2: float, t2: float, m: float = 1.0
+    state, smear, r: float, t: float, r2: float, t2: float, m: float = 1.0
 ) -> float:
-    """1D smeared two-point function from the initial Wigner function: the
-    finite-width Gaussian sampling kernel integrated against W0.
+    """1D smeared two-point function from the initial Wigner function of a
+    1D state: the finite-width Gaussian sampling kernel integrated against
+    W0,
 
     (m^2 / ell^2) (1/2pi) Int dx dp W0 exp(-A^2/s^2 - C (p - p*)^2) with
-    A = x - (r + r2)/2 + p (t + t2) / (2 m); needs t != t2.
+    A = x - (r + r2)/2 + p (t + t2) / (2 m) and C = (t - t2)^2 / (4 m^2 s^2),
+    one 2D Gaussian integral per Wigner term; needs t != t2.
     """
-    w0 = _require_grid(w0)
     if t == t2:
         raise ValueError("two-point quadrature needs distinct times")
     s = smear.s_x
     p_star = m * (r - r2) / (t - t2)
-    p_width = 2.0 * m * s / abs(t - t2)
-    p_nodes, p_weights = gauss_legendre(p_star - 8.0 * p_width, p_star + 8.0 * p_width, 12)
-    u_nodes, u_weights = gauss_legendre(-8.0 * s, 8.0 * s, 8)
-    c_coef = (t - t2) ** 2 / (4.0 * m**2 * s**2)
-    xx = (0.5 * (r + r2) - p_nodes[:, None] * (t + t2) / (2.0 * m)) + u_nodes[None, :]
-    f_vals = np.exp(-(u_nodes[None, :] ** 2) / s**2 - c_coef * (p_nodes[:, None] - p_star) ** 2)
-    integrand = w0.evaluate(xx, p_nodes[:, None]) * f_vals
-    return m**2 / smear.ell**2 * float(p_weights @ integrand @ u_weights) / (2.0 * np.pi)
+    along = GaussianTerms.packet(1.0, 0.0, 0.25 * s**2).pullback(
+        [[1.0, (t + t2) / (2.0 * m)]], -0.5 * (r + r2))
+    across = GaussianTerms.packet(1.0, p_star, (m * s / (t - t2)) ** 2).pullback([[0.0, 1.0]])
+    total = np.sum((wigner_terms(state) * along * across).integral()).real
+    return m**2 / smear.ell**2 * float(total) / (2.0 * np.pi)

@@ -7,12 +7,15 @@ measures interference between a pair of one-record histories; multi-time
 record probabilities use the square-root sampling rule
 P_n = || sqrt(P_n) ... sqrt(P_1) |psi> ||^2.  Failure of the marginalization
 (additivity) identity Sum_{r1} P_2 = P_1 is the quantitative signature that
-these records do not form a classical stochastic process; `additivity_defect`
-measures it in closed form from one comb propagation (its record-by-record
-oracle lives in the test suite).
+these records do not form a classical stochastic process.
+`additivity_defect` measures it in closed form for Gaussian sampling: a
+sampled Gaussian branch, freely evolved, stays Gaussian
+(`states.GaussianTerms`), so each record probability is a finite sum of
+Gaussian integrals, with no grid (its grid oracles live in the test suite).
 
-Free evolution between samplings is exact in momentum space (FFT); the
-initial state is laid down analytically at the first sampling time.
+The other functions work on a 1D grid: free evolution between samplings is
+exact in momentum space (FFT); the initial state is laid down analytically
+at the first sampling time.
 """
 
 from __future__ import annotations
@@ -21,11 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import GaussianTerms, SmearingParams
 from .wigner import MAX_GRID_ELEMENTS, GridAliasingError
-
-# Bytes of the first-sampling comb that additivity_defect propagates at once;
-# a 49 x 4096 complex comb (3.2 MB) is one block.
-_COMB_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -160,44 +160,29 @@ def _comb_weight(sampling, r1_values: np.ndarray) -> float:
     return sampling.partition_weight(spacing)
 
 
-def _comb_marginal_density(state, sampling, r1_values: np.ndarray, t1: float, t2: float,
-                           m: float, grid: SpatialGrid) -> np.ndarray:
-    """rho(x) = w Sum_{r1} |U(t2 - t1)[sqrt_g(x - r1) psi(x, t1)]|^2, the
-    comb propagated _COMB_BLOCK_BYTES at a time."""
-    psi1 = state.psi(grid.x, t1, m)
-    rows = max(1, _COMB_BLOCK_BYTES // (16 * grid.x.size))
-    rho = np.zeros(grid.x.size)
-    for lo in range(0, r1_values.size, rows):
-        cur = psi1 * sampling.sqrt_g(grid.x - r1_values[lo:lo + rows, None])
-        cur = free_evolve(cur, grid, t2 - t1, m)
-        rho += np.sum(cur.real**2 + cur.imag**2, axis=0)
-    return rho * _comb_weight(sampling, r1_values)
-
-
-def additivity_defect(state, sampling, t1: float, t2: float, r1_values: np.ndarray,
-                      r2_values, m: float = 1.0,
-                      grid: SpatialGrid | None = None) -> float:
+def additivity_defect(state, sampling: SmearingParams, t1: float, t2: float, r1_values,
+                      r2_values, m: float = 1.0) -> float:
     """Kolmogorov marginalization defect of two-sampling records.
 
     max over r2 of | Sum_{r1} w P_2(r1, t1; r2, t2) - P_1(r2, t2) |, with the
     first sampling marginalized over an exhaustive comb.  Zero only when the
     sampling operators commute with the evolution between t1 and t2.
 
-    The comb is propagated once per call into its marginal density rho(x)
-    (_comb_marginal_density); each r2 then reads Integral sqrt_g(x - r2)^2
-    rho dx against Integral sqrt_g(x - r2)^2 |psi(x, t2)|^2 dx.
+    Closed form for Gaussian sampling of a 1D state: P_2 is the integral of
+    g(x - r2) |U(t2 - t1)[sqrt_g(x - r1) psi(x, t1)]|^2, one Gaussian
+    integral per branch pair, evaluated for every comb centre and r2 at once.
     """
     if not t2 > t1:
         raise ValueError(f"sampling times must be strictly increasing, got {[t1, t2]}")
-    if grid is None:
-        grid = auto_grid(state, sampling, t2, m)
-    rho = _comb_marginal_density(state, sampling, np.asarray(r1_values, dtype=float), t1, t2,
-                                 m, grid)
-    psi2 = state.psi(grid.x, t2, m)
-    density2 = psi2.real**2 + psi2.imag**2
-    worst = 0.0
-    for r2 in np.atleast_1d(np.asarray(r2_values, dtype=float)).tolist():
-        g2 = sampling.sqrt_g(grid.x - r2) ** 2
-        summed = float(np.sum(g2 * rho) * grid.dx)
-        worst = max(worst, abs(summed - float(np.sum(g2 * density2) * grid.dx)))
-    return worst
+    if not isinstance(sampling, SmearingParams):
+        raise TypeError(f"the closed form needs Gaussian sampling, got {type(sampling)!r}")
+    s2 = sampling.s_x**2
+    r1 = np.asarray(r1_values, dtype=float)
+    r2 = np.atleast_1d(np.asarray(r2_values, dtype=float))
+    sampled = GaussianTerms.packet(1.0, r1[:, None], s2) * state.terms(t1, m)
+    sampled = sampled.evolve(t2 - t1, m)
+    g2 = GaussianTerms.packet(1.0, r2[:, None, None], 0.5 * s2)  # axes (r2, r1, term)
+    joint = np.sum((sampled * sampled.conj() * g2).integral(), axis=(-2, -1)).real
+    psi2 = state.terms(t2, m)
+    single = np.sum((psi2 * psi2.conj() * g2).integral(), axis=(-2, -1)).real
+    return float(np.max(np.abs(_comb_weight(sampling, r1) * joint - single)))

@@ -5,6 +5,8 @@ of them ("cat" states) with branches at +/- L/2.  Free evolution is closed
 form, so time-evolved amplitudes cost one exp call.  All 3D states used
 here are separable (the cat separation must be axis-aligned for per-axis
 factorization), and the numerical machinery works on the 1D axis factors.
+A 1D packet exposes its amplitude at time t as a sum of Gaussian terms
+(`terms`), on which products, free evolution and integrals are closed form.
 
 Sampling profiles define the position-sampling function g and the derived
 smearing scale per axis: ell = sqrt(2 pi) s_x for a Gaussian of width s_x,
@@ -14,6 +16,7 @@ ell = 2 h for a box of half-width h (a sharp projector, g^2 = g).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +41,88 @@ def _free_gaussian(x, t: float, m: float, sigma: float, center: float):
     return pref * np.exp(-((np.asarray(x) - center) ** 2) / (4.0 * sigma**2 * stretch))
 
 
+class GaussianTerms(NamedTuple):
+    """A sum of Gaussian terms in n variables v,
+
+        Sum_j exp(-v.M_j.v / 2 + b_j.v + c_j),
+
+    with complex M (..., T, n, n), b (..., T, n) and c (..., T).  The last
+    batch axis runs over the T terms; the axes before it broadcast as in
+    numpy, so one value holds a term set for every point of a parameter
+    grid.  A complex b carries a linear phase.  A term's integral over all
+    of v is (2 pi)^(n/2) det(M)^(-1/2) exp(b.M^-1.b / 2 + c), taken here
+    one variable at a time: each pivot has a positive real part, so the
+    principal square roots give the right branch.
+    """
+
+    M: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def packet(cls, amp, centre, width) -> GaussianTerms:
+        """1D terms amp exp(-(x - centre)^2 / (4 width)): an amplitude, a
+        centre and a complex width (sigma^2 + i t / 2m for a free packet)."""
+        amp, centre, width = np.broadcast_arrays(*map(np.atleast_1d, (amp, centre, width)))
+        if not np.all(np.isfinite(width) & (width != 0)):
+            raise ValueError(f"packet widths must be finite and nonzero, got {width}")
+        curv = 0.5 / width.astype(complex)
+        return cls(curv[..., None, None], (curv * centre)[..., None],
+                   np.log(amp.astype(complex)) - 0.5 * curv * centre**2)
+
+    def conj(self) -> GaussianTerms:
+        return GaussianTerms(self.M.conj(), self.b.conj(), self.c.conj())
+
+    def __mul__(self, other: GaussianTerms) -> GaussianTerms:
+        """Every term of one factor times every term of the other."""
+        n = self.b.shape[-1]
+        c = self.c[..., :, None] + other.c[..., None, :]
+        lead = c.shape[:-2] + (-1,)
+        M = self.M[..., :, None, :, :] + other.M[..., None, :, :, :]
+        b = self.b[..., :, None, :] + other.b[..., None, :, :]
+        return GaussianTerms(np.broadcast_to(M, c.shape + (n, n)).reshape(lead + (n, n)),
+                             np.broadcast_to(b, c.shape + (n,)).reshape(lead + (n,)),
+                             c.reshape(lead))
+
+    def evolve(self, t: float, m: float) -> GaussianTerms:
+        """Exact free evolution of 1D terms by t (either sign), mass m."""
+        M, b = self.M[..., 0, 0], self.b[..., 0]
+        d = 1.0 + 1j * M * t / m
+        return GaussianTerms((M / d)[..., None, None], (b / d)[..., None],
+                             self.c + 0.5j * t * b**2 / (m * d) - 0.5 * np.log(d))
+
+    def pullback(self, L, shift=0.0) -> GaussianTerms:
+        """The terms as functions of u, where v = L u + shift: L is (n, k)
+        and `shift` (..., n) broadcasts in front of the term axis.  With
+        k = 0 this is the value at the point `shift`: `.integral()` of the
+        result is each term there."""
+        L = np.asarray(L, dtype=float)
+        shift = np.zeros(L.shape[0]) + shift
+        M, b = self.M, self.b
+        ML = np.sum(M[..., :, :, None] * L, axis=-2)
+        Ms = np.sum(M * shift[..., None, :], axis=-1)
+        return GaussianTerms(np.sum(L[:, :, None] * ML[..., :, None, :], axis=-3),
+                             np.sum((b - Ms)[..., :, None] * L, axis=-2),
+                             self.c + np.sum((b - 0.5 * Ms) * shift, axis=-1))
+
+    def integrate_last(self) -> GaussianTerms:
+        """The integral over the last variable, a Schur complement step."""
+        M, b = self.M, self.b
+        pivot, row = M[..., -1, -1], M[..., :-1, -1]
+        ratio = b[..., -1] / pivot
+        return GaussianTerms(M[..., :-1, :-1] - row[..., :, None] * row[..., None, :]
+                             / pivot[..., None, None],
+                             b[..., :-1] - row * ratio[..., None],
+                             self.c + 0.5 * b[..., -1] * ratio + 0.5 * np.log(2.0 * np.pi / pivot))
+
+    def integral(self) -> np.ndarray:
+        """Each term's integral over all n variables, shape (..., T)."""
+        out = self
+        while out.b.shape[-1]:
+            out = out.integrate_last()
+        return np.exp(out.c)
+
+
 @dataclass(frozen=True)
 class Gaussian1D:
     """1D Gaussian packet of spread sigma at `center`, zero mean momentum."""
@@ -51,6 +136,11 @@ class Gaussian1D:
 
     def psi(self, x, t: float = 0.0, m: float = 1.0):
         return _free_gaussian(x, t, m, self.sigma, self.center)
+
+    def terms(self, t: float = 0.0, m: float = 1.0) -> GaussianTerms:
+        """psi(x, t) as one Gaussian term."""
+        amp = (2.0 * np.pi * self.sigma**2) ** -0.25
+        return GaussianTerms.packet(amp, self.center, self.sigma**2).evolve(t, m)
 
     def support(self, t: float = 0.0, m: float = 1.0) -> tuple[float, float]:
         s_t = np.sqrt(self.sigma**2 + (t / (2.0 * m * self.sigma)) ** 2)
@@ -95,6 +185,12 @@ class Cat1D:
             x, t, m, self.sigma, -a
         )
         return self.norm_constant * branches
+
+    def terms(self, t: float = 0.0, m: float = 1.0) -> GaussianTerms:
+        """psi(x, t) as two Gaussian terms, one per branch."""
+        amp = self.norm_constant * _BRANCH_WEIGHT * (2.0 * np.pi * self.sigma**2) ** -0.25
+        a = 0.5 * self.separation
+        return GaussianTerms.packet(amp, [a, -a], self.sigma**2).evolve(t, m)
 
     def support(self, t: float = 0.0, m: float = 1.0) -> tuple[float, float]:
         s_t = np.sqrt(self.sigma**2 + (t / (2.0 * m * self.sigma)) ** 2)
@@ -213,14 +309,6 @@ class SmearingParams:
 
     def sqrt_g(self, u):
         return np.exp(-np.asarray(u, dtype=float) ** 2 / (4.0 * self.s_x**2))
-
-    def f1(self, u):
-        """1D smearing function g(u)/ell; satisfies ell * f1(0) = 1."""
-        return self.g(u) / self.ell
-
-    def f3(self, u_sq):
-        """3D smearing function at squared radius u_sq; ell^3 * f3(0) = 1."""
-        return np.exp(-np.asarray(u_sq, dtype=float) / (2.0 * self.s_x**2)) / self.ell3
 
     def partition_weight(self, spacing: float) -> float:
         """Weight making a uniform comb of samplers an exhaustive partition:

@@ -6,14 +6,13 @@ The position marginal is Integral dp/(2 pi) W = |psi(x)|^2 and the momentum
 marginal Integral dx W = 2 pi |psi_tilde(p)|^2 with a unitary Fourier
 transform.
 
-The transform is evaluated by composite Gauss-Legendre quadrature in y with
-the panel count tied to the largest requested |p|, so under-resolved grids
-fail the normalization check rather than silently aliasing.
-
-Off the nodes a grid is read through its tensor-product cubic interpolating
-spline, the one FITPACK's regrid fits at s = 0 (Dierckx, Curve and Surface
-Fitting with Splines, 1993), with B-splines from de Boor's recursion
-(A Practical Guide to Splines, 1978).
+Every state here is a sum of Gaussian terms (`states.GaussianTerms`), so W
+is one too: for each pair of terms the y integral is a Gaussian integral
+(`wigner_terms`).  For a cat of spread sigma with branches at +/- a it is
+N^2 e^{-2 sigma^2 p^2} [e^{-(x-a)^2 / 2 sigma^2} + e^{-(x+a)^2 / 2 sigma^2}
++ 2 e^{-x^2 / 2 sigma^2} cos 2ap] (Schleich, Quantum Optics in Phase Space,
+2001).  A grid is that closed form sampled on its nodes; the trapezoid
+normalization of the grid checks that the axes hold the state.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import gauss_legendre, panels_for_oscillation
+from .states import GaussianTerms
 
-
-# Largest element count of the (x, y) psi arrays and of the (y, p) phase
-# matrix of one transform: 8.4M complex elements, 134 MB each.  The largest
+# Largest element count of one phase-space grid (8.4M values, 67 MB) and
+# of one history grid (`histories.auto_grid`).  The largest phase-space
 # grid of the tests and the benchmark has 87,312.
 MAX_GRID_ELEMENTS = 1 << 23
 
@@ -43,7 +41,6 @@ class PhaseSpaceGrid:
     p: np.ndarray
     values: np.ndarray
     meta: dict = field(default_factory=dict)
-    _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -54,14 +51,6 @@ class PhaseSpaceGrid:
                 f"values shape {self.values.shape} does not match axes "
                 f"({self.x.size}, {self.p.size})"
             )
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    @property
-    def dp(self) -> float:
-        return float(self.p[1] - self.p[0])
 
     def normalization(self) -> float:
         """Integral dx dp / (2 pi) W by the trapezoid rule."""
@@ -75,86 +64,6 @@ class PhaseSpaceGrid:
     def marginal_momentum(self) -> np.ndarray:
         """Integral dx W = 2 pi |psi_tilde(p)|^2 (unitary Fourier transform)."""
         return np.trapezoid(self.values, self.x, axis=0)
-
-    def evaluate(self, x, p):
-        """Tensor-product cubic interpolating spline (the s = 0 spline of
-        FITPACK's regrid); `x` and `p` broadcast, zero outside the grid."""
-        if self._spline is None:
-            tx, tp = _knots(self.x), _knots(self.p)
-            coef = _collocation_solve(tx, self.x, self.values)
-            coef = _collocation_solve(tp, self.p, coef.T).T
-            self._spline = (tx, tp, coef.ravel())
-        tx, tp, coef = self._spline
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        # B-splines of each input as given; the sum broadcasts them
-        ix, bx = _basis(tx, x)
-        ip, bp = _basis(tp, p)
-        # coef is the row-major (x, p) coefficient table, flattened
-        corner = ix * self.p.size + ip
-        out = np.zeros(corner.shape)
-        for i in range(4):
-            for j in range(4):
-                out += coef[corner + (i * self.p.size + j)] * bx[i] * bp[j]
-        inside = (
-            (x >= self.x[0]) & (x <= self.x[-1]) & (p >= self.p[0]) & (p <= self.p[-1])
-        )
-        return np.where(inside, out, 0.0)
-
-
-def _knots(axis: np.ndarray) -> np.ndarray:
-    """Knots of the cubic interpolating spline on `axis` that FITPACK's
-    regrid builds at s = 0: axis[2:-2] between the two end points, each
-    end point repeated four times."""
-    if axis.size < 4:
-        raise ValueError(f"cubic spline needs at least 4 points per axis, got {axis.size}")
-    return np.concatenate([np.repeat(axis[0], 4), axis[2:-2], np.repeat(axis[-1], 4)])
-
-
-def _basis(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """The four cubic B-splines that can be nonzero at each of `x`: the
-    index of the first and their four value arrays, by de Boor's recursion
-    in the form of FITPACK's fpbspl.  Points are clamped to the knot span."""
-    n_coef = t.size - 4
-    x = np.clip(x, t[3], t[n_coef])
-    # interval t[l] <= x < t[l + 1]; the right end joins the last interval
-    left = np.clip(np.searchsorted(t, x, side="right") - 1, 3, n_coef - 1)
-    knot = {d: t[left + d] for d in range(-2, 4)}
-    h = [np.ones(x.shape)]
-    for j in range(1, 4):
-        nxt = [np.zeros(x.shape)]
-        for i in range(j):
-            t_right, t_left = knot[i + 1], knot[i + 1 - j]
-            f = h[i] / (t_right - t_left)
-            nxt[i] += f * (t_right - x)
-            nxt.append(f * (x - t_left))
-        h = nxt
-    return left - 3, h
-
-
-def _collocation_solve(t: np.ndarray, nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Coefficients c with sum_j c[j] B_j(nodes[i]) = rhs[i] for every row
-    of `rhs`.  The collocation matrix has at most four nonzeros per row and
-    a band of three on either side of the diagonal; it is totally positive,
-    so Gaussian elimination without pivoting is stable (de Boor and Pinkus,
-    1977) and costs O(n) per right-hand side."""
-    n = nodes.size
-    first, vals = _basis(t, nodes)
-    rows = np.arange(n)[:, None]
-    band = np.zeros((n, 7))  # band[i, 3 + j - i] = B_j(nodes[i])
-    band[rows, 3 + first[:, None] + np.arange(4) - rows] = np.column_stack(vals)
-    c = np.array(rhs, dtype=float)
-    for k in range(n - 1):
-        for i in range(k + 1, min(k + 4, n)):
-            f = band[i, 3 + k - i] / band[k, 3]
-            if f != 0.0:
-                band[i, 3 + k - i:7 + k - i] -= f * band[k, 3:]
-                c[i] -= f * c[k]
-    for k in range(n - 1, -1, -1):
-        for j in range(k + 1, min(k + 4, n)):
-            c[k] -= band[k, 3 + j - k] * c[j]
-        c[k] /= band[k, 3]
-    return c
 
 
 def _axis_state(state, axis: int):
@@ -184,61 +93,52 @@ def default_axes(state, axis: int = 0):
     return x_axis, p_axis
 
 
+def wigner_terms(state, axis: int = 0) -> GaussianTerms:
+    """W(x, p) of a pure 1D state (or of the 1D factor of a separable 3D
+    state along `axis`) as Gaussian terms in (x, p), one per ordered pair of
+    the state's terms: psi_j(x - y/2) conj(psi_k(x + y/2)) e^{i p y} over
+    (x, p, y), y integrated out.  The terms sum to a real W."""
+    psi = _axis_state(state, axis).terms()
+    # e^{i p y} as one term: -v.M.v / 2 = i p y with M_py = M_yp = -i
+    phase = GaussianTerms(np.array([[[0, 0, 0], [0, 0, -1j], [0, -1j, 0]]]),
+                          np.zeros((1, 3)), np.zeros(1))
+    pairs = psi.pullback([[1.0, 0.0, -0.5]]) * psi.conj().pullback([[1.0, 0.0, 0.5]])
+    return (pairs * phase).integrate_last()
+
+
 def wigner_function(
     state,
     x_axis: np.ndarray | None = None,
     p_axis: np.ndarray | None = None,
     axis: int = 0,
 ) -> PhaseSpaceGrid:
-    """Numerical Wigner transform of a pure 1D state (or the 1D factor of a
-    separable 3D state along `axis`).
+    """Closed-form Wigner function of a pure 1D state (or the 1D factor of a
+    separable 3D state along `axis`) on the axes, `default_axes` where not
+    given.
 
-    Raises GridAliasingError when the result is not real within 1e-9 or its
-    normalization misses 1 by more than 1e-6 (both symptoms
-    of an inadequate grid), and, before allocating, when a psi array or the
-    phase matrix would exceed MAX_GRID_ELEMENTS.
+    Raises GridAliasingError, before allocating, when the grid would hold
+    more than MAX_GRID_ELEMENTS values, and when its normalization misses 1
+    by more than 1e-6 (the axes do not capture the state).
     """
-    st = _axis_state(state, axis)
     if x_axis is None or p_axis is None:
         xd, pd = default_axes(state, axis)
-        x_axis = xd if x_axis is None else np.asarray(x_axis, dtype=float)
-        p_axis = pd if p_axis is None else np.asarray(p_axis, dtype=float)
-    else:
-        x_axis = np.asarray(x_axis, dtype=float)
-        p_axis = np.asarray(p_axis, dtype=float)
-
-    lo, hi = st.support()
-    y_half = hi - lo
-    p_max = float(np.max(np.abs(p_axis))) if p_axis.size else 0.0
-    order = 16  # Gauss-Legendre nodes per y panel
-    panels = panels_for_oscillation(-y_half, y_half, p_max, order=order)
-    n_y = panels * order
-    if max(x_axis.size, p_axis.size) * n_y > MAX_GRID_ELEMENTS:
+        x_axis = xd if x_axis is None else x_axis
+        p_axis = pd if p_axis is None else p_axis
+    x_axis = np.asarray(x_axis, dtype=float)
+    p_axis = np.asarray(p_axis, dtype=float)
+    if x_axis.size * p_axis.size > MAX_GRID_ELEMENTS:
         raise GridAliasingError(
-            f"transform needs a {x_axis.size} x {n_y} psi array and a {n_y} x "
-            f"{p_axis.size} phase matrix, beyond the bound of {MAX_GRID_ELEMENTS} "
-            "elements; the state is too fine for its support"
+            f"a {x_axis.size} x {p_axis.size} phase-space grid exceeds the bound of "
+            f"{MAX_GRID_ELEMENTS} elements"
         )
-    y, wy = gauss_legendre(-y_half, y_half, panels, order)
-
-    psi_minus = st.psi(x_axis[:, None] - 0.5 * y[None, :])
-    psi_plus = st.psi(x_axis[:, None] + 0.5 * y[None, :])
-    integrand = psi_minus * np.conj(psi_plus) * wy[None, :]
-    phases = np.exp(1j * np.outer(y, p_axis))
-    w_complex = integrand @ phases
-
-    imag_max = float(np.max(np.abs(w_complex.imag)))
-    if imag_max > 1e-9:
-        raise GridAliasingError(
-            f"Wigner transform has imaginary residue {imag_max:.3g}; "
-            "grid or quadrature under-resolved"
-        )
-    grid = PhaseSpaceGrid(
-        x_axis,
-        p_axis,
-        w_complex.real,
-        meta={"axis": axis, "state": repr(state), "y_panels": panels},
-    )
+    # every state here has one real width, so each term separates in x and
+    # p and the grid is one (x, term) by (term, p) matrix product
+    w = wigner_terms(state, axis)
+    x, p = x_axis[:, None], p_axis[:, None]
+    in_x = np.exp(w.c + x * (w.b[:, 0] - 0.5 * w.M[:, 0, 0] * x))
+    in_p = np.exp(p * (w.b[:, 1] - 0.5 * w.M[:, 1, 1] * p))
+    values = (in_x @ in_p.T).real
+    grid = PhaseSpaceGrid(x_axis, p_axis, values, meta={"axis": axis, "state": repr(state)})
     norm = grid.normalization()
     if abs(norm - 1.0) > 1e-6:
         raise GridAliasingError(

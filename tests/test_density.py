@@ -14,11 +14,7 @@ from gravcat.density import (
     smeared_corr_phase_space,
     smeared_corr_quadrature,
     smeared_mean_phase_space,
-    static_limit_corr,
-    static_limit_mean,
 )
-from gravcat import density
-from gravcat.quadrature import gauss_legendre
 from gravcat.states import (
     BoxSampling,
     Cat1D,
@@ -27,8 +23,17 @@ from gravcat.states import (
     GaussianState,
     SmearingParams,
 )
-from gravcat.wigner import wigner_function
-from oracles import smeared_mean_quadrature
+from gravcat.wigner import wigner_terms
+import oracles
+from oracles import (
+    cat_wigner,
+    corr_quadrature_on_grid,
+    gauss_legendre,
+    smeared_mean_quadrature,
+    static_limit_corr,
+    trapezoid_corr,
+    wigner_transform,
+)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -164,8 +169,12 @@ class TestDensityMoments:
         smear = SmearingParams(0.05)
         r = [0.3, 0.0, 0.0]
         lhs = static_limit_corr(state, smear, r, r, m=1.5)
-        rhs = 1.5 / smear.ell3 * static_limit_mean(state, r, m=1.5)
+        mean = density_mean(state, r, 0.0, m=1.5)
+        rhs = 1.5 / smear.ell3 * mean
         assert abs(lhs - rhs) < 1e-12
+        # the ratio density-suite writes is built from that identity
+        ratio = fluctuation_ratio(state, smear, r, m=1.5)
+        assert abs(ratio - abs(lhs - mean**2) / mean**2) < 1e-12
 
 
 class TestFluctuationRatio:
@@ -201,7 +210,7 @@ class TestFluctuationRatio:
         # ValueError, which density-suite drops like a vanishing density,
         # not a ZeroDivisionError
         state, smear = GaussianState(sigma=1.0), SmearingParams(0.5)
-        assert static_limit_mean(state, [x, 0.0, 0.0]) > 0.0
+        assert density_mean(state, [x, 0.0, 0.0]) > 0.0
         with pytest.raises(ValueError, match="underflows"):
             fluctuation_ratio(state, smear, [x, 0.0, 0.0])
 
@@ -209,55 +218,63 @@ class TestFluctuationRatio:
 class TestPhaseSpaceEvaluation:
     def test_static_mean_matches_density_gaussian(self):
         state = Gaussian1D(sigma=1.0)
-        grid = wigner_function(state)
         for x in (0.0, 0.5, -1.2, 2.0):
-            got = smeared_mean_phase_space(grid, x, 0.0, m=1.3)
+            got = smeared_mean_phase_space(state, x, 0.0, m=1.3)
             expected = 1.3 * abs(state.psi(x)) ** 2
             assert abs(got - expected) < 1e-6
 
     def test_static_mean_matches_density_cat(self):
         state = CatState(sigma=0.5, L=(4.0, 0.0, 0.0)).axis_state(0)
-        grid = wigner_function(state)
         for x in (0.0, 1.0, 2.0, -2.0):
-            got = smeared_mean_phase_space(grid, x, 0.0, m=1.0)
+            got = smeared_mean_phase_space(state, x, 0.0, m=1.0)
             expected = abs(state.psi(x)) ** 2
             assert abs(got - expected) < 1e-6
 
     def test_array_r_matches_scalar_loop(self):
-        grid = wigner_function(Cat1D(1.0, 6.0))
-        xs = np.linspace(grid.x[0], grid.x[-1], 101)
+        state = Cat1D(1.0, 6.0)
+        lo, hi = state.support()
+        xs = np.linspace(lo, hi, 101)
         for t in (0.0, 0.7):
-            loop = np.array([smeared_mean_phase_space(grid, float(x), t, 1.3) for x in xs])
-            batch = smeared_mean_phase_space(grid, xs, t, 1.3)
+            loop = np.array([smeared_mean_phase_space(state, float(x), t, 1.3) for x in xs])
+            batch = smeared_mean_phase_space(state, xs, t, 1.3)
             assert batch.shape == xs.shape
             assert np.array_equal(batch, loop)
-        table = smeared_mean_phase_space(grid, xs[:12].reshape(3, 4), 0.2)
+        table = smeared_mean_phase_space(state, xs[:12].reshape(3, 4), 0.2)
         assert table.shape == (3, 4)
-        assert np.array_equal(table.ravel(), smeared_mean_phase_space(grid, xs[:12], 0.2))
+        assert np.array_equal(table.ravel(), smeared_mean_phase_space(state, xs[:12], 0.2))
 
     def test_scalar_r_gives_float(self):
-        grid = wigner_function(Gaussian1D(sigma=1.0))
-        assert type(smeared_mean_phase_space(grid, 0.3, 0.0)) is float
-        assert type(smeared_mean_phase_space(grid, np.float64(0.3), 0.0)) is float
+        state = Gaussian1D(sigma=1.0)
+        assert type(smeared_mean_phase_space(state, 0.3, 0.0)) is float
+        assert type(smeared_mean_phase_space(state, np.float64(0.3), 0.0)) is float
+
+    @pytest.mark.parametrize("state", [Gaussian1D(0.8, center=0.4), Cat1D(1.0, 6.0),
+                                       Cat1D(0.5, 4.0)], ids=["gaussian", "cat", "narrow-cat"])
+    @pytest.mark.parametrize("t", [0.0, 0.35, -1.2])
+    def test_free_streamed_mean_is_evolved_density(self, state, t):
+        # the p integral of W0 along x = r - p t / m is m |psi(r, t)|^2, a
+        # different route: the closed-form evolved packet
+        xs = np.linspace(-9.0, 9.0, 61)
+        got = smeared_mean_phase_space(state, xs, t, 1.7)
+        expected = 1.7 * np.abs(state.psi(xs, t, 1.7)) ** 2
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected)
 
     def test_delta_matches_quadrature_at_wide_separation(self):
         # |r - r2| = 20 s_x; the sampling-width -> 0 collapse should agree
         # with the full finite-width quadrature to 5%
         state = Gaussian1D(sigma=1.0)
-        grid = wigner_function(state)
         smear = SmearingParams(0.01)
         r, t, r2, t2 = 0.1, 0.3, -0.1, 0.1
-        mean_d, corr_d = smeared_corr_phase_space(grid, r, t, r2, t2)
-        mean_q = smeared_mean_quadrature(grid, smear, r, t)
-        corr_q = smeared_corr_quadrature(grid, smear, r, t, r2, t2)
+        mean_d, corr_d = smeared_corr_phase_space(state, r, t, r2, t2)
+        mean_q = smeared_mean_quadrature(wigner_transform(state), smear, r, t)
+        corr_q = smeared_corr_quadrature(state, smear, r, t, r2, t2)
         assert corr_q != 0.0
         assert abs(corr_d - corr_q) / abs(corr_q) < 0.05
         assert abs(mean_d - mean_q) / abs(mean_q) < 0.05
 
     def test_equal_times_rejected_on_delta_path(self):
-        grid = wigner_function(Gaussian1D(sigma=1.0))
         with pytest.raises(ValueError):
-            smeared_corr_phase_space(grid, 0.1, 0.5, 0.2, 0.5)
+            smeared_corr_phase_space(Gaussian1D(sigma=1.0), 0.1, 0.5, 0.2, 0.5)
 
 
 class TestCorrelationQuadrature:
@@ -268,20 +285,59 @@ class TestCorrelationQuadrature:
     ROWS = [(0.25, 0.1, -0.25, 0.35), (0.5, 0.1, -0.5, 0.35)]
 
     def test_equal_times_rejected(self):
-        grid = wigner_function(self.STATE)
         with pytest.raises(ValueError, match="distinct times"):
-            smeared_corr_quadrature(grid, self.SMEAR, 0.1, 0.5, 0.2, 0.5)
+            smeared_corr_quadrature(self.STATE, self.SMEAR, 0.1, 0.5, 0.2, 0.5)
 
     def test_doubling_the_panels_moves_little(self, monkeypatch):
-        # both panel counts doubled (p 12 -> 24, u 8 -> 16); the far row,
-        # -1.6e-12, sits at the spline's noise and is bounded by the table's
-        # largest value, 7.2e-4, as the near row is
-        grid = wigner_function(self.STATE)
-        base = [smeared_corr_quadrature(grid, self.SMEAR, *row) for row in self.ROWS]
-        monkeypatch.setattr(density, "gauss_legendre",
+        # the Gauss-Legendre oracle on the transform's spline: both panel
+        # counts doubled (p 12 -> 24, u 8 -> 16); the far row, -1.6e-12,
+        # sits at the spline's noise and is bounded by the table's largest
+        # value, 7.2e-4, as the near row is
+        grid = wigner_transform(self.STATE)
+        base = [corr_quadrature_on_grid(grid, self.SMEAR, *row) for row in self.ROWS]
+        monkeypatch.setattr(oracles, "gauss_legendre",
                             lambda lo, hi, n: gauss_legendre(lo, hi, 2 * n))
-        fine = [smeared_corr_quadrature(grid, self.SMEAR, *row) for row in self.ROWS]
+        fine = [corr_quadrature_on_grid(grid, self.SMEAR, *row) for row in self.ROWS]
         scale = max(map(abs, base))
         assert scale > 1e-4
         for a, b in zip(base, fine):
             assert abs(a - b) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("sigma,sep", [(1.0, 0.0), (1.0, 6.0), (0.5, 4.0)],
+                             ids=["gaussian", "cat", "narrow-cat"])
+    @pytest.mark.parametrize("row", ROWS + [(0.3, 0.6, -0.1, 0.2), (-0.4, 0.9, 0.35, 0.15)])
+    def test_matches_trapezoid_over_exact_w(self, sigma, sep, row):
+        state = Cat1D(sigma, sep) if sep > 0 else Gaussian1D(sigma)
+        got = smeared_corr_quadrature(state, self.SMEAR, *row)
+        expected = trapezoid_corr(sigma, sep, self.SMEAR.s_x, *row)
+        assert expected != 0.0
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("state", [Gaussian1D(1.0), Cat1D(1.0, 6.0), Cat1D(0.5, 4.0)],
+                             ids=["gaussian", "cat", "narrow-cat"])
+    def test_matches_spline_quadrature_inside_the_grid(self, state):
+        # row 1 (p* = -2 lies on the default grid): the closed form against
+        # the Gauss-Legendre oracle on the transform's spline, whose error
+        # floor is the spline's (<= 4.6e-6 of max |W| = 2)
+        grid = wigner_transform(state)
+        row = self.ROWS[0]
+        got = smeared_corr_quadrature(state, self.SMEAR, *row)
+        expected = corr_quadrature_on_grid(grid, self.SMEAR, *row)
+        assert abs(got - expected) <= 1e-5 * abs(expected)
+
+    @pytest.mark.parametrize("state", [Gaussian1D(0.8, center=0.4), Cat1D(0.7, 3.0)])
+    def test_delta_corr_is_w_at_time_of_flight_point(self, state):
+        sigma = state.sigma
+        sep = getattr(state, "separation", 0.0)
+        for r, t, r2, t2 in self.ROWS:
+            p_star = (r - r2) / (t - t2)
+            x_star = 0.5 * (r + r2) - p_star * (t + t2) / 2.0
+            _, corr = smeared_corr_phase_space(state, r, t, r2, t2)
+            if sep == 0.0:
+                w = 2.0 * np.exp(-((x_star - state.center) ** 2) / (2 * sigma**2)
+                                 - 2 * sigma**2 * p_star**2)
+            else:
+                w = cat_wigner(x_star, p_star, sigma, sep)
+            assert abs(corr - w / (2.0 * np.pi * abs(t - t2))) <= 1e-14 * max(abs(w), 1e-300)
+            at_point = wigner_terms(state).pullback(np.zeros((2, 0)), (x_star, p_star))
+            assert abs(np.sum(at_point.integral()).imag) <= 1e-15

@@ -467,7 +467,7 @@ class TestCli:
         assert run_fresh(code) == "[]"
 
     def test_density_suite_loads_no_scipy(self, tmp_path):
-        # a whole default density-suite run, Wigner spline included
+        # a whole default density-suite run
         cfg = write_config(tmp_path, "c.json", {})
         code = ("import sys; from gravcat.cli import main; "
                 f"code = main(['density-suite', '--config', {str(cfg)!r}, "
@@ -485,7 +485,7 @@ class TestCli:
                                 "force.count": 400}, ["measurement", "two_state"]),
         ("jc-suite", JC_CFG, ["fock", "jc", "two_state"]),
         ("density-suite", {"density.sigma": 1.0},
-         ["density", "histories", "quadrature", "states", "wigner"]),
+         ["density", "histories", "states", "wigner"]),
     ])
     def test_run_imports_only_its_experiments_modules(self, tmp_path, experiment, payload,
                                                       modules):
@@ -545,21 +545,24 @@ class TestCli:
         assert json.loads((tmp_path / "manifest.json").read_text())["results"][
             "profile_points_dropped"] == count
 
-    def test_oversized_history_grid_is_regime_error(self, tmp_path):
-        # the sigma = 1e-5 Gaussian's history grid would take 2^25 points
-        # (512 MiB per complex array); it is refused before allocation and
-        # the run peaks at 12 MB under tracemalloc, in the Wigner stages
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-5])
+    def test_narrow_packet_runs_in_bounded_memory(self, tmp_path, sigma):
+        # the closed-form defect needs no history grid; an FFT grid spaced
+        # by s_x / 4 over the spread packet takes 2^22 points at sigma = 1e-4
+        # and 2^25, beyond MAX_GRID_ELEMENTS, at 1e-5
         import tracemalloc
 
-        cfg = write_config(tmp_path, "c.json", {"density.sigma": 1e-5})
+        cfg = write_config(tmp_path, "c.json", {"density.sigma": sigma})
         tracemalloc.start()
         try:
             code = main(["density-suite", "--config", str(cfg), "--out", str(tmp_path / "o")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 3
+        assert code == 0
         assert peak < 32 * 2**20
+        _, rows = read_csv(tmp_path / "o" / "kolmogorov_defect.csv")
+        assert len(rows) == 4 and all(np.isfinite(float(r[2])) for r in rows)
 
     def test_success_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**G2S_CFG})
@@ -907,15 +910,48 @@ class TestDensityExperiment:
         run_experiment(resolve_config("density-suite", payload, seed=0, output_dir=tmp_path))
         from gravcat import density as dn
         from gravcat.states import Cat1D
-        from gravcat.wigner import wigner_function
 
         state = Cat1D(1.0, 6.0)
-        grid = wigner_function(state)
-        xs = np.linspace(grid.x[0], grid.x[-1], 101)
-        loop = [dn.smeared_mean_phase_space(grid, float(x), 0.0, 1.0) for x in xs]
+        lo, hi = state.support()
+        xs = np.linspace(lo, hi, 101)
+        loop = [dn.smeared_mean_phase_space(state, float(x), 0.0, 1.0) for x in xs]
         harness.write_csv(tmp_path / "loop.csv", ["x", "smeared_mean", "density_exact"],
                           [xs, loop, np.abs(state.psi(xs)) ** 2])
         assert (tmp_path / "static_mean.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"density.state": "cat", "density.sigma": 1.0, "density.L": 6.0},
+        {"density.state": "cat", "density.sigma": 0.5, "density.L": 4.0},
+    ], ids=["default", "benchmark-cat", "narrow-cat"])
+    def test_correlators_match_trapezoid_over_exact_w(self, tmp_path, payload):
+        # both rows, row 2 included: its time-of-flight momentum p* = -4
+        # lies off the Wigner grid's +/- 3 (sigma 1), where a grid route
+        # reads 0.  Oracles: m |psi(r, t)|^2 of the evolved packet for the
+        # mean, W written out at (x*, p*) for the delta limit, and a
+        # brute-force 2D trapezoid over W on p* +/- 4 and +/- 8 s_x for the
+        # finite-width function
+        from gravcat.states import Cat1D, Gaussian1D
+        from oracles import cat_wigner, trapezoid_corr
+
+        cfg = resolve_config("density-suite", payload, seed=0, output_dir=tmp_path)
+        run_experiment(cfg)
+        p = cfg.parameters
+        sigma, s_x, m = p["density.sigma"], p["density.s_x"], p["density.m"]
+        sep = p["density.L"] if p["density.state"] == "cat" else 0.0
+        state = Cat1D(sigma, sep) if sep else Gaussian1D(sigma)
+        header, rows = read_csv(tmp_path / "correlators.csv")
+        assert len(rows) == 2
+        for row in rows:
+            r, t, r2, t2, mean, corr_delta, corr_quad = (float(v) for v in row)
+            psi_sq = abs(state.psi(r, t, m)) ** 2
+            assert abs(mean - m * psi_sq) <= 1e-12 * m * psi_sq
+            p_star = m * (r - r2) / (t - t2)
+            x_star = 0.5 * (r + r2) - p_star * (t + t2) / (2.0 * m)
+            delta = m**3 / (2.0 * np.pi * abs(t - t2)) * cat_wigner(x_star, p_star, sigma, sep)
+            assert delta != 0.0 and abs(corr_delta - delta) <= 1e-12 * abs(delta)
+            quad = trapezoid_corr(sigma, sep, s_x, r, t, r2, t2, m)
+            assert quad != 0.0 and abs(corr_quad - quad) <= 1e-12 * abs(quad)
 
     def test_cat_state_fringes_present(self, tmp_path):
         payload = {"density.state": "cat", "density.sigma": 0.5, "density.L": 4.0,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from gravcat import histories
 from gravcat.histories import (
     SpatialGrid,
     additivity_defect,
@@ -17,10 +16,15 @@ from gravcat.histories import (
     smeared_two_point,
     uniform_grid,
 )
-from gravcat.quadrature import gauss_legendre
 from gravcat.states import BoxSampling, Cat1D, Gaussian1D, SmearingParams
 from gravcat.wigner import GridAliasingError
-from oracles import n_time_probability, partition_probability_sum
+import oracles
+from oracles import (
+    comb_additivity_defect,
+    gauss_legendre,
+    n_time_probability,
+    partition_probability_sum,
+)
 
 
 def record_probability_oracle(state, sampling, events, m=1.0, grid=None):
@@ -296,8 +300,8 @@ class TestAdditivityDefect:
 
 
 class TestAdditivityDefectOracle:
-    """One comb propagation per call, read off for every r2, against the
-    per-r2 route it replaced."""
+    """The closed form and the FFT comb route (one comb propagation per
+    call, read off for every r2) against the per-r2 route."""
 
     @pytest.mark.parametrize("state", [Gaussian1D(0.9, center=0.3), Cat1D(0.7, 3.0)])
     @pytest.mark.parametrize("sampling", [SmearingParams(0.3), BoxSampling(0.4)])
@@ -306,30 +310,41 @@ class TestAdditivityDefectOracle:
     def test_matches_per_r2_route(self, state, sampling, r2_values, explicit_grid):
         comb = partition_points(0.1, 4.0, 0.3)
         grid = uniform_grid(-14.0, 14.0, 2048) if explicit_grid else None
-        args = (state, sampling, 0.4, 1.1, comb, r2_values, 1.3, grid)
-        expected = additivity_defect_oracle(*args)
+        args = (state, sampling, 0.4, 1.1, comb, r2_values, 1.3)
+        expected = additivity_defect_oracle(*args, grid)
         assert expected > 1e-4
-        assert abs(additivity_defect(*args) - expected) <= 1e-14
+        assert abs(comb_additivity_defect(*args, grid) - expected) <= 1e-14
+        if isinstance(sampling, SmearingParams) and explicit_grid:
+            # the closed form needs no grid; the explicit one holds the comb
+            # to rounding, while the auto grid's periodic edge moves the
+            # off-centre Gaussian's defect by up to 2.5e-14
+            assert abs(additivity_defect(*args) - expected) <= 1e-14
 
     def test_ragged_comb_blocks(self, monkeypatch):
         # 4 comb rows per block over a 27-row comb: six full blocks and one of 3
         state, smear = Cat1D(0.7, 3.0), SmearingParams(0.3)
         comb = partition_points(0.1, 4.0, 0.3)
         grid = auto_grid(state, smear, 1.1)
-        monkeypatch.setattr(histories, "_COMB_BLOCK_BYTES", 4 * 16 * grid.x.size)
+        monkeypatch.setattr(oracles, "_COMB_BLOCK_BYTES", 4 * 16 * grid.x.size)
         args = (state, smear, 0.4, 1.1, comb, np.linspace(-1.5, 1.5, 5), 1.0, grid)
         assert comb.size == 27
-        assert abs(additivity_defect(*args) - additivity_defect_oracle(*args)) <= 1e-14
+        assert abs(comb_additivity_defect(*args) - additivity_defect_oracle(*args)) <= 1e-14
 
     def test_lone_comb_center(self):
         state, smear = Gaussian1D(1.0), SmearingParams(0.3)
         args = (state, smear, 0.4, 1.1, [0.0], [0.0, 0.5])
         assert abs(additivity_defect(*args) - additivity_defect_oracle(*args)) <= 1e-14
+        assert abs(comb_additivity_defect(*args) - additivity_defect_oracle(*args)) <= 1e-14
 
     @pytest.mark.parametrize("t2", [0.4, 0.2])
     def test_unordered_times_rejected(self, t2):
         with pytest.raises(ValueError, match="strictly increasing"):
             additivity_defect(Gaussian1D(1.0), SmearingParams(0.3), 0.4, t2,
+                              partition_points(0.0, 2.0, 0.3), [0.0])
+
+    def test_box_sampling_rejected(self):
+        with pytest.raises(TypeError, match="Gaussian sampling"):
+            additivity_defect(Gaussian1D(1.0), BoxSampling(0.3), 0.4, 1.1,
                               partition_points(0.0, 2.0, 0.3), [0.0])
 
     def test_memory_bounded_by_comb_blocks(self):
@@ -343,10 +358,44 @@ class TestAdditivityDefectOracle:
         assert comb.size == 49 and comb.size * grid.x.size * 16 > 100e6
         tracemalloc.start()
         try:
-            defect = additivity_defect(Gaussian1D(1.0), smear, 0.1, 0.5, comb, [0.0, 1.0],
-                                       grid=grid)
+            defect = comb_additivity_defect(Gaussian1D(1.0), smear, 0.1, 0.5, comb, [0.0, 1.0],
+                                            grid=grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
         assert defect > 1e-4
+
+
+class TestDensitySuiteDefectRows:
+    """The closed form on density-suite's own rows (comb over 6 sigma at
+    spacing s = max(0.05, sigma / 4), r2 in {0, sigma}, first sampling at
+    0.1) against the FFT comb route on grids that resolve both widths."""
+
+    ROWS = [(0.4, 1.0), (0.2, 1.0), (0.1, 1.0), (0.2, 1e14)]
+
+    @staticmethod
+    def rows(sigma, grids):
+        state, smear = Gaussian1D(sigma), SmearingParams(max(0.05, sigma / 4.0))
+        comb = partition_points(0.0, 6.0 * sigma, smear.s_x)
+        for (dt, mass), grid in zip(TestDensitySuiteDefectRows.ROWS, grids):
+            args = (state, smear, 0.1, 0.1 + dt, comb, [0.0, sigma], mass)
+            yield additivity_defect(*args), comb_additivity_defect(*args, grid)
+
+    def test_benchmark_width(self):
+        # sigma = 1: 49 comb centres; the default history grid resolves it
+        for got, expected in self.rows(1.0, [None] * 4):
+            assert abs(got - expected) <= 1e-13
+
+    @pytest.mark.parametrize("sigma,heavy", [(3e-4, 1.8e-5), (1e-4, 2.0e-6)])
+    def test_narrow_packets(self, sigma, heavy):
+        # one comb centre (6 sigma < s).  The generic rows spread to widths
+        # of hundreds: the sampled piece stays within +/- 40 and needs
+        # wavenumbers below 90; the heavy packet does not spread and needs
+        # dx << sigma (2^20 points on [-1, 1] give sigma / dx >= 52), which
+        # a grid spaced by s / 4 does not
+        wide, fine = uniform_grid(-64.0, 64.0, 1 << 15), uniform_grid(-1.0, 1.0, 1 << 20)
+        results = list(self.rows(sigma, [wide, wide, wide, fine]))
+        for got, expected in results:
+            assert abs(got - expected) <= 1e-12
+        assert abs(results[-1][0] - heavy) <= 0.01 * heavy

@@ -1,4 +1,5 @@
-"""Numerical Wigner transform against analytic phase-space oracles."""
+"""Closed-form Wigner function against analytic phase-space oracles, and
+the numerical transform and its spline (test oracles) against both."""
 
 import tracemalloc
 
@@ -7,12 +8,8 @@ import pytest
 from scipy.interpolate import RectBivariateSpline
 
 from gravcat.states import Cat1D, CatState, Gaussian1D, GaussianState
-from gravcat.wigner import (
-    GridAliasingError,
-    PhaseSpaceGrid,
-    _knots,
-    wigner_function,
-)
+from gravcat.wigner import GridAliasingError, wigner_function
+from oracles import SplineGrid, _knots, gauss_legendre, wigner_transform
 
 
 def gaussian_wigner(x, p, sigma, center=0.0):
@@ -64,8 +61,6 @@ class TestGaussianWigner:
         state = Gaussian1D(0.7)
         grid = wigner_function(state)
         # unitary Fourier transform evaluated directly at the grid momenta
-        from gravcat.quadrature import gauss_legendre
-
         xs, ws = gauss_legendre(-12.0, 12.0, 80)
         psi = state.psi(xs)
         dens_k = np.array(
@@ -135,8 +130,6 @@ class TestValidation:
     def test_cat_norm_includes_cross_term(self):
         state = CatState(sigma=1.0, L=(1.0, 0.0, 0.0))
         # quadrature of |psi|^2 over the separation axis times transverse norms
-        from gravcat.quadrature import gauss_legendre
-
         x, w = gauss_legendre(-12, 12, 60)
         axis = state.axis_state(0)
         norm = np.sum(w * np.abs(axis.psi(x)) ** 2)
@@ -144,7 +137,7 @@ class TestValidation:
 
 
 class TestSplineOracle:
-    """PhaseSpaceGrid.evaluate against FITPACK's s = 0 interpolating spline."""
+    """SplineGrid.evaluate against FITPACK's s = 0 interpolating spline."""
 
     @staticmethod
     def probe_points(grid, rng):
@@ -162,7 +155,7 @@ class TestSplineOracle:
     @pytest.mark.parametrize("state", [Cat1D(1.0, 6.0), Gaussian1D(0.8, center=0.4)],
                              ids=["cat", "gaussian"])
     def test_matches_rect_bivariate_spline(self, state):
-        grid = wigner_function(state)
+        grid = wigner_transform(state)
         x, p = self.probe_points(grid, np.random.default_rng(11))
         oracle = RectBivariateSpline(grid.x, grid.p, grid.values)
         scale = np.max(np.abs(grid.values))
@@ -174,26 +167,26 @@ class TestSplineOracle:
         rng = np.random.default_rng(nx * 100 + n_p)
         x = np.cumsum(rng.uniform(0.2, 1.0, nx))
         p = np.cumsum(rng.uniform(0.1, 2.0, n_p)) - 3.0
-        grid = PhaseSpaceGrid(x, p, rng.normal(size=(nx, n_p)))
+        grid = SplineGrid(x, p, rng.normal(size=(nx, n_p)))
         px, pp = self.probe_points(grid, rng)
         oracle = RectBivariateSpline(x, p, grid.values)
         scale = np.max(np.abs(grid.values))
         assert np.max(np.abs(grid.evaluate(px, pp) - oracle(px, pp, grid=False))) <= 1e-14 * scale
 
     def test_knots_are_fitpack_knots(self):
-        grid = wigner_function(Cat1D(1.0, 6.0))
+        grid = wigner_transform(Cat1D(1.0, 6.0))
         oracle = RectBivariateSpline(grid.x, grid.p, grid.values)
         tx, tp = oracle.get_knots()
         assert np.array_equal(_knots(grid.x), tx)
         assert np.array_equal(_knots(grid.p), tp)
 
     def test_interpolates_the_nodes(self):
-        grid = wigner_function(Cat1D(1.0, 6.0))
+        grid = wigner_transform(Cat1D(1.0, 6.0))
         xx, pp = np.meshgrid(grid.x, grid.p, indexing="ij")
         assert np.max(np.abs(grid.evaluate(xx, pp) - grid.values)) <= 1e-14 * 2.0
 
     def test_exact_zero_outside_grid(self):
-        grid = wigner_function(Gaussian1D(1.0))
+        grid = wigner_transform(Gaussian1D(1.0))
         x0, x1, p0, p1 = grid.x[0], grid.x[-1], grid.p[0], grid.p[-1]
         x = np.array([np.nextafter(x0, -np.inf), np.nextafter(x1, np.inf), 0.0, 0.0,
                       x0 - 5.0, x1 + 5.0, np.nan, 0.0])
@@ -205,14 +198,14 @@ class TestSplineOracle:
         assert grid.evaluate(x0, 0.0) != 0.0 and grid.evaluate(0.0, p1) != 0.0
 
     def test_scalar_input_gives_zero_dim(self):
-        grid = wigner_function(Gaussian1D(1.0))
+        grid = wigner_transform(Gaussian1D(1.0))
         inside, outside = grid.evaluate(0.1, 0.2), grid.evaluate(1e3, 0.2)
         assert inside.shape == () and outside.shape == ()
         assert abs(float(inside) - 2.0 * np.exp(-0.1**2 / 2 - 2 * 0.2**2)) < 1e-6
         assert float(outside) == 0.0
 
     def test_broadcasts(self):
-        grid = wigner_function(Cat1D(1.0, 6.0))
+        grid = wigner_transform(Cat1D(1.0, 6.0))
         x = np.linspace(-3.0, 3.0, 7)[:, None]
         p = np.linspace(-1.0, 1.0, 5)[None, :]
         out = grid.evaluate(x, p)
@@ -220,7 +213,7 @@ class TestSplineOracle:
         assert np.array_equal(out[3], grid.evaluate(np.zeros(5), p[0]))
 
     def test_too_few_points_rejected(self):
-        grid = PhaseSpaceGrid(np.arange(3.0), np.arange(5.0), np.zeros((3, 5)))
+        grid = SplineGrid(np.arange(3.0), np.arange(5.0), np.zeros((3, 5)))
         with pytest.raises(ValueError):
             grid.evaluate(0.5, 0.5)
 
@@ -231,7 +224,7 @@ class TestSizeBound:
         tracemalloc.start()
         try:
             with pytest.raises(GridAliasingError, match="phase matrix"):
-                wigner_function(Cat1D(0.001, 6.0))
+                wigner_transform(Cat1D(0.001, 6.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -245,4 +238,52 @@ class TestSizeBound:
         x = np.linspace(-10.0, 10.0, 40000)
         p = np.linspace(-3.0, 3.0, 33)
         with pytest.raises(GridAliasingError, match="psi array"):
-            wigner_function(Gaussian1D(1.0), x_axis=x, p_axis=p)
+            wigner_transform(Gaussian1D(1.0), x_axis=x, p_axis=p)
+
+    def test_closed_form_grid_rejected_before_allocating(self):
+        # the sigma = 0.001 cat's default axes are 257 x 45,838 values
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridAliasingError, match="257 x 45838 phase-space grid"):
+                wigner_function(Cat1D(0.001, 6.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
+class TestTransformOracle:
+    """The closed form against the Gauss-Legendre transform on the same axes."""
+
+    @pytest.mark.parametrize("state,axis", [
+        (Cat1D(1.0, 6.0), 0), (Cat1D(0.5, 4.0), 0), (Cat1D(0.6, 1.5), 0),
+        (Gaussian1D(0.8, center=0.4), 0), (CatState(1.0, (0.0, 0.0, 6.0)), 2),
+        (CatState(1.0, (0.0, 0.0, 6.0)), 1),
+    ])
+    def test_matches_transform(self, state, axis):
+        grid = wigner_function(state, axis=axis)
+        oracle = wigner_transform(state, axis=axis)
+        assert np.array_equal(grid.x, oracle.x) and np.array_equal(grid.p, oracle.p)
+        assert np.max(np.abs(grid.values - oracle.values)) <= 1e-14
+        assert abs(grid.meta["normalization"] - oracle.meta["normalization"]) <= 1e-14
+
+    def test_matches_transform_on_explicit_axes(self):
+        # off-centre, uneven axes that reach p = -4.5, beyond the default +/-3
+        state = Cat1D(1.0, 6.0)
+        x = np.linspace(-11.0, 10.0, 97)
+        p = np.linspace(-4.5, 3.5, 131)
+        grid = wigner_function(state, x, p)
+        oracle = wigner_transform(state, x, p)
+        assert np.max(np.abs(grid.values - oracle.values)) <= 1e-14
+
+    def test_wigner_terms_are_real_in_sum(self):
+        from gravcat.wigner import wigner_terms
+
+        x, p = np.meshgrid(np.linspace(-4, 4, 9), np.linspace(-3, 3, 7), indexing="ij")
+        points = np.stack([x, p], axis=-1)[..., None, :]
+        vals = np.sum(wigner_terms(Cat1D(0.7, 3.0)).pullback(np.zeros((2, 0)), points)
+                      .integral(), axis=-1)
+        assert vals.shape == x.shape
+        assert np.max(np.abs(vals.imag)) <= 1e-15
+        assert np.max(np.abs(vals.real - cat_wigner(x[:, 0], p[0], 0.7, 3.0,
+                                                    Cat1D(0.7, 3.0).norm_constant))) <= 1e-15
