@@ -5,12 +5,8 @@ A fixed probe reads the force every tau; each reading projects the particle
 onto a well, so the record is a +/-1 telegraph whose statistics carry a
 measurement-induced (Zeno-type) decay rate Gamma = nu^2 tau / 2: measuring
 more often slows the decay.  The demo samples 20k records, checks the
-fitted decay rate against Gamma, shows the resolution dependence, and
-prints the marginalization defect that stops the record family from being
-one classical stochastic process.
+fitted decay rate against Gamma, and shows the resolution dependence.
 """
-
-import numpy as np
 
 from gravcat.measurement import (
     MeasurementSchedule,
@@ -18,7 +14,6 @@ from gravcat.measurement import (
     estimate_force_statistics,
     fit_exponential_rate,
     force_amplitude,
-    kolmogorov_defect,
     sample_trajectories,
 )
 
@@ -46,10 +41,3 @@ print("measuring more often (smaller tau at fixed nu) freezes the particle:")
 for tau in (1.0, 0.5, 0.25):
     s = MeasurementSchedule(tau=tau, n_steps=100, nu=0.1)
     print(f"  tau = {tau:5.2f}: Gamma = {s.gamma:.6f}")
-print()
-
-print("the record family is not a classical process: marginalizing the first")
-print("of n readings does not reproduce the (n-1)-reading probabilities.")
-for nu_tau in (0.4, 0.2, 0.1, 0.05):
-    s = MeasurementSchedule(tau=1.0, n_steps=5, nu=nu_tau)
-    print(f"  nu tau = {nu_tau:4.2f}: additivity defect = {kolmogorov_defect(s, 3):.3e}")

@@ -7,14 +7,16 @@ correlation is of the order of the mean squared.  The demo computes the
 Wigner function of a Gaussian and of a cat state (interference fringes)
 in closed form, evaluates the smeared moments through phase space (each a
 Gaussian integral over the state's Wigner terms), prints the relative
-fluctuation profile, and shows where the decoherence functional of a pair
-of position records is supported (the time-of-flight momentum locus).
+fluctuation profile, shows where the smeared two-point function of a pair
+of position records is supported (the time-of-flight momentum locus), and
+prints the marginalization defect that stops two-time position records
+from forming one classical stochastic process.
 """
 
 import numpy as np
 
-from gravcat.density import fluctuation_ratio, smeared_mean_phase_space
-from gravcat.histories import decoherence_functional, uniform_grid
+from gravcat.density import fluctuation_ratio, smeared_corr_quadrature, smeared_mean_phase_space
+from gravcat.histories import additivity_defect, partition_points
 from gravcat.states import CatState, Gaussian1D, GaussianState, SmearingParams
 from gravcat.wigner import wigner_function
 
@@ -47,14 +49,23 @@ for x in (0.0, 0.5, 1.0, 1.5):
 print("  -> order unity and growing where the density thins: single-particle")
 print("     density fluctuations are never negligible.\n")
 
-print("== decoherence functional support (time-of-flight locus) ==")
+print("== smeared two-point function support (time-of-flight locus) ==")
 state = Gaussian1D(0.25)
 sampling = SmearingParams(7.0)
-hgrid = uniform_grid(-650.0, 650.0, 1 << 13)
 t2, t = 100.0, 200.0
-on = abs(decoherence_functional(state, sampling, 0.5 * t, t, 0.5 * t2, t2, 1.0, hgrid))
-off = abs(decoherence_functional(state, sampling, 0.5 * t + 70.0, t, 0.5 * t2, t2, 1.0, hgrid))
-print(f"  records on the locus r/t = r2/t2:   |D| = {on:.3e}")
-print(f"  records off the locus (shift +70):  |D| = {off:.3e}")
-print("  -> only record pairs consistent with one free flight interfere;")
-print("     their weight is the momentum content at p = m (r - r2)/(t - t2).")
+on = abs(smeared_corr_quadrature(state, sampling, 0.5 * t, t, 0.5 * t2, t2))
+off = abs(smeared_corr_quadrature(state, sampling, 0.5 * t + 70.0, t, 0.5 * t2, t2))
+print(f"  records on the locus r/t = r2/t2:   |corr| = {on:.3e}")
+print(f"  records off the locus (shift +70):  |corr| = {off:.3e}")
+print("  -> only record pairs consistent with one free flight correlate;")
+print("     their weight is the Wigner function at p = m (r - r2)/(t - t2).\n")
+
+print("== marginalization defect of two-time position records ==")
+cat1d = cat.axis_state(0)
+comb_sampling = SmearingParams(0.125)
+comb = partition_points(0.0, 3.0, comb_sampling.s_x)
+for dt, mass in ((0.4, 1.0), (0.1, 1.0), (0.1, 1e14)):
+    defect = additivity_defect(cat1d, comb_sampling, 0.1, 0.1 + dt, comb, [0.0, 0.5], mass)
+    print(f"  dt = {dt:3.1f}, m = {mass:7.1e}: defect = {defect:.3e}")
+print("  -> marginalizing the first sampling misses the one-time probability")
+print("     unless the mass is so heavy that sampling commutes with the flight.")

@@ -2,19 +2,21 @@
 
 Library layout:
 
-- two_state: closed-form qubit dynamics and well-density correlations
+- two_state: closed-form well-density means and two-time correlations
 - fock: truncated oscillator space, displacement and coherent states
-- states: Gaussian and cat wave packets, sampling profiles
-- density: mass-density correlators, noise kernel, phase-space evaluation
-- wigner: numerical Wigner transform on rectangular grids
-- histories: decoherence functional and multi-time record probabilities
-- measurement: continuously measured Newtonian force (records, statistics)
-- jc: oscillator probe (deep-strong-coupling dynamics, pointer states)
+- states: Gaussian and cat wave packets as Gaussian terms, Gaussian sampling
+- density: smeared mass-density mean and correlators, fluctuation ratio
+- wigner: closed-form Wigner function on rectangular grids
+- histories: closed-form marginalization defect of two-time records
+- measurement: continuously measured Newtonian force (sampler, estimators)
+- jc: oscillator probe (exact and first-order pointer-swap dynamics)
 - harness / cli: reproducible named experiments with manifests
 
-Import names from their modules (`from gravcat.fock import FockSpace`);
-the package itself loads none of them, so a CLI run imports only the
-modules of the experiment it runs.
+Every top-level definition here is reached by a CLI run; the independent
+routes that check them live in `tests/oracles.py`.  Import names from
+their modules (`from gravcat.fock import FockSpace`); the package itself
+loads none of them, so a CLI run imports only the modules of the
+experiment it runs.
 """
 
 __version__ = "0.1.0"

@@ -3,86 +3,26 @@
 The mass density m |psi|^2 of a quantum particle fluctuates, and its
 two-point function is complex: the real part (the noise kernel) is the
 candidate classical correlation, the connected part eta measures genuine
-fluctuation strength.  This module provides the pointwise correlators built
-from the free propagator, their smeared phase-space evaluation through the
-Wigner function of the initial state, and the static-limit fluctuation
-ratio of zero-mean-momentum packets.  The phase-space forms are closed form: the
+fluctuation strength.  This module provides the pointwise mean density,
+the smeared correlators' phase-space evaluation through the Wigner function
+of the initial state, and the static-limit fluctuation ratio of
+zero-mean-momentum packets.  The phase-space forms are closed form: the
 state's Wigner terms (`wigner.wigner_terms`) times Gaussian sampling
-kernels are Gaussian integrals (`states.GaussianTerms`).
+kernels are Gaussian integrals (`states.GaussianTerms`).  The pointwise
+two-point correlator built from the free propagator is a test oracle
+(`tests/oracles.py`).
 
 Phase-space evaluation is one-dimensional (per axis); separable 3D states
 factorize, with the 3D density being m times the product of per-axis
-|psi|^2 factors.  Natural units hbar = 1; Newton's constant G defaults to 1
-and is a plain parameter otherwise.
+|psi|^2 factors.  Natural units hbar = 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .states import GaussianTerms
 from .wigner import wigner_terms
-
-
-def newtonian_force(m: float, m0: float, R, x, G: float = 1.0) -> np.ndarray:
-    """Newtonian force on a probe of mass m0 at R from a source m at x."""
-    R = np.asarray(R, dtype=float)
-    x = np.asarray(x, dtype=float)
-    d = R - x
-    r = float(np.linalg.norm(d))
-    if r == 0.0:
-        raise ValueError("probe and source positions coincide")
-    return -G * m * m0 * d / r**3
-
-
-def free_propagator_1d(m: float, x, t: float, x2, t2: float):
-    """1D free-particle kernel <x2| exp(-i H (t2 - t)) |x>.
-
-    (m / (2 pi i (t2-t)))^(1/2) exp(i m (x - x2)^2 / (2 (t2-t))), principal
-    branch.  Positions may be complex (used by contour-rotated quadrature
-    checks); times must differ.
-    """
-    dt = t2 - t
-    if dt == 0.0:
-        raise ValueError("propagator undefined at equal times (delta-function limit)")
-    pref = np.sqrt(m / (2.0j * np.pi * dt))
-    diff = np.asarray(x) - np.asarray(x2)
-    return pref * np.exp(1j * m * diff**2 / (2.0 * dt))
-
-
-def free_propagator(m: float, r, t: float, r2, t2: float) -> complex:
-    """3D free-particle kernel; modulus (m / (2 pi |t2 - t|))^(3/2)."""
-    dt = t2 - t
-    if dt == 0.0:
-        raise ValueError("propagator undefined at equal times (delta-function limit)")
-    r = np.asarray(r, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    dist_sq = float(np.sum((r - r2) ** 2))
-    pref = np.power(m / (2.0j * np.pi * dt), 1.5)
-    return complex(pref * np.exp(1j * m * dist_sq / (2.0 * dt)))
-
-
-@dataclass(frozen=True)
-class MassDensityCorrelator:
-    """Two-point mass-density correlation with its derived pieces.
-
-    `noise_kernel` is the real part, `connected` subtracts the product of
-    the one-point means at the two arguments.
-    """
-
-    value: complex
-    mean_left: float
-    mean_right: float
-
-    @property
-    def noise_kernel(self) -> float:
-        return float(self.value.real)
-
-    @property
-    def connected(self) -> complex:
-        return self.value - self.mean_left * self.mean_right
 
 
 def density_mean(state, r, t: float = 0.0, m: float = 1.0):
@@ -93,23 +33,6 @@ def density_mean(state, r, t: float = 0.0, m: float = 1.0):
     # does, so a point of an array call squares as the single-point call
     mean = m * np.float_power(np.abs(state.psi(r, t, m)), 2.0)
     return float(mean) if mean.ndim == 0 else mean
-
-
-def density_corr(state, r, t: float, r2, t2: float, m: float = 1.0) -> MassDensityCorrelator:
-    """Two-point mass-density correlation at distinct times.
-
-    value = m^2 conj(psi(r, t)) psi(r2, t2) G(r, t; r2, t2); swapping the
-    arguments conjugates the value, so the noise kernel is symmetric.
-    """
-    amp_left = complex(state.psi(r, t, m))
-    amp_right = complex(state.psi(r2, t2, m))
-    kernel = free_propagator(m, r, t, r2, t2)
-    value = m**2 * np.conj(amp_left) * amp_right * kernel
-    return MassDensityCorrelator(
-        value=complex(value),
-        mean_left=density_mean(state, r, t, m),
-        mean_right=density_mean(state, r2, t2, m),
-    )
 
 
 def fluctuation_ratio(state, smear, r, m: float = 1.0):

@@ -89,10 +89,6 @@ class FockOperator:
             raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
         self.matrix = mat
 
-    @property
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T, self.space)
-
     def apply(self, vec: FockVector) -> FockVector:
         return FockVector(self.matrix @ vec.amplitudes, self.space)
 
@@ -105,12 +101,6 @@ class FockOperator:
         if isinstance(other, FockVector):
             return self.apply(other)
         return NotImplemented
-
-
-def vacuum(space: FockSpace) -> FockVector:
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[0] = 1.0
-    return FockVector(amp, space, normalized=True)
 
 
 def ladder_operators(space: FockSpace) -> tuple[FockOperator, FockOperator]:

@@ -699,7 +699,19 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     m = p["density.m"]
     if not 0 < m < np.inf:
         raise ConfigError(f"density.m must be positive and finite, got {m}")
-    axis_state = state.axis_state(0)
+    # The closed forms take these powers in Python floats, whose ** raises on
+    # overflow, and a packet width of 0 has no Gaussian term: each must be a
+    # normal float.
+    with np.errstate(all="ignore"):
+        sigma, s_x, mass = np.float64(p["density.sigma"]), np.float64(smear.s_x), np.float64(m)
+        ell = np.float64(smear.ell)
+        scales = (sigma**2, s_x**2, ell**3, mass**3, mass / ell**3, mass**2 / ell**2,
+                  (mass * s_x) ** 2, 1.0 / (mass * sigma**2))
+    if not all(np.finfo(float).tiny <= s < np.inf for s in scales):
+        raise RegimeError(f"density.sigma = {sigma:.3g}, density.s_x = {s_x:.3g}, "
+                          f"density.m = {m:.3g}: sigma^2, s_x^2, ell^3, m^3, m / ell^3, "
+                          "m^2 / ell^2, (m s_x)^2 or 1 / (m sigma^2) is not a normal float")
+    axis_state = _domain(state.axis_state, 0)
 
     try:
         grid = wigner_function(axis_state, x_axis=None, p_axis=None)

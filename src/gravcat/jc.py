@@ -8,15 +8,16 @@ around a circle of center zeta_0 = -g/omega in phase space), and the probe
 resolves the wells once the pointer coherent states are distinguishable,
 |<zeta_0|-zeta_0>|^2 = exp(-4 |zeta_0|^2) << 1.  Tunneling-induced
 transitions between the pointer states are computed from the full H,
-diagonalised once (`evolve_rows`, one composite vector per time; its
-step-integration oracle lives in the test suite), and from a first-order
-interaction-picture propagator (`first_order_probability_series`
-evaluates it for a whole time series), the paper's result: a pointer
-swap at the bare rate nu.  Exact dynamics matches the first-order law
-only when 2 |zeta_0|^2 << 1; in general the swap runs at the
-polaron-dressed rate nu exp(-2 |zeta_0|^2), the tunneling matrix element
-being weighted by the pointer overlap <zeta_0|-zeta_0> (see
-`tunneling_block_time_average`).
+diagonalised once (`evolve_rows`, one composite vector per time), and from
+a first-order interaction-picture propagator
+(`first_order_probability_series` evaluates it for a whole time series),
+the paper's result: a pointer swap at the bare rate nu.  Exact dynamics
+matches the first-order law only when 2 |zeta_0|^2 << 1; in general the
+swap runs at the polaron-dressed rate nu exp(-2 |zeta_0|^2), the tunneling
+matrix element being weighted by the pointer overlap <zeta_0|-zeta_0>.
+The propagator matrices, the step integrator and the time-averaged
+interaction-picture block that shows the dressing are test oracles
+(`tests/oracles.py`).
 
 Composite vectors are ordered (qubit |+> block, qubit |-> block), each
 block a Fock vector; composite operators are 2D x 2D dense arrays built
@@ -25,7 +26,6 @@ with kron(qubit, oscillator).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +39,6 @@ from .fock import (
     number_operator,
 )
 from .two_state import PAULI_1, PAULI_3
-
-
-class RegimeWarning(UserWarning):
-    """Parameters outside the validity regime of a closed-form result."""
 
 
 @dataclass(frozen=True)
@@ -157,62 +153,10 @@ def total_hamiltonian(params: JCParams, space: FockSpace) -> np.ndarray:
     )
 
 
-def _blockdiag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    d = upper.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[:d, :d] = upper
-    out[d:, d:] = lower
-    return out
-
-
-def adiabatic_propagator(params: JCParams, space: FockSpace, t: float) -> np.ndarray:
-    """Closed-form propagator of the nu = 0 Hamiltonian.
-
-    exp(i g^2 t / omega) diag( D^dag(g/w) e^{-i w n t} D(g/w),
-                               D(g/w) e^{-i w n t} D^dag(g/w) ).
-    Ignores params.nu (valid in the nu << omega regime).
-    """
-    d_op = displacement(space, params.g / params.omega).matrix
-    rot = np.diag(np.exp(-1j * params.omega * np.arange(space.dim) * t))
-    upper = d_op.conj().T @ rot @ d_op
-    lower = d_op @ rot @ d_op.conj().T
-    phase = np.exp(1j * params.g**2 * t / params.omega)
-    return phase * _blockdiag(upper, lower)
-
-
 def pointer_path(params: JCParams, t) -> complex | np.ndarray:
     """Coherent-state label zeta(t) = -(g/omega)(1 - e^{-i omega t}) of the
     vacuum-started oscillator conditioned on the up well."""
     return -(params.g / params.omega) * (1.0 - np.exp(-1j * params.omega * np.asarray(t)))
-
-
-def evolved_cat(c_plus: complex, c_minus: complex, params: JCParams,
-                space: FockSpace, t: float) -> CompositeState:
-    """Vacuum-started oscillator entangled with the well qubit at nu = 0.
-
-    Global phase exp(i (g/omega)^2 (omega t - sin omega t)); the up block is
-    c_plus |zeta(t)>, the down block c_minus |-zeta(t)>.
-    """
-    zeta = complex(pointer_path(params, t))
-    phase = np.exp(1j * (params.g / params.omega) ** 2 * (params.omega * t - np.sin(params.omega * t)))
-    up = phase * c_plus * coherent_state(space, zeta).amplitudes
-    down = phase * c_minus * coherent_state(space, -zeta).amplitudes
-    return CompositeState(FockVector(up, space), FockVector(down, space))
-
-
-def reduced_oscillator_state(state: CompositeState) -> np.ndarray:
-    """Oscillator density matrix after tracing out the qubit.
-
-    The partial trace of a block state is up up^dag + down down^dag; branch
-    cross terms do not survive it.
-    """
-    up = state.up.amplitudes
-    down = state.down.amplitudes
-    return np.outer(up, up.conj()) + np.outer(down, down.conj())
-
-
-def purity(rho: np.ndarray) -> float:
-    return float(np.trace(rho @ rho).real)
 
 
 def reduced_purity(up: np.ndarray, down: np.ndarray) -> np.ndarray:
@@ -261,39 +205,6 @@ def distinguishability(params: JCParams) -> DistinguishabilityReport:
     )
 
 
-def perturbative_propagator(params: JCParams, space: FockSpace, t: float) -> np.ndarray:
-    """First-order interaction-picture correction O_t to the nu = 0 flow.
-
-    [[cos(nu t) 1,           -i sin(nu t) D(2 zeta_0)],
-     [-i sin(nu t) D(-2 zeta_0),          cos(nu t) 1]]
-    The full propagator is adiabatic_propagator(t) @ O_t.  This is the
-    paper's first-order result: it replaces the time average of the rotating
-    displacement by the identity, so the swap runs at the bare rate nu.
-    Exact dynamics matches it only when 2 |zeta_0|^2 << 1; otherwise it runs
-    at the dressed rate nu exp(-2 |zeta_0|^2).  For nu > 0 a RegimeWarning
-    flags nu > 0.1 omega or 0 < omega t < 2 pi.
-    """
-    if params.nu > 0 and (params.nu > 0.1 * params.omega
-                          or (t > 0 and params.omega * t < 2.0 * np.pi)):
-        warnings.warn(
-            f"first-order propagator outside its regime (nu/omega = "
-            f"{params.nu / params.omega:.3g}, omega t = {params.omega * t:.3g})",
-            RegimeWarning,
-            stacklevel=2,
-        )
-    d = space.dim
-    z2 = 2.0 * params.zeta0
-    d_plus = displacement(space, z2).matrix
-    d_minus = displacement(space, -z2).matrix
-    c, s = np.cos(params.nu * t), np.sin(params.nu * t)
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[:d, :d] = c * np.eye(d)
-    out[d:, d:] = c * np.eye(d)
-    out[:d, d:] = -1j * s * d_plus
-    out[d:, :d] = -1j * s * d_minus
-    return out
-
-
 def rabi_probability(params: JCParams, t) -> float | np.ndarray:
     """First-order pointer-swap probability sin^2(nu t).
 
@@ -310,7 +221,9 @@ def first_order_probability_series(params: JCParams, space: FockSpace,
                                    initial: CompositeState | None = None,
                                    target: CompositeState | None = None) -> np.ndarray:
     """|<target | A(t) O_t | initial>|^2 for every t in `times`, the
-    first-order law of `adiabatic_propagator(t) @ perturbative_propagator(t)`.
+    first-order law: A(t) is the closed-form nu = 0 propagator and O_t the
+    first-order interaction-picture correction
+    [[cos(nu t) 1, -i sin(nu t) D(2 zeta_0)], [-i sin(nu t) D(-2 zeta_0), cos(nu t) 1]].
 
     With D = D(g/omega) and R(t) = diag(e^{-i omega n t}), A(t) is the phase
     e^{i g^2 t / omega} times blockdiag(D^dag R D, D R D^dag), so the
@@ -319,8 +232,8 @@ def first_order_probability_series(params: JCParams, space: FockSpace,
         stay = conj(D u_t) (D u_i) + conj(D^dag d_t) (D^dag d_i),
         swap = conj(D u_t) (D D(2 zeta_0) d_i) + conj(D^dag d_t) (D^dag D(-2 zeta_0) u_i)
     for blocks (u, d) of target and initial; the global phase drops out of
-    the modulus.  Defaults as in `transition_probability_series`.  Unlike
-    `perturbative_propagator` it does not warn outside the first-order
+    the modulus.  Defaults: initial = |+zeta_0, +>, target = |-zeta_0, ->
+    (the pointer swap channel).  It does not warn outside the first-order
     regime, as `rabi_probability` does not.
     """
     if initial is None:
@@ -359,67 +272,3 @@ def evolve_rows(params: JCParams, space: FockSpace, state: CompositeState,
     energies, vecs = np.linalg.eigh(total_hamiltonian(params, space))
     coeffs = vecs.conj().T @ state.as_vector()
     return (np.exp(-1j * np.outer(times, energies)) * coeffs) @ vecs.T
-
-
-def transition_probability_series(params: JCParams, space: FockSpace,
-                                  times: np.ndarray,
-                                  initial: CompositeState | None = None,
-                                  target: CompositeState | None = None) -> np.ndarray:
-    """|<target | U(t) | initial>|^2 along a uniform time series.
-
-    Defaults: initial = |+zeta_0, +>, target = |-zeta_0, -> (the pointer
-    swap channel).
-    """
-    if initial is None:
-        initial = pointer_state(params, space, +1)
-    if target is None:
-        target = pointer_state(params, space, -1)
-    amp = evolve_rows(params, space, initial, times) @ target.as_vector().conj()
-    return amp.real**2 + amp.imag**2
-
-
-def interaction_picture_potential(params: JCParams, space: FockSpace,
-                                  t: float) -> np.ndarray:
-    """Interaction-picture tunneling term nu e^{i H0 t} sigma_1 e^{-i H0 t}.
-
-    Off-diagonal blocks are S_t = D(zeta_0) e^{i w n t} D(-2 zeta_0)
-    e^{-i w n t} D(zeta_0), assembled from exactly unitary factors, so the
-    result is Hermitian with unitary blocks by construction.
-    """
-    s_t = _tunneling_block(params, space, t)
-    d = space.dim
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[:d, d:] = params.nu * s_t
-    out[d:, :d] = params.nu * s_t.conj().T
-    return out
-
-
-def _tunneling_block(params: JCParams, space: FockSpace, t: float) -> np.ndarray:
-    d_z = displacement(space, params.zeta0).matrix
-    rot = np.exp(1j * params.omega * np.arange(space.dim) * t)
-    d_mid = displacement(space, -2.0 * params.zeta0).matrix
-    inner = (rot[:, None] * d_mid) * rot.conj()[None, :]
-    return d_z @ inner @ d_z
-
-
-def tunneling_block_time_average(params: JCParams, space: FockSpace, t: float,
-                                 nodes: int = 4000) -> np.ndarray:
-    """(1/t) Integral_0^t S(s) ds by the trapezoid rule.
-
-    Quantifies how far the averaged interaction-picture tunneling block is
-    from the bare pointer-swap displacement D(2 zeta_0): the average
-    converges instead to the dressed block whose pointer matrix element is
-    exp(-2 |zeta_0|^2).
-    """
-    if t <= 0:
-        raise ValueError("average needs a positive time window")
-    ss = np.linspace(0.0, t, nodes)
-    d_z = displacement(space, params.zeta0).matrix
-    d_mid = displacement(space, -2.0 * params.zeta0).matrix
-    # Element (m, n) of the rotated block carries e^{i omega (m - n) s}, so
-    # the average is d_mid times one kernel over level differences m - n.
-    d = space.dim
-    lags = np.arange(1 - d, d)
-    kernel = np.trapezoid(np.exp(1j * params.omega * np.outer(ss, lags)), ss, axis=0) / t
-    levels = np.arange(d)
-    return d_z @ (d_mid * kernel[np.subtract.outer(levels, levels) + d - 1]) @ d_z

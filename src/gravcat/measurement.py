@@ -3,13 +3,12 @@
 A classical probe that reads the force at temporal resolution tau performs
 repeated projective well measurements: the record is a dichotomic +/-1
 series whose joint law depends only on the number of jumps, with per-step
-flip probability sin^2(nu tau / 2).  This module provides the exact record
-probabilities, conditional statistics in two closed forms (the
-enumeration-exact one and a small-angle variant whose two-time correlation
-acquires a non-stationary prefactor), the continuum exponential law with
-decay constant Gamma = nu^2 tau / 2, a seedable vectorized Monte Carlo
-sampler, ensemble estimators, and the marginalization (Kolmogorov) defect
-of the projective record probabilities.
+flip probability sin^2(nu tau / 2).  This module provides a seedable
+vectorized Monte Carlo sampler of the records, ensemble estimators of the
+mean force and its two-time correlation, and the exponential fit of their
+decay constant Gamma = nu^2 tau / 2.  The closed forms the estimates are
+checked against (record probabilities, conditionals, the discrete and
+continuum force laws and the Kolmogorov defect) are in `tests/oracles.py`.
 
 Bookkeeping: lambda = nu^2 tau^2 / 4 is the per-step jump weight in the
 small-angle regime and Gamma = 2 lambda / tau the continuum rate; the two
@@ -21,10 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .two_state import TunnelingParams, tunneling_propagator
-
-_FORMS = ("exact", "approximate")
 
 # Trajectories per random stream; fixed, so a smaller draw is a prefix of a larger.
 _STREAM_BLOCK = 4096
@@ -148,109 +143,6 @@ class TrajectoryEnsemble:
 
     def jump_counts(self) -> np.ndarray:
         return np.count_nonzero(self.readings[:, 1:] != self.readings[:, :-1], axis=1)
-
-
-def sequence_probability(record: TrajectoryRecord, sched: MeasurementSchedule,
-                         small_angle: bool = False) -> float:
-    """Probability of a full record starting from the right well.
-
-    Exact: (cos^2(nu tau/2))^(N-n) (sin^2(nu tau/2))^n for n jumps over N
-    transitions.  With small_angle=True, the nu tau << 1 law
-    lambda^n exp(-lambda (N-n)) is returned instead.
-    """
-    if len(record) != sched.n_steps + 1:
-        raise ValueError(
-            f"record has {len(record)} readings, schedule expects {sched.n_steps + 1}"
-        )
-    if record.readings[0] != 1:
-        raise ValueError("records start from the right well (+1 first reading)")
-    n = record.jump_count
-    big_n = sched.n_steps
-    if small_angle:
-        return float(sched.lam**n * np.exp(-sched.lam * (big_n - n)))
-    p_flip = sched.flip_probability
-    return float((1.0 - p_flip) ** (big_n - n) * p_flip**n)
-
-
-def _check_form(form: str):
-    if form not in _FORMS:
-        raise ValueError(f"form must be one of {_FORMS}, got {form!r}")
-
-
-def conditional_g(a2: int, a1: int, m_steps: int, sched: MeasurementSchedule,
-                  form: str = "exact") -> float:
-    """Conditional probability g(a2, a1; m) of reading a2 a lag of m steps
-    after reading a1.
-
-    form="exact" sums the record law directly: (1 +/- cos^m(nu tau)) / 2,
-    a properly normalized telegraph conditional.  form="approximate" is the
-    small-angle closed form
-        (cos^2(nu tau/2))^m [ (1 + sin^2(nu tau)/4)^m +/- (1 - sin^2(nu tau)/4)^m ] / 2
-    whose per-jump weight sin^2(nu tau)/4 only matches the exact
-    tan^2(nu tau / 2) to leading order; its conditional law is not
-    normalized at finite nu tau.  Symmetric wells: g(-,-) = g(+,+) and
-    g(+,-) = g(-,+).
-    """
-    if a1 not in (1, -1) or a2 not in (1, -1):
-        raise ValueError("well labels must be +1 or -1")
-    if m_steps < 0:
-        raise ValueError(f"step lag must be nonnegative, got {m_steps}")
-    _check_form(form)
-    same = a1 == a2
-    if form == "exact":
-        base = np.cos(sched.nu * sched.tau) ** m_steps
-        return float(0.5 * (1.0 + base) if same else 0.5 * (1.0 - base))
-    c2m = np.cos(0.5 * sched.nu * sched.tau) ** (2 * m_steps)
-    x = 0.25 * np.sin(sched.nu * sched.tau) ** 2
-    plus, minus = (1.0 + x) ** m_steps, (1.0 - x) ** m_steps
-    return float(0.5 * c2m * (plus + minus if same else plus - minus))
-
-
-def force_mean_steps(m_step: int, sched: MeasurementSchedule, f0: float,
-                     form: str = "exact") -> float:
-    """Discrete mean force at step m for a right-well start.
-
-    exact: -f0 cos^m(nu tau); approximate:
-    -f0 [cos^2(nu tau/2) (1 - sin^2(nu tau)/4)]^m.
-    """
-    _check_form(form)
-    if form == "exact":
-        return float(-f0 * np.cos(sched.nu * sched.tau) ** m_step)
-    base = np.cos(0.5 * sched.nu * sched.tau) ** 2 * (
-        1.0 - 0.25 * np.sin(sched.nu * sched.tau) ** 2
-    )
-    return float(-f0 * base**m_step)
-
-
-def force_corr_steps(m1: int, m2: int, sched: MeasurementSchedule, f0: float,
-                     form: str = "exact") -> float:
-    """Discrete two-time force correlation <F(m2) F(m1)>, m1 <= m2.
-
-    exact: f0^2 cos^(m2-m1)(nu tau) -- stationary in the lag alone.
-    approximate: f0^2 (cos^2(nu tau/2))^m2 (1 - sin^2(nu tau)/4)^(m2-m1)
-    (1 + sin^2(nu tau)/4)^m1, which carries an m1-dependent prefactor
-    (cos^2(nu tau/2))^m1 (1 + sin^2(nu tau)/4)^m1 and is therefore not a
-    function of the lag alone.
-    """
-    if m2 < m1:
-        raise ValueError(f"steps must be ordered m1 <= m2, got {m1} > {m2}")
-    _check_form(form)
-    if form == "exact":
-        return float(f0**2 * np.cos(sched.nu * sched.tau) ** (m2 - m1))
-    c2 = np.cos(0.5 * sched.nu * sched.tau) ** 2
-    x = 0.25 * np.sin(sched.nu * sched.tau) ** 2
-    return float(f0**2 * c2**m2 * (1.0 - x) ** (m2 - m1) * (1.0 + x) ** m1)
-
-
-def analytic_force_mean(t: float, sched: MeasurementSchedule, f0: float) -> float:
-    """Continuum mean force -f0 exp(-Gamma t), Gamma = nu^2 tau / 2."""
-    return float(-f0 * np.exp(-sched.gamma * t))
-
-
-def analytic_force_corr(t1: float, t2: float, sched: MeasurementSchedule,
-                        f0: float) -> float:
-    """Continuum two-time force correlation f0^2 exp(-Gamma |t2 - t1|)."""
-    return float(f0**2 * np.exp(-sched.gamma * abs(t2 - t1)))
 
 
 def _rare_cells(rng: np.random.Generator, cells: int, q: float) -> np.ndarray:
@@ -472,26 +364,3 @@ def fit_exponential_rate(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
                              "the range a least-squares fit resolves")
     slope, intercept = np.polyfit(t, np.log(np.abs(y)), 1)
     return float(-slope), float(np.exp(intercept))
-
-
-def kolmogorov_defect(sched: MeasurementSchedule, n_steps: int) -> float:
-    """Marginalization defect of projective well-measurement records.
-
-    Records at times tau, 2 tau, ..., n tau from a right-well start:
-    max over later outcomes of | Sum_{a1} P_n - P_{n-1} |, where P_{n-1}
-    drops the first measurement.  Both sides share the chain of n - 2 later
-    transition probabilities, so the defect is the first-step difference
-    max_b |(T v1)_b - v2_b| times the largest chain max(p, 1 - p)^(n-2),
-    with T the one-step transition matrix, p = cos^2(nu tau / 2) its
-    diagonal, and v1, v2 the well probabilities at tau and 2 tau.
-    Vanishes when the evolution commutes with the well projectors (nu = 0)
-    and shrinks as nu tau -> 0.
-    """
-    if n_steps < 2:
-        raise ValueError(f"need at least two measurements, got {n_steps}")
-    params = TunnelingParams(sched.nu, 0.0)
-    # trans[b, a] = |<b| U_tau |a>|^2, symmetric with entries p and 1 - p
-    trans = np.abs(tunneling_propagator(params, sched.tau)) ** 2
-    v2 = np.abs(tunneling_propagator(params, 2.0 * sched.tau)[:, 0]) ** 2
-    first = np.max(np.abs(trans @ trans[:, 0] - v2))
-    return float(first * trans.max() ** (n_steps - 2))

@@ -8,9 +8,10 @@ factorization), and the numerical machinery works on the 1D axis factors.
 A 1D packet exposes its amplitude at time t as a sum of Gaussian terms
 (`terms`), on which products, free evolution and integrals are closed form.
 
-Sampling profiles define the position-sampling function g and the derived
-smearing scale per axis: ell = sqrt(2 pi) s_x for a Gaussian of width s_x,
-ell = 2 h for a box of half-width h (a sharp projector, g^2 = g).
+The sampling profile (`SmearingParams`) defines the position-sampling
+function g and the derived smearing scale per axis: ell = sqrt(2 pi) s_x
+for a Gaussian of width s_x.  Sharp box sampling (g^2 = g) is a test
+oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -313,28 +314,4 @@ class SmearingParams:
     def partition_weight(self, spacing: float) -> float:
         """Weight making a uniform comb of samplers an exhaustive partition:
         sum_k w g(x - k d) = 1 up to exp(-2 pi^2 s_x^2 / d^2) corrections."""
-        return spacing / self.ell
-
-
-@dataclass(frozen=True)
-class BoxSampling:
-    """Sharp box sampling of half-width h: g is a 0/1 indicator (g^2 = g)."""
-
-    half_width: float
-
-    def __post_init__(self):
-        if not 0 < self.half_width < np.inf:
-            raise ValueError(f"half-width must be positive and finite, got {self.half_width}")
-
-    @property
-    def ell(self) -> float:
-        return 2.0 * self.half_width
-
-    def g(self, u):
-        return (np.abs(np.asarray(u, dtype=float)) <= self.half_width).astype(float)
-
-    def sqrt_g(self, u):
-        return self.g(u)
-
-    def partition_weight(self, spacing: float) -> float:
         return spacing / self.ell

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PAULI_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 _NORM_TOL = 1e-12
 
@@ -96,38 +94,6 @@ class SmearedDensityParams:
 def _check_sign(a) -> None:
     if not np.all(np.isin(a, (1, -1))):
         raise ValueError(f"well label must be +1 or -1, got {a!r}")
-
-
-def tunneling_hamiltonian(params: TunnelingParams) -> np.ndarray:
-    """Effective qubit Hamiltonian nu (cos(chi) sigma_1 + sin(chi) sigma_2)."""
-    return params.nu * (np.cos(params.chi) * PAULI_1 + np.sin(params.chi) * PAULI_2)
-
-
-def tunneling_propagator(params: TunnelingParams, t: float) -> np.ndarray:
-    """Unitary evolution over time t >= 0.
-
-    [[ cos(nu t / 2),             sin(nu t / 2) e^{i chi} ],
-     [-sin(nu t / 2) e^{-i chi},  cos(nu t / 2)           ]]
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    half = 0.5 * params.nu * t
-    c, s = np.cos(half), np.sin(half)
-    phase = np.exp(1j * params.chi)
-    return np.array([[c, s * phase], [-s / phase, c]], dtype=complex)
-
-
-def heisenberg_projector(a: int, params: TunnelingParams, t: float) -> np.ndarray:
-    """Heisenberg-picture well projector (1 + a S_t) / 2.
-
-    S_t = [[cos(nu t), sin(nu t) e^{i chi}], [sin(nu t) e^{-i chi}, -cos(nu t)]]
-    squares to the identity, so the output is an exact rank-1 projector.
-    """
-    _check_sign(a)
-    c, s = np.cos(params.nu * t), np.sin(params.nu * t)
-    phase = np.exp(1j * params.chi)
-    s_t = np.array([[c, s * phase], [s / phase, -c]], dtype=complex)
-    return 0.5 * (IDENTITY_2 + a * s_t)
 
 
 def mean_density(

@@ -23,9 +23,9 @@ import numpy as np
 
 from .states import GaussianTerms
 
-# Largest element count of one phase-space grid (8.4M values, 67 MB) and
-# of one history grid (`histories.auto_grid`).  The largest phase-space
-# grid of the tests and the benchmark has 87,312.
+# Largest element count of one phase-space grid (8.4M values, 67 MB); the
+# history-grid oracles in `tests/oracles.py` share the bound.  The largest
+# phase-space grid of the tests and the benchmark has 87,312.
 MAX_GRID_ELEMENTS = 1 << 23
 
 

@@ -1,27 +1,42 @@
 """Independent routes that exist only to check the library.
 
-Each function here is an alternative to a route in `gravcat`: a
-scaling-and-squaring matrix exponential (against the `eigh`-built
-displacement), a step integrator of the full probe Hamiltonian (against
-the spectral `jc.evolve_rows`), a stationarity residual of the pointer
-states, a direct binomial sum for the small-angle conditional law, one
-FFT autocorrelation per force record (against the estimator's one per
+Each function here is an alternative to a route in `gravcat`, or a closed
+form that no CLI run reports and that a test compares a run's route
+against: a scaling-and-squaring matrix exponential (against the
+`eigh`-built displacement), the closed-form qubit propagator and
+Heisenberg well projectors (against `two_state`'s correlations), the
+closed-form nu = 0 and first-order interaction-picture propagators of the
+probe (against `jc.first_order_probability_series`), a step integrator of
+the full probe Hamiltonian and a transition series (against the spectral
+`jc.evolve_rows`), the probe's entangled cat state and its reduced purity
+(against `jc.reduced_purity`), a stationarity residual of the pointer
+states, the record law, the conditionals and the discrete and continuum
+force laws (against the sampled records and their estimates), a direct
+binomial sum for the small-angle conditional law, one FFT
+autocorrelation per force record (against the estimator's one per
 distinct record), a record-by-record flip count of the geometric-gap
-marks (against the sampler's running xor over a boolean block), an
-enumeration of all 2^(n-1) later-outcome tails (against the closed-form
-Kolmogorov defect), multi-time record probabilities propagated record by
-record and the FFT comb route on a spatial grid (against the closed-form
-`histories.additivity_defect`), the Gauss-Legendre Wigner transform and
-its interpolating spline (against the closed-form
-`wigner.wigner_function`), and Gauss-Legendre quadrature over that spline
-of the finite-width smeared mean and two-point function, and a 2D
-trapezoid over the written-out cat W (against the delta-limit mean and the
-closed-form `density.smeared_corr_quadrature`), and the static-limit
-two-point function from the 3D smearing profile (against the second moment
-that `density.fluctuation_ratio` takes from the sampling-profile identity).
-None of them runs in a CLI experiment.
+marks (against the sampler's running xor over a boolean block), the
+closed-form Kolmogorov defect of projective records and an enumeration
+of all 2^(n-1) later-outcome tails that checks it, the pointwise density
+correlators from the free propagator, sharp box sampling and position
+histories on a spatial grid (FFT free evolution, the decoherence
+functional and the smeared moments), multi-time record probabilities
+propagated record by record and the FFT comb route on a spatial grid
+(against the closed-form `histories.additivity_defect`), the
+Gauss-Legendre Wigner transform and its interpolating spline (against the
+closed-form `wigner.wigner_function`), and Gauss-Legendre quadrature over
+that spline of the finite-width smeared mean and two-point function, and
+a 2D trapezoid over the written-out cat W (against the delta-limit mean
+and the closed-form `density.smeared_corr_quadrature`), and the
+static-limit two-point function from the 3D smearing profile (against
+the second moment that `density.fluctuation_ratio` takes from the
+sampling-profile identity).  None of them runs in a CLI experiment, and
+`test_reachability.py` keeps `gravcat` free of any route that none does.
 """
 
+from __future__ import annotations
+
+import warnings
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb
@@ -29,16 +44,24 @@ from math import comb
 import numpy as np
 from scipy.linalg import expm
 
-from gravcat.fock import FockOperator, FockSpace
-from gravcat.histories import SpatialGrid, _comb_weight, auto_grid, free_evolve
+from gravcat.density import density_mean
+from gravcat.fock import FockOperator, FockSpace, FockVector, coherent_state, displacement
+from gravcat.histories import _comb_weight
 from gravcat.jc import (
     CompositeState,
     JCParams,
+    evolve_rows,
+    pointer_path,
     pointer_state,
     total_hamiltonian,
 )
-from gravcat.measurement import _STREAM_BLOCK, MeasurementSchedule, _rare_cells
-from gravcat.two_state import TunnelingParams, tunneling_propagator
+from gravcat.measurement import (
+    _STREAM_BLOCK,
+    MeasurementSchedule,
+    TrajectoryRecord,
+    _rare_cells,
+)
+from gravcat.two_state import PAULI_1, TunnelingParams, _check_sign
 from gravcat.wigner import (
     MAX_GRID_ELEMENTS,
     GridAliasingError,
@@ -101,6 +124,207 @@ def panels_for_oscillation(lo: float, hi: float, max_wavenumber: float,
     return max(_MIN_PANELS, needed)
 
 
+# ---------------------------------------------------------------------------
+# closed-form qubit and oscillator propagators, and the probe's cat state
+
+
+IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+PAULI_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def tunneling_hamiltonian(params: TunnelingParams) -> np.ndarray:
+    """Effective qubit Hamiltonian nu (cos(chi) sigma_1 + sin(chi) sigma_2)."""
+    return params.nu * (np.cos(params.chi) * PAULI_1 + np.sin(params.chi) * PAULI_2)
+
+
+def tunneling_propagator(params: TunnelingParams, t: float) -> np.ndarray:
+    """Unitary evolution over time t >= 0.
+
+    [[ cos(nu t / 2),             sin(nu t / 2) e^{i chi} ],
+     [-sin(nu t / 2) e^{-i chi},  cos(nu t / 2)           ]]
+    """
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    half = 0.5 * params.nu * t
+    c, s = np.cos(half), np.sin(half)
+    phase = np.exp(1j * params.chi)
+    return np.array([[c, s * phase], [-s / phase, c]], dtype=complex)
+
+
+def heisenberg_projector(a: int, params: TunnelingParams, t: float) -> np.ndarray:
+    """Heisenberg-picture well projector (1 + a S_t) / 2.
+
+    S_t = [[cos(nu t), sin(nu t) e^{i chi}], [sin(nu t) e^{-i chi}, -cos(nu t)]]
+    squares to the identity, so the output is an exact rank-1 projector.
+    """
+    _check_sign(a)
+    c, s = np.cos(params.nu * t), np.sin(params.nu * t)
+    phase = np.exp(1j * params.chi)
+    s_t = np.array([[c, s * phase], [s / phase, -c]], dtype=complex)
+    return 0.5 * (IDENTITY_2 + a * s_t)
+
+
+def vacuum(space: FockSpace) -> FockVector:
+    amp = np.zeros(space.dim, dtype=complex)
+    amp[0] = 1.0
+    return FockVector(amp, space, normalized=True)
+
+
+class RegimeWarning(UserWarning):
+    """Parameters outside the validity regime of a closed-form result."""
+
+
+def _blockdiag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    d = upper.shape[0]
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out[:d, :d] = upper
+    out[d:, d:] = lower
+    return out
+
+
+def adiabatic_propagator(params: JCParams, space: FockSpace, t: float) -> np.ndarray:
+    """Closed-form propagator of the nu = 0 Hamiltonian.
+
+    exp(i g^2 t / omega) diag( D^dag(g/w) e^{-i w n t} D(g/w),
+                               D(g/w) e^{-i w n t} D^dag(g/w) ).
+    Ignores params.nu (valid in the nu << omega regime).
+    """
+    d_op = displacement(space, params.g / params.omega).matrix
+    rot = np.diag(np.exp(-1j * params.omega * np.arange(space.dim) * t))
+    upper = d_op.conj().T @ rot @ d_op
+    lower = d_op @ rot @ d_op.conj().T
+    phase = np.exp(1j * params.g**2 * t / params.omega)
+    return phase * _blockdiag(upper, lower)
+
+
+def perturbative_propagator(params: JCParams, space: FockSpace, t: float) -> np.ndarray:
+    """First-order interaction-picture correction O_t to the nu = 0 flow.
+
+    [[cos(nu t) 1,           -i sin(nu t) D(2 zeta_0)],
+     [-i sin(nu t) D(-2 zeta_0),          cos(nu t) 1]]
+    The full propagator is adiabatic_propagator(t) @ O_t.  This is the
+    paper's first-order result: it replaces the time average of the rotating
+    displacement by the identity, so the swap runs at the bare rate nu.
+    Exact dynamics matches it only when 2 |zeta_0|^2 << 1; otherwise it runs
+    at the dressed rate nu exp(-2 |zeta_0|^2).  For nu > 0 a RegimeWarning
+    flags nu > 0.1 omega or 0 < omega t < 2 pi.
+    """
+    if params.nu > 0 and (params.nu > 0.1 * params.omega
+                          or (t > 0 and params.omega * t < 2.0 * np.pi)):
+        warnings.warn(
+            f"first-order propagator outside its regime (nu/omega = "
+            f"{params.nu / params.omega:.3g}, omega t = {params.omega * t:.3g})",
+            RegimeWarning,
+            stacklevel=2,
+        )
+    d = space.dim
+    z2 = 2.0 * params.zeta0
+    d_plus = displacement(space, z2).matrix
+    d_minus = displacement(space, -z2).matrix
+    c, s = np.cos(params.nu * t), np.sin(params.nu * t)
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out[:d, :d] = c * np.eye(d)
+    out[d:, d:] = c * np.eye(d)
+    out[:d, d:] = -1j * s * d_plus
+    out[d:, :d] = -1j * s * d_minus
+    return out
+
+
+def evolved_cat(c_plus: complex, c_minus: complex, params: JCParams,
+                space: FockSpace, t: float) -> CompositeState:
+    """Vacuum-started oscillator entangled with the well qubit at nu = 0.
+
+    Global phase exp(i (g/omega)^2 (omega t - sin omega t)); the up block is
+    c_plus |zeta(t)>, the down block c_minus |-zeta(t)>.
+    """
+    zeta = complex(pointer_path(params, t))
+    phase = np.exp(1j * (params.g / params.omega) ** 2 * (params.omega * t - np.sin(params.omega * t)))
+    up = phase * c_plus * coherent_state(space, zeta).amplitudes
+    down = phase * c_minus * coherent_state(space, -zeta).amplitudes
+    return CompositeState(FockVector(up, space), FockVector(down, space))
+
+
+def reduced_oscillator_state(state: CompositeState) -> np.ndarray:
+    """Oscillator density matrix after tracing out the qubit.
+
+    The partial trace of a block state is up up^dag + down down^dag; branch
+    cross terms do not survive it.
+    """
+    up = state.up.amplitudes
+    down = state.down.amplitudes
+    return np.outer(up, up.conj()) + np.outer(down, down.conj())
+
+
+def purity(rho: np.ndarray) -> float:
+    return float(np.trace(rho @ rho).real)
+
+
+def transition_probability_series(params: JCParams, space: FockSpace,
+                                  times: np.ndarray,
+                                  initial: CompositeState | None = None,
+                                  target: CompositeState | None = None) -> np.ndarray:
+    """|<target | U(t) | initial>|^2 along a uniform time series.
+
+    Defaults: initial = |+zeta_0, +>, target = |-zeta_0, -> (the pointer
+    swap channel).
+    """
+    if initial is None:
+        initial = pointer_state(params, space, +1)
+    if target is None:
+        target = pointer_state(params, space, -1)
+    amp = evolve_rows(params, space, initial, times) @ target.as_vector().conj()
+    return amp.real**2 + amp.imag**2
+
+
+def interaction_picture_potential(params: JCParams, space: FockSpace,
+                                  t: float) -> np.ndarray:
+    """Interaction-picture tunneling term nu e^{i H0 t} sigma_1 e^{-i H0 t}.
+
+    Off-diagonal blocks are S_t = D(zeta_0) e^{i w n t} D(-2 zeta_0)
+    e^{-i w n t} D(zeta_0), assembled from exactly unitary factors, so the
+    result is Hermitian with unitary blocks by construction.
+    """
+    s_t = _tunneling_block(params, space, t)
+    d = space.dim
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out[:d, d:] = params.nu * s_t
+    out[d:, :d] = params.nu * s_t.conj().T
+    return out
+
+
+def _tunneling_block(params: JCParams, space: FockSpace, t: float) -> np.ndarray:
+    d_z = displacement(space, params.zeta0).matrix
+    rot = np.exp(1j * params.omega * np.arange(space.dim) * t)
+    d_mid = displacement(space, -2.0 * params.zeta0).matrix
+    inner = (rot[:, None] * d_mid) * rot.conj()[None, :]
+    return d_z @ inner @ d_z
+
+
+def tunneling_block_time_average(params: JCParams, space: FockSpace, t: float,
+                                 nodes: int = 4000) -> np.ndarray:
+    """(1/t) Integral_0^t S(s) ds by the trapezoid rule.
+
+    Quantifies how far the averaged interaction-picture tunneling block is
+    from the bare pointer-swap displacement D(2 zeta_0): the average
+    converges instead to the dressed block whose pointer matrix element is
+    exp(-2 |zeta_0|^2).
+    """
+    if t <= 0:
+        raise ValueError("average needs a positive time window")
+    ss = np.linspace(0.0, t, nodes)
+    d_z = displacement(space, params.zeta0).matrix
+    d_mid = displacement(space, -2.0 * params.zeta0).matrix
+    # Element (m, n) of the rotated block carries e^{i omega (m - n) s}, so
+    # the average is d_mid times one kernel over level differences m - n.
+    d = space.dim
+    lags = np.arange(1 - d, d)
+    kernel = np.trapezoid(np.exp(1j * params.omega * np.outer(ss, lags)), ss, axis=0) / t
+    levels = np.arange(d)
+    return d_z @ (d_mid * kernel[np.subtract.outer(levels, levels) + d - 1]) @ d_z
+
+
 def matrix_exponential(op: FockOperator, scale: complex = 1.0) -> FockOperator:
     """exp(scale * op) by scaling-and-squaring (Pade); no eigendecomposition.
 
@@ -154,6 +378,139 @@ def exact_propagate(params: JCParams, space: FockSpace, state: CompositeState,
     for _ in range(steps):
         vec = u_step @ vec
     return CompositeState.from_vector(space, vec)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the force records
+
+
+_FORMS = ("exact", "approximate")
+
+
+def sequence_probability(record: TrajectoryRecord, sched: MeasurementSchedule,
+                         small_angle: bool = False) -> float:
+    """Probability of a full record starting from the right well.
+
+    Exact: (cos^2(nu tau/2))^(N-n) (sin^2(nu tau/2))^n for n jumps over N
+    transitions.  With small_angle=True, the nu tau << 1 law
+    lambda^n exp(-lambda (N-n)) is returned instead.
+    """
+    if len(record) != sched.n_steps + 1:
+        raise ValueError(
+            f"record has {len(record)} readings, schedule expects {sched.n_steps + 1}"
+        )
+    if record.readings[0] != 1:
+        raise ValueError("records start from the right well (+1 first reading)")
+    n = record.jump_count
+    big_n = sched.n_steps
+    if small_angle:
+        return float(sched.lam**n * np.exp(-sched.lam * (big_n - n)))
+    p_flip = sched.flip_probability
+    return float((1.0 - p_flip) ** (big_n - n) * p_flip**n)
+
+
+def _check_form(form: str):
+    if form not in _FORMS:
+        raise ValueError(f"form must be one of {_FORMS}, got {form!r}")
+
+
+def conditional_g(a2: int, a1: int, m_steps: int, sched: MeasurementSchedule,
+                  form: str = "exact") -> float:
+    """Conditional probability g(a2, a1; m) of reading a2 a lag of m steps
+    after reading a1.
+
+    form="exact" sums the record law directly: (1 +/- cos^m(nu tau)) / 2,
+    a properly normalized telegraph conditional.  form="approximate" is the
+    small-angle closed form
+        (cos^2(nu tau/2))^m [ (1 + sin^2(nu tau)/4)^m +/- (1 - sin^2(nu tau)/4)^m ] / 2
+    whose per-jump weight sin^2(nu tau)/4 only matches the exact
+    tan^2(nu tau / 2) to leading order; its conditional law is not
+    normalized at finite nu tau.  Symmetric wells: g(-,-) = g(+,+) and
+    g(+,-) = g(-,+).
+    """
+    if a1 not in (1, -1) or a2 not in (1, -1):
+        raise ValueError("well labels must be +1 or -1")
+    if m_steps < 0:
+        raise ValueError(f"step lag must be nonnegative, got {m_steps}")
+    _check_form(form)
+    same = a1 == a2
+    if form == "exact":
+        base = np.cos(sched.nu * sched.tau) ** m_steps
+        return float(0.5 * (1.0 + base) if same else 0.5 * (1.0 - base))
+    c2m = np.cos(0.5 * sched.nu * sched.tau) ** (2 * m_steps)
+    x = 0.25 * np.sin(sched.nu * sched.tau) ** 2
+    plus, minus = (1.0 + x) ** m_steps, (1.0 - x) ** m_steps
+    return float(0.5 * c2m * (plus + minus if same else plus - minus))
+
+
+def force_mean_steps(m_step: int, sched: MeasurementSchedule, f0: float,
+                     form: str = "exact") -> float:
+    """Discrete mean force at step m for a right-well start.
+
+    exact: -f0 cos^m(nu tau); approximate:
+    -f0 [cos^2(nu tau/2) (1 - sin^2(nu tau)/4)]^m.
+    """
+    _check_form(form)
+    if form == "exact":
+        return float(-f0 * np.cos(sched.nu * sched.tau) ** m_step)
+    base = np.cos(0.5 * sched.nu * sched.tau) ** 2 * (
+        1.0 - 0.25 * np.sin(sched.nu * sched.tau) ** 2
+    )
+    return float(-f0 * base**m_step)
+
+
+def force_corr_steps(m1: int, m2: int, sched: MeasurementSchedule, f0: float,
+                     form: str = "exact") -> float:
+    """Discrete two-time force correlation <F(m2) F(m1)>, m1 <= m2.
+
+    exact: f0^2 cos^(m2-m1)(nu tau) -- stationary in the lag alone.
+    approximate: f0^2 (cos^2(nu tau/2))^m2 (1 - sin^2(nu tau)/4)^(m2-m1)
+    (1 + sin^2(nu tau)/4)^m1, which carries an m1-dependent prefactor
+    (cos^2(nu tau/2))^m1 (1 + sin^2(nu tau)/4)^m1 and is therefore not a
+    function of the lag alone.
+    """
+    if m2 < m1:
+        raise ValueError(f"steps must be ordered m1 <= m2, got {m1} > {m2}")
+    _check_form(form)
+    if form == "exact":
+        return float(f0**2 * np.cos(sched.nu * sched.tau) ** (m2 - m1))
+    c2 = np.cos(0.5 * sched.nu * sched.tau) ** 2
+    x = 0.25 * np.sin(sched.nu * sched.tau) ** 2
+    return float(f0**2 * c2**m2 * (1.0 - x) ** (m2 - m1) * (1.0 + x) ** m1)
+
+
+def analytic_force_mean(t: float, sched: MeasurementSchedule, f0: float) -> float:
+    """Continuum mean force -f0 exp(-Gamma t), Gamma = nu^2 tau / 2."""
+    return float(-f0 * np.exp(-sched.gamma * t))
+
+
+def analytic_force_corr(t1: float, t2: float, sched: MeasurementSchedule,
+                        f0: float) -> float:
+    """Continuum two-time force correlation f0^2 exp(-Gamma |t2 - t1|)."""
+    return float(f0**2 * np.exp(-sched.gamma * abs(t2 - t1)))
+
+
+def kolmogorov_defect(sched: MeasurementSchedule, n_steps: int) -> float:
+    """Marginalization defect of projective well-measurement records.
+
+    Records at times tau, 2 tau, ..., n tau from a right-well start:
+    max over later outcomes of | Sum_{a1} P_n - P_{n-1} |, where P_{n-1}
+    drops the first measurement.  Both sides share the chain of n - 2 later
+    transition probabilities, so the defect is the first-step difference
+    max_b |(T v1)_b - v2_b| times the largest chain max(p, 1 - p)^(n-2),
+    with T the one-step transition matrix, p = cos^2(nu tau / 2) its
+    diagonal, and v1, v2 the well probabilities at tau and 2 tau.
+    Vanishes when the evolution commutes with the well projectors (nu = 0)
+    and shrinks as nu tau -> 0.
+    """
+    if n_steps < 2:
+        raise ValueError(f"need at least two measurements, got {n_steps}")
+    params = TunnelingParams(sched.nu, 0.0)
+    # trans[b, a] = |<b| U_tau |a>|^2, symmetric with entries p and 1 - p
+    trans = np.abs(tunneling_propagator(params, sched.tau)) ** 2
+    v2 = np.abs(tunneling_propagator(params, 2.0 * sched.tau)[:, 0]) ** 2
+    first = np.max(np.abs(trans @ trans[:, 0] - v2))
+    return float(first * trans.max() ** (n_steps - 2))
 
 
 def conditional_g_series(a2: int, a1: int, m_steps: int,
@@ -247,6 +604,230 @@ def kolmogorov_defect_enumerated(sched: MeasurementSchedule, n_steps: int) -> fl
         without_first = v2[ids[0]] * chain
         worst = max(worst, abs(with_first - without_first))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# pointwise density correlators, and position histories on a spatial grid
+
+
+def newtonian_force(m: float, m0: float, R, x, G: float = 1.0) -> np.ndarray:
+    """Newtonian force on a probe of mass m0 at R from a source m at x."""
+    R = np.asarray(R, dtype=float)
+    x = np.asarray(x, dtype=float)
+    d = R - x
+    r = float(np.linalg.norm(d))
+    if r == 0.0:
+        raise ValueError("probe and source positions coincide")
+    return -G * m * m0 * d / r**3
+
+
+def free_propagator_1d(m: float, x, t: float, x2, t2: float):
+    """1D free-particle kernel <x2| exp(-i H (t2 - t)) |x>.
+
+    (m / (2 pi i (t2-t)))^(1/2) exp(i m (x - x2)^2 / (2 (t2-t))), principal
+    branch.  Positions may be complex (used by contour-rotated quadrature
+    checks); times must differ.
+    """
+    dt = t2 - t
+    if dt == 0.0:
+        raise ValueError("propagator undefined at equal times (delta-function limit)")
+    pref = np.sqrt(m / (2.0j * np.pi * dt))
+    diff = np.asarray(x) - np.asarray(x2)
+    return pref * np.exp(1j * m * diff**2 / (2.0 * dt))
+
+
+def free_propagator(m: float, r, t: float, r2, t2: float) -> complex:
+    """3D free-particle kernel; modulus (m / (2 pi |t2 - t|))^(3/2)."""
+    dt = t2 - t
+    if dt == 0.0:
+        raise ValueError("propagator undefined at equal times (delta-function limit)")
+    r = np.asarray(r, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    dist_sq = float(np.sum((r - r2) ** 2))
+    pref = np.power(m / (2.0j * np.pi * dt), 1.5)
+    return complex(pref * np.exp(1j * m * dist_sq / (2.0 * dt)))
+
+
+@dataclass(frozen=True)
+class MassDensityCorrelator:
+    """Two-point mass-density correlation with its derived pieces.
+
+    `noise_kernel` is the real part, `connected` subtracts the product of
+    the one-point means at the two arguments.
+    """
+
+    value: complex
+    mean_left: float
+    mean_right: float
+
+    @property
+    def noise_kernel(self) -> float:
+        return float(self.value.real)
+
+    @property
+    def connected(self) -> complex:
+        return self.value - self.mean_left * self.mean_right
+
+
+def density_corr(state, r, t: float, r2, t2: float, m: float = 1.0) -> MassDensityCorrelator:
+    """Two-point mass-density correlation at distinct times.
+
+    value = m^2 conj(psi(r, t)) psi(r2, t2) G(r, t; r2, t2); swapping the
+    arguments conjugates the value, so the noise kernel is symmetric.
+    """
+    amp_left = complex(state.psi(r, t, m))
+    amp_right = complex(state.psi(r2, t2, m))
+    kernel = free_propagator(m, r, t, r2, t2)
+    value = m**2 * np.conj(amp_left) * amp_right * kernel
+    return MassDensityCorrelator(
+        value=complex(value),
+        mean_left=density_mean(state, r, t, m),
+        mean_right=density_mean(state, r2, t2, m),
+    )
+
+
+@dataclass(frozen=True)
+class BoxSampling:
+    """Sharp box sampling of half-width h: g is a 0/1 indicator (g^2 = g)."""
+
+    half_width: float
+
+    def __post_init__(self):
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half-width must be positive and finite, got {self.half_width}")
+
+    @property
+    def ell(self) -> float:
+        return 2.0 * self.half_width
+
+    def g(self, u):
+        return (np.abs(np.asarray(u, dtype=float)) <= self.half_width).astype(float)
+
+    def sqrt_g(self, u):
+        return self.g(u)
+
+    def partition_weight(self, spacing: float) -> float:
+        return spacing / self.ell
+
+
+@dataclass(frozen=True)
+class SpatialGrid:
+    """Uniform 1D grid; FFT wavenumbers derived from the spacing."""
+
+    x: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
+        if x.ndim != 1 or x.size < 8:
+            raise ValueError("grid must be a 1D array with at least 8 points")
+        steps = np.diff(x)
+        # linspace rounds each coordinate by up to eps |x|, so far from the
+        # origin a step can be off by 2 eps max|x|; allow four times that
+        atol = 8.0 * np.finfo(float).eps * float(np.max(np.abs(x)))
+        if not np.allclose(steps, steps[0], rtol=1e-12, atol=atol):
+            raise ValueError("grid must be uniform")
+        object.__setattr__(self, "x", x)
+
+    @property
+    def dx(self) -> float:
+        return float(self.x[1] - self.x[0])
+
+    @property
+    def k(self) -> np.ndarray:
+        return 2.0 * np.pi * np.fft.fftfreq(self.x.size, d=self.dx)
+
+
+def uniform_grid(lo: float, hi: float, n: int) -> SpatialGrid:
+    return SpatialGrid(np.linspace(lo, hi, n, endpoint=False))
+
+
+def auto_grid(state, sampling=None, t_max: float = 0.0, m: float = 1.0) -> SpatialGrid:
+    """Grid covering the state support at all times up to t_max, with a
+    margin of 2 on either side, in at least 4096 points and resolved well
+    below the sampling width.
+
+    Raises GridAliasingError, before allocating, if that takes more than
+    MAX_GRID_ELEMENTS points."""
+    lo, hi = state.support(t_max, m)
+    lo0, hi0 = state.support(0.0, m)
+    lo, hi = min(lo, lo0) - 2.0, max(hi, hi0) + 2.0
+    n = 4096
+    if sampling is not None:
+        width = getattr(sampling, "s_x", None) or getattr(sampling, "half_width")
+        needed = np.ceil((hi - lo) / (width / 4.0))
+        if not needed <= MAX_GRID_ELEMENTS:
+            raise GridAliasingError(
+                f"{needed:.4g} points needed to resolve the sampling width over "
+                f"[{lo:.4g}, {hi:.4g}] exceed the bound of {MAX_GRID_ELEMENTS} grid points"
+            )
+        n = max(n, int(needed))
+    n = 1 << int(np.ceil(np.log2(n)))
+    return uniform_grid(lo, hi, n)
+
+
+def free_evolve(psi: np.ndarray, grid: SpatialGrid, dt: float, m: float = 1.0) -> np.ndarray:
+    """Exact free evolution by dt (either sign) via momentum-space phases."""
+    if dt == 0.0:
+        return psi.copy()
+    phases = np.exp(-1j * grid.k**2 * dt / (2.0 * m))
+    spectrum = np.fft.fft(psi)
+    np.multiply(phases, spectrum, out=spectrum)
+    return np.fft.ifft(spectrum, out=spectrum)
+
+
+def position_probability(state, sampling, r: float, t: float, m: float = 1.0,
+                         grid: SpatialGrid | None = None) -> float:
+    """Single-sampling probability <P_{r t}> = Integral g(x - r) |psi(x, t)|^2."""
+    if grid is None:
+        grid = auto_grid(state, sampling, t, m)
+    psi_t = state.psi(grid.x, t, m)
+    return float(np.sum(sampling.g(grid.x - r) * np.abs(psi_t) ** 2) * grid.dx)
+
+
+def decoherence_functional(state, sampling, r: float, t: float, r2: float, t2: float,
+                           m: float = 1.0, grid: SpatialGrid | None = None) -> complex:
+    """<psi| P_{r t} P_{r2 t2} |psi> for Heisenberg-picture samplings.
+
+    Evaluated as <psi(t)| g_r U(t - t2) [g_{r2} psi(t2)]>; equal-time
+    diagonal values reproduce the position-sampling probability up to the
+    approximate-projector correction, and equal-time off-diagonal values
+    vanish once |r - r2| exceeds a few sampling widths.
+    """
+    if grid is None:
+        grid = auto_grid(state, sampling, max(abs(t), abs(t2)), m)
+    right = sampling.g(grid.x - r2) * state.psi(grid.x, t2, m)
+    right = free_evolve(right, grid, t - t2, m)
+    left = state.psi(grid.x, t, m)
+    return complex(np.sum(np.conj(left) * sampling.g(grid.x - r) * right) * grid.dx)
+
+
+def smeared_mean(state, sampling, r: float, t: float = 0.0, m: float = 1.0,
+                 grid: SpatialGrid | None = None) -> float:
+    """1D smeared mean density (m / ell) <P_{r t}>."""
+    return m / sampling.ell * position_probability(state, sampling, r, t, m, grid)
+
+
+def smeared_second_moment(state, sampling, r: float, t: float = 0.0, m: float = 1.0,
+                          grid: SpatialGrid | None = None) -> float:
+    """Equal-point equal-time second moment (m/ell)^2 <P_{r t}^2>.
+
+    For sharp (box) sampling, g^2 = g makes this exactly (m/ell) times the
+    smeared mean.
+    """
+    if grid is None:
+        grid = auto_grid(state, sampling, t, m)
+    psi_t = state.psi(grid.x, t, m)
+    g = sampling.g(grid.x - r)
+    val = float(np.sum(g * g * np.abs(psi_t) ** 2) * grid.dx)
+    return (m / sampling.ell) ** 2 * val
+
+
+def smeared_two_point(state, sampling, r: float, t: float, r2: float, t2: float,
+                      m: float = 1.0, grid: SpatialGrid | None = None) -> complex:
+    """1D smeared two-point density correlation (m/ell)^2 D(r, t; r2, t2)."""
+    return (m / sampling.ell) ** 2 * decoherence_functional(
+        state, sampling, r, t, r2, t2, m, grid
+    )
 
 
 def _record_probabilities(state, sampling, r1_values, t1: float, events_tail, m: float,

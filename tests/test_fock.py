@@ -20,10 +20,9 @@ from gravcat.fock import (
     displacement,
     ladder_operators,
     number_operator,
-    vacuum,
     vacuum_truncation_leak,
 )
-from oracles import matrix_exponential
+from oracles import matrix_exponential, vacuum
 
 ORACLE_CUTOFFS = (2, 8, 32, 64, 128)
 

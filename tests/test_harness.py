@@ -482,7 +482,7 @@ class TestCli:
         (None, None, []),
         ("g2s-correlations", G2S_CFG, ["two_state"]),
         ("force-trajectories", {"force.nu": 0.5, "force.tau": 0.2, "force.steps": 40,
-                                "force.count": 400}, ["measurement", "two_state"]),
+                                "force.count": 400}, ["measurement"]),
         ("jc-suite", JC_CFG, ["fock", "jc", "two_state"]),
         ("density-suite", {"density.sigma": 1.0},
          ["density", "histories", "states", "wigner"]),
@@ -644,6 +644,34 @@ class TestCli:
             assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("gravcat: regime rejection: ")
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("payload,code", [
+        ({"density.state": "cat", "density.L": 0.0}, 2),
+        ({"density.sigma": 1e-300}, 3),
+        ({"density.sigma": 5e-324}, 3),
+        ({"density.sigma": 1e300}, 3),
+        ({"density.m": 1e300}, 3),
+        ({"density.s_x": 1e300}, 3),
+        ({"density.s_x": 1e-300}, 3),
+        ({"density.m": 1e-300}, 3),
+        ({"density.m": 1e-100, "density.s_x": 1e-100}, 3),
+        ({"density.m": 1e100, "density.s_x": 1e100}, 3),
+        ({"density.m": 1e100, "density.s_x": 1e-100}, 3),
+        ({"density.m": 1e-100, "density.sigma": 1e-150}, 3),
+    ])
+    def test_out_of_range_density_scale_is_rejected(self, tmp_path, capfd, payload, code):
+        # a cat with no separation has no per-axis factor, and a Python-float
+        # ** overflowed or a packet width underflowed to 0: each exited 4,
+        # except m 1e100 at s_x 1e-100, which wrote inf and nan correlators
+        cfg = write_config(tmp_path, "c.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main(["density-suite", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert got == code
+        err = capfd.readouterr().err.splitlines()
+        kind = "config error" if code == 2 else "regime rejection"
+        assert len(err) == 1 and err[0].startswith(f"gravcat: {kind}: ")
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("key,value", [

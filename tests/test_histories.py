@@ -3,27 +3,25 @@
 import numpy as np
 import pytest
 
-from gravcat.histories import (
+from gravcat.histories import additivity_defect, partition_points
+from gravcat.states import Cat1D, Gaussian1D, SmearingParams
+from gravcat.wigner import GridAliasingError
+import oracles
+from oracles import (
+    BoxSampling,
     SpatialGrid,
-    additivity_defect,
     auto_grid,
+    comb_additivity_defect,
     decoherence_functional,
     free_evolve,
-    partition_points,
+    gauss_legendre,
+    n_time_probability,
+    partition_probability_sum,
     position_probability,
     smeared_mean,
     smeared_second_moment,
     smeared_two_point,
     uniform_grid,
-)
-from gravcat.states import BoxSampling, Cat1D, Gaussian1D, SmearingParams
-from gravcat.wigner import GridAliasingError
-import oracles
-from oracles import (
-    comb_additivity_defect,
-    gauss_legendre,
-    n_time_probability,
-    partition_probability_sum,
 )
 
 

@@ -20,26 +20,30 @@ from gravcat.fock import FockSpace, coherent_state, displacement
 from gravcat.jc import (
     CompositeState,
     JCParams,
-    RegimeWarning,
-    adiabatic_propagator,
     distinguishability,
     evolve_rows,
-    evolved_cat,
     first_order_probability_series,
-    interaction_picture_potential,
     jc_coupling,
-    perturbative_propagator,
     pointer_path,
     pointer_state,
-    purity,
     rabi_probability,
-    reduced_oscillator_state,
     reduced_purity,
     total_hamiltonian,
+)
+from oracles import (
+    RegimeWarning,
+    adiabatic_propagator,
+    evolved_cat,
+    exact_propagate,
+    hamiltonian_step_count,
+    interaction_picture_potential,
+    perturbative_propagator,
+    purity,
+    reduced_oscillator_state,
+    stationary_state_check,
     transition_probability_series,
     tunneling_block_time_average,
 )
-from oracles import exact_propagate, hamiltonian_step_count, stationary_state_check
 
 SPACE = FockSpace(64)
 DEEP = JCParams(nu=0.0, omega=1.0, g=2.0)  # zeta_0 = -2, deep strong coupling

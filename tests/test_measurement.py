@@ -17,23 +17,23 @@ from gravcat.measurement import (
     MeasurementSchedule,
     ProbeGeometry,
     TrajectoryRecord,
-    analytic_force_corr,
-    analytic_force_mean,
-    conditional_g,
     estimate_force_statistics,
     fit_exponential_rate,
     force_amplitude,
-    force_corr_steps,
-    force_mean_steps,
-    kolmogorov_defect,
     sample_trajectories,
-    sequence_probability,
 )
 from oracles import (
+    analytic_force_corr,
+    analytic_force_mean,
+    conditional_g,
     conditional_g_series,
+    force_corr_steps,
+    force_mean_steps,
     gap_route_records,
+    kolmogorov_defect,
     kolmogorov_defect_enumerated,
     per_record_force_corr,
+    sequence_probability,
 )
 
 

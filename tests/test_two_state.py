@@ -7,13 +7,11 @@ from gravcat.two_state import (
     QubitState,
     SmearedDensityParams,
     TunnelingParams,
-    heisenberg_projector,
     mean_density,
-    tunneling_hamiltonian,
-    tunneling_propagator,
     two_time_quantum_corr,
     two_time_statistical_corr,
 )
+from oracles import heisenberg_projector, tunneling_hamiltonian, tunneling_propagator
 
 DENS = SmearedDensityParams(m=2.0, ell=1.3)
 M_OVER_ELL3 = DENS.m / DENS.ell**3
