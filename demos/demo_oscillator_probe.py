@@ -16,9 +16,8 @@ nu exp(-2 |zeta_0|^2).
 
 import numpy as np
 
-from gravcat.fock import FockSpace, FockVector, coherent_state
+from gravcat.fock import FockSpace, coherent_state
 from gravcat.jc import (
-    CompositeState,
     JCParams,
     distinguishability,
     evolve_rows,
@@ -33,10 +32,10 @@ print(f"deep strong coupling: g/omega = {params.g / params.omega}, "
       f"zeta_0 = {params.zeta0}\n")
 
 print("== entangled pointer dynamics (balanced wells, vacuum start) ==")
-half = FockVector(coherent_state(space, 0.0).amplitudes / np.sqrt(2.0), space)
+half = coherent_state(space, 0.0) / np.sqrt(2.0)
 frozen = JCParams(nu=0.0, omega=params.omega, g=params.g)  # no tunneling
 omega_ts = np.linspace(0.0, 2.0 * np.pi, 9)
-rows = evolve_rows(frozen, space, CompositeState(half, half), omega_ts / params.omega)
+rows = evolve_rows(frozen, space, np.concatenate([half, half]), omega_ts / params.omega)
 purities = reduced_purity(rows[:, :space.dim], rows[:, space.dim:])
 print("  omega t, |zeta(t)|, reduced purity")
 for omega_t, pur in zip(omega_ts, purities):
@@ -56,7 +55,7 @@ nu_eff = params.nu * np.exp(-2.0 * abs(params.zeta0) ** 2)
 print(f"  bare rate nu = {params.nu}, dressed rate nu exp(-2 |zeta_0|^2) = {nu_eff:.3e}")
 times = np.linspace(0.0, np.pi / params.nu, 9)
 amp = evolve_rows(params, space, pointer_state(params, space, +1), times) @ (
-    pointer_state(params, space, -1).as_vector().conj())
+    pointer_state(params, space, -1).conj())
 p = np.abs(amp) ** 2
 print("  nu t, exact swap probability, sin^2(nu t), sin^2(nu_eff t)")
 for t, pe in zip(times, p):

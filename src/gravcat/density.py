@@ -27,7 +27,8 @@ from .wigner import wigner_terms
 
 def density_mean(state, r, t: float = 0.0, m: float = 1.0):
     """Mean mass density m |psi(r, t)|^2 of a normalized 3D state at one
-    point r (3,), a float, or at an array of points (..., 3).  For a
+    point r (3,), a float, or at an array of points (..., 3); of a 1D state
+    at a position or an array of them.  For a
     zero-mean-momentum packet at t = 0 it is the static-limit smeared mean."""
     # float_power squares with the C library's pow, as Python's float **
     # does, so a point of an array call squares as the single-point call
@@ -57,16 +58,18 @@ def fluctuation_ratio(state, smear, r, m: float = 1.0):
 
 
 def smeared_mean_phase_space(state, r, t: float, m: float = 1.0):
-    """1D smeared mean density from the initial Wigner function W0 of a 1D
-    state: (m / 2 pi) Integral dp W0(r - p t / m, p)  (delta-limit form),
-    each Wigner term's p integral in closed form.
+    """1D smeared mean density of a 1D state in the delta limit, the
+    free-streamed line (m / 2 pi) Integral dp W0(r - p t / m, p) of its
+    initial Wigner function W0.  That line is m |psi(r, t)|^2, taken here
+    from the evolved packet (`density_mean`): the Wigner-line integral
+    cancels huge terms for narrow packets and is a test oracle.
 
     `r` may be an array (the result has its shape); a scalar `r` gives a
     float.  Each element equals the scalar call bit for bit."""
     r = np.asarray(r, dtype=float)
-    shift = np.stack([r, np.zeros_like(r)], axis=-1)[..., None, :]
-    line = wigner_terms(state).pullback([[-t / m], [1.0]], shift)
-    mean = m * np.sum(line.integral(), axis=-1).real / (2.0 * np.pi)
+    # every r takes the array route: complex scalar and array arithmetic
+    # round differently, and a point must equal its element of an array call
+    mean = density_mean(state, r.reshape(-1), t, m).reshape(r.shape)
     return float(mean) if mean.ndim == 0 else mean
 
 

@@ -1,10 +1,12 @@
 """Truncated harmonic-oscillator Hilbert space.
 
 Dense complex linear algebra on the number basis |0>, ..., |D-1> with
-hbar = 1 and <n-1|a|n> = sqrt(n).  The truncated displacement generator
-w a^dag - conj(w) a equals -i |w| R K R^dag with the Hermitian
-K = i (a^dag - a) and the phase rotation R = diag(e^{i n arg w}), so every
-displacement of a cutoff is built from one cached eigendecomposition of K:
+hbar = 1 and <n-1|a|n> = sqrt(n): operators are plain (D, D) complex
+arrays and states (D,) vectors, and `FockSpace` carries the cutoff.  The
+truncated displacement generator w a^dag - conj(w) a equals
+-i |w| R K R^dag with the Hermitian K = i (a^dag - a) and the phase
+rotation R = diag(e^{i n arg w}), so every displacement of a cutoff is
+built from one cached eigendecomposition of K:
 D(w) = R V e^{-i |w| E} V^dag R^dag.  The result is unitary to machine
 precision regardless of the cutoff.  Truncation error instead shows up as
 leakage of displaced states past the top level, which
@@ -40,80 +42,17 @@ class FockSpace:
             raise ValueError(f"Fock cutoff must be at least 2, got {self.dim}")
 
 
-@dataclass
-class FockVector:
-    """Complex amplitude vector on a truncated Fock space.
-
-    If `normalized` is set, unit norm is enforced at construction
-    (tolerance 1e-10).
-    """
-
-    amplitudes: np.ndarray
-    space: FockSpace
-    normalized: bool = False
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.space.dim,):
-            raise ValueError(
-                f"amplitude vector has shape {amp.shape}, expected ({self.space.dim},)"
-            )
-        if not np.all(np.isfinite(amp.view(float))):
-            raise ValueError("amplitude vector contains non-finite entries")
-        self.amplitudes = amp
-        if self.normalized and abs(self.norm() - 1.0) > 1e-10:
-            raise ValueError(f"vector flagged normalized has norm {self.norm()!r}")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def inner(self, other: "FockVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def overlap(self, other: "FockVector") -> float:
-        """Fidelity |<self|other>|^2."""
-        return abs(self.inner(other)) ** 2
-
-
-@dataclass
-class FockOperator:
-    """Dense D x D operator on a truncated Fock space."""
-
-    matrix: np.ndarray
-    space: FockSpace
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.space.dim
-        if mat.shape != (d, d):
-            raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
-        self.matrix = mat
-
-    def apply(self, vec: FockVector) -> FockVector:
-        return FockVector(self.matrix @ vec.amplitudes, self.space)
-
-    def expectation(self, vec: FockVector) -> complex:
-        return complex(np.vdot(vec.amplitudes, self.matrix @ vec.amplitudes))
-
-    def __matmul__(self, other):
-        if isinstance(other, FockOperator):
-            return FockOperator(self.matrix @ other.matrix, self.space)
-        if isinstance(other, FockVector):
-            return self.apply(other)
-        return NotImplemented
-
-
-def ladder_operators(space: FockSpace) -> tuple[FockOperator, FockOperator]:
-    """Annihilation and creation operators (a, a^dag)."""
+def ladder_operators(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation and creation operators (a, a^dag) as (D, D) arrays."""
     d = space.dim
     a = np.zeros((d, d), dtype=complex)
     ns = np.arange(1, d)
     a[ns - 1, ns] = np.sqrt(ns)
-    return FockOperator(a, space), FockOperator(a.conj().T, space)
+    return a, a.conj().T
 
 
-def number_operator(space: FockSpace) -> FockOperator:
-    return FockOperator(np.diag(np.arange(space.dim, dtype=complex)), space)
+def number_operator(space: FockSpace) -> np.ndarray:
+    return np.diag(np.arange(space.dim, dtype=complex))
 
 
 def vacuum_truncation_leak(space: FockSpace, w: complex) -> float:
@@ -143,7 +82,7 @@ def vacuum_truncation_leak(space: FockSpace, w: complex) -> float:
     return 1.0 - math.exp((d - 1) * log_lam - lam - math.lgamma(d)) * total
 
 
-def displacement(space: FockSpace, w: complex) -> FockOperator:
+def displacement(space: FockSpace, w: complex) -> np.ndarray:
     """Displacement operator exp(w a^dag - conj(w) a) on the truncated space.
 
     Unitary to machine precision, and exactly the identity at w = 0.
@@ -161,7 +100,7 @@ def displacement(space: FockSpace, w: complex) -> FockOperator:
             TruncationInadequateWarning,
             stacklevel=2,
         )
-    return FockOperator(_displacement_matrix(d, w), space)
+    return _displacement_matrix(d, w)
 
 
 @functools.lru_cache(maxsize=32)
@@ -180,11 +119,14 @@ def _displacement_matrix(d: int, w: complex) -> np.ndarray:
 def _generator_eigh(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the Hermitian generator K = i (a^dag - a)."""
     a, adag = ladder_operators(FockSpace(d))
-    return np.linalg.eigh(1j * (adag.matrix - a.matrix))
+    return np.linalg.eigh(1j * (adag - a))
 
 
-def coherent_state(space: FockSpace, zeta: complex) -> FockVector:
-    """Coherent state D(zeta)|0>."""
-    op = displacement(space, zeta)
-    amp = op.matrix[:, 0].copy()
-    return FockVector(amp, space, normalized=True)
+def coherent_state(space: FockSpace, zeta: complex) -> np.ndarray:
+    """Coherent state D(zeta)|0> as a (D,) vector; its unit norm is checked
+    to 1e-10 (a NaN norm fails too)."""
+    amp = displacement(space, zeta)[:, 0].copy()
+    norm = np.linalg.norm(amp)
+    if not abs(norm - 1.0) <= 1e-10:
+        raise ValueError(f"coherent state has norm {norm!r}, expected 1")
+    return amp

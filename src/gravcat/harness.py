@@ -529,9 +529,9 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
     if not np.finfo(float).tiny <= f0 * f0 < np.inf:
         raise RegimeError(f"force amplitude f0 = {f0:.3g}: f0^2 is not a normal float")
 
-    ensemble = ms.sample_trajectories(sched, p["force.count"], cfg.seed)
+    readings = ms.sample_trajectories(sched, p["force.count"], cfg.seed)
     max_lag = p["force.max_lag"] if p["force.max_lag"] > 0 else sched.n_steps
-    stats = ms.estimate_force_statistics(ensemble, sched, f0, max_lag=max_lag)
+    stats = ms.estimate_force_statistics(readings, sched, f0, max_lag=max_lag)
 
     gamma_corr = _fit_leading_window("corr", stats.lag_time[1:], stats.corr[1:],
                                      stats.corr_stderr[1:])
@@ -563,7 +563,7 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
         ),
     ]
     if p["force.dump_trajectories"]:
-        arts.append(_write_trajectories(outdir / "trajectories.csv", ensemble.readings))
+        arts.append(_write_trajectories(outdir / "trajectories.csv", readings))
     results = {
         "f0": f0,
         "gamma_theory": sched.gamma,
@@ -625,7 +625,7 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
     initial = jc.pointer_state(params, space, +1)
     target = jc.pointer_state(params, space, -1)
     rows = jc.evolve_rows(params, space, initial, times)
-    amp = rows @ target.as_vector().conj()
+    amp = rows @ target.conj()
     p_exact = amp.real**2 + amp.imag**2
     p_pert = jc.first_order_probability_series(params, space, times, initial, target)
     p_rabi = jc.rabi_probability(params, times)
@@ -714,7 +714,7 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     axis_state = _domain(state.axis_state, 0)
 
     try:
-        grid = wigner_function(axis_state, x_axis=None, p_axis=None)
+        grid = wigner_function(axis_state)
     except GridAliasingError as exc:
         raise RegimeError(str(exc)) from exc
 

@@ -19,9 +19,9 @@ The propagator matrices, the step integrator and the time-averaged
 interaction-picture block that shows the dressing are test oracles
 (`tests/oracles.py`).
 
-Composite vectors are ordered (qubit |+> block, qubit |-> block), each
-block a Fock vector; composite operators are 2D x 2D dense arrays built
-with kron(qubit, oscillator).
+Composite states are (2D,) complex vectors ordered (qubit |+> block,
+qubit |-> block), each block a (D,) Fock vector; composite operators are
+2D x 2D dense arrays built with kron(qubit, oscillator).
 """
 
 from __future__ import annotations
@@ -30,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    FockSpace,
-    FockVector,
-    coherent_state,
-    displacement,
-    ladder_operators,
-    number_operator,
-)
+from .fock import FockSpace, coherent_state, displacement, ladder_operators, number_operator
 from .two_state import PAULI_1, PAULI_3
 
 
@@ -92,60 +85,30 @@ def jc_coupling(f0: float, m0: float, omega: float) -> float:
     return -f0 / np.sqrt(2.0 * m0 * omega)
 
 
-@dataclass
-class CompositeState:
-    """Qubit (x) oscillator state as (up block, down block) Fock vectors;
-    the total norm must be 1 within 1e-10."""
-
-    up: FockVector
-    down: FockVector
-
-    def __post_init__(self):
-        if self.up.space != self.down.space:
-            raise ValueError("blocks must live on the same Fock space")
-        if abs(self.norm() - 1.0) > 1e-10:
-            raise ValueError(f"composite state has norm {self.norm()!r}, expected 1")
-
-    @property
-    def space(self) -> FockSpace:
-        return self.up.space
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.up.amplitudes, self.down.amplitudes])
-
-    @classmethod
-    def from_vector(cls, space: FockSpace, vec: np.ndarray) -> "CompositeState":
-        d = space.dim
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (2 * d,):
-            raise ValueError(f"composite vector must have length {2 * d}")
-        return cls(FockVector(vec[:d], space), FockVector(vec[d:], space))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_vector()))
-
-    def inner(self, other: "CompositeState") -> complex:
-        return complex(np.vdot(self.as_vector(), other.as_vector()))
-
-    def fidelity(self, other: "CompositeState") -> float:
-        return abs(self.inner(other)) ** 2
-
-
-def pointer_state(params: JCParams, space: FockSpace, sign: int) -> CompositeState:
-    """|+zeta_0, +> or |-zeta_0, ->, the two conditional rest states."""
+def pointer_state(params: JCParams, space: FockSpace, sign: int) -> np.ndarray:
+    """|+zeta_0, +> or |-zeta_0, ->, the two conditional rest states, as
+    (2D,) composite vectors."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     coh = coherent_state(space, sign * params.zeta0)
-    zero = FockVector(np.zeros(space.dim, dtype=complex), space)
-    return CompositeState(coh, zero) if sign == 1 else CompositeState(zero, coh)
+    zero = np.zeros_like(coh)
+    return np.concatenate([coh, zero] if sign == 1 else [zero, coh])
+
+
+def _composite(space: FockSpace, vec) -> np.ndarray:
+    """`vec` as a complex array, checked to be a (2D,) composite vector."""
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape != (2 * space.dim,):
+        raise ValueError(f"composite vector has shape {vec.shape}, expected ({2 * space.dim},)")
+    return vec
 
 
 def total_hamiltonian(params: JCParams, space: FockSpace) -> np.ndarray:
     """nu sigma_1 (x) 1 + omega 1 (x) a^dag a + g sigma_3 (x) (a + a^dag)."""
     a, adag = ladder_operators(space)
     eye = np.eye(space.dim)
-    n_op = number_operator(space).matrix
-    quad = a.matrix + adag.matrix
+    n_op = number_operator(space)
+    quad = a + adag
     return (
         params.nu * np.kron(PAULI_1, eye)
         + params.omega * np.kron(np.eye(2), n_op)
@@ -217,9 +180,8 @@ def rabi_probability(params: JCParams, t) -> float | np.ndarray:
 
 
 def first_order_probability_series(params: JCParams, space: FockSpace,
-                                   times: np.ndarray,
-                                   initial: CompositeState | None = None,
-                                   target: CompositeState | None = None) -> np.ndarray:
+                                   times: np.ndarray, initial: np.ndarray,
+                                   target: np.ndarray) -> np.ndarray:
     """|<target | A(t) O_t | initial>|^2 for every t in `times`, the
     first-order law: A(t) is the closed-form nu = 0 propagator and O_t the
     first-order interaction-picture correction
@@ -231,44 +193,44 @@ def first_order_probability_series(params: JCParams, space: FockSpace,
     with
         stay = conj(D u_t) (D u_i) + conj(D^dag d_t) (D^dag d_i),
         swap = conj(D u_t) (D D(2 zeta_0) d_i) + conj(D^dag d_t) (D^dag D(-2 zeta_0) u_i)
-    for blocks (u, d) of target and initial; the global phase drops out of
-    the modulus.  Defaults: initial = |+zeta_0, +>, target = |-zeta_0, ->
-    (the pointer swap channel).  It does not warn outside the first-order
-    regime, as `rabi_probability` does not.
+    for blocks (u, d) of the (2D,) composite vectors target and initial; the
+    global phase drops out of the modulus.  The pointer swap channel is
+    initial = |+zeta_0, +>, target = |-zeta_0, ->.  It does not warn outside
+    the first-order regime, as `rabi_probability` does not.
     """
-    if initial is None:
-        initial = pointer_state(params, space, +1)
-    if target is None:
-        target = pointer_state(params, space, -1)
+    d = space.dim
+    initial, target = _composite(space, initial), _composite(space, target)
     times = np.asarray(times, dtype=float)
-    d_op = displacement(space, params.g / params.omega).matrix
+    d_op = displacement(space, params.g / params.omega)
     d_adj = d_op.conj().T
     z2 = 2.0 * params.zeta0
-    up_i, down_i = initial.up.amplitudes, initial.down.amplitudes
-    up_t = (d_op @ target.up.amplitudes).conj()
-    down_t = (d_adj @ target.down.amplitudes).conj()
+    up_i, down_i = initial[:d], initial[d:]
+    up_t = (d_op @ target[:d]).conj()
+    down_t = (d_adj @ target[d:]).conj()
     stay = up_t * (d_op @ up_i) + down_t * (d_adj @ down_i)
-    swap = (up_t * (d_op @ (displacement(space, z2).matrix @ down_i))
-            + down_t * (d_adj @ (displacement(space, -z2).matrix @ up_i)))
-    rot = np.exp(-1j * params.omega * np.outer(times, np.arange(space.dim)))
+    swap = (up_t * (d_op @ (displacement(space, z2) @ down_i))
+            + down_t * (d_adj @ (displacement(space, -z2) @ up_i)))
+    rot = np.exp(-1j * params.omega * np.outer(times, np.arange(d)))
     stay_t, swap_t = (rot @ np.stack([stay, swap], axis=1)).T
     amp = np.cos(params.nu * times) * stay_t - 1j * np.sin(params.nu * times) * swap_t
     return amp.real**2 + amp.imag**2
 
 
-def evolve_rows(params: JCParams, space: FockSpace, state: CompositeState,
+def evolve_rows(params: JCParams, space: FockSpace, state: np.ndarray,
                 times: np.ndarray) -> np.ndarray:
-    """Composite vectors V e^{-i E t} V^dag psi0, one row per time, at
-    uniformly spaced times starting at times[0] = 0, from one
-    diagonalisation H = V diag(E) V^dag.  Shape (len(times), 2 D)."""
+    """Composite vectors V e^{-i E t} V^dag psi0 of the (2D,) composite
+    vector psi0 = `state`, one row per time, at uniformly spaced times
+    starting at times[0] = 0, from one diagonalisation H = V diag(E) V^dag.
+    Shape (len(times), 2 D)."""
+    state = _composite(space, state)
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("time series must start at 0")
     if times.size < 2:
-        return state.as_vector()[None, :]
+        return state[None, :].copy()
     seg = np.diff(times)
     if not np.allclose(seg, seg[0], rtol=1e-9, atol=0.0):
         raise ValueError("time series must be uniformly spaced")
     energies, vecs = np.linalg.eigh(total_hamiltonian(params, space))
-    coeffs = vecs.conj().T @ state.as_vector()
+    coeffs = vecs.conj().T @ state
     return (np.exp(-1j * np.outer(times, energies)) * coeffs) @ vecs.T

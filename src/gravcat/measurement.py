@@ -4,11 +4,12 @@ A classical probe that reads the force at temporal resolution tau performs
 repeated projective well measurements: the record is a dichotomic +/-1
 series whose joint law depends only on the number of jumps, with per-step
 flip probability sin^2(nu tau / 2).  This module provides a seedable
-vectorized Monte Carlo sampler of the records, ensemble estimators of the
-mean force and its two-time correlation, and the exponential fit of their
-decay constant Gamma = nu^2 tau / 2.  The closed forms the estimates are
-checked against (record probabilities, conditionals, the discrete and
-continuum force laws and the Kolmogorov defect) are in `tests/oracles.py`.
+vectorized Monte Carlo sampler of the records (one (count, N+1) int8
+array, a row per record), ensemble estimators of the mean force and its
+two-time correlation, and the exponential fit of their decay constant
+Gamma = nu^2 tau / 2.  The closed forms the estimates are checked against
+(record probabilities, conditionals, the discrete and continuum force
+laws and the Kolmogorov defect) are in `tests/oracles.py`.
 
 Bookkeeping: lambda = nu^2 tau^2 / 4 is the per-step jump weight in the
 small-angle regime and Gamma = 2 lambda / tau the continuum rate; the two
@@ -106,45 +107,6 @@ class MeasurementSchedule:
         return self.tau * np.arange(self.n_steps + 1)
 
 
-@dataclass
-class TrajectoryRecord:
-    """A +/-1 reading series of length N+1 with its jump count."""
-
-    readings: np.ndarray
-    seed: int | None = None
-
-    def __post_init__(self):
-        r = np.asarray(self.readings)
-        if not np.all(np.isin(r, (1, -1))):
-            raise ValueError("readings must be +1 or -1")
-        self.readings = r.astype(np.int8)
-
-    @property
-    def jump_count(self) -> int:
-        return int(np.count_nonzero(self.readings[1:] != self.readings[:-1]))
-
-    def __len__(self) -> int:
-        return self.readings.size
-
-
-@dataclass
-class TrajectoryEnsemble:
-    """Stack of i.i.d. trajectory records with the seed that produced them."""
-
-    readings: np.ndarray  # (count, N+1) int8
-    seed: int
-    metadata: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return self.readings.shape[0]
-
-    def __getitem__(self, i: int) -> TrajectoryRecord:
-        return TrajectoryRecord(self.readings[i], seed=self.seed)
-
-    def jump_counts(self) -> np.ndarray:
-        return np.count_nonzero(self.readings[:, 1:] != self.readings[:, :-1], axis=1)
-
-
 def _rare_cells(rng: np.random.Generator, cells: int, q: float) -> np.ndarray:
     """Ascending indices, in [0, cells), of the cells hit by an event of
     per-cell probability 0 < q < 1, each cell independently.
@@ -169,9 +131,9 @@ def _rare_cells(rng: np.random.Generator, cells: int, q: float) -> np.ndarray:
     return hits[: np.searchsorted(hits, cells, side="right")] - 1
 
 
-def sample_trajectories(sched: MeasurementSchedule, count: int,
-                        seed: int) -> TrajectoryEnsemble:
-    """Draw `count` i.i.d. records starting from +1.
+def sample_trajectories(sched: MeasurementSchedule, count: int, seed: int) -> np.ndarray:
+    """Draw `count` i.i.d. records starting from +1, as a C-contiguous
+    (count, N+1) int8 array of +/-1 readings, one row per record.
 
     Block b of _STREAM_BLOCK rows is filled row by row from the PCG64 stream
     of SeedSequence(seed, spawn_key=(b,)), so results are bit-reproducible
@@ -209,7 +171,7 @@ def sample_trajectories(sched: MeasurementSchedule, count: int,
         # reading = 1 - 2 * (number of flips so far mod 2)
         np.multiply(parity.view(np.int8), -2, out=out)
         out += 1
-    return TrajectoryEnsemble(readings, seed=seed, metadata={"count": count})
+    return readings
 
 
 @dataclass
@@ -289,14 +251,15 @@ def _lag_sums(readings: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarra
     return col_sum, sum_a, sum_a2
 
 
-def estimate_force_statistics(records, sched: MeasurementSchedule, f0: float,
+def estimate_force_statistics(readings: np.ndarray, sched: MeasurementSchedule, f0: float,
                               max_lag: int | None = None) -> ForceStatistics:
     """Sample mean series and two-time correlation of the force readings.
 
-    `records` is a TrajectoryEnsemble or a 2-D int8 array of +/-1 readings,
-    one row per trajectory.  The per-trajectory autocorrelation is computed
-    by FFT over all pairs at each lag; its lag sums are sums of +/-1
-    products, so they are rounded to the integers they are.  Identical
+    `readings` is a 2-D int8 array of +/-1 readings, one row per
+    trajectory, as `sample_trajectories` returns.  The per-trajectory
+    autocorrelation is computed by FFT over all pairs at each lag; its lag
+    sums are sums of +/-1 products, so they are rounded to the integers
+    they are.  Identical
     records have identical autocorrelations, so the records are grouped by
     their packed sign bits and each distinct record is transformed once,
     its lag sums and its readings weighted by its multiplicity.  Every
@@ -306,7 +269,6 @@ def estimate_force_statistics(records, sched: MeasurementSchedule, f0: float,
     independent trajectories, in integer sums: a +/-1 column with sum S
     has sample variance (count - S^2/count) / (count - 1).
     """
-    readings = records.readings if isinstance(records, TrajectoryEnsemble) else records
     if not (isinstance(readings, np.ndarray) and readings.dtype == np.int8
             and readings.ndim == 2):
         raise ValueError("readings must be a 2-D int8 array of +/-1")

@@ -66,39 +66,33 @@ class PhaseSpaceGrid:
         return np.trapezoid(self.values, self.x, axis=0)
 
 
-def _axis_state(state, axis: int):
-    return state.axis_state(axis) if hasattr(state, "axis_state") else state
-
-
-def default_axes(state, axis: int = 0):
-    """Reasonable grid axes for a packet: 257 positions over its +/-8 sigma
-    support, 321 momenta over +/-6 momentum spreads, with the momentum count
-    raised as needed to resolve interference fringes."""
-    st = _axis_state(state, axis)
-    lo, hi = st.support()
+def default_axes(state):
+    """Reasonable grid axes for a 1D packet: 257 positions over its +/-8
+    sigma support, 321 momenta over +/-6 momentum spreads, with the momentum
+    count raised as needed to resolve interference fringes."""
+    lo, hi = state.support()
     x_axis = np.linspace(lo, hi, 257)
-    p_half = 6.0 * st.momentum_spread
+    p_half = 6.0 * state.momentum_spread
     n_p = 321
-    fringe = st.fringe_scale()
+    fringe = state.fringe_scale()
     if fringe > 0.0:
         # >= 8 samples per fringe period pi / fringe_scale in p
         needed = int(np.ceil(2.0 * p_half / (np.pi / fringe) * 8.0)) + 1
         n_p = max(n_p, needed)
     if n_p > MAX_GRID_ELEMENTS:
         raise GridAliasingError(
-            f"{n_p} momentum points needed to resolve the fringes exceed the "
+            f"{n_p:.3g} momentum points needed to resolve the fringes exceed the "
             f"bound of {MAX_GRID_ELEMENTS} grid elements"
         )
     p_axis = np.linspace(-p_half, p_half, n_p)
     return x_axis, p_axis
 
 
-def wigner_terms(state, axis: int = 0) -> GaussianTerms:
-    """W(x, p) of a pure 1D state (or of the 1D factor of a separable 3D
-    state along `axis`) as Gaussian terms in (x, p), one per ordered pair of
-    the state's terms: psi_j(x - y/2) conj(psi_k(x + y/2)) e^{i p y} over
-    (x, p, y), y integrated out.  The terms sum to a real W."""
-    psi = _axis_state(state, axis).terms()
+def wigner_terms(state) -> GaussianTerms:
+    """W(x, p) of a pure 1D state as Gaussian terms in (x, p), one per
+    ordered pair of the state's terms: psi_j(x - y/2) conj(psi_k(x + y/2))
+    e^{i p y} over (x, p, y), y integrated out.  The terms sum to a real W."""
+    psi = state.terms()
     # e^{i p y} as one term: -v.M.v / 2 = i p y with M_py = M_yp = -i
     phase = GaussianTerms(np.array([[[0, 0, 0], [0, 0, -1j], [0, -1j, 0]]]),
                           np.zeros((1, 3)), np.zeros(1))
@@ -110,18 +104,16 @@ def wigner_function(
     state,
     x_axis: np.ndarray | None = None,
     p_axis: np.ndarray | None = None,
-    axis: int = 0,
 ) -> PhaseSpaceGrid:
-    """Closed-form Wigner function of a pure 1D state (or the 1D factor of a
-    separable 3D state along `axis`) on the axes, `default_axes` where not
-    given.
+    """Closed-form Wigner function of a pure 1D state (the `axis_state` of
+    a separable 3D one) on the axes, `default_axes` where not given.
 
     Raises GridAliasingError, before allocating, when the grid would hold
     more than MAX_GRID_ELEMENTS values, and when its normalization misses 1
     by more than 1e-6 (the axes do not capture the state).
     """
     if x_axis is None or p_axis is None:
-        xd, pd = default_axes(state, axis)
+        xd, pd = default_axes(state)
         x_axis = xd if x_axis is None else x_axis
         p_axis = pd if p_axis is None else p_axis
     x_axis = np.asarray(x_axis, dtype=float)
@@ -133,12 +125,12 @@ def wigner_function(
         )
     # every state here has one real width, so each term separates in x and
     # p and the grid is one (x, term) by (term, p) matrix product
-    w = wigner_terms(state, axis)
+    w = wigner_terms(state)
     x, p = x_axis[:, None], p_axis[:, None]
     in_x = np.exp(w.c + x * (w.b[:, 0] - 0.5 * w.M[:, 0, 0] * x))
     in_p = np.exp(p * (w.b[:, 1] - 0.5 * w.M[:, 1, 1] * p))
     values = (in_x @ in_p.T).real
-    grid = PhaseSpaceGrid(x_axis, p_axis, values, meta={"axis": axis, "state": repr(state)})
+    grid = PhaseSpaceGrid(x_axis, p_axis, values, meta={"state": repr(state)})
     norm = grid.normalization()
     if abs(norm - 1.0) > 1e-6:
         raise GridAliasingError(

@@ -24,7 +24,9 @@ functional and the smeared moments), multi-time record probabilities
 propagated record by record and the FFT comb route on a spatial grid
 (against the closed-form `histories.additivity_defect`), the
 Gauss-Legendre Wigner transform and its interpolating spline (against the
-closed-form `wigner.wigner_function`), and Gauss-Legendre quadrature over
+closed-form `wigner.wigner_function`), the closed-form Wigner-line
+integral of the delta-limit mean (against the evolved packet's
+`density.smeared_mean_phase_space`), and Gauss-Legendre quadrature over
 that spline of the finite-width smeared mean and two-point function, and
 a 2D trapezoid over the written-out cat W (against the delta-limit mean
 and the closed-form `density.smeared_corr_quadrature`), and the
@@ -45,29 +47,23 @@ import numpy as np
 from scipy.linalg import expm
 
 from gravcat.density import density_mean
-from gravcat.fock import FockOperator, FockSpace, FockVector, coherent_state, displacement
+from gravcat.fock import FockSpace, coherent_state, displacement
 from gravcat.histories import _comb_weight
 from gravcat.jc import (
-    CompositeState,
     JCParams,
     evolve_rows,
     pointer_path,
     pointer_state,
     total_hamiltonian,
 )
-from gravcat.measurement import (
-    _STREAM_BLOCK,
-    MeasurementSchedule,
-    TrajectoryRecord,
-    _rare_cells,
-)
+from gravcat.measurement import _STREAM_BLOCK, MeasurementSchedule, _rare_cells
 from gravcat.two_state import PAULI_1, TunnelingParams, _check_sign
 from gravcat.wigner import (
     MAX_GRID_ELEMENTS,
     GridAliasingError,
     PhaseSpaceGrid,
-    _axis_state,
     default_axes,
+    wigner_terms,
 )
 
 MAX_STEP_NORM = 0.1
@@ -166,10 +162,10 @@ def heisenberg_projector(a: int, params: TunnelingParams, t: float) -> np.ndarra
     return 0.5 * (IDENTITY_2 + a * s_t)
 
 
-def vacuum(space: FockSpace) -> FockVector:
+def vacuum(space: FockSpace) -> np.ndarray:
     amp = np.zeros(space.dim, dtype=complex)
     amp[0] = 1.0
-    return FockVector(amp, space, normalized=True)
+    return amp
 
 
 class RegimeWarning(UserWarning):
@@ -191,7 +187,7 @@ def adiabatic_propagator(params: JCParams, space: FockSpace, t: float) -> np.nda
                                D(g/w) e^{-i w n t} D^dag(g/w) ).
     Ignores params.nu (valid in the nu << omega regime).
     """
-    d_op = displacement(space, params.g / params.omega).matrix
+    d_op = displacement(space, params.g / params.omega)
     rot = np.diag(np.exp(-1j * params.omega * np.arange(space.dim) * t))
     upper = d_op.conj().T @ rot @ d_op
     lower = d_op @ rot @ d_op.conj().T
@@ -221,8 +217,8 @@ def perturbative_propagator(params: JCParams, space: FockSpace, t: float) -> np.
         )
     d = space.dim
     z2 = 2.0 * params.zeta0
-    d_plus = displacement(space, z2).matrix
-    d_minus = displacement(space, -z2).matrix
+    d_plus = displacement(space, z2)
+    d_minus = displacement(space, -z2)
     c, s = np.cos(params.nu * t), np.sin(params.nu * t)
     out = np.zeros((2 * d, 2 * d), dtype=complex)
     out[:d, :d] = c * np.eye(d)
@@ -233,27 +229,28 @@ def perturbative_propagator(params: JCParams, space: FockSpace, t: float) -> np.
 
 
 def evolved_cat(c_plus: complex, c_minus: complex, params: JCParams,
-                space: FockSpace, t: float) -> CompositeState:
-    """Vacuum-started oscillator entangled with the well qubit at nu = 0.
+                space: FockSpace, t: float) -> np.ndarray:
+    """Vacuum-started oscillator entangled with the well qubit at nu = 0, as
+    a (2D,) composite vector.
 
     Global phase exp(i (g/omega)^2 (omega t - sin omega t)); the up block is
     c_plus |zeta(t)>, the down block c_minus |-zeta(t)>.
     """
     zeta = complex(pointer_path(params, t))
     phase = np.exp(1j * (params.g / params.omega) ** 2 * (params.omega * t - np.sin(params.omega * t)))
-    up = phase * c_plus * coherent_state(space, zeta).amplitudes
-    down = phase * c_minus * coherent_state(space, -zeta).amplitudes
-    return CompositeState(FockVector(up, space), FockVector(down, space))
+    up = phase * c_plus * coherent_state(space, zeta)
+    down = phase * c_minus * coherent_state(space, -zeta)
+    return np.concatenate([up, down])
 
 
-def reduced_oscillator_state(state: CompositeState) -> np.ndarray:
-    """Oscillator density matrix after tracing out the qubit.
+def reduced_oscillator_state(state: np.ndarray) -> np.ndarray:
+    """Oscillator density matrix after tracing out the qubit from a (2D,)
+    composite vector.
 
     The partial trace of a block state is up up^dag + down down^dag; branch
     cross terms do not survive it.
     """
-    up = state.up.amplitudes
-    down = state.down.amplitudes
+    up, down = np.split(state, 2)
     return np.outer(up, up.conj()) + np.outer(down, down.conj())
 
 
@@ -263,8 +260,8 @@ def purity(rho: np.ndarray) -> float:
 
 def transition_probability_series(params: JCParams, space: FockSpace,
                                   times: np.ndarray,
-                                  initial: CompositeState | None = None,
-                                  target: CompositeState | None = None) -> np.ndarray:
+                                  initial: np.ndarray | None = None,
+                                  target: np.ndarray | None = None) -> np.ndarray:
     """|<target | U(t) | initial>|^2 along a uniform time series.
 
     Defaults: initial = |+zeta_0, +>, target = |-zeta_0, -> (the pointer
@@ -274,7 +271,7 @@ def transition_probability_series(params: JCParams, space: FockSpace,
         initial = pointer_state(params, space, +1)
     if target is None:
         target = pointer_state(params, space, -1)
-    amp = evolve_rows(params, space, initial, times) @ target.as_vector().conj()
+    amp = evolve_rows(params, space, initial, times) @ target.conj()
     return amp.real**2 + amp.imag**2
 
 
@@ -295,9 +292,9 @@ def interaction_picture_potential(params: JCParams, space: FockSpace,
 
 
 def _tunneling_block(params: JCParams, space: FockSpace, t: float) -> np.ndarray:
-    d_z = displacement(space, params.zeta0).matrix
+    d_z = displacement(space, params.zeta0)
     rot = np.exp(1j * params.omega * np.arange(space.dim) * t)
-    d_mid = displacement(space, -2.0 * params.zeta0).matrix
+    d_mid = displacement(space, -2.0 * params.zeta0)
     inner = (rot[:, None] * d_mid) * rot.conj()[None, :]
     return d_z @ inner @ d_z
 
@@ -314,8 +311,8 @@ def tunneling_block_time_average(params: JCParams, space: FockSpace, t: float,
     if t <= 0:
         raise ValueError("average needs a positive time window")
     ss = np.linspace(0.0, t, nodes)
-    d_z = displacement(space, params.zeta0).matrix
-    d_mid = displacement(space, -2.0 * params.zeta0).matrix
+    d_z = displacement(space, params.zeta0)
+    d_mid = displacement(space, -2.0 * params.zeta0)
     # Element (m, n) of the rotated block carries e^{i omega (m - n) s}, so
     # the average is d_mid times one kernel over level differences m - n.
     d = space.dim
@@ -325,15 +322,15 @@ def tunneling_block_time_average(params: JCParams, space: FockSpace, t: float,
     return d_z @ (d_mid * kernel[np.subtract.outer(levels, levels) + d - 1]) @ d_z
 
 
-def matrix_exponential(op: FockOperator, scale: complex = 1.0) -> FockOperator:
+def matrix_exponential(op: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * op) by scaling-and-squaring (Pade); no eigendecomposition.
 
     Raises OverflowError if the result is not finite (pathological norms).
     """
-    result = expm(scale * op.matrix)
+    result = expm(scale * op)
     if not np.all(np.isfinite(result.view(float))):
         raise OverflowError("matrix exponential overflowed; rescale the operator")
-    return FockOperator(result, op.space)
+    return result
 
 
 def stationary_state_check(params: JCParams, space: FockSpace, t: float,
@@ -345,7 +342,7 @@ def stationary_state_check(params: JCParams, space: FockSpace, t: float,
     |zeta_0| <= 2).
     """
     h0 = total_hamiltonian(JCParams(0.0, params.omega, params.g), space)
-    psi = pointer_state(params, space, sign).as_vector()
+    psi = pointer_state(params, space, sign)
     evolved = expm(-1j * h0 * t) @ psi
     expected = np.exp(1j * params.g**2 * t / params.omega) * psi
     return float(np.linalg.norm(evolved - expected))
@@ -358,9 +355,10 @@ def hamiltonian_step_count(params: JCParams, space: FockSpace, t: float,
     return max(1, int(np.ceil(h_norm * abs(t) / max_step_norm)))
 
 
-def exact_propagate(params: JCParams, space: FockSpace, state: CompositeState,
-                    t: float, steps: int) -> CompositeState:
-    """Integrate the full H by repeated application of exp(-i H t / steps).
+def exact_propagate(params: JCParams, space: FockSpace, state: np.ndarray,
+                    t: float, steps: int) -> np.ndarray:
+    """Integrate the full H by repeated application of exp(-i H t / steps)
+    to a (2D,) composite vector.
 
     Requires ||H|| (t / steps) <= 0.1 (step-size contract); the step
     exponential is exactly unitary, so the norm is preserved.  Its cost
@@ -374,10 +372,9 @@ def exact_propagate(params: JCParams, space: FockSpace, state: CompositeState,
             f"> {MAX_STEP_NORM}; need steps >= {hamiltonian_step_count(params, space, t)}"
         )
     u_step = expm(-1j * h * (t / steps))
-    vec = state.as_vector()
     for _ in range(steps):
-        vec = u_step @ vec
-    return CompositeState.from_vector(space, vec)
+        state = u_step @ state
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +384,10 @@ def exact_propagate(params: JCParams, space: FockSpace, state: CompositeState,
 _FORMS = ("exact", "approximate")
 
 
-def sequence_probability(record: TrajectoryRecord, sched: MeasurementSchedule,
+def sequence_probability(record: np.ndarray, sched: MeasurementSchedule,
                          small_angle: bool = False) -> float:
-    """Probability of a full record starting from the right well.
+    """Probability of a full record, a (N+1,) array of +/-1 readings
+    starting from the right well.
 
     Exact: (cos^2(nu tau/2))^(N-n) (sin^2(nu tau/2))^n for n jumps over N
     transitions.  With small_angle=True, the nu tau << 1 law
@@ -399,9 +397,9 @@ def sequence_probability(record: TrajectoryRecord, sched: MeasurementSchedule,
         raise ValueError(
             f"record has {len(record)} readings, schedule expects {sched.n_steps + 1}"
         )
-    if record.readings[0] != 1:
+    if record[0] != 1:
         raise ValueError("records start from the right well (+1 first reading)")
-    n = record.jump_count
+    n = np.count_nonzero(record[1:] != record[:-1])
     big_n = sched.n_steps
     if small_angle:
         return float(sched.lam**n * np.exp(-sched.lam * (big_n - n)))
@@ -979,29 +977,26 @@ def wigner_transform(
     state,
     x_axis: np.ndarray | None = None,
     p_axis: np.ndarray | None = None,
-    axis: int = 0,
 ) -> SplineGrid:
-    """Numerical Wigner transform of a pure 1D state (or the 1D factor of a
-    separable 3D state along `axis`), by composite Gauss-Legendre
-    quadrature in y with the panel count tied to the largest requested |p|,
-    so under-resolved grids fail the normalization check rather than
-    silently aliasing.
+    """Numerical Wigner transform of a pure 1D state, by composite
+    Gauss-Legendre quadrature in y with the panel count tied to the largest
+    requested |p|, so under-resolved grids fail the normalization check
+    rather than silently aliasing.
 
     Raises GridAliasingError when the result is not real within 1e-9 or its
     normalization misses 1 by more than 1e-6 (both symptoms
     of an inadequate grid), and, before allocating, when a psi array or the
     phase matrix would exceed MAX_GRID_ELEMENTS.
     """
-    st = _axis_state(state, axis)
     if x_axis is None or p_axis is None:
-        xd, pd = default_axes(state, axis)
+        xd, pd = default_axes(state)
         x_axis = xd if x_axis is None else np.asarray(x_axis, dtype=float)
         p_axis = pd if p_axis is None else np.asarray(p_axis, dtype=float)
     else:
         x_axis = np.asarray(x_axis, dtype=float)
         p_axis = np.asarray(p_axis, dtype=float)
 
-    lo, hi = st.support()
+    lo, hi = state.support()
     y_half = hi - lo
     p_max = float(np.max(np.abs(p_axis))) if p_axis.size else 0.0
     order = 16  # Gauss-Legendre nodes per y panel
@@ -1015,8 +1010,8 @@ def wigner_transform(
         )
     y, wy = gauss_legendre(-y_half, y_half, panels, order)
 
-    psi_minus = st.psi(x_axis[:, None] - 0.5 * y[None, :])
-    psi_plus = st.psi(x_axis[:, None] + 0.5 * y[None, :])
+    psi_minus = state.psi(x_axis[:, None] - 0.5 * y[None, :])
+    psi_plus = state.psi(x_axis[:, None] + 0.5 * y[None, :])
     integrand = psi_minus * np.conj(psi_plus) * wy[None, :]
     phases = np.exp(1j * np.outer(y, p_axis))
     w_complex = integrand @ phases
@@ -1031,7 +1026,7 @@ def wigner_transform(
         x_axis,
         p_axis,
         w_complex.real,
-        meta={"axis": axis, "state": repr(state), "y_panels": panels},
+        meta={"state": repr(state), "y_panels": panels},
     )
     norm = grid.normalization()
     if abs(norm - 1.0) > 1e-6:
@@ -1041,6 +1036,17 @@ def wigner_transform(
         )
     grid.meta["normalization"] = norm
     return grid
+
+
+def wigner_line_mean(state, r, t: float, m: float = 1.0):
+    """Delta-limit smeared mean (m / 2 pi) Integral dp W0(r - p t / m, p) of
+    a 1D state, each Wigner term's p integral in closed form (against
+    `density.smeared_mean_phase_space`, which takes m |psi(r, t)|^2).  For
+    narrow packets the terms are huge and cancel; normal widths only."""
+    r = np.asarray(r, dtype=float)
+    shift = np.stack([r, np.zeros_like(r)], axis=-1)[..., None, :]
+    line = wigner_terms(state).pullback([[-t / m], [1.0]], shift)
+    return m * np.sum(line.integral(), axis=-1).real / (2.0 * np.pi)
 
 
 def smeared_mean_quadrature(w0: SplineGrid, smear, r: float, t: float,

@@ -1,5 +1,7 @@
 """Mass-density correlators against quadrature and closed-form oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from oracles import (
     smeared_mean_quadrature,
     static_limit_corr,
     trapezoid_corr,
+    wigner_line_mean,
     wigner_transform,
 )
 
@@ -252,12 +255,27 @@ class TestPhaseSpaceEvaluation:
                                        Cat1D(0.5, 4.0)], ids=["gaussian", "cat", "narrow-cat"])
     @pytest.mark.parametrize("t", [0.0, 0.35, -1.2])
     def test_free_streamed_mean_is_evolved_density(self, state, t):
-        # the p integral of W0 along x = r - p t / m is m |psi(r, t)|^2, a
-        # different route: the closed-form evolved packet
+        # the p integral of W0 along x = r - p t / m, a different route,
+        # is the evolved packet's m |psi(r, t)|^2 at normal widths
         xs = np.linspace(-9.0, 9.0, 61)
         got = smeared_mean_phase_space(state, xs, t, 1.7)
-        expected = 1.7 * np.abs(state.psi(xs, t, 1.7)) ** 2
+        expected = wigner_line_mean(state, xs, t, 1.7)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected)
+
+    @pytest.mark.parametrize("sigma", [1e-8, 1e-10, 1e-12, 1e-100])
+    @pytest.mark.parametrize("build", [Gaussian1D, lambda s: Cat1D(s, 6.0)],
+                             ids=["gaussian", "cat"])
+    def test_narrow_packet_mean_is_evolved_density(self, build, sigma):
+        # the Wigner-line terms grow as 1 / sigma and cancel: at sigma 1e-8
+        # they wrote 7.45e-8 for 7.98e-8, at 1e-12 inf after an overflow
+        state = build(sigma)
+        rs = np.array([0.25, 0.5, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = smeared_mean_phase_space(state, rs, 0.1, 1.0)
+        expected = np.abs(state.psi(rs, 0.1, 1.0)) ** 2
+        assert np.all(expected > 0.0)
+        assert np.max(np.abs(got - expected) / expected) <= 1e-12
 
     def test_delta_matches_quadrature_at_wide_separation(self):
         # |r - r2| = 20 s_x; the sampling-width -> 0 collapse should agree

@@ -261,7 +261,7 @@ class TestCsvWriter:
                                       output_dir=tmp_path / "o"))
         sched = ms.MeasurementSchedule(tau=FORCE_CFG["force.tau"],
                                        n_steps=FORCE_CFG["force.steps"], nu=FORCE_CFG["force.nu"])
-        readings = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 4).readings
+        readings = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 4)
         rows = ((i, step, readings[i, step])
                 for i in range(readings.shape[0]) for step in range(readings.shape[1]))
         write_csv_rows_oracle(tmp_path / "dump.csv", ["trajectory_id", "step", "reading"], rows)
@@ -279,7 +279,7 @@ class TestCsvWriter:
                                       output_dir=tmp_path / "o"))
         sched = ms.MeasurementSchedule(tau=FORCE_CFG["force.tau"],
                                        n_steps=FORCE_CFG["force.steps"], nu=FORCE_CFG["force.nu"])
-        readings = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 6).readings
+        readings = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 6)
         count, length = readings.shape
         harness.write_csv(tmp_path / "wide.csv", ["trajectory_id", "step", "reading"],
                           [np.repeat(np.arange(count, dtype=np.int64), length),
@@ -298,7 +298,7 @@ class TestCsvWriter:
                                       output_dir=tmp_path / "o"))
         sched = ms.MeasurementSchedule(tau=cfg["force.tau"], n_steps=cfg["force.steps"],
                                        nu=cfg["force.nu"])
-        readings = ms.sample_trajectories(sched, cfg["force.count"], 5).readings
+        readings = ms.sample_trajectories(sched, cfg["force.count"], 5)
         assert readings.shape[1] > harness._block_rows([np.dtype(np.int64)] * 2
                                                        + [readings.dtype])
         rows = ((i, step, readings[i, step])
@@ -673,6 +673,14 @@ class TestCli:
         kind = "config error" if code == 2 else "regime rejection"
         assert len(err) == 1 and err[0].startswith(f"gravcat: {kind}: ")
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_unresolvable_fringes_give_a_short_message(self, tmp_path, capfd):
+        # the momentum count the fringes need is a 201-digit integer here
+        cfg = write_config(tmp_path, "c.json", {"density.state": "cat", "density.L": 1e200})
+        assert main(["density-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gravcat: regime rejection: ")
+        assert len(err[0]) < 200, err[0]
 
     @pytest.mark.parametrize("key,value", [
         ("force.nu", float("nan")),

@@ -18,7 +18,6 @@ from scipy.special import eval_laguerre
 
 from gravcat.fock import FockSpace, coherent_state, displacement
 from gravcat.jc import (
-    CompositeState,
     JCParams,
     distinguishability,
     evolve_rows,
@@ -53,11 +52,11 @@ DEEP = JCParams(nu=0.0, omega=1.0, g=2.0)  # zeta_0 = -2, deep strong coupling
 SWAP_SPACE = FockSpace(32)
 
 
-def random_state(space: FockSpace, rng) -> CompositeState:
-    """A normalized composite state with random complex amplitudes in both
-    blocks, so no pointer-state reduction applies."""
+def random_state(space: FockSpace, rng) -> np.ndarray:
+    """A normalized (2D,) composite vector with random complex amplitudes in
+    both blocks, so no pointer-state reduction applies."""
     vec = rng.normal(size=2 * space.dim) + 1j * rng.normal(size=2 * space.dim)
-    return CompositeState.from_vector(space, vec / np.linalg.norm(vec))
+    return vec / np.linalg.norm(vec)
 
 
 def dressed_rate(params: JCParams) -> float:
@@ -135,13 +134,9 @@ class TestAdiabaticPropagator:
         direct = expm(-1j * h0 * t)
         closed = adiabatic_propagator(DEEP, SPACE, t)
         mixed = np.concatenate(
-            [coherent_state(SPACE, -2.0).amplitudes, coherent_state(SPACE, 0.0).amplitudes]
+            [coherent_state(SPACE, -2.0), coherent_state(SPACE, 0.0)]
         ) / np.sqrt(2.0)
-        for state in (
-            CompositeState.from_vector(SPACE, mixed),
-            pointer_state(DEEP, SPACE, +1),
-        ):
-            vec = state.as_vector()
+        for vec in (mixed, pointer_state(DEEP, SPACE, +1)):
             fid = abs(np.vdot(direct @ vec, closed @ vec)) ** 2
             assert fid >= 1.0 - 1e-8
 
@@ -149,9 +144,9 @@ class TestAdiabaticPropagator:
 class TestEvolvedCat:
     def test_vacuum_at_zero_time(self):
         st = evolved_cat(0.6, 0.8, DEEP, SPACE, 0.0)
-        assert abs(abs(st.up.amplitudes[0]) - 0.6) < 1e-12
-        assert abs(abs(st.down.amplitudes[0]) - 0.8) < 1e-12
-        assert np.max(np.abs(st.up.amplitudes[1:])) < 1e-12
+        assert abs(abs(st[0]) - 0.6) < 1e-12
+        assert abs(abs(st[SPACE.dim]) - 0.8) < 1e-12
+        assert np.max(np.abs(st[1 : SPACE.dim])) < 1e-12
 
     def test_maximal_excursion(self):
         t = np.pi / DEEP.omega
@@ -165,10 +160,10 @@ class TestEvolvedCat:
             vac[0] = 1.0
             init = np.concatenate([c_plus * vac, c_minus * vac])
             ref = adiabatic_propagator(DEEP, SPACE, omega_t) @ init
-            fid = abs(np.vdot(ref, st.as_vector())) ** 2
+            fid = abs(np.vdot(ref, st)) ** 2
             assert fid >= 1.0 - 1e-8
             # the global phase is part of the contract, not just the ray
-            assert np.max(np.abs(ref - st.as_vector())) < 1e-6
+            assert np.max(np.abs(ref - st)) < 1e-6
 
 
 class TestReducedState:
@@ -200,9 +195,9 @@ class TestReducedState:
         states = [evolved_cat(0.8, 0.6j, DEEP, SPACE, 2.2),
                   evolved_cat(1.0, 0.0, DEEP, SPACE, 1.3),
                   random_state(SPACE, rng), random_state(SPACE, rng)]
-        states += [CompositeState.from_vector(SPACE, row) for row in evolve_rows(
-            params, SPACE, pointer_state(params, SPACE, +1), np.linspace(0.0, 40.0, 5))]
-        rows = np.array([st.as_vector() for st in states])
+        states += list(evolve_rows(params, SPACE, pointer_state(params, SPACE, +1),
+                                   np.linspace(0.0, 40.0, 5)))
+        rows = np.array(states)
         got = reduced_purity(rows[:, :SPACE.dim], rows[:, SPACE.dim:])
         expected = [purity(reduced_oscillator_state(st)) for st in states]
         assert np.max(np.abs(got - expected)) <= 1e-13
@@ -213,7 +208,7 @@ class TestReducedState:
         # orthogonality, keeps exactly the cross terms the partial trace drops
         st = evolved_cat(1 / np.sqrt(2), 1 / np.sqrt(2), DEEP, SPACE, 1.0)
         plain = reduced_oscillator_state(st)
-        up, down = st.up.amplitudes, st.down.amplitudes
+        up, down = st[: SPACE.dim], st[SPACE.dim :]
         crossed = np.outer(up + down, (up + down).conj())
         expected = plain + np.outer(up, down.conj()) + np.outer(down, up.conj())
         assert np.max(np.abs(crossed - expected)) < 1e-14
@@ -233,7 +228,7 @@ class TestDistinguishability:
         rep = distinguishability(DEEP)
         plus = coherent_state(SPACE, DEEP.zeta0)
         minus = coherent_state(SPACE, -DEEP.zeta0)
-        assert abs(rep.overlap - plus.overlap(minus)) < 1e-8
+        assert abs(rep.overlap - abs(np.vdot(plus, minus)) ** 2) < 1e-8
 
     def test_inequality_report(self):
         p = JCParams.from_probe(nu=0.0, omega=0.5, f0=2.0, m0=3.0)
@@ -254,7 +249,7 @@ class TestPerturbativePropagator:
         u = perturbative_propagator(params, SPACE, t)
         d = SPACE.dim
         assert np.max(np.abs(u[:d, :d])) < 1e-12
-        expected = -1j * displacement(SPACE, 2.0 * params.zeta0).matrix
+        expected = -1j * displacement(SPACE, 2.0 * params.zeta0)
         assert np.max(np.abs(u[:d, d:] - expected)) < 1e-12
 
     def test_unitarity(self):
@@ -277,8 +272,8 @@ class TestRabiProbability:
 
     def test_matches_matrix_element(self):
         params = JCParams(0.02, 1.0, 1.2)
-        plus = pointer_state(params, SPACE, +1).as_vector()
-        minus = pointer_state(params, SPACE, -1).as_vector()
+        plus = pointer_state(params, SPACE, +1)
+        minus = pointer_state(params, SPACE, -1)
         for t in (10.0, 17.0, 40.0):
             u = perturbative_propagator(params, SPACE, t)
             amp = np.vdot(minus, u @ plus)
@@ -303,25 +298,26 @@ class TestFirstOrderProbabilitySeries:
         space = FockSpace(dim)
         rng = np.random.default_rng(dim + int(100 * g) + int(1000 * nu))
         times = np.array([0.0, 0.4, 3.0, 7.5, 19.0, 0.5 * np.pi / nu, 61.3])
-        pairs = [(None, None), (random_state(space, rng), random_state(space, rng))]
-        for initial, target in pairs:
-            with warnings.catch_warnings():
-                # RegimeWarning, and the truncation warnings of D = 16 at g = 2
-                warnings.simplefilter("ignore")
-                ivec = (initial or pointer_state(params, space, +1)).as_vector()
-                tvec = (target or pointer_state(params, space, -1)).as_vector()
+        with warnings.catch_warnings():
+            # RegimeWarning, and the truncation warnings of D = 16 at g = 2
+            warnings.simplefilter("ignore")
+            pairs = [(pointer_state(params, space, +1), pointer_state(params, space, -1)),
+                     (random_state(space, rng), random_state(space, rng))]
+            for initial, target in pairs:
                 got = first_order_probability_series(params, space, times, initial, target)
-                expected = [abs(np.vdot(tvec, adiabatic_propagator(params, space, t)
-                                        @ perturbative_propagator(params, space, t) @ ivec)) ** 2
-                            for t in times]
-            assert np.max(np.abs(got - expected)) <= 1e-13
+                expected = [abs(np.vdot(target, adiabatic_propagator(params, space, t)
+                                        @ perturbative_propagator(params, space, t) @ initial))
+                            ** 2 for t in times]
+                assert np.max(np.abs(got - expected)) <= 1e-13
 
     def test_random_pair_departs_from_pointer_law(self):
         # the general amplitude, not its sin^2(nu t) pointer reduction, is used
         params = JCParams(0.05, 1.0, 1.0)
         rng = np.random.default_rng(5)
         times = np.linspace(0.0, 40.0, 9)
-        pointer = first_order_probability_series(params, SPACE, times)
+        pointer = first_order_probability_series(params, SPACE, times,
+                                                 pointer_state(params, SPACE, +1),
+                                                 pointer_state(params, SPACE, -1))
         assert np.max(np.abs(pointer - rabi_probability(params, times))) <= 1e-13
         mixed = first_order_probability_series(params, SPACE, times,
                                                random_state(SPACE, rng), random_state(SPACE, rng))
@@ -330,9 +326,11 @@ class TestFirstOrderProbabilitySeries:
     def test_does_not_warn_outside_regime(self):
         # perturbative_propagator warns here; the array law does not
         params = JCParams(0.5, 1.0, 1.0)
+        plus, minus = pointer_state(params, SPACE, +1), pointer_state(params, SPACE, -1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = first_order_probability_series(params, SPACE, np.array([0.0, 1.0, 50.0]))
+            p = first_order_probability_series(params, SPACE, np.array([0.0, 1.0, 50.0]),
+                                               plus, minus)
         assert np.allclose(p, rabi_probability(params, np.array([0.0, 1.0, 50.0])), atol=1e-13)
 
 
@@ -360,7 +358,7 @@ class TestExactPropagate:
         init = evolved_cat(0.6, 0.8, DEEP, SPACE, 0.0)
         got = exact_propagate(DEEP, SPACE, init, t, steps)
         expected = evolved_cat(0.6, 0.8, DEEP, SPACE, t)
-        assert got.fidelity(expected) >= 1.0 - 1e-8
+        assert abs(np.vdot(got, expected)) ** 2 >= 1.0 - 1e-8
 
     def test_energy_conserved_and_norm_preserved(self):
         params = JCParams(0.05, 1.0, 2.0)
@@ -368,10 +366,10 @@ class TestExactPropagate:
         st = pointer_state(params, SPACE, +1)
         t = 100.0 / params.omega
         out = exact_propagate(params, SPACE, st, t, hamiltonian_step_count(params, SPACE, t))
-        e0 = np.vdot(st.as_vector(), h @ st.as_vector()).real
-        e1 = np.vdot(out.as_vector(), h @ out.as_vector()).real
+        e0 = np.vdot(st, h @ st).real
+        e1 = np.vdot(out, h @ out).real
         assert abs(e1 - e0) <= 1e-8 * abs(e0)
-        assert abs(out.norm() - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
 
     def test_step_size_contract_enforced(self):
         with pytest.raises(ValueError):
@@ -380,13 +378,10 @@ class TestExactPropagate:
     def test_oracle_chain_closed_form_expm_stepped(self):
         # pairwise fidelity of the three routes at nu = 0
         t = 2.0 * np.pi
-        init = pointer_state(DEEP, SPACE, +1)
-        vec = init.as_vector()
+        vec = pointer_state(DEEP, SPACE, +1)
         closed = adiabatic_propagator(DEEP, SPACE, t) @ vec
         direct = expm(-1j * total_hamiltonian(DEEP, SPACE) * t) @ vec
-        stepped = exact_propagate(
-            DEEP, SPACE, init, t, hamiltonian_step_count(DEEP, SPACE, t)
-        ).as_vector()
+        stepped = exact_propagate(DEEP, SPACE, vec, t, hamiltonian_step_count(DEEP, SPACE, t))
         for a, b in ((closed, direct), (closed, stepped), (direct, stepped)):
             assert abs(np.vdot(a, b)) ** 2 >= 1.0 - 1e-8
 
@@ -446,8 +441,8 @@ class TestInteractionPicture:
         # dressed weight exp(-2 |zeta_0|^2), not with unit weight
         params = JCParams(0.05, 1.0, -1.0)  # zeta_0 = 1
         avg = tunneling_block_time_average(params, SPACE, 40.0 * np.pi, nodes=4000)
-        plus = coherent_state(SPACE, params.zeta0).amplitudes
-        minus = coherent_state(SPACE, -params.zeta0).amplitudes
+        plus = coherent_state(SPACE, params.zeta0)
+        minus = coherent_state(SPACE, -params.zeta0)
         element = np.vdot(plus, avg @ minus)
         assert abs(element - np.exp(-2.0)) < 1e-9
 
@@ -473,11 +468,11 @@ class TestInteractionPicture:
         D = 64, trapezoid with 4000 nodes."""
         params = JCParams(0.05, 1.0, -1.0)
         zeta = abs(params.zeta0)
-        swap_diag = np.diag(displacement(SPACE, -2.0 * params.zeta0).matrix)
+        swap_diag = np.diag(displacement(SPACE, -2.0 * params.zeta0))
         low = np.arange(SPACE.dim // 2)  # levels the cutoff leaves faithful
         laguerre = np.exp(-2.0 * zeta**2) * eval_laguerre(low, 4.0 * zeta**2)
         assert np.max(np.abs(swap_diag[low] - laguerre)) < 1e-12
-        d_z = displacement(SPACE, params.zeta0).matrix
+        d_z = displacement(SPACE, params.zeta0)
         target = d_z @ np.diag(swap_diag) @ d_z
         scale = np.linalg.norm(target, 2)
         dist = {
@@ -500,15 +495,14 @@ class TestEvolveSeries:
         params = JCParams(0.05, 1.0, g)
         space = FockSpace(dim)
         init = pointer_state(params, space, +1)
-        tvec = pointer_state(params, space, -1).as_vector()
+        tvec = pointer_state(params, space, -1)
         times = np.linspace(0.0, 12.0, 4)
         spectral = evolve_rows(params, space, init, times)
         for t, row in zip(times, spectral):
             stepped = exact_propagate(params, space, init, t,
-                                      hamiltonian_step_count(params, space, t)).as_vector()
-            vec = CompositeState.from_vector(space, row).as_vector()
-            assert np.linalg.norm(vec - stepped) <= 1e-10
-            assert abs(abs(np.vdot(tvec, vec)) ** 2 - abs(np.vdot(tvec, stepped)) ** 2) <= 1e-11
+                                      hamiltonian_step_count(params, space, t))
+            assert np.linalg.norm(row - stepped) <= 1e-10
+            assert abs(abs(np.vdot(tvec, row)) ** 2 - abs(np.vdot(tvec, stepped)) ** 2) <= 1e-11
 
     def test_dressed_half_period_at_deep_coupling(self):
         """A full dressed half period at g/omega = 2, nu/omega = 0.01:
@@ -529,11 +523,26 @@ class TestEvolveSeries:
         init = pointer_state(params, SPACE, +1)
         times = np.linspace(0.0, 30.0, 6)
         rows = evolve_rows(params, SPACE, init, times)
-        assert rows.shape == (times.size, 2 * SPACE.dim)
-        for row in rows:
-            assert np.array_equal(row, CompositeState.from_vector(SPACE, row).as_vector())
-        assert np.array_equal(evolve_rows(params, SPACE, init, np.zeros(1)),
-                              init.as_vector()[None, :])
+        assert rows.shape == (times.size, 2 * SPACE.dim) and rows.dtype == complex
+        assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 1e-12
+        single = evolve_rows(params, SPACE, init, np.zeros(1))
+        assert np.array_equal(single, init[None, :])
+        assert not np.shares_memory(single, init)
+
+    @pytest.mark.parametrize("shape", [(64,), (127,), (129,), (2, 64)])
+    def test_composite_vector_of_wrong_shape_rejected(self, shape):
+        # dim 64 wants (128,) composite vectors wherever one enters
+        params = JCParams(0.05, 1.0, 1.0)
+        good = pointer_state(params, SPACE, +1)
+        bad = np.zeros(shape, dtype=complex)
+        bad.flat[0] = 1.0
+        times = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="composite vector"):
+            evolve_rows(params, SPACE, bad, times)
+        with pytest.raises(ValueError, match="composite vector"):
+            first_order_probability_series(params, SPACE, times, bad, good)
+        with pytest.raises(ValueError, match="composite vector"):
+            first_order_probability_series(params, SPACE, times, good, bad)
 
     def test_nonuniform_times_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Continuous force measurement: record law, conditionals, sampling, defect."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -16,7 +17,6 @@ from gravcat import measurement
 from gravcat.measurement import (
     MeasurementSchedule,
     ProbeGeometry,
-    TrajectoryRecord,
     estimate_force_statistics,
     fit_exponential_rate,
     force_amplitude,
@@ -41,11 +41,11 @@ def sched(nu_tau: float, n_steps: int = 10, tau: float = 1.0) -> MeasurementSche
     return MeasurementSchedule(tau=tau, n_steps=n_steps, nu=nu_tau / tau)
 
 
-def record_from_flips(flips) -> TrajectoryRecord:
+def record_from_flips(flips) -> np.ndarray:
     readings = [1]
     for f in flips:
         readings.append(readings[-1] * (-1 if f else 1))
-    return TrajectoryRecord(np.array(readings, dtype=np.int8))
+    return np.array(readings, dtype=np.int8)
 
 
 def enumerate_records(n_steps: int):
@@ -123,7 +123,7 @@ class TestSequenceProbability:
             sequence_probability(record_from_flips([0, 0]), sched(0.1, n_steps=5))
 
     def test_wrong_start_rejected(self):
-        rec = TrajectoryRecord(np.array([-1, 1, 1], dtype=np.int8))
+        rec = np.array([-1, 1, 1], dtype=np.int8)
         with pytest.raises(ValueError):
             sequence_probability(rec, sched(0.1, n_steps=2))
 
@@ -315,14 +315,14 @@ def markov_order_p_value(readings: np.ndarray) -> float:
 
 class TestSampling:
     def test_frozen_dynamics_constant(self):
-        ens = sample_trajectories(sched(0.0, n_steps=20), 50, seed=3)
-        assert np.all(ens.readings == 1)
+        readings = sample_trajectories(sched(0.0, n_steps=20), 50, seed=3)
+        assert np.all(readings == 1)
 
     def test_certain_flips_alternate(self):
         s = sched(np.pi, n_steps=15)
         assert s.flip_probability == 1.0
-        ens = sample_trajectories(s, 5000, seed=4)
-        assert np.array_equal(ens.readings, np.broadcast_to((-1) ** np.arange(16), (5000, 16)))
+        readings = sample_trajectories(s, 5000, seed=4)
+        assert np.array_equal(readings, np.broadcast_to((-1) ** np.arange(16), (5000, 16)))
 
     def test_vanishing_rate_returns_promptly(self):
         # p = 2.5e-301 and a subnormal 2.5e-321: every geometric gap
@@ -334,7 +334,7 @@ class TestSampling:
                 "sample_trajectories as draw\n"
                 "for nu in (1e-150, 1e-160):\n"
                 "    s = MeasurementSchedule(tau=1.0, n_steps=200, nu=nu)\n"
-                "    print(s.flip_probability > 0, bool(np.all(draw(s, 5000, 1).readings == 1)))")
+                "    print(s.flip_probability > 0, bool(np.all(draw(s, 5000, 1) == 1)))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.split() == ["True"] * 4
@@ -346,16 +346,30 @@ class TestSampling:
         # blocks, the last one partial
         s = sched(nu_tau, n_steps=37)
         assert draws_gaps(s)
-        ens = sample_trajectories(s, 9000, seed=21)
-        assert np.array_equal(ens.readings, gap_route_records(s, 9000, seed=21))
+        readings = sample_trajectories(s, 9000, seed=21)
+        assert np.array_equal(readings, gap_route_records(s, 9000, seed=21))
+
+    @pytest.mark.parametrize("nu,tau,digest", [
+        (0.5, 0.2, "b407f1d641e0143925d4ad939a4708008588330188b510989c543ec302992e4c"),
+        (2.0, 0.7, "a3fd151777c1b3991fa5ea9a25566383698bf315d7e298657497b29118378d72"),
+    ])
+    def test_returns_the_pinned_int8_block(self, nu, tau, digest):
+        # the gap route (q = 0.0025) and the uniform route (q = 0.415) over
+        # two stream blocks; the digests pin the stream, so any change to
+        # the draws fails here and must be made on purpose
+        readings = sample_trajectories(MeasurementSchedule(tau=tau, n_steps=40, nu=nu),
+                                       5000, seed=7)
+        assert type(readings) is np.ndarray and readings.dtype == np.int8
+        assert readings.shape == (5000, 41) and readings.flags.c_contiguous
+        assert hashlib.sha256(readings.tobytes()).hexdigest() == digest
 
     def test_reproducibility(self):
         s = sched(0.3, n_steps=25)
         a = sample_trajectories(s, 200, seed=42)
         b = sample_trajectories(s, 200, seed=42)
-        assert np.array_equal(a.readings, b.readings)
+        assert np.array_equal(a, b)
         c = sample_trajectories(s, 200, seed=43)
-        assert not np.array_equal(a.readings, c.readings)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("nu_tau,gaps", ROUTES)
     def test_prefix_stability(self, nu_tau, gaps):
@@ -365,17 +379,17 @@ class TestSampling:
         assert draws_gaps(s) is gaps
         a = sample_trajectories(s, 5000, seed=7)
         b = sample_trajectories(s, 9000, seed=7)
-        assert np.array_equal(a.readings, b.readings[:5000])
+        assert np.array_equal(a, b[:5000])
         # each block has its own stream
-        assert not np.array_equal(b.readings[:4096], b.readings[4096:8192])
+        assert not np.array_equal(b[:4096], b[4096:8192])
 
     @pytest.mark.parametrize("nu_tau,gaps", ROUTES)
     def test_flip_frequency(self, nu_tau, gaps):
         s = sched(nu_tau, n_steps=200)
         assert draws_gaps(s) is gaps
         count = 100_000
-        ens = sample_trajectories(s, count, seed=11)
-        flips = ens.readings[:, 1:] != ens.readings[:, :-1]
+        readings = sample_trajectories(s, count, seed=11)
+        flips = readings[:, 1:] != readings[:, :-1]
         freq = flips.mean()
         p = s.flip_probability
         stderr = math.sqrt(p * (1 - p) / flips.size)
@@ -386,8 +400,9 @@ class TestSampling:
         s = sched(nu_tau, n_steps=10)
         assert draws_gaps(s) is gaps
         count = 100_000
-        ens = sample_trajectories(s, count, seed=5)
-        observed = np.bincount(ens.jump_counts(), minlength=11).astype(float)
+        readings = sample_trajectories(s, count, seed=5)
+        jumps = np.count_nonzero(readings[:, 1:] != readings[:, :-1], axis=1)
+        observed = np.bincount(jumps, minlength=11).astype(float)
         p = s.flip_probability
         expected = np.array(
             [math.comb(10, n) * p**n * (1 - p) ** (10 - n) * count for n in range(11)]
@@ -405,7 +420,7 @@ class TestSampling:
     def test_records_are_first_order_markov(self, nu_tau, gaps):
         s = sched(nu_tau, n_steps=30)
         assert draws_gaps(s) is gaps
-        readings = sample_trajectories(s, 50_000, seed=3).readings
+        readings = sample_trajectories(s, 50_000, seed=3)
         assert markov_order_p_value(readings) > 0.001
 
     def test_markov_order_statistic_detects_second_order(self):
@@ -418,65 +433,59 @@ class TestSampling:
             readings[:, k] = np.where(flipped, -readings[:, k - 1], readings[:, k - 1])
         assert markov_order_p_value(readings) < 1e-10
 
-    def test_record_view(self):
-        ens = sample_trajectories(sched(0.5, n_steps=12), 10, seed=1)
-        rec = ens[3]
-        assert len(rec) == 13
-        assert rec.jump_count == int((ens.readings[3, 1:] != ens.readings[3, :-1]).sum())
-
 
 class TestEstimator:
     def test_single_frozen_record(self):
         s = sched(0.0, n_steps=8)
-        ens = sample_trajectories(s, 1, seed=0)
-        stats = estimate_force_statistics(ens, s, f0=1.4)
+        readings = sample_trajectories(s, 1, seed=0)
+        stats = estimate_force_statistics(readings, s, f0=1.4)
         assert np.allclose(stats.mean, -1.4, atol=0.0)
 
     def test_zero_lag_is_f0_squared(self):
         s = sched(0.7, n_steps=30)
-        ens = sample_trajectories(s, 500, seed=9)
-        stats = estimate_force_statistics(ens, s, f0=2.0)
+        readings = sample_trajectories(s, 500, seed=9)
+        stats = estimate_force_statistics(readings, s, f0=2.0)
         assert abs(stats.corr[0] - 4.0) < 1e-12
 
     def test_dichotomy_bounds(self):
         s = sched(0.9, n_steps=40)
-        ens = sample_trajectories(s, 300, seed=21)
-        stats = estimate_force_statistics(ens, s, f0=1.0)
+        readings = sample_trajectories(s, 300, seed=21)
+        stats = estimate_force_statistics(readings, s, f0=1.0)
         assert np.all(stats.corr <= 1.0 + 1e-12)
         assert np.all(stats.corr >= -1.0 - 1e-12)
 
     def test_lag_sums_match_direct_products(self):
         s = sched(0.5, n_steps=40)
-        ens = sample_trajectories(s, 300, seed=13)
+        readings = sample_trajectories(s, 300, seed=13)
         f0 = 1.3
-        stats = estimate_force_statistics(ens, s, f0=f0)
-        x = ens.readings.astype(float)
+        stats = estimate_force_statistics(readings, s, f0=f0)
+        x = readings.astype(float)
         length = x.shape[1]
         per_traj = np.stack(
             [(x[:, k:] * x[:, : length - k]).sum(axis=1) / (length - k) for k in range(length)],
             axis=1,
         )
         corr = f0**2 * per_traj.mean(axis=0)
-        stderr = f0**2 * per_traj.std(axis=0, ddof=1) / math.sqrt(len(ens))
+        stderr = f0**2 * per_traj.std(axis=0, ddof=1) / math.sqrt(len(readings))
         assert np.max(np.abs(stats.corr - corr)) < 1e-12
         assert np.max(np.abs(stats.corr_stderr - stderr)) < 1e-12
 
     def test_mean_matches_float_route(self):
         s = sched(0.5, n_steps=40)
-        ens = sample_trajectories(s, 300, seed=13)
+        readings = sample_trajectories(s, 300, seed=13)
         f0 = 1.3
-        stats = estimate_force_statistics(ens, s, f0=f0)
-        force = -f0 * ens.readings.astype(float)
+        stats = estimate_force_statistics(readings, s, f0=f0)
+        force = -f0 * readings.astype(float)
         assert np.max(np.abs(stats.mean - force.mean(axis=0))) < 1e-14
-        stderr = force.std(axis=0, ddof=1) / math.sqrt(len(ens))
+        stderr = force.std(axis=0, ddof=1) / math.sqrt(len(readings))
         assert np.max(np.abs(stats.mean_stderr - stderr)) < 1e-14
 
     def test_memory_bounded_by_fft_blocks(self):
         s = sched(0.1, n_steps=200)
-        ens = sample_trajectories(s, 20_000, seed=17)
+        readings = sample_trajectories(s, 20_000, seed=17)
         tracemalloc.start()
         try:
-            estimate_force_statistics(ens, s, f0=1.0)
+            estimate_force_statistics(readings, s, f0=1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -487,7 +496,7 @@ class TestEstimator:
         np.ones((4, 9)),                          # float copy
         np.zeros((4, 9), dtype=np.int8),          # not +/-1
         np.ones(9, dtype=np.int8),                # one record, not a stack
-        [TrajectoryRecord(np.ones(9, dtype=np.int8))],
+        [np.ones(9, dtype=np.int8)],              # a list of records, not an array
     ])
     def test_rejects_non_ensemble_input(self, readings):
         with pytest.raises(ValueError):
@@ -531,27 +540,27 @@ class TestGroupedEstimator:
 
     def test_low_jump_ensemble_with_repeats(self):
         s = sched(0.05, n_steps=200)
-        readings = sample_trajectories(s, 9000, seed=3).readings
+        readings = sample_trajectories(s, 9000, seed=3)
         first, weight = measurement._distinct_records(readings)
         assert first.size < 1000 and weight.sum() == 9000
         self._check(readings, s)
 
     def test_all_distinct_ensemble(self):
         s = sched(1.0, n_steps=100)
-        readings = sample_trajectories(s, 5000, seed=5).readings
+        readings = sample_trajectories(s, 5000, seed=5)
         first, weight = measurement._distinct_records(readings)
         assert np.array_equal(first, np.arange(5000)) and np.all(weight == 1)
         self._check(readings, s)
 
     def test_max_lag_below_steps(self):
         s = sched(0.2, n_steps=80)
-        self._check(sample_trajectories(s, 3000, seed=8).readings, s, max_lag=17)
+        self._check(sample_trajectories(s, 3000, seed=8), s, max_lag=17)
 
     @pytest.mark.parametrize("length, count", [(13, 4097), (64, 8191), (65, 5000),
                                                (201, 10001)])
     def test_record_lengths_and_ragged_counts(self, length, count):
         s = sched(0.3, n_steps=length - 1)
-        self._check(sample_trajectories(s, count, seed=length).readings, s)
+        self._check(sample_trajectories(s, count, seed=length), s)
 
     @pytest.mark.parametrize("length", [13, 64, 65, 201])
     def test_last_reading_separates_groups(self, length):
@@ -565,7 +574,7 @@ class TestGroupedEstimator:
         # multiplier 0 leaves only the last key word in the hash
         monkeypatch.setattr(measurement, "_HASH_MULTIPLIER", np.uint64(0))
         s = sched(0.4, n_steps=200)
-        readings = sample_trajectories(s, 6000, seed=12).readings
+        readings = sample_trajectories(s, 6000, seed=12)
         self._check(readings, s)
 
     # the readings are checked before any sum, so no warning (a 127 summed
@@ -574,7 +583,7 @@ class TestGroupedEstimator:
     @pytest.mark.parametrize("col, value", [(2, 0), (2, 3), (2, 127), (1, -3), (1, -128)])
     def test_bad_value_in_a_repeated_row_rejected(self, col, value):
         s = sched(0.05, n_steps=200)
-        readings = sample_trajectories(s, 10_000, seed=2).readings
+        readings = sample_trajectories(s, 10_000, seed=2)
         readings[0, 1::2] = -1
         readings[9000] = readings[0]
         readings[9000, col] = value
