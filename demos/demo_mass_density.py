@@ -15,7 +15,7 @@ from forming one classical stochastic process.
 
 import numpy as np
 
-from gravcat.density import fluctuation_ratio, smeared_corr_quadrature, smeared_mean_phase_space
+from gravcat.density import density_mean, fluctuation_ratio, smeared_corr_quadrature
 from gravcat.histories import additivity_defect, partition_points
 from gravcat.states import CatState, Gaussian1D, GaussianState, SmearingParams
 from gravcat.wigner import wigner_function
@@ -35,7 +35,8 @@ print(f"  cat: midpoint fringe extremes {slice_p.min():+.3f} .. {slice_p.max():+
 
 print("== static smeared mean through phase space ==")
 for x in (0.0, 1.0, 2.0):
-    ps = smeared_mean_phase_space(gauss.axis_state(0), x, 0.0, m=1.0)
+    # the free-streamed Wigner line, m |psi(x, t)|^2 of the evolved packet
+    ps = density_mean(gauss.axis_state(0), x, 0.0, m=1.0)
     direct = abs(gauss.axis_state(0).psi(x)) ** 2
     print(f"  x = {x:4.1f}: phase-space mean {ps:.8f}, m |psi|^2 = {direct:.8f}")
 print()

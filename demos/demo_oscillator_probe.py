@@ -45,10 +45,10 @@ print("     records which well the particle occupies.\n")
 
 rep = distinguishability(params)
 print("== probe quality ==")
-print(f"  pointer overlap |<zeta_0|-zeta_0>|^2 = {rep.overlap:.3e} "
-      f"(threshold {rep.threshold})")
-print(f"  omega^3 = {rep.omega_cubed:.3g} vs coupling scale "
-      f"{rep.coupling_scale:.3g}: probe_ok = {rep.probe_ok}\n")
+print(f"  pointer overlap |<zeta_0|-zeta_0>|^2 = {rep['overlap']:.3e} "
+      f"(threshold {rep['threshold']})")
+print(f"  omega^3 = {rep['omega_cubed']:.3g} vs coupling scale "
+      f"{rep['coupling_scale']:.3g}: probe_ok = {rep['probe_ok']}\n")
 
 print("== tunneling-induced pointer swap ==")
 nu_eff = params.nu * np.exp(-2.0 * abs(params.zeta0) ** 2)

@@ -29,7 +29,7 @@ from gravcat.two_state import (
 dens = SmearedDensityParams(m=1.0, ell=1.0)
 # balanced wells with a relative phase: gamma = sin(pi / 3) feeds the
 # imaginary part of the quantum correlation
-state = QubitState.balanced(relative_phase=np.pi / 3)
+state = QubitState(1.0 / np.sqrt(2.0), np.exp(1j * np.pi / 3) / np.sqrt(2.0))
 
 print("== frozen dynamics (nu = 0) ==")
 frozen = TunnelingParams(nu=0.0)

@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - map anything unexpected to code 4
         print(f"gravcat: internal failure: {exc}", file=sys.stderr)
         return 4
-    print(f"gravcat: wrote {len(manifest.artifacts)} artifacts to {cfg.output_dir}")
+    print(f"gravcat: wrote {len(manifest['artifacts'])} artifacts to {cfg.output_dir}")
     return 0
 
 

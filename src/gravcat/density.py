@@ -28,8 +28,10 @@ from .wigner import wigner_terms
 def density_mean(state, r, t: float = 0.0, m: float = 1.0):
     """Mean mass density m |psi(r, t)|^2 of a normalized 3D state at one
     point r (3,), a float, or at an array of points (..., 3); of a 1D state
-    at a position or an array of them.  For a
-    zero-mean-momentum packet at t = 0 it is the static-limit smeared mean."""
+    at a position or an array of them.  Each point of an array call equals
+    the single-point call bit for bit.  For a 1D state it is also the
+    delta-limit smeared mean at any t, and for a zero-mean-momentum packet
+    at t = 0 the static-limit smeared mean."""
     # float_power squares with the C library's pow, as Python's float **
     # does, so a point of an array call squares as the single-point call
     mean = m * np.float_power(np.abs(state.psi(r, t, m)), 2.0)
@@ -57,29 +59,16 @@ def fluctuation_ratio(state, smear, r, m: float = 1.0):
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def smeared_mean_phase_space(state, r, t: float, m: float = 1.0):
-    """1D smeared mean density of a 1D state in the delta limit, the
-    free-streamed line (m / 2 pi) Integral dp W0(r - p t / m, p) of its
-    initial Wigner function W0.  That line is m |psi(r, t)|^2, taken here
-    from the evolved packet (`density_mean`): the Wigner-line integral
-    cancels huge terms for narrow packets and is a test oracle.
-
-    `r` may be an array (the result has its shape); a scalar `r` gives a
-    float.  Each element equals the scalar call bit for bit."""
-    r = np.asarray(r, dtype=float)
-    # every r takes the array route: complex scalar and array arithmetic
-    # round differently, and a point must equal its element of an array call
-    mean = density_mean(state, r.reshape(-1), t, m).reshape(r.shape)
-    return float(mean) if mean.ndim == 0 else mean
-
-
 def smeared_corr_phase_space(
     state, r: float, t: float, r2: float, t2: float, m: float = 1.0
 ) -> tuple[float, float]:
     """1D smeared (mean, two-point) pair from the initial Wigner function of
     a 1D state in the sampling-width -> 0 limit: the mean is the
-    free-streamed momentum integral and the correlation collapses onto the
-    time-of-flight point,
+    free-streamed line (m / 2 pi) Integral dp W0(r - p t / m, p), which is
+    m |psi(r, t)|^2 and is taken from the evolved packet (`density_mean`;
+    the Wigner-line integral cancels huge terms for narrow packets and is a
+    test oracle), and the correlation collapses onto the time-of-flight
+    point,
 
         corr = m^3 / (2 pi |t - t2|) * W0(x*, p*),
         p* = m (r - r2) / (t - t2),
@@ -91,7 +80,7 @@ def smeared_corr_phase_space(
     """
     if t == t2:
         raise ValueError("delta-limit correlation undefined at equal times")
-    mean = smeared_mean_phase_space(state, r, t, m)
+    mean = density_mean(state, r, t, m)
     p_star = m * (r - r2) / (t - t2)
     x_star = 0.5 * (r + r2) - p_star * (t + t2) / (2.0 * m)
     w0 = float(np.sum(wigner_terms(state).pullback(np.zeros((2, 0)), (x_star, p_star))

@@ -12,9 +12,10 @@ precision regardless of the cutoff.  Truncation error instead shows up as
 leakage of displaced states past the top level, which
 `vacuum_truncation_leak` quantifies analytically.
 
-Rule of thumb used throughout: a cutoff D is adequate for displacements w
-with |w|^2 <= D/4 (coherent-state occupation tail beyond D is then far
-below double precision).
+One rule judges a cutoff: D is adequate for a displacement w while the
+vacuum image D(w)|0> leaks at most TRUNCATION_LEAK_BOUND past the top
+level.  `displacement` warns beyond it, and jc-suite rejects a run whose
+largest displacement exceeds it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# Largest vacuum leak past the cutoff at which a displacement is faithful.
+TRUNCATION_LEAK_BOUND = 1e-6
 
 
 class TruncationInadequateWarning(UserWarning):
@@ -61,9 +66,11 @@ def vacuum_truncation_leak(space: FockSpace, w: complex) -> float:
     This is the Poisson tail P(N >= D) with mean |w|^2.  Below the mean it
     is summed upward from k = D; at or above it, one minus the head summed
     downward from k = D - 1.  Either way the terms fall monotonically from
-    the first, which is taken from `math.lgamma`.
+    the first, which is taken from `math.lgamma`, and the sum stops at the
+    first term below 1e-17 of it, so a huge cutoff costs no more than a
+    small one.  An infinite |w| gives NaN.
     """
-    lam = abs(w) ** 2
+    lam = abs(w) * abs(w)  # * gives inf where ** would raise
     if lam == 0.0:
         return 0.0
     d = space.dim
@@ -75,10 +82,11 @@ def vacuum_truncation_leak(space: FockSpace, w: complex) -> float:
             k += 1
             term *= lam / k
         return math.exp(d * log_lam - lam - math.lgamma(d + 1)) * total
-    term, total = 1.0, 0.0
-    for k in range(d - 1, -1, -1):
+    k, term, total = d - 1, 1.0, 0.0
+    while term > 1e-17 * total:
         total += term
         term *= k / lam
+        k -= 1
     return 1.0 - math.exp((d - 1) * log_lam - lam - math.lgamma(d)) * total
 
 
@@ -87,13 +95,13 @@ def displacement(space: FockSpace, w: complex) -> np.ndarray:
 
     Unitary to machine precision, and exactly the identity at w = 0.
     Emits TruncationInadequateWarning when the vacuum leak past the cutoff
-    exceeds 1e-6, i.e. when displaced states are no longer faithfully
-    represented.  The matrix is built once per (D, w) and shared between
-    calls, so it is read-only.
+    exceeds TRUNCATION_LEAK_BOUND, i.e. when displaced states are no longer
+    faithfully represented.  The matrix is built once per (D, w) and shared
+    between calls, so it is read-only.
     """
     d = space.dim
     leak = vacuum_truncation_leak(space, w)
-    if leak > 1e-6:
+    if leak > TRUNCATION_LEAK_BOUND:
         warnings.warn(
             f"displacement |w|^2 = {abs(w)**2:.3g} leaks {leak:.3g} of the "
             f"vacuum image past cutoff D = {d}; increase the cutoff",

@@ -22,7 +22,7 @@ import math
 import numbers
 import time
 import types
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,20 +58,6 @@ class ExperimentConfig:
     parameters: dict
     seed: int
     output_dir: Path
-
-
-@dataclass
-class ResultManifest:
-    experiment: str
-    config: dict
-    seed: int
-    tool_version: str
-    artifacts: list
-    results: dict
-    duration_seconds: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # Bytes of word slots per block (at most 7 words a float cell, 3 an integer
@@ -514,6 +500,11 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
     from . import measurement as ms
 
     p = cfg.parameters
+    if p["force.max_lag"] < 0:
+        raise ConfigError(f"force.max_lag must be >= 0 (0 for all lags), got {p['force.max_lag']}")
+    if p["force.dump_trajectories"] not in (0, 1):
+        raise ConfigError(f"force.dump_trajectories must be 0 or 1, "
+                          f"got {p['force.dump_trajectories']}")
     if p["force.count"] < 100:
         raise RegimeError("statistics mode needs force.count >= 100")
     sched = _domain(ms.MeasurementSchedule, tau=p["force.tau"],
@@ -579,7 +570,7 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
 
 def _run_jc(cfg: ExperimentConfig, outdir: Path):
     from . import jc
-    from .fock import FockSpace
+    from .fock import TRUNCATION_LEAK_BOUND, FockSpace, vacuum_truncation_leak
 
     p = cfg.parameters
     omega = p["jc.omega"]
@@ -587,24 +578,24 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
     params = _domain(jc.JCParams, nu=p["jc.nu_over_omega"] * omega, omega=omega,
                      g=p["jc.g_over_omega"] * omega)
     space = _domain(FockSpace, dim)
-    # The pointer orbit reaches 2 |zeta_0|; demand headroom in the cutoff.
-    max_reach = 2.0 * abs(params.zeta0)
-    if max_reach * max_reach > dim / 4.0:  # * gives inf where ** would raise
-        raise RegimeError(
-            f"Fock cutoff {dim} inadequate for pointer reach |zeta| = {max_reach:.3g} "
-            f"(need |zeta|^2 <= dim/4)"
-        )
+    if p["jc.samples"] < 2:
+        raise ConfigError("jc.samples must be at least 2")
+    nu_t_max = p["jc.nu_t_max"]
+    if nu_t_max is not None and not 0 < nu_t_max < np.inf:
+        raise ConfigError("jc.nu_t_max must be positive and finite")
+    # D(2 zeta_0) is the largest displacement the run builds, judged by the
+    # bound `fock.displacement` warns at; an infinite zeta_0 leaks NaN.
+    leak = vacuum_truncation_leak(space, 2.0 * params.zeta0)
+    if not leak <= TRUNCATION_LEAK_BOUND:
+        raise RegimeError(f"Fock cutoff {dim} inadequate for pointer reach |zeta| = "
+                          f"{2.0 * abs(params.zeta0):.3g}: D(zeta)|0> leaks {leak:.3g} "
+                          f"past it (bound {TRUNCATION_LEAK_BOUND:g})")
     # distinguishability reports omega^3 and 2 |zeta_0|^2 omega^3; ** would raise
     with np.errstate(all="ignore"):
         coupling_scale = 2.0 * params.zeta0**2 * np.float64(omega) ** 3
     if not coupling_scale < np.inf:
         raise RegimeError(f"jc.omega = {omega:.3g}: omega^3 or 2 |zeta_0|^2 omega^3 "
                           "is not finite")
-    if p["jc.samples"] < 2:
-        raise ConfigError("jc.samples must be at least 2")
-    nu_t_max = p["jc.nu_t_max"]
-    if nu_t_max is not None and not 0 < nu_t_max < np.inf:
-        raise ConfigError("jc.nu_t_max must be positive and finite")
     with np.errstate(over="ignore"):  # an unbounded window is rejected below
         if nu_t_max is None:
             # one dressed half period, nu exp(-2 zeta_0^2) t = pi / 2; pi / omega at nu = 0
@@ -634,7 +625,6 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
     purities = jc.reduced_purity(rows[:, :dim], rows[:, dim:])
     zeta = jc.pointer_path(params, times)
 
-    report = jc.distinguishability(params)
     arts = [
         write_csv(
             outdir / "timeseries.csv",
@@ -652,17 +642,7 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
                 "deterministic": True,  # no randomness enters this experiment
             },
         ),
-        write_json(
-            outdir / "distinguishability.json",
-            {
-                "overlap": report.overlap,
-                "probe_ok": report.probe_ok,
-                "threshold": report.threshold,
-                "omega_cubed": report.omega_cubed,
-                "coupling_scale": report.coupling_scale,
-                "zeta0": params.zeta0,
-            },
-        ),
+        write_json(outdir / "distinguishability.json", jc.distinguishability(params)),
     ]
     results = {
         "max_abs_dev_exact_vs_rabi": float(np.max(np.abs(p_exact - p_rabi))),
@@ -749,7 +729,7 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     xs = np.linspace(grid.x[0], grid.x[-1], 101)
     exact = m * np.abs(axis_state.psi(xs)) ** 2
     arts.append(write_csv(outdir / "static_mean.csv", ["x", "smeared_mean", "density_exact"],
-                          [xs, dn.smeared_mean_phase_space(axis_state, xs, 0.0, m), exact]))
+                          [xs, dn.density_mean(axis_state, xs, 0.0, m), exact]))
 
     # Relative fluctuation profile of the 3D state; points where the density
     # (or its square) vanishes have no ratio and are left out, and counted.
@@ -839,8 +819,9 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> ResultManifest:
-    """Run one named experiment, write artifacts and manifest.json."""
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Run one named experiment, write its artifacts and manifest.json, and
+    return the manifest."""
     runner = _RUNNERS[cfg.experiment]
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -855,14 +836,14 @@ def run_experiment(cfg: ExperimentConfig) -> ResultManifest:
         if sha256_file(path) != digest:
             raise InternalCheckError(f"checksum of {path} changed during manifest build")
 
-    manifest = ResultManifest(
-        experiment=cfg.experiment,
-        config=dict(sorted(cfg.parameters.items())),
-        seed=cfg.seed,
-        tool_version=__version__,
-        artifacts=entries,
-        results=results,
-        duration_seconds=duration,
-    )
-    write_json(outdir / "manifest.json", manifest.to_dict())
+    manifest = {
+        "experiment": cfg.experiment,
+        "config": dict(sorted(cfg.parameters.items())),
+        "seed": cfg.seed,
+        "tool_version": __version__,
+        "artifacts": entries,
+        "results": results,
+        "duration_seconds": duration,
+    }
+    write_json(outdir / "manifest.json", manifest)
     return manifest

@@ -38,16 +38,14 @@ from .two_state import PAULI_1, PAULI_3
 class JCParams:
     """Tunneling rate nu, oscillator frequency omega, coupling g.
 
-    When built from the probe geometry (`from_probe`), the force amplitude
-    f0 and probe mass m0 are retained so the equilibrium displacement
-    x0 = f0 / (m0 omega^2) is available.  zeta_0 = -g / omega always is.
+    A probe of mass m0 under a force of amplitude f0 couples with
+    g = -f0 / sqrt(2 m0 omega); the pointer displacement is
+    zeta_0 = -g / omega.
     """
 
     nu: float
     omega: float
     g: float
-    f0: float | None = None
-    m0: float | None = None
 
     def __post_init__(self):
         if not 0 < self.omega < np.inf:
@@ -57,32 +55,10 @@ class JCParams:
         if not abs(self.g) < np.inf:
             raise ValueError(f"coupling must be finite, got {self.g}")
 
-    @classmethod
-    def from_probe(cls, nu: float, omega: float, f0: float, m0: float) -> "JCParams":
-        return cls(nu=nu, omega=omega, g=jc_coupling(f0, m0, omega), f0=f0, m0=m0)
-
     @property
     def zeta0(self) -> float:
         """Pointer displacement -g / omega (center of the dragged orbit)."""
         return -self.g / self.omega
-
-    @property
-    def x0(self) -> float:
-        """Equilibrium position shift f0 / (m0 omega^2); needs probe data."""
-        if self.f0 is None or self.m0 is None:
-            raise ValueError("x0 requires probe parameters (use from_probe)")
-        return self.f0 / (self.m0 * self.omega**2)
-
-    @property
-    def deep_strong(self) -> bool:
-        return abs(self.g) > self.omega
-
-
-def jc_coupling(f0: float, m0: float, omega: float) -> float:
-    """Qubit-oscillator coupling g = -f0 / sqrt(2 m0 omega)."""
-    if m0 <= 0 or omega <= 0:
-        raise ValueError("probe mass and frequency must be positive")
-    return -f0 / np.sqrt(2.0 * m0 * omega)
 
 
 def pointer_state(params: JCParams, space: FockSpace, sign: int) -> np.ndarray:
@@ -139,33 +115,24 @@ def reduced_purity(up: np.ndarray, down: np.ndarray) -> np.ndarray:
 _PROBE_OK_OVERLAP = 1e-2
 
 
-@dataclass(frozen=True)
-class DistinguishabilityReport:
-    """Pointer-state overlap and the probe-quality inequality it implies.
+def distinguishability(params: JCParams) -> dict:
+    """Pointer overlap exp(-4 |zeta_0|^2), whether it is below
+    _PROBE_OK_OVERLAP, and the probe-quality inequality it implies, as the
+    record `distinguishability.json` holds.
 
     `coupling_scale` = 2 |zeta_0|^2 omega^3 (equal to f0^2 / m0 when the
     coupling comes from a force amplitude); the probe resolves the wells
-    when omega^3 is far below it, equivalently when `overlap` is small.
+    when `omega_cubed` is far below it, equivalently when `overlap` is small.
     """
-
-    overlap: float
-    probe_ok: bool
-    threshold: float
-    omega_cubed: float
-    coupling_scale: float
-
-
-def distinguishability(params: JCParams) -> DistinguishabilityReport:
-    """Pointer overlap exp(-4 |zeta_0|^2) and whether it is below
-    _PROBE_OK_OVERLAP."""
     overlap = float(np.exp(-4.0 * abs(params.zeta0) ** 2))
-    return DistinguishabilityReport(
-        overlap=overlap,
-        probe_ok=overlap < _PROBE_OK_OVERLAP,
-        threshold=_PROBE_OK_OVERLAP,
-        omega_cubed=params.omega**3,
-        coupling_scale=2.0 * abs(params.zeta0) ** 2 * params.omega**3,
-    )
+    return {
+        "overlap": overlap,
+        "probe_ok": overlap < _PROBE_OK_OVERLAP,
+        "threshold": _PROBE_OK_OVERLAP,
+        "omega_cubed": params.omega**3,
+        "coupling_scale": 2.0 * abs(params.zeta0) ** 2 * params.omega**3,
+        "zeta0": params.zeta0,
+    }
 
 
 def rabi_probability(params: JCParams, t) -> float | np.ndarray:

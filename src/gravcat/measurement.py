@@ -85,11 +85,6 @@ class MeasurementSchedule:
             raise ValueError(f"tunneling rate must be nonnegative and finite, got {self.nu}")
 
     @property
-    def lam(self) -> float:
-        """Per-step jump weight lambda = nu^2 tau^2 / 4 (small-angle regime)."""
-        return self.nu**2 * self.tau**2 / 4.0
-
-    @property
     def gamma(self) -> float:
         """Continuum decay rate Gamma = 2 lambda / tau = nu^2 tau / 2."""
         return self.nu**2 * self.tau / 2.0
@@ -97,10 +92,6 @@ class MeasurementSchedule:
     @property
     def flip_probability(self) -> float:
         return float(np.sin(0.5 * self.nu * self.tau) ** 2)
-
-    @property
-    def small_angle(self) -> bool:
-        return self.nu * self.tau < 0.3
 
     @property
     def times(self) -> np.ndarray:

@@ -36,10 +36,16 @@ def _norm_constant(overlap: float) -> float:
 
 def _free_gaussian(x, t: float, m: float, sigma: float, center: float):
     """Freely evolved normalized Gaussian, initially centered with zero
-    mean momentum; spread obeys sigma(t)^2 = sigma^2 + t^2/(4 m^2 sigma^2)."""
+    mean momentum; spread obeys sigma(t)^2 = sigma^2 + t^2/(4 m^2 sigma^2).
+
+    A scalar x takes the array route too: complex scalar and array
+    arithmetic round differently, and a point must equal its element of an
+    array call bit for bit."""
+    x = np.asarray(x)
     stretch = 1.0 + 1j * t / (2.0 * m * sigma**2)
     pref = (2.0 * np.pi * sigma**2) ** (-0.25) / np.sqrt(stretch)
-    return pref * np.exp(-((np.asarray(x) - center) ** 2) / (4.0 * sigma**2 * stretch))
+    amp = pref * np.exp(-((x.reshape(-1) - center) ** 2) / (4.0 * sigma**2 * stretch))
+    return amp.reshape(x.shape)
 
 
 class GaussianTerms(NamedTuple):
@@ -301,15 +307,8 @@ class SmearingParams:
         """Smearing scale per axis."""
         return float(np.sqrt(2.0 * np.pi) * self.s_x)
 
-    @property
-    def ell3(self) -> float:
-        return self.ell**3
-
     def g(self, u):
         return np.exp(-np.asarray(u, dtype=float) ** 2 / (2.0 * self.s_x**2))
-
-    def sqrt_g(self, u):
-        return np.exp(-np.asarray(u, dtype=float) ** 2 / (4.0 * self.s_x**2))
 
     def partition_weight(self, spacing: float) -> float:
         """Weight making a uniform comb of samplers an exhaustive partition:

@@ -61,21 +61,6 @@ class QubitState:
         cross = 2.0 * np.conj(self.c_plus) * self.c_minus * np.exp(1j * chi)
         return self.delta, float(cross.real), float(cross.imag)
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.c_plus, self.c_minus], dtype=complex)
-
-    @classmethod
-    def plus(cls) -> "QubitState":
-        return cls(1.0, 0.0)
-
-    @classmethod
-    def minus(cls) -> "QubitState":
-        return cls(0.0, 1.0)
-
-    @classmethod
-    def balanced(cls, relative_phase: float = 0.0) -> "QubitState":
-        return cls(1.0 / np.sqrt(2.0), np.exp(1j * relative_phase) / np.sqrt(2.0))
-
 
 @dataclass(frozen=True)
 class SmearedDensityParams:

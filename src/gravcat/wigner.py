@@ -57,14 +57,6 @@ class PhaseSpaceGrid:
         inner = np.trapezoid(self.values, self.p, axis=1)
         return float(np.trapezoid(inner, self.x) / (2.0 * np.pi))
 
-    def marginal_position(self) -> np.ndarray:
-        """Integral dp W / (2 pi) = |psi(x)|^2."""
-        return np.trapezoid(self.values, self.p, axis=1) / (2.0 * np.pi)
-
-    def marginal_momentum(self) -> np.ndarray:
-        """Integral dx W = 2 pi |psi_tilde(p)|^2 (unitary Fourier transform)."""
-        return np.trapezoid(self.values, self.x, axis=0)
-
 
 def default_axes(state):
     """Reasonable grid axes for a 1D packet: 257 positions over its +/-8

@@ -10,15 +10,16 @@ probe (against `jc.first_order_probability_series`), a step integrator of
 the full probe Hamiltonian and a transition series (against the spectral
 `jc.evolve_rows`), the probe's entangled cat state and its reduced purity
 (against `jc.reduced_purity`), a stationarity residual of the pointer
-states, the record law, the conditionals and the discrete and continuum
-force laws (against the sampled records and their estimates), a direct
-binomial sum for the small-angle conditional law, one FFT
-autocorrelation per force record (against the estimator's one per
-distinct record), a record-by-record flip count of the geometric-gap
-marks (against the sampler's running xor over a boolean block), the
-closed-form Kolmogorov defect of projective records and an enumeration
-of all 2^(n-1) later-outcome tails that checks it, the pointwise density
-correlators from the free propagator, sharp box sampling and position
+states, the record law and its small-angle jump weight, the conditionals
+and the discrete and continuum force laws (against the sampled records
+and their estimates), a direct binomial sum for the small-angle
+conditional law, one FFT autocorrelation per force record (against the
+estimator's one per distinct record), a record-by-record flip count of
+the geometric-gap marks (against the sampler's running xor over a boolean
+block), the closed-form Kolmogorov defect of projective records and an
+enumeration of all 2^(n-1) later-outcome tails that checks it, the
+pointwise density correlators from the free propagator, sharp box
+sampling, the square root of each sampling profile and position
 histories on a spatial grid (FFT free evolution, the decoherence
 functional and the smeared moments), multi-time record probabilities
 propagated record by record and the FFT comb route on a spatial grid
@@ -26,7 +27,7 @@ propagated record by record and the FFT comb route on a spatial grid
 Gauss-Legendre Wigner transform and its interpolating spline (against the
 closed-form `wigner.wigner_function`), the closed-form Wigner-line
 integral of the delta-limit mean (against the evolved packet's
-`density.smeared_mean_phase_space`), and Gauss-Legendre quadrature over
+`density.density_mean`), and Gauss-Legendre quadrature over
 that spline of the finite-width smeared mean and two-point function, and
 a 2D trapezoid over the written-out cat W (against the delta-limit mean
 and the closed-form `density.smeared_corr_quadrature`), and the
@@ -384,6 +385,11 @@ def exact_propagate(params: JCParams, space: FockSpace, state: np.ndarray,
 _FORMS = ("exact", "approximate")
 
 
+def jump_weight(sched: MeasurementSchedule) -> float:
+    """Per-step jump weight lambda = nu^2 tau^2 / 4 of the small-angle law."""
+    return sched.nu**2 * sched.tau**2 / 4.0
+
+
 def sequence_probability(record: np.ndarray, sched: MeasurementSchedule,
                          small_angle: bool = False) -> float:
     """Probability of a full record, a (N+1,) array of +/-1 readings
@@ -402,7 +408,8 @@ def sequence_probability(record: np.ndarray, sched: MeasurementSchedule,
     n = np.count_nonzero(record[1:] != record[:-1])
     big_n = sched.n_steps
     if small_angle:
-        return float(sched.lam**n * np.exp(-sched.lam * (big_n - n)))
+        lam = jump_weight(sched)
+        return float(lam**n * np.exp(-lam * (big_n - n)))
     p_flip = sched.flip_probability
     return float((1.0 - p_flip) ** (big_n - n) * p_flip**n)
 
@@ -701,11 +708,16 @@ class BoxSampling:
     def g(self, u):
         return (np.abs(np.asarray(u, dtype=float)) <= self.half_width).astype(float)
 
-    def sqrt_g(self, u):
-        return self.g(u)
-
     def partition_weight(self, spacing: float) -> float:
         return spacing / self.ell
+
+
+def sqrt_g(sampling, u):
+    """Square root of the sampling profile g: the box's own indicator
+    (g^2 = g), or exp(-u^2 / 4 s_x^2) for Gaussian `SmearingParams`."""
+    if isinstance(sampling, BoxSampling):
+        return sampling.g(u)
+    return np.exp(-np.asarray(u, dtype=float) ** 2 / (4.0 * sampling.s_x**2))
 
 
 @dataclass(frozen=True)
@@ -838,11 +850,11 @@ def _record_probabilities(state, sampling, r1_values, t1: float, events_tail, m:
     if grid is None:
         grid = auto_grid(state, sampling, max(times), m)
     r1_values = np.asarray(r1_values, dtype=float)
-    cur = state.psi(grid.x, t1, m) * sampling.sqrt_g(grid.x - r1_values[:, None])
+    cur = state.psi(grid.x, t1, m) * sqrt_g(sampling, grid.x - r1_values[:, None])
     t_prev = t1
     for r_i, t_i in events_tail:
         cur = free_evolve(cur, grid, t_i - t_prev, m)
-        cur = cur * sampling.sqrt_g(grid.x - r_i)
+        cur = cur * sqrt_g(sampling, grid.x - r_i)
         t_prev = t_i
     return np.sum(np.abs(cur) ** 2, axis=1) * grid.dx
 
@@ -1041,7 +1053,7 @@ def wigner_transform(
 def wigner_line_mean(state, r, t: float, m: float = 1.0):
     """Delta-limit smeared mean (m / 2 pi) Integral dp W0(r - p t / m, p) of
     a 1D state, each Wigner term's p integral in closed form (against
-    `density.smeared_mean_phase_space`, which takes m |psi(r, t)|^2).  For
+    `density.density_mean`, which takes m |psi(r, t)|^2).  For
     narrow packets the terms are huge and cancel; normal widths only."""
     r = np.asarray(r, dtype=float)
     shift = np.stack([r, np.zeros_like(r)], axis=-1)[..., None, :]
@@ -1116,7 +1128,7 @@ def static_limit_corr(state, smear, r, r2, m: float = 1.0) -> float:
     the second moment that `density.fluctuation_ratio` takes as
     (m / ell^3) x mean."""
     u_sq = float(np.sum((np.asarray(r, dtype=float) - np.asarray(r2, dtype=float)) ** 2))
-    profile = np.exp(-u_sq / (2.0 * smear.s_x**2)) / smear.ell3
+    profile = np.exp(-u_sq / (2.0 * smear.s_x**2)) / smear.ell**3
     return m**2 * float(np.abs(state.psi(r, 0.0)) ** 2) * float(profile)
 
 
@@ -1132,7 +1144,7 @@ def _comb_marginal_density(state, sampling, r1_values: np.ndarray, t1: float, t2
     rows = max(1, _COMB_BLOCK_BYTES // (16 * grid.x.size))
     rho = np.zeros(grid.x.size)
     for lo in range(0, r1_values.size, rows):
-        cur = psi1 * sampling.sqrt_g(grid.x - r1_values[lo:lo + rows, None])
+        cur = psi1 * sqrt_g(sampling, grid.x - r1_values[lo:lo + rows, None])
         cur = free_evolve(cur, grid, t2 - t1, m)
         rho += np.sum(cur.real**2 + cur.imag**2, axis=0)
     return rho * _comb_weight(sampling, r1_values)
@@ -1156,7 +1168,7 @@ def comb_additivity_defect(state, sampling, t1: float, t2: float, r1_values: np.
     density2 = psi2.real**2 + psi2.imag**2
     worst = 0.0
     for r2 in np.atleast_1d(np.asarray(r2_values, dtype=float)).tolist():
-        g2 = sampling.sqrt_g(grid.x - r2) ** 2
+        g2 = sqrt_g(sampling, grid.x - r2) ** 2
         summed = float(np.sum(g2 * rho) * grid.dx)
         worst = max(worst, abs(summed - float(np.sum(g2 * density2) * grid.dx)))
     return worst

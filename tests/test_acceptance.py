@@ -15,7 +15,7 @@ from scipy.linalg import expm
 
 from gravcat import jc
 from gravcat import measurement as ms
-from gravcat.density import smeared_mean_phase_space
+from gravcat.density import density_mean
 from gravcat.fock import FockSpace, coherent_state
 from gravcat.states import CatState, Gaussian1D, GaussianState
 import oracles
@@ -222,8 +222,8 @@ def test_criterion_7_static_limit_density():
     for state in (GaussianState(sigma=1.0), CatState(sigma=0.5, L=(4.0, 0.0, 0.0))):
         axis = state.axis_state(0)
         for x in np.linspace(-2.0, 2.0, 9):
-            # the p integral of the Wigner terms against the packet itself
-            got = smeared_mean_phase_space(axis, float(x), 0.0, m)
+            # the route of the static_mean.csv column against the packet itself
+            got = density_mean(axis, float(x), 0.0, m)
             expected = m * float(np.abs(axis.psi(x)) ** 2)
             worst_mean = max(worst_mean, abs(got - expected))
 

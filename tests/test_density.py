@@ -10,7 +10,6 @@ from gravcat.density import (
     fluctuation_ratio,
     smeared_corr_phase_space,
     smeared_corr_quadrature,
-    smeared_mean_phase_space,
 )
 from gravcat.states import (
     Cat1D,
@@ -173,7 +172,7 @@ class TestDensityMoments:
         r = [0.3, 0.0, 0.0]
         lhs = static_limit_corr(state, smear, r, r, m=1.5)
         mean = density_mean(state, r, 0.0, m=1.5)
-        rhs = 1.5 / smear.ell3 * mean
+        rhs = 1.5 / smear.ell**3 * mean
         assert abs(lhs - rhs) < 1e-12
         # the ratio density-suite writes is built from that identity
         ratio = fluctuation_ratio(state, smear, r, m=1.5)
@@ -222,34 +221,44 @@ class TestPhaseSpaceEvaluation:
     def test_static_mean_matches_density_gaussian(self):
         state = Gaussian1D(sigma=1.0)
         for x in (0.0, 0.5, -1.2, 2.0):
-            got = smeared_mean_phase_space(state, x, 0.0, m=1.3)
+            got = density_mean(state, x, 0.0, m=1.3)
             expected = 1.3 * abs(state.psi(x)) ** 2
             assert abs(got - expected) < 1e-6
 
     def test_static_mean_matches_density_cat(self):
         state = CatState(sigma=0.5, L=(4.0, 0.0, 0.0)).axis_state(0)
         for x in (0.0, 1.0, 2.0, -2.0):
-            got = smeared_mean_phase_space(state, x, 0.0, m=1.0)
+            got = density_mean(state, x, 0.0, m=1.0)
             expected = abs(state.psi(x)) ** 2
             assert abs(got - expected) < 1e-6
 
-    def test_array_r_matches_scalar_loop(self):
+    @pytest.mark.parametrize("state,axis", [
+        (Cat1D(1.0, 6.0), None),
+        (Gaussian1D(0.8, center=0.4), None),
+        (CatState(1.0, (6.0, 0.0, 0.0)), (1.0, 0.4, -0.3)),
+    ], ids=["cat", "gaussian", "cat-3d"])
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_array_r_matches_scalar_loop(self, state, axis, t):
+        # a single point takes the array route: at t 0.7 scalar arithmetic
+        # differed from the array call on 32, 26 and 47 of these 101 points
+        xs = np.linspace(*Cat1D(1.0, 6.0).support(), 101)
+        points = xs if axis is None else np.outer(xs, axis)
+        loop = np.array([density_mean(state, r, t, 1.3) for r in points])
+        batch = density_mean(state, points, t, 1.3)
+        assert batch.shape == xs.shape
+        assert np.array_equal(batch, loop)
+
+    def test_array_r_keeps_its_shape(self):
         state = Cat1D(1.0, 6.0)
-        lo, hi = state.support()
-        xs = np.linspace(lo, hi, 101)
-        for t in (0.0, 0.7):
-            loop = np.array([smeared_mean_phase_space(state, float(x), t, 1.3) for x in xs])
-            batch = smeared_mean_phase_space(state, xs, t, 1.3)
-            assert batch.shape == xs.shape
-            assert np.array_equal(batch, loop)
-        table = smeared_mean_phase_space(state, xs[:12].reshape(3, 4), 0.2)
+        xs = np.linspace(*state.support(), 12)
+        table = density_mean(state, xs.reshape(3, 4), 0.2)
         assert table.shape == (3, 4)
-        assert np.array_equal(table.ravel(), smeared_mean_phase_space(state, xs[:12], 0.2))
+        assert np.array_equal(table.ravel(), density_mean(state, xs, 0.2))
 
     def test_scalar_r_gives_float(self):
         state = Gaussian1D(sigma=1.0)
-        assert type(smeared_mean_phase_space(state, 0.3, 0.0)) is float
-        assert type(smeared_mean_phase_space(state, np.float64(0.3), 0.0)) is float
+        assert type(density_mean(state, 0.3, 0.0)) is float
+        assert type(density_mean(state, np.float64(0.3), 0.0)) is float
 
     @pytest.mark.parametrize("state", [Gaussian1D(0.8, center=0.4), Cat1D(1.0, 6.0),
                                        Cat1D(0.5, 4.0)], ids=["gaussian", "cat", "narrow-cat"])
@@ -258,7 +267,7 @@ class TestPhaseSpaceEvaluation:
         # the p integral of W0 along x = r - p t / m, a different route,
         # is the evolved packet's m |psi(r, t)|^2 at normal widths
         xs = np.linspace(-9.0, 9.0, 61)
-        got = smeared_mean_phase_space(state, xs, t, 1.7)
+        got = density_mean(state, xs, t, 1.7)
         expected = wigner_line_mean(state, xs, t, 1.7)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected)
 
@@ -272,7 +281,7 @@ class TestPhaseSpaceEvaluation:
         rs = np.array([0.25, 0.5, 3.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = smeared_mean_phase_space(state, rs, 0.1, 1.0)
+            got = density_mean(state, rs, 0.1, 1.0)
         expected = np.abs(state.psi(rs, 0.1, 1.0)) ** 2
         assert np.all(expected > 0.0)
         assert np.max(np.abs(got - expected) / expected) <= 1e-12

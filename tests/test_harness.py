@@ -1,6 +1,8 @@
 """End-to-end experiment harness: configs, determinism, manifests, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gravcat
@@ -353,8 +355,8 @@ class TestConfigHandling:
         assert cfg.parameters["g2s.chi"] == 0.0
         assert cfg.seed == 5
         man = run_experiment(cfg)
-        assert man.config["g2s.chi"] == 0.0
-        assert man.config["grid.t_count"] == 4
+        assert man["config"]["g2s.chi"] == 0.0
+        assert man["config"]["grid.t_count"] == 4
 
     def test_config_file_must_exist(self):
         with pytest.raises(ConfigError):
@@ -376,7 +378,7 @@ class TestManifest:
     def test_checksums_match_files(self, tmp_path):
         cfg = resolve_config("g2s-correlations", G2S_CFG, seed=1, output_dir=tmp_path)
         man = run_experiment(cfg)
-        for entry in man.artifacts:
+        for entry in man["artifacts"]:
             path = tmp_path / entry["name"]
             assert sha256_file(path) == entry["sha256"]
             assert path.stat().st_size == entry["bytes"]
@@ -408,7 +410,7 @@ class TestManifest:
         cfg = resolve_config("density-suite", DENS_CFG, seed=1, output_dir=tmp_path)
         man = run_experiment(cfg)
         assert (tmp_path / "manifest.json").exists()
-        names = {e["name"] for e in man.artifacts}
+        names = {e["name"] for e in man["artifacts"]}
         for name in names:
             if name.endswith(".csv"):
                 header, rows = read_csv(tmp_path / name)
@@ -418,7 +420,7 @@ class TestManifest:
 
 class TestDeterminism:
     def _artifact_bytes(self, outdir: Path, man):
-        return {e["name"]: (outdir / e["name"]).read_bytes() for e in man.artifacts}
+        return {e["name"]: (outdir / e["name"]).read_bytes() for e in man["artifacts"]}
 
     @pytest.mark.parametrize(
         "experiment,payload",
@@ -434,9 +436,8 @@ class TestDeterminism:
         man_b = run_experiment(resolve_config(experiment, payload, seed=9, output_dir=out_b))
         assert self._artifact_bytes(out_a, man_a) == self._artifact_bytes(out_b, man_b)
         # manifests agree apart from wall-clock duration
-        da, db = man_a.to_dict(), man_b.to_dict()
-        da.pop("duration_seconds"), db.pop("duration_seconds")
-        assert da == db
+        man_a.pop("duration_seconds"), man_b.pop("duration_seconds")
+        assert man_a == man_b
 
     def test_seed_changes_trajectories_not_analytic_columns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -539,7 +540,7 @@ class TestCli:
         # density-phase-space benchmark config drops none
         man = run_experiment(resolve_config("density-suite", payload, output_dir=tmp_path))
         _, rows = read_csv(tmp_path / "fluctuation_profile.csv")
-        count = man.results["profile_points_dropped"]
+        count = man["results"]["profile_points_dropped"]
         assert count == 101 - len(rows)
         assert (count > 0) == dropped
         assert json.loads((tmp_path / "manifest.json").read_text())["results"][
@@ -583,6 +584,50 @@ class TestCli:
     def test_regime_error_exit_code_truncation(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**JC_CFG, "jc.g_over_omega": 4.0, "jc.dim": 32})
         assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("dim,g_over_omega", [(4, 0.5), (8, 0.7), (16, 1.0), (10**9, 1e5)])
+    def test_leaking_cutoff_is_regime_error(self, tmp_path, capfd, dim, g_over_omega):
+        # D(2 zeta_0)|0> leaks 0.019, 9.7e-4 and 4.9e-6 past the first three
+        # cutoffs; a |2 zeta_0|^2 <= dim / 4 rule let each run, with exit 0
+        # and two to four TruncationInadequateWarnings.  The last leaks 1,
+        # and its Poisson head sum stops long before a billion terms.
+        payload = {"jc.nu_over_omega": 0.05, "jc.nu_t_max": 1.0, "jc.dim": dim,
+                   "jc.g_over_omega": g_over_omega}
+        cfg = write_config(tmp_path, "c.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gravcat: regime rejection: Fock cutoff")
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 32), samples=st.integers(2, 9),
+           g_over_omega=st.floats(-2.0, 2.0) | st.sampled_from([1e300, np.inf, np.nan]),
+           nu_over_omega=st.floats(0.0, 0.5), nu_t_max=st.none() | st.floats(1e-3, 10.0))
+    @example(dim=4, samples=7, g_over_omega=0.5, nu_over_omega=0.05, nu_t_max=1.0)
+    @example(dim=8, samples=7, g_over_omega=0.7, nu_over_omega=0.05, nu_t_max=1.0)
+    @example(dim=16, samples=7, g_over_omega=1.0, nu_over_omega=0.05, nu_t_max=1.0)
+    def test_jc_run_succeeds_cleanly_or_is_rejected(self, tmp_path_factory, dim, samples,
+                                                     g_over_omega, nu_over_omega, nu_t_max):
+        # a run either exits 0 without a word on stderr or a warning, or
+        # exits 2 or 3 with one stderr line; never 4
+        payload = {"jc.dim": dim, "jc.samples": samples, "jc.g_over_omega": g_over_omega,
+                   "jc.nu_over_omega": nu_over_omega}
+        if nu_t_max is not None:
+            payload["jc.nu_t_max"] = nu_t_max
+        tmp = tmp_path_factory.mktemp("jc")
+        cfg = write_config(tmp, "c.json", payload)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["jc-suite", "--config", str(cfg), "--out", str(tmp / "o")])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == [] and caught == [], (lines, [str(w.message) for w in caught])
+        else:
+            assert code in (2, 3) and len(lines) == 1, (code, lines)
 
     @pytest.mark.parametrize("key,value", [
         ("jc.nu_over_omega", float("nan")),
@@ -689,10 +734,17 @@ class TestCli:
         ("force.f0", 0.0),
         ("probe.y", float("nan")),
         ("probe.G", float("inf")),
+        # a negative lag bound was taken as "all lags", and any nonzero dump
+        # flag turned the dump on
+        ("force.max_lag", -5),
+        ("force.dump_trajectories", -3),
+        ("force.dump_trajectories", 7),
     ])
-    def test_non_finite_force_input_is_config_error(self, tmp_path, key, value):
+    def test_non_finite_force_input_is_config_error(self, tmp_path, capfd, key, value):
         cfg = write_config(tmp_path, "c.json", {**FORCE_CFG, key: value})
         assert main(["force-trajectories", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gravcat: config error: ")
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("payload", [
@@ -872,7 +924,7 @@ class TestJcExperiment:
         zeta0 = report["zeta0"]
         assert abs(report["overlap"] - np.exp(-4.0 * zeta0**2)) < 1e-12
         assert report["probe_ok"] is True
-        assert "max_abs_dev_exact_vs_rabi" in man.results
+        assert "max_abs_dev_exact_vs_rabi" in man["results"]
 
     def test_zero_rate_gives_zero_transition(self, tmp_path):
         payload = {**JC_CFG, "jc.nu_over_omega": 0.0}
@@ -950,7 +1002,7 @@ class TestDensityExperiment:
         state = Cat1D(1.0, 6.0)
         lo, hi = state.support()
         xs = np.linspace(lo, hi, 101)
-        loop = [dn.smeared_mean_phase_space(state, float(x), 0.0, 1.0) for x in xs]
+        loop = [dn.density_mean(state, float(x), 0.0, 1.0) for x in xs]
         harness.write_csv(tmp_path / "loop.csv", ["x", "smeared_mean", "density_exact"],
                           [xs, loop, np.abs(state.psi(xs)) ** 2])
         assert (tmp_path / "static_mean.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()

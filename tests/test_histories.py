@@ -21,6 +21,7 @@ from oracles import (
     smeared_mean,
     smeared_second_moment,
     smeared_two_point,
+    sqrt_g,
     uniform_grid,
 )
 
@@ -30,10 +31,10 @@ def record_probability_oracle(state, sampling, events, m=1.0, grid=None):
     if grid is None:
         grid = auto_grid(state, sampling, max(t for _, t in events), m)
     (r1, t1), *tail = events
-    cur = state.psi(grid.x, t1, m) * sampling.sqrt_g(grid.x - r1)
+    cur = state.psi(grid.x, t1, m) * sqrt_g(sampling, grid.x - r1)
     t_prev = t1
     for r_i, t_i in tail:
-        cur = free_evolve(cur, grid, t_i - t_prev, m) * sampling.sqrt_g(grid.x - r_i)
+        cur = free_evolve(cur, grid, t_i - t_prev, m) * sqrt_g(sampling, grid.x - r_i)
         t_prev = t_i
     return float(np.sum(np.abs(cur) ** 2) * grid.dx)
 
@@ -70,8 +71,8 @@ class TestFreeEvolve:
         # the phases multiply the spectrum in place, phases first: the same
         # bits as ifft(phases * fft(psi)), for one record and for a comb
         grid = uniform_grid(-18.0, 18.0, 4096)
-        psi = Cat1D(0.7, 3.0).psi(grid.x) * SmearingParams(0.3).sqrt_g(
-            grid.x - np.linspace(-2.0, 2.0, 5)[:, None])
+        psi = Cat1D(0.7, 3.0).psi(grid.x) * sqrt_g(
+            SmearingParams(0.3), grid.x - np.linspace(-2.0, 2.0, 5)[:, None])
         phases = np.exp(-1j * grid.k**2 * 0.7 / (2.0 * 1.3))
         for p in (psi, psi[2]):
             assert np.array_equal(free_evolve(p, grid, 0.7, 1.3),

@@ -30,6 +30,7 @@ from oracles import (
     force_corr_steps,
     force_mean_steps,
     gap_route_records,
+    jump_weight,
     kolmogorov_defect,
     kolmogorov_defect_enumerated,
     per_record_force_corr,
@@ -115,7 +116,8 @@ class TestSequenceProbability:
     def test_small_angle_form(self):
         s = sched(0.01, n_steps=4)
         rec = record_from_flips([1, 0, 0, 1])
-        expected = s.lam**2 * math.exp(-s.lam * 2)
+        lam = jump_weight(s)
+        expected = lam**2 * math.exp(-lam * 2)
         assert abs(sequence_probability(rec, s, small_angle=True) - expected) < 1e-15
 
     def test_length_mismatch_rejected(self):
@@ -282,9 +284,10 @@ class TestDiscreteForceLaws:
 
     def test_rate_bookkeeping(self):
         s = MeasurementSchedule(tau=0.5, n_steps=10, nu=0.2)
-        assert abs(s.lam - 0.2**2 * 0.5**2 / 4) < 1e-18
+        lam = jump_weight(s)
+        assert abs(lam - 0.2**2 * 0.5**2 / 4) < 1e-18
         assert abs(s.gamma - 0.2**2 * 0.5 / 2) < 1e-18
-        assert abs(s.gamma - 2 * s.lam / s.tau) < 1e-18
+        assert abs(s.gamma - 2 * lam / s.tau) < 1e-18
 
 
 # nu tau on each sampler route, and whether it draws geometric gaps: the

@@ -1,14 +1,20 @@
-"""Every top-level definition in `src/gravcat` is reached by a CLI run.
+"""Every definition in `src/gravcat` is reached by a CLI run.
 
 The walk parses the package's modules, binds each name a module uses (its
 own top-level definitions, and what it imports from the package), and
 follows the references from `cli.main` and from the module-level statements
 of each module a run imports.  A definition is a function, a class or a
-name assigned at module level; a reference is a name or `module.name` read
-anywhere in it except in annotations, which `from __future__ import
-annotations` never evaluates.  Imports inside a function count only once
-that function is reached.  Routes that only tests use live in
-`tests/oracles.py`.
+name assigned at module level, or a method of a class; a reference is a
+name or `module.name` read anywhere in it except in annotations, which
+`from __future__ import annotations` never evaluates.  Imports inside a
+function count only once that function is reached.
+
+A reached class brings its bases, decorators, fields and dunder methods.
+Any other method, property or classmethod is reached only once a reached
+body reads an attribute of that name, on any object: the walk does not know
+types, so a read of `params.g` reaches every class's `g`.  Reaching a
+method can read more names, so the walk runs to a fixed point.  Routes that
+only tests use live in `tests/oracles.py`.
 """
 
 import ast
@@ -77,6 +83,10 @@ def _package_imports(node, mods) -> list:
     return found
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 class _Walk:
     def __init__(self, mods: dict):
         self.mods = mods
@@ -88,6 +98,10 @@ class _Walk:
         }
         self.imported = set()
         self.reached = set()
+        # attribute names read by reached bodies, and the methods of reached
+        # classes that wait for a read of their name: name -> [(mod, class, def)]
+        self.attributes_read = set()
+        self.methods = {}
 
     def import_module(self, mod: str):
         if mod in self.imported:
@@ -107,7 +121,35 @@ class _Walk:
             return
         self.reached.add((mod, name))
         self.import_module(mod)
-        self.visit(mod, self.defs[mod][name])
+        node = self.defs[mod][name]
+        if isinstance(node, ast.ClassDef):
+            self.reach_class(mod, node)
+        else:
+            self.visit(mod, node)
+
+    def reach_class(self, mod: str, node: ast.ClassDef):
+        for part in node.bases + node.keywords + node.decorator_list:
+            self.visit(mod, part)
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef) and not _is_dunder(stmt.name):
+                self.methods.setdefault(stmt.name, []).append((mod, node.name, stmt))
+                if stmt.name in self.attributes_read:
+                    self.reach_method(mod, node.name, stmt)
+            else:
+                self.visit(mod, stmt)
+
+    def reach_method(self, mod: str, cls: str, node: ast.FunctionDef):
+        if (mod, cls, node.name) in self.reached:
+            return
+        self.reached.add((mod, cls, node.name))
+        self.visit(mod, node)
+
+    def read_attribute(self, name: str):
+        if name in self.attributes_read:
+            return
+        self.attributes_read.add(name)
+        for mod, cls, node in self.methods.get(name, []):
+            self.reach_method(mod, cls, node)
 
     def visit(self, mod: str, node):
         for _, target, _ in _package_imports(node, self.mods):
@@ -115,10 +157,13 @@ class _Walk:
         for cur in _unannotated_nodes(node):
             if isinstance(cur, ast.Name):
                 self.resolve(mod, cur.id)
-            elif isinstance(cur, ast.Attribute) and isinstance(cur.value, ast.Name):
-                bound = self.bindings[mod].get(cur.value.id)
-                if bound is not None and bound[1] is None:
-                    self.reach(bound[0], cur.attr)
+            elif isinstance(cur, ast.Attribute):
+                if isinstance(cur.ctx, ast.Load):
+                    self.read_attribute(cur.attr)
+                if isinstance(cur.value, ast.Name):
+                    bound = self.bindings[mod].get(cur.value.id)
+                    if bound is not None and bound[1] is None:
+                        self.reach(bound[0], cur.attr)
 
     def resolve(self, mod: str, name: str):
         if name in self.defs[mod]:
@@ -130,12 +175,16 @@ class _Walk:
 
 
 def unreached_definitions(root: Path = PACKAGE) -> list:
-    """`module.name` of every top-level definition no CLI run reaches."""
+    """`module.name` of every top-level definition no CLI run reaches, and
+    `module.Class.name` of every method of a reached class that none does."""
     walk = _Walk(_parse_modules(root))
     walk.import_module("cli")
     walk.reach("cli", "main")
-    return sorted(f"{mod or '__init__'}.{name}" for mod, defs in walk.defs.items()
-                  for name in defs if (mod, name) not in walk.reached)
+    unreached = [(mod, name) for mod, defs in walk.defs.items() for name in defs
+                 if (mod, name) not in walk.reached]
+    unreached += [(mod, f"{cls}.{node.name}") for entries in walk.methods.values()
+                  for mod, cls, node in entries if (mod, cls, node.name) not in walk.reached]
+    return sorted(f"{mod or '__init__'}.{name}" for mod, name in unreached)
 
 
 def test_every_definition_is_reached_by_a_run():
@@ -143,10 +192,28 @@ def test_every_definition_is_reached_by_a_run():
     assert not unreached, f"{len(unreached)} definitions no run reaches: {', '.join(unreached)}"
 
 
+def _package_copy(tmp_path: Path, module: str, edit) -> Path:
+    """A copy of the package with `module`'s source passed through `edit`."""
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text()
+        (tmp_path / path.name).write_text(edit(text) if path.stem == module else text)
+    return tmp_path
+
+
 def test_walk_finds_an_unreached_definition(tmp_path):
     # a copy of the package with one helper nothing calls
-    for path in PACKAGE.glob("*.py"):
-        (tmp_path / path.name).write_text(path.read_text())
-    with (tmp_path / "fock.py").open("a") as fh:
-        fh.write("\n\ndef _orphan():\n    return number_operator\n")
-    assert unreached_definitions(tmp_path) == ["fock._orphan"]
+    root = _package_copy(tmp_path, "fock",
+                         lambda text: text + "\n\ndef _orphan():\n    return number_operator\n")
+    assert unreached_definitions(root) == ["fock._orphan"]
+
+
+def test_walk_finds_an_unread_method_of_a_reached_class(tmp_path):
+    # FockSpace is reached and its `dim` is read; a method nobody reads is not
+    def add_method(text):
+        field = "    dim: int\n"
+        assert field in text
+        return text.replace(field, field + "\n    def orphan_member(self):\n"
+                                           "        return self.dim\n", 1)
+
+    root = _package_copy(tmp_path, "fock", add_method)
+    assert unreached_definitions(root) == ["fock.FockSpace.orphan_member"]

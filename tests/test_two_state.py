@@ -15,6 +15,13 @@ from oracles import heisenberg_projector, tunneling_hamiltonian, tunneling_propa
 
 DENS = SmearedDensityParams(m=2.0, ell=1.3)
 M_OVER_ELL3 = DENS.m / DENS.ell**3
+PLUS = QubitState(1.0, 0.0)  # right well
+BALANCED = QubitState(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
+
+
+def amplitudes(state: QubitState) -> np.ndarray:
+    """The state as a (2,) complex vector (c_plus, c_minus)."""
+    return np.array([state.c_plus, state.c_minus], dtype=complex)
 
 
 def propagator_oracle(nu, chi, t):
@@ -81,7 +88,7 @@ class TestQubitState:
             assert abs(d**2 + b**2 + g**2 - 1.0) < 1e-12
 
     def test_balanced_state_beta(self):
-        d, b, g = QubitState.balanced().bloch(0.0)
+        d, b, g = BALANCED.bloch(0.0)
         assert abs(d) < 1e-15 and abs(b - 1.0) < 1e-15 and abs(g) < 1e-15
 
 
@@ -161,7 +168,7 @@ class TestHeisenbergProjector:
 
 class TestMeanDensity:
     def test_plus_state_at_zero(self):
-        val = mean_density(QubitState.plus(), DENS, 1, TunnelingParams(1.0), 0.0)
+        val = mean_density(PLUS, DENS, 1, TunnelingParams(1.0), 0.0)
         assert abs(val - M_OVER_ELL3) < 1e-15
 
     def test_completeness(self):
@@ -175,7 +182,7 @@ class TestMeanDensity:
 
     def test_balanced_state_quarter_period(self):
         # delta = 0, beta = 1 at chi = 0; nu t = pi/2 drives the bracket to 2
-        val = mean_density(QubitState.balanced(), DENS, 1, TunnelingParams(1.0, 0.0), np.pi / 2)
+        val = mean_density(BALANCED, DENS, 1, TunnelingParams(1.0, 0.0), np.pi / 2)
         assert abs(val - M_OVER_ELL3) < 1e-12
 
     def test_trace_formula_oracle(self):
@@ -183,7 +190,7 @@ class TestMeanDensity:
         for _ in range(25):
             s = random_state(rng)
             nu, chi, t = rng.uniform(0, 4), rng.uniform(-np.pi, np.pi), rng.uniform(0, 8)
-            psi = s.vector()
+            psi = amplitudes(s)
             for a in (1, -1):
                 proj = projector_oracle(a, nu, chi, t)
                 expected = M_OVER_ELL3 * (psi.conj() @ proj @ psi).real
@@ -195,8 +202,8 @@ class TestQuantumCorrelator:
     def test_frozen_dynamics_plus_state(self):
         params = TunnelingParams(0.0, 0.3)
         scale = DENS.m**2 / DENS.ell**6
-        same = two_time_quantum_corr(QubitState.plus(), DENS, 1, 1, params, 0.2, 1.1)
-        cross = two_time_quantum_corr(QubitState.plus(), DENS, 1, -1, params, 0.2, 1.1)
+        same = two_time_quantum_corr(PLUS, DENS, 1, 1, params, 0.2, 1.1)
+        cross = two_time_quantum_corr(PLUS, DENS, 1, -1, params, 0.2, 1.1)
         assert abs(same - scale) < 1e-14
         assert abs(cross) < 1e-14
 
@@ -218,7 +225,7 @@ class TestQuantumCorrelator:
             nu, chi = rng.uniform(0, 4), rng.uniform(-np.pi, np.pi)
             t1 = rng.uniform(0, 5)
             t2 = t1 + rng.uniform(0, 5)
-            psi = s.vector()
+            psi = amplitudes(s)
             for a1 in (1, -1):
                 for a2 in (1, -1):
                     expected = scale * (
@@ -246,7 +253,7 @@ class TestQuantumCorrelator:
 
     def test_unordered_times_rejected(self):
         with pytest.raises(ValueError):
-            two_time_quantum_corr(QubitState.plus(), DENS, 1, 1, TunnelingParams(1.0), 1.0, 0.5)
+            two_time_quantum_corr(PLUS, DENS, 1, 1, TunnelingParams(1.0), 1.0, 0.5)
 
 
 def born_rule_two_step(state, nu, chi, a1, a2, t1, t2):
@@ -254,7 +261,7 @@ def born_rule_two_step(state, nu, chi, a1, a2, t1, t2):
     proj = {1: np.diag([1.0, 0.0]), -1: np.diag([0.0, 1.0])}
     u1 = propagator_oracle(nu, chi, t1)
     u12 = propagator_oracle(nu, chi, t2 - t1)
-    vec = proj[a2] @ u12 @ proj[a1] @ u1 @ state.vector()
+    vec = proj[a2] @ u12 @ proj[a1] @ u1 @ amplitudes(state)
     return float(np.vdot(vec, vec).real)
 
 
@@ -262,13 +269,13 @@ class TestStatisticalCorrelator:
     def test_frozen_dynamics_plus_state(self):
         params = TunnelingParams(0.0, 0.0)
         scale = DENS.m**2 / DENS.ell**6
-        val = two_time_statistical_corr(QubitState.plus(), DENS, 1, 1, params, 0.1, 0.9)
+        val = two_time_statistical_corr(PLUS, DENS, 1, 1, params, 0.1, 0.9)
         assert abs(val - scale) < 1e-14
 
     def test_quarter_period_value(self):
         # delta = 1, beta = 0; nu t1 = pi/2 and nu (t2 - t1) = pi/2
         params = TunnelingParams(1.0, 0.0)
-        val = two_time_statistical_corr(QubitState.plus(), DENS, 1, 1, params, np.pi / 2, np.pi)
+        val = two_time_statistical_corr(PLUS, DENS, 1, 1, params, np.pi / 2, np.pi)
         assert abs(val - DENS.m**2 / (4 * DENS.ell**6)) < 1e-13
 
     def test_born_rule_oracle(self):
@@ -299,13 +306,13 @@ class TestStatisticalCorrelator:
                     two_time_statistical_corr(s, DENS, a1, a2, params, t1, t2)
                     for a2 in (1, -1)
                 )
-                psi = s.vector()
+                psi = amplitudes(s)
                 p1 = (psi.conj() @ projector_oracle(a1, nu, chi, t1) @ psi).real
                 assert abs(total - scale * p1) < 1e-12
 
     def test_unordered_times_rejected(self):
         with pytest.raises(ValueError):
-            two_time_statistical_corr(QubitState.plus(), DENS, 1, 1, TunnelingParams(1.0), 2.0, 1.0)
+            two_time_statistical_corr(PLUS, DENS, 1, 1, TunnelingParams(1.0), 2.0, 1.0)
 
 
 class TestArrayForms:

@@ -30,6 +30,16 @@ def cat_wigner(x, p, sigma, sep, norm_const):
     return norm_const**2 * (lobes + fringe) * env
 
 
+def marginal_position(grid) -> np.ndarray:
+    """Integral dp W / (2 pi) = |psi(x)|^2 by the trapezoid rule."""
+    return np.trapezoid(grid.values, grid.p, axis=1) / (2.0 * np.pi)
+
+
+def marginal_momentum(grid) -> np.ndarray:
+    """Integral dx W = 2 pi |psi_tilde(p)|^2 (unitary Fourier transform)."""
+    return np.trapezoid(grid.values, grid.x, axis=0)
+
+
 class TestGaussianWigner:
     def test_matches_analytic(self):
         sigma = 0.8
@@ -44,9 +54,9 @@ class TestGaussianWigner:
     def test_widths(self):
         sigma = 1.1
         grid = wigner_function(Gaussian1D(sigma))
-        margin_x = grid.marginal_position()
+        margin_x = marginal_position(grid)
         var_x = np.trapezoid(grid.x**2 * margin_x, grid.x)
-        margin_p = grid.marginal_momentum()
+        margin_p = marginal_momentum(grid)
         var_p = np.trapezoid(grid.p**2 * margin_p, grid.p) / (2 * np.pi)
         assert abs(var_x - sigma**2) < 1e-6
         assert abs(var_p - (0.5 / sigma) ** 2) < 1e-6
@@ -55,7 +65,7 @@ class TestGaussianWigner:
         state = Gaussian1D(0.9, center=-0.3)
         grid = wigner_function(state)
         expected = np.abs(state.psi(grid.x)) ** 2
-        assert np.max(np.abs(grid.marginal_position() - expected)) < 1e-6
+        assert np.max(np.abs(marginal_position(grid) - expected)) < 1e-6
 
     def test_momentum_marginal_against_fourier_quadrature(self):
         state = Gaussian1D(0.7)
@@ -66,7 +76,7 @@ class TestGaussianWigner:
         dens_k = np.array(
             [abs(np.sum(ws * psi * np.exp(-1j * p * xs))) ** 2 for p in grid.p]
         ) / (2 * np.pi)
-        assert np.max(np.abs(grid.marginal_momentum() / (2 * np.pi) - dens_k)) < 1e-6
+        assert np.max(np.abs(marginal_momentum(grid) / (2 * np.pi) - dens_k)) < 1e-6
 
     def test_accepts_3d_state(self):
         grid = wigner_function(GaussianState(sigma=1.0).axis_state(2))
