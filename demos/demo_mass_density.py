@@ -17,16 +17,16 @@ import numpy as np
 
 from gravcat.density import density_mean, fluctuation_ratio, smeared_corr_quadrature
 from gravcat.histories import additivity_defect, partition_points
-from gravcat.states import CatState, Gaussian1D, GaussianState, SmearingParams
+from gravcat.states import Packet, SmearingParams
 from gravcat.wigner import wigner_function
 
 print("== Wigner functions ==")
-gauss = GaussianState(sigma=1.0)
+gauss = Packet(1.0, [(0.0, 0.0, 0.0)])
 grid = wigner_function(gauss.axis_state(0))
 print(f"  Gaussian: grid {grid.x.size} x {grid.p.size}, "
       f"normalization {grid.normalization():.9f}")
 
-cat = CatState(sigma=0.5, L=(4.0, 0.0, 0.0))
+cat = Packet(0.5, [(2.0, 0.0, 0.0), (-2.0, 0.0, 0.0)])  # L = 4
 cgrid = wigner_function(cat.axis_state(0))
 i0 = int(np.argmin(np.abs(cgrid.x)))
 slice_p = cgrid.values[i0]
@@ -51,7 +51,7 @@ print("  -> order unity and growing where the density thins: single-particle")
 print("     density fluctuations are never negligible.\n")
 
 print("== smeared two-point function support (time-of-flight locus) ==")
-state = Gaussian1D(0.25)
+state = Packet(0.25, [0.0])
 sampling = SmearingParams(7.0)
 t2, t = 100.0, 200.0
 on = abs(smeared_corr_quadrature(state, sampling, 0.5 * t, t, 0.5 * t2, t2))

@@ -12,9 +12,10 @@ kernels are Gaussian integrals (`states.GaussianTerms`).  The pointwise
 two-point correlator built from the free propagator is a test oracle
 (`tests/oracles.py`).
 
-Phase-space evaluation is one-dimensional (per axis); separable 3D states
-factorize, with the 3D density being m times the product of per-axis
-|psi|^2 factors.  Natural units hbar = 1.
+Every state is a `states.Packet`.  Phase-space evaluation is
+one-dimensional (per axis); a 3D packet whose branches differ along one
+axis factorizes, with the 3D density being m times the product of its
+per-axis |psi|^2 factors (`Packet.axis_state`).  Natural units hbar = 1.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from .wigner import wigner_terms
 
 
 def density_mean(state, r, t: float = 0.0, m: float = 1.0):
-    """Mean mass density m |psi(r, t)|^2 of a normalized 3D state at one
-    point r (3,), a float, or at an array of points (..., 3); of a 1D state
-    at a position or an array of them.  Each point of an array call equals
-    the single-point call bit for bit.  For a 1D state it is also the
-    delta-limit smeared mean at any t, and for a zero-mean-momentum packet
-    at t = 0 the static-limit smeared mean."""
+    """Mean mass density m |psi(r, t)|^2 of a 3D `Packet` at one point r
+    (3,) or at an array of points (..., 3); of a 1D packet at a position or
+    an array of them.  Each point of an array call equals the single-point
+    call bit for bit.  For a 1D packet it is also the delta-limit smeared
+    mean at any t, and at t = 0 the static-limit smeared mean."""
     # float_power squares with the C library's pow, as Python's float **
     # does, so a point of an array call squares as the single-point call
     mean = m * np.float_power(np.abs(state.psi(r, t, m)), 2.0)

@@ -454,7 +454,12 @@ def _run_g2s(cfg: ExperimentConfig, outdir: Path):
     if not all(np.finfo(float).tiny <= s < np.inf for s in scales):
         raise RegimeError(f"g2s.m = {dens.m:.3g}, g2s.ell = {dens.ell:.3g}: m^2, ell^6, "
                           "m / ell^3 or m^2 / ell^6 is not a normal float")
-    times = np.linspace(p["grid.t_min"], p["grid.t_max"], p["grid.t_count"])
+    # the closed forms take cos and sin of nu t and of nu (t2 - t1)
+    t_min, t_max, nu = p["grid.t_min"], p["grid.t_max"], params.nu
+    if not max(t_max - t_min, nu * (t_max - t_min), nu * max(-t_min, t_max)) < np.inf:
+        raise RegimeError(f"grid.t_min = {t_min:.3g}, grid.t_max = {t_max:.3g}, "
+                          f"g2s.nu = {nu:.3g}: t_max - t_min or nu t is not finite")
+    times = np.linspace(t_min, t_max, p["grid.t_count"])
 
     # Rows: time-major, a = +1 before -1; correlations run over t1 <= t2
     # (row-major upper triangle) with (a1, a2) innermost.
@@ -509,6 +514,11 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
         raise RegimeError("statistics mode needs force.count >= 100")
     sched = _domain(ms.MeasurementSchedule, tau=p["force.tau"],
                     n_steps=p["force.steps"], nu=p["force.nu"])
+    # the sampler takes sin(nu tau / 2), the fit Gamma = nu^2 tau / 2, readings run to N tau
+    nu, tau = sched.nu, sched.tau
+    if not max(nu * tau, nu * nu * tau / 2.0, tau * sched.n_steps) < np.inf:
+        raise RegimeError(f"force.nu = {nu:.3g}, force.tau = {tau:.3g}, force.steps = "
+                          f"{sched.n_steps}: nu tau, nu^2 tau / 2 or N tau is not finite")
     f0 = p["force.f0"]
     if f0 is None:
         geo = _domain(ms.ProbeGeometry, G=p["probe.G"], m=p["probe.m"],
@@ -657,14 +667,14 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
 
 
 def _density_state(p):
-    from .states import CatState, GaussianState
+    from .states import Packet
 
     kind = p["density.state"]
-    if kind == "gaussian":
-        return _domain(GaussianState, p["density.sigma"])
-    if kind == "cat":
-        return _domain(CatState, p["density.sigma"], (p["density.L"], 0.0, 0.0))
-    raise ConfigError(f"density.state must be 'gaussian' or 'cat', got {kind!r}")
+    if kind not in ("gaussian", "cat"):
+        raise ConfigError(f"density.state must be 'gaussian' or 'cat', got {kind!r}")
+    a = 0.5 * abs(p["density.L"])  # a cat's branches sit at +/- |L| / 2 on the x axis
+    centres = [(0.0, 0.0, 0.0)] if kind == "gaussian" else [(a, 0.0, 0.0), (-a, 0.0, 0.0)]
+    return _domain(Packet, p["density.sigma"], centres)
 
 
 def _run_density(cfg: ExperimentConfig, outdir: Path):
@@ -680,18 +690,21 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     if not 0 < m < np.inf:
         raise ConfigError(f"density.m must be positive and finite, got {m}")
     # The closed forms take these powers in Python floats, whose ** raises on
-    # overflow, and a packet width of 0 has no Gaussian term: each must be a
-    # normal float.
+    # overflow, a packet width of 0 has no Gaussian term, and the fluctuation
+    # ratio squares the density, which peaks at m (2 pi sigma^2)^-3/2: each
+    # must be a normal float.
     with np.errstate(all="ignore"):
         sigma, s_x, mass = np.float64(p["density.sigma"]), np.float64(smear.s_x), np.float64(m)
         ell = np.float64(smear.ell)
         scales = (sigma**2, s_x**2, ell**3, mass**3, mass / ell**3, mass**2 / ell**2,
-                  (mass * s_x) ** 2, 1.0 / (mass * sigma**2))
+                  (mass * s_x) ** 2, 1.0 / (mass * sigma**2),
+                  mass**2 * (2.0 * np.pi * sigma**2) ** -3.0)
     if not all(np.finfo(float).tiny <= s < np.inf for s in scales):
         raise RegimeError(f"density.sigma = {sigma:.3g}, density.s_x = {s_x:.3g}, "
                           f"density.m = {m:.3g}: sigma^2, s_x^2, ell^3, m^3, m / ell^3, "
-                          "m^2 / ell^2, (m s_x)^2 or 1 / (m sigma^2) is not a normal float")
-    axis_state = _domain(state.axis_state, 0)
+                          "m^2 / ell^2, (m s_x)^2, 1 / (m sigma^2) or the squared peak "
+                          "density m^2 (2 pi sigma^2)^-3 is not a normal float")
+    axis_state = state.axis_state(0)
 
     try:
         grid = wigner_function(axis_state)

@@ -40,7 +40,7 @@ def additivity_defect(state, sampling: SmearingParams, t1: float, t2: float, r1_
     first sampling marginalized over an exhaustive comb.  Zero only when the
     sampling operators commute with the evolution between t1 and t2.
 
-    Closed form for Gaussian sampling of a 1D state: P_2 is the integral of
+    Closed form for Gaussian sampling of a 1D `Packet`: P_2 is the integral of
     g(x - r2) |U(t2 - t1)[sqrt_g(x - r1) psi(x, t1)]|^2, one Gaussian
     integral per branch pair, evaluated for every comb centre and r2 at once.
     """

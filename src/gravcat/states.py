@@ -1,17 +1,17 @@
 """Single-particle states and spatial sampling profiles.
 
-Wave packets are zero-mean-momentum Gaussians and two-branch superpositions
-of them ("cat" states) with branches at +/- L/2.  Free evolution is closed
-form, so time-evolved amplitudes cost one exp call.  All 3D states used
-here are separable (the cat separation must be axis-aligned for per-axis
-factorization), and the numerical machinery works on the 1D axis factors.
-A 1D packet exposes its amplitude at time t as a sum of Gaussian terms
+A wave packet (`Packet`) is an equal-weight superposition of
+zero-mean-momentum Gaussian branches of one spread: one branch is a
+Gaussian, two at +/- L/2 are the "cat".  Free evolution is closed form.  A
+3D packet whose branches differ along one axis is separable, and the
+numerical machinery works on its 1D axis factors (`Packet.axis_state`).  A
+1D packet exposes its amplitude at time t as a sum of Gaussian terms
 (`terms`), on which products, free evolution and integrals are closed form.
 
-The sampling profile (`SmearingParams`) defines the position-sampling
-function g and the derived smearing scale per axis: ell = sqrt(2 pi) s_x
-for a Gaussian of width s_x.  Sharp box sampling (g^2 = g) is a test
-oracle (`tests/oracles.py`).
+The sampling profile (`SmearingParams`) is the Gaussian position-sampling
+function g(u) = exp(-u^2 / 2 s_x^2), with smearing scale ell = sqrt(2 pi)
+s_x per axis.  Its profile and sharp box sampling (g^2 = g) are test
+oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -22,16 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 _SUPPORT_SIGMAS = 8.0
-# Amplitude of each branch of a cat state, before the overlap correction.
-_BRANCH_WEIGHT = 1.0 / np.sqrt(2.0)
-
-
-def _norm_constant(overlap: float) -> float:
-    """1 / || w |right> + w |left> || for the branch weight w and the
-    branch overlap <right|left>."""
-    wp = wm = _BRANCH_WEIGHT
-    n2 = abs(wp) ** 2 + abs(wm) ** 2 + 2.0 * (np.conj(wp) * wm).real * overlap
-    return 1.0 / np.sqrt(n2)
 
 
 def _free_gaussian(x, t: float, m: float, sigma: float, center: float):
@@ -131,165 +121,85 @@ class GaussianTerms(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Gaussian1D:
-    """1D Gaussian packet of spread sigma at `center`, zero mean momentum."""
+class Packet:
+    """Equal-weight superposition of Gaussian branches of spread sigma, each
+    with zero mean momentum, at `centres`: floats for a 1D packet, (x, y, z)
+    triples for a 3D one.  One branch is a Gaussian packet; two at +/- L/2
+    are the cat.  The overall constant includes the pairwise branch
+    overlaps exp(-|c_j - c_k|^2 / 8 sigma^2)."""
 
     sigma: float
-    center: float = 0.0
+    centres: tuple
 
     def __post_init__(self):
         if not 0 < self.sigma < np.inf:
             raise ValueError(f"spread must be positive and finite, got {self.sigma}")
+        c = np.array(self.centres, dtype=float)  # mixed dimensions raise ValueError
+        if c.ndim == 0 or not c.size or c.shape[1:] not in ((), (3,)) or not np.isfinite(c).all():
+            raise ValueError(f"centres must be finite floats or (x, y, z) triples, "
+                             f"got {self.centres}")
+        if len(set(map(tuple, c.reshape(len(c), -1).tolist()))) < len(c):
+            raise ValueError(f"branch centres must be distinct, got {self.centres}")
+        centres = c.tolist()
+        object.__setattr__(self, "centres", tuple(map(tuple, centres) if c.ndim == 2 else centres))
 
-    def psi(self, x, t: float = 0.0, m: float = 1.0):
-        return _free_gaussian(x, t, m, self.sigma, self.center)
+    @property
+    def _weight(self) -> float:
+        """Amplitude of each of the n branches before the overlap correction."""
+        return 1.0 / np.sqrt(len(self.centres))
+
+    @property
+    def norm_constant(self) -> float:
+        """1 / ||w Sum_j |branch_j>|| for the branch weight w."""
+        c = np.array(self.centres).reshape(len(self.centres), -1)
+        j, k = np.triu_indices(len(c), 1)
+        with np.errstate(over="ignore"):  # branches too far apart overlap by exp(-inf) = 0
+            overlaps = np.sum(np.exp(-np.sum((c[j] - c[k]) ** 2, axis=-1) / (8.0 * self.sigma**2)))
+        return 1.0 / np.sqrt(len(c) * self._weight**2 + 2.0 * self._weight**2 * overlaps)
+
+    def psi(self, r, t: float = 0.0, m: float = 1.0):
+        """psi(r, t) at 1D positions r (...), or at 3D points r (..., 3)."""
+        r, amps = np.asarray(r, dtype=float), []
+        for c in self.centres:
+            if isinstance(c, tuple):
+                amp = 1.0 + 0.0j
+                for axis, c_axis in enumerate(c):
+                    amp = amp * _free_gaussian(r[..., axis], t, m, self.sigma, c_axis)
+            else:
+                amp = _free_gaussian(r, t, m, self.sigma, c)
+            amps.append(amp)
+        if len(amps) == 1:  # w = 1 and no overlap
+            return amps[0]
+        return self.norm_constant * np.sum(self._weight * np.stack(amps), axis=0)
 
     def terms(self, t: float = 0.0, m: float = 1.0) -> GaussianTerms:
-        """psi(x, t) as one Gaussian term."""
-        amp = (2.0 * np.pi * self.sigma**2) ** -0.25
-        return GaussianTerms.packet(amp, self.center, self.sigma**2).evolve(t, m)
+        """psi(x, t) of a 1D packet as Gaussian terms, one per branch."""
+        amp = self.norm_constant * self._weight * (2.0 * np.pi * self.sigma**2) ** -0.25
+        return GaussianTerms.packet(amp, self.centres, self.sigma**2).evolve(t, m)
+
+    def axis_state(self, axis: int) -> Packet:
+        """The 1D factor of a 3D packet along `axis`, with the branches'
+        distinct centres on that axis in order.  The packet factorizes only
+        when its branches differ along one axis at most."""
+        c = np.array(self.centres)
+        if np.count_nonzero(np.any(c != c[0], axis=0)) > 1:
+            raise ValueError("per-axis factorization needs the branches to differ along "
+                             f"a single coordinate axis, got centres {self.centres}")
+        return Packet(self.sigma, tuple(dict.fromkeys(c[:, axis].tolist())))
 
     def support(self, t: float = 0.0, m: float = 1.0) -> tuple[float, float]:
-        s_t = np.sqrt(self.sigma**2 + (t / (2.0 * m * self.sigma)) ** 2)
-        return (self.center - _SUPPORT_SIGMAS * s_t, self.center + _SUPPORT_SIGMAS * s_t)
+        """+/- 8 spreads at time t beyond the outermost centres of a 1D packet."""
+        reach = _SUPPORT_SIGMAS * np.sqrt(self.sigma**2 + (t / (2.0 * m * self.sigma)) ** 2)
+        return min(self.centres) - reach, max(self.centres) + reach
 
     @property
     def momentum_spread(self) -> float:
         return 0.5 / self.sigma
 
     def fringe_scale(self) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class Cat1D:
-    """Equal-weight superposition of two Gaussian branches at +/-
-    separation/2; the overall constant includes the branch overlap
-    exp(-separation^2 / 8 sigma^2)."""
-
-    sigma: float
-    separation: float
-
-    def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"spread must be positive and finite, got {self.sigma}")
-        if not 0 <= self.separation < np.inf:
-            raise ValueError(f"separation must be nonnegative and finite, got {self.separation}")
-
-    @property
-    def branch_overlap(self) -> float:
-        """<right branch | left branch> = exp(-separation^2 / 8 sigma^2)."""
-        return float(np.exp(-self.separation**2 / (8.0 * self.sigma**2)))
-
-    @property
-    def norm_constant(self) -> float:
-        return _norm_constant(self.branch_overlap)
-
-    def psi(self, x, t: float = 0.0, m: float = 1.0):
-        a = 0.5 * self.separation
-        wp = wm = _BRANCH_WEIGHT
-        branches = wp * _free_gaussian(x, t, m, self.sigma, a) + wm * _free_gaussian(
-            x, t, m, self.sigma, -a
-        )
-        return self.norm_constant * branches
-
-    def terms(self, t: float = 0.0, m: float = 1.0) -> GaussianTerms:
-        """psi(x, t) as two Gaussian terms, one per branch."""
-        amp = self.norm_constant * _BRANCH_WEIGHT * (2.0 * np.pi * self.sigma**2) ** -0.25
-        a = 0.5 * self.separation
-        return GaussianTerms.packet(amp, [a, -a], self.sigma**2).evolve(t, m)
-
-    def support(self, t: float = 0.0, m: float = 1.0) -> tuple[float, float]:
-        s_t = np.sqrt(self.sigma**2 + (t / (2.0 * m * self.sigma)) ** 2)
-        half = 0.5 * self.separation + _SUPPORT_SIGMAS * s_t
-        return (-half, half)
-
-    @property
-    def momentum_spread(self) -> float:
-        return 0.5 / self.sigma
-
-    def fringe_scale(self) -> float:
-        """Momentum-space oscillation wavenumber scale (half the separation)."""
-        return 0.5 * self.separation
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """3D Gaussian packet: per-axis spread sigma around `center`."""
-
-    sigma: float
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"spread must be positive and finite, got {self.sigma}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
-    def axis_state(self, axis: int) -> Gaussian1D:
-        return Gaussian1D(self.sigma, self.center[axis])
-
-    def psi(self, r, t: float = 0.0, m: float = 1.0):
-        r = np.asarray(r, dtype=float)
-        out = 1.0 + 0.0j
-        for axis in range(3):
-            out = out * self.axis_state(axis).psi(r[..., axis], t, m)
-        return out
-
-
-@dataclass(frozen=True)
-class CatState:
-    """3D equal-weight cat state: branches at +/- L/2, each a Gaussian of
-    spread sigma."""
-
-    sigma: float
-    L: tuple[float, float, float]
-
-    def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"spread must be positive and finite, got {self.sigma}")
-        object.__setattr__(self, "L", tuple(float(c) for c in self.L))
-        if not all(abs(c) < np.inf for c in self.L):
-            raise ValueError(f"separation vector must be finite, got {self.L}")
-
-    @property
-    def separation(self) -> float:
-        return float(np.linalg.norm(self.L))
-
-    @property
-    def branch_overlap(self) -> float:
-        return float(np.exp(-self.separation**2 / (8.0 * self.sigma**2)))
-
-    @property
-    def norm_constant(self) -> float:
-        return _norm_constant(self.branch_overlap)
-
-    def _separation_axis(self) -> int:
-        nonzero = [i for i in range(3) if self.L[i] != 0.0]
-        if len(nonzero) != 1:
-            raise ValueError(
-                "per-axis factorization needs the separation along a single "
-                f"coordinate axis, got L = {self.L}"
-            )
-        return nonzero[0]
-
-    def axis_state(self, axis: int):
-        """1D factor along `axis`: a Cat1D along the separation, a centered
-        Gaussian transverse to it.  Requires axis-aligned L."""
-        sep_axis = self._separation_axis()
-        if axis == sep_axis:
-            return Cat1D(self.sigma, abs(self.L[axis]))
-        return Gaussian1D(self.sigma, 0.0)
-
-    def psi(self, r, t: float = 0.0, m: float = 1.0):
-        r = np.asarray(r, dtype=float)
-        wp = wm = _BRANCH_WEIGHT
-        plus = 1.0 + 0.0j
-        minus = 1.0 + 0.0j
-        for axis in range(3):
-            half = 0.5 * self.L[axis]
-            plus = plus * _free_gaussian(r[..., axis], t, m, self.sigma, half)
-            minus = minus * _free_gaussian(r[..., axis], t, m, self.sigma, -half)
-        return self.norm_constant * (wp * plus + wm * minus)
+        """Momentum-space oscillation wavenumber scale of a 1D packet: half
+        the distance between its outermost centres, 0 for one branch."""
+        return 0.5 * (max(self.centres) - min(self.centres))
 
 
 @dataclass(frozen=True)
@@ -306,9 +216,6 @@ class SmearingParams:
     def ell(self) -> float:
         """Smearing scale per axis."""
         return float(np.sqrt(2.0 * np.pi) * self.s_x)
-
-    def g(self, u):
-        return np.exp(-np.asarray(u, dtype=float) ** 2 / (2.0 * self.s_x**2))
 
     def partition_weight(self, spacing: float) -> float:
         """Weight making a uniform comb of samplers an exhaustive partition:

@@ -6,13 +6,14 @@ The position marginal is Integral dp/(2 pi) W = |psi(x)|^2 and the momentum
 marginal Integral dx W = 2 pi |psi_tilde(p)|^2 with a unitary Fourier
 transform.
 
-Every state here is a sum of Gaussian terms (`states.GaussianTerms`), so W
-is one too: for each pair of terms the y integral is a Gaussian integral
-(`wigner_terms`).  For a cat of spread sigma with branches at +/- a it is
-N^2 e^{-2 sigma^2 p^2} [e^{-(x-a)^2 / 2 sigma^2} + e^{-(x+a)^2 / 2 sigma^2}
-+ 2 e^{-x^2 / 2 sigma^2} cos 2ap] (Schleich, Quantum Optics in Phase Space,
-2001).  A grid is that closed form sampled on its nodes; the trapezoid
-normalization of the grid checks that the axes hold the state.
+Every state here is a `states.Packet`, a sum of Gaussian terms
+(`states.GaussianTerms`), so W is one too: for each pair of terms the y
+integral is a Gaussian integral (`wigner_terms`).  For a cat of spread
+sigma with branches at +/- a it is N^2 e^{-2 sigma^2 p^2} [e^{-(x-a)^2 / 2
+sigma^2} + e^{-(x+a)^2 / 2 sigma^2} + 2 e^{-x^2 / 2 sigma^2} cos 2ap]
+(Schleich, Quantum Optics in Phase Space, 2001).  A grid is that closed
+form sampled on its nodes; the trapezoid normalization of the grid checks
+that the axes hold the state.
 """
 
 from __future__ import annotations
@@ -68,15 +69,14 @@ def default_axes(state):
     n_p = 321
     fringe = state.fringe_scale()
     if fringe > 0.0:
-        # >= 8 samples per fringe period pi / fringe_scale in p
-        needed = int(np.ceil(2.0 * p_half / (np.pi / fringe) * 8.0)) + 1
-        n_p = max(n_p, needed)
+        # >= 8 samples per fringe period pi / fringe_scale in p, bounded before int()
+        n_p = max(n_p, np.ceil(2.0 * p_half / (np.pi / fringe) * 8.0) + 1)
     if n_p > MAX_GRID_ELEMENTS:
         raise GridAliasingError(
             f"{n_p:.3g} momentum points needed to resolve the fringes exceed the "
             f"bound of {MAX_GRID_ELEMENTS} grid elements"
         )
-    p_axis = np.linspace(-p_half, p_half, n_p)
+    p_axis = np.linspace(-p_half, p_half, int(n_p))
     return x_axis, p_axis
 
 

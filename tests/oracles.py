@@ -58,6 +58,7 @@ from gravcat.jc import (
     total_hamiltonian,
 )
 from gravcat.measurement import _STREAM_BLOCK, MeasurementSchedule, _rare_cells
+from gravcat.states import Packet
 from gravcat.two_state import PAULI_1, TunnelingParams, _check_sign
 from gravcat.wigner import (
     MAX_GRID_ELEMENTS,
@@ -691,6 +692,18 @@ def density_corr(state, r, t: float, r2, t2: float, m: float = 1.0) -> MassDensi
     )
 
 
+def gaussian(sigma: float, centre=0.0) -> Packet:
+    """One Gaussian branch at `centre`, a float (1D) or an (x, y, z) triple (3D)."""
+    return Packet(sigma, (centre,))
+
+
+def cat(sigma: float, L) -> Packet:
+    """Equal-weight branches at +/- L / 2, L a float (1D) or an (x, y, z)
+    triple (3D)."""
+    half = 0.5 * np.asarray(L, dtype=float)
+    return Packet(sigma, (half.tolist(), (-half).tolist()))
+
+
 @dataclass(frozen=True)
 class BoxSampling:
     """Sharp box sampling of half-width h: g is a 0/1 indicator (g^2 = g)."""
@@ -705,18 +718,23 @@ class BoxSampling:
     def ell(self) -> float:
         return 2.0 * self.half_width
 
-    def g(self, u):
-        return (np.abs(np.asarray(u, dtype=float)) <= self.half_width).astype(float)
-
     def partition_weight(self, spacing: float) -> float:
         return spacing / self.ell
+
+
+def g(sampling, u):
+    """The sampling profile: the box's 0/1 indicator, or exp(-u^2 / 2 s_x^2)
+    for Gaussian `SmearingParams`."""
+    if isinstance(sampling, BoxSampling):
+        return (np.abs(np.asarray(u, dtype=float)) <= sampling.half_width).astype(float)
+    return np.exp(-np.asarray(u, dtype=float) ** 2 / (2.0 * sampling.s_x**2))
 
 
 def sqrt_g(sampling, u):
     """Square root of the sampling profile g: the box's own indicator
     (g^2 = g), or exp(-u^2 / 4 s_x^2) for Gaussian `SmearingParams`."""
     if isinstance(sampling, BoxSampling):
-        return sampling.g(u)
+        return g(sampling, u)
     return np.exp(-np.asarray(u, dtype=float) ** 2 / (4.0 * sampling.s_x**2))
 
 
@@ -791,7 +809,7 @@ def position_probability(state, sampling, r: float, t: float, m: float = 1.0,
     if grid is None:
         grid = auto_grid(state, sampling, t, m)
     psi_t = state.psi(grid.x, t, m)
-    return float(np.sum(sampling.g(grid.x - r) * np.abs(psi_t) ** 2) * grid.dx)
+    return float(np.sum(g(sampling, grid.x - r) * np.abs(psi_t) ** 2) * grid.dx)
 
 
 def decoherence_functional(state, sampling, r: float, t: float, r2: float, t2: float,
@@ -805,10 +823,10 @@ def decoherence_functional(state, sampling, r: float, t: float, r2: float, t2: f
     """
     if grid is None:
         grid = auto_grid(state, sampling, max(abs(t), abs(t2)), m)
-    right = sampling.g(grid.x - r2) * state.psi(grid.x, t2, m)
+    right = g(sampling, grid.x - r2) * state.psi(grid.x, t2, m)
     right = free_evolve(right, grid, t - t2, m)
     left = state.psi(grid.x, t, m)
-    return complex(np.sum(np.conj(left) * sampling.g(grid.x - r) * right) * grid.dx)
+    return complex(np.sum(np.conj(left) * g(sampling, grid.x - r) * right) * grid.dx)
 
 
 def smeared_mean(state, sampling, r: float, t: float = 0.0, m: float = 1.0,
@@ -827,8 +845,8 @@ def smeared_second_moment(state, sampling, r: float, t: float = 0.0, m: float = 
     if grid is None:
         grid = auto_grid(state, sampling, t, m)
     psi_t = state.psi(grid.x, t, m)
-    g = sampling.g(grid.x - r)
-    val = float(np.sum(g * g * np.abs(psi_t) ** 2) * grid.dx)
+    weight = g(sampling, grid.x - r)
+    val = float(np.sum(weight * weight * np.abs(psi_t) ** 2) * grid.dx)
     return (m / sampling.ell) ** 2 * val
 
 

@@ -17,9 +17,8 @@ from gravcat import jc
 from gravcat import measurement as ms
 from gravcat.density import density_mean
 from gravcat.fock import FockSpace, coherent_state
-from gravcat.states import CatState, Gaussian1D, GaussianState
 import oracles
-from oracles import BoxSampling, exact_propagate, hamiltonian_step_count
+from oracles import BoxSampling, cat, exact_propagate, gaussian, hamiltonian_step_count
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:
@@ -219,7 +218,7 @@ def test_criterion_6_cat_probe_distinguishability():
 def test_criterion_7_static_limit_density():
     worst_mean = 0.0
     m = 1.0
-    for state in (GaussianState(sigma=1.0), CatState(sigma=0.5, L=(4.0, 0.0, 0.0))):
+    for state in (gaussian(1.0, (0.0, 0.0, 0.0)), cat(0.5, (4.0, 0.0, 0.0))):
         axis = state.axis_state(0)
         for x in np.linspace(-2.0, 2.0, 9):
             # the route of the static_mean.csv column against the packet itself
@@ -228,7 +227,7 @@ def test_criterion_7_static_limit_density():
             worst_mean = max(worst_mean, abs(got - expected))
 
     box = BoxSampling(0.6)
-    state = Gaussian1D(1.0)
+    state = gaussian(1.0)
     worst_identity = 0.0
     for r in (0.0, 0.5, -1.0):
         second = oracles.smeared_second_moment(state, box, r, 0.3, m)

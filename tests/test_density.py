@@ -11,24 +11,20 @@ from gravcat.density import (
     smeared_corr_phase_space,
     smeared_corr_quadrature,
 )
-from gravcat.states import (
-    Cat1D,
-    CatState,
-    Gaussian1D,
-    GaussianState,
-    SmearingParams,
-)
+from gravcat.states import Packet, SmearingParams
 from gravcat.wigner import wigner_terms
 import oracles
 from oracles import (
     BoxSampling,
     MassDensityCorrelator,
+    cat,
     cat_wigner,
     corr_quadrature_on_grid,
     density_corr,
     free_propagator,
     free_propagator_1d,
     gauss_legendre,
+    gaussian,
     newtonian_force,
     smeared_mean_quadrature,
     static_limit_corr,
@@ -43,13 +39,13 @@ NAN, INF = float("nan"), float("inf")
 
 class TestStateInputChecks:
     @pytest.mark.parametrize("build", [
-        lambda: Gaussian1D(NAN),
-        lambda: Gaussian1D(INF),
-        lambda: Cat1D(NAN, 2.0),
-        lambda: Cat1D(1.0, INF),
-        lambda: GaussianState(NAN),
-        lambda: CatState(INF, (2.0, 0.0, 0.0)),
-        lambda: CatState(1.0, (NAN, 0.0, 0.0)),
+        lambda: gaussian(NAN),
+        lambda: gaussian(INF),
+        lambda: cat(NAN, 2.0),
+        lambda: cat(1.0, INF),
+        lambda: gaussian(NAN, (0.0, 0.0, 0.0)),
+        lambda: cat(INF, (2.0, 0.0, 0.0)),
+        lambda: cat(1.0, (NAN, 0.0, 0.0)),
         lambda: SmearingParams(NAN),
         lambda: SmearingParams(INF),
         lambda: BoxSampling(NAN),
@@ -57,6 +53,60 @@ class TestStateInputChecks:
     def test_non_finite_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+
+class TestPacket:
+    @pytest.mark.parametrize("sigma,centres", [
+        (1.0, ()),
+        (1.0, [0.0, (1.0, 0.0, 0.0)]),
+        (1.0, [(0.0, 0.0), (1.0, 0.0)]),
+        (1.0, 0.0),
+        (1.0, [NAN]),
+        (1.0, [(0.0, INF, 0.0)]),
+        (1.0, [1.5, 1.5]),
+        (1.0, [0.0, -0.0]),
+        (1.0, [(1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (1.0, 0.0, 0.0)]),
+        (0.0, [0.0]),
+        (-1.0, [0.0]),
+        (NAN, [0.0]),
+        (INF, [0.0]),
+    ], ids=["empty", "mixed-dimension", "two-dimensional", "bare-float", "nan-centre",
+            "inf-centre", "coincident", "signed-zeros", "coincident-3d", "zero-sigma",
+            "negative-sigma", "nan-sigma", "inf-sigma"])
+    def test_invalid_packet_rejected(self, sigma, centres):
+        with pytest.raises(ValueError):
+            Packet(sigma, centres)
+
+    def test_one_branch_is_the_free_gaussian(self):
+        from gravcat.states import _free_gaussian
+
+        state = gaussian(0.8, 0.4)
+        xs = np.linspace(-5.0, 5.0, 41)
+        for t in (0.0, 0.7):
+            got, want = state.psi(xs, t, 1.3), _free_gaussian(xs, t, 1.3, 0.8, 0.4)
+            assert got.tobytes() == want.tobytes()
+            point = _free_gaussian(0.3, t, 1.3, 0.8, 0.4)
+            assert state.psi(0.3, t, 1.3).tobytes() == point.tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_3d_cat_is_the_product_of_its_axis_factors(self, axis):
+        L = np.zeros(3)
+        L[axis] = 3.0
+        state = cat(0.7, L)
+        rng = np.random.default_rng(5)
+        r = rng.normal(scale=2.0, size=(50, 3))
+        for t in (0.0, 0.4):
+            product = np.prod([state.axis_state(a).psi(r[:, a], t, 1.2) for a in range(3)], axis=0)
+            got = state.psi(r, t, 1.2)
+            assert np.max(np.abs(got - product) / np.abs(product)) <= 1e-15
+        assert state.axis_state(axis).centres == (1.5, -1.5)
+        assert state.axis_state((axis + 1) % 3).centres == (0.0,)
+
+    def test_two_axis_split_has_no_axis_factors(self):
+        state = Packet(1.0, [(1.0, 0.5, 0.0), (-1.0, -0.5, 0.0)])
+        for axis in range(3):
+            with pytest.raises(ValueError, match="single coordinate axis"):
+                state.axis_state(axis)
 
 
 class TestNewtonianForce:
@@ -116,7 +166,7 @@ class TestFreePropagator:
         # evolve a Gaussian with the kernel and compare the width against
         # sigma(t)^2 = sigma^2 + t^2 / (4 m^2 sigma^2)
         m, sigma, t = 1.0, 1.0, 0.8
-        state = Gaussian1D(sigma)
+        state = gaussian(sigma)
         xp, wp = gauss_legendre(-12.0, 12.0, 120)
         xs, ws = gauss_legendre(-14.0, 14.0, 120)
 
@@ -137,13 +187,13 @@ class TestFreePropagator:
 
 class TestDensityMoments:
     def test_peak_value(self):
-        state = GaussianState(sigma=0.7)
+        state = gaussian(0.7, (0.0, 0.0, 0.0))
         m = 2.0
         got = density_mean(state, [0.0, 0.0, 0.0], 0.0, m)
         assert abs(got - m * (2 * np.pi * 0.7**2) ** -1.5) < 1e-12
 
     def test_total_mass_by_quadrature(self):
-        state = GaussianState(sigma=1.1, center=(0.3, 0.0, -0.2))
+        state = gaussian(1.1, (0.3, 0.0, -0.2))
         m, t = 1.6, 0.5
         x, w = gauss_legendre(-14.0, 14.0, 100)
         total = m
@@ -153,7 +203,7 @@ class TestDensityMoments:
         assert abs(total - m) < 1e-8
 
     def test_noise_kernel_symmetric(self):
-        state = GaussianState(sigma=0.9)
+        state = gaussian(0.9, (0.0, 0.0, 0.0))
         r, t, r2, t2 = [0.2, 0.0, 0.1], 0.1, [-0.4, 0.3, 0.0], 0.7
         ab = density_corr(state, r, t, r2, t2, m=1.2)
         ba = density_corr(state, r2, t2, r, t, m=1.2)
@@ -161,13 +211,13 @@ class TestDensityMoments:
         assert abs(ab.value - np.conj(ba.value)) < 1e-10
 
     def test_connected_subtracts_means(self):
-        state = GaussianState(sigma=1.0)
+        state = gaussian(1.0, (0.0, 0.0, 0.0))
         c = density_corr(state, [0.1, 0, 0], 0.0, [0.2, 0, 0], 0.4, m=2.0)
         assert isinstance(c, MassDensityCorrelator)
         assert abs(c.connected - (c.value - c.mean_left * c.mean_right)) == 0.0
 
     def test_equal_time_static_identity(self):
-        state = GaussianState(sigma=1.0)
+        state = gaussian(1.0, (0.0, 0.0, 0.0))
         smear = SmearingParams(0.05)
         r = [0.3, 0.0, 0.0]
         lhs = static_limit_corr(state, smear, r, r, m=1.5)
@@ -182,27 +232,27 @@ class TestDensityMoments:
 class TestFluctuationRatio:
     def test_vanishes_at_matched_sampling(self):
         # ell^3 |psi(0)|^2 = 1 exactly when s_x = sigma at the peak
-        state = GaussianState(sigma=0.8)
+        state = gaussian(0.8, (0.0, 0.0, 0.0))
         smear = SmearingParams(0.8)
         assert fluctuation_ratio(state, smear, [0.0, 0.0, 0.0]) < 1e-12
 
     def test_unit_value_at_half_weight(self):
         sigma = 0.8
-        state = GaussianState(sigma=sigma)
+        state = gaussian(sigma, (0.0, 0.0, 0.0))
         smear = SmearingParams(sigma / 2.0 ** (1.0 / 3.0))
         got = fluctuation_ratio(state, smear, [0.0, 0.0, 0.0])
         assert abs(got - 1.0) < 1e-12
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
-        state = GaussianState(sigma=1.0)
+        state = gaussian(1.0, (0.0, 0.0, 0.0))
         for _ in range(20):
             smear = SmearingParams(rng.uniform(0.2, 3.0))
             r = rng.normal(size=3)
             assert fluctuation_ratio(state, smear, r) >= 0.0
 
     def test_vanishing_density_rejected(self):
-        state = GaussianState(sigma=0.1)
+        state = gaussian(0.1, (0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             fluctuation_ratio(state, SmearingParams(0.1), [80.0, 0.0, 0.0])
 
@@ -211,7 +261,7 @@ class TestFluctuationRatio:
         # the density is positive, but its square underflows to zero: a
         # ValueError, which density-suite drops like a vanishing density,
         # not a ZeroDivisionError
-        state, smear = GaussianState(sigma=1.0), SmearingParams(0.5)
+        state, smear = gaussian(1.0, (0.0, 0.0, 0.0)), SmearingParams(0.5)
         assert density_mean(state, [x, 0.0, 0.0]) > 0.0
         with pytest.raises(ValueError, match="underflows"):
             fluctuation_ratio(state, smear, [x, 0.0, 0.0])
@@ -219,29 +269,29 @@ class TestFluctuationRatio:
 
 class TestPhaseSpaceEvaluation:
     def test_static_mean_matches_density_gaussian(self):
-        state = Gaussian1D(sigma=1.0)
+        state = gaussian(1.0)
         for x in (0.0, 0.5, -1.2, 2.0):
             got = density_mean(state, x, 0.0, m=1.3)
             expected = 1.3 * abs(state.psi(x)) ** 2
             assert abs(got - expected) < 1e-6
 
     def test_static_mean_matches_density_cat(self):
-        state = CatState(sigma=0.5, L=(4.0, 0.0, 0.0)).axis_state(0)
+        state = cat(0.5, (4.0, 0.0, 0.0)).axis_state(0)
         for x in (0.0, 1.0, 2.0, -2.0):
             got = density_mean(state, x, 0.0, m=1.0)
             expected = abs(state.psi(x)) ** 2
             assert abs(got - expected) < 1e-6
 
     @pytest.mark.parametrize("state,axis", [
-        (Cat1D(1.0, 6.0), None),
-        (Gaussian1D(0.8, center=0.4), None),
-        (CatState(1.0, (6.0, 0.0, 0.0)), (1.0, 0.4, -0.3)),
+        (cat(1.0, 6.0), None),
+        (gaussian(0.8, 0.4), None),
+        (cat(1.0, (6.0, 0.0, 0.0)), (1.0, 0.4, -0.3)),
     ], ids=["cat", "gaussian", "cat-3d"])
     @pytest.mark.parametrize("t", [0.0, 0.7])
     def test_array_r_matches_scalar_loop(self, state, axis, t):
         # a single point takes the array route: at t 0.7 scalar arithmetic
         # differed from the array call on 32, 26 and 47 of these 101 points
-        xs = np.linspace(*Cat1D(1.0, 6.0).support(), 101)
+        xs = np.linspace(*cat(1.0, 6.0).support(), 101)
         points = xs if axis is None else np.outer(xs, axis)
         loop = np.array([density_mean(state, r, t, 1.3) for r in points])
         batch = density_mean(state, points, t, 1.3)
@@ -249,19 +299,19 @@ class TestPhaseSpaceEvaluation:
         assert np.array_equal(batch, loop)
 
     def test_array_r_keeps_its_shape(self):
-        state = Cat1D(1.0, 6.0)
+        state = cat(1.0, 6.0)
         xs = np.linspace(*state.support(), 12)
         table = density_mean(state, xs.reshape(3, 4), 0.2)
         assert table.shape == (3, 4)
         assert np.array_equal(table.ravel(), density_mean(state, xs, 0.2))
 
     def test_scalar_r_gives_float(self):
-        state = Gaussian1D(sigma=1.0)
+        state = gaussian(1.0)
         assert type(density_mean(state, 0.3, 0.0)) is float
         assert type(density_mean(state, np.float64(0.3), 0.0)) is float
 
-    @pytest.mark.parametrize("state", [Gaussian1D(0.8, center=0.4), Cat1D(1.0, 6.0),
-                                       Cat1D(0.5, 4.0)], ids=["gaussian", "cat", "narrow-cat"])
+    @pytest.mark.parametrize("state", [gaussian(0.8, 0.4), cat(1.0, 6.0),
+                                       cat(0.5, 4.0)], ids=["gaussian", "cat", "narrow-cat"])
     @pytest.mark.parametrize("t", [0.0, 0.35, -1.2])
     def test_free_streamed_mean_is_evolved_density(self, state, t):
         # the p integral of W0 along x = r - p t / m, a different route,
@@ -272,7 +322,7 @@ class TestPhaseSpaceEvaluation:
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected)
 
     @pytest.mark.parametrize("sigma", [1e-8, 1e-10, 1e-12, 1e-100])
-    @pytest.mark.parametrize("build", [Gaussian1D, lambda s: Cat1D(s, 6.0)],
+    @pytest.mark.parametrize("build", [gaussian, lambda s: cat(s, 6.0)],
                              ids=["gaussian", "cat"])
     def test_narrow_packet_mean_is_evolved_density(self, build, sigma):
         # the Wigner-line terms grow as 1 / sigma and cancel: at sigma 1e-8
@@ -289,7 +339,7 @@ class TestPhaseSpaceEvaluation:
     def test_delta_matches_quadrature_at_wide_separation(self):
         # |r - r2| = 20 s_x; the sampling-width -> 0 collapse should agree
         # with the full finite-width quadrature to 5%
-        state = Gaussian1D(sigma=1.0)
+        state = gaussian(1.0)
         smear = SmearingParams(0.01)
         r, t, r2, t2 = 0.1, 0.3, -0.1, 0.1
         mean_d, corr_d = smeared_corr_phase_space(state, r, t, r2, t2)
@@ -301,13 +351,13 @@ class TestPhaseSpaceEvaluation:
 
     def test_equal_times_rejected_on_delta_path(self):
         with pytest.raises(ValueError):
-            smeared_corr_phase_space(Gaussian1D(sigma=1.0), 0.1, 0.5, 0.2, 0.5)
+            smeared_corr_phase_space(gaussian(1.0), 0.1, 0.5, 0.2, 0.5)
 
 
 class TestCorrelationQuadrature:
     # the density-suite benchmark cat and its correlator table: r = -r2 at
     # 10 and 20 s_x, t = 0.1, t2 = 0.35
-    STATE = CatState(sigma=1.0, L=(6.0, 0.0, 0.0)).axis_state(0)
+    STATE = cat(1.0, (6.0, 0.0, 0.0)).axis_state(0)
     SMEAR = SmearingParams(0.05)
     ROWS = [(0.25, 0.1, -0.25, 0.35), (0.5, 0.1, -0.5, 0.35)]
 
@@ -334,13 +384,13 @@ class TestCorrelationQuadrature:
                              ids=["gaussian", "cat", "narrow-cat"])
     @pytest.mark.parametrize("row", ROWS + [(0.3, 0.6, -0.1, 0.2), (-0.4, 0.9, 0.35, 0.15)])
     def test_matches_trapezoid_over_exact_w(self, sigma, sep, row):
-        state = Cat1D(sigma, sep) if sep > 0 else Gaussian1D(sigma)
+        state = cat(sigma, sep) if sep > 0 else gaussian(sigma)
         got = smeared_corr_quadrature(state, self.SMEAR, *row)
         expected = trapezoid_corr(sigma, sep, self.SMEAR.s_x, *row)
         assert expected != 0.0
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
-    @pytest.mark.parametrize("state", [Gaussian1D(1.0), Cat1D(1.0, 6.0), Cat1D(0.5, 4.0)],
+    @pytest.mark.parametrize("state", [gaussian(1.0), cat(1.0, 6.0), cat(0.5, 4.0)],
                              ids=["gaussian", "cat", "narrow-cat"])
     def test_matches_spline_quadrature_inside_the_grid(self, state):
         # row 1 (p* = -2 lies on the default grid): the closed form against
@@ -352,19 +402,18 @@ class TestCorrelationQuadrature:
         expected = corr_quadrature_on_grid(grid, self.SMEAR, *row)
         assert abs(got - expected) <= 1e-5 * abs(expected)
 
-    @pytest.mark.parametrize("state", [Gaussian1D(0.8, center=0.4), Cat1D(0.7, 3.0)])
+    @pytest.mark.parametrize("state", [gaussian(0.8, 0.4), cat(0.7, 3.0)])
     def test_delta_corr_is_w_at_time_of_flight_point(self, state):
-        sigma = state.sigma
-        sep = getattr(state, "separation", 0.0)
+        sigma, centres = state.sigma, state.centres
         for r, t, r2, t2 in self.ROWS:
             p_star = (r - r2) / (t - t2)
             x_star = 0.5 * (r + r2) - p_star * (t + t2) / 2.0
             _, corr = smeared_corr_phase_space(state, r, t, r2, t2)
-            if sep == 0.0:
-                w = 2.0 * np.exp(-((x_star - state.center) ** 2) / (2 * sigma**2)
+            if len(centres) == 1:
+                w = 2.0 * np.exp(-((x_star - centres[0]) ** 2) / (2 * sigma**2)
                                  - 2 * sigma**2 * p_star**2)
             else:
-                w = cat_wigner(x_star, p_star, sigma, sep)
+                w = cat_wigner(x_star, p_star, sigma, centres[0] - centres[1])
             assert abs(corr - w / (2.0 * np.pi * abs(t - t2))) <= 1e-14 * max(abs(w), 1e-300)
             at_point = wigner_terms(state).pullback(np.zeros((2, 0)), (x_star, p_star))
             assert abs(np.sum(at_point.integral()).imag) <= 1e-15

@@ -499,6 +499,24 @@ class TestCli:
         expected = ["gravcat", "gravcat.cli", "gravcat.harness"] + [f"gravcat.{m}" for m in modules]
         assert run_fresh(code) == str(sorted(expected))
 
+    def test_cat_separation_sign_writes_the_same_artifacts(self, tmp_path):
+        # the branches sit at +/- |L| / 2 whatever the sign of L; only the
+        # wigner_meta.json field state.separation echoes the configured L
+        digests, metas, results = [], [], []
+        for L in (6.0, -6.0):
+            out = tmp_path / f"o{L}"
+            cfg = write_config(tmp_path, f"c{L}.json", {"density.state": "cat", "density.L": L})
+            assert main(["density-suite", "--config", str(cfg), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            digests.append({a["name"]: a["sha256"] for a in manifest["artifacts"]
+                            if a["name"] != "wigner_meta.json"})
+            results.append(manifest["results"])
+            meta = json.loads((out / "wigner_meta.json").read_text())
+            assert meta["state"].pop("separation") == L
+            metas.append(meta)
+        assert len(digests[0]) == 5
+        assert digests[0] == digests[1] and metas[0] == metas[1] and results[0] == results[1]
+
     def test_narrow_gaussian_density_suite_succeeds(self, tmp_path):
         # its history grid reaches |x| ~ 102 at dx ~ 0.012, where linspace
         # rounding once failed the uniformity check (exit 4)
@@ -678,11 +696,18 @@ class TestCli:
         ("g2s-correlations", {**G2S_CFG, "g2s.m": 1e-160}),
         ("jc-suite", {**JC_CFG, "jc.omega": 1e300}),
         ("jc-suite", {**JC_CFG, "jc.g_over_omega": 1e300}),
+        ("g2s-correlations", {"g2s.nu": 1.0, "grid.t_min": -1e308, "grid.t_max": 1e308,
+                              "grid.t_count": 4}),
+        ("g2s-correlations", {"g2s.nu": 1e308, "grid.t_max": 1e308, "grid.t_count": 4}),
+        ("force-trajectories", {"force.nu": 1e308, "force.tau": 1e308, "force.steps": 10,
+                                "force.count": 200}),
     ])
     def test_out_of_range_scale_is_regime_error(self, tmp_path, capfd, experiment, payload):
         # a Python-float ** overflowed (OverflowError) or ell^6 underflowed
         # to a division by zero, both exit 4; m 1e-160 wrote m^2 / ell^6 as a
-        # subnormal 9.9998886718268301e-321 with exit 0
+        # subnormal 9.9998886718268301e-321 with exit 0; t_max - t_min
+        # overflowed in linspace (exit 4), nu t to cos(inf) (nan rows, exit
+        # 0), and nu tau to sin(inf) with six warnings before an exit 3
         cfg = write_config(tmp_path, "c.json", payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -704,11 +729,21 @@ class TestCli:
         ({"density.m": 1e100, "density.s_x": 1e100}, 3),
         ({"density.m": 1e100, "density.s_x": 1e-100}, 3),
         ({"density.m": 1e-100, "density.sigma": 1e-150}, 3),
+        ({"density.state": "cat", "density.L": 1e308}, 3),
+        ({"density.state": "cat", "density.L": 1e300, "density.sigma": 1e-10}, 3),
+        ({"density.sigma": 1e-60}, 3),
+        ({"density.sigma": 1e-100}, 3),
+        ({"density.sigma": 1e60}, 3),
+        ({"density.state": "cat", "density.sigma": 1e-60, "density.L": 1e-59}, 3),
     ])
     def test_out_of_range_density_scale_is_rejected(self, tmp_path, capfd, payload, code):
-        # a cat with no separation has no per-axis factor, and a Python-float
+        # a cat with no separation has coincident branches, and a Python-float
         # ** overflowed or a packet width underflowed to 0: each exited 4,
-        # except m 1e100 at s_x 1e-100, which wrote inf and nan correlators
+        # except m 1e100 at s_x 1e-100, which wrote inf and nan correlators;
+        # a far cat's fringe count was an infinite float that int() refused
+        # (exit 4), and the squared density of a packet narrower than 5e-52
+        # overflowed with a RuntimeWarning (exit 0, centre points dropped);
+        # wider than 8e50 it underflowed everywhere (exit 0, every point dropped)
         cfg = write_config(tmp_path, "c.json", payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -997,9 +1032,9 @@ class TestDensityExperiment:
         payload = {"density.state": "cat", "density.sigma": 1.0, "density.L": 6.0}
         run_experiment(resolve_config("density-suite", payload, seed=0, output_dir=tmp_path))
         from gravcat import density as dn
-        from gravcat.states import Cat1D
+        from oracles import cat
 
-        state = Cat1D(1.0, 6.0)
+        state = cat(1.0, 6.0)
         lo, hi = state.support()
         xs = np.linspace(lo, hi, 101)
         loop = [dn.density_mean(state, float(x), 0.0, 1.0) for x in xs]
@@ -1019,15 +1054,14 @@ class TestDensityExperiment:
         # mean, W written out at (x*, p*) for the delta limit, and a
         # brute-force 2D trapezoid over W on p* +/- 4 and +/- 8 s_x for the
         # finite-width function
-        from gravcat.states import Cat1D, Gaussian1D
-        from oracles import cat_wigner, trapezoid_corr
+        from oracles import cat, cat_wigner, gaussian, trapezoid_corr
 
         cfg = resolve_config("density-suite", payload, seed=0, output_dir=tmp_path)
         run_experiment(cfg)
         p = cfg.parameters
         sigma, s_x, m = p["density.sigma"], p["density.s_x"], p["density.m"]
         sep = p["density.L"] if p["density.state"] == "cat" else 0.0
-        state = Cat1D(sigma, sep) if sep else Gaussian1D(sigma)
+        state = cat(sigma, sep) if sep else gaussian(sigma)
         header, rows = read_csv(tmp_path / "correlators.csv")
         assert len(rows) == 2
         for row in rows:

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from gravcat.histories import additivity_defect, partition_points
-from gravcat.states import Cat1D, Gaussian1D, SmearingParams
+from gravcat.states import SmearingParams
 from gravcat.wigner import GridAliasingError
 import oracles
 from oracles import (
     BoxSampling,
     SpatialGrid,
     auto_grid,
+    cat,
     comb_additivity_defect,
     decoherence_functional,
     free_evolve,
     gauss_legendre,
+    gaussian,
     n_time_probability,
     partition_probability_sum,
     position_probability,
@@ -55,13 +57,13 @@ def additivity_defect_oracle(state, sampling, t1, t2, r1_values, r2_values, m=1.
 
 class TestFreeEvolve:
     def test_matches_closed_form(self):
-        state = Gaussian1D(1.0, center=0.5)
+        state = gaussian(1.0, 0.5)
         grid = uniform_grid(-20.0, 20.0, 4096)
         evolved = free_evolve(state.psi(grid.x), grid, 0.9, m=1.3)
         assert np.max(np.abs(evolved - state.psi(grid.x, 0.9, 1.3))) < 1e-10
 
     def test_backward_evolution_inverts(self):
-        state = Gaussian1D(0.7)
+        state = gaussian(0.7)
         grid = uniform_grid(-18.0, 18.0, 4096)
         psi = state.psi(grid.x)
         roundtrip = free_evolve(free_evolve(psi, grid, 1.2), grid, -1.2)
@@ -71,7 +73,7 @@ class TestFreeEvolve:
         # the phases multiply the spectrum in place, phases first: the same
         # bits as ifft(phases * fft(psi)), for one record and for a comb
         grid = uniform_grid(-18.0, 18.0, 4096)
-        psi = Cat1D(0.7, 3.0).psi(grid.x) * sqrt_g(
+        psi = cat(0.7, 3.0).psi(grid.x) * sqrt_g(
             SmearingParams(0.3), grid.x - np.linspace(-2.0, 2.0, 5)[:, None])
         phases = np.exp(-1j * grid.k**2 * 0.7 / (2.0 * 1.3))
         for p in (psi, psi[2]):
@@ -87,7 +89,7 @@ class TestSpatialGrid:
         assert grid.x.size == 1 << 14
 
     def test_auto_grid_of_narrow_packet(self):
-        state = Gaussian1D(0.02)
+        state = gaussian(0.02)
         grid = auto_grid(state, SmearingParams(0.05), 0.5)
         assert grid.x[-1] > 100.0
 
@@ -97,11 +99,11 @@ class TestSpatialGrid:
         # and is refused before any grid array exists
         import tracemalloc
 
-        assert auto_grid(Gaussian1D(1e-4), SmearingParams(0.05), 0.5).x.size == 1 << 22
+        assert auto_grid(gaussian(1e-4), SmearingParams(0.05), 0.5).x.size == 1 << 22
         tracemalloc.start()
         try:
             with pytest.raises(GridAliasingError, match="exceed the bound"):
-                auto_grid(Gaussian1D(1e-5), SmearingParams(0.05), 0.5)
+                auto_grid(gaussian(1e-5), SmearingParams(0.05), 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -118,7 +120,7 @@ class TestDecoherenceFunctional:
     def test_equal_point_diagonal_close_to_probability(self):
         # wide sampling (s_x ~ 3 sigma): the sampling operator is close to a
         # projector, so <P^2> tracks <P> within 5%
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         sampling = SmearingParams(3.2)
         t = 0.3
         d = decoherence_functional(state, sampling, 0.0, t, 0.0, t)
@@ -128,7 +130,7 @@ class TestDecoherenceFunctional:
 
     def test_equal_time_off_diagonal_vanishes(self):
         # narrow sampling: |D| at separation 6 s_x is below 1e-6
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         sampling = SmearingParams(0.004)
         grid = uniform_grid(-8.5, 8.5, 1 << 14)
         t = 0.2
@@ -143,7 +145,7 @@ class TestDecoherenceFunctional:
         # far-spreading regime: D is supported where r/t matches r2/t2 (the
         # sampled slices then carry matching momenta), and the peak weight
         # tracks the momentum content at p = m (r - r2)/(t - t2)
-        state = Gaussian1D(0.25)
+        state = gaussian(0.25)
         sampling = SmearingParams(7.0)
         m, t2, t = 1.0, 100.0, 200.0
         grid = uniform_grid(-650.0, 650.0, 1 << 13)
@@ -172,7 +174,7 @@ class TestDecoherenceFunctional:
             assert abs(got_ratio - expected_ratio) / expected_ratio < 0.01
 
     def test_hermiticity_under_swap(self):
-        state = Gaussian1D(0.8)
+        state = gaussian(0.8)
         sampling = SmearingParams(0.3)
         d_ab = decoherence_functional(state, sampling, 0.4, 0.5, -0.2, 0.9)
         d_ba = decoherence_functional(state, sampling, -0.2, 0.9, 0.4, 0.5)
@@ -183,7 +185,7 @@ class TestSmearedMoments:
     def test_sharp_projector_identity(self):
         # box sampling: g^2 = g makes the equal-point second moment exactly
         # (m / ell) times the mean
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         box = BoxSampling(0.6)
         m = 1.7
         for r in (0.0, 0.4, -1.1):
@@ -192,14 +194,14 @@ class TestSmearedMoments:
             assert abs(second - (m / box.ell) * mean) <= 1e-10 * max(second, 1e-30)
 
     def test_gaussian_sampling_identity_is_approximate(self):
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         smear = SmearingParams(0.3)
         second = smeared_second_moment(state, smear, 0.0, 0.0, 1.0)
         mean = smeared_mean(state, smear, 0.0, 0.0, 1.0)
         assert abs(second - mean / smear.ell) / (mean / smear.ell) > 0.01
 
     def test_two_point_prefactor(self):
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         smear = SmearingParams(0.4)
         val = smeared_two_point(state, smear, 0.2, 0.1, -0.3, 0.6, m=2.0)
         d = decoherence_functional(state, smear, 0.2, 0.1, -0.3, 0.6, m=2.0)
@@ -208,14 +210,14 @@ class TestSmearedMoments:
 
 class TestRecordProbabilities:
     def test_single_event_reduces_to_position_probability(self):
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         smear = SmearingParams(0.5)
         p1 = n_time_probability(state, smear, [(0.3, 0.7)])
         assert abs(p1 - position_probability(state, smear, 0.3, 0.7)) < 1e-12
 
     def test_probabilities_in_unit_interval(self):
         rng = np.random.default_rng(5)
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         smear = SmearingParams(0.6)
         for _ in range(10):
             events = sorted((rng.normal(), rng.uniform(0.1, 2.0)) for _ in range(3))
@@ -224,19 +226,19 @@ class TestRecordProbabilities:
             assert 0.0 <= p <= 1.0
 
     def test_unordered_times_rejected(self):
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         with pytest.raises(ValueError):
             n_time_probability(state, SmearingParams(0.5), [(0.0, 1.0), (0.1, 0.5)])
 
     def test_single_time_partition_sums_to_one(self):
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         smear = SmearingParams(0.4)
         comb = partition_points(0.0, 9.0, smear.s_x)
         total = partition_probability_sum(state, smear, [], comb, 0.8)
         assert abs(total - 1.0) < 1e-6
 
     def test_matches_record_oracle(self):
-        state = Cat1D(0.7, 3.0)
+        state = cat(0.7, 3.0)
         smear = SmearingParams(0.4)
         for events in ([(0.2, 0.3)], [(1.4, 0.3), (-0.5, 0.9)],
                        [(1.4, 0.3), (0.0, 0.9), (-1.2, 1.6)]):
@@ -246,7 +248,7 @@ class TestRecordProbabilities:
 
     def test_batched_comb_matches_record_loop(self):
         # oracle: one record at a time over the comb, summed in order
-        state = Gaussian1D(0.9, center=0.3)
+        state = gaussian(0.9, 0.3)
         smear = SmearingParams(0.3)
         comb = partition_points(0.2, 4.0, smear.s_x)
         w = smear.partition_weight(smear.s_x)
@@ -260,13 +262,13 @@ class TestRecordProbabilities:
             assert abs(got - expected) <= 1e-13 * expected
 
     def test_partition_sum_rejects_unordered_tail(self):
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         comb = partition_points(0.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             partition_probability_sum(state, SmearingParams(0.5), [(0.0, 0.5)], comb, 0.5)
 
     def test_two_time_partition_sums_to_one(self):
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         smear = SmearingParams(0.5)
         grid = auto_grid(state, smear, 1.4)
         comb1 = partition_points(0.0, 9.0, smear.s_x)
@@ -282,7 +284,7 @@ class TestRecordProbabilities:
 
 class TestAdditivityDefect:
     def test_generic_defect_positive(self):
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         smear = SmearingParams(0.35)
         comb = partition_points(0.0, 8.0, smear.s_x)
         defect = additivity_defect(state, smear, 0.5, 1.2, comb, [0.0, 0.8])
@@ -291,7 +293,7 @@ class TestAdditivityDefect:
     def test_commuting_limit_vanishes(self):
         # effectively frozen evolution (huge mass): sampling operators
         # commute with the propagator and the marginalization is exact
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         smear = SmearingParams(0.35)
         comb = partition_points(0.0, 8.0, smear.s_x)
         defect = additivity_defect(state, smear, 0.5, 1.2, comb, [0.0, 0.8], m=1e14)
@@ -302,7 +304,7 @@ class TestAdditivityDefectOracle:
     """The closed form and the FFT comb route (one comb propagation per
     call, read off for every r2) against the per-r2 route."""
 
-    @pytest.mark.parametrize("state", [Gaussian1D(0.9, center=0.3), Cat1D(0.7, 3.0)])
+    @pytest.mark.parametrize("state", [gaussian(0.9, 0.3), cat(0.7, 3.0)])
     @pytest.mark.parametrize("sampling", [SmearingParams(0.3), BoxSampling(0.4)])
     @pytest.mark.parametrize("r2_values", [[0.2], [0.0, 0.8], np.linspace(-1.5, 1.5, 5)])
     @pytest.mark.parametrize("explicit_grid", [False, True])
@@ -321,7 +323,7 @@ class TestAdditivityDefectOracle:
 
     def test_ragged_comb_blocks(self, monkeypatch):
         # 4 comb rows per block over a 27-row comb: six full blocks and one of 3
-        state, smear = Cat1D(0.7, 3.0), SmearingParams(0.3)
+        state, smear = cat(0.7, 3.0), SmearingParams(0.3)
         comb = partition_points(0.1, 4.0, 0.3)
         grid = auto_grid(state, smear, 1.1)
         monkeypatch.setattr(oracles, "_COMB_BLOCK_BYTES", 4 * 16 * grid.x.size)
@@ -330,7 +332,7 @@ class TestAdditivityDefectOracle:
         assert abs(comb_additivity_defect(*args) - additivity_defect_oracle(*args)) <= 1e-14
 
     def test_lone_comb_center(self):
-        state, smear = Gaussian1D(1.0), SmearingParams(0.3)
+        state, smear = gaussian(1.0), SmearingParams(0.3)
         args = (state, smear, 0.4, 1.1, [0.0], [0.0, 0.5])
         assert abs(additivity_defect(*args) - additivity_defect_oracle(*args)) <= 1e-14
         assert abs(comb_additivity_defect(*args) - additivity_defect_oracle(*args)) <= 1e-14
@@ -338,12 +340,12 @@ class TestAdditivityDefectOracle:
     @pytest.mark.parametrize("t2", [0.4, 0.2])
     def test_unordered_times_rejected(self, t2):
         with pytest.raises(ValueError, match="strictly increasing"):
-            additivity_defect(Gaussian1D(1.0), SmearingParams(0.3), 0.4, t2,
+            additivity_defect(gaussian(1.0), SmearingParams(0.3), 0.4, t2,
                               partition_points(0.0, 2.0, 0.3), [0.0])
 
     def test_box_sampling_rejected(self):
         with pytest.raises(TypeError, match="Gaussian sampling"):
-            additivity_defect(Gaussian1D(1.0), BoxSampling(0.3), 0.4, 1.1,
+            additivity_defect(gaussian(1.0), BoxSampling(0.3), 0.4, 1.1,
                               partition_points(0.0, 2.0, 0.3), [0.0])
 
     def test_memory_bounded_by_comb_blocks(self):
@@ -357,7 +359,7 @@ class TestAdditivityDefectOracle:
         assert comb.size == 49 and comb.size * grid.x.size * 16 > 100e6
         tracemalloc.start()
         try:
-            defect = comb_additivity_defect(Gaussian1D(1.0), smear, 0.1, 0.5, comb, [0.0, 1.0],
+            defect = comb_additivity_defect(gaussian(1.0), smear, 0.1, 0.5, comb, [0.0, 1.0],
                                             grid=grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -375,7 +377,7 @@ class TestDensitySuiteDefectRows:
 
     @staticmethod
     def rows(sigma, grids):
-        state, smear = Gaussian1D(sigma), SmearingParams(max(0.05, sigma / 4.0))
+        state, smear = gaussian(sigma), SmearingParams(max(0.05, sigma / 4.0))
         comb = partition_points(0.0, 6.0 * sigma, smear.s_x)
         for (dt, mass), grid in zip(TestDensitySuiteDefectRows.ROWS, grids):
             args = (state, smear, 0.1, 0.1 + dt, comb, [0.0, sigma], mass)

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
-from gravcat.states import Cat1D, CatState, Gaussian1D, GaussianState
 from gravcat.wigner import GridAliasingError, wigner_function
-from oracles import SplineGrid, _knots, gauss_legendre, wigner_transform
+from oracles import SplineGrid, _knots, cat, gauss_legendre, gaussian, wigner_transform
 
 
 def gaussian_wigner(x, p, sigma, center=0.0):
@@ -43,17 +42,17 @@ def marginal_momentum(grid) -> np.ndarray:
 class TestGaussianWigner:
     def test_matches_analytic(self):
         sigma = 0.8
-        grid = wigner_function(Gaussian1D(sigma, center=0.4))
+        grid = wigner_function(gaussian(sigma, 0.4))
         expected = gaussian_wigner(grid.x, grid.p, sigma, center=0.4)
         assert np.max(np.abs(grid.values - expected)) < 1e-6
 
     def test_normalization(self):
-        grid = wigner_function(Gaussian1D(1.3))
+        grid = wigner_function(gaussian(1.3))
         assert abs(grid.normalization() - 1.0) < 1e-6
 
     def test_widths(self):
         sigma = 1.1
-        grid = wigner_function(Gaussian1D(sigma))
+        grid = wigner_function(gaussian(sigma))
         margin_x = marginal_position(grid)
         var_x = np.trapezoid(grid.x**2 * margin_x, grid.x)
         margin_p = marginal_momentum(grid)
@@ -62,13 +61,13 @@ class TestGaussianWigner:
         assert abs(var_p - (0.5 / sigma) ** 2) < 1e-6
 
     def test_position_marginal(self):
-        state = Gaussian1D(0.9, center=-0.3)
+        state = gaussian(0.9, -0.3)
         grid = wigner_function(state)
         expected = np.abs(state.psi(grid.x)) ** 2
         assert np.max(np.abs(marginal_position(grid) - expected)) < 1e-6
 
     def test_momentum_marginal_against_fourier_quadrature(self):
-        state = Gaussian1D(0.7)
+        state = gaussian(0.7)
         grid = wigner_function(state)
         # unitary Fourier transform evaluated directly at the grid momenta
         xs, ws = gauss_legendre(-12.0, 12.0, 80)
@@ -79,21 +78,21 @@ class TestGaussianWigner:
         assert np.max(np.abs(marginal_momentum(grid) / (2 * np.pi) - dens_k)) < 1e-6
 
     def test_accepts_3d_state(self):
-        grid = wigner_function(GaussianState(sigma=1.0).axis_state(2))
+        grid = wigner_function(gaussian(1.0, (0.0, 0.0, 0.0)).axis_state(2))
         assert abs(grid.normalization() - 1.0) < 1e-6
 
 
 class TestCatWigner:
     def test_matches_analytic(self):
         sigma, sep = 0.5, 4.0
-        state = Cat1D(sigma, sep)
+        state = cat(sigma, sep)
         grid = wigner_function(state)
         expected = cat_wigner(grid.x, grid.p, sigma, sep, state.norm_constant)
         assert np.max(np.abs(grid.values - expected)) < 1e-6
 
     def test_central_fringes(self):
         sigma, sep = 0.5, 4.0
-        grid = wigner_function(Cat1D(sigma, sep))
+        grid = wigner_function(cat(sigma, sep))
         i0 = int(np.argmin(np.abs(grid.x)))
         slice_p = grid.values[i0]
         # sign alternation along p at the midpoint
@@ -106,7 +105,7 @@ class TestCatWigner:
 
     def test_interference_peak_comparable_to_lobes(self):
         sigma, sep = 0.5, 4.0
-        grid = wigner_function(Cat1D(sigma, sep))
+        grid = wigner_function(cat(sigma, sep))
         i0 = int(np.argmin(np.abs(grid.x)))
         j0 = int(np.argmin(np.abs(grid.p)))
         lobe_max = np.max(grid.values)
@@ -115,7 +114,7 @@ class TestCatWigner:
 
     def test_fringe_spacing(self):
         sigma, sep = 0.5, 4.0
-        grid = wigner_function(Cat1D(sigma, sep))
+        grid = wigner_function(cat(sigma, sep))
         i0 = int(np.argmin(np.abs(grid.x)))
         slice_p = grid.values[i0]
         crossings = np.where(np.diff(np.sign(slice_p)) != 0)[0]
@@ -124,21 +123,21 @@ class TestCatWigner:
         assert np.allclose(central, np.pi / sep, rtol=0.05)
 
     def test_normalization_with_cross_term(self):
-        state = Cat1D(0.6, 1.5)  # strongly overlapping branches
+        state = cat(0.6, 1.5)  # strongly overlapping branches
         grid = wigner_function(state)
         assert abs(grid.normalization() - 1.0) < 1e-6
 
 
 class TestValidation:
     def test_undersized_momentum_grid_rejected(self):
-        state = Gaussian1D(1.0)
+        state = gaussian(1.0)
         x = np.linspace(-8, 8, 129)
         p = np.linspace(-0.4, 0.4, 17)  # far too narrow for sigma_p = 0.5
         with pytest.raises(GridAliasingError):
             wigner_function(state, x_axis=x, p_axis=p)
 
     def test_cat_norm_includes_cross_term(self):
-        state = CatState(sigma=1.0, L=(1.0, 0.0, 0.0))
+        state = cat(1.0, (1.0, 0.0, 0.0))
         # quadrature of |psi|^2 over the separation axis times transverse norms
         x, w = gauss_legendre(-12, 12, 60)
         axis = state.axis_state(0)
@@ -162,7 +161,7 @@ class TestSplineOracle:
         ep = np.concatenate([np.full(301, p[0]), np.full(301, p[-1]), line_p, line_p])
         return np.concatenate([rx, nx, kx, ex]), np.concatenate([rp, np_, kp, ep])
 
-    @pytest.mark.parametrize("state", [Cat1D(1.0, 6.0), Gaussian1D(0.8, center=0.4)],
+    @pytest.mark.parametrize("state", [cat(1.0, 6.0), gaussian(0.8, 0.4)],
                              ids=["cat", "gaussian"])
     def test_matches_rect_bivariate_spline(self, state):
         grid = wigner_transform(state)
@@ -184,19 +183,19 @@ class TestSplineOracle:
         assert np.max(np.abs(grid.evaluate(px, pp) - oracle(px, pp, grid=False))) <= 1e-14 * scale
 
     def test_knots_are_fitpack_knots(self):
-        grid = wigner_transform(Cat1D(1.0, 6.0))
+        grid = wigner_transform(cat(1.0, 6.0))
         oracle = RectBivariateSpline(grid.x, grid.p, grid.values)
         tx, tp = oracle.get_knots()
         assert np.array_equal(_knots(grid.x), tx)
         assert np.array_equal(_knots(grid.p), tp)
 
     def test_interpolates_the_nodes(self):
-        grid = wigner_transform(Cat1D(1.0, 6.0))
+        grid = wigner_transform(cat(1.0, 6.0))
         xx, pp = np.meshgrid(grid.x, grid.p, indexing="ij")
         assert np.max(np.abs(grid.evaluate(xx, pp) - grid.values)) <= 1e-14 * 2.0
 
     def test_exact_zero_outside_grid(self):
-        grid = wigner_transform(Gaussian1D(1.0))
+        grid = wigner_transform(gaussian(1.0))
         x0, x1, p0, p1 = grid.x[0], grid.x[-1], grid.p[0], grid.p[-1]
         x = np.array([np.nextafter(x0, -np.inf), np.nextafter(x1, np.inf), 0.0, 0.0,
                       x0 - 5.0, x1 + 5.0, np.nan, 0.0])
@@ -208,14 +207,14 @@ class TestSplineOracle:
         assert grid.evaluate(x0, 0.0) != 0.0 and grid.evaluate(0.0, p1) != 0.0
 
     def test_scalar_input_gives_zero_dim(self):
-        grid = wigner_transform(Gaussian1D(1.0))
+        grid = wigner_transform(gaussian(1.0))
         inside, outside = grid.evaluate(0.1, 0.2), grid.evaluate(1e3, 0.2)
         assert inside.shape == () and outside.shape == ()
         assert abs(float(inside) - 2.0 * np.exp(-0.1**2 / 2 - 2 * 0.2**2)) < 1e-6
         assert float(outside) == 0.0
 
     def test_broadcasts(self):
-        grid = wigner_transform(Cat1D(1.0, 6.0))
+        grid = wigner_transform(cat(1.0, 6.0))
         x = np.linspace(-3.0, 3.0, 7)[:, None]
         p = np.linspace(-1.0, 1.0, 5)[None, :]
         out = grid.evaluate(x, p)
@@ -234,7 +233,7 @@ class TestSizeBound:
         tracemalloc.start()
         try:
             with pytest.raises(GridAliasingError, match="phase matrix"):
-                wigner_transform(Cat1D(0.001, 6.0))
+                wigner_transform(cat(0.001, 6.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -242,20 +241,20 @@ class TestSizeBound:
 
     def test_unresolvable_fringes_rejected_before_building_axes(self):
         with pytest.raises(GridAliasingError, match="momentum points"):
-            wigner_function(Cat1D(1e-12, 6.0))
+            wigner_function(cat(1e-12, 6.0))
 
     def test_explicit_axes_are_bounded_too(self):
         x = np.linspace(-10.0, 10.0, 40000)
         p = np.linspace(-3.0, 3.0, 33)
         with pytest.raises(GridAliasingError, match="psi array"):
-            wigner_transform(Gaussian1D(1.0), x_axis=x, p_axis=p)
+            wigner_transform(gaussian(1.0), x_axis=x, p_axis=p)
 
     def test_closed_form_grid_rejected_before_allocating(self):
         # the sigma = 0.001 cat's default axes are 257 x 45,838 values
         tracemalloc.start()
         try:
             with pytest.raises(GridAliasingError, match="257 x 45838 phase-space grid"):
-                wigner_function(Cat1D(0.001, 6.0))
+                wigner_function(cat(0.001, 6.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -266,13 +265,12 @@ class TestTransformOracle:
     """The closed form against the Gauss-Legendre transform on the same axes."""
 
     @pytest.mark.parametrize("state,axis", [
-        (Cat1D(1.0, 6.0), 0), (Cat1D(0.5, 4.0), 0), (Cat1D(0.6, 1.5), 0),
-        (Gaussian1D(0.8, center=0.4), 0), (CatState(1.0, (0.0, 0.0, 6.0)), 2),
-        (CatState(1.0, (0.0, 0.0, 6.0)), 1),
+        (cat(1.0, 6.0), 0), (cat(0.5, 4.0), 0), (cat(0.6, 1.5), 0),
+        (gaussian(0.8, 0.4), 0), (cat(1.0, (0.0, 0.0, 6.0)), 2),
+        (cat(1.0, (0.0, 0.0, 6.0)), 1),
     ])
     def test_matches_transform(self, state, axis):
-        if isinstance(state, CatState):
-            state = state.axis_state(axis)
+        state = state.axis_state(axis) if isinstance(state.centres[0], tuple) else state
         grid = wigner_function(state)
         oracle = wigner_transform(state)
         assert np.array_equal(grid.x, oracle.x) and np.array_equal(grid.p, oracle.p)
@@ -281,7 +279,7 @@ class TestTransformOracle:
 
     def test_matches_transform_on_explicit_axes(self):
         # off-centre, uneven axes that reach p = -4.5, beyond the default +/-3
-        state = Cat1D(1.0, 6.0)
+        state = cat(1.0, 6.0)
         x = np.linspace(-11.0, 10.0, 97)
         p = np.linspace(-4.5, 3.5, 131)
         grid = wigner_function(state, x, p)
@@ -293,9 +291,9 @@ class TestTransformOracle:
 
         x, p = np.meshgrid(np.linspace(-4, 4, 9), np.linspace(-3, 3, 7), indexing="ij")
         points = np.stack([x, p], axis=-1)[..., None, :]
-        vals = np.sum(wigner_terms(Cat1D(0.7, 3.0)).pullback(np.zeros((2, 0)), points)
+        vals = np.sum(wigner_terms(cat(0.7, 3.0)).pullback(np.zeros((2, 0)), points)
                       .integral(), axis=-1)
         assert vals.shape == x.shape
         assert np.max(np.abs(vals.imag)) <= 1e-15
         assert np.max(np.abs(vals.real - cat_wigner(x[:, 0], p[0], 0.7, 3.0,
-                                                    Cat1D(0.7, 3.0).norm_constant))) <= 1e-15
+                                                    cat(0.7, 3.0).norm_constant))) <= 1e-15
