@@ -6,6 +6,8 @@ onto a well, so the record is a +/-1 telegraph whose statistics carry a
 measurement-induced (Zeno-type) decay rate Gamma = nu^2 tau / 2: measuring
 more often slows the decay.  The demo samples 20k records, checks the
 fitted decay rate against Gamma, and shows the resolution dependence.
+The sampler yields the records in blocks of 4096, and the estimator takes
+them one block at a time, so the ensemble is never held in memory whole.
 """
 
 from gravcat.measurement import (
@@ -26,8 +28,8 @@ print(f"schedule: tau = {sched.tau}, N = {sched.n_steps}, nu tau = {sched.nu * s
 print(f"per-step flip probability sin^2(nu tau / 2) = {sched.flip_probability:.6f}")
 print(f"continuum decay rate Gamma = nu^2 tau / 2 = {sched.gamma:.6f}\n")
 
-ensemble = sample_trajectories(sched, 20_000, seed=11)
-stats = estimate_force_statistics(ensemble, sched, f0)
+blocks = sample_trajectories(sched, 20_000, seed=11)  # a generator of (rows, N+1) int8 blocks
+stats = estimate_force_statistics(blocks, sched, f0)
 sel = stats.lag_steps >= 1
 rate_corr, amp_corr = fit_exponential_rate(stats.lag_time[sel], stats.corr[sel])
 rate_mean, amp_mean = fit_exponential_rate(stats.time, stats.mean)

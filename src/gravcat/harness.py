@@ -86,23 +86,26 @@ def write_csv(path: Path, header: list[str], columns) -> Path:
     if len(columns) != len(header) or any(c.ndim != 1 or c.size != n_rows
                                           or c.dtype.kind not in "biuf" for c in columns):
         raise ValueError(f"need {len(header)} 1-D real columns of equal length for {path.name}")
-    return _write_blocks(path, header, n_rows, [c.dtype for c in columns],
-                         lambda lo, hi: [c[lo:hi] for c in columns])
+    rows = _block_rows([c.dtype for c in columns])
+    return _write_blocks(path, header, ([c[lo : lo + rows] for c in columns]
+                                        for lo in range(0, n_rows, rows)))
 
 
-def _write_trajectories(path: Path, readings: np.ndarray) -> Path:
-    """One (trajectory_id, step, reading) row per reading, as write_csv prints
-    the whole table; the index columns are made one block of rows at a time,
-    so they never exist for the whole ensemble."""
-    length = readings.shape[1]
-    flat = readings.reshape(-1)
+def _write_trajectories(path: Path, blocks) -> Path:
+    """One (trajectory_id, step, reading) row per reading of the record
+    blocks, as write_csv prints the whole table; one block of readings and
+    one writer block of index columns exist at a time, never the ensemble."""
+    rows = _block_rows([np.dtype(np.int64)] * 3)
 
-    def block(lo, hi):
-        row = np.arange(lo, hi, dtype=np.int64)
-        return [row // length, row % length, flat[lo:hi]]
+    def columns(start=0):  # start: table index of the block's first reading
+        for block in blocks:
+            flat, length = block.reshape(-1), block.shape[1]
+            for lo in range(0, flat.size, rows):
+                index = np.arange(start + lo, start + min(lo + rows, flat.size), dtype=np.int64)
+                yield [index // length, index % length, flat[lo : lo + rows]]
+            start += flat.size
 
-    dtypes = [np.dtype(np.int64), np.dtype(np.int64), flat.dtype]
-    return _write_blocks(path, ["trajectory_id", "step", "reading"], flat.size, dtypes, block)
+    return _write_blocks(path, ["trajectory_id", "step", "reading"], columns())
 
 
 def _block_rows(dtypes) -> int:
@@ -111,16 +114,15 @@ def _block_rows(dtypes) -> int:
     return max(1, _CSV_BLOCK_BYTES // (8 * max(words, 1)))
 
 
-def _write_blocks(path: Path, header: list[str], n_rows: int, dtypes, block) -> Path:
-    """The header line, then rows lo to hi - 1 as block(lo, hi) gives their
-    columns, _block_rows(dtypes) rows at a time.  Each row starts with the
-    newline that ends the line before it."""
-    rows = _block_rows(dtypes)
+def _write_blocks(path: Path, header: list[str], blocks) -> Path:
+    """The header line, then the rows of each block of equal-length columns
+    `blocks` yields, at most _block_rows(their dtypes) rows a block.  Each
+    row starts with the newline that ends the line before it."""
     buf = bytearray(_CSV_BLOCK_BYTES)
     with path.open("wb") as fh:
         fh.write(",".join(header).encode("ascii"))
-        for lo in range(0, n_rows, rows):
-            fh.write(_render_rows(block(lo, min(lo + rows, n_rows)), buf))
+        for columns in blocks:
+            fh.write(_render_rows(columns, buf))
         fh.write(b"\n")
     return path
 
@@ -519,6 +521,10 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
     if not max(nu * tau, nu * nu * tau / 2.0, tau * sched.n_steps) < np.inf:
         raise RegimeError(f"force.nu = {nu:.3g}, force.tau = {tau:.3g}, force.steps = "
                           f"{sched.n_steps}: nu tau, nu^2 tau / 2 or N tau is not finite")
+    count = p["force.count"]  # the estimator's integer lag sums are exact below 2^53
+    if count * (sched.n_steps + 1) ** 2 > 2**53:
+        raise RegimeError(f"force.count = {count}, force.steps = {sched.n_steps}: "
+                          "count (N+1)^2 exceeds 2^53, past exact float lag sums")
     f0 = p["force.f0"]
     if f0 is None:
         geo = _domain(ms.ProbeGeometry, G=p["probe.G"], m=p["probe.m"],
@@ -530,9 +536,9 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
     if not np.finfo(float).tiny <= f0 * f0 < np.inf:
         raise RegimeError(f"force amplitude f0 = {f0:.3g}: f0^2 is not a normal float")
 
-    readings = ms.sample_trajectories(sched, p["force.count"], cfg.seed)
     max_lag = p["force.max_lag"] if p["force.max_lag"] > 0 else sched.n_steps
-    stats = ms.estimate_force_statistics(readings, sched, f0, max_lag=max_lag)
+    stats = ms.estimate_force_statistics(ms.sample_trajectories(sched, count, cfg.seed), sched,
+                                         f0, max_lag=max_lag)
 
     gamma_corr = _fit_leading_window("corr", stats.lag_time[1:], stats.corr[1:],
                                      stats.corr_stderr[1:])
@@ -558,13 +564,14 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
                 "Gamma": sched.gamma,
                 "f0": f0,
                 "seed": cfg.seed,
-                "count": p["force.count"],
+                "count": count,
                 "estimator": stats.metadata,
             },
         ),
     ]
     if p["force.dump_trajectories"]:
-        arts.append(_write_trajectories(outdir / "trajectories.csv", readings))
+        arts.append(_write_trajectories(outdir / "trajectories.csv",
+                                        ms.sample_trajectories(sched, count, cfg.seed)))
     results = {
         "f0": f0,
         "gamma_theory": sched.gamma,
@@ -600,6 +607,8 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
         raise RegimeError(f"Fock cutoff {dim} inadequate for pointer reach |zeta| = "
                           f"{2.0 * abs(params.zeta0):.3g}: D(zeta)|0> leaks {leak:.3g} "
                           f"past it (bound {TRUNCATION_LEAK_BOUND:g})")
+    if (2 * dim) ** 2 > jc.MAX_MATRIX_ELEMENTS:
+        raise RegimeError(f"jc.dim = {dim}: 2D x 2D exceeds {jc.MAX_MATRIX_ELEMENTS} elements")
     # distinguishability reports omega^3 and 2 |zeta_0|^2 omega^3; ** would raise
     with np.errstate(all="ignore"):
         coupling_scale = 2.0 * params.zeta0**2 * np.float64(omega) ** 3

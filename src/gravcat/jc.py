@@ -33,6 +33,10 @@ import numpy as np
 from .fock import FockSpace, coherent_state, displacement, ladder_operators, number_operator
 from .two_state import PAULI_1, PAULI_3
 
+# Largest element count of one (2D x 2D) composite matrix: 4.2M complex values
+# (67 MB), so D <= 1024.  The tests and the benchmark build at most 128 x 128.
+MAX_MATRIX_ELEMENTS = 1 << 22
+
 
 @dataclass(frozen=True)
 class JCParams:

@@ -4,9 +4,10 @@ A classical probe that reads the force at temporal resolution tau performs
 repeated projective well measurements: the record is a dichotomic +/-1
 series whose joint law depends only on the number of jumps, with per-step
 flip probability sin^2(nu tau / 2).  This module provides a seedable
-vectorized Monte Carlo sampler of the records (one (count, N+1) int8
-array, a row per record), ensemble estimators of the mean force and its
-two-time correlation, and the exponential fit of their decay constant
+vectorized Monte Carlo sampler that streams the records as (rows, N+1)
+int8 blocks, ensemble estimators of the mean force and its two-time
+correlation that take the stream a block at a time, so no ensemble is
+held whole, and the exponential fit of their decay constant
 Gamma = nu^2 tau / 2.  The closed forms the estimates are checked against
 (record probabilities, conditionals, the discrete and continuum force
 laws and the Kolmogorov defect) are in `tests/oracles.py`.
@@ -18,6 +19,7 @@ are never conflated.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,47 +124,47 @@ def _rare_cells(rng: np.random.Generator, cells: int, q: float) -> np.ndarray:
     return hits[: np.searchsorted(hits, cells, side="right")] - 1
 
 
-def sample_trajectories(sched: MeasurementSchedule, count: int, seed: int) -> np.ndarray:
-    """Draw `count` i.i.d. records starting from +1, as a C-contiguous
-    (count, N+1) int8 array of +/-1 readings, one row per record.
+def sample_trajectories(sched: MeasurementSchedule, count: int,
+                        seed: int) -> Iterator[np.ndarray]:
+    """Draw `count` i.i.d. records starting from +1, yielded as C-contiguous
+    (rows, N+1) int8 blocks of +/-1 readings, one row per record.
 
-    Block b of _STREAM_BLOCK rows is filled row by row from the PCG64 stream
-    of SeedSequence(seed, spawn_key=(b,)), so results are bit-reproducible
-    and a draw is the prefix of any larger one with the same seed.  Each
-    step flips with p = sin^2(nu tau / 2).  When the rarer outcome, of
-    probability q = min(p, 1 - p), has q <= _GAP_CROSSOVER, only its steps
-    are drawn, as geometric gaps over the block's row-major steps (the
-    flips, or the stays when p > 1/2); otherwise one uniform draw per step
-    decides each flip against p.  The readings are the running parity of
-    the flips, by a running xor along each record.  The gap route has a
-    fixed cost per block: from 20 steps per record it was no slower than
-    the uniforms at any q <= _GAP_CROSSOVER, but with fewer steps it can be
-    (1.27x at one step and q = 0.19).
+    Block b holds the next _STREAM_BLOCK records (fewer in the last), drawn
+    row by row from the PCG64 stream of SeedSequence(seed, spawn_key=(b,)),
+    so results are bit-reproducible and a draw is the prefix of any larger
+    one with the same seed.  Each step flips with p = sin^2(nu tau / 2).
+    When the rarer outcome, of probability q = min(p, 1 - p), has
+    q <= _GAP_CROSSOVER, only its steps are drawn, as geometric gaps over
+    the block's row-major steps (the flips, or the stays when p > 1/2);
+    otherwise one uniform draw per step decides each flip against p.  The
+    readings are the running parity of the flips, by a running xor along
+    each record.  The gap route has a fixed cost per block: from 20 steps
+    per record it was no slower than the uniforms at any q <= _GAP_CROSSOVER,
+    but with fewer steps it can be (1.27x at one step and q = 0.19).
     """
     if count < 1:
         raise ValueError(f"need at least one trajectory, got {count}")
     n = sched.n_steps
     p_flip = sched.flip_probability
     q = min(p_flip, 1.0 - p_flip)
-    readings = np.empty((count, n + 1), dtype=np.int8)
-    readings[:, 0] = 1
     for b, lo in enumerate(range(0, count, _STREAM_BLOCK)):
-        hi = min(lo + _STREAM_BLOCK, count)
+        rows = min(_STREAM_BLOCK, count - lo)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
-        out = readings[lo:hi, 1:]
         if q > _GAP_CROSSOVER:
-            parity = rng.random((hi - lo, n)) < p_flip
+            parity = rng.random((rows, n)) < p_flip
         else:
-            parity = np.zeros((hi - lo, n), dtype=bool)
+            parity = np.zeros((rows, n), dtype=bool)
             if q > 0.0:
                 parity.reshape(-1)[_rare_cells(rng, parity.size, q)] = True
             if p_flip > 0.5:  # the marks are the stays
                 np.logical_not(parity, out=parity)
         np.bitwise_xor.accumulate(parity, axis=1, out=parity)
+        readings = np.empty((rows, n + 1), dtype=np.int8)
+        readings[:, 0] = 1
         # reading = 1 - 2 * (number of flips so far mod 2)
-        np.multiply(parity.view(np.int8), -2, out=out)
-        out += 1
-    return readings
+        np.multiply(parity.view(np.int8), -2, out=readings[:, 1:])
+        readings[:, 1:] += 1
+        yield readings
 
 
 @dataclass
@@ -185,117 +187,112 @@ class ForceStatistics:
     metadata: dict = field(default_factory=dict)
 
 
-def _distinct_records(readings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row index of each distinct record, ascending, and its multiplicity.
-
-    Rows are keyed by their sign bits packed into whole uint64 words,
-    _STREAM_BLOCK rows at a time, and every row is checked to hold only
-    +/-1, repeats included.  Rows are sorted by a polynomial hash of the key
-    and a group starts wherever the full key differs from the row before; a
-    hash collision can only split a group, never merge two.
-    """
-    count, length = readings.shape
-    keys = np.zeros((count, 8 * -(-length // 64)), dtype=np.uint8)
-    for lo in range(0, count, _STREAM_BLOCK):
-        chunk = readings[lo : lo + _STREAM_BLOCK]
-        if np.any(np.abs(chunk) != 1):
-            raise ValueError("readings must be +1 or -1")
-        keys[lo : lo + _STREAM_BLOCK, : -(-length // 8)] = np.packbits(chunk < 0, axis=1)
-    words = keys.view(np.uint64)
+def _group(words: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the (count, width) uint64 keys `words` and the
+    summed `weight` of each.  Rows are sorted by a polynomial hash of the key
+    and a group starts wherever the full key differs from the row before: a
+    hash collision can only split a group, never merge two."""
     digest = words[:, 0].copy()
     for column in words.T[1:]:
         digest *= _HASH_MULTIPLIER
         digest += column
     order = np.argsort(digest)
-    new_key = np.zeros(count, dtype=bool)
-    new_key[0] = True
+    del digest  # each temporary goes before the next is made
+    new_key = np.zeros(order.size, dtype=bool)
+    new_key[:1] = True
     for column in words.T:  # one word at a time: no sorted copy of all keys
         ordered = column[order]
         new_key[1:] |= ordered[1:] != ordered[:-1]
+    del ordered
     starts = np.flatnonzero(new_key)
-    first, weight = order[starts], np.diff(starts, append=count)
-    ascending = np.argsort(first)
-    return first[ascending], weight[ascending]
+    return words[order[starts]], np.add.reduceat(weight[order], starts)
 
 
-def _lag_sums(readings: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column sums of the readings (int64), and sums over records of each
-    record's all-pairs lag sum a_k and of a_k^2, k = 0..max_lag, by FFT once
-    per distinct record, each weighted by its multiplicity.  Nothing is
-    summed before _distinct_records has checked every reading."""
-    first, weight = _distinct_records(readings)
-    float_weight = weight.astype(float)
-    n_fft = 1 << int(np.ceil(np.log2(2 * readings.shape[1])))
-    col_sum = np.zeros(readings.shape[1], dtype=np.int64)
-    sum_a = np.zeros(max_lag + 1)
-    sum_a2 = np.zeros(max_lag + 1)
+def _distinct_records(blocks: Iterable[np.ndarray],
+                      length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Key of each distinct record, in hash order, and its multiplicity.
+
+    A key is the record's sign bits packed into whole uint64 words.  Each
+    block is checked to be a 2-D int8 array of `length`-reading records
+    holding only +/-1, then packed, grouped and dropped; the blocks' groups
+    are grouped once more at the end.  Memory grows with the distinct
+    records of each block, not with the readings."""
+    n_bytes, width, groups = -(-length // 8), -(-length // 64), []
+    for block in blocks:
+        if not (isinstance(block, np.ndarray) and block.dtype == np.int8 and block.ndim == 2
+                and block.shape[1] == length):
+            raise ValueError(f"each block must be a 2-D int8 array of {length}-reading records")
+        if np.count_nonzero(block == 1) + np.count_nonzero(block == -1) != block.size:
+            raise ValueError("readings must be +1 or -1")
+        packed = np.zeros((block.shape[0], 8 * width), dtype=np.uint8)
+        packed[:, :n_bytes] = np.packbits(block < 0, axis=1)
+        groups.append(_group(packed.view(np.uint64), np.ones(block.shape[0], dtype=np.int64)))
+    if not sum(weight.sum() for _, weight in groups):
+        raise ValueError("need at least one record")
+    keys, weights = (np.concatenate(part) for part in zip(*groups))
+    del groups  # the blocks' groups, now copied into keys and weights
+    return _group(keys, weights)
+
+
+def _lag_sums(blocks: Iterable[np.ndarray], length: int,
+              max_lag: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Record count, column sums of the readings (int64), and sums over
+    records of each record's all-pairs lag sum a_k and of a_k^2,
+    k = 0..max_lag, by FFT once per distinct record, each weighted by its
+    multiplicity.  Each distinct record is unpacked from its key, so nothing
+    is summed before _distinct_records has checked every reading."""
+    keys, weight = _distinct_records(blocks, length)
+    n_fft = 1 << int(np.ceil(np.log2(2 * length)))
+    col_sum = np.zeros(length, dtype=np.int64)
+    sum_a, sum_a2 = np.zeros((2, max_lag + 1))
     block = max(1, _FFT_BLOCK_BYTES // (16 * n_fft))
-    for lo in range(0, first.size, block):
-        rows = readings[first[lo : lo + block]]
-        col_sum += weight[lo : lo + block] @ rows
+    for lo in range(0, weight.size, block):
+        bits = np.unpackbits(keys[lo : lo + block].view(np.uint8), axis=1, count=length)
+        rows = 1 - 2 * bits.view(np.int8)
+        w = weight[lo : lo + block]
+        col_sum += w @ rows
         spec = np.fft.rfft(rows, n=n_fft, axis=1)
         power = spec.real**2 + spec.imag**2
         auto = np.rint(np.fft.irfft(power, n=n_fft, axis=1)[:, : max_lag + 1])
-        w = float_weight[lo : lo + block]
         sum_a += w @ auto
         sum_a2 += w @ (auto * auto)
-    return col_sum, sum_a, sum_a2
+    return int(weight.sum()), col_sum, sum_a, sum_a2
 
 
-def estimate_force_statistics(readings: np.ndarray, sched: MeasurementSchedule, f0: float,
-                              max_lag: int | None = None) -> ForceStatistics:
+def estimate_force_statistics(blocks: Iterable[np.ndarray], sched: MeasurementSchedule,
+                              f0: float, max_lag: int | None = None) -> ForceStatistics:
     """Sample mean series and two-time correlation of the force readings.
 
-    `readings` is a 2-D int8 array of +/-1 readings, one row per
-    trajectory, as `sample_trajectories` returns.  The per-trajectory
-    autocorrelation is computed by FFT over all pairs at each lag; its lag
-    sums are sums of +/-1 products, so they are rounded to the integers
-    they are.  Identical
-    records have identical autocorrelations, so the records are grouped by
-    their packed sign bits and each distinct record is transformed once,
-    its lag sums and its readings weighted by its multiplicity.  Every
-    product and partial sum is an integer, below 2^53 whenever count
-    (N+1)^2 is, so the totals do not depend on the grouping or the
-    summation order.  Standard errors come from the spread across
-    independent trajectories, in integer sums: a +/-1 column with sum S
-    has sample variance (count - S^2/count) / (count - 1).
+    `blocks` yields 2-D int8 arrays of +/-1 readings, N+1 a row and a row a
+    trajectory, as `sample_trajectories` does; each is reduced to its
+    distinct records and dropped, so the ensemble is never held whole.  The
+    per-trajectory autocorrelation is computed by FFT over all pairs at
+    each lag, and its lag sums, sums of +/-1 products, are rounded to the
+    integers they are.  Each distinct record is transformed once, its lag
+    sums and readings weighted by its multiplicity.  Every product and
+    partial sum is an integer, below 2^53 whenever count (N+1)^2 is, so the
+    totals do not depend on the grouping, the block split or the summation
+    order.  Standard errors come from the spread across independent
+    trajectories, in integer sums: a +/-1 column with sum S has sample
+    variance (count - S^2/count) / (count - 1).
     """
-    if not (isinstance(readings, np.ndarray) and readings.dtype == np.int8
-            and readings.ndim == 2):
-        raise ValueError("readings must be a 2-D int8 array of +/-1")
-    if readings.size == 0:
-        raise ValueError("need at least one record")
-    count, length = readings.shape
-    if length != sched.n_steps + 1:
-        raise ValueError("record length does not match the schedule")
-    if max_lag is None:
-        max_lag = sched.n_steps
-    max_lag = min(max_lag, sched.n_steps)
-
+    length = sched.n_steps + 1
+    max_lag = sched.n_steps if max_lag is None else min(max_lag, sched.n_steps)
+    count, col_sum, sum_a, sum_a2 = _lag_sums(blocks, length, max_lag)
     dof = max(count - 1, 1)  # a single record has zero spread
-    col_sum, sum_a, sum_a2 = _lag_sums(readings, max_lag)
     mean = f0 * -col_sum / count
     mean_stderr = f0 * np.sqrt((count**2 - col_sum**2) / dof) / count
 
     lags = np.arange(max_lag + 1)
-    pair_counts = length - lags
-    scale = f0**2 / (count * pair_counts)
+    scale = f0**2 / (count * (length - lags))  # pairs at lag k: N + 1 - k
     corr = scale * sum_a
     corr_stderr = scale * np.sqrt(np.maximum(count * sum_a2 - sum_a**2, 0.0) / dof)
-
     return ForceStatistics(
-        time=sched.times,
-        mean=mean,
-        mean_stderr=mean_stderr,
-        lag_steps=lags,
-        lag_time=lags * sched.tau,
-        corr=corr,
-        corr_stderr=corr_stderr,
-        metadata={
-            "count": count,
-            "estimator": "all pairs at fixed lag, pooled over start times",
-            "stationarity": "ensemble starts from one well; mean decays with time",
-        },
+        time=sched.times, mean=mean, mean_stderr=mean_stderr, lag_steps=lags,
+        lag_time=lags * sched.tau, corr=corr, corr_stderr=corr_stderr,
+        metadata={"count": count,
+                  "estimator": "all pairs at fixed lag, pooled over start times",
+                  "stationarity": "ensemble starts from one well; mean decays with time"},
     )
 
 

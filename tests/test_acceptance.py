@@ -30,8 +30,8 @@ def test_criterion_1_exponential_force_law():
     start = time.perf_counter()
     sched = ms.MeasurementSchedule(tau=1.0, n_steps=200, nu=0.1)
     f0 = 1.0
-    ensemble = ms.sample_trajectories(sched, 100_000, seed=20240)
-    stats = ms.estimate_force_statistics(ensemble, sched, f0)
+    stats = ms.estimate_force_statistics(ms.sample_trajectories(sched, 100_000, seed=20240),
+                                         sched, f0)
 
     sel = stats.lag_steps >= 1
     rate_corr, amp_corr = ms.fit_exponential_rate(stats.lag_time[sel], stats.corr[sel])

@@ -263,7 +263,8 @@ class TestCsvWriter:
                                       output_dir=tmp_path / "o"))
         sched = ms.MeasurementSchedule(tau=FORCE_CFG["force.tau"],
                                        n_steps=FORCE_CFG["force.steps"], nu=FORCE_CFG["force.nu"])
-        readings = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 4)
+        blocks = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 4)
+        readings = np.concatenate(list(blocks))
         rows = ((i, step, readings[i, step])
                 for i in range(readings.shape[0]) for step in range(readings.shape[1]))
         write_csv_rows_oracle(tmp_path / "dump.csv", ["trajectory_id", "step", "reading"], rows)
@@ -281,7 +282,8 @@ class TestCsvWriter:
                                       output_dir=tmp_path / "o"))
         sched = ms.MeasurementSchedule(tau=FORCE_CFG["force.tau"],
                                        n_steps=FORCE_CFG["force.steps"], nu=FORCE_CFG["force.nu"])
-        readings = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 6)
+        blocks = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 6)
+        readings = np.concatenate(list(blocks))
         count, length = readings.shape
         harness.write_csv(tmp_path / "wide.csv", ["trajectory_id", "step", "reading"],
                           [np.repeat(np.arange(count, dtype=np.int64), length),
@@ -300,7 +302,8 @@ class TestCsvWriter:
                                       output_dir=tmp_path / "o"))
         sched = ms.MeasurementSchedule(tau=cfg["force.tau"], n_steps=cfg["force.steps"],
                                        nu=cfg["force.nu"])
-        readings = ms.sample_trajectories(sched, cfg["force.count"], 5)
+        blocks = ms.sample_trajectories(sched, cfg["force.count"], 5)
+        readings = np.concatenate(list(blocks))
         assert readings.shape[1] > harness._block_rows([np.dtype(np.int64)] * 2
                                                        + [readings.dtype])
         rows = ((i, step, readings[i, step])
@@ -815,6 +818,42 @@ class TestCli:
         assert "f0^2 is not a normal float" in capfd.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("experiment,payload,message,first_allocation", [
+        # 100 (10^7 + 1)^2 = 1.0e16 > 2^53: a 1 GB ensemble whose lag sums
+        # would no longer be exact integers
+        ("force-trajectories", {**FORCE_CFG, "force.steps": 10**7, "force.count": 100},
+         "count (N+1)^2 exceeds 2^53", "measurement.sample_trajectories"),
+        # at the default ratios the phase bound lets jc.dim 10^4 through (max
+        # |E| t about 4.9e9), but one (2D x 2D) complex matrix takes 6.4 GB
+        ("jc-suite", {"jc.dim": 10**4}, "2D x 2D exceeds", "jc.pointer_state"),
+    ])
+    def test_oversized_run_exits_before_allocating(self, tmp_path, capfd, monkeypatch,
+                                                   experiment, payload, message,
+                                                   first_allocation):
+        import importlib
+        import tracemalloc
+
+        # the call that would allocate the gigabytes fails at once instead,
+        # so a run that gets past its bound cannot exhaust the memory
+        module, name = first_allocation.split(".")
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError(f"{first_allocation} reached")
+
+        monkeypatch.setattr(importlib.import_module(f"gravcat.{module}"), name, refuse)
+        cfg = write_config(tmp_path, "c.json", payload)
+        tracemalloc.start()
+        try:
+            code = main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 2**20, (code, peak)
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gravcat: regime rejection: ")
+        assert message in err[0]
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     @pytest.mark.parametrize("experiment,payload", [
         ("g2s-correlations", {**G2S_CFG, "g2s.nu": float("nan")}),
         ("g2s-correlations", {**G2S_CFG, "g2s.chi": float("inf")}),
@@ -866,6 +905,30 @@ class TestCli:
         results = json.loads((tmp_path / "o" / "manifest.json").read_text())["results"]
         assert 0 < results["fitted_gamma_corr"] < np.inf
         assert 0 < results["fitted_gamma_mean"] < np.inf
+
+    def test_force_run_scales_with_resolution(self, tmp_path):
+        # (nu, tau) -> (nu / 4, 4 tau) keeps nu tau to the bit, so the same
+        # seed draws the same records: every force value and its error stays,
+        # the times scale by 4 and the fitted rates by 1/4
+        outs = []
+        for nu, tau in ((0.5, 0.2), (0.125, 0.8)):
+            payload = {"force.nu": nu, "force.tau": tau, "force.steps": 40,
+                       "force.count": 20_000, "seed": 3}
+            cfg = write_config(tmp_path, f"c{tau}.json", payload)
+            out = tmp_path / f"o{tau}"
+            assert main(["force-trajectories", "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(out)
+        tables = [{name: np.loadtxt(out / name, delimiter=",", skiprows=1)
+                   for name in ("statistics.csv", "mean_series.csv")} for out in outs]
+        for name in ("statistics.csv", "mean_series.csv"):
+            fine, coarse = tables[0][name], tables[1][name]
+            assert np.array_equal(coarse[:, [0, 2, 3]], fine[:, [0, 2, 3]])
+            assert np.array_equal(coarse[:, 1], 4.0 * fine[:, 1])
+        fine, coarse = (json.loads((out / "manifest.json").read_text())["results"]
+                        for out in outs)
+        for key in ("fitted_gamma_corr", "fitted_gamma_mean"):
+            assert abs(coarse[key] - fine[key] / 4.0) <= 1e-12 * fine[key], key
+        assert coarse["gamma_theory"] == fine["gamma_theory"] / 4.0
 
     @pytest.mark.parametrize("nu", [np.pi / 2, 2.5])
     def test_no_fit_window_is_regime_error(self, tmp_path, nu):

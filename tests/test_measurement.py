@@ -42,6 +42,11 @@ def sched(nu_tau: float, n_steps: int = 10, tau: float = 1.0) -> MeasurementSche
     return MeasurementSchedule(tau=tau, n_steps=n_steps, nu=nu_tau / tau)
 
 
+def draw(s: MeasurementSchedule, count: int, seed: int) -> np.ndarray:
+    """The records `sample_trajectories` yields, as one (count, N+1) array."""
+    return np.concatenate(list(sample_trajectories(s, count, seed)))
+
+
 def record_from_flips(flips) -> np.ndarray:
     readings = [1]
     for f in flips:
@@ -318,13 +323,13 @@ def markov_order_p_value(readings: np.ndarray) -> float:
 
 class TestSampling:
     def test_frozen_dynamics_constant(self):
-        readings = sample_trajectories(sched(0.0, n_steps=20), 50, seed=3)
+        readings = draw(sched(0.0, n_steps=20), 50, seed=3)
         assert np.all(readings == 1)
 
     def test_certain_flips_alternate(self):
         s = sched(np.pi, n_steps=15)
         assert s.flip_probability == 1.0
-        readings = sample_trajectories(s, 5000, seed=4)
+        readings = draw(s, 5000, seed=4)
         assert np.array_equal(readings, np.broadcast_to((-1) ** np.arange(16), (5000, 16)))
 
     def test_vanishing_rate_returns_promptly(self):
@@ -337,7 +342,7 @@ class TestSampling:
                 "sample_trajectories as draw\n"
                 "for nu in (1e-150, 1e-160):\n"
                 "    s = MeasurementSchedule(tau=1.0, n_steps=200, nu=nu)\n"
-                "    print(s.flip_probability > 0, bool(np.all(draw(s, 5000, 1) == 1)))")
+                "    print(s.flip_probability > 0, all(np.all(b == 1) for b in draw(s, 5000, 1)))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.split() == ["True"] * 4
@@ -349,29 +354,30 @@ class TestSampling:
         # blocks, the last one partial
         s = sched(nu_tau, n_steps=37)
         assert draws_gaps(s)
-        readings = sample_trajectories(s, 9000, seed=21)
+        readings = draw(s, 9000, seed=21)
         assert np.array_equal(readings, gap_route_records(s, 9000, seed=21))
 
     @pytest.mark.parametrize("nu,tau,digest", [
         (0.5, 0.2, "b407f1d641e0143925d4ad939a4708008588330188b510989c543ec302992e4c"),
         (2.0, 0.7, "a3fd151777c1b3991fa5ea9a25566383698bf315d7e298657497b29118378d72"),
     ])
-    def test_returns_the_pinned_int8_block(self, nu, tau, digest):
+    def test_yields_the_pinned_int8_blocks(self, nu, tau, digest):
         # the gap route (q = 0.0025) and the uniform route (q = 0.415) over
         # two stream blocks; the digests pin the stream, so any change to
         # the draws fails here and must be made on purpose
-        readings = sample_trajectories(MeasurementSchedule(tau=tau, n_steps=40, nu=nu),
-                                       5000, seed=7)
-        assert type(readings) is np.ndarray and readings.dtype == np.int8
-        assert readings.shape == (5000, 41) and readings.flags.c_contiguous
-        assert hashlib.sha256(readings.tobytes()).hexdigest() == digest
+        blocks = list(sample_trajectories(MeasurementSchedule(tau=tau, n_steps=40, nu=nu),
+                                          5000, seed=7))
+        assert [b.shape for b in blocks] == [(4096, 41), (904, 41)]
+        assert all(type(b) is np.ndarray and b.dtype == np.int8 and b.flags.c_contiguous
+                   for b in blocks)
+        assert hashlib.sha256(np.concatenate(blocks).tobytes()).hexdigest() == digest
 
     def test_reproducibility(self):
         s = sched(0.3, n_steps=25)
-        a = sample_trajectories(s, 200, seed=42)
-        b = sample_trajectories(s, 200, seed=42)
+        a = draw(s, 200, seed=42)
+        b = draw(s, 200, seed=42)
         assert np.array_equal(a, b)
-        c = sample_trajectories(s, 200, seed=43)
+        c = draw(s, 200, seed=43)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("nu_tau,gaps", ROUTES)
@@ -380,8 +386,8 @@ class TestSampling:
         # 4096-trajectory stream block boundary
         s = sched(nu_tau, n_steps=25)
         assert draws_gaps(s) is gaps
-        a = sample_trajectories(s, 5000, seed=7)
-        b = sample_trajectories(s, 9000, seed=7)
+        a = draw(s, 5000, seed=7)
+        b = draw(s, 9000, seed=7)
         assert np.array_equal(a, b[:5000])
         # each block has its own stream
         assert not np.array_equal(b[:4096], b[4096:8192])
@@ -391,7 +397,7 @@ class TestSampling:
         s = sched(nu_tau, n_steps=200)
         assert draws_gaps(s) is gaps
         count = 100_000
-        readings = sample_trajectories(s, count, seed=11)
+        readings = draw(s, count, seed=11)
         flips = readings[:, 1:] != readings[:, :-1]
         freq = flips.mean()
         p = s.flip_probability
@@ -403,7 +409,7 @@ class TestSampling:
         s = sched(nu_tau, n_steps=10)
         assert draws_gaps(s) is gaps
         count = 100_000
-        readings = sample_trajectories(s, count, seed=5)
+        readings = draw(s, count, seed=5)
         jumps = np.count_nonzero(readings[:, 1:] != readings[:, :-1], axis=1)
         observed = np.bincount(jumps, minlength=11).astype(float)
         p = s.flip_probability
@@ -423,7 +429,7 @@ class TestSampling:
     def test_records_are_first_order_markov(self, nu_tau, gaps):
         s = sched(nu_tau, n_steps=30)
         assert draws_gaps(s) is gaps
-        readings = sample_trajectories(s, 50_000, seed=3)
+        readings = draw(s, 50_000, seed=3)
         assert markov_order_p_value(readings) > 0.001
 
     def test_markov_order_statistic_detects_second_order(self):
@@ -440,28 +446,25 @@ class TestSampling:
 class TestEstimator:
     def test_single_frozen_record(self):
         s = sched(0.0, n_steps=8)
-        readings = sample_trajectories(s, 1, seed=0)
-        stats = estimate_force_statistics(readings, s, f0=1.4)
+        stats = estimate_force_statistics(sample_trajectories(s, 1, seed=0), s, f0=1.4)
         assert np.allclose(stats.mean, -1.4, atol=0.0)
 
     def test_zero_lag_is_f0_squared(self):
         s = sched(0.7, n_steps=30)
-        readings = sample_trajectories(s, 500, seed=9)
-        stats = estimate_force_statistics(readings, s, f0=2.0)
+        stats = estimate_force_statistics(sample_trajectories(s, 500, seed=9), s, f0=2.0)
         assert abs(stats.corr[0] - 4.0) < 1e-12
 
     def test_dichotomy_bounds(self):
         s = sched(0.9, n_steps=40)
-        readings = sample_trajectories(s, 300, seed=21)
-        stats = estimate_force_statistics(readings, s, f0=1.0)
+        stats = estimate_force_statistics(sample_trajectories(s, 300, seed=21), s, f0=1.0)
         assert np.all(stats.corr <= 1.0 + 1e-12)
         assert np.all(stats.corr >= -1.0 - 1e-12)
 
     def test_lag_sums_match_direct_products(self):
         s = sched(0.5, n_steps=40)
-        readings = sample_trajectories(s, 300, seed=13)
+        readings = draw(s, 300, seed=13)
         f0 = 1.3
-        stats = estimate_force_statistics(readings, s, f0=f0)
+        stats = estimate_force_statistics([readings], s, f0=f0)
         x = readings.astype(float)
         length = x.shape[1]
         per_traj = np.stack(
@@ -475,35 +478,91 @@ class TestEstimator:
 
     def test_mean_matches_float_route(self):
         s = sched(0.5, n_steps=40)
-        readings = sample_trajectories(s, 300, seed=13)
+        readings = draw(s, 300, seed=13)
         f0 = 1.3
-        stats = estimate_force_statistics(readings, s, f0=f0)
+        stats = estimate_force_statistics([readings], s, f0=f0)
         force = -f0 * readings.astype(float)
         assert np.max(np.abs(stats.mean - force.mean(axis=0))) < 1e-14
         stderr = force.std(axis=0, ddof=1) / math.sqrt(len(readings))
         assert np.max(np.abs(stats.mean_stderr - stderr)) < 1e-14
 
     def test_memory_bounded_by_fft_blocks(self):
+        # sampler and estimator together: one stream block of readings
+        # (0.8 MB) and its temporaries exist at a time, and the keys of the
+        # distinct records of each block
         s = sched(0.1, n_steps=200)
-        readings = sample_trajectories(s, 20_000, seed=17)
         tracemalloc.start()
         try:
-            estimate_force_statistics(readings, s, f0=1.0)
+            estimate_force_statistics(sample_trajectories(s, 20_000, seed=17), s, f0=1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the readings themselves (3.8 MB) were allocated before tracing
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("readings", [
-        np.ones((4, 9)),                          # float copy
-        np.zeros((4, 9), dtype=np.int8),          # not +/-1
-        np.ones(9, dtype=np.int8),                # one record, not a stack
-        [np.ones(9, dtype=np.int8)],              # a list of records, not an array
+    @pytest.mark.parametrize("nu_tau", [0.1, 0.5])
+    def test_memory_grows_less_than_the_readings(self, nu_tau):
+        # A (count, 201) int8 ensemble adds 201 B per record.  At nu tau 0.1
+        # most records repeat within their block and the peak grows by 6 B
+        # per record (measured); at 0.5 nearly every record is distinct and
+        # keeps a 32 B key and an 8 B multiplicity, 47 B per record
+        # (measured).  The first run imports what the estimator loads.
+        s = sched(nu_tau, n_steps=200)
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                estimate_force_statistics(sample_trajectories(s, count, seed=1), s, f0=1.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)
+        assert (peak(50_000) - peak(10_000)) / 40_000 <= 64
+
+    @pytest.mark.parametrize("blocks", [
+        [np.ones((4, 9))],                        # float copy
+        [np.zeros((4, 9), dtype=np.int8)],        # not +/-1
+        [np.ones(9, dtype=np.int8)],              # one record, not a block
+        np.ones((4, 9), dtype=np.int8),           # one block, not blocks: its rows are 1-D
+        [[np.ones(9, dtype=np.int8)]],            # a list of records, not an array
+        [np.ones((4, 8), dtype=np.int8)],         # records one reading short
+        [],                                       # no blocks
+        [np.ones((0, 9), dtype=np.int8)],         # no records
     ])
-    def test_rejects_non_ensemble_input(self, readings):
+    def test_rejects_non_ensemble_input(self, blocks):
         with pytest.raises(ValueError):
-            estimate_force_statistics(readings, sched(0.3, n_steps=8), f0=1.0)
+            estimate_force_statistics(blocks, sched(0.3, n_steps=8), f0=1.0)
+
+    @pytest.mark.parametrize("value", [0, -128])
+    def test_bad_reading_in_third_block_rejected(self, value):
+        s = sched(0.3, n_steps=20)
+        blocks = list(sample_trajectories(s, 3 * 4096 + 10, seed=6))
+        blocks[2][5, 7] = value
+        with pytest.raises(ValueError, match="readings must be"):
+            estimate_force_statistics(blocks, s, f0=1.0)
+
+    def test_one_dimensional_third_block_rejected(self):
+        s = sched(0.3, n_steps=20)
+        blocks = list(sample_trajectories(s, 3 * 4096 + 10, seed=6))
+        blocks[2] = blocks[2][0]
+        with pytest.raises(ValueError, match="2-D int8"):
+            estimate_force_statistics(blocks, s, f0=1.0)
+
+    @pytest.mark.parametrize("nu_tau, n_steps, max_lag", [(0.1, 200, None), (1.0, 63, 17)])
+    def test_block_split_does_not_change_results(self, nu_tau, n_steps, max_lag):
+        # one block, the sampler's 4096-row blocks, and uneven splits
+        s = sched(nu_tau, n_steps=n_steps)
+        readings = draw(s, 10_001, seed=9)
+        splits = [[readings], list(sample_trajectories(s, 10_001, seed=9)),
+                  np.split(readings, [1, 4096]), np.split(readings, [1, 2, 9999]),
+                  list(readings[:, None, :])]
+        results = [estimate_force_statistics(blocks, s, f0=0.7, max_lag=max_lag)
+                   for blocks in splits]
+        for stats in results[1:]:
+            for name in ("time", "mean", "mean_stderr", "lag_steps", "lag_time", "corr",
+                         "corr_stderr"):
+                assert np.array_equal(getattr(stats, name), getattr(results[0], name)), name
+            assert stats.metadata == results[0].metadata
 
     def test_fit_recovers_analytic_rate(self):
         t = np.linspace(0.0, 10.0, 50)
@@ -524,6 +583,13 @@ class TestEstimator:
             fit_exponential_rate(t, np.exp(-0.1 * np.arange(20)))
 
 
+def distinct_records(readings: np.ndarray):
+    """The distinct records of one block, as +/-1 rows, and their multiplicities."""
+    keys, weight = measurement._distinct_records([readings], readings.shape[1])
+    bits = np.unpackbits(keys.view(np.uint8), axis=1, count=readings.shape[1])
+    return 1 - 2 * bits.astype(np.int8), weight
+
+
 class TestGroupedEstimator:
     """Each distinct record is transformed once and weighted by its count;
     the per-record FFT loop it replaced (tests/oracles.py) must give the
@@ -532,9 +598,10 @@ class TestGroupedEstimator:
     F0 = 1.3
 
     def _check(self, readings, s, max_lag=None):
-        stats = estimate_force_statistics(readings, s, f0=self.F0, max_lag=max_lag)
+        stats = estimate_force_statistics([readings], s, f0=self.F0, max_lag=max_lag)
         lag = int(stats.lag_steps[-1])
-        col_sum, *sums = measurement._lag_sums(readings, lag)
+        count, col_sum, *sums = measurement._lag_sums([readings], readings.shape[1], lag)
+        assert count == stats.metadata["count"] == readings.shape[0]
         assert np.array_equal(col_sum, readings.sum(axis=0, dtype=np.int64))
         assert np.array_equal(stats.mean, self.F0 * -col_sum / readings.shape[0])
         got = (*sums, stats.corr, stats.corr_stderr)
@@ -543,41 +610,52 @@ class TestGroupedEstimator:
 
     def test_low_jump_ensemble_with_repeats(self):
         s = sched(0.05, n_steps=200)
-        readings = sample_trajectories(s, 9000, seed=3)
-        first, weight = measurement._distinct_records(readings)
-        assert first.size < 1000 and weight.sum() == 9000
+        readings = draw(s, 9000, seed=3)
+        rows, weight = distinct_records(readings)
+        assert rows.shape[0] < 1000 and weight.sum() == 9000
         self._check(readings, s)
 
     def test_all_distinct_ensemble(self):
         s = sched(1.0, n_steps=100)
-        readings = sample_trajectories(s, 5000, seed=5)
-        first, weight = measurement._distinct_records(readings)
-        assert np.array_equal(first, np.arange(5000)) and np.all(weight == 1)
+        readings = draw(s, 5000, seed=5)
+        rows, weight = distinct_records(readings)
+        assert rows.shape[0] == 5000 and np.all(weight == 1)
+        assert np.array_equal(np.unique(rows, axis=0), np.unique(readings, axis=0))
         self._check(readings, s)
 
     def test_max_lag_below_steps(self):
         s = sched(0.2, n_steps=80)
-        self._check(sample_trajectories(s, 3000, seed=8), s, max_lag=17)
+        self._check(draw(s, 3000, seed=8), s, max_lag=17)
+
+    @pytest.mark.parametrize("nu_tau", [0.3, 1.5, np.pi])
+    def test_single_step_schedule(self, nu_tau):
+        # N = 1, the smallest schedule: two readings a record, lags 0 and 1
+        s = sched(nu_tau, n_steps=1)
+        readings = draw(s, 5000, seed=4)
+        assert readings.shape == (5000, 2)
+        self._check(readings, s)
 
     @pytest.mark.parametrize("length, count", [(13, 4097), (64, 8191), (65, 5000),
                                                (201, 10001)])
     def test_record_lengths_and_ragged_counts(self, length, count):
         s = sched(0.3, n_steps=length - 1)
-        self._check(sample_trajectories(s, count, seed=length), s)
+        self._check(draw(s, count, seed=length), s)
 
     @pytest.mark.parametrize("length", [13, 64, 65, 201])
     def test_last_reading_separates_groups(self, length):
         readings = np.ones((8, length), dtype=np.int8)
         readings[[1, 4, 6], -1] = -1
-        first, weight = measurement._distinct_records(readings)
-        assert first.tolist() == [0, 1] and weight.tolist() == [5, 3]
+        rows, weight = distinct_records(readings)
+        by_weight = np.argsort(weight)
+        assert weight[by_weight].tolist() == [3, 5]
+        assert np.array_equal(rows[by_weight], readings[[1, 0]])
         self._check(readings, sched(0.3, n_steps=length - 1))
 
     def test_hash_collisions_split_but_never_merge(self, monkeypatch):
         # multiplier 0 leaves only the last key word in the hash
         monkeypatch.setattr(measurement, "_HASH_MULTIPLIER", np.uint64(0))
         s = sched(0.4, n_steps=200)
-        readings = sample_trajectories(s, 6000, seed=12)
+        readings = draw(s, 6000, seed=12)
         self._check(readings, s)
 
     # the readings are checked before any sum, so no warning (a 127 summed
@@ -586,14 +664,14 @@ class TestGroupedEstimator:
     @pytest.mark.parametrize("col, value", [(2, 0), (2, 3), (2, 127), (1, -3), (1, -128)])
     def test_bad_value_in_a_repeated_row_rejected(self, col, value):
         s = sched(0.05, n_steps=200)
-        readings = sample_trajectories(s, 10_000, seed=2)
+        readings = draw(s, 10_000, seed=2)
         readings[0, 1::2] = -1
         readings[9000] = readings[0]
         readings[9000, col] = value
         # same sign bits as row 0, so the same group key
         assert np.array_equal(readings[9000] < 0, readings[0] < 0)
         with pytest.raises(ValueError):
-            estimate_force_statistics(readings, s, f0=1.0)
+            estimate_force_statistics([readings], s, f0=1.0)
 
 
 class TestKolmogorovDefect:
