@@ -56,10 +56,6 @@ def ladder_operators(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
-def number_operator(space: FockSpace) -> np.ndarray:
-    return np.diag(np.arange(space.dim, dtype=complex))
-
-
 def vacuum_truncation_leak(space: FockSpace, w: complex) -> float:
     """Probability weight of D(w)|0> beyond the top retained level.
 

@@ -60,17 +60,22 @@ class ExperimentConfig:
     output_dir: Path
 
 
+class Artifact(type(Path())):
+    """A written file's path; `sha256` is the hex digest of the bytes written."""
+
+
 # Bytes of word slots per block (at most 7 words a float cell, 3 an integer
 # one), so a large table never exists as one array or string.  Rendering a
 # g2s-grid table then peaks at 0.9 MB (tracemalloc), against 1.6 MB for the
 # former 4096-row text blocks; larger blocks were no faster.
 _CSV_BLOCK_BYTES = 1 << 18
-# Bytes read per checksum update, so an artifact is never held whole.
-_HASH_CHUNK_BYTES = 1 << 20
+# Bytes read per checksum update when an artifact is verified, so it is
+# never held whole (a 1 MiB buffer raised a jc-suite run's peak).
+_HASH_CHUNK_BYTES = 1 << 16
 _P10 = 10 ** np.arange(18, dtype=np.int64)
 
 
-def write_csv(path: Path, header: list[str], columns) -> Path:
+def write_csv(path: Path, header: list[str], columns) -> Artifact:
     """Write equal-length 1-D columns under `header`, one row per index.
 
     Integer and boolean columns print as %d, all others as %.17g, byte for
@@ -86,12 +91,10 @@ def write_csv(path: Path, header: list[str], columns) -> Path:
     if len(columns) != len(header) or any(c.ndim != 1 or c.size != n_rows
                                           or c.dtype.kind not in "biuf" for c in columns):
         raise ValueError(f"need {len(header)} 1-D real columns of equal length for {path.name}")
-    rows = _block_rows([c.dtype for c in columns])
-    return _write_blocks(path, header, ([c[lo : lo + rows] for c in columns]
-                                        for lo in range(0, n_rows, rows)))
+    return _write_blocks(path, header, [columns] if n_rows else [])
 
 
-def _write_trajectories(path: Path, blocks) -> Path:
+def _write_trajectories(path: Path, blocks) -> Artifact:
     """One (trajectory_id, step, reading) row per reading of the record
     blocks, as write_csv prints the whole table; one block of readings and
     one writer block of index columns exist at a time, never the ensemble."""
@@ -114,16 +117,34 @@ def _block_rows(dtypes) -> int:
     return max(1, _CSV_BLOCK_BYTES // (8 * max(words, 1)))
 
 
-def _write_blocks(path: Path, header: list[str], blocks) -> Path:
+def _write_blocks(path: Path, header: list[str], blocks) -> Artifact:
     """The header line, then the rows of each block of equal-length columns
-    `blocks` yields, at most _block_rows(their dtypes) rows a block.  Each
-    row starts with the newline that ends the line before it."""
+    `blocks` yields, rendered _block_rows(their dtypes) rows at a time.  Each
+    row starts with the newline that ends the line before it.  A block is
+    rendered, hashed and written before the next is drawn."""
     buf = bytearray(_CSV_BLOCK_BYTES)
-    with path.open("wb") as fh:
-        fh.write(",".join(header).encode("ascii"))
+
+    def chunks():
+        yield ",".join(header).encode("ascii")
         for columns in blocks:
-            fh.write(_render_rows(columns, buf))
-        fh.write(b"\n")
+            rows = _block_rows([c.dtype for c in columns])
+            for lo in range(0, columns[0].size, rows):
+                yield _render_rows([c[lo : lo + rows] for c in columns], buf)
+        yield b"\n"
+
+    return _write_hashed(path, chunks())
+
+
+def _write_hashed(path: Path, chunks) -> Artifact:
+    """Write the byte strings `chunks` yields to `path`, feeding each to one
+    SHA-256 as it is written."""
+    path, digest = Artifact(path), hashlib.sha256()
+    with path.open("wb") as fh:
+        for data in chunks:
+            digest.update(data)
+            fh.write(data)
+            del data  # not alive while the next block renders
+    path.sha256 = digest.hexdigest()
     return path
 
 
@@ -339,10 +360,9 @@ def _json_safe(obj):
     return obj
 
 
-def write_json(path: Path, obj: dict) -> Path:
+def write_json(path: Path, obj: dict) -> Artifact:
     text = json.dumps(_json_safe(obj), indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", encoding="ascii")
-    return path
+    return _write_hashed(path, [(text + "\n").encode("ascii")])
 
 
 def sha256_file(path: Path) -> str:
@@ -431,6 +451,10 @@ def _domain(builder, *args, **kwargs):
 
 
 def _run_g2s(cfg: ExperimentConfig, outdir: Path):
+    """Mean well densities over the time grid, and both two-time correlations
+    over its upper triangle, handed to the writer one run of (t1, t2) pairs
+    at a time (a closed-form call per writer block cost a fifth more CPU
+    than one per eight), so memory does not grow with grid.t_count."""
     from . import two_state as ts
 
     p = cfg.parameters
@@ -467,20 +491,30 @@ def _run_g2s(cfg: ExperimentConfig, outdir: Path):
     # (row-major upper triangle) with (a1, a2) innermost.
     mean_a, mean_t = np.tile([1, -1], times.size), np.repeat(times, 2)
     mean = ts.mean_density(state, dens, mean_a, params, mean_t)
-    i, j = np.triu_indices(times.size)
-    a1, a2 = np.tile([1, 1, -1, -1], i.size), np.tile([1, -1, 1, -1], i.size)
-    t1, t2 = np.repeat(times[i], 4), np.repeat(times[j], 4)
-    q = ts.two_time_quantum_corr(state, dens, a1, a2, params, t1, t2)
-    stat = ts.two_time_statistical_corr(state, dens, a1, a2, params, t1, t2)
+    starts = np.cumsum(np.r_[0, np.arange(times.size, 1, -1)])  # pair index of (i, i)
+    pairs = int(starts[-1]) + 1
+    a1, a2 = np.array([[1, 1, -1, -1]]), np.array([[1, -1, 1, -1]])
+    per_call = 2 * _block_rows([a1.dtype] * 2 + [times.dtype] * 5)  # 8 writer blocks
+
+    def blocks():
+        # pairs k at (i, j), i the last row starting at or below k; each
+        # pair's closed forms are evaluated once, the labels broadcast
+        for lo in range(0, pairs, per_call):
+            k = np.arange(lo, min(lo + per_call, pairs))
+            i = np.searchsorted(starts, k, side="right") - 1
+            t1, t2 = times[i][:, None], times[i + k - starts[i]][:, None]
+            q = ts.two_time_quantum_corr(state, dens, a1, a2, params, t1, t2)
+            stat = ts.two_time_statistical_corr(state, dens, a1, a2, params, t1, t2)
+            yield [np.tile(a1[0], k.size), np.tile(a2[0], k.size), np.repeat(t1, 4),
+                   np.repeat(t2, 4), q.real.ravel(), q.imag.ravel(), stat.ravel()]
+
     arts = [
         write_csv(outdir / "mean_density.csv", ["a", "t", "mean"], [mean_a, mean_t, mean]),
-        write_csv(
-            outdir / "correlations.csv",
-            ["a1", "a2", "t1", "t2", "quantum_re", "quantum_im", "statistical"],
-            [a1, a2, t1, t2, q.real, q.imag, stat],
-        ),
+        _write_blocks(outdir / "correlations.csv",
+                      ["a1", "a2", "t1", "t2", "quantum_re", "quantum_im", "statistical"],
+                      blocks()),
     ]
-    return arts, {"rows_mean": mean.size, "rows_corr": stat.size}
+    return arts, {"rows_mean": mean.size, "rows_corr": 4 * pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -545,29 +579,13 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
     gamma_mean = _fit_leading_window("mean", stats.time, stats.mean, stats.mean_stderr)
 
     arts = [
-        write_csv(
-            outdir / "statistics.csv",
-            ["lag_steps", "lag_time", "corr", "stderr"],
-            [stats.lag_steps, stats.lag_time, stats.corr, stats.corr_stderr],
-        ),
-        write_csv(
-            outdir / "mean_series.csv",
-            ["step", "time", "mean", "stderr"],
-            [np.arange(sched.n_steps + 1), stats.time, stats.mean, stats.mean_stderr],
-        ),
-        write_json(
-            outdir / "metadata.json",
-            {
-                "nu": sched.nu,
-                "tau": sched.tau,
-                "N": sched.n_steps,
-                "Gamma": sched.gamma,
-                "f0": f0,
-                "seed": cfg.seed,
-                "count": count,
-                "estimator": stats.metadata,
-            },
-        ),
+        write_csv(outdir / "statistics.csv", ["lag_steps", "lag_time", "corr", "stderr"],
+                  [stats.lag_steps, stats.lag_time, stats.corr, stats.corr_stderr]),
+        write_csv(outdir / "mean_series.csv", ["step", "time", "mean", "stderr"],
+                  [np.arange(sched.n_steps + 1), stats.time, stats.mean, stats.mean_stderr]),
+        write_json(outdir / "metadata.json",
+                   {"nu": sched.nu, "tau": sched.tau, "N": sched.n_steps, "Gamma": sched.gamma,
+                    "f0": f0, "seed": cfg.seed, "count": count, "estimator": stats.metadata}),
     ]
     if p["force.dump_trajectories"]:
         arts.append(_write_trajectories(outdir / "trajectories.csv",
@@ -645,22 +663,12 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
     zeta = jc.pointer_path(params, times)
 
     arts = [
-        write_csv(
-            outdir / "timeseries.csv",
-            ["t", "p_exact", "p_perturbative", "p_rabi", "purity", "zeta_re", "zeta_im"],
-            [times, p_exact, p_pert, p_rabi, purities, zeta.real, zeta.imag],
-        ),
-        write_json(
-            outdir / "metadata.json",
-            {
-                "nu": params.nu,
-                "omega": params.omega,
-                "g": params.g,
-                "dim": dim,
-                "samples": int(times.size),
-                "deterministic": True,  # no randomness enters this experiment
-            },
-        ),
+        write_csv(outdir / "timeseries.csv",
+                  ["t", "p_exact", "p_perturbative", "p_rabi", "purity", "zeta_re", "zeta_im"],
+                  [times, p_exact, p_pert, p_rabi, purities, zeta.real, zeta.imag]),
+        write_json(outdir / "metadata.json",
+                   {"nu": params.nu, "omega": params.omega, "g": params.g, "dim": dim,
+                    "samples": int(times.size), "deterministic": True}),  # no randomness
         write_json(outdir / "distinguishability.json", jc.distinguishability(params)),
     ]
     results = {
@@ -739,7 +747,7 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
                 "state": {
                     "kind": p["density.state"],
                     "sigma": p["density.sigma"],
-                    "separation": p["density.L"] if p["density.state"] == "cat" else 0.0,
+                    "separation": abs(p["density.L"]) if p["density.state"] == "cat" else 0.0,
                 },
                 "sampling_width": p["density.s_x"],
                 "mass": m,
@@ -843,7 +851,9 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one named experiment, write its artifacts and manifest.json, and
-    return the manifest."""
+    return the manifest.  An artifact's checksum is the digest its writer
+    took as it wrote; one re-read of the file must give the same digest, or
+    InternalCheckError is raised."""
     runner = _RUNNERS[cfg.experiment]
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -853,10 +863,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     entries = []
     for path in artifacts:
-        digest = sha256_file(path)
-        entries.append({"name": path.name, "sha256": digest, "bytes": path.stat().st_size})
-        if sha256_file(path) != digest:
-            raise InternalCheckError(f"checksum of {path} changed during manifest build")
+        if sha256_file(path) != path.sha256:
+            raise InternalCheckError(f"{path} on disk differs from the bytes written to it")
+        entries.append({"name": path.name, "sha256": path.sha256, "bytes": path.stat().st_size})
 
     manifest = {
         "experiment": cfg.experiment,

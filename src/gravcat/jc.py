@@ -21,7 +21,7 @@ interaction-picture block that shows the dressing are test oracles
 
 Composite states are (2D,) complex vectors ordered (qubit |+> block,
 qubit |-> block), each block a (D,) Fock vector; composite operators are
-2D x 2D dense arrays built with kron(qubit, oscillator).
+2D x 2D dense arrays in the kron(qubit, oscillator) order.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, coherent_state, displacement, ladder_operators, number_operator
-from .two_state import PAULI_1, PAULI_3
+from .fock import FockSpace, coherent_state, displacement
 
 # Largest element count of one (2D x 2D) composite matrix: 4.2M complex values
 # (67 MB), so D <= 1024.  The tests and the benchmark build at most 128 x 128.
@@ -84,16 +83,18 @@ def _composite(space: FockSpace, vec) -> np.ndarray:
 
 
 def total_hamiltonian(params: JCParams, space: FockSpace) -> np.ndarray:
-    """nu sigma_1 (x) 1 + omega 1 (x) a^dag a + g sigma_3 (x) (a + a^dag)."""
-    a, adag = ladder_operators(space)
-    eye = np.eye(space.dim)
-    n_op = number_operator(space)
-    quad = a + adag
-    return (
-        params.nu * np.kron(PAULI_1, eye)
-        + params.omega * np.kron(np.eye(2), n_op)
-        + params.g * np.kron(PAULI_3, quad)
-    )
+    """nu sigma_1 (x) 1 + omega 1 (x) a^dag a + g sigma_3 (x) (a + a^dag),
+    filled into one (2D, 2D) array: omega n + g (a + a^dag) and
+    omega n - g (a + a^dag) in the diagonal blocks, nu 1 in the others."""
+    d = space.dim
+    h = np.zeros((2, d, 2, d), dtype=complex)
+    n = np.arange(d)
+    coupling = params.g * np.sqrt(n[1:])  # <n-1| g (a + a^dag) |n>
+    for block, sign in enumerate((1.0, -1.0)):
+        h[block, n, block, n] = params.omega * n
+        h[block, n[:-1], block, n[1:]] = h[block, n[1:], block, n[:-1]] = sign * coupling
+        h[block, n, 1 - block, n] = params.nu
+    return h.reshape(2 * d, 2 * d)
 
 
 def pointer_path(params: JCParams, t) -> complex | np.ndarray:

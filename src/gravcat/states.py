@@ -187,19 +187,24 @@ class Packet:
                              f"a single coordinate axis, got centres {self.centres}")
         return Packet(self.sigma, tuple(dict.fromkeys(c[:, axis].tolist())))
 
-    def support(self, t: float = 0.0, m: float = 1.0) -> tuple[float, float]:
-        """+/- 8 spreads at time t beyond the outermost centres of a 1D packet."""
+    def support(self, t: float = 0.0, m: float = 1.0) -> tuple:
+        """+/- 8 spreads at time t beyond the outermost centres: floats for a
+        1D packet, (3,) arrays of per-axis bounds for a 3D one."""
+        c = np.array(self.centres)
         reach = _SUPPORT_SIGMAS * np.sqrt(self.sigma**2 + (t / (2.0 * m * self.sigma)) ** 2)
-        return min(self.centres) - reach, max(self.centres) + reach
+        return c.min(axis=0) - reach, c.max(axis=0) + reach
 
     @property
     def momentum_spread(self) -> float:
         return 0.5 / self.sigma
 
-    def fringe_scale(self) -> float:
-        """Momentum-space oscillation wavenumber scale of a 1D packet: half
-        the distance between its outermost centres, 0 for one branch."""
-        return 0.5 * (max(self.centres) - min(self.centres))
+    def fringe_scale(self):
+        """Momentum-space oscillation wavenumber scale: half the distance
+        between the outermost centres (0 for one branch), per axis of a 3D
+        packet.  A 1D packet's is a float, which overflows without a warning."""
+        c = np.array(self.centres)
+        half = 0.5 * (c.max(axis=0) - c.min(axis=0))
+        return half if half.ndim else float(half)
 
 
 @dataclass(frozen=True)

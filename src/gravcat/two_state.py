@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PAULI_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 _NORM_TOL = 1e-12
 
 
@@ -77,7 +74,8 @@ class SmearedDensityParams:
 
 
 def _check_sign(a) -> None:
-    if not np.all(np.isin(a, (1, -1))):
+    labels = np.asarray(a)
+    if not np.all((labels == 1) | (labels == -1)):
         raise ValueError(f"well label must be +1 or -1, got {a!r}")
 
 

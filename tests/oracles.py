@@ -6,7 +6,9 @@ against: a scaling-and-squaring matrix exponential (against the
 `eigh`-built displacement), the closed-form qubit propagator and
 Heisenberg well projectors (against `two_state`'s correlations), the
 closed-form nu = 0 and first-order interaction-picture propagators of the
-probe (against `jc.first_order_probability_series`), a step integrator of
+probe (against `jc.first_order_probability_series`), the probe
+Hamiltonian as a sum of Kronecker products (against the in-place
+`jc.total_hamiltonian`), a step integrator of
 the full probe Hamiltonian and a transition series (against the spectral
 `jc.evolve_rows`), the probe's entangled cat state and its reduced purity
 (against `jc.reduced_purity`), a stationarity residual of the pointer
@@ -48,7 +50,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from gravcat.density import density_mean
-from gravcat.fock import FockSpace, coherent_state, displacement
+from gravcat.fock import FockSpace, coherent_state, displacement, ladder_operators
 from gravcat.histories import _comb_weight
 from gravcat.jc import (
     JCParams,
@@ -59,7 +61,7 @@ from gravcat.jc import (
 )
 from gravcat.measurement import _STREAM_BLOCK, MeasurementSchedule, _rare_cells
 from gravcat.states import Packet
-from gravcat.two_state import PAULI_1, TunnelingParams, _check_sign
+from gravcat.two_state import TunnelingParams, _check_sign
 from gravcat.wigner import (
     MAX_GRID_ELEMENTS,
     GridAliasingError,
@@ -129,7 +131,40 @@ def panels_for_oscillation(lo: float, hi: float, max_wavenumber: float,
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
+PAULI_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def number_operator(space: FockSpace) -> np.ndarray:
+    """a^dag a as a (D, D) diagonal array."""
+    return np.diag(np.arange(space.dim, dtype=complex))
+
+
+def kron_hamiltonian(params: JCParams, space: FockSpace) -> np.ndarray:
+    """nu sigma_1 (x) 1 + omega 1 (x) a^dag a + g sigma_3 (x) (a + a^dag) as
+    a sum of three Kronecker products (against `jc.total_hamiltonian`,
+    which fills the blocks in place)."""
+    a, adag = ladder_operators(space)
+    return (params.nu * np.kron(PAULI_1, np.eye(space.dim))
+            + params.omega * np.kron(np.eye(2), number_operator(space))
+            + params.g * np.kron(PAULI_3, a + adag))
+
+
+def whole_triangle_correlations(state, density, params: TunnelingParams,
+                                times: np.ndarray) -> list:
+    """The columns of g2s-correlations' correlations.csv built at once over
+    the whole upper triangle t1 <= t2, (a1, a2) innermost, with the closed
+    forms evaluated on four label rows a pair (against the runner's
+    block-by-block stream)."""
+    from gravcat import two_state as ts
+
+    i, j = np.triu_indices(times.size)
+    a1, a2 = np.tile([1, 1, -1, -1], i.size), np.tile([1, -1, 1, -1], i.size)
+    t1, t2 = np.repeat(times[i], 4), np.repeat(times[j], 4)
+    q = ts.two_time_quantum_corr(state, density, a1, a2, params, t1, t2)
+    stat = ts.two_time_statistical_corr(state, density, a1, a2, params, t1, t2)
+    return [a1, a2, t1, t2, q.real, q.imag, stat]
 
 
 def tunneling_hamiltonian(params: TunnelingParams) -> np.ndarray:

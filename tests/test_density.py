@@ -108,6 +108,23 @@ class TestPacket:
             with pytest.raises(ValueError, match="single coordinate axis"):
                 state.axis_state(axis)
 
+    def test_3d_support_and_fringe_scale_are_per_axis(self):
+        # compared as (x, y, z) tuples the centres would order by x alone:
+        # a box from (-9, -8, -6) to (9, 8, 5) that misses the branch at z = -3
+        state = Packet(1.0, [(1, 0, -3), (-1, 0, 2)])
+        lo, hi = state.support()
+        assert np.array_equal(lo, [-9.0, -8.0, -11.0]) and np.array_equal(hi, [9.0, 8.0, 10.0])
+        assert np.array_equal(state.fringe_scale(), [1.0, 0.0, 2.5])
+        for axis in range(3):  # each axis bound is its 1D factor's
+            factor = Packet(1.0, sorted({c[axis] for c in state.centres}))
+            assert (lo[axis], hi[axis]) == factor.support()
+            assert state.fringe_scale()[axis] == factor.fringe_scale()
+
+    def test_1d_support_and_fringe_scale(self):
+        state = Packet(0.5, [0.3, 2.0, -1.0])
+        assert state.support(0.0) == (-5.0, 6.0)
+        assert state.fringe_scale() == 1.5 and type(state.fringe_scale()) is float
+
 
 class TestNewtonianForce:
     def test_unit_configuration(self):

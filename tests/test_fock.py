@@ -17,10 +17,9 @@ from gravcat.fock import (
     coherent_state,
     displacement,
     ladder_operators,
-    number_operator,
     vacuum_truncation_leak,
 )
-from oracles import matrix_exponential, vacuum
+from oracles import matrix_exponential, number_operator, vacuum
 
 ORACLE_CUTOFFS = (2, 8, 32, 64, 128)
 

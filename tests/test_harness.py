@@ -20,6 +20,7 @@ from gravcat import harness
 from gravcat.cli import main
 from gravcat.harness import (
     ConfigError,
+    InternalCheckError,
     load_config,
     resolve_config,
     run_experiment,
@@ -402,6 +403,39 @@ class TestManifest:
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         assert peak < 1.5 * harness._HASH_CHUNK_BYTES
 
+    def test_writers_return_the_digest_of_the_bytes_written(self, tmp_path):
+        # two writer blocks of rows, and a JSON document
+        csv = harness.write_csv(tmp_path / "a.csv", ["x", "n"],
+                                [np.linspace(0.0, 1.0, 5000), np.arange(5000)])
+        meta = harness.write_json(tmp_path / "m.json", {"a": [1.5, float("nan")], "b": "c"})
+        for art, name in ((csv, "a.csv"), (meta, "m.json")):
+            assert art == tmp_path / name
+            assert art.sha256 == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    def test_artifact_changed_after_writing_is_internal_error(self, tmp_path, monkeypatch,
+                                                              capfd):
+        # one digit of correlations.csv changes between the writer and the
+        # manifest, the file keeping its size: the run fails with exit 4
+        # and writes no manifest
+        run_g2s = harness._RUNNERS["g2s-correlations"]
+
+        def tampered(cfg, outdir):
+            arts, results = run_g2s(cfg, outdir)
+            data = bytearray(arts[1].read_bytes())
+            data[-2] ^= 1
+            arts[1].write_bytes(bytes(data))
+            return arts, results
+
+        monkeypatch.setitem(harness._RUNNERS, "g2s-correlations", tampered)
+        with pytest.raises(InternalCheckError, match="correlations.csv"):
+            run_experiment(resolve_config("g2s-correlations", G2S_CFG, output_dir=tmp_path / "a"))
+        assert not (tmp_path / "a" / "manifest.json").exists()
+        cfg = write_config(tmp_path, "c.json", G2S_CFG)
+        assert main(["g2s-correlations", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 4
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gravcat: internal invariant failure")
+        assert not (tmp_path / "b" / "manifest.json").exists()
+
     def test_manifest_json_is_strict(self, tmp_path):
         cfg = resolve_config("force-trajectories", FORCE_CFG, seed=1, output_dir=tmp_path)
         run_experiment(cfg)
@@ -487,7 +521,7 @@ class TestCli:
         ("g2s-correlations", G2S_CFG, ["two_state"]),
         ("force-trajectories", {"force.nu": 0.5, "force.tau": 0.2, "force.steps": 40,
                                 "force.count": 400}, ["measurement"]),
-        ("jc-suite", JC_CFG, ["fock", "jc", "two_state"]),
+        ("jc-suite", JC_CFG, ["fock", "jc"]),
         ("density-suite", {"density.sigma": 1.0},
          ["density", "histories", "states", "wigner"]),
     ])
@@ -503,22 +537,19 @@ class TestCli:
         assert run_fresh(code) == str(sorted(expected))
 
     def test_cat_separation_sign_writes_the_same_artifacts(self, tmp_path):
-        # the branches sit at +/- |L| / 2 whatever the sign of L; only the
-        # wigner_meta.json field state.separation echoes the configured L
-        digests, metas, results = [], [], []
+        # the branches sit at +/- |L| / 2 whatever the sign of L, and
+        # wigner_meta.json reports the separation |L| of the state run
+        digests, results = [], []
         for L in (6.0, -6.0):
             out = tmp_path / f"o{L}"
             cfg = write_config(tmp_path, f"c{L}.json", {"density.state": "cat", "density.L": L})
             assert main(["density-suite", "--config", str(cfg), "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            digests.append({a["name"]: a["sha256"] for a in manifest["artifacts"]
-                            if a["name"] != "wigner_meta.json"})
+            digests.append({a["name"]: a["sha256"] for a in manifest["artifacts"]})
             results.append(manifest["results"])
-            meta = json.loads((out / "wigner_meta.json").read_text())
-            assert meta["state"].pop("separation") == L
-            metas.append(meta)
-        assert len(digests[0]) == 5
-        assert digests[0] == digests[1] and metas[0] == metas[1] and results[0] == results[1]
+            assert json.loads((out / "wigner_meta.json").read_text())["state"]["separation"] == 6.0
+        assert len(digests[0]) == 6
+        assert digests[0] == digests[1] and results[0] == results[1]
 
     def test_narrow_gaussian_density_suite_succeeds(self, tmp_path):
         # its history grid reaches |x| ~ 102 at dx ~ 0.012, where linspace
@@ -1002,6 +1033,63 @@ class TestG2sExperiment:
         assert (tmp_path / "o" / "correlations.csv").read_bytes() == \
             (tmp_path / "corr.csv").read_bytes()
 
+    def test_streamed_triangle_matches_whole_triangle(self, tmp_path):
+        # 57 times make 1653 (t1, t2) pairs: one closed-form call of 1598
+        # pairs (eight writer blocks of rows) and a last one of 55; the file
+        # equals the one the whole triangle, built at once, gives
+        from gravcat import two_state as ts
+        from oracles import whole_triangle_correlations
+
+        payload = {"g2s.nu": 1.3, "g2s.chi": 0.7, "g2s.c_plus_re": 0.6, "g2s.c_plus_im": 0.48,
+                   "g2s.c_minus_im": 0.64, "g2s.m": 2.5, "g2s.ell": 0.7,
+                   "grid.t_min": -2.0, "grid.t_max": 9.0, "grid.t_count": 57}
+        man = run_experiment(resolve_config("g2s-correlations", payload,
+                                            output_dir=tmp_path / "o"))
+        per_call = 2 * harness._block_rows([np.dtype(np.int64)] * 2 + [np.dtype(float)] * 5)
+        assert (per_call, 1653 % per_call) == (1598, 55)
+        assert man["results"]["rows_corr"] == 4 * 1653
+        columns = whole_triangle_correlations(ts.QubitState(0.6 + 0.48j, 0.64j),
+                                              ts.SmearedDensityParams(2.5, 0.7),
+                                              ts.TunnelingParams(1.3, 0.7),
+                                              np.linspace(-2.0, 9.0, 57))
+        harness.write_csv(tmp_path / "whole.csv", ["a1", "a2", "t1", "t2", "quantum_re",
+                                                   "quantum_im", "statistical"], columns)
+        assert (tmp_path / "o" / "correlations.csv").read_bytes() == \
+            (tmp_path / "whole.csv").read_bytes()
+
+    def test_scaled_amplitudes_write_the_same_files(self, tmp_path):
+        # (c+, c-) and 2 (c+, c-) normalize to the same state, bit for bit
+        # (the factor 2 is exact), so every row is the same
+        files = []
+        for c_plus, c_minus in ((0.6, 0.8), (1.2, 1.6)):
+            payload = {"g2s.c_plus_re": c_plus, "g2s.c_minus_im": c_minus, "g2s.nu": 0.3,
+                       "grid.t_max": 20.0, "grid.t_count": 30}
+            out = tmp_path / str(c_plus)
+            run_experiment(resolve_config("g2s-correlations", payload, output_dir=out))
+            files.append([(out / name).read_bytes()
+                          for name in ("mean_density.csv", "correlations.csv")])
+        assert files[0] == files[1]
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # the triangle reaches the writer one block of pairs at a time: the
+        # whole-triangle route peaked at 2.4 MB at 100 times and 35.6 MB at
+        # 400 (tracemalloc)
+        import tracemalloc
+
+        def peak(count):
+            cfg = resolve_config("g2s-correlations",
+                                 {"g2s.nu": 0.3, "grid.t_max": 20.0, "grid.t_count": count},
+                                 output_dir=tmp_path / str(count))
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # first-run allocations out of the way
+        assert peak(400) - peak(100) < 0.5 * 2**20
+
     def test_row_count_matches_grid(self, tmp_path):
         cfg = resolve_config("g2s-correlations", G2S_CFG, seed=0, output_dir=tmp_path)
         run_experiment(cfg)
@@ -1059,6 +1147,14 @@ class TestJcExperiment:
         assert manifest["config"]["jc.nu_t_max"] is None
         assert manifest["results"]["max_transition_probability"] >= 0.99
         assert manifest["results"]["max_abs_dev_exact_vs_dressed"] <= 1e-3
+
+    @pytest.mark.parametrize("samples,code", [(2, 0), (1, 2)])
+    def test_two_samples_is_the_shortest_series(self, tmp_path, samples, code):
+        cfg = write_config(tmp_path, "c.json", {**JC_CFG, "jc.samples": samples})
+        assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        if code == 0:
+            _, rows = read_csv(tmp_path / "o" / "timeseries.csv")
+            assert [float(r[0]) for r in rows] == [0.0, 0.5 / JC_CFG["jc.nu_over_omega"]]
 
     def test_rabi_column_is_sine_squared(self, tmp_path):
         cfg = resolve_config("jc-suite", JC_CFG, seed=0, output_dir=tmp_path)

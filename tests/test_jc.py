@@ -35,6 +35,7 @@ from oracles import (
     exact_propagate,
     hamiltonian_step_count,
     interaction_picture_potential,
+    kron_hamiltonian,
     perturbative_propagator,
     purity,
     reduced_oscillator_state,
@@ -79,6 +80,16 @@ class TestTotalHamiltonian:
     def test_hermitian(self):
         h = total_hamiltonian(JCParams(0.7, 1.2, -0.9), FockSpace(20))
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
+
+    @pytest.mark.parametrize("params", [JCParams(0.05, 1.0, 1.0), JCParams(0.7, 1.2, -0.9),
+                                        JCParams(0.0, 2.5, 0.0), JCParams(0.01, 3.0, -6.0)])
+    @pytest.mark.parametrize("dim", [2, 5, 64])
+    def test_equals_kron_form(self, params, dim):
+        # the blocks filled in place hold the same values as the sum of
+        # three Kronecker products, element for element
+        h = total_hamiltonian(params, FockSpace(dim))
+        assert h.shape == (2 * dim, 2 * dim) and h.dtype == complex
+        assert np.array_equal(h, kron_hamiltonian(params, FockSpace(dim)))
 
 
 class TestAdiabaticPropagator:
