@@ -28,7 +28,8 @@ print(f"schedule: tau = {sched.tau}, N = {sched.n_steps}, nu tau = {sched.nu * s
 print(f"per-step flip probability sin^2(nu tau / 2) = {sched.flip_probability:.6f}")
 print(f"continuum decay rate Gamma = nu^2 tau / 2 = {sched.gamma:.6f}\n")
 
-blocks = sample_trajectories(sched, 20_000, seed=11)  # a generator of (rows, N+1) int8 blocks
+# a generator of (rows, 4) uint64 blocks: each record's 201 signs packed in four words
+blocks = sample_trajectories(sched, 20_000, seed=11)
 stats = estimate_force_statistics(blocks, sched, f0)
 sel = stats.lag_steps >= 1
 rate_corr, amp_corr = fit_exponential_rate(stats.lag_time[sel], stats.corr[sel])

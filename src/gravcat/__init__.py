@@ -13,10 +13,10 @@ Library layout:
 - harness / cli: reproducible named experiments with manifests
 
 Library values are plain numpy arrays: operators (D, D), Fock states
-(D,), qubit-oscillator states (2D,) and force records in (rows, N+1) int8
-blocks; `FockSpace` carries the cutoff.  Every definition here, down to the
-methods of its classes, is reached by a CLI run; the independent routes
-that check them live in `tests/oracles.py`.  Import names from their modules
+(D,), qubit-oscillator states (2D,) and force records in uint64 blocks of
+packed sign bits; `FockSpace` carries the cutoff.  Every definition here,
+down to the methods of its classes, is reached by a CLI run; the
+independent routes that check them live in `tests/oracles.py`.  Import names from their modules
 (`from gravcat.fock import FockSpace`); the package itself loads none of
 them, so a CLI run imports only the modules of the experiment it runs.
 """

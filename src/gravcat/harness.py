@@ -588,8 +588,9 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
                     "f0": f0, "seed": cfg.seed, "count": count, "estimator": stats.metadata}),
     ]
     if p["force.dump_trajectories"]:
+        blocks = ms.sample_trajectories(sched, count, cfg.seed)
         arts.append(_write_trajectories(outdir / "trajectories.csv",
-                                        ms.sample_trajectories(sched, count, cfg.seed)))
+                                        (ms.unpack_readings(b, sched.n_steps + 1) for b in blocks)))
     results = {
         "f0": f0,
         "gamma_theory": sched.gamma,

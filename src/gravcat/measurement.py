@@ -4,13 +4,13 @@ A classical probe that reads the force at temporal resolution tau performs
 repeated projective well measurements: the record is a dichotomic +/-1
 series whose joint law depends only on the number of jumps, with per-step
 flip probability sin^2(nu tau / 2).  This module provides a seedable
-vectorized Monte Carlo sampler that streams the records as (rows, N+1)
-int8 blocks, ensemble estimators of the mean force and its two-time
-correlation that take the stream a block at a time, so no ensemble is
-held whole, and the exponential fit of their decay constant
-Gamma = nu^2 tau / 2.  The closed forms the estimates are checked against
-(record probabilities, conditionals, the discrete and continuum force
-laws and the Kolmogorov defect) are in `tests/oracles.py`.
+vectorized Monte Carlo sampler that streams the records as blocks of
+packed sign bits, a row of uint64 words a record, ensemble estimators of
+the mean force and its two-time correlation that take the stream a block
+at a time, so no ensemble is held whole, and the exponential fit of their
+decay constant Gamma = nu^2 tau / 2.  The closed forms the estimates are
+checked against (record probabilities, conditionals, the discrete and
+continuum force laws and the Kolmogorov defect) are in `tests/oracles.py`.
 
 Bookkeeping: lambda = nu^2 tau^2 / 4 is the per-step jump weight in the
 small-angle regime and Gamma = 2 lambda / tau the continuum rate; the two
@@ -127,7 +127,8 @@ def _rare_cells(rng: np.random.Generator, cells: int, q: float) -> np.ndarray:
 def sample_trajectories(sched: MeasurementSchedule, count: int,
                         seed: int) -> Iterator[np.ndarray]:
     """Draw `count` i.i.d. records starting from +1, yielded as C-contiguous
-    (rows, N+1) int8 blocks of +/-1 readings, one row per record.
+    (rows, ceil((N+1)/64)) uint64 blocks, one row per record: reading t is
+    -1 where bit t % 64 of word t // 64 is set, and padding bits are 0.
 
     Block b holds the next _STREAM_BLOCK records (fewer in the last), drawn
     row by row from the PCG64 stream of SeedSequence(seed, spawn_key=(b,)),
@@ -136,35 +137,45 @@ def sample_trajectories(sched: MeasurementSchedule, count: int,
     When the rarer outcome, of probability q = min(p, 1 - p), has
     q <= _GAP_CROSSOVER, only its steps are drawn, as geometric gaps over
     the block's row-major steps (the flips, or the stays when p > 1/2);
-    otherwise one uniform draw per step decides each flip against p.  The
-    readings are the running parity of the flips, by a running xor along
-    each record.  The gap route has a fixed cost per block: from 20 steps
-    per record it was no slower than the uniforms at any q <= _GAP_CROSSOVER,
+    otherwise one uniform draw per step decides each flip against p.  Flip
+    k is set at bit k + 1, and the readings are the prefix xor of the flip
+    bits: a ladder of shifts inside each word (Warren, Hacker's Delight,
+    5-2), each word then xored with the parity carried out of the one
+    before.  The gap route has a fixed cost per block: from 20 steps per
+    record it was no slower than the uniforms at any q <= _GAP_CROSSOVER,
     but with fewer steps it can be (1.27x at one step and q = 0.19).
     """
     if count < 1:
         raise ValueError(f"need at least one trajectory, got {count}")
     n = sched.n_steps
+    width = -(-(n + 1) // 64)
     p_flip = sched.flip_probability
     q = min(p_flip, 1.0 - p_flip)
     for b, lo in enumerate(range(0, count, _STREAM_BLOCK)):
         rows = min(_STREAM_BLOCK, count - lo)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        flips = np.zeros((rows, 64 * width), dtype=bool)
+        steps = flips[:, 1 : n + 1]
         if q > _GAP_CROSSOVER:
-            parity = rng.random((rows, n)) < p_flip
+            np.less(rng.random((rows, n)), p_flip, out=steps)
         else:
-            parity = np.zeros((rows, n), dtype=bool)
             if q > 0.0:
-                parity.reshape(-1)[_rare_cells(rng, parity.size, q)] = True
+                steps[np.divmod(_rare_cells(rng, rows * n, q), n)] = True
             if p_flip > 0.5:  # the marks are the stays
-                np.logical_not(parity, out=parity)
-        np.bitwise_xor.accumulate(parity, axis=1, out=parity)
-        readings = np.empty((rows, n + 1), dtype=np.int8)
-        readings[:, 0] = 1
-        # reading = 1 - 2 * (number of flips so far mod 2)
-        np.multiply(parity.view(np.int8), -2, out=readings[:, 1:])
-        readings[:, 1:] += 1
-        yield readings
+                np.logical_not(steps, out=steps)
+        words = np.packbits(flips, axis=1, bitorder="little").view(np.uint64)
+        for shift in (1, 2, 4, 8, 16, 32):
+            words ^= words << np.uint64(shift)
+        for j in range(1, width):  # all ones where the parity so far is odd
+            words[:, j] ^= -(words[:, j - 1] >> np.uint64(63))
+        words[:, -1] &= np.uint64((1 << (n % 64 + 1)) - 1)  # clear the padding bits
+        yield words
+
+
+def unpack_readings(words: np.ndarray, length: int) -> np.ndarray:
+    """The (rows, length) int8 +/-1 readings of the packed records `words`."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=length, bitorder="little")
+    return 1 - 2 * bits.view(np.int8)
 
 
 @dataclass
@@ -212,21 +223,19 @@ def _distinct_records(blocks: Iterable[np.ndarray],
                       length: int) -> tuple[np.ndarray, np.ndarray]:
     """Key of each distinct record, in hash order, and its multiplicity.
 
-    A key is the record's sign bits packed into whole uint64 words.  Each
-    block is checked to be a 2-D int8 array of `length`-reading records
-    holding only +/-1, then packed, grouped and dropped; the blocks' groups
-    are grouped once more at the end.  Memory grows with the distinct
-    records of each block, not with the readings."""
-    n_bytes, width, groups = -(-length // 8), -(-length // 64), []
+    A key is the record's packed sign bits, as `sample_trajectories` yields
+    them.  Each block is checked to be a 2-D uint64 array of
+    `length`-reading records with no padding bit set, then grouped and
+    dropped; the blocks' groups are grouped once more at the end.  Memory
+    grows with the distinct records of each block, not with the readings."""
+    width, padding, groups = -(-length // 64), ~np.uint64((1 << ((length - 1) % 64 + 1)) - 1), []
     for block in blocks:
-        if not (isinstance(block, np.ndarray) and block.dtype == np.int8 and block.ndim == 2
-                and block.shape[1] == length):
-            raise ValueError(f"each block must be a 2-D int8 array of {length}-reading records")
-        if np.count_nonzero(block == 1) + np.count_nonzero(block == -1) != block.size:
-            raise ValueError("readings must be +1 or -1")
-        packed = np.zeros((block.shape[0], 8 * width), dtype=np.uint8)
-        packed[:, :n_bytes] = np.packbits(block < 0, axis=1)
-        groups.append(_group(packed.view(np.uint64), np.ones(block.shape[0], dtype=np.int64)))
+        if not (isinstance(block, np.ndarray) and block.dtype == np.uint64 and block.ndim == 2
+                and block.shape[1] == width):
+            raise ValueError(f"each block must be a 2-D uint64 array of {width}-word records")
+        if np.any(block[:, -1] & padding):
+            raise ValueError(f"padding bits past reading {length - 1} must be 0")
+        groups.append(_group(block, np.ones(block.shape[0], dtype=np.int64)))
     if not sum(weight.sum() for _, weight in groups):
         raise ValueError("need at least one record")
     keys, weights = (np.concatenate(part) for part in zip(*groups))
@@ -239,33 +248,33 @@ def _lag_sums(blocks: Iterable[np.ndarray], length: int,
     """Record count, column sums of the readings (int64), and sums over
     records of each record's all-pairs lag sum a_k and of a_k^2,
     k = 0..max_lag, by FFT once per distinct record, each weighted by its
-    multiplicity.  Each distinct record is unpacked from its key, so nothing
-    is summed before _distinct_records has checked every reading."""
+    multiplicity.  Every sum is an integer below 2^53, so float64 BLAS
+    products give it exactly."""
     keys, weight = _distinct_records(blocks, length)
     n_fft = 1 << int(np.ceil(np.log2(2 * length)))
-    col_sum = np.zeros(length, dtype=np.int64)
+    col_sum = np.zeros(length)
     sum_a, sum_a2 = np.zeros((2, max_lag + 1))
     block = max(1, _FFT_BLOCK_BYTES // (16 * n_fft))
     for lo in range(0, weight.size, block):
-        bits = np.unpackbits(keys[lo : lo + block].view(np.uint8), axis=1, count=length)
-        rows = 1 - 2 * bits.view(np.int8)
-        w = weight[lo : lo + block]
+        rows = unpack_readings(keys[lo : lo + block], length)
+        w = weight[lo : lo + block].astype(float)
         col_sum += w @ rows
         spec = np.fft.rfft(rows, n=n_fft, axis=1)
         power = spec.real**2 + spec.imag**2
         auto = np.rint(np.fft.irfft(power, n=n_fft, axis=1)[:, : max_lag + 1])
         sum_a += w @ auto
         sum_a2 += w @ (auto * auto)
-    return int(weight.sum()), col_sum, sum_a, sum_a2
+    return int(weight.sum()), col_sum.astype(np.int64), sum_a, sum_a2
 
 
 def estimate_force_statistics(blocks: Iterable[np.ndarray], sched: MeasurementSchedule,
                               f0: float, max_lag: int | None = None) -> ForceStatistics:
     """Sample mean series and two-time correlation of the force readings.
 
-    `blocks` yields 2-D int8 arrays of +/-1 readings, N+1 a row and a row a
-    trajectory, as `sample_trajectories` does; each is reduced to its
-    distinct records and dropped, so the ensemble is never held whole.  The
+    `blocks` yields 2-D uint64 arrays of packed sign bits, a row a
+    trajectory of N+1 readings, as `sample_trajectories` does; each is
+    reduced to its distinct records and dropped, so the ensemble is never
+    held whole.  The
     per-trajectory autocorrelation is computed by FFT over all pairs at
     each lag, and its lag sums, sums of +/-1 products, are rounded to the
     integers they are.  Each distinct record is transformed once, its lag

@@ -17,11 +17,13 @@ and the discrete and continuum force laws (against the sampled records
 and their estimates), a direct binomial sum for the small-angle
 conditional law, one FFT autocorrelation per force record (against the
 estimator's one per distinct record), a record-by-record flip count of
-the geometric-gap marks (against the sampler's running xor over a boolean
-block), the closed-form Kolmogorov defect of projective records and an
-enumeration of all 2^(n-1) later-outcome tails that checks it, the
-pointwise density correlators from the free propagator, sharp box
-sampling, the square root of each sampling profile and position
+the geometric-gap marks and a running product of signs over the uniforms
+(against the sampler's prefix xor over packed words), a bit-by-bit packer
+of +/-1 readings into those words (the estimator's input), the
+closed-form Kolmogorov defect of projective records and an enumeration
+of all 2^(n-1) later-outcome tails that checks it, the pointwise
+density correlators from the free propagator, sharp box sampling, the
+square root of each sampling profile and position
 histories on a spatial grid (FFT free evolution, the decoherence
 functional and the smeared moments), multi-time record probabilities
 propagated record by record and the FFT comb route on a spatial grid
@@ -619,6 +621,38 @@ def gap_route_records(sched: MeasurementSchedule, count: int, seed: int) -> np.n
             flips = 1 - marked if p > 0.5 else marked
             readings[lo + r, 1:] = np.where(np.cumsum(flips) % 2 == 0, 1, -1)
     return readings
+
+
+def uniform_route_records(sched: MeasurementSchedule, count: int, seed: int) -> np.ndarray:
+    """Records of `sample_trajectories` on its one-uniform-per-step route
+    (q > 0.2): each block's uniforms, row by row, flip where below p, and
+    the readings are the running product of the flips' signs."""
+    n, p = sched.n_steps, sched.flip_probability
+    readings = np.ones((count, n + 1), dtype=np.int8)
+    for b, lo in enumerate(range(0, count, _STREAM_BLOCK)):
+        rows = min(_STREAM_BLOCK, count - lo)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        signs = np.where(rng.random((rows, n)) < p, -1, 1)
+        readings[lo : lo + rows, 1:] = np.cumprod(signs, axis=1)
+    return readings
+
+
+def pack_readings(readings: np.ndarray) -> np.ndarray:
+    """The (rows, ceil(length / 64)) uint64 sign-bit words of a 2-D int8
+    block of +/-1 readings, as `sample_trajectories` yields them: reading t
+    sets bit t % 64 of word t // 64 when it is -1.  Set bit by bit, so it
+    shares no step with the sampler's packing, and it refuses anything but
+    a 2-D int8 block of +/-1 readings, the estimator's input before its
+    blocks were packed."""
+    if not (isinstance(readings, np.ndarray) and readings.dtype == np.int8
+            and readings.ndim == 2):
+        raise ValueError("each block must be a 2-D int8 array of readings")
+    if np.count_nonzero(readings == 1) + np.count_nonzero(readings == -1) != readings.size:
+        raise ValueError("readings must be +1 or -1")
+    words = np.zeros((readings.shape[0], -(-readings.shape[1] // 64)), dtype=np.uint64)
+    for t, column in enumerate(readings.T):
+        words[:, t // 64] |= (column < 0).astype(np.uint64) << np.uint64(t % 64)
+    return words
 
 
 def kolmogorov_defect_enumerated(sched: MeasurementSchedule, n_steps: int) -> float:

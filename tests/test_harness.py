@@ -265,7 +265,7 @@ class TestCsvWriter:
         sched = ms.MeasurementSchedule(tau=FORCE_CFG["force.tau"],
                                        n_steps=FORCE_CFG["force.steps"], nu=FORCE_CFG["force.nu"])
         blocks = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 4)
-        readings = np.concatenate(list(blocks))
+        readings = ms.unpack_readings(np.concatenate(list(blocks)), sched.n_steps + 1)
         rows = ((i, step, readings[i, step])
                 for i in range(readings.shape[0]) for step in range(readings.shape[1]))
         write_csv_rows_oracle(tmp_path / "dump.csv", ["trajectory_id", "step", "reading"], rows)
@@ -284,7 +284,7 @@ class TestCsvWriter:
         sched = ms.MeasurementSchedule(tau=FORCE_CFG["force.tau"],
                                        n_steps=FORCE_CFG["force.steps"], nu=FORCE_CFG["force.nu"])
         blocks = ms.sample_trajectories(sched, FORCE_CFG["force.count"], 6)
-        readings = np.concatenate(list(blocks))
+        readings = ms.unpack_readings(np.concatenate(list(blocks)), sched.n_steps + 1)
         count, length = readings.shape
         harness.write_csv(tmp_path / "wide.csv", ["trajectory_id", "step", "reading"],
                           [np.repeat(np.arange(count, dtype=np.int64), length),
@@ -304,7 +304,7 @@ class TestCsvWriter:
         sched = ms.MeasurementSchedule(tau=cfg["force.tau"], n_steps=cfg["force.steps"],
                                        nu=cfg["force.nu"])
         blocks = ms.sample_trajectories(sched, cfg["force.count"], 5)
-        readings = np.concatenate(list(blocks))
+        readings = ms.unpack_readings(np.concatenate(list(blocks)), sched.n_steps + 1)
         assert readings.shape[1] > harness._block_rows([np.dtype(np.int64)] * 2
                                                        + [readings.dtype])
         rows = ((i, step, readings[i, step])
@@ -1155,6 +1155,20 @@ class TestJcExperiment:
         if code == 0:
             _, rows = read_csv(tmp_path / "o" / "timeseries.csv")
             assert [float(r[0]) for r in rows] == [0.0, 0.5 / JC_CFG["jc.nu_over_omega"]]
+
+    def test_run_scales_with_omega(self, tmp_path):
+        # jc.omega -> 4 jc.omega at fixed ratios scales H by 4: the default
+        # window's times scale by exactly 1/4, and every probability,
+        # purity and pointer label is the same at the same omega t
+        tables = []
+        for omega in (1.0, 4.0):
+            cfg = write_config(tmp_path, f"c{omega}.json", {"jc.omega": omega, "jc.dim": 48})
+            out = tmp_path / f"o{omega}"
+            assert main(["jc-suite", "--config", str(cfg), "--out", str(out)]) == 0
+            tables.append(np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=1))
+        slow, fast = tables
+        assert np.array_equal(fast[:, 0], slow[:, 0] / 4.0)
+        assert np.array_equal(fast[:, 1:], slow[:, 1:])
 
     def test_rabi_column_is_sine_squared(self, tmp_path):
         cfg = resolve_config("jc-suite", JC_CFG, seed=0, output_dir=tmp_path)

@@ -33,8 +33,10 @@ from oracles import (
     jump_weight,
     kolmogorov_defect,
     kolmogorov_defect_enumerated,
+    pack_readings,
     per_record_force_corr,
     sequence_probability,
+    uniform_route_records,
 )
 
 
@@ -43,8 +45,10 @@ def sched(nu_tau: float, n_steps: int = 10, tau: float = 1.0) -> MeasurementSche
 
 
 def draw(s: MeasurementSchedule, count: int, seed: int) -> np.ndarray:
-    """The records `sample_trajectories` yields, as one (count, N+1) array."""
-    return np.concatenate(list(sample_trajectories(s, count, seed)))
+    """The records `sample_trajectories` yields, as one (count, N+1) int8
+    array of +/-1 readings."""
+    words = np.concatenate(list(sample_trajectories(s, count, seed)))
+    return measurement.unpack_readings(words, s.n_steps + 1)
 
 
 def record_from_flips(flips) -> np.ndarray:
@@ -342,7 +346,7 @@ class TestSampling:
                 "sample_trajectories as draw\n"
                 "for nu in (1e-150, 1e-160):\n"
                 "    s = MeasurementSchedule(tau=1.0, n_steps=200, nu=nu)\n"
-                "    print(s.flip_probability > 0, all(np.all(b == 1) for b in draw(s, 5000, 1)))")
+                "    print(s.flip_probability > 0, not any(b.any() for b in draw(s, 5000, 1)))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.split() == ["True"] * 4
@@ -363,14 +367,35 @@ class TestSampling:
     ])
     def test_yields_the_pinned_int8_blocks(self, nu, tau, digest):
         # the gap route (q = 0.0025) and the uniform route (q = 0.415) over
-        # two stream blocks; the digests pin the stream, so any change to
-        # the draws fails here and must be made on purpose
+        # two stream blocks; the digests, over the unpacked int8 readings,
+        # pin the stream, so any change to the draws fails here and must be
+        # made on purpose
         blocks = list(sample_trajectories(MeasurementSchedule(tau=tau, n_steps=40, nu=nu),
                                           5000, seed=7))
-        assert [b.shape for b in blocks] == [(4096, 41), (904, 41)]
-        assert all(type(b) is np.ndarray and b.dtype == np.int8 and b.flags.c_contiguous
+        assert [b.shape for b in blocks] == [(4096, 1), (904, 1)]
+        assert all(type(b) is np.ndarray and b.dtype == np.uint64 and b.flags.c_contiguous
                    for b in blocks)
-        assert hashlib.sha256(np.concatenate(blocks).tobytes()).hexdigest() == digest
+        readings = measurement.unpack_readings(np.concatenate(blocks), 41)
+        assert readings.dtype == np.int8 and readings.shape == (5000, 41)
+        assert hashlib.sha256(readings.tobytes()).hexdigest() == digest
+
+    # record lengths N + 1 on each side of the 64-bit word boundaries, on
+    # the gap route (flips, stays, and q = 0 by nu tau = pi or nu = 0) and
+    # the uniform route
+    @pytest.mark.parametrize("length", [2, 63, 64, 65, 128, 129, 201])
+    @pytest.mark.parametrize("nu_tau", [0.0, 0.3, 2.8, np.pi, 1.5])
+    def test_packed_words_at_word_boundaries(self, length, nu_tau):
+        s = sched(nu_tau, n_steps=length - 1)
+        blocks = list(sample_trajectories(s, 5000, seed=length))
+        width = -(-length // 64)
+        assert [b.shape for b in blocks] == [(4096, width), (904, width)]
+        words = np.concatenate(blocks)
+        readings = measurement.unpack_readings(words, length)
+        oracle = gap_route_records if draws_gaps(s) else uniform_route_records
+        assert np.array_equal(readings, oracle(s, 5000, seed=length))
+        # bit t % 64 of word t // 64, and 0 in every padding bit, as the
+        # bit-by-bit packer writes them
+        assert np.array_equal(words, pack_readings(readings))
 
     def test_reproducibility(self):
         s = sched(0.3, n_steps=25)
@@ -464,7 +489,7 @@ class TestEstimator:
         s = sched(0.5, n_steps=40)
         readings = draw(s, 300, seed=13)
         f0 = 1.3
-        stats = estimate_force_statistics([readings], s, f0=f0)
+        stats = estimate_force_statistics([pack_readings(readings)], s, f0=f0)
         x = readings.astype(float)
         length = x.shape[1]
         per_traj = np.stack(
@@ -480,16 +505,16 @@ class TestEstimator:
         s = sched(0.5, n_steps=40)
         readings = draw(s, 300, seed=13)
         f0 = 1.3
-        stats = estimate_force_statistics([readings], s, f0=f0)
+        stats = estimate_force_statistics([pack_readings(readings)], s, f0=f0)
         force = -f0 * readings.astype(float)
         assert np.max(np.abs(stats.mean - force.mean(axis=0))) < 1e-14
         stderr = force.std(axis=0, ddof=1) / math.sqrt(len(readings))
         assert np.max(np.abs(stats.mean_stderr - stderr)) < 1e-14
 
     def test_memory_bounded_by_fft_blocks(self):
-        # sampler and estimator together: one stream block of readings
-        # (0.8 MB) and its temporaries exist at a time, and the keys of the
-        # distinct records of each block
+        # sampler and estimator together: one stream block of flips (1 MB
+        # of bools, 0.1 MB packed) and its temporaries exist at a time, and
+        # the keys of the distinct records of each block
         s = sched(0.1, n_steps=200)
         tracemalloc.start()
         try:
@@ -502,9 +527,9 @@ class TestEstimator:
     @pytest.mark.parametrize("nu_tau", [0.1, 0.5])
     def test_memory_grows_less_than_the_readings(self, nu_tau):
         # A (count, 201) int8 ensemble adds 201 B per record.  At nu tau 0.1
-        # most records repeat within their block and the peak grows by 6 B
+        # most records repeat within their block and the peak grows by 4.5 B
         # per record (measured); at 0.5 nearly every record is distinct and
-        # keeps a 32 B key and an 8 B multiplicity, 47 B per record
+        # keeps a 32 B key and an 8 B multiplicity, 58 B per record
         # (measured).  The first run imports what the estimator loads.
         s = sched(nu_tau, n_steps=200)
 
@@ -520,42 +545,82 @@ class TestEstimator:
         assert (peak(50_000) - peak(10_000)) / 40_000 <= 64
 
     @pytest.mark.parametrize("blocks", [
-        [np.ones((4, 9))],                        # float copy
-        [np.zeros((4, 9), dtype=np.int8)],        # not +/-1
-        [np.ones(9, dtype=np.int8)],              # one record, not a block
-        np.ones((4, 9), dtype=np.int8),           # one block, not blocks: its rows are 1-D
-        [[np.ones(9, dtype=np.int8)]],            # a list of records, not an array
-        [np.ones((4, 8), dtype=np.int8)],         # records one reading short
+        [np.ones((4, 1))],                        # float words
+        [np.ones((4, 9), dtype=np.int8)],         # unpacked readings
+        [np.zeros(1, dtype=np.uint64)],           # one record, not a block
+        np.zeros((4, 1), dtype=np.uint64),        # one block, not blocks: its rows are 1-D
+        [[np.zeros(1, dtype=np.uint64)]],         # a list of records, not an array
+        [np.zeros((4, 2), dtype=np.uint64)],      # records a word too wide
         [],                                       # no blocks
-        [np.ones((0, 9), dtype=np.int8)],         # no records
+        [np.zeros((0, 1), dtype=np.uint64)],      # no records
     ])
     def test_rejects_non_ensemble_input(self, blocks):
         with pytest.raises(ValueError):
             estimate_force_statistics(blocks, sched(0.3, n_steps=8), f0=1.0)
 
+    @pytest.mark.parametrize("blocks", [
+        [np.ones((4, 9))],                        # float copy
+        [np.zeros((4, 9), dtype=np.int8)],        # not +/-1
+        [np.ones(9, dtype=np.int8)],              # one record, not a block
+        [[np.ones(9, dtype=np.int8)]],            # a record in a list, not an array
+    ])
+    def test_packer_rejects_non_ensemble_input(self, blocks):
+        with pytest.raises(ValueError):
+            pack_readings(blocks[0])
+
     @pytest.mark.parametrize("value", [0, -128])
     def test_bad_reading_in_third_block_rejected(self, value):
         s = sched(0.3, n_steps=20)
         blocks = list(sample_trajectories(s, 3 * 4096 + 10, seed=6))
-        blocks[2][5, 7] = value
+        readings = measurement.unpack_readings(blocks[2], 21)
+        readings[5, 7] = value
         with pytest.raises(ValueError, match="readings must be"):
-            estimate_force_statistics(blocks, s, f0=1.0)
+            pack_readings(readings)
 
     def test_one_dimensional_third_block_rejected(self):
         s = sched(0.3, n_steps=20)
         blocks = list(sample_trajectories(s, 3 * 4096 + 10, seed=6))
-        blocks[2] = blocks[2][0]
         with pytest.raises(ValueError, match="2-D int8"):
+            pack_readings(measurement.unpack_readings(blocks[2], 21)[0])
+        blocks[2] = blocks[2][0]
+        with pytest.raises(ValueError, match="2-D uint64"):
+            estimate_force_statistics(blocks, s, f0=1.0)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint8, np.float64])
+    def test_non_uint64_third_block_rejected(self, dtype):
+        # the same bytes, or the same values, in another dtype
+        s = sched(0.3, n_steps=20)
+        blocks = list(sample_trajectories(s, 3 * 4096 + 10, seed=6))
+        blocks[2] = blocks[2].view(dtype) if dtype != np.float64 else blocks[2].astype(dtype)
+        with pytest.raises(ValueError, match="2-D uint64"):
+            estimate_force_statistics(blocks, s, f0=1.0)
+
+    @pytest.mark.parametrize("length, width", [(64, 2), (65, 1), (65, 3), (201, 3), (201, 5)])
+    def test_third_block_of_wrong_word_width_rejected(self, length, width):
+        s = sched(0.3, n_steps=length - 1)
+        blocks = list(sample_trajectories(s, 3 * 4096 + 10, seed=6))
+        blocks[2] = np.zeros((blocks[2].shape[0], width), dtype=np.uint64)
+        with pytest.raises(ValueError, match=f"{-(-length // 64)}-word records"):
+            estimate_force_statistics(blocks, s, f0=1.0)
+
+    @pytest.mark.parametrize("length, bit", [(2, 2), (2, 63), (63, 63), (65, 1), (201, 9),
+                                             (201, 63)])
+    def test_set_padding_bit_in_third_block_rejected(self, length, bit):
+        # bit `bit` of the last word lies past the last reading
+        s = sched(0.3, n_steps=length - 1)
+        blocks = list(sample_trajectories(s, 3 * 4096 + 10, seed=6))
+        blocks[2][5, -1] |= np.uint64(1) << np.uint64(bit)
+        with pytest.raises(ValueError, match="padding bits"):
             estimate_force_statistics(blocks, s, f0=1.0)
 
     @pytest.mark.parametrize("nu_tau, n_steps, max_lag", [(0.1, 200, None), (1.0, 63, 17)])
     def test_block_split_does_not_change_results(self, nu_tau, n_steps, max_lag):
         # one block, the sampler's 4096-row blocks, and uneven splits
         s = sched(nu_tau, n_steps=n_steps)
-        readings = draw(s, 10_001, seed=9)
-        splits = [[readings], list(sample_trajectories(s, 10_001, seed=9)),
-                  np.split(readings, [1, 4096]), np.split(readings, [1, 2, 9999]),
-                  list(readings[:, None, :])]
+        words = np.concatenate(list(sample_trajectories(s, 10_001, seed=9)))
+        splits = [[words], list(sample_trajectories(s, 10_001, seed=9)),
+                  np.split(words, [1, 4096]), np.split(words, [1, 2, 9999]),
+                  list(words[:, None, :])]
         results = [estimate_force_statistics(blocks, s, f0=0.7, max_lag=max_lag)
                    for blocks in splits]
         for stats in results[1:]:
@@ -585,9 +650,9 @@ class TestEstimator:
 
 def distinct_records(readings: np.ndarray):
     """The distinct records of one block, as +/-1 rows, and their multiplicities."""
-    keys, weight = measurement._distinct_records([readings], readings.shape[1])
-    bits = np.unpackbits(keys.view(np.uint8), axis=1, count=readings.shape[1])
-    return 1 - 2 * bits.astype(np.int8), weight
+    length = readings.shape[1]
+    keys, weight = measurement._distinct_records([pack_readings(readings)], length)
+    return measurement.unpack_readings(keys, length), weight
 
 
 class TestGroupedEstimator:
@@ -598,10 +663,12 @@ class TestGroupedEstimator:
     F0 = 1.3
 
     def _check(self, readings, s, max_lag=None):
-        stats = estimate_force_statistics([readings], s, f0=self.F0, max_lag=max_lag)
+        blocks = [pack_readings(readings)]
+        stats = estimate_force_statistics(blocks, s, f0=self.F0, max_lag=max_lag)
         lag = int(stats.lag_steps[-1])
-        count, col_sum, *sums = measurement._lag_sums([readings], readings.shape[1], lag)
+        count, col_sum, *sums = measurement._lag_sums(blocks, readings.shape[1], lag)
         assert count == stats.metadata["count"] == readings.shape[0]
+        assert col_sum.dtype == np.int64
         assert np.array_equal(col_sum, readings.sum(axis=0, dtype=np.int64))
         assert np.array_equal(stats.mean, self.F0 * -col_sum / readings.shape[0])
         got = (*sums, stats.corr, stats.corr_stderr)
@@ -622,6 +689,18 @@ class TestGroupedEstimator:
         assert rows.shape[0] == 5000 and np.all(weight == 1)
         assert np.array_equal(np.unique(rows, axis=0), np.unique(readings, axis=0))
         self._check(readings, s)
+
+    def test_column_sums_of_an_all_distinct_ensemble(self):
+        # nu tau 0.5, 200 steps: no record repeats, so every weight is 1 and
+        # the column sums come from float64 products over 20,000 distinct
+        # keys, exact because every partial sum is an integer below 2^53
+        s = sched(0.5, n_steps=200)
+        readings = draw(s, 20_000, seed=3)
+        rows, weight = distinct_records(readings)
+        assert rows.shape[0] == 20_000 and np.all(weight == 1)
+        _, col_sum, _, _ = measurement._lag_sums(sample_trajectories(s, 20_000, seed=3), 201, 200)
+        assert col_sum.dtype == np.int64
+        assert np.array_equal(col_sum, readings.sum(axis=0, dtype=np.int64))
 
     def test_max_lag_below_steps(self):
         s = sched(0.2, n_steps=80)
@@ -658,8 +737,9 @@ class TestGroupedEstimator:
         readings = draw(s, 6000, seed=12)
         self._check(readings, s)
 
-    # the readings are checked before any sum, so no warning (a 127 summed
-    # first would take the square root of a negative variance) precedes the error
+    # a packed key holds sign bits only, so a reading that is not +/-1 is
+    # refused where int8 readings are packed, before anything is summed (a
+    # 127 summed would take the square root of a negative variance)
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("col, value", [(2, 0), (2, 3), (2, 127), (1, -3), (1, -128)])
     def test_bad_value_in_a_repeated_row_rejected(self, col, value):
@@ -670,8 +750,8 @@ class TestGroupedEstimator:
         readings[9000, col] = value
         # same sign bits as row 0, so the same group key
         assert np.array_equal(readings[9000] < 0, readings[0] < 0)
-        with pytest.raises(ValueError):
-            estimate_force_statistics([readings], s, f0=1.0)
+        with pytest.raises(ValueError, match="readings must be"):
+            pack_readings(readings)
 
 
 class TestKolmogorovDefect:
