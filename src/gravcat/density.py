@@ -59,6 +59,13 @@ def fluctuation_ratio(state, smear, r, m: float = 1.0):
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
+def _time_of_flight(r: float, t: float, r2: float, t2: float, m: float):
+    """(x*, p*): the free classical path from x* at momentum p* passes r
+    at t and r2 at t2 (t != t2)."""
+    p_star = m * (r - r2) / (t - t2)
+    return 0.5 * (r + r2) - p_star * (t + t2) / (2.0 * m), p_star
+
+
 def smeared_corr_phase_space(
     state, r: float, t: float, r2: float, t2: float, m: float = 1.0
 ) -> tuple[float, float]:
@@ -81,9 +88,8 @@ def smeared_corr_phase_space(
     if t == t2:
         raise ValueError("delta-limit correlation undefined at equal times")
     mean = density_mean(state, r, t, m)
-    p_star = m * (r - r2) / (t - t2)
-    x_star = 0.5 * (r + r2) - p_star * (t + t2) / (2.0 * m)
-    w0 = float(np.sum(wigner_terms(state).pullback(np.zeros((2, 0)), (x_star, p_star))
+    w0 = float(np.sum(wigner_terms(state).pullback(np.zeros((2, 0)),
+                                                    _time_of_flight(r, t, r2, t2, m))
                       .integral()).real)
     return mean, m**3 / (2.0 * np.pi * abs(t - t2)) * w0
 
@@ -98,13 +104,25 @@ def smeared_corr_quadrature(
     (m^2 / ell^2) (1/2pi) Int dx dp W0 exp(-A^2/s^2 - C (p - p*)^2) with
     A = x - (r + r2)/2 + p (t + t2) / (2 m) and C = (t - t2)^2 / (4 m^2 s^2),
     one 2D Gaussian integral per Wigner term; needs t != t2.
+
+    Integrating a term cancels its constant against the square it
+    completes, losing digits in proportion to the constant, so the
+    integral is taken about whichever pivot gives the smaller constants:
+    the origin, where W0 is moderate (a kernel wide against W0), or the
+    time-of-flight point (x*, p*), where the kernels are centred (a kernel
+    narrow against W0).  Either pivot alone lost every digit at one end of
+    s_x: the origin at s_x 1e-9, (x*, p*) at 1e13 with r = 10 s_x.
     """
     if t == t2:
         raise ValueError("two-point quadrature needs distinct times")
-    s = smear.s_x
-    p_star = m * (r - r2) / (t - t2)
-    along = GaussianTerms.packet(1.0, 0.0, 0.25 * s**2).pullback(
-        [[1.0, (t + t2) / (2.0 * m)]], -0.5 * (r + r2))
-    across = GaussianTerms.packet(1.0, p_star, (m * s / (t - t2)) ** 2).pullback([[0.0, 1.0]])
-    total = np.sum((wigner_terms(state) * along * across).integral()).real
-    return m**2 / smear.ell**2 * float(total) / (2.0 * np.pi)
+    s, k = smear.s_x, (t + t2) / (2.0 * m)
+    x_star, p_star = _time_of_flight(r, t, r2, t2, m)
+    w0 = wigner_terms(state)
+    # the integrand as a function of (x, p) - pivot, for each pivot
+    about = [w0.pullback(np.eye(2), pivot)
+             * GaussianTerms.packet(1.0, 0.0, 0.25 * s**2).pullback([[1.0, k]], shift)
+             * GaussianTerms.packet(1.0, p_star - pivot[1], (m * s / (t - t2)) ** 2)
+             .pullback([[0.0, 1.0]])
+             for pivot, shift in (((0.0, 0.0), -0.5 * (r + r2)), ((x_star, p_star), 0.0))]
+    terms = min(about, key=lambda g: np.max(np.abs(g.c.real)))
+    return m**2 / smear.ell**2 * float(np.sum(terms.integral()).real) / (2.0 * np.pi)

@@ -392,58 +392,69 @@ def resolve_config(experiment: str, raw: dict, seed: int | None = None,
                    output_dir=None) -> ExperimentConfig:
     """Validate flat keys against the experiment schema and fill defaults."""
     if experiment not in SCHEMAS:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; choose from {sorted(SCHEMAS)}"
-        )
+        raise ConfigError(f"unknown experiment {experiment!r}; choose from {sorted(SCHEMAS)}")
     schema = SCHEMAS[experiment]
     raw = dict(raw)
     raw_experiment = raw.pop("experiment", experiment)
     if raw_experiment != experiment:
-        raise ConfigError(
-            f"config names experiment {raw_experiment!r} but {experiment!r} was requested"
-        )
-    cfg_seed = raw.pop("seed", None)
-    cfg_out = raw.pop("output_dir", None)
+        raise ConfigError(f"config names experiment {raw_experiment!r} "
+                          f"but {experiment!r} was requested")
+    cfg_seed, cfg_out = raw.pop("seed", None), raw.pop("output_dir", None)
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
     params = {}
-    for key, (typ, default) in schema.items():
+    for key, (typ, default, domain) in schema.items():
         if key in raw:
-            params[key] = _coerce(key, typ, raw[key])
+            params[key] = _coerce(key, typ, domain, raw[key])
         elif default is _REQUIRED:
             raise ConfigError(f"config key {key} is required for {experiment}")
         else:
             params[key] = default
     if seed is None:
         seed = cfg_seed if cfg_seed is not None else 0
-    seed = _coerce("seed", int, seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    seed = _coerce("seed", int, ">= 0", seed)
     out = Path(output_dir if output_dir is not None else (cfg_out or "gravcat_out"))
-    return ExperimentConfig(experiment=experiment, parameters=params, seed=seed,
-                            output_dir=out)
+    return ExperimentConfig(experiment, params, seed, out)
 
 
-# Values each schema type accepts; booleans are never numbers here.
-_ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}
-
-
-def _coerce(key: str, typ, value):
-    """`value` as `typ`; a float is an integer only when whole (no truncation)."""
+def _coerce(key: str, typ, domain, value):
+    """`value` as `typ` (booleans are never numbers), checked against its
+    SCHEMAS `domain`; a float is an integer only when whole (no truncation)."""
     if typ is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, _ACCEPTED[typ]):
+    accepted = {int: numbers.Integral, float: numbers.Real, str: str}[typ]
+    if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"config key {key} has invalid value {value!r}")
-    return typ(value)
+    value = typ(value)
+    if isinstance(domain, tuple):
+        ok, domain = value in domain, f"one of {domain}"
+    else:
+        domain = f">= {domain}" if isinstance(domain, int) else domain
+        ok = abs(value) < math.inf and (value > 0 if domain == "> 0" else
+                                        domain == "finite" or value >= int(domain[3:]))
+    if not ok:
+        raise ConfigError(f"config key {key} must be {domain}, got {value!r}")
+    return value
 
 
 def _domain(builder, *args, **kwargs):
-    """Build a library value object, mapping its range checks to ConfigError."""
+    """Build a library value object, mapping its range checks to ConfigError;
+    for inputs that can fail them although each key is in its domain."""
     try:
         return builder(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _require_scales(message: str, scales, normal=False):
+    """RegimeError(message) unless each scale scales() returns, float errors
+    ignored, is finite, and with `normal` a normal float (not 0, not subnormal)."""
+    with np.errstate(all="ignore"):
+        values = scales()
+    low = np.finfo(float).tiny if normal else 0.0
+    if not all(low <= abs(v) < np.inf for v in values):
+        raise RegimeError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -458,33 +469,27 @@ def _run_g2s(cfg: ExperimentConfig, outdir: Path):
     from . import two_state as ts
 
     p = cfg.parameters
-    if p["grid.t_count"] < 1:
-        raise ConfigError("time grid is empty (grid.t_count must be >= 1)")
-    if not -np.inf < p["grid.t_min"] < np.inf:
-        raise ConfigError("grid.t_min must be finite")
-    if not p["grid.t_min"] <= p["grid.t_max"] < np.inf:
-        raise ConfigError("grid.t_max must be finite and >= grid.t_min")
+    t_min, t_max = p["grid.t_min"], p["grid.t_max"]
+    if not t_min <= t_max:
+        raise ConfigError(f"grid.t_max must be >= grid.t_min, got {t_max!r} < {t_min!r}")
     c_plus = complex(p["g2s.c_plus_re"], p["g2s.c_plus_im"])
     c_minus = complex(p["g2s.c_minus_re"], p["g2s.c_minus_im"])
     norm = np.hypot(abs(c_plus), abs(c_minus))
     if norm == 0.0:
         raise ConfigError("well amplitudes are both zero")
     state = _domain(ts.QubitState, c_plus / norm, c_minus / norm)
-    params = _domain(ts.TunnelingParams, p["g2s.nu"], p["g2s.chi"])
-    dens = _domain(ts.SmearedDensityParams, p["g2s.m"], p["g2s.ell"])
+    params = ts.TunnelingParams(p["g2s.nu"], p["g2s.chi"])
+    dens = ts.SmearedDensityParams(p["g2s.m"], p["g2s.ell"])
     # two_state scales by m / (2 ell^3) and m^2 / (4 ell^6) in Python floats,
     # whose ** raises on overflow: each power and scale must be a normal float.
-    with np.errstate(all="ignore"):
-        m, ell = np.float64(dens.m), np.float64(dens.ell)
-        scales = (m**2, ell**6, m / (2.0 * ell**3), m**2 / (4.0 * ell**6))
-    if not all(np.finfo(float).tiny <= s < np.inf for s in scales):
-        raise RegimeError(f"g2s.m = {dens.m:.3g}, g2s.ell = {dens.ell:.3g}: m^2, ell^6, "
-                          "m / ell^3 or m^2 / ell^6 is not a normal float")
+    m, ell, nu = np.float64(dens.m), np.float64(dens.ell), params.nu
+    _require_scales(f"g2s.m = {m:.3g}, g2s.ell = {ell:.3g}: m^2, ell^6, m / ell^3 or "
+                    "m^2 / ell^6 is not a normal float",
+                    lambda: (m**2, ell**6, m / (2.0 * ell**3), m**2 / (4.0 * ell**6)), normal=True)
     # the closed forms take cos and sin of nu t and of nu (t2 - t1)
-    t_min, t_max, nu = p["grid.t_min"], p["grid.t_max"], params.nu
-    if not max(t_max - t_min, nu * (t_max - t_min), nu * max(-t_min, t_max)) < np.inf:
-        raise RegimeError(f"grid.t_min = {t_min:.3g}, grid.t_max = {t_max:.3g}, "
-                          f"g2s.nu = {nu:.3g}: t_max - t_min or nu t is not finite")
+    _require_scales(f"grid.t_min = {t_min:.3g}, grid.t_max = {t_max:.3g}, g2s.nu = {nu:.3g}: "
+                    "t_max - t_min or nu t is not finite",
+                    lambda: (t_max - t_min, nu * (t_max - t_min), nu * max(-t_min, t_max)))
     times = np.linspace(t_min, t_max, p["grid.t_count"])
 
     # Rows: time-major, a = +1 before -1; correlations run over t1 <= t2
@@ -541,34 +546,25 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
     from . import measurement as ms
 
     p = cfg.parameters
-    if p["force.max_lag"] < 0:
-        raise ConfigError(f"force.max_lag must be >= 0 (0 for all lags), got {p['force.max_lag']}")
-    if p["force.dump_trajectories"] not in (0, 1):
-        raise ConfigError(f"force.dump_trajectories must be 0 or 1, "
-                          f"got {p['force.dump_trajectories']}")
     if p["force.count"] < 100:
         raise RegimeError("statistics mode needs force.count >= 100")
-    sched = _domain(ms.MeasurementSchedule, tau=p["force.tau"],
-                    n_steps=p["force.steps"], nu=p["force.nu"])
+    sched = ms.MeasurementSchedule(tau=p["force.tau"], n_steps=p["force.steps"], nu=p["force.nu"])
     # the sampler takes sin(nu tau / 2), the fit Gamma = nu^2 tau / 2, readings run to N tau
-    nu, tau = sched.nu, sched.tau
-    if not max(nu * tau, nu * nu * tau / 2.0, tau * sched.n_steps) < np.inf:
-        raise RegimeError(f"force.nu = {nu:.3g}, force.tau = {tau:.3g}, force.steps = "
-                          f"{sched.n_steps}: nu tau, nu^2 tau / 2 or N tau is not finite")
+    nu, tau, n = sched.nu, sched.tau, sched.n_steps
+    _require_scales(f"force.nu = {nu:.3g}, force.tau = {tau:.3g}, force.steps = {n}: "
+                    "nu tau, nu^2 tau / 2 or N tau is not finite",
+                    lambda: (nu * tau, nu * nu * tau / 2.0, tau * n))
     count = p["force.count"]  # the estimator's integer lag sums are exact below 2^53
     if count * (sched.n_steps + 1) ** 2 > 2**53:
         raise RegimeError(f"force.count = {count}, force.steps = {sched.n_steps}: "
                           "count (N+1)^2 exceeds 2^53, past exact float lag sums")
     f0 = p["force.f0"]
     if f0 is None:
-        geo = _domain(ms.ProbeGeometry, G=p["probe.G"], m=p["probe.m"],
-                      m0=p["probe.m0"], L=p["probe.L"], y=p["probe.y"])
-        f0 = ms.force_amplitude(geo)
-    elif not 0 < f0 < np.inf:
-        raise ConfigError(f"force.f0 must be positive and finite, got {f0}")
+        f0 = ms.force_amplitude(ms.ProbeGeometry(G=p["probe.G"], m=p["probe.m"],
+                                                 m0=p["probe.m0"], L=p["probe.L"], y=p["probe.y"]))
     # The estimator scales by f0 and f0^2; f0^2 normal implies f0 normal.
-    if not np.finfo(float).tiny <= f0 * f0 < np.inf:
-        raise RegimeError(f"force amplitude f0 = {f0:.3g}: f0^2 is not a normal float")
+    _require_scales(f"force amplitude f0 = {f0:.3g}: f0^2 is not a normal float",
+                    lambda: (f0 * f0,), normal=True)
 
     max_lag = p["force.max_lag"] if p["force.max_lag"] > 0 else sched.n_steps
     stats = ms.estimate_force_statistics(ms.sample_trajectories(sched, count, cfg.seed), sched,
@@ -613,12 +609,7 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
     dim = p["jc.dim"]
     params = _domain(jc.JCParams, nu=p["jc.nu_over_omega"] * omega, omega=omega,
                      g=p["jc.g_over_omega"] * omega)
-    space = _domain(FockSpace, dim)
-    if p["jc.samples"] < 2:
-        raise ConfigError("jc.samples must be at least 2")
-    nu_t_max = p["jc.nu_t_max"]
-    if nu_t_max is not None and not 0 < nu_t_max < np.inf:
-        raise ConfigError("jc.nu_t_max must be positive and finite")
+    space = FockSpace(dim)
     # D(2 zeta_0) is the largest displacement the run builds, judged by the
     # bound `fock.displacement` warns at; an infinite zeta_0 leaks NaN.
     leak = vacuum_truncation_leak(space, 2.0 * params.zeta0)
@@ -629,11 +620,9 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
     if (2 * dim) ** 2 > jc.MAX_MATRIX_ELEMENTS:
         raise RegimeError(f"jc.dim = {dim}: 2D x 2D exceeds {jc.MAX_MATRIX_ELEMENTS} elements")
     # distinguishability reports omega^3 and 2 |zeta_0|^2 omega^3; ** would raise
-    with np.errstate(all="ignore"):
-        coupling_scale = 2.0 * params.zeta0**2 * np.float64(omega) ** 3
-    if not coupling_scale < np.inf:
-        raise RegimeError(f"jc.omega = {omega:.3g}: omega^3 or 2 |zeta_0|^2 omega^3 "
-                          "is not finite")
+    _require_scales(f"jc.omega = {omega:.3g}: omega^3 or 2 |zeta_0|^2 omega^3 is not finite",
+                    lambda: (2.0 * params.zeta0**2 * np.float64(omega) ** 3,))
+    nu_t_max, samples = p["jc.nu_t_max"], p["jc.samples"]
     with np.errstate(over="ignore"):  # an unbounded window is rejected below
         if nu_t_max is None:
             # one dressed half period, nu exp(-2 zeta_0^2) t = pi / 2; pi / omega at nu = 0
@@ -642,14 +631,16 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
         # ||H|| <= nu + omega (dim - 1) + 2 |g| sqrt(dim - 1) bounds max |E|
         phase_max = (params.nu + omega * (dim - 1)
                      + 2.0 * abs(params.g) * math.sqrt(dim - 1)) * t_max
-    if not t_max < np.inf:
-        raise RegimeError(f"jc time window t_max = {t_max} is not finite")
+    # a subnormal step leaves the linspace times unevenly spaced
+    _require_scales(f"jc time window t_max = {t_max:.3g}: t_max or its step t_max / "
+                    "(jc.samples - 1) is not a normal float",
+                    lambda: (t_max, t_max / (samples - 1)), normal=True)
     if not phase_max <= _MAX_JC_PHASE:
         raise RegimeError(
             f"jc window t_max = {t_max:.3g} lets the phases E t reach {phase_max:.3g}, "
             "above 2^43: exp(-i E t) would keep under three significant digits"
         )
-    times = np.linspace(0.0, t_max, p["jc.samples"])
+    times = np.linspace(0.0, t_max, samples)
 
     initial = jc.pointer_state(params, space, +1)
     target = jc.pointer_state(params, space, -1)
@@ -684,44 +675,30 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
 # mass-density experiment
 
 
-def _density_state(p):
-    from .states import Packet
-
-    kind = p["density.state"]
-    if kind not in ("gaussian", "cat"):
-        raise ConfigError(f"density.state must be 'gaussian' or 'cat', got {kind!r}")
-    a = 0.5 * abs(p["density.L"])  # a cat's branches sit at +/- |L| / 2 on the x axis
-    centres = [(0.0, 0.0, 0.0)] if kind == "gaussian" else [(a, 0.0, 0.0), (-a, 0.0, 0.0)]
-    return _domain(Packet, p["density.sigma"], centres)
-
-
 def _run_density(cfg: ExperimentConfig, outdir: Path):
     from . import density as dn
     from . import histories as hist
-    from .states import SmearingParams
+    from .states import Packet, SmearingParams
     from .wigner import GridAliasingError, wigner_function
 
     p = cfg.parameters
-    state = _density_state(p)
-    smear = _domain(SmearingParams, p["density.s_x"])
-    m = p["density.m"]
-    if not 0 < m < np.inf:
-        raise ConfigError(f"density.m must be positive and finite, got {m}")
+    a = 0.5 * abs(p["density.L"])  # a cat's branches sit at +/- |L| / 2 on the x axis
+    state = _domain(Packet, p["density.sigma"], [(0.0, 0.0, 0.0)]
+                    if p["density.state"] == "gaussian" else [(a, 0.0, 0.0), (-a, 0.0, 0.0)])
+    smear, m = SmearingParams(p["density.s_x"]), p["density.m"]
     # The closed forms take these powers in Python floats, whose ** raises on
-    # overflow, a packet width of 0 has no Gaussian term, and the fluctuation
-    # ratio squares the density, which peaks at m (2 pi sigma^2)^-3/2: each
-    # must be a normal float.
-    with np.errstate(all="ignore"):
-        sigma, s_x, mass = np.float64(p["density.sigma"]), np.float64(smear.s_x), np.float64(m)
-        ell = np.float64(smear.ell)
-        scales = (sigma**2, s_x**2, ell**3, mass**3, mass / ell**3, mass**2 / ell**2,
-                  (mass * s_x) ** 2, 1.0 / (mass * sigma**2),
-                  mass**2 * (2.0 * np.pi * sigma**2) ** -3.0)
-    if not all(np.finfo(float).tiny <= s < np.inf for s in scales):
-        raise RegimeError(f"density.sigma = {sigma:.3g}, density.s_x = {s_x:.3g}, "
-                          f"density.m = {m:.3g}: sigma^2, s_x^2, ell^3, m^3, m / ell^3, "
-                          "m^2 / ell^2, (m s_x)^2, 1 / (m sigma^2) or the squared peak "
-                          "density m^2 (2 pi sigma^2)^-3 is not a normal float")
+    # overflow, a packet width of 0 has no Gaussian term, the quadrature's
+    # kernels square 1 / (m s_x^2), and the fluctuation ratio squares the
+    # density, which peaks at m (2 pi sigma^2)^-3/2: each must be a normal float.
+    sigma, s_x, mass = np.float64(p["density.sigma"]), np.float64(smear.s_x), np.float64(m)
+    ell = np.float64(smear.ell)
+    _require_scales(f"density.sigma = {sigma:.3g}, density.s_x = {s_x:.3g}, density.m = {m:.3g}: "
+                    "sigma^2, s_x^2, ell^3, m^3, m / ell^3, m^2 / ell^2, (m s_x)^2, (m s_x^2)^2, "
+                    "1 / (m sigma^2) or the squared peak density m^2 (2 pi sigma^2)^-3 is not a "
+                    "normal float",
+                    lambda: (sigma**2, s_x**2, ell**3, mass**3, mass / ell**3, mass**2 / ell**2,
+                             (mass * s_x) ** 2, (mass * s_x**2) ** 2, 1.0 / (mass * sigma**2),
+                             mass**2 * (2.0 * np.pi * sigma**2) ** -3.0), normal=True)
     axis_state = state.axis_state(0)
 
     try:
@@ -797,48 +774,51 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     return arts, results
 
 
+# key -> (type, default, domain).  A domain is "finite", "> 0" or ">= 0" (a
+# finite number), an integer's lower bound, or a tuple of the allowed values;
+# resolve_config checks each given key against it, and no runner checks again.
 SCHEMAS = {
     "g2s-correlations": {
-        "g2s.nu": (float, _REQUIRED),
-        "g2s.chi": (float, 0.0),
-        "g2s.c_plus_re": (float, 1.0),
-        "g2s.c_plus_im": (float, 0.0),
-        "g2s.c_minus_re": (float, 0.0),
-        "g2s.c_minus_im": (float, 0.0),
-        "g2s.m": (float, 1.0),
-        "g2s.ell": (float, 1.0),
-        "grid.t_min": (float, 0.0),
-        "grid.t_max": (float, _REQUIRED),
-        "grid.t_count": (int, _REQUIRED),
+        "g2s.nu": (float, _REQUIRED, ">= 0"),
+        "g2s.chi": (float, 0.0, "finite"),
+        "g2s.c_plus_re": (float, 1.0, "finite"),
+        "g2s.c_plus_im": (float, 0.0, "finite"),
+        "g2s.c_minus_re": (float, 0.0, "finite"),
+        "g2s.c_minus_im": (float, 0.0, "finite"),
+        "g2s.m": (float, 1.0, "> 0"),
+        "g2s.ell": (float, 1.0, "> 0"),
+        "grid.t_min": (float, 0.0, "finite"),
+        "grid.t_max": (float, _REQUIRED, "finite"),
+        "grid.t_count": (int, _REQUIRED, 1),
     },
     "force-trajectories": {
-        "force.nu": (float, _REQUIRED),
-        "force.tau": (float, _REQUIRED),
-        "force.steps": (int, _REQUIRED),
-        "force.count": (int, _REQUIRED),
-        "force.f0": (float, None),
-        "force.max_lag": (int, 0),
-        "force.dump_trajectories": (int, 0),
-        "probe.G": (float, 1.0),
-        "probe.m": (float, 1.0),
-        "probe.m0": (float, 1.0),
-        "probe.L": (float, 2.0),
-        "probe.y": (float, 0.0),
+        "force.nu": (float, _REQUIRED, ">= 0"),
+        "force.tau": (float, _REQUIRED, "> 0"),
+        "force.steps": (int, _REQUIRED, 1),
+        "force.count": (int, _REQUIRED, "finite"),  # below 100 is a regime error
+        "force.f0": (float, None, "> 0"),
+        "force.max_lag": (int, 0, 0),  # 0 for all lags
+        "force.dump_trajectories": (int, 0, (0, 1)),
+        "probe.G": (float, 1.0, "> 0"),
+        "probe.m": (float, 1.0, "> 0"),
+        "probe.m0": (float, 1.0, "> 0"),
+        "probe.L": (float, 2.0, "> 0"),
+        "probe.y": (float, 0.0, ">= 0"),
     },
     "jc-suite": {
-        "jc.omega": (float, 1.0),
-        "jc.g_over_omega": (float, 2.0),
-        "jc.nu_over_omega": (float, 0.01),
-        "jc.dim": (int, 64),
-        "jc.nu_t_max": (float, None),
-        "jc.samples": (int, 61),
+        "jc.omega": (float, 1.0, "> 0"),
+        "jc.g_over_omega": (float, 2.0, "finite"),
+        "jc.nu_over_omega": (float, 0.01, ">= 0"),
+        "jc.dim": (int, 64, 2),
+        "jc.nu_t_max": (float, None, "> 0"),
+        "jc.samples": (int, 61, 2),
     },
     "density-suite": {
-        "density.state": (str, "gaussian"),
-        "density.sigma": (float, 1.0),
-        "density.L": (float, 6.0),
-        "density.s_x": (float, 0.05),
-        "density.m": (float, 1.0),
+        "density.state": (str, "gaussian", ("gaussian", "cat")),
+        "density.sigma": (float, 1.0, "> 0"),
+        "density.L": (float, 6.0, "finite"),
+        "density.s_x": (float, 0.05, "> 0"),
+        "density.m": (float, 1.0, "> 0"),
     },
 }
 

@@ -92,24 +92,17 @@ def wigner_terms(state) -> GaussianTerms:
     return (pairs * phase).integrate_last()
 
 
-def wigner_function(
-    state,
-    x_axis: np.ndarray | None = None,
-    p_axis: np.ndarray | None = None,
-) -> PhaseSpaceGrid:
+def wigner_function(state, axes=None) -> PhaseSpaceGrid:
     """Closed-form Wigner function of a pure 1D state (the `axis_state` of
-    a separable 3D one) on the axes, `default_axes` where not given.
+    a separable 3D one) on the (x, p) axes `axes`, `default_axes(state)`
+    when not given.
 
     Raises GridAliasingError, before allocating, when the grid would hold
     more than MAX_GRID_ELEMENTS values, and when its normalization misses 1
     by more than 1e-6 (the axes do not capture the state).
     """
-    if x_axis is None or p_axis is None:
-        xd, pd = default_axes(state)
-        x_axis = xd if x_axis is None else x_axis
-        p_axis = pd if p_axis is None else p_axis
-    x_axis = np.asarray(x_axis, dtype=float)
-    p_axis = np.asarray(p_axis, dtype=float)
+    x_axis, p_axis = (np.asarray(a, dtype=float)
+                      for a in (default_axes(state) if axes is None else axes))
     if x_axis.size * p_axis.size > MAX_GRID_ELEMENTS:
         raise GridAliasingError(
             f"a {x_axis.size} x {p_axis.size} phase-space grid exceeds the bound of "

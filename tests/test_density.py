@@ -434,3 +434,54 @@ class TestCorrelationQuadrature:
             assert abs(corr - w / (2.0 * np.pi * abs(t - t2))) <= 1e-14 * max(abs(w), 1e-300)
             at_point = wigner_terms(state).pullback(np.zeros((2, 0)), (x_star, p_star))
             assert abs(np.sum(at_point.integral()).imag) <= 1e-15
+
+
+class TestTimeOfFlightPoint:
+    """The correlators of an off-centre Gaussian (centre 0.7), where the
+    sign of x* matters, against oracles that share no formula with
+    `density`: the time-of-flight point is the free classical path through
+    r at t and r2 at t2, solved as a 2 x 2 linear system, and the finite-width
+    correlator is the overlap of two Gaussians in covariance form."""
+
+    CENTRE, ROW = 0.7, (0.3, 0.1, -0.1, 0.35)
+
+    @staticmethod
+    def solved_point(r, t, r2, t2, m):
+        return np.linalg.solve([[1.0, t / m], [1.0, t2 / m]], [r, r2])
+
+    @pytest.mark.parametrize("m", [1.0, 2.5])
+    def test_delta_corr_is_w_at_the_solved_point(self, m):
+        r, t, r2, t2 = self.ROW
+        x, p = self.solved_point(r, t, r2, t2, m)
+        w = 2.0 * np.exp(-((x - self.CENTRE) ** 2) / 2.0 - 2.0 * p**2)
+        _, corr = smeared_corr_phase_space(gaussian(1.0, self.CENTRE), r, t, r2, t2, m)
+        assert abs(corr - m**3 * w / (2.0 * np.pi * abs(t - t2))) <= 1e-14 * abs(corr)
+
+    @pytest.mark.parametrize("s_x", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+    def test_quadrature_tends_to_the_delta_limit(self, s_x):
+        # the quadrature once cancelled catastrophically here: -0.4% off
+        # at s_x 1e-7, +201% at 3e-9 and -100% at 1e-9
+        state, (r, t, r2, t2) = gaussian(1.0, self.CENTRE), self.ROW
+        x, p = self.solved_point(r, t, r2, t2, 1.0)
+        delta = 2.0 * np.exp(-((x - self.CENTRE) ** 2) / 2.0 - 2.0 * p**2) / (2.0 * np.pi * 0.25)
+        quad = smeared_corr_quadrature(state, SmearingParams(s_x), *self.ROW)
+        assert abs(quad - delta) <= 1e-9 * delta
+
+    @pytest.mark.parametrize("s_x", [1e-10, 0.05, 1e6, 1e13])
+    @pytest.mark.parametrize("m", [1e-6, 1.0, 1e30])
+    def test_quadrature_is_the_gaussian_overlap(self, s_x, m):
+        # W0 = 2 exp(-(v - mu_w).P_w.(v - mu_w) / 2) against the kernel
+        # exp(-(v - mu_k).P_k.(v - mu_k) / 2) centred on the solved point,
+        # the offsets scaled with s_x as the density-suite rows are
+        r, t, r2, t2 = 10.0 * s_x, 0.1, 0.25 - 10.0 * s_x, 0.35
+        k, d = (t + t2) / (2.0 * m), (t - t2) / (2.0 * m)
+        p_w = np.diag([1.0, 4.0])
+        p_k = 2.0 / s_x**2 * np.array([[1.0, k], [k, k * k + d * d]])
+        offset = np.array([self.CENTRE, 0.0]) - self.solved_point(r, t, r2, t2, m)
+        cov = np.linalg.inv(p_w) + np.linalg.inv(p_k)
+        overlap = 4.0 * np.pi * np.exp(-0.5 * offset @ np.linalg.solve(cov, offset)
+                                       - 0.5 * np.log(np.linalg.det(p_w + p_k)))
+        expected = m**2 / (2.0 * np.pi * s_x**2) * overlap / (2.0 * np.pi)
+        got = smeared_corr_quadrature(gaussian(1.0, self.CENTRE), SmearingParams(s_x),
+                                      r, t, r2, t2, m)
+        assert abs(got - expected) <= 1e-9 * expected

@@ -19,6 +19,7 @@ import gravcat
 from gravcat import harness
 from gravcat.cli import main
 from gravcat.harness import (
+    SCHEMAS,
     ConfigError,
     InternalCheckError,
     load_config,
@@ -61,6 +62,39 @@ FORCE_CFG = {"force.nu": 0.5, "force.tau": 0.2, "force.steps": 40,
              "force.count": 400, "force.max_lag": 20}
 JC_CFG = {"jc.nu_over_omega": 0.02, "jc.samples": 7, "jc.nu_t_max": 0.5}
 DENS_CFG = {"density.state": "gaussian", "density.sigma": 1.0, "density.s_x": 0.05}
+
+
+# The property test's configs: a valid base per experiment, with up to three
+# keys of its schema drawn.  A float key draws near its default (either sign
+# where its domain is "finite") or an extreme; an integer key draws a small
+# size, 0 and -1 included; a string key one of its values or another.
+FUZZ_BASE = {"g2s-correlations": G2S_CFG, "force-trajectories": FORCE_CFG,
+             "jc-suite": {**JC_CFG, "jc.dim": 16, "jc.g_over_omega": 0.5}, "density-suite": {}}
+FUZZ_EXTREMES = [0.0, -1.0, 5e-324, 1e-300, 1e300, np.inf, -np.inf, np.nan]
+FUZZ_SIZES = {"grid.t_count": st.integers(-1, 6), "force.steps": st.integers(-1, 30),
+              "force.count": st.sampled_from([-1, 0, 99, 100, 1000]),
+              "force.max_lag": st.integers(-1, 30), "force.dump_trajectories": st.integers(-1, 2),
+              "jc.dim": st.integers(-1, 24), "jc.samples": st.integers(-1, 9)}
+
+
+def _fuzzed_value(key, typ, default, domain):
+    if typ is str:
+        return st.sampled_from([*domain, "other"])
+    if typ is int:
+        return FUZZ_SIZES[key]
+    scale = abs(default) if isinstance(default, float) and default else 1.0
+    near = st.floats(scale / 4.0, 4.0 * scale)
+    if domain == "finite":
+        near = near | near.map(lambda v: -v)
+    return near | st.sampled_from(FUZZ_EXTREMES)
+
+
+def _fuzzed_config(experiment):
+    schema = SCHEMAS[experiment]
+    keys = st.lists(st.sampled_from(sorted(schema)), max_size=3, unique=True)
+    drawn = keys.flatmap(lambda ks: st.fixed_dictionaries(
+        {k: _fuzzed_value(k, *schema[k]) for k in ks}))
+    return drawn.map(lambda d: (experiment, {**FUZZ_BASE[experiment], **d}))
 
 
 _NAN_BITS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
@@ -366,16 +400,54 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
 
+    def test_readme_key_table_is_the_schemas(self):
+        # the README's config-key table, row for row, is SCHEMAS spelled
+        # out: key, type, default and domain as the ConfigError names it
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| key | type | default | domain |") + 2
+        table = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+                 for line in lines[start:lines.index("", start)]]
+        expected = []
+        for schema in SCHEMAS.values():
+            for key, (typ, default, domain) in schema.items():
+                spelled = (f"one of {domain}" if isinstance(domain, tuple)
+                           else f">= {domain}" if isinstance(domain, int) else domain)
+                shown = ("required" if default is harness._REQUIRED
+                         else "none" if default is None else repr(default))
+                expected.append([key, typ.__name__, shown, spelled])
+        assert table == expected
+
+    @pytest.mark.parametrize("experiment,key,value,domain", [
+        ("g2s-correlations", "g2s.chi", float("inf"), "finite"),
+        ("force-trajectories", "force.tau", 0.0, "> 0"),
+        ("force-trajectories", "probe.y", -1e-300, ">= 0"),
+        ("force-trajectories", "force.f0", float("nan"), "> 0"),
+        ("force-trajectories", "force.dump_trajectories", 7, "one of (0, 1)"),
+        ("jc-suite", "jc.dim", 1, ">= 2"),
+        ("density-suite", "density.state", "dog", "one of ('gaussian', 'cat')"),
+        ("density-suite", "seed", -1, ">= 0"),
+    ])
+    def test_out_of_domain_value_names_its_domain(self, experiment, key, value, domain):
+        with pytest.raises(ConfigError) as info:
+            resolve_config(experiment, {**FUZZ_BASE[experiment], key: value})
+        assert str(info.value) == f"config key {key} must be {domain}, got {value!r}"
+
+    def test_domain_is_checked_before_the_regime(self, tmp_path):
+        # a count below 100 exits 3 alone, but 2 beside a key out of its domain
+        for payload, code in (({**FORCE_CFG, "force.count": 10}, 3),
+                              ({**FORCE_CFG, "force.count": 10, "force.max_lag": -1}, 2)):
+            cfg = write_config(tmp_path, "c.json", payload)
+            assert main(["force-trajectories", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == code
+
     def test_empty_time_grid_makes_no_files(self, tmp_path):
-        cfg = resolve_config(
-            "g2s-correlations",
-            {**G2S_CFG, "grid.t_count": 0},
-            output_dir=tmp_path / "out",
-        )
-        with pytest.raises(ConfigError, match="empty"):
-            run_experiment(cfg)
-        produced = list((tmp_path / "out").glob("*.csv"))
-        assert produced == []
+        # refused by its schema domain, before any output exists
+        payload = {**G2S_CFG, "grid.t_count": 0}
+        with pytest.raises(ConfigError, match="grid.t_count must be >= 1, got 0"):
+            resolve_config("g2s-correlations", payload, output_dir=tmp_path / "out")
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["g2s-correlations", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestManifest:
@@ -653,33 +725,40 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("gravcat: regime rejection: Fock cutoff")
         assert not (tmp_path / "o" / "manifest.json").exists()
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(dim=st.integers(2, 32), samples=st.integers(2, 9),
-           g_over_omega=st.floats(-2.0, 2.0) | st.sampled_from([1e300, np.inf, np.nan]),
-           nu_over_omega=st.floats(0.0, 0.5), nu_t_max=st.none() | st.floats(1e-3, 10.0))
-    @example(dim=4, samples=7, g_over_omega=0.5, nu_over_omega=0.05, nu_t_max=1.0)
-    @example(dim=8, samples=7, g_over_omega=0.7, nu_over_omega=0.05, nu_t_max=1.0)
-    @example(dim=16, samples=7, g_over_omega=1.0, nu_over_omega=0.05, nu_t_max=1.0)
-    def test_jc_run_succeeds_cleanly_or_is_rejected(self, tmp_path_factory, dim, samples,
-                                                     g_over_omega, nu_over_omega, nu_t_max):
-        # a run either exits 0 without a word on stderr or a warning, or
-        # exits 2 or 3 with one stderr line; never 4
-        payload = {"jc.dim": dim, "jc.samples": samples, "jc.g_over_omega": g_over_omega,
-                   "jc.nu_over_omega": nu_over_omega}
-        if nu_t_max is not None:
-            payload["jc.nu_t_max"] = nu_t_max
-        tmp = tmp_path_factory.mktemp("jc")
+    @settings(max_examples=160, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(sorted(SCHEMAS)).flatmap(_fuzzed_config))
+    @example(case=("jc-suite", {"jc.nu_t_max": 1e-320}))  # a subnormal time step: exit 4
+    @example(case=("jc-suite", {"jc.nu_t_max": 1e-315, "jc.samples": 61}))
+    @example(case=("density-suite", {"density.s_x": 1e-10}))  # wrote an inf correlator
+    @example(case=("density-suite", {"density.s_x": 1e-100}))  # wrote a nan correlator
+    @example(case=("jc-suite", {"jc.dim": 4, "jc.samples": 7, "jc.g_over_omega": 0.5,
+                                "jc.nu_over_omega": 0.05, "jc.nu_t_max": 1.0}))
+    @example(case=("jc-suite", {"jc.dim": 8, "jc.samples": 7, "jc.g_over_omega": 0.7,
+                                "jc.nu_over_omega": 0.05, "jc.nu_t_max": 1.0}))
+    @example(case=("jc-suite", {"jc.dim": 16, "jc.samples": 7, "jc.g_over_omega": 1.0,
+                                "jc.nu_over_omega": 0.05, "jc.nu_t_max": 1.0}))
+    def test_run_succeeds_cleanly_or_is_rejected(self, tmp_path_factory, case):
+        # a run either exits 0 without a word on stderr or a warning, every
+        # CSV value finite, or exits 2 or 3 with one stderr line and no
+        # manifest; never 4
+        experiment, payload = case
+        tmp = tmp_path_factory.mktemp("run")
         cfg = write_config(tmp, "c.json", payload)
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("always")
-            code = main(["jc-suite", "--config", str(cfg), "--out", str(tmp / "o")])
+            code = main([experiment, "--config", str(cfg), "--out", str(tmp / "o")])
         lines = err.getvalue().splitlines()
         if code == 0:
             assert lines == [] and caught == [], (lines, [str(w.message) for w in caught])
+            for path in (tmp / "o").glob("*.csv"):
+                rows = path.read_text().splitlines()[1:]
+                values = np.array([v for row in rows for v in row.split(",")], dtype=float)
+                assert np.isfinite(values).all(), path.name
         else:
             assert code in (2, 3) and len(lines) == 1, (code, lines)
+            assert not (tmp / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("jc.nu_over_omega", float("nan")),
@@ -711,10 +790,15 @@ class TestCli:
         {**JC_CFG, "jc.nu_t_max": 1e300, "jc.nu_over_omega": 1e-10},
         {"jc.omega": 1000, "jc.nu_over_omega": 1e-5, "jc.nu_t_max": 1e300},
         {**JC_CFG, "jc.nu_over_omega": 1e-5, "jc.nu_t_max": 1e10},
+        {"jc.nu_t_max": 1e-320},
+        {"jc.nu_t_max": 1e-315, "jc.samples": 61},
+        {"jc.nu_t_max": 1e-310},
     ])
     def test_unbounded_jc_window_is_regime_error(self, tmp_path, payload):
         # t_max = nu_t_max / nu (or pi / omega at nu = 0) overflows to inf,
-        # or is finite but puts the phases E t past 2^43 (1e307 and 1e17 here)
+        # or is finite but puts the phases E t past 2^43 (1e307 and 1e17
+        # here); or the step t_max / (samples - 1) is subnormal, and the
+        # linspace times were not uniform (exit 4) or, at 1e-310, ran (exit 0)
         cfg = write_config(tmp_path, "c.json", payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -134,7 +134,7 @@ class TestValidation:
         x = np.linspace(-8, 8, 129)
         p = np.linspace(-0.4, 0.4, 17)  # far too narrow for sigma_p = 0.5
         with pytest.raises(GridAliasingError):
-            wigner_function(state, x_axis=x, p_axis=p)
+            wigner_function(state, (x, p))
 
     def test_cat_norm_includes_cross_term(self):
         state = cat(1.0, (1.0, 0.0, 0.0))
@@ -282,7 +282,7 @@ class TestTransformOracle:
         state = cat(1.0, 6.0)
         x = np.linspace(-11.0, 10.0, 97)
         p = np.linspace(-4.5, 3.5, 131)
-        grid = wigner_function(state, x, p)
+        grid = wigner_function(state, (x, p))
         oracle = wigner_transform(state, x, p)
         assert np.max(np.abs(grid.values - oracle.values)) <= 1e-14
 
