@@ -8,9 +8,19 @@ Exit codes: 0 success, 2 config error, 3 numerical-regime rejection,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .harness import (
+# OpenBLAS reads this as numpy loads it, so it is set before harness imports
+# numpy.  At OpenBLAS's default, 28, each idle worker busy-waits 2^28 cycles
+# (about 0.1 s) at load and after every threaded call: 30-45% of the CPU time
+# of a benchmark run on 2 CPUs.  At 24 it waits a few ms.  Shorter waits
+# slowed a large eigh, whose many BLAS calls had to wake the workers again
+# (jc-suite at jc.dim 512: 22% slower at 4, 4% at 20).  A value already in
+# the environment is kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
+
+from .harness import (  # noqa: E402 - numpy loads OpenBLAS here
     SCHEMAS,
     ConfigError,
     GravcatError,

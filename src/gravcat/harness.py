@@ -50,6 +50,8 @@ _REQUIRED = object()
 # Largest max|E| t_max jc-suite accepts: E and t carry relative rounding
 # 2^-53, so the phase E t is then off by up to about 2^-10 rad.
 _MAX_JC_PHASE = 2.0**43
+# Most rows of correlations.csv, 2 t_count (t_count + 1): about 100 GB of CSV.
+_MAX_G2S_ROWS = 1 << 30
 
 
 @dataclass
@@ -490,7 +492,10 @@ def _run_g2s(cfg: ExperimentConfig, outdir: Path):
     _require_scales(f"grid.t_min = {t_min:.3g}, grid.t_max = {t_max:.3g}, g2s.nu = {nu:.3g}: "
                     "t_max - t_min or nu t is not finite",
                     lambda: (t_max - t_min, nu * (t_max - t_min), nu * max(-t_min, t_max)))
-    times = np.linspace(t_min, t_max, p["grid.t_count"])
+    t_count = p["grid.t_count"]
+    if 2 * t_count * (t_count + 1) > _MAX_G2S_ROWS:  # t_count <= 23169
+        raise RegimeError(f"grid.t_count: 2 t_count (t_count + 1) rows exceed {_MAX_G2S_ROWS}")
+    times = np.linspace(t_min, t_max, t_count)
 
     # Rows: time-major, a = +1 before -1; correlations run over t1 <= t2
     # (row-major upper triangle) with (a1, a2) innermost.
@@ -549,15 +554,15 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
     if p["force.count"] < 100:
         raise RegimeError("statistics mode needs force.count >= 100")
     sched = ms.MeasurementSchedule(tau=p["force.tau"], n_steps=p["force.steps"], nu=p["force.nu"])
-    # the sampler takes sin(nu tau / 2), the fit Gamma = nu^2 tau / 2, readings run to N tau
     nu, tau, n = sched.nu, sched.tau, sched.n_steps
+    count = p["force.count"]  # the estimator's integer lag sums are exact below 2^53
+    if count * (n + 1) ** 2 > 2**53:
+        raise RegimeError(f"force.count = {count}, force.steps = {n}: "
+                          "count (N+1)^2 exceeds 2^53, past exact float lag sums")
+    # the sampler takes sin(nu tau / 2), the fit Gamma = nu^2 tau / 2, readings run to N tau
     _require_scales(f"force.nu = {nu:.3g}, force.tau = {tau:.3g}, force.steps = {n}: "
                     "nu tau, nu^2 tau / 2 or N tau is not finite",
                     lambda: (nu * tau, nu * nu * tau / 2.0, tau * n))
-    count = p["force.count"]  # the estimator's integer lag sums are exact below 2^53
-    if count * (sched.n_steps + 1) ** 2 > 2**53:
-        raise RegimeError(f"force.count = {count}, force.steps = {sched.n_steps}: "
-                          "count (N+1)^2 exceeds 2^53, past exact float lag sums")
     f0 = p["force.f0"]
     if f0 is None:
         f0 = ms.force_amplitude(ms.ProbeGeometry(G=p["probe.G"], m=p["probe.m"],
@@ -617,12 +622,16 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
         raise RegimeError(f"Fock cutoff {dim} inadequate for pointer reach |zeta| = "
                           f"{2.0 * abs(params.zeta0):.3g}: D(zeta)|0> leaks {leak:.3g} "
                           f"past it (bound {TRUNCATION_LEAK_BOUND:g})")
+    # the (2D, 2D) matrices and the (samples, 2D) rows are the largest arrays;
+    # both are bounded, in exact integers, before any is built
     if (2 * dim) ** 2 > jc.MAX_MATRIX_ELEMENTS:
         raise RegimeError(f"jc.dim = {dim}: 2D x 2D exceeds {jc.MAX_MATRIX_ELEMENTS} elements")
+    nu_t_max, samples = p["jc.nu_t_max"], p["jc.samples"]
+    if samples * 2 * dim > jc.MAX_MATRIX_ELEMENTS:
+        raise RegimeError(f"jc.samples: samples x 2D exceeds {jc.MAX_MATRIX_ELEMENTS} elements")
     # distinguishability reports omega^3 and 2 |zeta_0|^2 omega^3; ** would raise
     _require_scales(f"jc.omega = {omega:.3g}: omega^3 or 2 |zeta_0|^2 omega^3 is not finite",
                     lambda: (2.0 * params.zeta0**2 * np.float64(omega) ** 3,))
-    nu_t_max, samples = p["jc.nu_t_max"], p["jc.samples"]
     with np.errstate(over="ignore"):  # an unbounded window is rejected below
         if nu_t_max is None:
             # one dressed half period, nu exp(-2 zeta_0^2) t = pi / 2; pi / omega at nu = 0
@@ -706,6 +715,18 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     except GridAliasingError as exc:
         raise RegimeError(str(exc)) from exc
 
+    # Relative fluctuation profile of the 3D state; points where the density
+    # (or its square) vanishes have no ratio and are left out, and counted.
+    # The ratio ~ 1 / (ell^3 |psi|^2) peaks where the density is least: no
+    # scale checked up front bounds it on the profile, so its values are.
+    xs = np.linspace(grid.x[0], grid.x[-1], 101)
+    with np.errstate(over="ignore"):  # an overflowing ratio is rejected below
+        ratio = dn.fluctuation_ratio(state, smear, np.outer(xs, (1.0, 0.0, 0.0)), m)
+    kept = ~np.isnan(ratio)
+    _require_scales(f"density.sigma = {sigma:.3g}, density.s_x = {s_x:.3g}, density.m = {m:.3g}: "
+                    "the fluctuation ratio 1 / (ell^3 |psi|^2) - 1 or its numerator "
+                    "m^2 |psi|^2 / ell^3 overflows on the profile", lambda: ratio[kept])
+
     arts = [
         write_csv(outdir / "wigner.csv", ["x", "p", "w"],
                   [np.repeat(grid.x, grid.p.size), np.tile(grid.p, grid.x.size),
@@ -734,15 +755,10 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     ]
 
     # Static-limit mean profile along the axis vs m |psi|^2.
-    xs = np.linspace(grid.x[0], grid.x[-1], 101)
     exact = m * np.abs(axis_state.psi(xs)) ** 2
     arts.append(write_csv(outdir / "static_mean.csv", ["x", "smeared_mean", "density_exact"],
                           [xs, dn.density_mean(axis_state, xs, 0.0, m), exact]))
 
-    # Relative fluctuation profile of the 3D state; points where the density
-    # (or its square) vanishes have no ratio and are left out, and counted.
-    ratio = dn.fluctuation_ratio(state, smear, np.outer(xs, (1.0, 0.0, 0.0)), m)
-    kept = ~np.isnan(ratio)
     arts.append(write_csv(outdir / "fluctuation_profile.csv", ["x", "c_ratio_quadratic"],
                           [xs[kept], ratio[kept]]))
 

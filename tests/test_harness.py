@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -67,14 +68,18 @@ DENS_CFG = {"density.state": "gaussian", "density.sigma": 1.0, "density.s_x": 0.
 # The property test's configs: a valid base per experiment, with up to three
 # keys of its schema drawn.  A float key draws near its default (either sign
 # where its domain is "finite") or an extreme; an integer key draws a small
-# size, 0 and -1 included; a string key one of its values or another.
+# size, 0 and -1 included, and a bounded size key also a huge one; a string
+# key one of its values or another.
 FUZZ_BASE = {"g2s-correlations": G2S_CFG, "force-trajectories": FORCE_CFG,
              "jc-suite": {**JC_CFG, "jc.dim": 16, "jc.g_over_omega": 0.5}, "density-suite": {}}
 FUZZ_EXTREMES = [0.0, -1.0, 5e-324, 1e-300, 1e300, np.inf, -np.inf, np.nan]
-FUZZ_SIZES = {"grid.t_count": st.integers(-1, 6), "force.steps": st.integers(-1, 30),
+FUZZ_HUGE = st.sampled_from([1e9, 1e300])
+FUZZ_SIZES = {"grid.t_count": st.integers(-1, 6) | FUZZ_HUGE,
+              "force.steps": st.integers(-1, 30) | FUZZ_HUGE,
               "force.count": st.sampled_from([-1, 0, 99, 100, 1000]),
               "force.max_lag": st.integers(-1, 30), "force.dump_trajectories": st.integers(-1, 2),
-              "jc.dim": st.integers(-1, 24), "jc.samples": st.integers(-1, 9)}
+              "jc.dim": st.integers(-1, 24) | FUZZ_HUGE,
+              "jc.samples": st.integers(-1, 9) | FUZZ_HUGE}
 
 
 def _fuzzed_value(key, typ, default, domain):
@@ -560,11 +565,28 @@ class TestDeterminism:
             assert meta_a[key] == meta_b[key]
 
 
-def run_fresh(code: str) -> str:
+def refuse(monkeypatch, target):
+    """Make gravcat's `module.name` raise at once, so a run that gets past
+    its size bound cannot allocate the gigabytes that call would."""
+    module, name = target.split(".")
+
+    def refused(*args, **kwargs):
+        raise RuntimeError(f"{target} reached")
+
+    monkeypatch.setattr(importlib.import_module(f"gravcat.{module}"), name, refused)
+
+
+# Variables that set the BLAS pool's size or its workers' spin.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS",
+             "OPENBLAS_THREAD_TIMEOUT")
+
+
+def run_fresh(code: str, environ=os.environ) -> str:
     """Last stdout line of `python -c code` in a fresh interpreter, which
-    sees gravcat but none of the modules this test process has loaded."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(gravcat.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    sees gravcat but none of the modules this test process has loaded, run
+    in `environ`."""
+    env = {**environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(gravcat.__file__).parents[1]), environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     return out.stdout.strip().splitlines()[-1]
@@ -575,6 +597,33 @@ class TestCli:
         code = ("import gravcat, gravcat.cli, sys; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         assert run_fresh(code) == "[]"
+
+    def test_idle_blas_workers_sleep(self):
+        # at OpenBLAS's default timeout each idle worker of its pool
+        # busy-waits 2^28 cycles once numpy loads it: 0.06 s of CPU on a
+        # 2-CPU machine, which the CLI's timeout of 2^24 cycles brings to
+        # 0.004 s.  A 1-CPU machine starts no workers.
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        code = ("import resource, time; import gravcat.cli; time.sleep(0.3); "
+                "r = resource.getrusage(resource.RUSAGE_SELF); "
+                "print(r.ru_utime + r.ru_stime - time.thread_time())")
+        assert float(run_fresh(code, env)) < 0.02
+
+    def test_user_blas_timeout_is_kept_and_changes_no_artifact(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", JC_CFG)
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        runs = {}
+        for timeout in (None, "28"):
+            out = tmp_path / f"o{timeout}"
+            code = ("import json, os; from gravcat.cli import main; "
+                    f"assert main(['jc-suite', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0; "
+                    f"m = json.load(open({str(out / 'manifest.json')!r})); "
+                    "print(json.dumps([os.environ['OPENBLAS_THREAD_TIMEOUT'], m['artifacts'], "
+                    "m['results']]))")
+            extra = {} if timeout is None else {"OPENBLAS_THREAD_TIMEOUT": timeout}
+            runs[timeout] = json.loads(run_fresh(code, {**env, **extra}))
+        assert runs[None][0] == "24" and runs["28"][0] == "28"
+        assert runs[None][1:] == runs["28"][1:]
 
     def test_density_suite_loads_no_scipy(self, tmp_path):
         # a whole default density-suite run
@@ -728,6 +777,12 @@ class TestCli:
     @settings(max_examples=160, deadline=None, derandomize=True)
     @given(case=st.sampled_from(sorted(SCHEMAS)).flatmap(_fuzzed_config))
     @example(case=("jc-suite", {"jc.nu_t_max": 1e-320}))  # a subnormal time step: exit 4
+    # sizes past their bounds: np.linspace failed (exit 4), and a count past
+    # the float range failed t_max / (samples - 1) or N tau (exit 4)
+    @example(case=("g2s-correlations", {**G2S_CFG, "grid.t_count": 1e300}))
+    @example(case=("jc-suite", {"jc.samples": 1e300}))
+    @example(case=("jc-suite", {"jc.samples": 10**400}))
+    @example(case=("force-trajectories", {**FORCE_CFG, "force.steps": 10**400}))
     @example(case=("jc-suite", {"jc.nu_t_max": 1e-315, "jc.samples": 61}))
     @example(case=("density-suite", {"density.s_x": 1e-10}))  # wrote an inf correlator
     @example(case=("density-suite", {"density.s_x": 1e-100}))  # wrote a nan correlator
@@ -819,13 +874,20 @@ class TestCli:
         ("g2s-correlations", {"g2s.nu": 1e308, "grid.t_max": 1e308, "grid.t_count": 4}),
         ("force-trajectories", {"force.nu": 1e308, "force.tau": 1e308, "force.steps": 10,
                                 "force.count": 200}),
+        # the fluctuation ratio's numerator m^2 |psi|^2 / ell^3 overflows at
+        # the peak; the ratio, about 1 / (ell^3 |psi|^2), at the peak; the
+        # ratio only in the tails, where the density is e^-32 of its peak
+        ("density-suite", {"density.s_x": 2.574e-67, "density.m": 2.964e67}),
+        ("density-suite", {"density.s_x": 9.755e-66, "density.sigma": 6.255e48}),
+        ("density-suite", {"density.s_x": 1e-60, "density.sigma": 1e40}),
     ])
     def test_out_of_range_scale_is_regime_error(self, tmp_path, capfd, experiment, payload):
         # a Python-float ** overflowed (OverflowError) or ell^6 underflowed
         # to a division by zero, both exit 4; m 1e-160 wrote m^2 / ell^6 as a
         # subnormal 9.9998886718268301e-321 with exit 0; t_max - t_min
         # overflowed in linspace (exit 4), nu t to cos(inf) (nan rows, exit
-        # 0), and nu tau to sin(inf) with six warnings before an exit 3
+        # 0), and nu tau to sin(inf) with six warnings before an exit 3; the
+        # fluctuation ratio wrote inf rows with a warning and exit 0
         cfg = write_config(tmp_path, "c.json", payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -941,21 +1003,17 @@ class TestCli:
         # at the default ratios the phase bound lets jc.dim 10^4 through (max
         # |E| t about 4.9e9), but one (2D x 2D) complex matrix takes 6.4 GB
         ("jc-suite", {"jc.dim": 10**4}, "2D x 2D exceeds", "jc.pointer_state"),
+        # np.linspace refused 1e300 points (exit 4) and would take 8 GB at 1e9
+        ("g2s-correlations", {**G2S_CFG, "grid.t_count": 1e300},
+         "2 t_count (t_count + 1) rows exceed", "two_state.mean_density"),
+        ("jc-suite", {"jc.samples": 1e300}, "samples x 2D exceeds", "jc.pointer_state"),
     ])
     def test_oversized_run_exits_before_allocating(self, tmp_path, capfd, monkeypatch,
                                                    experiment, payload, message,
                                                    first_allocation):
-        import importlib
         import tracemalloc
 
-        # the call that would allocate the gigabytes fails at once instead,
-        # so a run that gets past its bound cannot exhaust the memory
-        module, name = first_allocation.split(".")
-
-        def refuse(*args, **kwargs):
-            raise RuntimeError(f"{first_allocation} reached")
-
-        monkeypatch.setattr(importlib.import_module(f"gravcat.{module}"), name, refuse)
+        refuse(monkeypatch, first_allocation)
         cfg = write_config(tmp_path, "c.json", payload)
         tracemalloc.start()
         try:
@@ -968,6 +1026,24 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("gravcat: regime rejection: ")
         assert message in err[0]
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("experiment,payload,key,largest,first_allocation", [
+        # 2 * 23169 * 23170 <= 2^30 rows < 2 * 23170 * 23171
+        ("g2s-correlations", G2S_CFG, "grid.t_count", 23169, "two_state.mean_density"),
+        # (32768, 2 * 64) rows hold 2^22 elements, jc.MAX_MATRIX_ELEMENTS
+        ("jc-suite", {}, "jc.samples", 32768, "jc.pointer_state"),
+    ])
+    def test_size_bound_is_exact(self, tmp_path, capfd, monkeypatch, experiment, payload, key,
+                                 largest, first_allocation):
+        # the largest size passes its bound and reaches the library, refused
+        # here (exit 4); one more exits 3 before it
+        refuse(monkeypatch, first_allocation)
+        for size, code, message in ((largest, 4, f"{first_allocation} reached"),
+                                    (largest + 1, 3, "exceed")):
+            cfg = write_config(tmp_path, "c.json", {**payload, key: size})
+            assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+            err = capfd.readouterr().err.splitlines()
+            assert len(err) == 1 and message in err[0], err
 
     @pytest.mark.parametrize("experiment,payload", [
         ("g2s-correlations", {**G2S_CFG, "g2s.nu": float("nan")}),
