@@ -9,6 +9,13 @@ produce byte-identical artifacts; wall-clock duration lives only in the
 manifest and is excluded from checksummed content.  Each runner imports
 the library modules it uses, so a run loads only its own experiment's.
 
+A runner returns its artifacts by name and never sees a path;
+run_experiment alone writes them.  A rejected run (exit 2 or 3) touches
+nothing: into a new path it creates no directory.  A run that fails later
+leaves the directory's files as they were.  A successful rerun replaces
+the files it writes, manifest.json last, and deletes those the previous
+manifest lists that it did not write; files no manifest lists are kept.
+
 Exit-code policy (mapped by the CLI): ConfigError for malformed or unknown
 configuration, RegimeError for parameter sets the numerics reject,
 InternalCheckError for violated internal invariants.
@@ -20,6 +27,10 @@ import hashlib
 import json
 import math
 import numbers
+import os
+import re
+import shutil
+import tempfile
 import time
 import types
 from dataclasses import dataclass
@@ -77,64 +88,42 @@ _HASH_CHUNK_BYTES = 1 << 16
 _P10 = 10 ** np.arange(18, dtype=np.int64)
 
 
-def write_csv(path: Path, header: list[str], columns) -> Artifact:
-    """Write equal-length 1-D columns under `header`, one row per index.
+def write_csv(path: Path, header: list[str], blocks) -> Artifact:
+    """Write under `header` the rows of each block of equal-length 1-D real
+    columns `blocks` yields; a whole table is the one block `[columns]`.
+    Each block is checked as it is drawn, then rendered _block_rows(its
+    dtypes) rows at a time, hashed and written before the next is drawn.
 
     Integer and boolean columns print as %d, all others as %.17g, byte for
-    byte as Python's % prints them.  Blocks of rows are rendered by numpy
-    into fixed 8-byte word slots, NUL-padded, and the NULs are dropped
-    before each block is written, so a large table never exists as text.
-    The 17 digits of a float come from a double-double product (see
-    _float_digits); a value that could round either way, and every value
-    the product does not cover, is printed by Python's % instead.
+    byte as Python's % prints them.  Rows are rendered by numpy into fixed
+    8-byte word slots, NUL-padded, and the NULs are dropped before they are
+    written.  The 17 digits of a float come from a double-double product
+    (see _float_digits); a value that could round either way, and every
+    value the product does not cover, is printed by Python's % instead.
     """
-    columns = [np.asarray(c) for c in columns]
-    n_rows = columns[0].size if columns else 0
-    if len(columns) != len(header) or any(c.ndim != 1 or c.size != n_rows
-                                          or c.dtype.kind not in "biuf" for c in columns):
-        raise ValueError(f"need {len(header)} 1-D real columns of equal length for {path.name}")
-    return _write_blocks(path, header, [columns] if n_rows else [])
+    buf = bytearray(_CSV_BLOCK_BYTES)
 
+    def chunks():  # each row starts with the newline that ends the line before it
+        yield ",".join(header).encode("ascii")
+        for columns in blocks:
+            columns = [np.asarray(c) for c in columns]
+            n_rows = columns[0].size if columns else 0
+            if len(columns) != len(header) or any(c.ndim != 1 or c.size != n_rows
+                                                  or c.dtype.kind not in "biuf" for c in columns):
+                raise ValueError(f"need {len(header)} 1-D real columns of equal length "
+                                 f"for {path.name}")
+            rows = _block_rows([c.dtype for c in columns])
+            for lo in range(0, n_rows, rows):
+                yield _render_rows([c[lo : lo + rows] for c in columns], buf)
+        yield b"\n"
 
-def _write_trajectories(path: Path, blocks) -> Artifact:
-    """One (trajectory_id, step, reading) row per reading of the record
-    blocks, as write_csv prints the whole table; one block of readings and
-    one writer block of index columns exist at a time, never the ensemble."""
-    rows = _block_rows([np.dtype(np.int64)] * 3)
-
-    def columns(start=0):  # start: table index of the block's first reading
-        for block in blocks:
-            flat, length = block.reshape(-1), block.shape[1]
-            for lo in range(0, flat.size, rows):
-                index = np.arange(start + lo, start + min(lo + rows, flat.size), dtype=np.int64)
-                yield [index // length, index % length, flat[lo : lo + rows]]
-            start += flat.size
-
-    return _write_blocks(path, ["trajectory_id", "step", "reading"], columns())
+    return _write_hashed(path, chunks())
 
 
 def _block_rows(dtypes) -> int:
     """Rows per block: a float cell takes at most 7 words, an integer one 3."""
     words = sum(3 if d.kind in "biu" else 7 for d in dtypes)
     return max(1, _CSV_BLOCK_BYTES // (8 * max(words, 1)))
-
-
-def _write_blocks(path: Path, header: list[str], blocks) -> Artifact:
-    """The header line, then the rows of each block of equal-length columns
-    `blocks` yields, rendered _block_rows(their dtypes) rows at a time.  Each
-    row starts with the newline that ends the line before it.  A block is
-    rendered, hashed and written before the next is drawn."""
-    buf = bytearray(_CSV_BLOCK_BYTES)
-
-    def chunks():
-        yield ",".join(header).encode("ascii")
-        for columns in blocks:
-            rows = _block_rows([c.dtype for c in columns])
-            for lo in range(0, columns[0].size, rows):
-                yield _render_rows([c[lo : lo + rows] for c in columns], buf)
-        yield b"\n"
-
-    return _write_hashed(path, chunks())
 
 
 def _write_hashed(path: Path, chunks) -> Artifact:
@@ -383,7 +372,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object of flat keys")
@@ -427,7 +416,7 @@ def _coerce(key: str, typ, domain, value):
         value = int(value)
     accepted = {int: numbers.Integral, float: numbers.Real, str: str}[typ]
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"config key {key} has invalid value {value!r}")
+        raise ConfigError(f"config key {key} has invalid value {_show(value)}")
     value = typ(value)
     if isinstance(domain, tuple):
         ok, domain = value in domain, f"one of {domain}"
@@ -436,8 +425,17 @@ def _coerce(key: str, typ, domain, value):
         ok = abs(value) < math.inf and (value > 0 if domain == "> 0" else
                                         domain == "finite" or value >= int(domain[3:]))
     if not ok:
-        raise ConfigError(f"config key {key} must be {domain}, got {value!r}")
+        raise ConfigError(f"config key {key} must be {domain}, got {_show(value)}")
     return value
+
+
+def _show(value) -> str:
+    """repr(value), but an integer past 1e15 as %.3e of its exact value, so
+    that no message spells out hundreds of digits."""
+    if isinstance(value, int) and abs(value) > 10**15:
+        from decimal import Decimal
+        return f"{Decimal(value):.3e}"
+    return repr(value)
 
 
 def _domain(builder, *args, **kwargs):
@@ -463,9 +461,9 @@ def _require_scales(message: str, scales, normal=False):
 # two-well correlation experiment
 
 
-def _run_g2s(cfg: ExperimentConfig, outdir: Path):
+def _run_g2s(cfg: ExperimentConfig):
     """Mean well densities over the time grid, and both two-time correlations
-    over its upper triangle, handed to the writer one run of (t1, t2) pairs
+    over its upper triangle, drawn by the writer one run of (t1, t2) pairs
     at a time (a closed-form call per writer block cost a fifth more CPU
     than one per eight), so memory does not grow with grid.t_count."""
     from . import two_state as ts
@@ -518,13 +516,12 @@ def _run_g2s(cfg: ExperimentConfig, outdir: Path):
             yield [np.tile(a1[0], k.size), np.tile(a2[0], k.size), np.repeat(t1, 4),
                    np.repeat(t2, 4), q.real.ravel(), q.imag.ravel(), stat.ravel()]
 
-    arts = [
-        write_csv(outdir / "mean_density.csv", ["a", "t", "mean"], [mean_a, mean_t, mean]),
-        _write_blocks(outdir / "correlations.csv",
-                      ["a1", "a2", "t1", "t2", "quantum_re", "quantum_im", "statistical"],
-                      blocks()),
-    ]
-    return arts, {"rows_mean": mean.size, "rows_corr": 4 * pairs}
+    artifacts = {
+        "mean_density.csv": (["a", "t", "mean"], [[mean_a, mean_t, mean]]),
+        "correlations.csv": (["a1", "a2", "t1", "t2", "quantum_re", "quantum_im", "statistical"],
+                             blocks()),
+    }
+    return artifacts, {"rows_mean": mean.size, "rows_corr": 4 * pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +544,7 @@ def _fit_leading_window(name: str, t, y, stderr) -> float:
     return rate
 
 
-def _run_force(cfg: ExperimentConfig, outdir: Path):
+def _run_force(cfg: ExperimentConfig):
     from . import measurement as ms
 
     p = cfg.parameters
@@ -557,10 +554,10 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
     nu, tau, n = sched.nu, sched.tau, sched.n_steps
     count = p["force.count"]  # the estimator's integer lag sums are exact below 2^53
     if count * (n + 1) ** 2 > 2**53:
-        raise RegimeError(f"force.count = {count}, force.steps = {n}: "
+        raise RegimeError(f"force.count = {_show(count)}, force.steps = {_show(n)}: "
                           "count (N+1)^2 exceeds 2^53, past exact float lag sums")
     # the sampler takes sin(nu tau / 2), the fit Gamma = nu^2 tau / 2, readings run to N tau
-    _require_scales(f"force.nu = {nu:.3g}, force.tau = {tau:.3g}, force.steps = {n}: "
+    _require_scales(f"force.nu = {nu:.3g}, force.tau = {tau:.3g}, force.steps = {_show(n)}: "
                     "nu tau, nu^2 tau / 2 or N tau is not finite",
                     lambda: (nu * tau, nu * nu * tau / 2.0, tau * n))
     f0 = p["force.f0"]
@@ -579,33 +576,37 @@ def _run_force(cfg: ExperimentConfig, outdir: Path):
                                      stats.corr_stderr[1:])
     gamma_mean = _fit_leading_window("mean", stats.time, stats.mean, stats.mean_stderr)
 
-    arts = [
-        write_csv(outdir / "statistics.csv", ["lag_steps", "lag_time", "corr", "stderr"],
-                  [stats.lag_steps, stats.lag_time, stats.corr, stats.corr_stderr]),
-        write_csv(outdir / "mean_series.csv", ["step", "time", "mean", "stderr"],
-                  [np.arange(sched.n_steps + 1), stats.time, stats.mean, stats.mean_stderr]),
-        write_json(outdir / "metadata.json",
-                   {"nu": sched.nu, "tau": sched.tau, "N": sched.n_steps, "Gamma": sched.gamma,
-                    "f0": f0, "seed": cfg.seed, "count": count, "estimator": stats.metadata}),
-    ]
-    if p["force.dump_trajectories"]:
-        blocks = ms.sample_trajectories(sched, count, cfg.seed)
-        arts.append(_write_trajectories(outdir / "trajectories.csv",
-                                        (ms.unpack_readings(b, sched.n_steps + 1) for b in blocks)))
-    results = {
-        "f0": f0,
-        "gamma_theory": sched.gamma,
-        "fitted_gamma_corr": gamma_corr,
-        "fitted_gamma_mean": gamma_mean,
+    artifacts = {
+        "statistics.csv": (["lag_steps", "lag_time", "corr", "stderr"],
+                           [[stats.lag_steps, stats.lag_time, stats.corr, stats.corr_stderr]]),
+        "mean_series.csv": (["step", "time", "mean", "stderr"],
+                            [[np.arange(n + 1), stats.time, stats.mean, stats.mean_stderr]]),
+        "metadata.json": {"nu": nu, "tau": tau, "N": n, "Gamma": sched.gamma, "f0": f0,
+                          "seed": cfg.seed, "count": count, "estimator": stats.metadata},
     }
-    return arts, results
+
+    def trajectories(start=0):  # start: table index of the block's first reading
+        # one (trajectory_id, step, reading) row per reading; one block of
+        # records and one writer block of index columns exist at a time
+        rows = _block_rows([np.dtype(np.int64)] * 3)
+        for block in ms.sample_trajectories(sched, count, cfg.seed):
+            flat = ms.unpack_readings(block, n + 1).reshape(-1)
+            for lo in range(0, flat.size, rows):
+                index = np.arange(start + lo, start + min(lo + rows, flat.size), dtype=np.int64)
+                yield [index // (n + 1), index % (n + 1), flat[lo : lo + rows]]
+            start += flat.size
+
+    if p["force.dump_trajectories"]:
+        artifacts["trajectories.csv"] = (["trajectory_id", "step", "reading"], trajectories())
+    return artifacts, {"f0": f0, "gamma_theory": sched.gamma, "fitted_gamma_corr": gamma_corr,
+                       "fitted_gamma_mean": gamma_mean}
 
 
 # ---------------------------------------------------------------------------
 # oscillator-probe experiment
 
 
-def _run_jc(cfg: ExperimentConfig, outdir: Path):
+def _run_jc(cfg: ExperimentConfig):
     from . import jc
     from .fock import TRUNCATION_LEAK_BOUND, FockSpace, vacuum_truncation_leak
 
@@ -614,6 +615,15 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
     dim = p["jc.dim"]
     params = _domain(jc.JCParams, nu=p["jc.nu_over_omega"] * omega, omega=omega,
                      g=p["jc.g_over_omega"] * omega)
+    # the (2D, 2D) matrices and the (samples, 2D) rows are the largest arrays;
+    # both are bounded, in exact integers, before any is built and before
+    # the leak takes floats of dim (a 401-digit dim overflows them)
+    if (2 * dim) ** 2 > jc.MAX_MATRIX_ELEMENTS:
+        raise RegimeError(f"jc.dim = {_show(dim)}: 2D x 2D exceeds "
+                          f"{jc.MAX_MATRIX_ELEMENTS} elements")
+    nu_t_max, samples = p["jc.nu_t_max"], p["jc.samples"]
+    if samples * 2 * dim > jc.MAX_MATRIX_ELEMENTS:
+        raise RegimeError(f"jc.samples: samples x 2D exceeds {jc.MAX_MATRIX_ELEMENTS} elements")
     space = FockSpace(dim)
     # D(2 zeta_0) is the largest displacement the run builds, judged by the
     # bound `fock.displacement` warns at; an infinite zeta_0 leaks NaN.
@@ -622,13 +632,6 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
         raise RegimeError(f"Fock cutoff {dim} inadequate for pointer reach |zeta| = "
                           f"{2.0 * abs(params.zeta0):.3g}: D(zeta)|0> leaks {leak:.3g} "
                           f"past it (bound {TRUNCATION_LEAK_BOUND:g})")
-    # the (2D, 2D) matrices and the (samples, 2D) rows are the largest arrays;
-    # both are bounded, in exact integers, before any is built
-    if (2 * dim) ** 2 > jc.MAX_MATRIX_ELEMENTS:
-        raise RegimeError(f"jc.dim = {dim}: 2D x 2D exceeds {jc.MAX_MATRIX_ELEMENTS} elements")
-    nu_t_max, samples = p["jc.nu_t_max"], p["jc.samples"]
-    if samples * 2 * dim > jc.MAX_MATRIX_ELEMENTS:
-        raise RegimeError(f"jc.samples: samples x 2D exceeds {jc.MAX_MATRIX_ELEMENTS} elements")
     # distinguishability reports omega^3 and 2 |zeta_0|^2 omega^3; ** would raise
     _require_scales(f"jc.omega = {omega:.3g}: omega^3 or 2 |zeta_0|^2 omega^3 is not finite",
                     lambda: (2.0 * params.zeta0**2 * np.float64(omega) ** 3,))
@@ -663,28 +666,26 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path):
     purities = jc.reduced_purity(rows[:, :dim], rows[:, dim:])
     zeta = jc.pointer_path(params, times)
 
-    arts = [
-        write_csv(outdir / "timeseries.csv",
-                  ["t", "p_exact", "p_perturbative", "p_rabi", "purity", "zeta_re", "zeta_im"],
-                  [times, p_exact, p_pert, p_rabi, purities, zeta.real, zeta.imag]),
-        write_json(outdir / "metadata.json",
-                   {"nu": params.nu, "omega": params.omega, "g": params.g, "dim": dim,
-                    "samples": int(times.size), "deterministic": True}),  # no randomness
-        write_json(outdir / "distinguishability.json", jc.distinguishability(params)),
-    ]
-    results = {
+    artifacts = {
+        "timeseries.csv": (["t", "p_exact", "p_perturbative", "p_rabi", "purity", "zeta_re",
+                            "zeta_im"], [[times, p_exact, p_pert, p_rabi, purities, zeta.real,
+                                          zeta.imag]]),
+        "metadata.json": {"nu": params.nu, "omega": params.omega, "g": params.g, "dim": dim,
+                          "samples": int(times.size), "deterministic": True},  # no randomness
+        "distinguishability.json": jc.distinguishability(params),
+    }
+    return artifacts, {
         "max_abs_dev_exact_vs_rabi": float(np.max(np.abs(p_exact - p_rabi))),
         "max_abs_dev_exact_vs_dressed": float(np.max(np.abs(p_exact - p_dressed))),
         "max_transition_probability": float(np.max(p_exact)),
     }
-    return arts, results
 
 
 # ---------------------------------------------------------------------------
 # mass-density experiment
 
 
-def _run_density(cfg: ExperimentConfig, outdir: Path):
+def _run_density(cfg: ExperimentConfig):
     from . import density as dn
     from . import histories as hist
     from .states import Packet, SmearingParams
@@ -727,40 +728,26 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
                     "the fluctuation ratio 1 / (ell^3 |psi|^2) - 1 or its numerator "
                     "m^2 |psi|^2 / ell^3 overflows on the profile", lambda: ratio[kept])
 
-    arts = [
-        write_csv(outdir / "wigner.csv", ["x", "p", "w"],
-                  [np.repeat(grid.x, grid.p.size), np.tile(grid.p, grid.x.size),
-                   grid.values.ravel()]),
-        write_json(
-            outdir / "wigner_meta.json",
-            {
-                "columns": ["x", "p", "w"],
-                "x_min": float(grid.x[0]),
-                "x_max": float(grid.x[-1]),
-                "x_count": int(grid.x.size),
-                "p_min": float(grid.p[0]),
-                "p_max": float(grid.p[-1]),
-                "p_count": int(grid.p.size),
-                "normalization": grid.meta.get("normalization"),
-                "units": "natural (hbar = 1); W normalized to dx dp / (2 pi)",
-                "state": {
-                    "kind": p["density.state"],
-                    "sigma": p["density.sigma"],
-                    "separation": abs(p["density.L"]) if p["density.state"] == "cat" else 0.0,
-                },
-                "sampling_width": p["density.s_x"],
-                "mass": m,
-            },
-        ),
-    ]
-
-    # Static-limit mean profile along the axis vs m |psi|^2.
-    exact = m * np.abs(axis_state.psi(xs)) ** 2
-    arts.append(write_csv(outdir / "static_mean.csv", ["x", "smeared_mean", "density_exact"],
-                          [xs, dn.density_mean(axis_state, xs, 0.0, m), exact]))
-
-    arts.append(write_csv(outdir / "fluctuation_profile.csv", ["x", "c_ratio_quadratic"],
-                          [xs[kept], ratio[kept]]))
+    artifacts = {
+        "wigner.csv": (["x", "p", "w"], [[np.repeat(grid.x, grid.p.size),
+                                          np.tile(grid.p, grid.x.size), grid.values.ravel()]]),
+        "wigner_meta.json": {
+            "columns": ["x", "p", "w"],
+            "x_min": float(grid.x[0]), "x_max": float(grid.x[-1]), "x_count": int(grid.x.size),
+            "p_min": float(grid.p[0]), "p_max": float(grid.p[-1]), "p_count": int(grid.p.size),
+            "normalization": grid.meta.get("normalization"),
+            "units": "natural (hbar = 1); W normalized to dx dp / (2 pi)",
+            "state": {"kind": p["density.state"], "sigma": p["density.sigma"],
+                      "separation": abs(p["density.L"]) if p["density.state"] == "cat" else 0.0},
+            "sampling_width": p["density.s_x"],
+            "mass": m,
+        },
+        # Static-limit mean profile along the axis vs m |psi|^2.
+        "static_mean.csv": (["x", "smeared_mean", "density_exact"],
+                            [[xs, dn.density_mean(axis_state, xs, 0.0, m),
+                              m * np.abs(axis_state.psi(xs)) ** 2]]),
+        "fluctuation_profile.csv": (["x", "c_ratio_quadratic"], [[xs[kept], ratio[kept]]]),
+    }
 
     # Two-point correlators at +/- dr/2: delta-limit vs full quadrature at a
     # few offsets; dict.fromkeys drops repeats (10 s_x = 0.5 at s_x = 0.05).
@@ -768,11 +755,9 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     r1 = 0.5 * np.array(list(dict.fromkeys((10.0 * smear.s_x, 20.0 * smear.s_x, 0.5))))
     delta = [dn.smeared_corr_phase_space(axis_state, r, t1, -r, t2, m) for r in r1]
     quad = [dn.smeared_corr_quadrature(axis_state, smear, r, t1, -r, t2, m) for r in r1]
-    arts.append(write_csv(
-        outdir / "correlators.csv",
+    artifacts["correlators.csv"] = (
         ["r", "t", "r2", "t2", "mean_delta", "corr_delta", "corr_quadrature"],
-        [r1, np.full(r1.size, t1), -r1, np.full(r1.size, t2), *np.transpose(delta), quad],
-    ))
+        [[r1, np.full(r1.size, t1), -r1, np.full(r1.size, t2), *np.transpose(delta), quad]])
 
     # Marginalization defect of two-time sampling records: generic mass vs
     # quasi-commuting heavy mass.
@@ -782,12 +767,12 @@ def _run_density(cfg: ExperimentConfig, outdir: Path):
     defects = [hist.additivity_defect(axis_state, sam, 0.1, 0.1 + dt, r1_comb,
                                       [0.0, p["density.sigma"]], mass)
                for dt, mass in zip(dts, masses)]
-    arts.append(write_csv(outdir / "kolmogorov_defect.csv", ["delta_t", "mass", "defect"],
-                          [dts, masses, defects]))
+    artifacts["kolmogorov_defect.csv"] = (["delta_t", "mass", "defect"],
+                                          [[dts, masses, defects]])
     results = {"wigner_normalization": grid.meta.get("normalization"),
                "profile_points_dropped": int(np.count_nonzero(~kept)),
                "defect_comb_size": int(r1_comb.size)}
-    return arts, results
+    return artifacts, results
 
 
 # key -> (type, default, domain).  A domain is "finite", "> 0" or ">= 0" (a
@@ -848,30 +833,45 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one named experiment, write its artifacts and manifest.json, and
-    return the manifest.  An artifact's checksum is the digest its writer
-    took as it wrote; one re-read of the file must give the same digest, or
-    InternalCheckError is raised."""
-    runner = _RUNNERS[cfg.experiment]
+    return the manifest.  Each artifact is written into a fresh hidden
+    `.gravcat-*` directory in the output directory, hashed as it is written,
+    and read back once (InternalCheckError if the digests differ), then all
+    are moved into place, manifest.json last; see the module docstring."""
+    start = time.perf_counter()
+    artifacts, results = _RUNNERS[cfg.experiment](cfg)
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    artifacts, results = runner(cfg, outdir)
-    duration = time.perf_counter() - start
-
-    entries = []
-    for path in artifacts:
-        if sha256_file(path) != path.sha256:
-            raise InternalCheckError(f"{path} on disk differs from the bytes written to it")
-        entries.append({"name": path.name, "sha256": path.sha256, "bytes": path.stat().st_size})
-
-    manifest = {
-        "experiment": cfg.experiment,
-        "config": dict(sorted(cfg.parameters.items())),
-        "seed": cfg.seed,
-        "tool_version": __version__,
-        "artifacts": entries,
-        "results": results,
-        "duration_seconds": duration,
-    }
-    write_json(outdir / "manifest.json", manifest)
+    stage = Path(tempfile.mkdtemp(prefix=".gravcat-", dir=outdir))
+    try:
+        written = [write_json(stage / name, spec) if isinstance(spec, dict)
+                   else write_csv(stage / name, *spec) for name, spec in artifacts.items()]
+        duration = time.perf_counter() - start
+        entries = []
+        for path in written:
+            if sha256_file(path) != path.sha256:
+                raise InternalCheckError(f"{path.name} on disk differs from the bytes written")
+            entries.append({"name": path.name, "sha256": path.sha256, "bytes": path.stat().st_size})
+        manifest = {"experiment": cfg.experiment, "config": dict(sorted(cfg.parameters.items())),
+                    "seed": cfg.seed, "tool_version": __version__, "artifacts": entries,
+                    "results": results, "duration_seconds": duration}
+        write_json(stage / "manifest.json", manifest)
+        stale = _listed_artifacts(outdir / "manifest.json") - set(artifacts)
+        for name in [*artifacts, "manifest.json"]:
+            os.replace(stage / name, outdir / name)
+        for name in stale:
+            if (outdir / name).is_file():
+                (outdir / name).unlink()
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return manifest
+
+
+def _listed_artifacts(manifest: Path) -> set:
+    """The artifact names a manifest.json lists, none if it cannot be read,
+    keeping only plain names: no path, no leading dot, not the manifest."""
+    try:
+        names = {entry["name"] for entry in json.loads(manifest.read_text())["artifacts"]}
+    except (OSError, ValueError, LookupError, TypeError):
+        return set()
+    return {name for name in names if name != "manifest.json" and isinstance(name, str)
+            and re.fullmatch(r"\w[\w.-]*", name, re.ASCII)}

@@ -63,7 +63,7 @@ def main(argv=None) -> int:
             source = sources[index % len(sources)]
             values = source(rng, min(CHUNK, args.values - lo))
             counts[index % len(sources)] += values.size
-            got = harness.write_csv(path, ["v"], [values]).read_bytes().split(b"\n")[1:-1]
+            got = harness.write_csv(path, ["v"], [[values]]).read_bytes().split(b"\n")[1:-1]
             want = [b"%.17g" % v for v in values.tolist()]
             if got != want:
                 bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w] or [len(got)]

@@ -149,6 +149,12 @@ class TestDisplacementOracles:
         for d in ORACLE_CUTOFFS:
             assert vacuum_truncation_leak(FockSpace(d), 0.0) == 0.0 == gammainc(d, 0.0)
 
+    @pytest.mark.parametrize("lam,leak", [(10.0, 0.0), (4e10, 1.0)])
+    def test_huge_cutoff_sums_few_terms(self, lam, leak):
+        # a billion levels, far above or below the mean: either sum stops
+        # after a few terms, not a billion
+        assert vacuum_truncation_leak(FockSpace(10**9), math.sqrt(lam)) == leak
+
 
 class TestCoherentState:
     def test_zero_is_vacuum(self):

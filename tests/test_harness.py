@@ -146,7 +146,7 @@ class TestCsvWriter:
     SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]
 
     def _both(self, tmp_path, header, columns):
-        new = harness.write_csv(tmp_path / "new.csv", header, columns)
+        new = harness.write_csv(tmp_path / "new.csv", header, [columns])
         write_csv_rows_oracle(tmp_path / "old.csv", header, zip(*columns))
         return new.read_bytes(), (tmp_path / "old.csv").read_bytes()
 
@@ -173,7 +173,7 @@ class TestCsvWriter:
     def _cells(tmp_path, column):
         """The cells write_csv prints for a one-column table, and the cells
         Python's % prints for it."""
-        path = harness.write_csv(tmp_path / "one.csv", ["c"], [column])
+        path = harness.write_csv(tmp_path / "one.csv", ["c"], [[column]])
         fmt = "%d" if column.dtype.kind in "biu" else "%.17g"
         return path.read_bytes().split(b"\n")[1:-1], [(fmt % v).encode() for v in column.tolist()]
 
@@ -263,10 +263,10 @@ class TestCsvWriter:
         t = np.linspace(0.0, 20.0, 200)
         columns = [np.tile([1, 1, -1, -1], n // 4), np.tile([1, -1, 1, -1], n // 4),
                    np.repeat(t[i], 4), np.repeat(t[j], 4), *rng.normal(size=(3, n))]
-        harness.write_csv(tmp_path / "warm.csv", list("abcdefg"), columns)
+        harness.write_csv(tmp_path / "warm.csv", list("abcdefg"), [columns])
         tracemalloc.start()
         try:
-            harness.write_csv(tmp_path / "big.csv", list("abcdefg"), columns)
+            harness.write_csv(tmp_path / "big.csv", list("abcdefg"), [columns])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -290,9 +290,12 @@ class TestCsvWriter:
 
     def test_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            harness.write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+            harness.write_csv(tmp_path / "x.csv", ["a", "b"], [[np.arange(3), np.arange(4)]])
         with pytest.raises(ValueError):
-            harness.write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3)])
+            harness.write_csv(tmp_path / "x.csv", ["a", "b"], [[np.arange(3)]])
+        with pytest.raises(ValueError):  # each block is checked as it is drawn
+            harness.write_csv(tmp_path / "x.csv", ["a", "b"],
+                              iter([[np.arange(3), np.arange(3)], [np.arange(2), np.arange(3)]]))
 
     def test_dump_matches_ensemble(self, tmp_path):
         # oracle: the seeded ensemble, one row per (trajectory, step)
@@ -326,8 +329,8 @@ class TestCsvWriter:
         readings = ms.unpack_readings(np.concatenate(list(blocks)), sched.n_steps + 1)
         count, length = readings.shape
         harness.write_csv(tmp_path / "wide.csv", ["trajectory_id", "step", "reading"],
-                          [np.repeat(np.arange(count, dtype=np.int64), length),
-                           np.tile(np.arange(length, dtype=np.int64), count), readings.ravel()])
+                          [[np.repeat(np.arange(count, dtype=np.int64), length),
+                            np.tile(np.arange(length, dtype=np.int64), count), readings.ravel()]])
         assert (tmp_path / "o" / "trajectories.csv").read_bytes() == \
             (tmp_path / "wide.csv").read_bytes()
 
@@ -483,7 +486,7 @@ class TestManifest:
     def test_writers_return_the_digest_of_the_bytes_written(self, tmp_path):
         # two writer blocks of rows, and a JSON document
         csv = harness.write_csv(tmp_path / "a.csv", ["x", "n"],
-                                [np.linspace(0.0, 1.0, 5000), np.arange(5000)])
+                                [[np.linspace(0.0, 1.0, 5000), np.arange(5000)]])
         meta = harness.write_json(tmp_path / "m.json", {"a": [1.5, float("nan")], "b": "c"})
         for art, name in ((csv, "a.csv"), (meta, "m.json")):
             assert art == tmp_path / name
@@ -491,27 +494,28 @@ class TestManifest:
 
     def test_artifact_changed_after_writing_is_internal_error(self, tmp_path, monkeypatch,
                                                               capfd):
-        # one digit of correlations.csv changes between the writer and the
-        # manifest, the file keeping its size: the run fails with exit 4
-        # and writes no manifest
-        run_g2s = harness._RUNNERS["g2s-correlations"]
+        # one digit of correlations.csv changes on disk after its writer
+        # hashed it, the file keeping its size: the run fails with exit 4,
+        # and its directory holds no manifest and no staging directory
+        write_hashed = harness._write_hashed
 
-        def tampered(cfg, outdir):
-            arts, results = run_g2s(cfg, outdir)
-            data = bytearray(arts[1].read_bytes())
-            data[-2] ^= 1
-            arts[1].write_bytes(bytes(data))
-            return arts, results
+        def tampered(path, chunks):
+            art = write_hashed(path, chunks)
+            if path.name == "correlations.csv":
+                data = bytearray(path.read_bytes())
+                data[-2] ^= 1
+                path.write_bytes(bytes(data))
+            return art
 
-        monkeypatch.setitem(harness._RUNNERS, "g2s-correlations", tampered)
+        monkeypatch.setattr(harness, "_write_hashed", tampered)
         with pytest.raises(InternalCheckError, match="correlations.csv"):
             run_experiment(resolve_config("g2s-correlations", G2S_CFG, output_dir=tmp_path / "a"))
-        assert not (tmp_path / "a" / "manifest.json").exists()
+        assert list((tmp_path / "a").iterdir()) == []
         cfg = write_config(tmp_path, "c.json", G2S_CFG)
         assert main(["g2s-correlations", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 4
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("gravcat: internal invariant failure")
-        assert not (tmp_path / "b" / "manifest.json").exists()
+        assert list((tmp_path / "b").iterdir()) == []
 
     def test_manifest_json_is_strict(self, tmp_path):
         cfg = resolve_config("force-trajectories", FORCE_CFG, seed=1, output_dir=tmp_path)
@@ -530,6 +534,88 @@ class TestManifest:
                 header, rows = read_csv(tmp_path / name)
                 assert all(h.strip() for h in header)
                 assert rows
+
+
+def snapshot(outdir: Path) -> dict:
+    """Every entry of `outdir`, hidden ones included: a file's bytes, or
+    None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in outdir.iterdir()}
+
+
+class TestRunDirectory:
+    @pytest.mark.parametrize("payload,code", [
+        ({**FORCE_CFG, "bad.key": 1}, 2),
+        ({**FORCE_CFG, "force.count": 10}, 3),
+    ])
+    def test_rejected_rerun_leaves_the_previous_run(self, tmp_path, payload, code):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "ok.json", {**FORCE_CFG, "force.dump_trajectories": 1})
+        assert main(["force-trajectories", "--config", str(cfg), "--out", str(out)]) == 0
+        before = snapshot(out)
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["force-trajectories", "--config", str(cfg), "--out", str(out)]) == code
+        assert snapshot(out) == before
+
+    def test_failure_mid_write_leaves_the_previous_run(self, tmp_path, monkeypatch, capfd):
+        # 100 times make 5050 (t1, t2) pairs, four closed-form calls of at
+        # most 1598 pairs; the third raises with the rows of two calls in
+        # the staging directory's correlations.csv
+        from gravcat import two_state as ts
+
+        out = tmp_path / "o"
+        payload = {"g2s.nu": 0.3, "grid.t_max": 20.0, "grid.t_count": 100}
+        run_experiment(resolve_config("g2s-correlations", {**payload, "g2s.chi": 0.5},
+                                      output_dir=out))
+        before = snapshot(out)
+        corr, staged = ts.two_time_quantum_corr, []
+
+        def failing(*args):
+            staged.append(sorted(p.name for p in out.glob(".gravcat-*/*")))
+            if len(staged) == 3:
+                raise RuntimeError("closed form failed")
+            return corr(*args)
+
+        monkeypatch.setattr(ts, "two_time_quantum_corr", failing)
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["g2s-correlations", "--config", str(cfg), "--out", str(out)]) == 4
+        assert staged[-1] == ["correlations.csv", "mean_density.csv"]
+        assert len(capfd.readouterr().err.splitlines()) == 1
+        assert snapshot(out) == before
+
+    def test_rerun_deletes_stale_artifacts_only(self, tmp_path):
+        # trajectories.csv, listed by the dumping run's manifest, goes; a
+        # file no manifest lists stays
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        dump = {**FORCE_CFG, "force.dump_trajectories": 1}
+        run_experiment(resolve_config("force-trajectories", dump, seed=1, output_dir=out))
+        assert (out / "trajectories.csv").is_file()
+        man = run_experiment(resolve_config("force-trajectories", FORCE_CFG, seed=1,
+                                            output_dir=out))
+        names = [e["name"] for e in man["artifacts"]]
+        assert "trajectories.csv" not in names
+        assert sorted(snapshot(out)) == sorted(names + ["manifest.json", "notes.txt"])
+        assert (out / "notes.txt").read_text() == "mine"
+
+    @pytest.mark.parametrize("old", [
+        {"artifacts": [{"name": n} for n in ("../x", "sub/x", ".hidden", "manifest.json", "",
+                                             "sub", "/x")]},
+        {"artifacts": [{"name": ["x"]}]},
+        {"artifacts": {"x": 1}},
+        [{"name": "x"}],
+        "{not json",
+    ], ids=["unsafe-names", "list-name", "dict-artifacts", "list-manifest", "not-json"])
+    def test_old_manifest_deletes_no_unsafe_name(self, tmp_path, old):
+        out = tmp_path / "o"
+        (out / "sub").mkdir(parents=True)
+        kept = [tmp_path / "x", out / "sub" / "x", out / ".hidden", out / "x"]
+        for path in kept:
+            path.write_text("kept")
+        (out / "manifest.json").write_text(old if isinstance(old, str) else json.dumps(old))
+        run_experiment(resolve_config("g2s-correlations", G2S_CFG, output_dir=out))
+        assert all(path.read_text() == "kept" for path in kept)
+        assert json.loads((out / "manifest.json").read_text())["experiment"] == "g2s-correlations"
 
 
 class TestDeterminism:
@@ -738,6 +824,54 @@ class TestCli:
         _, rows = read_csv(tmp_path / "o" / "kolmogorov_defect.csv")
         assert len(rows) == 4 and all(np.isfinite(float(r[2])) for r in rows)
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"g2s.nu": 1.0,', "config is not valid JSON"),
+        # json refuses integers past 4300 digits with a ValueError (was exit 4)
+        ('{"g2s.nu": 1' + "0" * 5000 + "}", "config is not valid JSON"),
+        ("[1, 2]", "config must be a JSON object"),
+        ('{"experiment": "jc-suite", "g2s.nu": 1.0}', "config names experiment 'jc-suite'"),
+        (json.dumps({**G2S_CFG, "g2s.c_plus_re": 0.0}), "well amplitudes are both zero"),
+    ], ids=["invalid-json", "5001-digit-integer", "not-an-object", "other-experiment",
+            "zero-amplitudes"])
+    def test_malformed_config_is_config_error(self, tmp_path, capfd, text, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["g2s-correlations", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"gravcat: config error: {message}"), err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment,payload,code", [
+        ("force-trajectories", {**FORCE_CFG, "force.count": 10**400}, 3),
+        ("force-trajectories", {**FORCE_CFG, "force.steps": 10**400}, 3),
+        ("force-trajectories", {**FORCE_CFG, "force.steps": -10**400}, 2),
+        ("jc-suite", {"jc.dim": 10**400}, 3),
+        ("jc-suite", {"jc.dim": -10**400}, 2),
+        ("density-suite", {"density.state": 10**400}, 2),
+    ], ids=["force-count", "force-steps", "negative-force-steps", "jc-dim", "negative-jc-dim",
+            "density-state"])
+    def test_huge_integer_gives_a_short_message(self, tmp_path, capfd, experiment, payload,
+                                                code):
+        # a 401-digit force.count was printed whole, a 516-character line
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and "e+400" in err[0] and len(err[0]) < 200, err
+
+    def test_output_directory_without_out(self, tmp_path, monkeypatch):
+        # ./gravcat_out without --out or an output_dir key; the key without
+        # --out; --out over the key
+        monkeypatch.chdir(tmp_path)
+        plain = write_config(tmp_path, "plain.json", G2S_CFG)
+        keyed = write_config(tmp_path, "keyed.json", {**G2S_CFG, "output_dir": "from-key"})
+        for argv, out in ((["--config", str(plain)], "gravcat_out"),
+                          (["--config", str(keyed)], "from-key"),
+                          (["--config", str(keyed), "--out", "from-flag"], "from-flag")):
+            assert main(["g2s-correlations", *argv]) == 0
+            assert (tmp_path / out / "manifest.json").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+            "from-flag", "from-key", "gravcat_out"]
+
     def test_success_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**G2S_CFG})
         assert main(["g2s-correlations", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -758,12 +892,15 @@ class TestCli:
         cfg = write_config(tmp_path, "c.json", {**JC_CFG, "jc.g_over_omega": 4.0, "jc.dim": 32})
         assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("dim,g_over_omega", [(4, 0.5), (8, 0.7), (16, 1.0), (10**9, 1e5)])
+    @pytest.mark.parametrize("dim,g_over_omega", [
+        (4, 0.5), (8, 0.7), (16, 1.0), (10**9, 1e5), pytest.param(10**400, 1e5, id="1e400-1e5")])
     def test_leaking_cutoff_is_regime_error(self, tmp_path, capfd, dim, g_over_omega):
         # D(2 zeta_0)|0> leaks 0.019, 9.7e-4 and 4.9e-6 past the first three
         # cutoffs; a |2 zeta_0|^2 <= dim / 4 rule let each run, with exit 0
-        # and two to four TruncationInadequateWarnings.  The last leaks 1,
-        # and its Poisson head sum stops long before a billion terms.
+        # and two to four TruncationInadequateWarnings.  The order this pins:
+        # the size bound on 2D x 2D runs first, so the last two, which leak
+        # 1, are refused by it before the leak is summed; at 10^400 the leak
+        # took d log |w|^2 as a float and failed (exit 4)
         payload = {"jc.nu_over_omega": 0.05, "jc.nu_t_max": 1.0, "jc.dim": dim,
                    "jc.g_over_omega": g_over_omega}
         cfg = write_config(tmp_path, "c.json", payload)
@@ -771,8 +908,10 @@ class TestCli:
             warnings.simplefilter("error")
             assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capfd.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("gravcat: regime rejection: Fock cutoff")
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        first = "Fock cutoff" if dim < 10**4 else "jc.dim = "
+        assert len(err) == 1 and err[0].startswith(f"gravcat: regime rejection: {first}"), err
+        assert len(err[0]) < 200
+        assert not (tmp_path / "o").exists()
 
     @settings(max_examples=160, deadline=None, derandomize=True)
     @given(case=st.sampled_from(sorted(SCHEMAS)).flatmap(_fuzzed_config))
@@ -782,6 +921,7 @@ class TestCli:
     @example(case=("g2s-correlations", {**G2S_CFG, "grid.t_count": 1e300}))
     @example(case=("jc-suite", {"jc.samples": 1e300}))
     @example(case=("jc-suite", {"jc.samples": 10**400}))
+    @example(case=("jc-suite", {"jc.dim": 10**400}))  # the leak overflowed a float (exit 4)
     @example(case=("force-trajectories", {**FORCE_CFG, "force.steps": 10**400}))
     @example(case=("jc-suite", {"jc.nu_t_max": 1e-315, "jc.samples": 61}))
     @example(case=("density-suite", {"density.s_x": 1e-10}))  # wrote an inf correlator
@@ -813,7 +953,7 @@ class TestCli:
                 assert np.isfinite(values).all(), path.name
         else:
             assert code in (2, 3) and len(lines) == 1, (code, lines)
-            assert not (tmp / "o" / "manifest.json").exists()
+            assert not (tmp / "o").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("jc.nu_over_omega", float("nan")),
@@ -1213,7 +1353,7 @@ class TestG2sExperiment:
                                               ts.TunnelingParams(1.3, 0.7),
                                               np.linspace(-2.0, 9.0, 57))
         harness.write_csv(tmp_path / "whole.csv", ["a1", "a2", "t1", "t2", "quantum_re",
-                                                   "quantum_im", "statistical"], columns)
+                                                   "quantum_im", "statistical"], [columns])
         assert (tmp_path / "o" / "correlations.csv").read_bytes() == \
             (tmp_path / "whole.csv").read_bytes()
 
@@ -1308,6 +1448,15 @@ class TestJcExperiment:
         assert manifest["results"]["max_transition_probability"] >= 0.99
         assert manifest["results"]["max_abs_dev_exact_vs_dressed"] <= 1e-3
 
+    def test_zero_rate_default_window_is_pi_over_omega(self, tmp_path):
+        # at nu = 0 the default window is omega t_max = pi
+        payload = {"jc.omega": 2.0, "jc.nu_over_omega": 0.0, "jc.g_over_omega": 0.5,
+                   "jc.dim": 16, "jc.samples": 5}
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        _, rows = read_csv(tmp_path / "o" / "timeseries.csv")
+        assert float(rows[-1][0]) == np.pi / 2.0
+
     @pytest.mark.parametrize("samples,code", [(2, 0), (1, 2)])
     def test_two_samples_is_the_shortest_series(self, tmp_path, samples, code):
         cfg = write_config(tmp_path, "c.json", {**JC_CFG, "jc.samples": samples})
@@ -1372,7 +1521,7 @@ class TestDensityExperiment:
         xs = np.linspace(lo, hi, 101)
         loop = [dn.density_mean(state, float(x), 0.0, 1.0) for x in xs]
         harness.write_csv(tmp_path / "loop.csv", ["x", "smeared_mean", "density_exact"],
-                          [xs, loop, np.abs(state.psi(xs)) ** 2])
+                          [[xs, loop, np.abs(state.psi(xs)) ** 2]])
         assert (tmp_path / "static_mean.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     @pytest.mark.parametrize("payload", [
