@@ -16,7 +16,7 @@ nu exp(-2 |zeta_0|^2).
 
 import numpy as np
 
-from gravcat.fock import FockSpace, coherent_state
+from gravcat.fock import coherent_state
 from gravcat.jc import (
     JCParams,
     distinguishability,
@@ -26,17 +26,17 @@ from gravcat.jc import (
     reduced_purity,
 )
 
-space = FockSpace(64)
+dim = 64
 params = JCParams(nu=0.01, omega=1.0, g=2.0)
 print(f"deep strong coupling: g/omega = {params.g / params.omega}, "
       f"zeta_0 = {params.zeta0}\n")
 
 print("== entangled pointer dynamics (balanced wells, vacuum start) ==")
-half = coherent_state(space, 0.0) / np.sqrt(2.0)
+half = coherent_state(dim, 0.0) / np.sqrt(2.0)
 frozen = JCParams(nu=0.0, omega=params.omega, g=params.g)  # no tunneling
 omega_ts = np.linspace(0.0, 2.0 * np.pi, 9)
-rows = evolve_rows(frozen, space, np.concatenate([half, half]), omega_ts / params.omega)
-purities = reduced_purity(rows[:, :space.dim], rows[:, space.dim:])
+rows = evolve_rows(frozen, dim, np.concatenate([half, half]), omega_ts / params.omega)
+purities = reduced_purity(rows[:, :dim], rows[:, dim:])
 print("  omega t, |zeta(t)|, reduced purity")
 for omega_t, pur in zip(omega_ts, purities):
     print(f"  {omega_t:7.3f}  {abs(pointer_path(params, omega_t)):7.4f}  {pur:7.4f}")
@@ -54,8 +54,8 @@ print("== tunneling-induced pointer swap ==")
 nu_eff = params.nu * np.exp(-2.0 * abs(params.zeta0) ** 2)
 print(f"  bare rate nu = {params.nu}, dressed rate nu exp(-2 |zeta_0|^2) = {nu_eff:.3e}")
 times = np.linspace(0.0, np.pi / params.nu, 9)
-amp = evolve_rows(params, space, pointer_state(params, space, +1), times) @ (
-    pointer_state(params, space, -1).conj())
+amp = evolve_rows(params, dim, pointer_state(params, dim, +1), times) @ (
+    pointer_state(params, dim, -1).conj())
 p = np.abs(amp) ** 2
 print("  nu t, exact swap probability, sin^2(nu t), sin^2(nu_eff t)")
 for t, pe in zip(times, p):

@@ -14,10 +14,10 @@ Library layout:
 
 Library values are plain numpy arrays: operators (D, D), Fock states
 (D,), qubit-oscillator states (2D,) and force records in uint64 blocks of
-packed sign bits; `FockSpace` carries the cutoff.  Every definition here,
+packed sign bits; a Fock cutoff is the integer D.  Every definition here,
 down to the methods of its classes, is reached by a CLI run; the
 independent routes that check them live in `tests/oracles.py`.  Import names from their modules
-(`from gravcat.fock import FockSpace`); the package itself loads none of
+(`from gravcat.fock import displacement`); the package itself loads none of
 them, so a CLI run imports only the modules of the experiment it runs.
 """
 

@@ -2,7 +2,7 @@
 
 Dense complex linear algebra on the number basis |0>, ..., |D-1> with
 hbar = 1 and <n-1|a|n> = sqrt(n): operators are plain (D, D) complex
-arrays and states (D,) vectors, and `FockSpace` carries the cutoff.  The
+arrays and states (D,) vectors, and the cutoff is the integer D.  The
 truncated displacement generator w a^dag - conj(w) a equals
 -i |w| R K R^dag with the Hermitian K = i (a^dag - a) and the phase
 rotation R = diag(e^{i n arg w}), so every displacement of a cutoff is
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,27 +35,15 @@ class TruncationInadequateWarning(UserWarning):
     """Displacement pushes significant amplitude past the Fock cutoff."""
 
 
-@dataclass(frozen=True)
-class FockSpace:
-    """Oscillator Hilbert space truncated to the first `dim` number states."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"Fock cutoff must be at least 2, got {self.dim}")
-
-
-def ladder_operators(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+def ladder_operators(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation and creation operators (a, a^dag) as (D, D) arrays."""
-    d = space.dim
     a = np.zeros((d, d), dtype=complex)
     ns = np.arange(1, d)
     a[ns - 1, ns] = np.sqrt(ns)
     return a, a.conj().T
 
 
-def vacuum_truncation_leak(space: FockSpace, w: complex) -> float:
+def vacuum_truncation_leak(d: int, w: complex) -> float:
     """Probability weight of D(w)|0> beyond the top retained level.
 
     This is the Poisson tail P(N >= D) with mean |w|^2.  Below the mean it
@@ -69,7 +56,6 @@ def vacuum_truncation_leak(space: FockSpace, w: complex) -> float:
     lam = abs(w) * abs(w)  # * gives inf where ** would raise
     if lam == 0.0:
         return 0.0
-    d = space.dim
     log_lam = math.log(lam)
     if lam < d:
         k, term, total = d, 1.0, 0.0
@@ -86,7 +72,7 @@ def vacuum_truncation_leak(space: FockSpace, w: complex) -> float:
     return 1.0 - math.exp((d - 1) * log_lam - lam - math.lgamma(d)) * total
 
 
-def displacement(space: FockSpace, w: complex) -> np.ndarray:
+def displacement(d: int, w: complex) -> np.ndarray:
     """Displacement operator exp(w a^dag - conj(w) a) on the truncated space.
 
     Unitary to machine precision, and exactly the identity at w = 0.
@@ -95,8 +81,7 @@ def displacement(space: FockSpace, w: complex) -> np.ndarray:
     faithfully represented.  The matrix is built once per (D, w) and shared
     between calls, so it is read-only.
     """
-    d = space.dim
-    leak = vacuum_truncation_leak(space, w)
+    leak = vacuum_truncation_leak(d, w)
     if leak > TRUNCATION_LEAK_BOUND:
         warnings.warn(
             f"displacement |w|^2 = {abs(w)**2:.3g} leaks {leak:.3g} of the "
@@ -122,14 +107,14 @@ def _displacement_matrix(d: int, w: complex) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _generator_eigh(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the Hermitian generator K = i (a^dag - a)."""
-    a, adag = ladder_operators(FockSpace(d))
+    a, adag = ladder_operators(d)
     return np.linalg.eigh(1j * (adag - a))
 
 
-def coherent_state(space: FockSpace, zeta: complex) -> np.ndarray:
+def coherent_state(d: int, zeta: complex) -> np.ndarray:
     """Coherent state D(zeta)|0> as a (D,) vector; its unit norm is checked
     to 1e-10 (a NaN norm fails too)."""
-    amp = displacement(space, zeta)[:, 0].copy()
+    amp = displacement(d, zeta)[:, 0].copy()
     norm = np.linalg.norm(amp)
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"coherent state has norm {norm!r}, expected 1")

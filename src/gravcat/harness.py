@@ -367,11 +367,10 @@ def sha256_file(path: Path) -> str:
 
 
 def load_config(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -438,15 +437,6 @@ def _show(value) -> str:
     return repr(value)
 
 
-def _domain(builder, *args, **kwargs):
-    """Build a library value object, mapping its range checks to ConfigError;
-    for inputs that can fail them although each key is in its domain."""
-    try:
-        return builder(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _require_scales(message: str, scales, normal=False):
     """RegimeError(message) unless each scale scales() returns, float errors
     ignored, is finite, and with `normal` a normal float (not 0, not subnormal)."""
@@ -474,22 +464,26 @@ def _run_g2s(cfg: ExperimentConfig):
         raise ConfigError(f"grid.t_max must be >= grid.t_min, got {t_max!r} < {t_min!r}")
     c_plus = complex(p["g2s.c_plus_re"], p["g2s.c_plus_im"])
     c_minus = complex(p["g2s.c_minus_re"], p["g2s.c_minus_im"])
-    norm = np.hypot(abs(c_plus), abs(c_minus))
+    with np.errstate(over="ignore"):  # abs(complex) is hypot, but raises on overflow
+        norm = np.hypot(np.hypot(c_plus.real, c_plus.imag), np.hypot(c_minus.real, c_minus.imag))
     if norm == 0.0:
         raise ConfigError("well amplitudes are both zero")
-    state = _domain(ts.QubitState, c_plus / norm, c_minus / norm)
+    # c / norm is normalized to rounding while the norm is a normal float
+    _require_scales(f"amplitude norm {norm:.3g} is not a normal float", lambda: [norm], normal=True)
+    state = ts.QubitState(c_plus / norm, c_minus / norm)
     params = ts.TunnelingParams(p["g2s.nu"], p["g2s.chi"])
     dens = ts.SmearedDensityParams(p["g2s.m"], p["g2s.ell"])
     # two_state scales by m / (2 ell^3) and m^2 / (4 ell^6) in Python floats,
     # whose ** raises on overflow: each power and scale must be a normal float.
+    # m / (2 ell^3) is normal when these are: its square is m^2 / (4 ell^6).
     m, ell, nu = np.float64(dens.m), np.float64(dens.ell), params.nu
-    _require_scales(f"g2s.m = {m:.3g}, g2s.ell = {ell:.3g}: m^2, ell^6, m / ell^3 or "
-                    "m^2 / ell^6 is not a normal float",
-                    lambda: (m**2, ell**6, m / (2.0 * ell**3), m**2 / (4.0 * ell**6)), normal=True)
-    # the closed forms take cos and sin of nu t and of nu (t2 - t1)
+    _require_scales(f"g2s.m = {m:.3g}, g2s.ell = {ell:.3g}: m^2, ell^6 or m^2 / ell^6 is not a "
+                    "normal float", lambda: (m**2, ell**6, m**2 / (4.0 * ell**6)), normal=True)
+    # the closed forms take cos and sin of nu t and of nu (t2 - t1); t_max - t_min
+    # is finite when nu (t_max - t_min) is (inf, or NaN at nu = 0, when it is not)
     _require_scales(f"grid.t_min = {t_min:.3g}, grid.t_max = {t_max:.3g}, g2s.nu = {nu:.3g}: "
                     "t_max - t_min or nu t is not finite",
-                    lambda: (t_max - t_min, nu * (t_max - t_min), nu * max(-t_min, t_max)))
+                    lambda: (nu * (t_max - t_min), nu * max(-t_min, t_max)))
     t_count = p["grid.t_count"]
     if 2 * t_count * (t_count + 1) > _MAX_G2S_ROWS:  # t_count <= 23169
         raise RegimeError(f"grid.t_count: 2 t_count (t_count + 1) rows exceed {_MAX_G2S_ROWS}")
@@ -608,13 +602,19 @@ def _run_force(cfg: ExperimentConfig):
 
 def _run_jc(cfg: ExperimentConfig):
     from . import jc
-    from .fock import TRUNCATION_LEAK_BOUND, FockSpace, vacuum_truncation_leak
+    from .fock import TRUNCATION_LEAK_BOUND, vacuum_truncation_leak
 
     p = cfg.parameters
     omega = p["jc.omega"]
     dim = p["jc.dim"]
-    params = _domain(jc.JCParams, nu=p["jc.nu_over_omega"] * omega, omega=omega,
-                     g=p["jc.g_over_omega"] * omega)
+    params = jc.JCParams(nu=p["jc.nu_over_omega"] * omega, omega=omega,
+                         g=p["jc.g_over_omega"] * omega)
+    # distinguishability reports omega^3 and 2 |zeta_0|^2 omega^3 (** would
+    # raise); the latter is inf or NaN when omega^3 or g = -zeta_0 omega is not finite
+    zeta0 = np.float64(params.zeta0)
+    _require_scales(f"jc.omega = {omega:.3g}, nu = {params.nu:.3g}, g = {params.g:.3g}: nu, g, "
+                    "omega^3 or 2 |zeta_0|^2 omega^3 is not finite",
+                    lambda: (params.nu, 2.0 * zeta0**2 * np.float64(omega) ** 3))
     # the (2D, 2D) matrices and the (samples, 2D) rows are the largest arrays;
     # both are bounded, in exact integers, before any is built and before
     # the leak takes floats of dim (a 401-digit dim overflows them)
@@ -624,17 +624,12 @@ def _run_jc(cfg: ExperimentConfig):
     nu_t_max, samples = p["jc.nu_t_max"], p["jc.samples"]
     if samples * 2 * dim > jc.MAX_MATRIX_ELEMENTS:
         raise RegimeError(f"jc.samples: samples x 2D exceeds {jc.MAX_MATRIX_ELEMENTS} elements")
-    space = FockSpace(dim)
-    # D(2 zeta_0) is the largest displacement the run builds, judged by the
-    # bound `fock.displacement` warns at; an infinite zeta_0 leaks NaN.
-    leak = vacuum_truncation_leak(space, 2.0 * params.zeta0)
+    # D(2 zeta_0), the largest displacement built, is judged by the bound displacement warns at
+    leak = vacuum_truncation_leak(dim, 2.0 * params.zeta0)
     if not leak <= TRUNCATION_LEAK_BOUND:
         raise RegimeError(f"Fock cutoff {dim} inadequate for pointer reach |zeta| = "
                           f"{2.0 * abs(params.zeta0):.3g}: D(zeta)|0> leaks {leak:.3g} "
                           f"past it (bound {TRUNCATION_LEAK_BOUND:g})")
-    # distinguishability reports omega^3 and 2 |zeta_0|^2 omega^3; ** would raise
-    _require_scales(f"jc.omega = {omega:.3g}: omega^3 or 2 |zeta_0|^2 omega^3 is not finite",
-                    lambda: (2.0 * params.zeta0**2 * np.float64(omega) ** 3,))
     with np.errstate(over="ignore"):  # an unbounded window is rejected below
         if nu_t_max is None:
             # one dressed half period, nu exp(-2 zeta_0^2) t = pi / 2; pi / omega at nu = 0
@@ -643,10 +638,11 @@ def _run_jc(cfg: ExperimentConfig):
         # ||H|| <= nu + omega (dim - 1) + 2 |g| sqrt(dim - 1) bounds max |E|
         phase_max = (params.nu + omega * (dim - 1)
                      + 2.0 * abs(params.g) * math.sqrt(dim - 1)) * t_max
-    # a subnormal step leaves the linspace times unevenly spaced
+    # a subnormal step leaves the linspace times unevenly spaced; t_max is
+    # normal when its step is, since t_max >= its step (samples - 1 >= 1)
     _require_scales(f"jc time window t_max = {t_max:.3g}: t_max or its step t_max / "
                     "(jc.samples - 1) is not a normal float",
-                    lambda: (t_max, t_max / (samples - 1)), normal=True)
+                    lambda: (t_max / (samples - 1),), normal=True)
     if not phase_max <= _MAX_JC_PHASE:
         raise RegimeError(
             f"jc window t_max = {t_max:.3g} lets the phases E t reach {phase_max:.3g}, "
@@ -654,12 +650,12 @@ def _run_jc(cfg: ExperimentConfig):
         )
     times = np.linspace(0.0, t_max, samples)
 
-    initial = jc.pointer_state(params, space, +1)
-    target = jc.pointer_state(params, space, -1)
-    rows = jc.evolve_rows(params, space, initial, times)
+    initial = jc.pointer_state(params, dim, +1)
+    target = jc.pointer_state(params, dim, -1)
+    rows = jc.evolve_rows(params, dim, initial, times)
     amp = rows @ target.conj()
     p_exact = amp.real**2 + amp.imag**2
-    p_pert = jc.first_order_probability_series(params, space, times, initial, target)
+    p_pert = jc.first_order_probability_series(params, dim, times, initial, target)
     p_rabi = jc.rabi_probability(params, times)
     # Polaron-dressed law, the one exact dynamics follows (Irish, PRL 99, 173601 (2007)).
     p_dressed = np.sin(params.nu * np.exp(-2.0 * params.zeta0**2) * times) ** 2
@@ -693,21 +689,24 @@ def _run_density(cfg: ExperimentConfig):
 
     p = cfg.parameters
     a = 0.5 * abs(p["density.L"])  # a cat's branches sit at +/- |L| / 2 on the x axis
-    state = _domain(Packet, p["density.sigma"], [(0.0, 0.0, 0.0)]
-                    if p["density.state"] == "gaussian" else [(a, 0.0, 0.0), (-a, 0.0, 0.0)])
+    cat = p["density.state"] == "cat"
+    if cat and a == 0.0:  # the one rule across keys that SCHEMAS cannot state
+        raise ConfigError(f"density.L = {p['density.L']!r}: the cat's two branches coincide")
+    state = Packet(p["density.sigma"],
+                   [(a, 0.0, 0.0), (-a, 0.0, 0.0)] if cat else [(0.0, 0.0, 0.0)])
     smear, m = SmearingParams(p["density.s_x"]), p["density.m"]
-    # The closed forms take these powers in Python floats, whose ** raises on
-    # overflow, a packet width of 0 has no Gaussian term, the quadrature's
-    # kernels square 1 / (m s_x^2), and the fluctuation ratio squares the
-    # density, which peaks at m (2 pi sigma^2)^-3/2: each must be a normal float.
+    # The closed forms take m^3, m / ell^3 and m^2 / ell^2 in Python floats, whose **
+    # raises on overflow; the quadrature's kernels square 1 / (m s_x^2), and the
+    # fluctuation ratio squares the density, which peaks at m (2 pi sigma^2)^-3/2.
+    # Each must be a normal float; then so are sigma^2 and 1 / (m sigma^2) (by the peak and
+    # m^3), s_x^2 and (m s_x)^2 = m (m s_x^2) (by (m s_x^2)^2 and m^3), and ell^3 (a
+    # subnormal one needs m < 4 for m / ell^3 but m > 1e52 for (m s_x^2)^2 and m^3).
     sigma, s_x, mass = np.float64(p["density.sigma"]), np.float64(smear.s_x), np.float64(m)
     ell = np.float64(smear.ell)
     _require_scales(f"density.sigma = {sigma:.3g}, density.s_x = {s_x:.3g}, density.m = {m:.3g}: "
-                    "sigma^2, s_x^2, ell^3, m^3, m / ell^3, m^2 / ell^2, (m s_x)^2, (m s_x^2)^2, "
-                    "1 / (m sigma^2) or the squared peak density m^2 (2 pi sigma^2)^-3 is not a "
-                    "normal float",
-                    lambda: (sigma**2, s_x**2, ell**3, mass**3, mass / ell**3, mass**2 / ell**2,
-                             (mass * s_x) ** 2, (mass * s_x**2) ** 2, 1.0 / (mass * sigma**2),
+                    "m^3, m / ell^3, m^2 / ell^2, (m s_x^2)^2 or the squared peak density "
+                    "m^2 (2 pi sigma^2)^-3 is not a normal float",
+                    lambda: (mass**3, mass / ell**3, mass**2 / ell**2, (mass * s_x**2) ** 2,
                              mass**2 * (2.0 * np.pi * sigma**2) ** -3.0), normal=True)
     axis_state = state.axis_state(0)
 

@@ -46,13 +46,6 @@ class ProbeGeometry:
     L: float = 1.0
     y: float = 0.0
 
-    def __post_init__(self):
-        for name in ("G", "m", "m0", "L"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0 <= self.y < np.inf:
-            raise ValueError("transverse offset must be nonnegative and finite")
-
 
 def force_amplitude(geo: ProbeGeometry) -> float:
     """Magnitude f0 of the along-axis force: G m m0 L / (2 (y^2 + L^2/4)^(3/2)).
@@ -77,14 +70,6 @@ class MeasurementSchedule:
     tau: float
     n_steps: int
     nu: float
-
-    def __post_init__(self):
-        if not 0 < self.tau < np.inf:
-            raise ValueError(f"temporal resolution must be positive and finite, got {self.tau}")
-        if not self.n_steps >= 1:
-            raise ValueError(f"need at least one subinterval, got {self.n_steps}")
-        if not 0 <= self.nu < np.inf:
-            raise ValueError(f"tunneling rate must be nonnegative and finite, got {self.nu}")
 
     @property
     def gamma(self) -> float:
@@ -145,8 +130,6 @@ def sample_trajectories(sched: MeasurementSchedule, count: int,
     record it was no slower than the uniforms at any q <= _GAP_CROSSOVER,
     but with fewer steps it can be (1.27x at one step and q = 0.19).
     """
-    if count < 1:
-        raise ValueError(f"need at least one trajectory, got {count}")
     n = sched.n_steps
     width = -(-(n + 1) // 64)
     p_flip = sched.flip_probability

@@ -132,14 +132,10 @@ class Packet:
     centres: tuple
 
     def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"spread must be positive and finite, got {self.sigma}")
         c = np.array(self.centres, dtype=float)  # mixed dimensions raise ValueError
         if c.ndim == 0 or not c.size or c.shape[1:] not in ((), (3,)) or not np.isfinite(c).all():
             raise ValueError(f"centres must be finite floats or (x, y, z) triples, "
                              f"got {self.centres}")
-        if len(set(map(tuple, c.reshape(len(c), -1).tolist()))) < len(c):
-            raise ValueError(f"branch centres must be distinct, got {self.centres}")
         centres = c.tolist()
         object.__setattr__(self, "centres", tuple(map(tuple, centres) if c.ndim == 2 else centres))
 
@@ -212,10 +208,6 @@ class SmearingParams:
     """Gaussian position sampling of width s_x; ell = sqrt(2 pi) s_x per axis."""
 
     s_x: float
-
-    def __post_init__(self):
-        if not 0 < self.s_x < np.inf:
-            raise ValueError(f"sampling width must be positive and finite, got {self.s_x}")
 
     @property
     def ell(self) -> float:

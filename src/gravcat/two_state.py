@@ -24,12 +24,6 @@ class TunnelingParams:
     nu: float
     chi: float = 0.0
 
-    def __post_init__(self):
-        if not 0 <= self.nu < np.inf:
-            raise ValueError(f"tunneling rate must be nonnegative and finite, got {self.nu}")
-        if not abs(self.chi) < np.inf:
-            raise ValueError(f"tunneling phase must be finite, got {self.chi}")
-
 
 @dataclass(frozen=True)
 class QubitState:
@@ -65,12 +59,6 @@ class SmearedDensityParams:
 
     m: float
     ell: float
-
-    def __post_init__(self):
-        if not 0 < self.m < np.inf:
-            raise ValueError(f"mass must be positive and finite, got {self.m}")
-        if not 0 < self.ell < np.inf:
-            raise ValueError(f"smearing scale must be positive and finite, got {self.ell}")
 
 
 def _check_sign(a) -> None:

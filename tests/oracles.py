@@ -52,7 +52,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from gravcat.density import density_mean
-from gravcat.fock import FockSpace, coherent_state, displacement, ladder_operators
+from gravcat.fock import coherent_state, displacement, ladder_operators
 from gravcat.histories import _comb_weight
 from gravcat.jc import (
     JCParams,
@@ -138,18 +138,18 @@ PAULI_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def number_operator(space: FockSpace) -> np.ndarray:
+def number_operator(dim: int) -> np.ndarray:
     """a^dag a as a (D, D) diagonal array."""
-    return np.diag(np.arange(space.dim, dtype=complex))
+    return np.diag(np.arange(dim, dtype=complex))
 
 
-def kron_hamiltonian(params: JCParams, space: FockSpace) -> np.ndarray:
+def kron_hamiltonian(params: JCParams, dim: int) -> np.ndarray:
     """nu sigma_1 (x) 1 + omega 1 (x) a^dag a + g sigma_3 (x) (a + a^dag) as
     a sum of three Kronecker products (against `jc.total_hamiltonian`,
     which fills the blocks in place)."""
-    a, adag = ladder_operators(space)
-    return (params.nu * np.kron(PAULI_1, np.eye(space.dim))
-            + params.omega * np.kron(np.eye(2), number_operator(space))
+    a, adag = ladder_operators(dim)
+    return (params.nu * np.kron(PAULI_1, np.eye(dim))
+            + params.omega * np.kron(np.eye(2), number_operator(dim))
             + params.g * np.kron(PAULI_3, a + adag))
 
 
@@ -201,8 +201,8 @@ def heisenberg_projector(a: int, params: TunnelingParams, t: float) -> np.ndarra
     return 0.5 * (IDENTITY_2 + a * s_t)
 
 
-def vacuum(space: FockSpace) -> np.ndarray:
-    amp = np.zeros(space.dim, dtype=complex)
+def vacuum(dim: int) -> np.ndarray:
+    amp = np.zeros(dim, dtype=complex)
     amp[0] = 1.0
     return amp
 
@@ -219,22 +219,22 @@ def _blockdiag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def adiabatic_propagator(params: JCParams, space: FockSpace, t: float) -> np.ndarray:
+def adiabatic_propagator(params: JCParams, dim: int, t: float) -> np.ndarray:
     """Closed-form propagator of the nu = 0 Hamiltonian.
 
     exp(i g^2 t / omega) diag( D^dag(g/w) e^{-i w n t} D(g/w),
                                D(g/w) e^{-i w n t} D^dag(g/w) ).
     Ignores params.nu (valid in the nu << omega regime).
     """
-    d_op = displacement(space, params.g / params.omega)
-    rot = np.diag(np.exp(-1j * params.omega * np.arange(space.dim) * t))
+    d_op = displacement(dim, params.g / params.omega)
+    rot = np.diag(np.exp(-1j * params.omega * np.arange(dim) * t))
     upper = d_op.conj().T @ rot @ d_op
     lower = d_op @ rot @ d_op.conj().T
     phase = np.exp(1j * params.g**2 * t / params.omega)
     return phase * _blockdiag(upper, lower)
 
 
-def perturbative_propagator(params: JCParams, space: FockSpace, t: float) -> np.ndarray:
+def perturbative_propagator(params: JCParams, d: int, t: float) -> np.ndarray:
     """First-order interaction-picture correction O_t to the nu = 0 flow.
 
     [[cos(nu t) 1,           -i sin(nu t) D(2 zeta_0)],
@@ -254,10 +254,9 @@ def perturbative_propagator(params: JCParams, space: FockSpace, t: float) -> np.
             RegimeWarning,
             stacklevel=2,
         )
-    d = space.dim
     z2 = 2.0 * params.zeta0
-    d_plus = displacement(space, z2)
-    d_minus = displacement(space, -z2)
+    d_plus = displacement(d, z2)
+    d_minus = displacement(d, -z2)
     c, s = np.cos(params.nu * t), np.sin(params.nu * t)
     out = np.zeros((2 * d, 2 * d), dtype=complex)
     out[:d, :d] = c * np.eye(d)
@@ -268,7 +267,7 @@ def perturbative_propagator(params: JCParams, space: FockSpace, t: float) -> np.
 
 
 def evolved_cat(c_plus: complex, c_minus: complex, params: JCParams,
-                space: FockSpace, t: float) -> np.ndarray:
+                dim: int, t: float) -> np.ndarray:
     """Vacuum-started oscillator entangled with the well qubit at nu = 0, as
     a (2D,) composite vector.
 
@@ -277,8 +276,8 @@ def evolved_cat(c_plus: complex, c_minus: complex, params: JCParams,
     """
     zeta = complex(pointer_path(params, t))
     phase = np.exp(1j * (params.g / params.omega) ** 2 * (params.omega * t - np.sin(params.omega * t)))
-    up = phase * c_plus * coherent_state(space, zeta)
-    down = phase * c_minus * coherent_state(space, -zeta)
+    up = phase * c_plus * coherent_state(dim, zeta)
+    down = phase * c_minus * coherent_state(dim, -zeta)
     return np.concatenate([up, down])
 
 
@@ -297,7 +296,7 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-def transition_probability_series(params: JCParams, space: FockSpace,
+def transition_probability_series(params: JCParams, dim: int,
                                   times: np.ndarray,
                                   initial: np.ndarray | None = None,
                                   target: np.ndarray | None = None) -> np.ndarray:
@@ -307,14 +306,14 @@ def transition_probability_series(params: JCParams, space: FockSpace,
     swap channel).
     """
     if initial is None:
-        initial = pointer_state(params, space, +1)
+        initial = pointer_state(params, dim, +1)
     if target is None:
-        target = pointer_state(params, space, -1)
-    amp = evolve_rows(params, space, initial, times) @ target.conj()
+        target = pointer_state(params, dim, -1)
+    amp = evolve_rows(params, dim, initial, times) @ target.conj()
     return amp.real**2 + amp.imag**2
 
 
-def interaction_picture_potential(params: JCParams, space: FockSpace,
+def interaction_picture_potential(params: JCParams, d: int,
                                   t: float) -> np.ndarray:
     """Interaction-picture tunneling term nu e^{i H0 t} sigma_1 e^{-i H0 t}.
 
@@ -322,23 +321,22 @@ def interaction_picture_potential(params: JCParams, space: FockSpace,
     e^{-i w n t} D(zeta_0), assembled from exactly unitary factors, so the
     result is Hermitian with unitary blocks by construction.
     """
-    s_t = _tunneling_block(params, space, t)
-    d = space.dim
+    s_t = _tunneling_block(params, d, t)
     out = np.zeros((2 * d, 2 * d), dtype=complex)
     out[:d, d:] = params.nu * s_t
     out[d:, :d] = params.nu * s_t.conj().T
     return out
 
 
-def _tunneling_block(params: JCParams, space: FockSpace, t: float) -> np.ndarray:
-    d_z = displacement(space, params.zeta0)
-    rot = np.exp(1j * params.omega * np.arange(space.dim) * t)
-    d_mid = displacement(space, -2.0 * params.zeta0)
+def _tunneling_block(params: JCParams, dim: int, t: float) -> np.ndarray:
+    d_z = displacement(dim, params.zeta0)
+    rot = np.exp(1j * params.omega * np.arange(dim) * t)
+    d_mid = displacement(dim, -2.0 * params.zeta0)
     inner = (rot[:, None] * d_mid) * rot.conj()[None, :]
     return d_z @ inner @ d_z
 
 
-def tunneling_block_time_average(params: JCParams, space: FockSpace, t: float,
+def tunneling_block_time_average(params: JCParams, d: int, t: float,
                                  nodes: int = 4000) -> np.ndarray:
     """(1/t) Integral_0^t S(s) ds by the trapezoid rule.
 
@@ -350,11 +348,10 @@ def tunneling_block_time_average(params: JCParams, space: FockSpace, t: float,
     if t <= 0:
         raise ValueError("average needs a positive time window")
     ss = np.linspace(0.0, t, nodes)
-    d_z = displacement(space, params.zeta0)
-    d_mid = displacement(space, -2.0 * params.zeta0)
+    d_z = displacement(d, params.zeta0)
+    d_mid = displacement(d, -2.0 * params.zeta0)
     # Element (m, n) of the rotated block carries e^{i omega (m - n) s}, so
     # the average is d_mid times one kernel over level differences m - n.
-    d = space.dim
     lags = np.arange(1 - d, d)
     kernel = np.trapezoid(np.exp(1j * params.omega * np.outer(ss, lags)), ss, axis=0) / t
     levels = np.arange(d)
@@ -372,7 +369,7 @@ def matrix_exponential(op: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     return result
 
 
-def stationary_state_check(params: JCParams, space: FockSpace, t: float,
+def stationary_state_check(params: JCParams, dim: int, t: float,
                            sign: int) -> float:
     """Residual || e^{-i H0 t} |s zeta_0, s> - e^{i g^2 t / omega} |s zeta_0, s> ||.
 
@@ -380,21 +377,21 @@ def stationary_state_check(params: JCParams, space: FockSpace, t: float,
     residual is a pure truncation diagnostic (<= 1e-8 at D = 64 for
     |zeta_0| <= 2).
     """
-    h0 = total_hamiltonian(JCParams(0.0, params.omega, params.g), space)
-    psi = pointer_state(params, space, sign)
+    h0 = total_hamiltonian(JCParams(0.0, params.omega, params.g), dim)
+    psi = pointer_state(params, dim, sign)
     evolved = expm(-1j * h0 * t) @ psi
     expected = np.exp(1j * params.g**2 * t / params.omega) * psi
     return float(np.linalg.norm(evolved - expected))
 
 
-def hamiltonian_step_count(params: JCParams, space: FockSpace, t: float,
+def hamiltonian_step_count(params: JCParams, dim: int, t: float,
                            max_step_norm: float = MAX_STEP_NORM) -> int:
     """Smallest step count with ||H|| t / steps <= max_step_norm."""
-    h_norm = float(np.linalg.norm(total_hamiltonian(params, space), 2))
+    h_norm = float(np.linalg.norm(total_hamiltonian(params, dim), 2))
     return max(1, int(np.ceil(h_norm * abs(t) / max_step_norm)))
 
 
-def exact_propagate(params: JCParams, space: FockSpace, state: np.ndarray,
+def exact_propagate(params: JCParams, dim: int, state: np.ndarray,
                     t: float, steps: int) -> np.ndarray:
     """Integrate the full H by repeated application of exp(-i H t / steps)
     to a (2D,) composite vector.
@@ -403,12 +400,12 @@ def exact_propagate(params: JCParams, space: FockSpace, state: np.ndarray,
     exponential is exactly unitary, so the norm is preserved.  Its cost
     grows as ||H|| t.
     """
-    h = total_hamiltonian(params, space)
+    h = total_hamiltonian(params, dim)
     h_norm = float(np.linalg.norm(h, 2))
     if h_norm * abs(t) / steps > MAX_STEP_NORM * (1.0 + 1e-9):
         raise ValueError(
             f"step too large: ||H|| t / steps = {h_norm * abs(t) / steps:.3g} "
-            f"> {MAX_STEP_NORM}; need steps >= {hamiltonian_step_count(params, space, t)}"
+            f"> {MAX_STEP_NORM}; need steps >= {hamiltonian_step_count(params, dim, t)}"
         )
     u_step = expm(-1j * h * (t / steps))
     for _ in range(steps):

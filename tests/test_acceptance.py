@@ -16,7 +16,7 @@ from scipy.linalg import expm
 from gravcat import jc
 from gravcat import measurement as ms
 from gravcat.density import density_mean
-from gravcat.fock import FockSpace, coherent_state
+from gravcat.fock import coherent_state
 import oracles
 from oracles import BoxSampling, cat, exact_propagate, gaussian, hamiltonian_step_count
 
@@ -126,22 +126,22 @@ def test_criterion_3_non_markovianity_witness():
 
 def test_criterion_4_adiabatic_propagator():
     start = time.perf_counter()
-    space = FockSpace(64)
+    dim = 64
     params = jc.JCParams(nu=0.0, omega=1.0, g=2.0)
-    h0 = jc.total_hamiltonian(params, space)
-    vac = np.zeros(space.dim, dtype=complex)
+    h0 = jc.total_hamiltonian(params, dim)
+    vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0
     inits = [
-        jc.pointer_state(params, space, +1),
+        jc.pointer_state(params, dim, +1),
         np.concatenate([vac, vac]) / np.sqrt(2.0),
     ]
     worst = 0.0
     for omega_t in (np.pi, 4.0 * np.pi, 10.0 * np.pi):
-        closed = oracles.adiabatic_propagator(params, space, omega_t)
+        closed = oracles.adiabatic_propagator(params, dim, omega_t)
         direct = expm(-1j * h0 * omega_t)
-        steps = hamiltonian_step_count(params, space, omega_t)
+        steps = hamiltonian_step_count(params, dim, omega_t)
         for vec in inits:
-            stepped = exact_propagate(params, space, vec, omega_t, steps)
+            stepped = exact_propagate(params, dim, vec, omega_t, steps)
             routes = (closed @ vec, direct @ vec, stepped)
             for a, b in itertools.combinations(routes, 2):
                 worst = max(worst, 1.0 - abs(np.vdot(a, b)) ** 2)
@@ -161,16 +161,16 @@ def test_criterion_5_rabi_oscillations():
     Rabi oscillations sin^2(nu_eff t) at the dressed rate
     nu_eff = nu exp(-2 |zeta_0|^2), with a deviation that shrinks with
     nu/omega; the low doublet splitting of H is 2 nu_eff."""
-    space = FockSpace(64)
+    dim = 64
     devs, peaks, split_errs = [], [], []
     for nu in (0.1, 0.05, 0.025):
         params = jc.JCParams(nu=nu, omega=1.0, g=1.0)
         nu_eff = nu * np.exp(-2.0 * abs(params.zeta0) ** 2)
         times = np.linspace(0.0, np.pi / nu_eff, 17)
-        p = oracles.transition_probability_series(params, space, times)
+        p = oracles.transition_probability_series(params, dim, times)
         devs.append(float(np.max(np.abs(p - np.sin(nu_eff * times) ** 2))))
         peaks.append(float(np.max(p)))
-        levels = np.linalg.eigvalsh(jc.total_hamiltonian(params, space))
+        levels = np.linalg.eigvalsh(jc.total_hamiltonian(params, dim))
         split_errs.append(abs((levels[1] - levels[0]) / (2.0 * nu_eff) - 1.0))
     ok = (
         devs[0] <= 0.05
@@ -190,10 +190,10 @@ def test_criterion_5_rabi_oscillations():
 
 
 def test_criterion_6_cat_probe_distinguishability():
-    space = FockSpace(64)
+    dim = 64
     worst_overlap = 0.0
     for zeta0 in (0.5, 1.0, 1.5, 2.0):
-        got = abs(np.vdot(coherent_state(space, zeta0), coherent_state(space, -zeta0))) ** 2
+        got = abs(np.vdot(coherent_state(dim, zeta0), coherent_state(dim, -zeta0))) ** 2
         worst_overlap = max(worst_overlap, abs(got - np.exp(-4.0 * zeta0**2)))
 
     worst_purity = 0.0
@@ -202,7 +202,7 @@ def test_criterion_6_cat_probe_distinguishability():
         params = jc.JCParams(nu=0.0, omega=1.0, g=g)
         bound = np.exp(-4.0 * abs(params.zeta0) ** 2) + 1e-8
         for omega_t in (np.pi / 2, np.pi):
-            st = oracles.evolved_cat(w, w, params, space, omega_t)
+            st = oracles.evolved_cat(w, w, params, dim, omega_t)
             val = oracles.purity(oracles.reduced_oscillator_state(st))
             worst_purity = max(worst_purity, (val - 0.5) / bound)
     ok = worst_overlap < 1e-8 and worst_purity <= 1.0

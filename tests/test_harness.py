@@ -841,6 +841,64 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"gravcat: config error: {message}"), err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind,reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("unreadable", "Permission denied"),
+    ])
+    def test_unreadable_config_path_is_config_error(self, tmp_path, capfd, monkeypatch, kind,
+                                                    reason):
+        # a directory was an internal failure ("[Errno 21] Is a directory", exit 4);
+        # a file the process may not read is simulated, since root reads any file
+        cfg = tmp_path / "c.json"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "unreadable":
+            cfg.write_text(json.dumps(G2S_CFG))
+
+            def refuse(path, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(Path, "read_text", refuse)
+        assert main(["g2s-correlations", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capfd.readouterr().err.splitlines()
+        assert err == [f"gravcat: config error: cannot read config {cfg}: {reason}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("parts", [
+        (1e308, 1e308, 1e308, 1e308),
+        (1.7e308, 1.7e308, 0.0, 0.0),
+        (5e-324, 5e-324, 0.0, 0.0),
+    ], ids=["overflowing", "overflowing-abs", "subnormal"])
+    def test_amplitude_norm_outside_normal_floats_is_regime_error(self, tmp_path, capfd, parts):
+        # the norm overflowed with three lines of RuntimeWarning, then "squared
+        # norm 0.0" (exit 2); abs(complex) of the 1.7e308 parts raised (exit 4);
+        # the subnormal one gave "squared norm 2.0000000000000004" (exit 2)
+        keys = ("g2s.c_plus_re", "g2s.c_plus_im", "g2s.c_minus_re", "g2s.c_minus_im")
+        cfg = write_config(tmp_path, "c.json", {**G2S_CFG, **dict(zip(keys, parts))})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["g2s-correlations", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and "amplitude norm" in err[0] and "not a normal float" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"jc.omega": 1e300, "jc.nu_over_omega": 1e10},
+        {"jc.omega": 1e100, "jc.nu_over_omega": 1e300},
+        {"jc.omega": 1e100, "jc.g_over_omega": 1e300},
+    ], ids=["nu-and-omega-cubed", "nu", "g"])
+    def test_derived_jc_overflow_is_regime_error(self, tmp_path, capfd, payload):
+        # nu = nu_over_omega omega or g = g_over_omega omega overflows; JCParams
+        # refused them as a config error (exit 2), though each key is in its domain
+        cfg = write_config(tmp_path, "c.json", {**JC_CFG, **payload})
+        assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].endswith(": nu, g, omega^3 or 2 |zeta_0|^2 omega^3 is not finite"), err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("experiment,payload,code", [
         ("force-trajectories", {**FORCE_CFG, "force.count": 10**400}, 3),
         ("force-trajectories", {**FORCE_CFG, "force.steps": 10**400}, 3),
@@ -973,7 +1031,7 @@ class TestCli:
         ("jc.dim", 1),
     ])
     def test_out_of_range_jc_value_is_config_error(self, tmp_path, key, value):
-        # rejected by JCParams and FockSpace themselves, before the cutoff check
+        # rejected by resolve_config against the SCHEMAS domains, before the runner
         cfg = write_config(tmp_path, "c.json", {**JC_CFG, key: value})
         assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "manifest.json").exists()
@@ -1020,6 +1078,23 @@ class TestCli:
         ("density-suite", {"density.s_x": 2.574e-67, "density.m": 2.964e67}),
         ("density-suite", {"density.s_x": 9.755e-66, "density.sigma": 6.255e48}),
         ("density-suite", {"density.s_x": 1e-60, "density.sigma": 1e40}),
+        # each term of an up-front scale check, outside the normal floats alone
+        # (above: nu (t_max - t_min) at t_min -1e308, 2 |zeta_0|^2 omega^3 at
+        # omega 1e300): g2s m^2, ell^6, m^2 / ell^6 and nu t
+        ("g2s-correlations", {**G2S_CFG, "g2s.m": 1e-155, "g2s.ell": 1e-3}),
+        ("g2s-correlations", {**G2S_CFG, "g2s.m": 1e-150, "g2s.ell": 2e-52}),
+        ("g2s-correlations", {**G2S_CFG, "g2s.m": 1e100, "g2s.ell": 1e-40}),
+        ("g2s-correlations", {"g2s.nu": 10.0, "grid.t_min": 1e308, "grid.t_max": 1e308,
+                              "grid.t_count": 4}),
+        # jc nu and the step t_max / (samples - 1)
+        ("jc-suite", {**JC_CFG, "jc.omega": 1e100, "jc.nu_over_omega": 1e300}),
+        ("jc-suite", {"jc.nu_t_max": 1e-310}),
+        # density m^3, m / ell^3, m^2 / ell^2, (m s_x^2)^2 and the squared peak density
+        ("density-suite", {"density.m": 1e110, "density.s_x": 1e20}),
+        ("density-suite", {"density.m": 1e-60, "density.s_x": 1e83, "density.sigma": 1e14}),
+        ("density-suite", {"density.m": 1e-95, "density.s_x": 1e65, "density.sigma": 1e-48}),
+        ("density-suite", {"density.m": 1e100, "density.s_x": 1e100}),
+        ("density-suite", {"density.sigma": 1e-60}),
     ])
     def test_out_of_range_scale_is_regime_error(self, tmp_path, capfd, experiment, payload):
         # a Python-float ** overflowed (OverflowError) or ell^6 underflowed
@@ -1073,6 +1148,32 @@ class TestCli:
         kind = "config error" if code == 2 else "regime rejection"
         assert len(err) == 1 and err[0].startswith(f"gravcat: {kind}: ")
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("payload,code", [
+        ({"density.state": "cat", "density.L": 0.0}, 2),
+        ({"density.state": "cat", "density.L": -5e-324}, 2),
+        ({"density.state": "cat", "density.L": 1e-300}, 0),
+        ({"density.state": "gaussian", "density.L": 0.0}, 0),
+    ], ids=["cat-at-0", "cat-whose-half-separation-underflows", "cat-at-1e-300", "gaussian-at-0"])
+    def test_only_a_cat_with_coincident_branches_is_config_error(self, tmp_path, capfd, payload,
+                                                                  code):
+        # |L| / 2 is 0 for the first two; a Gaussian ignores density.L
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["density-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        err = capfd.readouterr().err.splitlines()
+        assert err == ([] if code == 0 else
+                       [f"gravcat: config error: density.L = {payload['density.L']!r}: "
+                        "the cat's two branches coincide"])
+
+    def test_unresolved_wigner_grid_is_regime_error(self, tmp_path, capfd):
+        # 257 positions over a cat 300 spreads wide miss each branch's bump,
+        # so the grid's trapezoid normalization misses 1 by 5e-6
+        cfg = write_config(tmp_path, "c.json", {"density.state": "cat", "density.L": 300.0})
+        assert main(["density-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gravcat: regime rejection: Wigner "
+                                                   "normalization 0.99999"), err
+        assert not (tmp_path / "o").exists()
 
     def test_unresolvable_fringes_give_a_short_message(self, tmp_path, capfd):
         # the momentum count the fringes need is a 201-digit integer here

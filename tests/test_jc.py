@@ -16,7 +16,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
-from gravcat.fock import FockSpace, coherent_state, displacement
+from gravcat.fock import coherent_state, displacement
 from gravcat.jc import (
     JCParams,
     distinguishability,
@@ -44,18 +44,18 @@ from oracles import (
     tunneling_block_time_average,
 )
 
-SPACE = FockSpace(64)
+DIM = 64
 DEEP = JCParams(nu=0.0, omega=1.0, g=2.0)  # zeta_0 = -2, deep strong coupling
 # Stepped pointer-swap runs at |zeta_0| = 1: the largest displacement they
 # touch is 2 zeta_0, whose vacuum image leaks 1.5e-18 past D = 32, far
 # below fock.TRUNCATION_LEAK_BOUND, at a third of the cost of D = 64.
-SWAP_SPACE = FockSpace(32)
+SWAP_DIM = 32
 
 
-def random_state(space: FockSpace, rng) -> np.ndarray:
+def random_state(dim: int, rng) -> np.ndarray:
     """A normalized (2D,) composite vector with random complex amplitudes in
     both blocks, so no pointer-state reduction applies."""
-    vec = rng.normal(size=2 * space.dim) + 1j * rng.normal(size=2 * space.dim)
+    vec = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
     return vec / np.linalg.norm(vec)
 
 
@@ -66,19 +66,19 @@ def dressed_rate(params: JCParams) -> float:
 
 class TestTotalHamiltonian:
     def test_bare_oscillator_spectrum(self):
-        h = total_hamiltonian(JCParams(0.0, 1.3, 0.0), FockSpace(16))
+        h = total_hamiltonian(JCParams(0.0, 1.3, 0.0), 16)
         vals = np.sort(np.linalg.eigvalsh(h))
         expected = np.sort(np.concatenate([1.3 * np.arange(16)] * 2))
         assert np.allclose(vals, expected, atol=1e-12)
 
     def test_displaced_ground_energy(self):
         for g in (1.0, 2.0):
-            h = total_hamiltonian(JCParams(0.0, 1.0, g), SPACE)
+            h = total_hamiltonian(JCParams(0.0, 1.0, g), DIM)
             ground = np.linalg.eigvalsh(h)[0]
             assert abs(ground + g**2) < 1e-8
 
     def test_hermitian(self):
-        h = total_hamiltonian(JCParams(0.7, 1.2, -0.9), FockSpace(20))
+        h = total_hamiltonian(JCParams(0.7, 1.2, -0.9), 20)
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
     @pytest.mark.parametrize("params", [JCParams(0.05, 1.0, 1.0), JCParams(0.7, 1.2, -0.9),
@@ -87,19 +87,19 @@ class TestTotalHamiltonian:
     def test_equals_kron_form(self, params, dim):
         # the blocks filled in place hold the same values as the sum of
         # three Kronecker products, element for element
-        h = total_hamiltonian(params, FockSpace(dim))
+        h = total_hamiltonian(params, dim)
         assert h.shape == (2 * dim, 2 * dim) and h.dtype == complex
-        assert np.array_equal(h, kron_hamiltonian(params, FockSpace(dim)))
+        assert np.array_equal(h, kron_hamiltonian(params, dim))
 
 
 class TestAdiabaticPropagator:
     def test_identity_at_zero(self):
-        u = adiabatic_propagator(DEEP, SPACE, 0.0)
-        assert np.max(np.abs(u - np.eye(2 * SPACE.dim))) < 1e-12
+        u = adiabatic_propagator(DEEP, DIM, 0.0)
+        assert np.max(np.abs(u - np.eye(2 * DIM))) < 1e-12
 
     def test_unitarity(self):
-        u = adiabatic_propagator(DEEP, SPACE, 10.0 * np.pi)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(2 * SPACE.dim))) < 1e-9
+        u = adiabatic_propagator(DEEP, DIM, 10.0 * np.pi)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2 * DIM))) < 1e-9
 
     def test_matches_matrix_exponential_on_faithful_block(self):
         # exp(-i H0 t) of the truncated H0 agrees with the closed form on
@@ -107,10 +107,10 @@ class TestAdiabaticPropagator:
         # ((sqrt(n) + 2 g / omega)^2 << D); higher columns are corrupted by
         # any truncation.
         t = 10.0 * np.pi
-        h0 = total_hamiltonian(DEEP, SPACE)
+        h0 = total_hamiltonian(DEEP, DIM)
         direct = expm(-1j * h0 * t)
-        closed = adiabatic_propagator(DEEP, SPACE, t)
-        d = SPACE.dim
+        closed = adiabatic_propagator(DEEP, DIM, t)
+        d = DIM
         block = 6
         for off_r, off_c in ((0, 0), (0, d), (d, 0), (d, d)):
             diff = np.abs(
@@ -121,23 +121,23 @@ class TestAdiabaticPropagator:
 
     def test_matches_matrix_exponential_on_states(self):
         t = 10.0 * np.pi
-        h0 = total_hamiltonian(DEEP, SPACE)
+        h0 = total_hamiltonian(DEEP, DIM)
         direct = expm(-1j * h0 * t)
-        closed = adiabatic_propagator(DEEP, SPACE, t)
+        closed = adiabatic_propagator(DEEP, DIM, t)
         mixed = np.concatenate(
-            [coherent_state(SPACE, -2.0), coherent_state(SPACE, 0.0)]
+            [coherent_state(DIM, -2.0), coherent_state(DIM, 0.0)]
         ) / np.sqrt(2.0)
-        for vec in (mixed, pointer_state(DEEP, SPACE, +1)):
+        for vec in (mixed, pointer_state(DEEP, DIM, +1)):
             fid = abs(np.vdot(direct @ vec, closed @ vec)) ** 2
             assert fid >= 1.0 - 1e-8
 
 
 class TestEvolvedCat:
     def test_vacuum_at_zero_time(self):
-        st = evolved_cat(0.6, 0.8, DEEP, SPACE, 0.0)
+        st = evolved_cat(0.6, 0.8, DEEP, DIM, 0.0)
         assert abs(abs(st[0]) - 0.6) < 1e-12
-        assert abs(abs(st[SPACE.dim]) - 0.8) < 1e-12
-        assert np.max(np.abs(st[1 : SPACE.dim])) < 1e-12
+        assert abs(abs(st[DIM]) - 0.8) < 1e-12
+        assert np.max(np.abs(st[1 : DIM])) < 1e-12
 
     def test_maximal_excursion(self):
         t = np.pi / DEEP.omega
@@ -146,11 +146,11 @@ class TestEvolvedCat:
     def test_matches_propagator(self):
         c_plus, c_minus = 1.0 / np.sqrt(2), 1j / np.sqrt(2)
         for omega_t in (0.7, np.pi, 8.0):
-            st = evolved_cat(c_plus, c_minus, DEEP, SPACE, omega_t)
-            vac = np.zeros(SPACE.dim, dtype=complex)
+            st = evolved_cat(c_plus, c_minus, DEEP, DIM, omega_t)
+            vac = np.zeros(DIM, dtype=complex)
             vac[0] = 1.0
             init = np.concatenate([c_plus * vac, c_minus * vac])
-            ref = adiabatic_propagator(DEEP, SPACE, omega_t) @ init
+            ref = adiabatic_propagator(DEEP, DIM, omega_t) @ init
             fid = abs(np.vdot(ref, st)) ** 2
             assert fid >= 1.0 - 1e-8
             # the global phase is part of the contract, not just the ray
@@ -159,14 +159,14 @@ class TestEvolvedCat:
 
 class TestReducedState:
     def test_single_branch_is_pure(self):
-        st = evolved_cat(1.0, 0.0, DEEP, SPACE, 1.3)
+        st = evolved_cat(1.0, 0.0, DEEP, DIM, 1.3)
         rho = reduced_oscillator_state(st)
         assert abs(purity(rho) - 1.0) < 1e-10
 
     def test_balanced_cat_purity(self):
         w = 1.0 / np.sqrt(2.0)
         for omega_t in (np.pi / 2, np.pi):
-            st = evolved_cat(w, w, DEEP, SPACE, omega_t)
+            st = evolved_cat(w, w, DEEP, DIM, omega_t)
             rho = reduced_oscillator_state(st)
             zeta = pointer_path(DEEP, omega_t)
             expected = 0.5 * (1.0 + np.exp(-4.0 * abs(zeta) ** 2))
@@ -174,7 +174,7 @@ class TestReducedState:
             assert purity(rho) - 0.5 <= np.exp(-4.0 * abs(DEEP.zeta0) ** 2) + 1e-8
 
     def test_density_matrix_axioms(self):
-        st = evolved_cat(0.8, 0.6j, DEEP, SPACE, 2.2)
+        st = evolved_cat(0.8, 0.6j, DEEP, DIM, 2.2)
         rho = reduced_oscillator_state(st)
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
@@ -183,13 +183,13 @@ class TestReducedState:
     def test_reduced_purity_matches_density_matrix(self):
         rng = np.random.default_rng(11)
         params = JCParams(0.05, 1.0, 1.0)
-        states = [evolved_cat(0.8, 0.6j, DEEP, SPACE, 2.2),
-                  evolved_cat(1.0, 0.0, DEEP, SPACE, 1.3),
-                  random_state(SPACE, rng), random_state(SPACE, rng)]
-        states += list(evolve_rows(params, SPACE, pointer_state(params, SPACE, +1),
+        states = [evolved_cat(0.8, 0.6j, DEEP, DIM, 2.2),
+                  evolved_cat(1.0, 0.0, DEEP, DIM, 1.3),
+                  random_state(DIM, rng), random_state(DIM, rng)]
+        states += list(evolve_rows(params, DIM, pointer_state(params, DIM, +1),
                                    np.linspace(0.0, 40.0, 5)))
         rows = np.array(states)
-        got = reduced_purity(rows[:, :SPACE.dim], rows[:, SPACE.dim:])
+        got = reduced_purity(rows[:, :DIM], rows[:, DIM:])
         expected = [purity(reduced_oscillator_state(st)) for st in states]
         assert np.max(np.abs(got - expected)) <= 1e-13
         assert got.shape == (len(states),)
@@ -197,9 +197,9 @@ class TestReducedState:
     def test_partial_trace_drops_branch_cross_terms(self):
         # the projector on up + down, which ignores the qubit's
         # orthogonality, keeps exactly the cross terms the partial trace drops
-        st = evolved_cat(1 / np.sqrt(2), 1 / np.sqrt(2), DEEP, SPACE, 1.0)
+        st = evolved_cat(1 / np.sqrt(2), 1 / np.sqrt(2), DEEP, DIM, 1.0)
         plain = reduced_oscillator_state(st)
-        up, down = st[: SPACE.dim], st[SPACE.dim :]
+        up, down = st[: DIM], st[DIM :]
         crossed = np.outer(up + down, (up + down).conj())
         expected = plain + np.outer(up, down.conj()) + np.outer(down, up.conj())
         assert np.max(np.abs(crossed - expected)) < 1e-14
@@ -217,8 +217,8 @@ class TestDistinguishability:
 
     def test_matches_truncated_inner_product(self):
         rep = distinguishability(DEEP)
-        plus = coherent_state(SPACE, DEEP.zeta0)
-        minus = coherent_state(SPACE, -DEEP.zeta0)
+        plus = coherent_state(DIM, DEEP.zeta0)
+        minus = coherent_state(DIM, -DEEP.zeta0)
         assert abs(rep["overlap"] - abs(np.vdot(plus, minus)) ** 2) < 1e-8
 
     def test_inequality_report(self):
@@ -232,26 +232,26 @@ class TestDistinguishability:
 class TestPerturbativePropagator:
     def test_identity_at_zero_rate(self):
         params = JCParams(0.0, 1.0, 2.0)
-        u = perturbative_propagator(params, SPACE, 5.0)
-        assert np.max(np.abs(u - np.eye(2 * SPACE.dim))) < 1e-12
+        u = perturbative_propagator(params, DIM, 5.0)
+        assert np.max(np.abs(u - np.eye(2 * DIM))) < 1e-12
 
     def test_quarter_period_blocks(self):
         params = JCParams(0.05, 1.0, 1.0)
         t = 0.5 * np.pi / params.nu
-        u = perturbative_propagator(params, SPACE, t)
-        d = SPACE.dim
+        u = perturbative_propagator(params, DIM, t)
+        d = DIM
         assert np.max(np.abs(u[:d, :d])) < 1e-12
-        expected = -1j * displacement(SPACE, 2.0 * params.zeta0)
+        expected = -1j * displacement(DIM, 2.0 * params.zeta0)
         assert np.max(np.abs(u[:d, d:] - expected)) < 1e-12
 
     def test_unitarity(self):
         params = JCParams(0.05, 1.0, 1.5)
-        u = perturbative_propagator(params, SPACE, 50.0)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(2 * SPACE.dim))) < 1e-8
+        u = perturbative_propagator(params, DIM, 50.0)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2 * DIM))) < 1e-8
 
     def test_regime_warning(self):
         with pytest.warns(RegimeWarning):
-            perturbative_propagator(JCParams(0.5, 1.0, 1.0), SPACE, 50.0)
+            perturbative_propagator(JCParams(0.5, 1.0, 1.0), DIM, 50.0)
 
 
 class TestRabiProbability:
@@ -264,10 +264,10 @@ class TestRabiProbability:
 
     def test_matches_matrix_element(self):
         params = JCParams(0.02, 1.0, 1.2)
-        plus = pointer_state(params, SPACE, +1)
-        minus = pointer_state(params, SPACE, -1)
+        plus = pointer_state(params, DIM, +1)
+        minus = pointer_state(params, DIM, -1)
         for t in (10.0, 17.0, 40.0):
-            u = perturbative_propagator(params, SPACE, t)
+            u = perturbative_propagator(params, DIM, t)
             amp = np.vdot(minus, u @ plus)
             assert abs(abs(amp) ** 2 - rabi_probability(params, t)) < 1e-8
 
@@ -287,18 +287,17 @@ class TestFirstOrderProbabilitySeries:
         # the oracle builds both 2D x 2D block propagators at each time;
         # the times are not uniform and reach omega t > 2 pi and a bare quarter period
         params = JCParams(nu, 1.0, g)
-        space = FockSpace(dim)
         rng = np.random.default_rng(dim + int(100 * g) + int(1000 * nu))
         times = np.array([0.0, 0.4, 3.0, 7.5, 19.0, 0.5 * np.pi / nu, 61.3])
         with warnings.catch_warnings():
             # RegimeWarning, and the truncation warnings of D = 16 at g = 2
             warnings.simplefilter("ignore")
-            pairs = [(pointer_state(params, space, +1), pointer_state(params, space, -1)),
-                     (random_state(space, rng), random_state(space, rng))]
+            pairs = [(pointer_state(params, dim, +1), pointer_state(params, dim, -1)),
+                     (random_state(dim, rng), random_state(dim, rng))]
             for initial, target in pairs:
-                got = first_order_probability_series(params, space, times, initial, target)
-                expected = [abs(np.vdot(target, adiabatic_propagator(params, space, t)
-                                        @ perturbative_propagator(params, space, t) @ initial))
+                got = first_order_probability_series(params, dim, times, initial, target)
+                expected = [abs(np.vdot(target, adiabatic_propagator(params, dim, t)
+                                        @ perturbative_propagator(params, dim, t) @ initial))
                             ** 2 for t in times]
                 assert np.max(np.abs(got - expected)) <= 1e-13
 
@@ -307,37 +306,37 @@ class TestFirstOrderProbabilitySeries:
         params = JCParams(0.05, 1.0, 1.0)
         rng = np.random.default_rng(5)
         times = np.linspace(0.0, 40.0, 9)
-        pointer = first_order_probability_series(params, SPACE, times,
-                                                 pointer_state(params, SPACE, +1),
-                                                 pointer_state(params, SPACE, -1))
+        pointer = first_order_probability_series(params, DIM, times,
+                                                 pointer_state(params, DIM, +1),
+                                                 pointer_state(params, DIM, -1))
         assert np.max(np.abs(pointer - rabi_probability(params, times))) <= 1e-13
-        mixed = first_order_probability_series(params, SPACE, times,
-                                               random_state(SPACE, rng), random_state(SPACE, rng))
+        mixed = first_order_probability_series(params, DIM, times,
+                                               random_state(DIM, rng), random_state(DIM, rng))
         assert np.max(np.abs(mixed - pointer)) > 0.01
 
     def test_does_not_warn_outside_regime(self):
         # perturbative_propagator warns here; the array law does not
         params = JCParams(0.5, 1.0, 1.0)
-        plus, minus = pointer_state(params, SPACE, +1), pointer_state(params, SPACE, -1)
+        plus, minus = pointer_state(params, DIM, +1), pointer_state(params, DIM, -1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = first_order_probability_series(params, SPACE, np.array([0.0, 1.0, 50.0]),
+            p = first_order_probability_series(params, DIM, np.array([0.0, 1.0, 50.0]),
                                                plus, minus)
         assert np.allclose(p, rabi_probability(params, np.array([0.0, 1.0, 50.0])), atol=1e-13)
 
 
 class TestStationaryStates:
     def test_zero_time(self):
-        assert stationary_state_check(JCParams(0.0, 1.0, 1.0), SPACE, 0.0, +1) == 0.0
+        assert stationary_state_check(JCParams(0.0, 1.0, 1.0), DIM, 0.0, +1) == 0.0
 
     def test_residual_satisfies_contract(self):
-        assert stationary_state_check(JCParams(0.0, 1.0, 1.0), SPACE, 2.0 * np.pi, +1) <= 1e-8
-        assert stationary_state_check(JCParams(0.0, 1.0, 2.0), SPACE, 2.0 * np.pi, -1) <= 1e-8
+        assert stationary_state_check(JCParams(0.0, 1.0, 1.0), DIM, 2.0 * np.pi, +1) <= 1e-8
+        assert stationary_state_check(JCParams(0.0, 1.0, 2.0), DIM, 2.0 * np.pi, -1) <= 1e-8
 
     def test_truncation_diagnostic_grows(self):
-        space = FockSpace(32)
+        dim = 32
         vals = [
-            stationary_state_check(JCParams(0.0, 1.0, z), space, 2.0 * np.pi, +1)
+            stationary_state_check(JCParams(0.0, 1.0, z), dim, 2.0 * np.pi, +1)
             for z in (1.0, 2.0, 3.0)
         ]
         assert vals[0] < vals[1] < vals[2]
@@ -346,18 +345,18 @@ class TestStationaryStates:
 class TestExactPropagate:
     def test_matches_closed_form_at_zero_rate(self):
         t = 3.7
-        steps = hamiltonian_step_count(DEEP, SPACE, t)
-        init = evolved_cat(0.6, 0.8, DEEP, SPACE, 0.0)
-        got = exact_propagate(DEEP, SPACE, init, t, steps)
-        expected = evolved_cat(0.6, 0.8, DEEP, SPACE, t)
+        steps = hamiltonian_step_count(DEEP, DIM, t)
+        init = evolved_cat(0.6, 0.8, DEEP, DIM, 0.0)
+        got = exact_propagate(DEEP, DIM, init, t, steps)
+        expected = evolved_cat(0.6, 0.8, DEEP, DIM, t)
         assert abs(np.vdot(got, expected)) ** 2 >= 1.0 - 1e-8
 
     def test_energy_conserved_and_norm_preserved(self):
         params = JCParams(0.05, 1.0, 2.0)
-        h = total_hamiltonian(params, SPACE)
-        st = pointer_state(params, SPACE, +1)
+        h = total_hamiltonian(params, DIM)
+        st = pointer_state(params, DIM, +1)
         t = 100.0 / params.omega
-        out = exact_propagate(params, SPACE, st, t, hamiltonian_step_count(params, SPACE, t))
+        out = exact_propagate(params, DIM, st, t, hamiltonian_step_count(params, DIM, t))
         e0 = np.vdot(st, h @ st).real
         e1 = np.vdot(out, h @ out).real
         assert abs(e1 - e0) <= 1e-8 * abs(e0)
@@ -365,15 +364,15 @@ class TestExactPropagate:
 
     def test_step_size_contract_enforced(self):
         with pytest.raises(ValueError):
-            exact_propagate(DEEP, SPACE, pointer_state(DEEP, SPACE, +1), 10.0, 3)
+            exact_propagate(DEEP, DIM, pointer_state(DEEP, DIM, +1), 10.0, 3)
 
     def test_oracle_chain_closed_form_expm_stepped(self):
         # pairwise fidelity of the three routes at nu = 0
         t = 2.0 * np.pi
-        vec = pointer_state(DEEP, SPACE, +1)
-        closed = adiabatic_propagator(DEEP, SPACE, t) @ vec
-        direct = expm(-1j * total_hamiltonian(DEEP, SPACE) * t) @ vec
-        stepped = exact_propagate(DEEP, SPACE, vec, t, hamiltonian_step_count(DEEP, SPACE, t))
+        vec = pointer_state(DEEP, DIM, +1)
+        closed = adiabatic_propagator(DEEP, DIM, t) @ vec
+        direct = expm(-1j * total_hamiltonian(DEEP, DIM) * t) @ vec
+        stepped = exact_propagate(DEEP, DIM, vec, t, hamiltonian_step_count(DEEP, DIM, t))
         for a, b in ((closed, direct), (closed, stepped), (direct, stepped)):
             assert abs(np.vdot(a, b)) ** 2 >= 1.0 - 1e-8
 
@@ -381,7 +380,7 @@ class TestExactPropagate:
         # exact dynamics: pointer swap oscillates at nu exp(-2 |zeta_0|^2)
         params = JCParams(0.01, 1.0, 2.0)
         times = np.linspace(0.0, np.pi / params.nu, 17)
-        p = transition_probability_series(params, SPACE, times)
+        p = transition_probability_series(params, DIM, times)
         nu_eff = dressed_rate(params)
         assert np.max(np.abs(p - np.sin(nu_eff * times) ** 2)) < 1e-8
 
@@ -394,7 +393,7 @@ class TestExactPropagate:
         params = JCParams(0.05, 1.0, 1.0)
         nu_eff = dressed_rate(params)
         times = np.linspace(0.0, np.pi / nu_eff, 17)
-        p = transition_probability_series(params, SWAP_SPACE, times)
+        p = transition_probability_series(params, SWAP_DIM, times)
         assert np.max(np.abs(p - np.sin(nu_eff * times) ** 2)) <= 0.05
         assert np.max(p) >= 0.99
 
@@ -409,7 +408,7 @@ class TestExactPropagate:
             params = JCParams(nu, 1.0, 1.0)
             nu_eff = dressed_rate(params)
             times = np.linspace(0.0, np.pi / nu_eff, 9)
-            p = transition_probability_series(params, SWAP_SPACE, times)
+            p = transition_probability_series(params, SWAP_DIM, times)
             devs.append(float(np.max(np.abs(p - np.sin(nu_eff * times) ** 2))))
         assert devs[0] <= 0.05
         assert devs[0] > devs[1] > devs[2]
@@ -418,23 +417,23 @@ class TestExactPropagate:
 class TestInteractionPicture:
     def test_zero_time_block_is_identity(self):
         params = JCParams(0.05, 1.0, 1.0)
-        v = interaction_picture_potential(params, SPACE, 0.0)
-        d = SPACE.dim
+        v = interaction_picture_potential(params, DIM, 0.0)
+        d = DIM
         block = v[:d, d:] / params.nu
         assert np.max(np.abs(block - np.eye(d))[:, : d // 2]) < 1e-10
 
     def test_hermitian(self):
         params = JCParams(0.05, 1.0, 1.0)
-        v = interaction_picture_potential(params, SPACE, 7.3)
+        v = interaction_picture_potential(params, DIM, 7.3)
         assert np.max(np.abs(v - v.conj().T)) < 1e-12
 
     def test_time_average_pointer_element_is_dressed(self):
         # the averaged tunneling block connects the pointer states with the
         # dressed weight exp(-2 |zeta_0|^2), not with unit weight
         params = JCParams(0.05, 1.0, -1.0)  # zeta_0 = 1
-        avg = tunneling_block_time_average(params, SPACE, 40.0 * np.pi, nodes=4000)
-        plus = coherent_state(SPACE, params.zeta0)
-        minus = coherent_state(SPACE, -params.zeta0)
+        avg = tunneling_block_time_average(params, DIM, 40.0 * np.pi, nodes=4000)
+        plus = coherent_state(DIM, params.zeta0)
+        minus = coherent_state(DIM, -params.zeta0)
         element = np.vdot(plus, avg @ minus)
         assert abs(element - np.exp(-2.0)) < 1e-9
 
@@ -442,12 +441,12 @@ class TestInteractionPicture:
         # oracle: the trapezoid rule applied node by node to the
         # interaction-picture block S(s) = V(s)[:D, D:] / nu
         params = JCParams(0.05, 1.0, -1.0)
-        t, nodes, d = 7.3, 50, SPACE.dim
+        t, nodes, d = 7.3, 50, DIM
         ss = np.linspace(0.0, t, nodes)
-        blocks = [interaction_picture_potential(params, SPACE, s)[:d, d:] / params.nu
+        blocks = [interaction_picture_potential(params, DIM, s)[:d, d:] / params.nu
                   for s in ss]
         expected = (sum(blocks) - 0.5 * (blocks[0] + blocks[-1])) * (ss[1] - ss[0]) / t
-        got = tunneling_block_time_average(params, SPACE, t, nodes=nodes)
+        got = tunneling_block_time_average(params, DIM, t, nodes=nodes)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_time_average_approaches_pointer_swap(self):
@@ -460,16 +459,16 @@ class TestInteractionPicture:
         D = 64, trapezoid with 4000 nodes."""
         params = JCParams(0.05, 1.0, -1.0)
         zeta = abs(params.zeta0)
-        swap_diag = np.diag(displacement(SPACE, -2.0 * params.zeta0))
-        low = np.arange(SPACE.dim // 2)  # levels the cutoff leaves faithful
+        swap_diag = np.diag(displacement(DIM, -2.0 * params.zeta0))
+        low = np.arange(DIM // 2)  # levels the cutoff leaves faithful
         laguerre = np.exp(-2.0 * zeta**2) * eval_laguerre(low, 4.0 * zeta**2)
         assert np.max(np.abs(swap_diag[low] - laguerre)) < 1e-12
-        d_z = displacement(SPACE, params.zeta0)
+        d_z = displacement(DIM, params.zeta0)
         target = d_z @ np.diag(swap_diag) @ d_z
         scale = np.linalg.norm(target, 2)
         dist = {
             w: np.linalg.norm(
-                tunneling_block_time_average(params, SPACE, w * np.pi, nodes=4000) - target, 2
+                tunneling_block_time_average(params, DIM, w * np.pi, nodes=4000) - target, 2
             ) / scale
             for w in (21.0, 41.0, 40.0)
         }
@@ -485,14 +484,13 @@ class TestEvolveSeries:
         # evolve_rows diagonalises H; exact_propagate steps it from t = 0
         # to each sample independently, at the step count its contract needs
         params = JCParams(0.05, 1.0, g)
-        space = FockSpace(dim)
-        init = pointer_state(params, space, +1)
-        tvec = pointer_state(params, space, -1)
+        init = pointer_state(params, dim, +1)
+        tvec = pointer_state(params, dim, -1)
         times = np.linspace(0.0, 12.0, 4)
-        spectral = evolve_rows(params, space, init, times)
+        spectral = evolve_rows(params, dim, init, times)
         for t, row in zip(times, spectral):
-            stepped = exact_propagate(params, space, init, t,
-                                      hamiltonian_step_count(params, space, t))
+            stepped = exact_propagate(params, dim, init, t,
+                                      hamiltonian_step_count(params, dim, t))
             assert np.linalg.norm(row - stepped) <= 1e-10
             assert abs(abs(np.vdot(tvec, row)) ** 2 - abs(np.vdot(tvec, stepped)) ** 2) <= 1e-11
 
@@ -505,19 +503,19 @@ class TestEvolveSeries:
         params = JCParams(0.01, 1.0, 2.0)
         nu_eff = dressed_rate(params)
         times = np.linspace(0.0, np.pi / nu_eff, 17)
-        p = transition_probability_series(params, SPACE, times)
+        p = transition_probability_series(params, DIM, times)
         assert np.max(np.abs(p - np.sin(nu_eff * times) ** 2)) <= 1e-3
         assert np.max(p) >= 0.999
         assert np.max(np.abs(p - rabi_probability(params, times))) > 0.5
 
     def test_rows_are_the_series_vectors(self):
         params = JCParams(0.05, 1.0, 1.0)
-        init = pointer_state(params, SPACE, +1)
+        init = pointer_state(params, DIM, +1)
         times = np.linspace(0.0, 30.0, 6)
-        rows = evolve_rows(params, SPACE, init, times)
-        assert rows.shape == (times.size, 2 * SPACE.dim) and rows.dtype == complex
+        rows = evolve_rows(params, DIM, init, times)
+        assert rows.shape == (times.size, 2 * DIM) and rows.dtype == complex
         assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 1e-12
-        single = evolve_rows(params, SPACE, init, np.zeros(1))
+        single = evolve_rows(params, DIM, init, np.zeros(1))
         assert np.array_equal(single, init[None, :])
         assert not np.shares_memory(single, init)
 
@@ -525,26 +523,26 @@ class TestEvolveSeries:
     def test_composite_vector_of_wrong_shape_rejected(self, shape):
         # dim 64 wants (128,) composite vectors wherever one enters
         params = JCParams(0.05, 1.0, 1.0)
-        good = pointer_state(params, SPACE, +1)
+        good = pointer_state(params, DIM, +1)
         bad = np.zeros(shape, dtype=complex)
         bad.flat[0] = 1.0
         times = np.linspace(0.0, 1.0, 3)
         with pytest.raises(ValueError, match="composite vector"):
-            evolve_rows(params, SPACE, bad, times)
+            evolve_rows(params, DIM, bad, times)
         with pytest.raises(ValueError, match="composite vector"):
-            first_order_probability_series(params, SPACE, times, bad, good)
+            first_order_probability_series(params, DIM, times, bad, good)
         with pytest.raises(ValueError, match="composite vector"):
-            first_order_probability_series(params, SPACE, times, good, bad)
+            first_order_probability_series(params, DIM, times, good, bad)
 
     def test_nonuniform_times_rejected(self):
         with pytest.raises(ValueError):
-            evolve_rows(DEEP, SPACE, pointer_state(DEEP, SPACE, +1),
+            evolve_rows(DEEP, DIM, pointer_state(DEEP, DIM, +1),
                         np.array([0.0, 0.1, 0.3]))
 
     def test_purity_bounds_along_balanced_evolution(self):
         params = JCParams(0.0, 1.0, 1.0)
         w = 1.0 / np.sqrt(2.0)
         for omega_t in np.linspace(0.0, 2.0 * np.pi, 9):
-            st = evolved_cat(w, w, params, SPACE, float(omega_t))
+            st = evolved_cat(w, w, params, DIM, float(omega_t))
             val = purity(reduced_oscillator_state(st))
             assert 0.5 - 1e-8 <= val <= 1.0 + 1e-12

@@ -87,23 +87,6 @@ class TestForceAmplitude:
         assert abs(force_amplitude(ProbeGeometry(L=1.5, y=0.7, m0=3.0)) - 3.0 * base) < 1e-14
 
 
-class TestInputChecks:
-    @pytest.mark.parametrize("kwargs", [
-        {"tau": math.nan}, {"tau": math.inf}, {"nu": math.nan}, {"nu": math.inf},
-    ])
-    def test_schedule_rejects_non_finite(self, kwargs):
-        with pytest.raises(ValueError):
-            MeasurementSchedule(**{"tau": 1.0, "n_steps": 10, "nu": 0.1, **kwargs})
-
-    @pytest.mark.parametrize("kwargs", [
-        {"G": math.nan}, {"m": math.inf}, {"m0": math.nan}, {"L": math.inf},
-        {"y": math.nan}, {"y": math.inf},
-    ])
-    def test_geometry_rejects_non_finite(self, kwargs):
-        with pytest.raises(ValueError):
-            ProbeGeometry(**kwargs)
-
-
 class TestSequenceProbability:
     def test_frozen_dynamics(self):
         s = sched(0.0, n_steps=5)

@@ -208,12 +208,12 @@ def test_walk_finds_an_unreached_definition(tmp_path):
 
 
 def test_walk_finds_an_unread_method_of_a_reached_class(tmp_path):
-    # FockSpace is reached and its `dim` is read; a method nobody reads is not
+    # JCParams is reached and its `g` is read; a method nobody reads is not
     def add_method(text):
-        field = "    dim: int\n"
+        field = "    g: float\n"
         assert field in text
         return text.replace(field, field + "\n    def orphan_member(self):\n"
-                                           "        return self.dim\n", 1)
+                                           "        return self.g\n", 1)
 
-    root = _package_copy(tmp_path, "fock", add_method)
-    assert unreached_definitions(root) == ["fock.FockSpace.orphan_member"]
+    root = _package_copy(tmp_path, "jc", add_method)
+    assert unreached_definitions(root) == ["jc.JCParams.orphan_member"]

@@ -49,31 +49,11 @@ def random_state(rng):
     return QubitState(c[0] / norm, c[1] / norm)
 
 
-class TestTunnelingParams:
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            TunnelingParams(nu=-1.0)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"nu": float("nan")},
-        {"nu": float("inf")},
-        {"nu": 1.0, "chi": float("nan")},
-    ])
-    def test_non_finite_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            TunnelingParams(**kwargs)
-
-
 class TestQubitState:
     @pytest.mark.parametrize("amps", [(float("nan"), 0.0), (1.0, complex(0.0, float("inf")))])
     def test_non_finite_amplitudes_rejected(self, amps):
         with pytest.raises(ValueError):
             QubitState(*amps)
-
-    @pytest.mark.parametrize("m,ell", [(float("nan"), 1.0), (1.0, float("inf")), (0.0, 1.0)])
-    def test_density_params_must_be_positive_and_finite(self, m, ell):
-        with pytest.raises(ValueError):
-            SmearedDensityParams(m, ell)
 
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
