@@ -434,6 +434,16 @@ class TestConfigHandling:
         ("jc-suite", "jc.dim", 1, ">= 2"),
         ("density-suite", "density.state", "dog", "one of ('gaussian', 'cat')"),
         ("density-suite", "seed", -1, ">= 0"),
+        # the keys whose library records no longer check their own ranges
+        ("g2s-correlations", "g2s.nu", -1.0, ">= 0"),
+        ("g2s-correlations", "g2s.nu", float("nan"), ">= 0"),
+        ("g2s-correlations", "g2s.m", 0.0, "> 0"),
+        ("g2s-correlations", "g2s.ell", float("inf"), "> 0"),
+        ("force-trajectories", "force.nu", float("inf"), ">= 0"),
+        ("force-trajectories", "probe.G", float("nan"), "> 0"),
+        ("force-trajectories", "probe.L", float("inf"), "> 0"),
+        ("density-suite", "density.sigma", -1.0, "> 0"),
+        ("density-suite", "density.s_x", float("inf"), "> 0"),
     ])
     def test_out_of_domain_value_names_its_domain(self, experiment, key, value, domain):
         with pytest.raises(ConfigError) as info:
