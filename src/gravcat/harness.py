@@ -550,6 +550,10 @@ def _run_force(cfg: ExperimentConfig):
     if count * (n + 1) ** 2 > 2**53:
         raise RegimeError(f"force.count = {_show(count)}, force.steps = {_show(n)}: "
                           "count (N+1)^2 exceeds 2^53, past exact float lag sums")
+    if count * -(-(n + 1) // 64) > ms.MAX_RECORD_WORDS:
+        raise RegimeError(f"force.count = {_show(count)}, force.steps = {_show(n)}: "
+                          "count ceil((N+1)/64) record words exceed 2^38, hours to days "
+                          "of sampling")
     # the sampler takes sin(nu tau / 2), the fit Gamma = nu^2 tau / 2, readings run to N tau
     _require_scales(f"force.nu = {nu:.3g}, force.tau = {tau:.3g}, force.steps = {_show(n)}: "
                     "nu tau, nu^2 tau / 2 or N tau is not finite",

@@ -1251,6 +1251,10 @@ class TestCli:
         # would no longer be exact integers
         ("force-trajectories", {**FORCE_CFG, "force.steps": 10**7, "force.count": 100},
          "count (N+1)^2 exceeds 2^53", "measurement.sample_trajectories"),
+        # 10^12 one-word records pass the 2^53 bound (1.7e15) but would take
+        # about 15 hours at the fastest measured rate
+        ("force-trajectories", {**FORCE_CFG, "force.count": 10**12},
+         "record words exceed 2^38", "measurement.sample_trajectories"),
         # at the default ratios the phase bound lets jc.dim 10^4 through (max
         # |E| t about 4.9e9), but one (2D x 2D) complex matrix takes 6.4 GB
         ("jc-suite", {"jc.dim": 10**4}, "2D x 2D exceeds", "jc.pointer_state"),
@@ -1283,6 +1287,12 @@ class TestCli:
         ("g2s-correlations", G2S_CFG, "grid.t_count", 23169, "two_state.mean_density"),
         # (32768, 2 * 64) rows hold 2^22 elements, jc.MAX_MATRIX_ELEMENTS
         ("jc-suite", {}, "jc.samples", 32768, "jc.pointer_state"),
+        # count ceil((N+1)/64) words <= measurement.MAX_RECORD_WORDS = 2^38:
+        # one word a record at 63 steps, two at 64
+        ("force-trajectories", {**FORCE_CFG, "force.steps": 63}, "force.count", 2**38,
+         "measurement.sample_trajectories"),
+        ("force-trajectories", {**FORCE_CFG, "force.steps": 64}, "force.count", 2**37,
+         "measurement.sample_trajectories"),
     ])
     def test_size_bound_is_exact(self, tmp_path, capfd, monkeypatch, experiment, payload, key,
                                  largest, first_allocation):
