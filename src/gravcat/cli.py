@@ -2,7 +2,7 @@
 
 Commands: g2s-correlations | force-trajectories | jc-suite | density-suite.
 Exit codes: 0 success, 2 config error, 3 numerical-regime rejection,
-4 internal invariant failure.
+4 internal invariant failure (with its traceback).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import sys
 # numpy.  At OpenBLAS's default, 28, each idle worker busy-waits 2^28 cycles
 # (about 0.1 s) at load and after every threaded call: 30-45% of the CPU time
 # of a benchmark run on 2 CPUs.  At 24 it waits a few ms.  Shorter waits
-# slowed a large eigh, whose many BLAS calls had to wake the workers again
-# (jc-suite at jc.dim 512: 22% slower at 4, 4% at 20).  A value already in
-# the environment is kept.
+# did not speed a large eigh, whose many BLAS calls must wake the workers
+# again (jc-suite at jc.dim 512: 0.247 s at 24, 0.245 s at 20, 0.253 s at
+# 4).  A value already in the environment is kept.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
 
 from .harness import (  # noqa: E402 - numpy loads OpenBLAS here
@@ -57,11 +57,10 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"gravcat: regime rejection: {exc}", file=sys.stderr)
         return 3
-    except GravcatError as exc:
-        print(f"gravcat: internal invariant failure: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # noqa: BLE001 - map anything unexpected to code 4
-        print(f"gravcat: internal failure: {exc}", file=sys.stderr)
+        kind = "internal invariant failure" if isinstance(exc, GravcatError) else "internal failure"
+        print(f"gravcat: {kind}: {exc}", file=sys.stderr)
+        sys.excepthook(*sys.exc_info())  # the traceback, to stderr
         return 4
     print(f"gravcat: wrote {len(manifest['artifacts'])} artifacts to {cfg.output_dir}")
     return 0

@@ -1,14 +1,14 @@
 """Truncated harmonic-oscillator Hilbert space.
 
-Dense complex linear algebra on the number basis |0>, ..., |D-1> with
-hbar = 1 and <n-1|a|n> = sqrt(n): operators are plain (D, D) complex
-arrays and states (D,) vectors, and the cutoff is the integer D.  The
-truncated displacement generator w a^dag - conj(w) a equals
--i |w| R K R^dag with the Hermitian K = i (a^dag - a) and the phase
-rotation R = diag(e^{i n arg w}), so every displacement of a cutoff is
-built from one cached eigendecomposition of K:
-D(w) = R V e^{-i |w| E} V^dag R^dag.  The result is unitary to machine
-precision regardless of the cutoff.  Truncation error instead shows up as
+Dense linear algebra on the number basis |0>, ..., |D-1> with hbar = 1
+and <n-1|a|n> = sqrt(n): operators are plain (D, D) arrays and states (D,)
+complex vectors, and the cutoff is the integer D.  The truncated generator
+w a^dag - conj(w) a equals -i |w| P X P^dag with the real tridiagonal
+X = a + a^dag and P = diag(e^{i n arg w} i^n), so every displacement of a
+cutoff is built from one cached real eigendecomposition X = V diag(E) V^T:
+D(w) = P (V cos(|w| E) V^T - i V sin(|w| E) V^T) P^dag, two real products
+and an elementwise phase.  The result is unitary to machine precision
+regardless of the cutoff.  Truncation error instead shows up as
 leakage of displaced states past the top level, which
 `vacuum_truncation_leak` quantifies analytically.
 
@@ -35,12 +35,11 @@ class TruncationInadequateWarning(UserWarning):
     """Displacement pushes significant amplitude past the Fock cutoff."""
 
 
-def ladder_operators(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation operators (a, a^dag) as (D, D) arrays."""
-    a = np.zeros((d, d), dtype=complex)
-    ns = np.arange(1, d)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a, a.conj().T
+def quadrature(d: int) -> np.ndarray:
+    """a + a^dag as a real (D, D) tridiagonal array, sqrt(n) beside the
+    diagonal."""
+    off = np.sqrt(np.arange(1.0, d))
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def vacuum_truncation_leak(d: int, w: complex) -> float:
@@ -98,17 +97,19 @@ def _displacement_matrix(d: int, w: complex) -> np.ndarray:
         mat = np.eye(d, dtype=complex)
     else:
         energies, vecs = _generator_eigh(d)
-        rotated = np.exp(1j * np.angle(w) * np.arange(d))[:, None] * vecs
-        mat = (rotated * np.exp(-1j * abs(w) * energies)) @ rotated.conj().T
+        angle = abs(w) * energies
+        mat = (vecs * np.cos(angle)) @ vecs.T - 1j * ((vecs * np.sin(angle)) @ vecs.T)
+        n = np.arange(d)
+        phase = np.exp(1j * np.angle(w) * n) * 1j ** (n % 4)  # exact powers of i
+        mat *= np.outer(phase, phase.conj())
     mat.setflags(write=False)
     return mat
 
 
 @functools.lru_cache(maxsize=8)
 def _generator_eigh(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the Hermitian generator K = i (a^dag - a)."""
-    a, adag = ladder_operators(d)
-    return np.linalg.eigh(1j * (adag - a))
+    """Real eigendecomposition of a + a^dag, which diag(i^n) carries into i (a^dag - a)."""
+    return np.linalg.eigh(quadrature(d))
 
 
 def coherent_state(d: int, zeta: complex) -> np.ndarray:

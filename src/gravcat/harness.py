@@ -619,11 +619,11 @@ def _run_jc(cfg: ExperimentConfig):
     _require_scales(f"jc.omega = {omega:.3g}, nu = {params.nu:.3g}, g = {params.g:.3g}: nu, g, "
                     "omega^3 or 2 |zeta_0|^2 omega^3 is not finite",
                     lambda: (params.nu, 2.0 * zeta0**2 * np.float64(omega) ** 3))
-    # the (2D, 2D) matrices and the (samples, 2D) rows are the largest arrays;
-    # both are bounded, in exact integers, before any is built and before
-    # the leak takes floats of dim (a 401-digit dim overflows them)
-    if (2 * dim) ** 2 > jc.MAX_MATRIX_ELEMENTS:
-        raise RegimeError(f"jc.dim = {_show(dim)}: 2D x 2D exceeds "
+    # the (D, D) blocks and displacements and the (samples, 2D) rows are the
+    # largest arrays; both are bounded, in exact integers, before any is built
+    # and before the leak takes floats of dim (a 401-digit dim overflows them)
+    if dim * dim > jc.MAX_MATRIX_ELEMENTS:
+        raise RegimeError(f"jc.dim = {_show(dim)}: D x D exceeds "
                           f"{jc.MAX_MATRIX_ELEMENTS} elements")
     nu_t_max, samples = p["jc.nu_t_max"], p["jc.samples"]
     if samples * 2 * dim > jc.MAX_MATRIX_ELEMENTS:

@@ -7,21 +7,21 @@ displaced rotation solvable in closed form (each well drags the oscillator
 around a circle of center zeta_0 = -g/omega in phase space), and the probe
 resolves the wells once the pointer coherent states are distinguishable,
 |<zeta_0|-zeta_0>|^2 = exp(-4 |zeta_0|^2) << 1.  Tunneling-induced
-transitions between the pointer states are computed from the full H,
-diagonalised once (`evolve_rows`, one composite vector per time), and from
-a first-order interaction-picture propagator
+transitions between the pointer states are computed exactly on the two
+real parity blocks of H (`evolve_rows`) and from a first-order
+interaction-picture propagator
 (`first_order_probability_series` evaluates it for a whole time series),
 the paper's result: a pointer swap at the bare rate nu.  Exact dynamics
 matches the first-order law only when 2 |zeta_0|^2 << 1; in general the
 swap runs at the polaron-dressed rate nu exp(-2 |zeta_0|^2), the tunneling
 matrix element being weighted by the pointer overlap <zeta_0|-zeta_0>.
-The propagator matrices, the step integrator and the time-averaged
-interaction-picture block that shows the dressing are test oracles
-(`tests/oracles.py`).
+The full complex 2D x 2D H, the propagator matrices, the step integrator
+and the time-averaged interaction-picture block that shows the dressing
+are test oracles (`tests/oracles.py`).
 
 Composite states are (2D,) complex vectors ordered (qubit |+> block,
-qubit |-> block), each block a (D,) Fock vector; composite operators are
-2D x 2D dense arrays in the kron(qubit, oscillator) order.
+qubit |-> block), each block a (D,) Fock vector, in kron(qubit, oscillator)
+order.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import coherent_state, displacement
+from .fock import coherent_state, displacement, quadrature
 
-# Largest element count of one (2D x 2D) composite matrix: 4.2M complex values
-# (67 MB), so D <= 1024.  The tests and the benchmark build at most 128 x 128.
+# Largest element count of a real D x D parity block (34 MB), a complex D x D
+# displacement (67 MB), so D <= 2048, and the complex (samples, 2D) rows.
 MAX_MATRIX_ELEMENTS = 1 << 22
 
 
@@ -74,18 +74,12 @@ def _composite(d: int, vec) -> np.ndarray:
     return vec
 
 
-def total_hamiltonian(params: JCParams, d: int) -> np.ndarray:
-    """nu sigma_1 (x) 1 + omega 1 (x) a^dag a + g sigma_3 (x) (a + a^dag),
-    filled into one (2D, 2D) array: omega n + g (a + a^dag) and
-    omega n - g (a + a^dag) in the diagonal blocks, nu 1 in the others."""
-    h = np.zeros((2, d, 2, d), dtype=complex)
+def parity_block(params: JCParams, d: int, parity: int) -> np.ndarray:
+    """The real (D, D) tridiagonal H on the sector P = `parity` of the parity
+    sigma_1 (-1)^{a^dag a}, conserved even truncated (Braak, PRL 107, 100401
+    (2011)): on |s_n, n>, s_n = P (-1)^n, omega n + nu s_n and g sqrt(n) off it."""
     n = np.arange(d)
-    coupling = params.g * np.sqrt(n[1:])  # <n-1| g (a + a^dag) |n>
-    for block, sign in enumerate((1.0, -1.0)):
-        h[block, n, block, n] = params.omega * n
-        h[block, n[:-1], block, n[1:]] = h[block, n[1:], block, n[:-1]] = sign * coupling
-        h[block, n, 1 - block, n] = params.nu
-    return h.reshape(2 * d, 2 * d)
+    return params.g * quadrature(d) + np.diag(params.omega * n + params.nu * parity * (-1.0) ** n)
 
 
 def pointer_path(params: JCParams, t) -> complex | np.ndarray:
@@ -146,20 +140,17 @@ def first_order_probability_series(params: JCParams, d: int,
                                    times: np.ndarray, initial: np.ndarray,
                                    target: np.ndarray) -> np.ndarray:
     """|<target | A(t) O_t | initial>|^2 for every t in `times`, the
-    first-order law: A(t) is the closed-form nu = 0 propagator and O_t the
+    first-order law: A(t) is the closed-form nu = 0 propagator, with
+    D = D(g/omega) and R(t) = diag(e^{-i omega n t}) the phase
+    e^{i g^2 t / omega} times blockdiag(D^dag R D, D R D^dag), and O_t the
     first-order interaction-picture correction
     [[cos(nu t) 1, -i sin(nu t) D(2 zeta_0)], [-i sin(nu t) D(-2 zeta_0), cos(nu t) 1]].
-
-    With D = D(g/omega) and R(t) = diag(e^{-i omega n t}), A(t) is the phase
-    e^{i g^2 t / omega} times blockdiag(D^dag R D, D R D^dag), so the
-    amplitude is sum_n e^{-i omega n t} [cos(nu t) stay_n - i sin(nu t) swap_n]
-    with
+    The amplitude is sum_n e^{-i omega n t} [cos(nu t) stay_n - i sin(nu t) swap_n],
         stay = conj(D u_t) (D u_i) + conj(D^dag d_t) (D^dag d_i),
         swap = conj(D u_t) (D D(2 zeta_0) d_i) + conj(D^dag d_t) (D^dag D(-2 zeta_0) u_i)
-    for blocks (u, d) of the (2D,) composite vectors target and initial; the
-    global phase drops out of the modulus.  The pointer swap channel is
-    initial = |+zeta_0, +>, target = |-zeta_0, ->.  It does not warn outside
-    the first-order regime, as `rabi_probability` does not.
+    for blocks (u, d) of the (2D,) composite vectors target and initial (the
+    pointer swap: |+zeta_0, +> to |-zeta_0, ->); the global phase drops out.
+    Like `rabi_probability`, it does not warn outside the first-order regime.
     """
     initial, target = _composite(d, initial), _composite(d, target)
     times = np.asarray(times, dtype=float)
@@ -180,19 +171,27 @@ def first_order_probability_series(params: JCParams, d: int,
 
 def evolve_rows(params: JCParams, d: int, state: np.ndarray,
                 times: np.ndarray) -> np.ndarray:
-    """Composite vectors V e^{-i E t} V^dag psi0 of the (2D,) composite
-    vector psi0 = `state`, one row per time, at uniformly spaced times
-    starting at times[0] = 0, from one diagonalisation H = V diag(E) V^dag.
-    Shape (len(times), 2 D)."""
+    """Composite vectors e^{-i H t} psi0 of psi0 = `state` = (u, d), one row
+    per time, at times from times[0] = 0; shape (T, 2D).
+    Sector P evolves c_P = (u + P (-1)^n d) / sqrt(2) as V e^{-i E t} V^T c_P
+    from one real eigh of `parity_block`, real and imaginary parts apart;
+    the rows are (a_+ + a_-, (-1)^n (a_+ - a_-)) / sqrt(2)."""
     state = _composite(d, state)
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("time series must start at 0")
     if times.size < 2:
         return state[None, :].copy()
-    seg = np.diff(times)
-    if not np.allclose(seg, seg[0], rtol=1e-9, atol=0.0):
-        raise ValueError("time series must be uniformly spaced")
-    energies, vecs = np.linalg.eigh(total_hamiltonian(params, d))
-    coeffs = vecs.conj().T @ state
-    return (np.exp(-1j * np.outer(times, energies)) * coeffs) @ vecs.T
+    alt = (-1.0) ** np.arange(d)
+    parts = np.stack([state.real, state.imag], axis=1)  # (2D, 2) real
+    up, down = parts[:d], parts[d:] * alt[:, None]
+    sectors = []
+    for parity in (1, -1):
+        energies, vecs = np.linalg.eigh(parity_block(params, d, parity))
+        c_re, c_im = (vecs.T @ (up + parity * down)).T / np.sqrt(2.0)
+        phase = np.outer(times, energies)
+        cos, sin = np.cos(phase), np.sin(phase)
+        sectors.append((cos * c_re + sin * c_im) @ vecs.T
+                       + 1j * ((cos * c_im - sin * c_re) @ vecs.T))
+    even, odd = sectors
+    return np.concatenate([even + odd, (even - odd) * alt], axis=1) / np.sqrt(2.0)

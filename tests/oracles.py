@@ -2,15 +2,17 @@
 
 Each function here is an alternative to a route in `gravcat`, or a closed
 form that no CLI run reports and that a test compares a run's route
-against: a scaling-and-squaring matrix exponential (against the
-`eigh`-built displacement), the closed-form qubit propagator and
+against: a scaling-and-squaring matrix exponential, the complex ladder
+operators and a displacement built from the complex generator
+i (a^dag - a) (against `fock.quadrature` and the real-eigh
+displacement), the closed-form qubit propagator and
 Heisenberg well projectors (against `two_state`'s correlations), the
 closed-form nu = 0 and first-order interaction-picture propagators of the
-probe (against `jc.first_order_probability_series`), the probe
-Hamiltonian as a sum of Kronecker products (against the in-place
-`jc.total_hamiltonian`), a step integrator of
-the full probe Hamiltonian and a transition series (against the spectral
-`jc.evolve_rows`), the probe's entangled cat state and its reduced purity
+probe (against `jc.first_order_probability_series`), the full probe
+Hamiltonian as one complex 2D x 2D sum of Kronecker products, its parity
+isometry, its rows from one complex eigendecomposition, a step integrator
+of it and a transition series (against `jc.parity_block` and the
+spectral `jc.evolve_rows`), the probe's entangled cat state and its reduced purity
 (against `jc.reduced_purity`), a stationarity residual of the pointer
 states, the record law and its small-angle jump weight, the conditionals
 and the discrete and continuum force laws (against the sampled records
@@ -52,14 +54,13 @@ import numpy as np
 from scipy.linalg import expm
 
 from gravcat.density import density_mean
-from gravcat.fock import coherent_state, displacement, ladder_operators
+from gravcat.fock import coherent_state, displacement
 from gravcat.histories import _comb_weight
 from gravcat.jc import (
     JCParams,
     evolve_rows,
     pointer_path,
     pointer_state,
-    total_hamiltonian,
 )
 from gravcat.measurement import _STREAM_BLOCK, MeasurementSchedule, _rare_cells
 from gravcat.states import Packet
@@ -143,14 +144,55 @@ def number_operator(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=complex))
 
 
-def kron_hamiltonian(params: JCParams, dim: int) -> np.ndarray:
+def ladder_operators(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation and creation operators (a, a^dag) as complex (D, D)
+    arrays (against the real tridiagonal `fock.quadrature`)."""
+    a = np.zeros((d, d), dtype=complex)
+    ns = np.arange(1, d)
+    a[ns - 1, ns] = np.sqrt(ns)
+    return a, a.conj().T
+
+
+def generator_displacement(d: int, w: complex) -> np.ndarray:
+    """exp(w a^dag - conj(w) a) from one complex eigendecomposition of the
+    Hermitian generator K = i (a^dag - a): R V e^{-i |w| E} V^dag R^dag
+    with R = diag(e^{i n arg w}) (against `fock.displacement`, which
+    diagonalises the real a + a^dag)."""
+    a, adag = ladder_operators(d)
+    energies, vecs = np.linalg.eigh(1j * (adag - a))
+    rotated = np.exp(1j * np.angle(w) * np.arange(d))[:, None] * vecs
+    return (rotated * np.exp(-1j * abs(w) * energies)) @ rotated.conj().T
+
+
+def total_hamiltonian(params: JCParams, dim: int) -> np.ndarray:
     """nu sigma_1 (x) 1 + omega 1 (x) a^dag a + g sigma_3 (x) (a + a^dag) as
-    a sum of three Kronecker products (against `jc.total_hamiltonian`,
-    which fills the blocks in place)."""
+    one complex (2D, 2D) array, a sum of three Kronecker products (against
+    the two real parity blocks `jc.parity_block`)."""
     a, adag = ladder_operators(dim)
     return (params.nu * np.kron(PAULI_1, np.eye(dim))
             + params.omega * np.kron(np.eye(2), number_operator(dim))
             + params.g * np.kron(PAULI_3, a + adag))
+
+
+def full_matrix_rows(params: JCParams, dim: int, state: np.ndarray,
+                     times: np.ndarray) -> np.ndarray:
+    """V e^{-i E t} V^dag psi0, one (2D,) row per time, from one complex
+    eigendecomposition H = V diag(E) V^dag of `total_hamiltonian` (against
+    `jc.evolve_rows`, which evolves the two parity blocks)."""
+    energies, vecs = np.linalg.eigh(total_hamiltonian(params, dim))
+    coeffs = vecs.conj().T @ state
+    return (np.exp(-1j * np.outer(np.asarray(times, dtype=float), energies)) * coeffs) @ vecs.T
+
+
+def parity_isometry(dim: int, parity: int) -> np.ndarray:
+    """The (2D, D) real columns e_{s_n} (x) |n> of the parity sector
+    P = `parity`, e_s = (|+> + s |->) / sqrt(2) and s_n = P (-1)^n, in the
+    composite (qubit |+> block, qubit |-> block) order."""
+    n = np.arange(dim)
+    out = np.zeros((2 * dim, dim))
+    out[n, n] = 1.0 / np.sqrt(2.0)
+    out[dim + n, n] = parity * (-1.0) ** n / np.sqrt(2.0)
+    return out
 
 
 def whole_triangle_correlations(state, density, params: TunnelingParams,

@@ -40,8 +40,6 @@ UNREACHED = {
         "the runner passes the (2D,) pointer states it built",
     ("jc", "evolve_rows", "time series must start at 0"):
         "the runner's linspace starts at 0",
-    ("jc", "evolve_rows", "uniformly spaced"):
-        "the runner's linspace step is a normal float, checked before",
     ("two_state", "__post_init__", "squared norm"):
         "the runner divides the amplitudes by their normal-float norm",
     ("two_state", "_check_sign", "well label"):

@@ -128,7 +128,7 @@ def test_criterion_4_adiabatic_propagator():
     start = time.perf_counter()
     dim = 64
     params = jc.JCParams(nu=0.0, omega=1.0, g=2.0)
-    h0 = jc.total_hamiltonian(params, dim)
+    h0 = oracles.total_hamiltonian(params, dim)
     vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0
     inits = [
@@ -170,7 +170,7 @@ def test_criterion_5_rabi_oscillations():
         p = oracles.transition_probability_series(params, dim, times)
         devs.append(float(np.max(np.abs(p - np.sin(nu_eff * times) ** 2))))
         peaks.append(float(np.max(p)))
-        levels = np.linalg.eigvalsh(jc.total_hamiltonian(params, dim))
+        levels = np.linalg.eigvalsh(oracles.total_hamiltonian(params, dim))
         split_errs.append(abs((levels[1] - levels[0]) / (2.0 * nu_eff) - 1.0))
     ok = (
         devs[0] <= 0.05

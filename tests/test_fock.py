@@ -15,10 +15,16 @@ from gravcat.fock import (
     TruncationInadequateWarning,
     coherent_state,
     displacement,
-    ladder_operators,
+    quadrature,
     vacuum_truncation_leak,
 )
-from oracles import matrix_exponential, number_operator, vacuum
+from oracles import (
+    generator_displacement,
+    ladder_operators,
+    matrix_exponential,
+    number_operator,
+    vacuum,
+)
 
 ORACLE_CUTOFFS = (2, 8, 32, 64, 128)
 
@@ -44,6 +50,12 @@ class TestLadder:
     def test_dagger_is_conjugate_transpose(self):
         a, ad = ladder_operators(5)
         assert np.array_equal(ad, a.conj().T)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    def test_quadrature_is_real_a_plus_adag(self, dim):
+        a, ad = ladder_operators(dim)
+        x = quadrature(dim)
+        assert x.dtype == float and np.array_equal(x, (a + ad).real)
 
 
 class TestDisplacement:
@@ -124,6 +136,16 @@ class TestDisplacementOracles:
             mat = displacement(d, w)
         assert np.max(np.abs(mat - expm(w * adag - np.conj(w) * a))) < 1e-13
         assert np.max(np.abs(mat.conj().T @ mat - np.eye(d))) < 1e-13
+
+    @pytest.mark.parametrize("d", [8, 32, 64])
+    @pytest.mark.parametrize("w", [1.0, -1.0, 2.0, 0.3 + 0.4j])
+    def test_matches_complex_generator_build(self, d, w):
+        # the real eigh of a + a^dag, carried by diag(i^n), against the
+        # complex eigh of K = i (a^dag - a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationInadequateWarning)
+            mat = displacement(d, w)
+        assert np.max(np.abs(mat - generator_displacement(d, w))) <= 1e-13
 
     @staticmethod
     def _leak_close(d: int, lam: float) -> bool:

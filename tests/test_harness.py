@@ -524,7 +524,8 @@ class TestManifest:
         cfg = write_config(tmp_path, "c.json", G2S_CFG)
         assert main(["g2s-correlations", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 4
         err = capfd.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("gravcat: internal invariant failure")
+        assert err[0].startswith("gravcat: internal invariant failure")
+        assert err[1] == TRACEBACK_HEAD, err
         assert list((tmp_path / "b").iterdir()) == []
 
     def test_manifest_json_is_strict(self, tmp_path):
@@ -589,7 +590,8 @@ class TestRunDirectory:
         cfg = write_config(tmp_path, "c.json", payload)
         assert main(["g2s-correlations", "--config", str(cfg), "--out", str(out)]) == 4
         assert staged[-1] == ["correlations.csv", "mean_density.csv"]
-        assert len(capfd.readouterr().err.splitlines()) == 1
+        err = capfd.readouterr().err.splitlines()
+        assert err[:2] == ["gravcat: internal failure: closed form failed", TRACEBACK_HEAD], err
         assert snapshot(out) == before
 
     def test_rerun_deletes_stale_artifacts_only(self, tmp_path):
@@ -659,6 +661,10 @@ class TestDeterminism:
         meta_b = json.loads((out_b / "metadata.json").read_text())
         for key in ("nu", "tau", "N", "Gamma", "f0", "count"):
             assert meta_a[key] == meta_b[key]
+
+
+# The line that opens a Python traceback, which exit 4 prints after its own.
+TRACEBACK_HEAD = "Traceback (most recent call last):"
 
 
 def refuse(monkeypatch, target):
@@ -960,13 +966,32 @@ class TestCli:
         cfg = write_config(tmp_path, "c.json", {**JC_CFG, "jc.g_over_omega": 4.0, "jc.dim": 32})
         assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("error,summary", [
+        (InternalCheckError("digests differ"), "internal invariant failure: digests differ"),
+        (RuntimeError("runner broke"), "internal failure: runner broke"),
+    ])
+    def test_internal_failure_keeps_its_traceback(self, tmp_path, capfd, monkeypatch, error,
+                                                  summary):
+        # exit 4 prints its summary line, then the traceback down to the raise
+        def broken(cfg):
+            raise error
+
+        monkeypatch.setitem(harness._RUNNERS, "jc-suite", broken)
+        cfg = write_config(tmp_path, "c.json", {})
+        assert main(["jc-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        err = capfd.readouterr().err.splitlines()
+        assert err[:2] == [f"gravcat: {summary}", TRACEBACK_HEAD], err
+        assert any(line.strip() == "raise error" for line in err), err
+        assert err[-1].endswith(f"{type(error).__name__}: {error}"), err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("dim,g_over_omega", [
         (4, 0.5), (8, 0.7), (16, 1.0), (10**9, 1e5), pytest.param(10**400, 1e5, id="1e400-1e5")])
     def test_leaking_cutoff_is_regime_error(self, tmp_path, capfd, dim, g_over_omega):
         # D(2 zeta_0)|0> leaks 0.019, 9.7e-4 and 4.9e-6 past the first three
         # cutoffs; a |2 zeta_0|^2 <= dim / 4 rule let each run, with exit 0
         # and two to four TruncationInadequateWarnings.  The order this pins:
-        # the size bound on 2D x 2D runs first, so the last two, which leak
+        # the size bound on D x D runs first, so the last two, which leak
         # 1, are refused by it before the leak is summed; at 10^400 the leak
         # took d log |w|^2 as a float and failed (exit 4)
         payload = {"jc.nu_over_omega": 0.05, "jc.nu_t_max": 1.0, "jc.dim": dim,
@@ -1256,8 +1281,8 @@ class TestCli:
         ("force-trajectories", {**FORCE_CFG, "force.count": 10**12},
          "record words exceed 2^38", "measurement.sample_trajectories"),
         # at the default ratios the phase bound lets jc.dim 10^4 through (max
-        # |E| t about 4.9e9), but one (2D x 2D) complex matrix takes 6.4 GB
-        ("jc-suite", {"jc.dim": 10**4}, "2D x 2D exceeds", "jc.pointer_state"),
+        # |E| t about 4.9e9), but one complex D x D displacement takes 1.6 GB
+        ("jc-suite", {"jc.dim": 10**4}, "D x D exceeds", "jc.pointer_state"),
         # np.linspace refused 1e300 points (exit 4) and would take 8 GB at 1e9
         ("g2s-correlations", {**G2S_CFG, "grid.t_count": 1e300},
          "2 t_count (t_count + 1) rows exceed", "two_state.mean_density"),
@@ -1287,6 +1312,8 @@ class TestCli:
         ("g2s-correlations", G2S_CFG, "grid.t_count", 23169, "two_state.mean_density"),
         # (32768, 2 * 64) rows hold 2^22 elements, jc.MAX_MATRIX_ELEMENTS
         ("jc-suite", {}, "jc.samples", 32768, "jc.pointer_state"),
+        # a (2048, 2048) parity block or displacement holds 2^22 elements
+        ("jc-suite", {}, "jc.dim", 2048, "jc.pointer_state"),
         # count ceil((N+1)/64) words <= measurement.MAX_RECORD_WORDS = 2^38:
         # one word a record at 63 steps, two at 64
         ("force-trajectories", {**FORCE_CFG, "force.steps": 63}, "force.count", 2**38,
@@ -1304,7 +1331,9 @@ class TestCli:
             cfg = write_config(tmp_path, "c.json", {**payload, key: size})
             assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
             err = capfd.readouterr().err.splitlines()
-            assert len(err) == 1 and message in err[0], err
+            # exit 3 is one line; exit 4 follows its line with the traceback
+            assert message in err[0] and (len(err) == 1 if code == 3
+                                          else err[1] == TRACEBACK_HEAD), err
 
     @pytest.mark.parametrize("experiment,payload", [
         ("g2s-correlations", {**G2S_CFG, "g2s.nu": float("nan")}),

@@ -22,24 +22,26 @@ from gravcat.jc import (
     distinguishability,
     evolve_rows,
     first_order_probability_series,
+    parity_block,
     pointer_path,
     pointer_state,
     rabi_probability,
     reduced_purity,
-    total_hamiltonian,
 )
 from oracles import (
     RegimeWarning,
     adiabatic_propagator,
     evolved_cat,
     exact_propagate,
+    full_matrix_rows,
     hamiltonian_step_count,
     interaction_picture_potential,
-    kron_hamiltonian,
+    parity_isometry,
     perturbative_propagator,
     purity,
     reduced_oscillator_state,
     stationary_state_check,
+    total_hamiltonian,
     transition_probability_series,
     tunneling_block_time_average,
 )
@@ -84,12 +86,17 @@ class TestTotalHamiltonian:
     @pytest.mark.parametrize("params", [JCParams(0.05, 1.0, 1.0), JCParams(0.7, 1.2, -0.9),
                                         JCParams(0.0, 2.5, 0.0), JCParams(0.01, 3.0, -6.0)])
     @pytest.mark.parametrize("dim", [2, 5, 64])
-    def test_equals_kron_form(self, params, dim):
-        # the blocks filled in place hold the same values as the sum of
-        # three Kronecker products, element for element
+    def test_parity_blocks_are_the_full_hamiltonian(self, params, dim):
+        # W_P^T H W_P is parity_block(P) on each sector's isometry W_P, and
+        # H links no sector to the other: the two blocks are all of H
         h = total_hamiltonian(params, dim)
-        assert h.shape == (2 * dim, 2 * dim) and h.dtype == complex
-        assert np.array_equal(h, kron_hamiltonian(params, dim))
+        w_even, w_odd = parity_isometry(dim, 1), parity_isometry(dim, -1)
+        scale = np.max(np.abs(h))
+        for w, parity in ((w_even, 1), (w_odd, -1)):
+            block = parity_block(params, dim, parity)
+            assert block.shape == (dim, dim) and block.dtype == float
+            assert np.max(np.abs(w.T @ h @ w - block)) <= 1e-15 * scale
+        assert np.max(np.abs(w_even.T @ h @ w_odd)) <= 1e-15 * scale
 
 
 class TestAdiabaticPropagator:
@@ -481,13 +488,20 @@ class TestEvolveSeries:
     @pytest.mark.parametrize("dim", [32, 64])
     @pytest.mark.parametrize("g", [1.0, 2.0])
     def test_spectral_route_matches_stepped_oracle(self, dim, g):
-        # evolve_rows diagonalises H; exact_propagate steps it from t = 0
-        # to each sample independently, at the step count its contract needs
+        # evolve_rows diagonalises the two parity blocks; full_matrix_rows
+        # the complex 2D x 2D H, and exact_propagate steps H from t = 0 to
+        # each sample independently, at the step count its contract needs
         params = JCParams(0.05, 1.0, g)
         init = pointer_state(params, dim, +1)
         tvec = pointer_state(params, dim, -1)
         times = np.linspace(0.0, 12.0, 4)
         spectral = evolve_rows(params, dim, init, times)
+        full = full_matrix_rows(params, dim, init, times)
+        swap_gap = np.abs(spectral @ tvec.conj()) ** 2 - np.abs(full @ tvec.conj()) ** 2
+        assert np.max(np.abs(swap_gap)) <= 1e-12
+        purity_gap = (reduced_purity(spectral[:, :dim], spectral[:, dim:])
+                      - reduced_purity(full[:, :dim], full[:, dim:]))
+        assert np.max(np.abs(purity_gap)) <= 1e-12
         for t, row in zip(times, spectral):
             stepped = exact_propagate(params, dim, init, t,
                                       hamiltonian_step_count(params, dim, t))
@@ -534,10 +548,16 @@ class TestEvolveSeries:
         with pytest.raises(ValueError, match="composite vector"):
             first_order_probability_series(params, DIM, times, good, bad)
 
-    def test_nonuniform_times_rejected(self):
-        with pytest.raises(ValueError):
-            evolve_rows(DEEP, DIM, pointer_state(DEEP, DIM, +1),
-                        np.array([0.0, 0.1, 0.3]))
+    def test_any_times_from_zero(self):
+        # the spectral route takes no step: unevenly spaced times need no
+        # check, and a series that does not start at 0 is refused
+        params = JCParams(0.05, 1.0, 1.0)
+        init = pointer_state(params, DIM, +1)
+        times = np.array([0.0, 0.1, 0.3, 7.0, 7.5])
+        rows = evolve_rows(params, DIM, init, times)
+        assert np.max(np.abs(rows - full_matrix_rows(params, DIM, init, times))) <= 1e-12
+        with pytest.raises(ValueError, match="start at 0"):
+            evolve_rows(params, DIM, init, times[1:])
 
     def test_purity_bounds_along_balanced_evolution(self):
         params = JCParams(0.0, 1.0, 1.0)

@@ -203,7 +203,7 @@ def _package_copy(tmp_path: Path, module: str, edit) -> Path:
 def test_walk_finds_an_unreached_definition(tmp_path):
     # a copy of the package with one helper nothing calls
     root = _package_copy(tmp_path, "fock",
-                         lambda text: text + "\n\ndef _orphan():\n    return ladder_operators\n")
+                         lambda text: text + "\n\ndef _orphan():\n    return quadrature\n")
     assert unreached_definitions(root) == ["fock._orphan"]
 
 
