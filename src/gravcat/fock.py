@@ -5,11 +5,11 @@ and <n-1|a|n> = sqrt(n): operators are plain (D, D) arrays and states (D,)
 complex vectors, and the cutoff is the integer D.  The truncated generator
 w a^dag - conj(w) a equals -i |w| P X P^dag with the real tridiagonal
 X = a + a^dag and P = diag(e^{i n arg w} i^n), so every displacement of a
-cutoff is built from one cached real eigendecomposition X = V diag(E) V^T:
-D(w) = P (V cos(|w| E) V^T - i V sin(|w| E) V^T) P^dag, two real products
-and an elementwise phase.  The result is unitary to machine precision
-regardless of the cutoff.  Truncation error instead shows up as
-leakage of displaced states past the top level, which
+cutoff acts through one cached real eigendecomposition X = V diag(E) V^T:
+D(w) v = P V e^{-i |w| E} V^T P^dag v, two real matrix-vector products and
+elementwise phases, and no D x D displacement is ever built.  It is unitary
+to machine precision regardless of the cutoff.  Truncation error instead
+shows up as leakage of displaced states past the top level, which
 `vacuum_truncation_leak` quantifies analytically.
 
 One rule judges a cutoff: D is adequate for a displacement w while the
@@ -71,14 +71,14 @@ def vacuum_truncation_leak(d: int, w: complex) -> float:
     return 1.0 - math.exp((d - 1) * log_lam - lam - math.lgamma(d)) * total
 
 
-def displacement(d: int, w: complex) -> np.ndarray:
-    """Displacement operator exp(w a^dag - conj(w) a) on the truncated space.
+def displacement(d: int, w: complex, vec: np.ndarray) -> np.ndarray:
+    """D(w) vec, the displacement exp(w a^dag - conj(w) a) on the truncated
+    space applied to the (D,) vector `vec`, as a new complex vector.
 
-    Unitary to machine precision, and exactly the identity at w = 0.
-    Emits TruncationInadequateWarning when the vacuum leak past the cutoff
-    exceeds TRUNCATION_LEAK_BOUND, i.e. when displaced states are no longer
-    faithfully represented.  The matrix is built once per (D, w) and shared
-    between calls, so it is read-only.
+    Unitary to machine precision, and exactly the identity at w = 0 (a copy
+    of `vec`).  Emits TruncationInadequateWarning on every call whose vacuum
+    leak past the cutoff exceeds TRUNCATION_LEAK_BOUND, i.e. when displaced
+    states are no longer faithfully represented.
     """
     leak = vacuum_truncation_leak(d, w)
     if leak > TRUNCATION_LEAK_BOUND:
@@ -88,22 +88,20 @@ def displacement(d: int, w: complex) -> np.ndarray:
             TruncationInadequateWarning,
             stacklevel=2,
         )
-    return _displacement_matrix(d, w)
-
-
-@functools.lru_cache(maxsize=32)
-def _displacement_matrix(d: int, w: complex) -> np.ndarray:
+    vec = np.asarray(vec, dtype=complex)
     if w == 0:
-        mat = np.eye(d, dtype=complex)
-    else:
-        energies, vecs = _generator_eigh(d)
-        angle = abs(w) * energies
-        mat = (vecs * np.cos(angle)) @ vecs.T - 1j * ((vecs * np.sin(angle)) @ vecs.T)
-        n = np.arange(d)
-        phase = np.exp(1j * np.angle(w) * n) * 1j ** (n % 4)  # exact powers of i
-        mat *= np.outer(phase, phase.conj())
-    mat.setflags(write=False)
-    return mat
+        return vec.copy()
+    energies, modes = _generator_eigh(d)
+    n = np.arange(d)
+    phase = np.exp(1j * np.angle(w) * n) * 1j ** (n % 4)  # exact powers of i
+    coeffs = np.exp(-1j * abs(w) * energies) * _real_product(modes.T, phase.conj() * vec)
+    return phase * _real_product(modes, coeffs)
+
+
+def _real_product(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Real `mat` times contiguous complex `vec` as one real product over its
+    (D, 2) real and imaginary columns, without a complex copy of `mat`."""
+    return (mat @ vec.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -115,7 +113,9 @@ def _generator_eigh(d: int) -> tuple[np.ndarray, np.ndarray]:
 def coherent_state(d: int, zeta: complex) -> np.ndarray:
     """Coherent state D(zeta)|0> as a (D,) vector; its unit norm is checked
     to 1e-10 (a NaN norm fails too)."""
-    amp = displacement(d, zeta)[:, 0].copy()
+    vacuum = np.zeros(d, dtype=complex)
+    vacuum[0] = 1.0
+    amp = displacement(d, zeta, vacuum)
     norm = np.linalg.norm(amp)
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"coherent state has norm {norm!r}, expected 1")

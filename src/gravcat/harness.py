@@ -619,7 +619,7 @@ def _run_jc(cfg: ExperimentConfig):
     _require_scales(f"jc.omega = {omega:.3g}, nu = {params.nu:.3g}, g = {params.g:.3g}: nu, g, "
                     "omega^3 or 2 |zeta_0|^2 omega^3 is not finite",
                     lambda: (params.nu, 2.0 * zeta0**2 * np.float64(omega) ** 3))
-    # the (D, D) blocks and displacements and the (samples, 2D) rows are the
+    # the real (D, D) blocks and the (samples, 2D) rows are the
     # largest arrays; both are bounded, in exact integers, before any is built
     # and before the leak takes floats of dim (a 401-digit dim overflows them)
     if dim * dim > jc.MAX_MATRIX_ELEMENTS:
@@ -628,7 +628,7 @@ def _run_jc(cfg: ExperimentConfig):
     nu_t_max, samples = p["jc.nu_t_max"], p["jc.samples"]
     if samples * 2 * dim > jc.MAX_MATRIX_ELEMENTS:
         raise RegimeError(f"jc.samples: samples x 2D exceeds {jc.MAX_MATRIX_ELEMENTS} elements")
-    # D(2 zeta_0), the largest displacement built, is judged by the bound displacement warns at
+    # D(2 zeta_0), the largest displacement applied, is judged by the bound displacement warns at
     leak = vacuum_truncation_leak(dim, 2.0 * params.zeta0)
     if not leak <= TRUNCATION_LEAK_BOUND:
         raise RegimeError(f"Fock cutoff {dim} inadequate for pointer reach |zeta| = "

@@ -32,8 +32,8 @@ import numpy as np
 
 from .fock import coherent_state, displacement, quadrature
 
-# Largest element count of a real D x D parity block (34 MB), a complex D x D
-# displacement (67 MB), so D <= 2048, and the complex (samples, 2D) rows.
+# Largest element count of a real D x D array (34 MB: a parity block or the
+# eigenvectors of a + a^dag), so D <= 2048, and of the complex (samples, 2D) rows.
 MAX_MATRIX_ELEMENTS = 1 << 22
 
 
@@ -141,7 +141,7 @@ def first_order_probability_series(params: JCParams, d: int,
                                    target: np.ndarray) -> np.ndarray:
     """|<target | A(t) O_t | initial>|^2 for every t in `times`, the
     first-order law: A(t) is the closed-form nu = 0 propagator, with
-    D = D(g/omega) and R(t) = diag(e^{-i omega n t}) the phase
+    D = D(g/omega), D^dag = D(-g/omega) and R(t) = diag(e^{-i omega n t}) the phase
     e^{i g^2 t / omega} times blockdiag(D^dag R D, D R D^dag), and O_t the
     first-order interaction-picture correction
     [[cos(nu t) 1, -i sin(nu t) D(2 zeta_0)], [-i sin(nu t) D(-2 zeta_0), cos(nu t) 1]].
@@ -154,15 +154,13 @@ def first_order_probability_series(params: JCParams, d: int,
     """
     initial, target = _composite(d, initial), _composite(d, target)
     times = np.asarray(times, dtype=float)
-    d_op = displacement(d, params.g / params.omega)
-    d_adj = d_op.conj().T
-    z2 = 2.0 * params.zeta0
+    g_w, z2 = params.g / params.omega, 2.0 * params.zeta0
     up_i, down_i = initial[:d], initial[d:]
-    up_t = (d_op @ target[:d]).conj()
-    down_t = (d_adj @ target[d:]).conj()
-    stay = up_t * (d_op @ up_i) + down_t * (d_adj @ down_i)
-    swap = (up_t * (d_op @ (displacement(d, z2) @ down_i))
-            + down_t * (d_adj @ (displacement(d, -z2) @ up_i)))
+    up_t = displacement(d, g_w, target[:d]).conj()
+    down_t = displacement(d, -g_w, target[d:]).conj()
+    stay = up_t * displacement(d, g_w, up_i) + down_t * displacement(d, -g_w, down_i)
+    swap = (up_t * displacement(d, g_w, displacement(d, z2, down_i))
+            + down_t * displacement(d, -g_w, displacement(d, -z2, up_i)))
     rot = np.exp(-1j * params.omega * np.outer(times, np.arange(d)))
     stay_t, swap_t = (rot @ np.stack([stay, swap], axis=1)).T
     amp = np.cos(params.nu * times) * stay_t - 1j * np.sin(params.nu * times) * swap_t

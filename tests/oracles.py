@@ -5,7 +5,8 @@ form that no CLI run reports and that a test compares a run's route
 against: a scaling-and-squaring matrix exponential, the complex ladder
 operators and a displacement built from the complex generator
 i (a^dag - a) (against `fock.quadrature` and the real-eigh
-displacement), the closed-form qubit propagator and
+displacement, which the oracles that need the whole operator assemble
+column by column from `fock.displacement`), the closed-form qubit propagator and
 Heisenberg well projectors (against `two_state`'s correlations), the
 closed-form nu = 0 and first-order interaction-picture propagators of the
 probe (against `jc.first_order_probability_series`), the full probe
@@ -153,6 +154,12 @@ def ladder_operators(d: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
+def displacement_matrix(d: int, w: complex) -> np.ndarray:
+    """D(w) as a (D, D) array, `fock.displacement` applied to each number
+    state in turn: the library applies displacements to vectors only."""
+    return np.stack([displacement(d, w, col) for col in np.eye(d, dtype=complex)], axis=1)
+
+
 def generator_displacement(d: int, w: complex) -> np.ndarray:
     """exp(w a^dag - conj(w) a) from one complex eigendecomposition of the
     Hermitian generator K = i (a^dag - a): R V e^{-i |w| E} V^dag R^dag
@@ -268,7 +275,7 @@ def adiabatic_propagator(params: JCParams, dim: int, t: float) -> np.ndarray:
                                D(g/w) e^{-i w n t} D^dag(g/w) ).
     Ignores params.nu (valid in the nu << omega regime).
     """
-    d_op = displacement(dim, params.g / params.omega)
+    d_op = displacement_matrix(dim, params.g / params.omega)
     rot = np.diag(np.exp(-1j * params.omega * np.arange(dim) * t))
     upper = d_op.conj().T @ rot @ d_op
     lower = d_op @ rot @ d_op.conj().T
@@ -297,8 +304,8 @@ def perturbative_propagator(params: JCParams, d: int, t: float) -> np.ndarray:
             stacklevel=2,
         )
     z2 = 2.0 * params.zeta0
-    d_plus = displacement(d, z2)
-    d_minus = displacement(d, -z2)
+    d_plus = displacement_matrix(d, z2)
+    d_minus = displacement_matrix(d, -z2)
     c, s = np.cos(params.nu * t), np.sin(params.nu * t)
     out = np.zeros((2 * d, 2 * d), dtype=complex)
     out[:d, :d] = c * np.eye(d)
@@ -371,9 +378,9 @@ def interaction_picture_potential(params: JCParams, d: int,
 
 
 def _tunneling_block(params: JCParams, dim: int, t: float) -> np.ndarray:
-    d_z = displacement(dim, params.zeta0)
+    d_z = displacement_matrix(dim, params.zeta0)
     rot = np.exp(1j * params.omega * np.arange(dim) * t)
-    d_mid = displacement(dim, -2.0 * params.zeta0)
+    d_mid = displacement_matrix(dim, -2.0 * params.zeta0)
     inner = (rot[:, None] * d_mid) * rot.conj()[None, :]
     return d_z @ inner @ d_z
 
@@ -390,8 +397,8 @@ def tunneling_block_time_average(params: JCParams, d: int, t: float,
     if t <= 0:
         raise ValueError("average needs a positive time window")
     ss = np.linspace(0.0, t, nodes)
-    d_z = displacement(d, params.zeta0)
-    d_mid = displacement(d, -2.0 * params.zeta0)
+    d_z = displacement_matrix(d, params.zeta0)
+    d_mid = displacement_matrix(d, -2.0 * params.zeta0)
     # Element (m, n) of the rotated block carries e^{i omega (m - n) s}, so
     # the average is d_mid times one kernel over level differences m - n.
     lags = np.arange(1 - d, d)

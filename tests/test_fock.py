@@ -19,6 +19,7 @@ from gravcat.fock import (
     vacuum_truncation_leak,
 )
 from oracles import (
+    displacement_matrix,
     generator_displacement,
     ladder_operators,
     matrix_exponential,
@@ -27,6 +28,11 @@ from oracles import (
 )
 
 ORACLE_CUTOFFS = (2, 8, 32, 64, 128)
+
+
+def random_unit_vector(dim: int, rng) -> np.ndarray:
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return vec / np.linalg.norm(vec)
 
 
 class TestLadder:
@@ -60,25 +66,31 @@ class TestLadder:
 
 class TestDisplacement:
     def test_zero_displacement(self):
-        d = displacement(16, 0.0)
-        assert np.allclose(d, np.eye(16), atol=0.0)
+        d = displacement_matrix(16, 0.0)
+        assert np.array_equal(d, np.eye(16))
+
+    def test_zero_displacement_returns_the_vector(self):
+        vec = random_unit_vector(16, np.random.default_rng(3))
+        out = displacement(16, 0.0, vec)
+        assert out is not vec
+        assert out.tobytes() == vec.tobytes()
 
     def test_inverse_property(self):
         dim = 32
         for w in (0.3, 1.0, 0.5 + 0.5j):
-            prod = displacement(dim, w) @ displacement(dim, -w)
+            prod = displacement_matrix(dim, w) @ displacement_matrix(dim, -w)
             assert np.max(np.abs(prod - np.eye(32))) < 1e-10
 
     def test_unitarity(self):
         dim = 64
         for w in (0.5, 1.0 + 1.0j, 2.0):
-            d = displacement(dim, w)
+            d = displacement_matrix(dim, w)
             assert np.max(np.abs(d.conj().T @ d - np.eye(64))) < 1e-8
 
     def test_mean_occupation(self):
         dim = 32
         w = 0.7 + 0.3j
-        vec = displacement(dim, w) @ vacuum(dim)
+        vec = displacement(dim, w, vacuum(dim))
         n_mean = np.vdot(vec, number_operator(dim) @ vec).real
         assert abs(n_mean - abs(w) ** 2) < 1e-8
 
@@ -88,30 +100,19 @@ class TestDisplacement:
         # corrupted by any truncation).
         dim = 48
         u, v = 0.6 + 0.2j, -0.3 + 0.5j
-        lhs = displacement(dim, u) @ displacement(dim, v)
+        lhs = displacement_matrix(dim, u) @ displacement_matrix(dim, v)
         phase = np.exp(0.5 * (u * np.conj(v) - np.conj(u) * v))
-        rhs = phase * displacement(dim, u + v)
+        rhs = phase * displacement_matrix(dim, u + v)
         assert np.max(np.abs(lhs - rhs)[:, : dim // 2]) < 1e-8
         with pytest.raises(AssertionError):
             # the phase really is there: dropping it breaks the identity
             assert np.max(np.abs(lhs - rhs / phase)[:, : dim // 2]) < 1e-8
 
     def test_truncation_warning(self):
-        with pytest.warns(TruncationInadequateWarning):
-            displacement(8, 2.5)
-
-    def test_built_once_and_read_only(self):
-        # the matrix is shared between calls: equal, read-only, and the
-        # truncation warning still fires on every call
-        dim = 8
-        with pytest.warns(TruncationInadequateWarning):
-            first = displacement(dim, 2.5)
-        with pytest.warns(TruncationInadequateWarning):
-            second = displacement(dim, 2.5)
-        assert np.array_equal(first, second)
-        assert not first.flags.writeable and not second.flags.writeable
-        with pytest.raises(ValueError):
-            second[0, 0] = 0.0
+        # the warning fires on every call, not only on the first
+        for _ in range(2):
+            with pytest.warns(TruncationInadequateWarning):
+                displacement(8, 2.5, vacuum(8))
 
     def test_leak_estimate(self):
         # Poisson tail beyond the cutoff, checked against direct summation
@@ -133,7 +134,7 @@ class TestDisplacementOracles:
         a, adag = ladder_operators(d)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationInadequateWarning)
-            mat = displacement(d, w)
+            mat = displacement_matrix(d, w)
         assert np.max(np.abs(mat - expm(w * adag - np.conj(w) * a))) < 1e-13
         assert np.max(np.abs(mat.conj().T @ mat - np.eye(d))) < 1e-13
 
@@ -144,8 +145,18 @@ class TestDisplacementOracles:
         # complex eigh of K = i (a^dag - a)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationInadequateWarning)
-            mat = displacement(d, w)
+            mat = displacement_matrix(d, w)
         assert np.max(np.abs(mat - generator_displacement(d, w))) <= 1e-13
+
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("w", [1.0, -1.0, 2.0, 0.3 + 0.4j])
+    @pytest.mark.parametrize("state", ["vacuum", "random"])
+    def test_applied_to_a_vector_matches_generator_build(self, d, w, state):
+        vec = vacuum(d) if state == "vacuum" else random_unit_vector(d, np.random.default_rng(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationInadequateWarning)
+            got = displacement(d, w, vec)
+        assert np.max(np.abs(got - generator_displacement(d, w) @ vec)) <= 1e-13
 
     @staticmethod
     def _leak_close(d: int, lam: float) -> bool:

@@ -1281,7 +1281,7 @@ class TestCli:
         ("force-trajectories", {**FORCE_CFG, "force.count": 10**12},
          "record words exceed 2^38", "measurement.sample_trajectories"),
         # at the default ratios the phase bound lets jc.dim 10^4 through (max
-        # |E| t about 4.9e9), but one complex D x D displacement takes 1.6 GB
+        # |E| t about 4.9e9), but one real D x D parity block takes 800 MB
         ("jc-suite", {"jc.dim": 10**4}, "D x D exceeds", "jc.pointer_state"),
         # np.linspace refused 1e300 points (exit 4) and would take 8 GB at 1e9
         ("g2s-correlations", {**G2S_CFG, "grid.t_count": 1e300},
@@ -1312,7 +1312,7 @@ class TestCli:
         ("g2s-correlations", G2S_CFG, "grid.t_count", 23169, "two_state.mean_density"),
         # (32768, 2 * 64) rows hold 2^22 elements, jc.MAX_MATRIX_ELEMENTS
         ("jc-suite", {}, "jc.samples", 32768, "jc.pointer_state"),
-        # a (2048, 2048) parity block or displacement holds 2^22 elements
+        # a real (2048, 2048) parity block holds 2^22 elements
         ("jc-suite", {}, "jc.dim", 2048, "jc.pointer_state"),
         # count ceil((N+1)/64) words <= measurement.MAX_RECORD_WORDS = 2^38:
         # one word a record at 63 steps, two at 64

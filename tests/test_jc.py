@@ -16,7 +16,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
-from gravcat.fock import coherent_state, displacement
+from gravcat.fock import coherent_state
 from gravcat.jc import (
     JCParams,
     distinguishability,
@@ -31,6 +31,7 @@ from gravcat.jc import (
 from oracles import (
     RegimeWarning,
     adiabatic_propagator,
+    displacement_matrix,
     evolved_cat,
     exact_propagate,
     full_matrix_rows,
@@ -248,7 +249,7 @@ class TestPerturbativePropagator:
         u = perturbative_propagator(params, DIM, t)
         d = DIM
         assert np.max(np.abs(u[:d, :d])) < 1e-12
-        expected = -1j * displacement(DIM, 2.0 * params.zeta0)
+        expected = -1j * displacement_matrix(DIM, 2.0 * params.zeta0)
         assert np.max(np.abs(u[:d, d:] - expected)) < 1e-12
 
     def test_unitarity(self):
@@ -330,6 +331,27 @@ class TestFirstOrderProbabilitySeries:
             p = first_order_probability_series(params, DIM, np.array([0.0, 1.0, 50.0]),
                                                plus, minus)
         assert np.allclose(p, rabi_probability(params, np.array([0.0, 1.0, 50.0])), atol=1e-13)
+
+    def test_builds_no_displacement_matrix(self):
+        # the pointer states and the first-order series at D 512 apply their
+        # displacements to vectors: the traced peak, the generator's eigh
+        # included, stays below 32 D^2 bytes, two complex D x D arrays
+        import tracemalloc
+
+        from gravcat import fock
+
+        d, params = 512, JCParams(0.01, 1.0, 1.0)
+        times = np.linspace(0.0, 0.5 * np.pi * np.exp(2.0) / params.nu, 61)
+        fock._generator_eigh.cache_clear()
+        tracemalloc.start()
+        try:
+            initial = pointer_state(params, d, +1)
+            target = pointer_state(params, d, -1)
+            first_order_probability_series(params, d, times, initial, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * d * d, peak
 
 
 class TestStationaryStates:
@@ -466,11 +488,11 @@ class TestInteractionPicture:
         D = 64, trapezoid with 4000 nodes."""
         params = JCParams(0.05, 1.0, -1.0)
         zeta = abs(params.zeta0)
-        swap_diag = np.diag(displacement(DIM, -2.0 * params.zeta0))
+        swap_diag = np.diag(displacement_matrix(DIM, -2.0 * params.zeta0))
         low = np.arange(DIM // 2)  # levels the cutoff leaves faithful
         laguerre = np.exp(-2.0 * zeta**2) * eval_laguerre(low, 4.0 * zeta**2)
         assert np.max(np.abs(swap_diag[low] - laguerre)) < 1e-12
-        d_z = displacement(DIM, params.zeta0)
+        d_z = displacement_matrix(DIM, params.zeta0)
         target = d_z @ np.diag(swap_diag) @ d_z
         scale = np.linalg.norm(target, 2)
         dist = {
