@@ -22,8 +22,7 @@ from gravcat.two_state import (
     SmearedDensityParams,
     TunnelingParams,
     mean_density,
-    two_time_quantum_corr,
-    two_time_statistical_corr,
+    two_time_correlations,
 )
 
 dens = SmearedDensityParams(m=1.0, ell=1.0)
@@ -35,8 +34,8 @@ print("== frozen dynamics (nu = 0) ==")
 frozen = TunnelingParams(nu=0.0)
 for a in (1, -1):
     print(f"  mean density, well {a:+d}: {mean_density(state, dens, a, frozen, 3.0):.6f}")
-same = two_time_statistical_corr(state, dens, 1, 1, frozen, 0.0, 5.0)
-cross = two_time_statistical_corr(state, dens, 1, -1, frozen, 0.0, 5.0)
+_, same = two_time_correlations(state, dens, 1, 1, frozen, 0.0, 5.0)
+_, cross = two_time_correlations(state, dens, 1, -1, frozen, 0.0, 5.0)
 print(f"  repeated-reading correlation: same well {same:.6f}, opposite {cross:.6f}")
 print("  -> a first reading pins the particle; later readings agree.\n")
 
@@ -44,10 +43,10 @@ print("== tunneling dynamics (nu = 0.8) ==")
 params = TunnelingParams(nu=0.8, chi=0.0)
 times = np.linspace(0.0, 2.0 * np.pi / params.nu, 9)
 print("  t, mean(+ well), quantum corr vs t=0 (re, im), statistical corr")
-for t in times:
-    mean = mean_density(state, dens, 1, params, t)
-    q = two_time_quantum_corr(state, dens, 1, 1, params, 0.0, t)
-    s = two_time_statistical_corr(state, dens, 1, 1, params, 0.0, t)
+# one call gives both correlations at every time, broadcast against t1 = 0
+means = mean_density(state, dens, 1, params, times)
+quantum, statistical = two_time_correlations(state, dens, 1, 1, params, 0.0, times)
+for t, mean, q, s in zip(times, means, quantum, statistical):
     print(f"  {t:6.3f}  {mean:8.5f}   {q.real:+8.5f} {q.imag:+8.5f}i   {s:8.5f}")
 print("  -> the imaginary part is the obstruction to reading the quantum")
 print("     correlation as a classical one; the statistical correlation is")

@@ -500,13 +500,12 @@ def _run_g2s(cfg: ExperimentConfig):
 
     def blocks():
         # pairs k at (i, j), i the last row starting at or below k; each
-        # pair's closed forms are evaluated once, the labels broadcast
+        # pair's closed form is evaluated once, the labels broadcast
         for lo in range(0, pairs, per_call):
             k = np.arange(lo, min(lo + per_call, pairs))
             i = np.searchsorted(starts, k, side="right") - 1
             t1, t2 = times[i][:, None], times[i + k - starts[i]][:, None]
-            q = ts.two_time_quantum_corr(state, dens, a1, a2, params, t1, t2)
-            stat = ts.two_time_statistical_corr(state, dens, a1, a2, params, t1, t2)
+            q, stat = ts.two_time_correlations(state, dens, a1, a2, params, t1, t2)
             yield [np.tile(a1[0], k.size), np.tile(a2[0], k.size), np.repeat(t1, 4),
                    np.repeat(t2, 4), q.real.ravel(), q.imag.ravel(), stat.ravel()]
 

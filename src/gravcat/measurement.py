@@ -33,8 +33,11 @@ MAX_RECORD_WORDS = 1 << 38
 # Trajectories per random stream; fixed, so a smaller draw is a prefix of a larger.
 _STREAM_BLOCK = 4096
 # Rarer-outcome probability at or below which the sampler draws geometric
-# gaps instead of one uniform per step.  On 4096 x 200 blocks the gaps were
-# faster up to q = 0.24 and slower from 0.26; 0.2 leaves a margin.
+# gaps instead of one uniform per step.  Gap / uniform time (2-CPU machine):
+# 200 steps 0.8 at q = 0.08, 1.0 at 0.10, 1.2 at 0.12, 1.5 at 0.15, 1.8-2.0 at
+# 0.20; 1000 steps 0.9 to 1.8 over the same q; 20 steps 0.6 to 1.1; 1 to 5
+# steps 0.5 to 0.7.  A lower value would change the records drawn between it
+# and 0.2 and slow short records, so it stays.
 _GAP_CROSSOVER = 0.2
 # Complex-spectrum bytes per estimator FFT block, small enough to stay in
 # cache: 128 records of 201 readings, transformed into two arrays made once
@@ -164,10 +167,7 @@ def sample_trajectories(sched: MeasurementSchedule, count: int,
     `unpack_readings` reads the words).  The readings are the prefix xor
     of the flip bits: a ladder of shifts inside each word (Warren,
     Hacker's Delight, 5-2), each word then xored with the parity carried
-    out of the one before.  The gap route has a fixed cost per block: from
-    20 steps per record it was no slower than the uniforms at any
-    q <= _GAP_CROSSOVER, but with fewer steps it can be (1.27x at one step
-    and q = 0.19).
+    out of the one before.  The routes' times are compared at _GAP_CROSSOVER.
     """
     n = sched.n_steps
     width = -(-(n + 1) // 64)

@@ -213,8 +213,7 @@ def whole_triangle_correlations(state, density, params: TunnelingParams,
     i, j = np.triu_indices(times.size)
     a1, a2 = np.tile([1, 1, -1, -1], i.size), np.tile([1, -1, 1, -1], i.size)
     t1, t2 = np.repeat(times[i], 4), np.repeat(times[j], 4)
-    q = ts.two_time_quantum_corr(state, density, a1, a2, params, t1, t2)
-    stat = ts.two_time_statistical_corr(state, density, a1, a2, params, t1, t2)
+    q, stat = ts.two_time_correlations(state, density, a1, a2, params, t1, t2)
     return [a1, a2, t1, t2, q.real, q.imag, stat]
 
 

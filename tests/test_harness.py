@@ -578,7 +578,7 @@ class TestRunDirectory:
         run_experiment(resolve_config("g2s-correlations", {**payload, "g2s.chi": 0.5},
                                       output_dir=out))
         before = snapshot(out)
-        corr, staged = ts.two_time_quantum_corr, []
+        corr, staged = ts.two_time_correlations, []
 
         def failing(*args):
             staged.append(sorted(p.name for p in out.glob(".gravcat-*/*")))
@@ -586,7 +586,7 @@ class TestRunDirectory:
                 raise RuntimeError("closed form failed")
             return corr(*args)
 
-        monkeypatch.setattr(ts, "two_time_quantum_corr", failing)
+        monkeypatch.setattr(ts, "two_time_correlations", failing)
         cfg = write_config(tmp_path, "c.json", payload)
         assert main(["g2s-correlations", "--config", str(cfg), "--out", str(out)]) == 4
         assert staged[-1] == ["correlations.csv", "mean_density.csv"]
@@ -1200,14 +1200,23 @@ class TestCli:
                        [f"gravcat: config error: density.L = {payload['density.L']!r}: "
                         "the cat's two branches coincide"])
 
-    def test_unresolved_wigner_grid_is_regime_error(self, tmp_path, capfd):
-        # 257 positions over a cat 300 spreads wide miss each branch's bump,
-        # so the grid's trapezoid normalization misses 1 by 5e-6
+    def test_wide_cat_gets_a_position_per_spread(self, tmp_path, capfd):
+        # 257 positions over a cat 300 spreads wide missed each branch's bump
+        # (normalization 1 - 5e-6, exit 3); 317 positions are one spread apart
         cfg = write_config(tmp_path, "c.json", {"density.state": "cat", "density.L": 300.0})
+        assert main(["density-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert capfd.readouterr().err == ""
+        meta = json.loads((tmp_path / "o" / "wigner_meta.json").read_text())
+        assert (meta["x_count"], meta["p_count"]) == (317, 2293)
+        assert abs(meta["normalization"] - 1.0) < 1e-6
+
+    def test_grid_of_a_wider_cat_is_bounded(self, tmp_path, capfd):
+        # a position per spread and 8 momenta per fringe: 3017 x 22920 values
+        cfg = write_config(tmp_path, "c.json", {"density.state": "cat", "density.L": 3000.0})
         assert main(["density-suite", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capfd.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("gravcat: regime rejection: Wigner "
-                                                   "normalization 0.99999"), err
+        assert err == ["gravcat: regime rejection: a 3017 x 22920 phase-space grid exceeds "
+                       "the bound of 8388608 elements"], err
         assert not (tmp_path / "o").exists()
 
     def test_unresolvable_fringes_give_a_short_message(self, tmp_path, capfd):
@@ -1472,8 +1481,7 @@ class TestG2sExperiment:
             for t2 in times[i:]:
                 for a1 in (1, -1):
                     for a2 in (1, -1):
-                        q = ts.two_time_quantum_corr(state, dens, a1, a2, params, t1, t2)
-                        st = ts.two_time_statistical_corr(state, dens, a1, a2, params, t1, t2)
+                        q, st = ts.two_time_correlations(state, dens, a1, a2, params, t1, t2)
                         corr_rows.append((a1, a2, t1, t2, q.real, q.imag, st))
         write_csv_rows_oracle(tmp_path / "mean.csv", ["a", "t", "mean"], mean_rows)
         write_csv_rows_oracle(tmp_path / "corr.csv", ["a1", "a2", "t1", "t2", "quantum_re",

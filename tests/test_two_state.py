@@ -8,8 +8,7 @@ from gravcat.two_state import (
     SmearedDensityParams,
     TunnelingParams,
     mean_density,
-    two_time_quantum_corr,
-    two_time_statistical_corr,
+    two_time_correlations,
 )
 from oracles import heisenberg_projector, tunneling_hamiltonian, tunneling_propagator
 
@@ -182,8 +181,8 @@ class TestQuantumCorrelator:
     def test_frozen_dynamics_plus_state(self):
         params = TunnelingParams(0.0, 0.3)
         scale = DENS.m**2 / DENS.ell**6
-        same = two_time_quantum_corr(PLUS, DENS, 1, 1, params, 0.2, 1.1)
-        cross = two_time_quantum_corr(PLUS, DENS, 1, -1, params, 0.2, 1.1)
+        same = two_time_correlations(PLUS, DENS, 1, 1, params, 0.2, 1.1)[0]
+        cross = two_time_correlations(PLUS, DENS, 1, -1, params, 0.2, 1.1)[0]
         assert abs(same - scale) < 1e-14
         assert abs(cross) < 1e-14
 
@@ -194,7 +193,7 @@ class TestQuantumCorrelator:
             params = TunnelingParams(rng.uniform(0, 4), rng.uniform(-np.pi, np.pi))
             t = rng.uniform(0, 5)
             for a in (1, -1):
-                val = two_time_quantum_corr(s, DENS, a, a, params, t, t)
+                val = two_time_correlations(s, DENS, a, a, params, t, t)[0]
                 assert val.imag == 0.0
 
     def test_operator_product_oracle(self):
@@ -214,7 +213,8 @@ class TestQuantumCorrelator:
                         @ projector_oracle(a1, nu, chi, t1)
                         @ psi
                     )
-                    got = two_time_quantum_corr(s, DENS, a1, a2, TunnelingParams(nu, chi), t1, t2)
+                    params = TunnelingParams(nu, chi)
+                    got, _ = two_time_correlations(s, DENS, a1, a2, params, t1, t2)
                     assert abs(got - expected) < 1e-12
 
     def test_imaginary_part_closed_form(self):
@@ -227,13 +227,14 @@ class TestQuantumCorrelator:
             _, _, gamma = s.bloch(chi)
             for a1 in (1, -1):
                 for a2 in (1, -1):
-                    val = two_time_quantum_corr(s, DENS, a1, a2, TunnelingParams(nu, chi), t1, t2)
+                    params = TunnelingParams(nu, chi)
+                    val, _ = two_time_correlations(s, DENS, a1, a2, params, t1, t2)
                     expected = -DENS.m**2 / (4 * DENS.ell**6) * gamma * a1 * a2 * np.sin(nu * (t2 - t1))
                     assert abs(val.imag - expected) < 1e-13
 
     def test_unordered_times_rejected(self):
         with pytest.raises(ValueError):
-            two_time_quantum_corr(PLUS, DENS, 1, 1, TunnelingParams(1.0), 1.0, 0.5)
+            two_time_correlations(PLUS, DENS, 1, 1, TunnelingParams(1.0), 1.0, 0.5)
 
 
 def born_rule_two_step(state, nu, chi, a1, a2, t1, t2):
@@ -249,13 +250,13 @@ class TestStatisticalCorrelator:
     def test_frozen_dynamics_plus_state(self):
         params = TunnelingParams(0.0, 0.0)
         scale = DENS.m**2 / DENS.ell**6
-        val = two_time_statistical_corr(PLUS, DENS, 1, 1, params, 0.1, 0.9)
+        val = two_time_correlations(PLUS, DENS, 1, 1, params, 0.1, 0.9)[1]
         assert abs(val - scale) < 1e-14
 
     def test_quarter_period_value(self):
         # delta = 1, beta = 0; nu t1 = pi/2 and nu (t2 - t1) = pi/2
         params = TunnelingParams(1.0, 0.0)
-        val = two_time_statistical_corr(PLUS, DENS, 1, 1, params, np.pi / 2, np.pi)
+        val = two_time_correlations(PLUS, DENS, 1, 1, params, np.pi / 2, np.pi)[1]
         assert abs(val - DENS.m**2 / (4 * DENS.ell**6)) < 1e-13
 
     def test_born_rule_oracle(self):
@@ -269,7 +270,8 @@ class TestStatisticalCorrelator:
             for a1 in (1, -1):
                 for a2 in (1, -1):
                     expected = scale * born_rule_two_step(s, nu, chi, a1, a2, t1, t2)
-                    got = two_time_statistical_corr(s, DENS, a1, a2, TunnelingParams(nu, chi), t1, t2)
+                    params = TunnelingParams(nu, chi)
+                    _, got = two_time_correlations(s, DENS, a1, a2, params, t1, t2)
                     assert abs(got - expected) < 1e-12
 
     def test_marginal_over_second_outcome(self):
@@ -283,7 +285,7 @@ class TestStatisticalCorrelator:
             t2 = t1 + rng.uniform(0, 5)
             for a1 in (1, -1):
                 total = sum(
-                    two_time_statistical_corr(s, DENS, a1, a2, params, t1, t2)
+                    two_time_correlations(s, DENS, a1, a2, params, t1, t2)[1]
                     for a2 in (1, -1)
                 )
                 psi = amplitudes(s)
@@ -292,7 +294,7 @@ class TestStatisticalCorrelator:
 
     def test_unordered_times_rejected(self):
         with pytest.raises(ValueError):
-            two_time_statistical_corr(PLUS, DENS, 1, 1, TunnelingParams(1.0), 2.0, 1.0)
+            two_time_correlations(PLUS, DENS, 1, 1, TunnelingParams(1.0), 2.0, 1.0)
 
 
 class TestArrayForms:
@@ -306,42 +308,56 @@ class TestArrayForms:
             t2[::7] = t1[::7]
             a1, a2 = rng.choice([1, -1], size=(2, 40))
             mean = mean_density(s, DENS, a1, params, t1)
-            quantum = two_time_quantum_corr(s, DENS, a1, a2, params, t1, t2)
-            stat = two_time_statistical_corr(s, DENS, a1, a2, params, t1, t2)
+            quantum, stat = two_time_correlations(s, DENS, a1, a2, params, t1, t2)
             for k in range(40):
                 args = (int(a1[k]), int(a2[k]), params, float(t1[k]), float(t2[k]))
                 assert mean[k] == mean_density(s, DENS, args[0], params, args[3])
-                assert quantum[k] == two_time_quantum_corr(s, DENS, *args)
-                assert stat[k] == two_time_statistical_corr(s, DENS, *args)
+                assert (quantum[k], stat[k]) == two_time_correlations(s, DENS, *args)
+
+    def test_label_rows_by_time_columns_equal_scalar_calls(self):
+        # the runner's layout: a (pairs, 1) column of times against a (1, 4)
+        # row of labels; both outputs of the one call match each scalar call
+        s, params = QubitState(0.6 + 0.48j, 0.64j), TunnelingParams(1.3, 0.7)
+        a1, a2 = np.array([[1, 1, -1, -1]]), np.array([[1, -1, 1, -1]])
+        t1 = np.array([[-1.0], [0.0], [0.5], [2.0]])
+        t2 = t1 + np.array([[0.0], [0.3], [4.0], [1e-9]])
+        quantum, stat = two_time_correlations(s, DENS, a1, a2, params, t1, t2)
+        assert quantum.shape == stat.shape == (4, 4)
+        assert quantum.dtype == complex and stat.dtype == float
+        for i in range(4):
+            for j in range(4):
+                q, st = two_time_correlations(s, DENS, int(a1[0, j]), int(a2[0, j]), params,
+                                              float(t1[i, 0]), float(t2[i, 0]))
+                assert quantum[i, j] == q and stat[i, j] == st
 
     def test_arguments_broadcast(self):
         s, params = QubitState(0.6, 0.8j), TunnelingParams(0.7, 0.4)
         times = np.linspace(0.0, 3.0, 5)
-        grid = two_time_quantum_corr(s, DENS, 1, np.array([[1], [-1]])[..., None], params,
-                                     times[:, None], times[:, None] + times[None, :])
-        assert grid.shape == (2, 5, 5)
-        assert grid[1, 2, 3] == two_time_quantum_corr(s, DENS, 1, -1, params, times[2],
-                                                      times[2] + times[3])
+        grid, stat = two_time_correlations(s, DENS, 1, np.array([[1], [-1]])[..., None], params,
+                                           times[:, None], times[:, None] + times[None, :])
+        assert grid.shape == stat.shape == (2, 5, 5)
+        assert (grid[1, 2, 3], stat[1, 2, 3]) == two_time_correlations(
+            s, DENS, 1, -1, params, times[2], times[2] + times[3])
         assert mean_density(s, DENS, np.array([1, -1]), params, 0.5).shape == (2,)
 
     def test_scalar_calls_return_python_scalars(self):
         s, params = QubitState(0.6, 0.8j), TunnelingParams(0.7, 0.4)
         assert type(mean_density(s, DENS, 1, params, 0.5)) is float
-        assert type(two_time_quantum_corr(s, DENS, 1, -1, params, 0.5, 0.9)) is complex
-        assert type(two_time_statistical_corr(s, DENS, 1, -1, params, 0.5, 0.9)) is float
+        quantum, stat = two_time_correlations(s, DENS, 1, -1, params, 0.5, 0.9)
+        assert type(quantum) is complex
+        assert type(stat) is float
         assert type(mean_density(s, DENS, np.int64(-1), params, np.float64(0.5))) is float
 
-    @pytest.mark.parametrize("fn", [two_time_quantum_corr, two_time_statistical_corr])
-    def test_bad_element_rejected(self, fn):
+    def test_bad_element_rejected(self):
         s, params = QubitState(0.6, 0.8j), TunnelingParams(0.7, 0.4)
         t1, t2 = np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6, 0.7])
         with pytest.raises(ValueError, match="well label"):
-            fn(s, DENS, np.array([1, 0, -1]), 1, params, t1, t2)
+            two_time_correlations(s, DENS, np.array([1, 0, -1]), 1, params, t1, t2)
         with pytest.raises(ValueError, match="well label"):
-            fn(s, DENS, 1, np.array([1, -1, 2]), params, t1, t2)
+            two_time_correlations(s, DENS, 1, np.array([1, -1, 2]), params, t1, t2)
         with pytest.raises(ValueError, match="ordered"):
-            fn(s, DENS, 1, 1, params, t1, np.array([0.5, 0.15, 0.7]))
+            two_time_correlations(s, DENS, 1, 1, params, t1, np.array([0.5, 0.15, 0.7]))
         with pytest.raises(ValueError, match="ordered"):
-            fn(s, DENS, 1, 1, params, t1, np.array([0.5, np.nan, 0.7]))
+            two_time_correlations(s, DENS, 1, 1, params, t1, np.array([0.5, np.nan, 0.7]))
         with pytest.raises(ValueError, match="well label"):
             mean_density(s, DENS, np.array([1, -1, 3]), params, t1)

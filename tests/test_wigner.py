@@ -227,13 +227,18 @@ class TestSplineOracle:
             grid.evaluate(0.5, 0.5)
 
 
+# The 257 x 45,838 axes that default_axes gave the sigma = 0.001 cat, 6000
+# spreads wide, while it laid 257 positions whatever the width (23.5 spreads apart)
+FINE_CAT_257_AXES = (np.linspace(-3.008, 3.008, 257), np.linspace(-3000.0, 3000.0, 45838))
+
+
 class TestSizeBound:
     def test_fine_cat_rejected_before_allocating(self):
         # sigma = 0.001 needs a 34,608 x 45,838 phase matrix (25 GB complex)
         tracemalloc.start()
         try:
             with pytest.raises(GridAliasingError, match="phase matrix"):
-                wigner_transform(cat(0.001, 6.0))
+                wigner_transform(cat(0.001, 6.0), *FINE_CAT_257_AXES)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -250,11 +255,14 @@ class TestSizeBound:
             wigner_transform(gaussian(1.0), x_axis=x, p_axis=p)
 
     def test_closed_form_grid_rejected_before_allocating(self):
-        # the sigma = 0.001 cat's default axes are 257 x 45,838 values
+        # the sigma = 0.001 cat's default axes, one position per spread, are
+        # 6017 x 45,838 values; given axes of 257 x 45,838 are bounded too
         tracemalloc.start()
         try:
-            with pytest.raises(GridAliasingError, match="257 x 45838 phase-space grid"):
+            with pytest.raises(GridAliasingError, match="6017 x 45838 phase-space grid"):
                 wigner_function(cat(0.001, 6.0))
+            with pytest.raises(GridAliasingError, match="257 x 45838 phase-space grid"):
+                wigner_function(cat(0.001, 6.0), FINE_CAT_257_AXES)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
