@@ -88,33 +88,54 @@ _HASH_CHUNK_BYTES = 1 << 16
 _P10 = 10 ** np.arange(18, dtype=np.int64)
 
 
+class IndexColumn:
+    """A write_csv column of 1-D integer `codes` into 1-D real `values`: row
+    r prints values[codes[r]].  Both are checked when it is made."""
+
+    def __init__(self, codes, values):
+        c, v = self.codes, self.values = np.asarray(codes), np.asarray(values)
+        if not (c.ndim == v.ndim == 1 and c.dtype.kind in "iu" and v.dtype.kind in "biuf"):
+            raise ValueError("an index column takes 1-D integer codes into 1-D real values")
+        if c.size and not 0 <= c.min() <= c.max() < v.size:
+            raise ValueError(f"index column codes must lie in [0, {v.size})")
+
+
 def write_csv(path: Path, header: list[str], blocks) -> Artifact:
-    """Write under `header` the rows of each block of equal-length 1-D real
-    columns `blocks` yields; a whole table is the one block `[columns]`.
-    Each block is checked as it is drawn, then rendered _block_rows(its
-    dtypes) rows at a time, hashed and written before the next is drawn.
+    """Write under `header` the rows of each block of equal-length columns
+    (1-D real arrays or IndexColumns) `blocks` yields; a whole table is the
+    one block `[columns]`.  Each block is checked as it is drawn, then
+    rendered _block_rows(its dtypes) rows at a time, hashed and written
+    before the next is drawn.
 
     Integer and boolean columns print as %d, all others as %.17g, byte for
-    byte as Python's % prints them.  Rows are rendered by numpy into fixed
-    8-byte word slots, NUL-padded, and the NULs are dropped before they are
+    byte as Python's % prints them.  Rows are rendered by numpy into 8-byte
+    word slots, NUL-padded, and the NULs are dropped before they are
     written.  The 17 digits of a float come from a double-double product
     (see _float_digits); a value that could round either way, and every
-    value the product does not cover, is printed by Python's % instead.
+    value the product does not cover, is printed by Python's % instead.  An
+    IndexColumn's rows are gathered by code from one rendering of its
+    values, kept while the blocks that follow hold the same values object.
     """
     buf = bytearray(_CSV_BLOCK_BYTES)
 
     def chunks():  # each row starts with the newline that ends the line before it
         yield ",".join(header).encode("ascii")
+        tables = {}  # id(values) -> (values, table): holding the values keeps the id theirs
         for columns in blocks:
-            columns = [np.asarray(c) for c in columns]
-            n_rows = columns[0].size if columns else 0
+            columns = [c if isinstance(c, IndexColumn) else np.asarray(c) for c in columns]
+            arrays = [getattr(c, "codes", c) for c in columns]
+            n_rows = arrays[0].size if arrays else 0
             if len(columns) != len(header) or any(c.ndim != 1 or c.size != n_rows
-                                                  or c.dtype.kind not in "biuf" for c in columns):
+                                                  or c.dtype.kind not in "biuf" for c in arrays):
                 raise ValueError(f"need {len(header)} 1-D real columns of equal length "
                                  f"for {path.name}")
-            rows = _block_rows([c.dtype for c in columns])
+            held = {id(c.values): c.values for c in columns if isinstance(c, IndexColumn)}
+            tables = {i: tables.get(i) or (v, np.stack(_cell_words(v.astype(_render_type(v))),
+                                                       axis=1)) for i, v in held.items()}
+            rows = _block_rows([getattr(c, "values", c).dtype for c in columns])
             for lo in range(0, n_rows, rows):
-                yield _render_rows([c[lo : lo + rows] for c in columns], buf)
+                yield _render_rows([(tables[id(c.values)][1], a[lo : lo + rows]) if c is not a
+                                    else a[lo : lo + rows] for c, a in zip(columns, arrays)], buf)
         yield b"\n"
 
     return _write_hashed(path, chunks())
@@ -141,31 +162,31 @@ def _write_hashed(path: Path, chunks) -> Artifact:
 
 def _render_rows(columns, buf: bytearray) -> bytes:
     """ASCII rows of equal-length columns, laid out in `buf` as 8-byte words
-    (cell by cell, NUL-padded) and returned without the NULs.  The columns
-    of one render type are rendered as one array: on a g2s-grid table that
-    takes a third of the writer's time off, against a column at a time."""
-    m = columns[0].size
-    cells = [None] * len(columns)
+    (cell by cell, NUL-padded) and returned without the NULs.  The array
+    columns of one render type are rendered as one array: on a g2s-grid
+    table that takes a third of the writer's time off, against a column at
+    a time.  An index column comes as (its table of words, codes)."""
+    cells = [list(c[0][c[1]].T) if isinstance(c, tuple) else None for c in columns]
+    m = len(cells[0][0]) if cells[0] else columns[0].size
     for kind in (np.float64, np.int64, np.uint64):
-        group = [i for i, c in enumerate(columns) if _render_type(c) is kind]
+        group = [i for i, c in enumerate(columns) if cells[i] is None and _render_type(c) is kind]
         if group:
             words = _cell_words(np.concatenate([columns[i] for i in group], dtype=kind))
             for g, i in enumerate(group):
                 cells[i] = [w[g * m:(g + 1) * m] for w in words]
-                cells[i][0] |= np.uint64(ord("," if i else "\n"))
+    for i, cell in enumerate(cells):
+        cell[0] |= np.uint64(ord("," if i else "\n"))
     words = np.frombuffer(buf, "<u8", m * sum(map(len, cells))).reshape(m, -1)
     for j, w in enumerate([w for cell in cells for w in cell]):
         words[:, j] = w
-    del cells, w
+    del cells, cell, w
     return bytearray(words).translate(None, b"\0")
 
 
 def _render_type(c):
     """The dtype a column is rendered in: every float and integer type fits
     float64 or int64 exactly, except uint64."""
-    if c.dtype.kind == "f":
-        return np.float64
-    return np.uint64 if c.dtype == np.uint64 else np.int64
+    return np.float64 if c.dtype.kind == "f" else np.uint64 if c.dtype == np.uint64 else np.int64
 
 
 def _lookup_tables():
@@ -268,19 +289,6 @@ def _float_digits(x):
     return digits, k, np.concatenate([odd[x[odd] != 0], tie])
 
 
-def _float_parts(x):
-    """(whole, frac, k + 400, fallback) of _float_digits: the digits before
-    the point, and those after it as a left-aligned 17-digit integer."""
-    t = _TABLES
-    digits, k, fallback = _float_digits(x)
-    k += 400
-    split = t.split[k]
-    whole = digits // split
-    digits -= whole * split
-    digits *= t.scale[k]
-    return whole, digits, k, fallback
-
-
 def _ascii8(n):
     """The 8 ASCII digits of n < 10^8, zero-padded, first digit in the low byte."""
     quad = _TABLES.quad
@@ -292,9 +300,9 @@ def _cell_words(c) -> list:
     """The cells of a float64, int64 or uint64 array as 8-byte words: [NUL
     for the separator, sign, up to 6 digits], 8 more digits per further
     word before the point, then ".000" with up to 4 digits, 8 digits and 5
-    digits of the fraction, then the exponent; NULs are padding.  Every
-    word is kept, even one that is NUL in every cell: the first word's low
-    byte, NUL in every cell Python's % prints too, takes the separator."""
+    digits of the fraction, then the exponent; NULs are padding.  A word
+    NUL in every cell is dropped, but never the first: its low byte, NUL
+    in every cell Python's % prints too, takes the separator."""
     t = _TABLES
     if c.dtype.kind != "f":
         fallback = np.flatnonzero((c >= 10**17) | (c <= -10**17))
@@ -303,28 +311,24 @@ def _cell_words(c) -> list:
         nd = np.maximum(np.searchsorted(_P10, whole, side="right"), 1)
         neg, fmt = c < 0, b"%d"
     else:
-        whole, frac, k, fallback = _float_parts(c)
+        frac, k, fallback = _float_digits(c)
+        k += 400
+        whole = frac // t.split[k]  # the digits before the point; those after it,
+        frac = (frac - whole * t.split[k]) * t.scale[k]  # left-aligned to 17 digits
         nd = t.nd[k]
         neg, fmt = np.signbit(c), b"%.17g"
     extra = (int(nd.max(initial=1)) + 1) // 8  # words after the first
-    words = [_ascii8(whole // 10 ** (8 * extra)) & t.head[extra][nd]]
-    words += [_ascii8(whole // 10 ** (8 * i) % 10**8) & t.head[i][nd]
-              for i in range(extra - 1, -1, -1)]
+    words = [_ascii8(whole // 10 ** (8 * i) % 10**8) & t.head[i][nd] for i in range(extra, -1, -1)]
     words[0] |= neg * np.uint64(ord("-") << 8)
     if fmt == b"%.17g":
-        groups = []
-        for scale in (10**13, 10**9, 10**5, 10, 1):
-            groups.append(frac // scale)
-            frac -= groups[-1] * scale
-        groups[-1] = groups[-1] * 1000
-        nsig = t.sig[0][groups[0]]
-        for j in range(1, 5):
-            np.maximum(nsig, t.sig[j][groups[j]], out=nsig)
+        groups = [frac // s % 10**4 for s in (10**13, 10**9, 10**5, 10)] + [frac % 10 * 1000]
+        nsig = np.max([t.sig[j][g] for j, g in enumerate(groups)], axis=0)
         quad = [t.quad[g] for g in groups]
         words += [(quad[0] << 32 | t.lead[k]) & t.frac[0][nsig],
                   (quad[1] | quad[2] << 32) & t.frac[1][nsig],
                   (quad[3] | quad[4] << 32) & t.frac[2][nsig],
                   t.exp[k]]
+    words[1:] = [w for w in words[1:] if w.any()]
     if fallback.size:
         text = [b"\0" + fmt % v for v in c[fallback].tolist()]
         width = max(len(words), -(-max(map(len, text)) // 8))
@@ -341,14 +345,9 @@ def _json_safe(obj):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if np.isfinite(f) else None
-    return obj
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def write_json(path: Path, obj: dict) -> Artifact:
@@ -357,8 +356,7 @@ def write_json(path: Path, obj: dict) -> Artifact:
 
 
 def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    buf = bytearray(_HASH_CHUNK_BYTES)
+    h, buf = hashlib.sha256(), bytearray(_HASH_CHUNK_BYTES)
     view = memoryview(buf)
     with path.open("rb", buffering=0) as fh:
         while size := fh.readinto(buf):
@@ -495,7 +493,8 @@ def _run_g2s(cfg: ExperimentConfig):
     mean = ts.mean_density(state, dens, mean_a, params, mean_t)
     starts = np.cumsum(np.r_[0, np.arange(times.size, 1, -1)])  # pair index of (i, i)
     pairs = int(starts[-1]) + 1
-    a1, a2 = np.array([[1, 1, -1, -1]]), np.array([[1, -1, 1, -1]])
+    labels, codes = np.array([1, -1]), np.indices((2, 2)).reshape(2, 1, 4)  # (a1, a2) in [1, -1]
+    a1, a2 = labels[codes]
     per_call = 2 * _block_rows([a1.dtype] * 2 + [times.dtype] * 5)  # 8 writer blocks
 
     def blocks():
@@ -504,10 +503,12 @@ def _run_g2s(cfg: ExperimentConfig):
         for lo in range(0, pairs, per_call):
             k = np.arange(lo, min(lo + per_call, pairs))
             i = np.searchsorted(starts, k, side="right") - 1
-            t1, t2 = times[i][:, None], times[i + k - starts[i]][:, None]
-            q, stat = ts.two_time_correlations(state, dens, a1, a2, params, t1, t2)
-            yield [np.tile(a1[0], k.size), np.tile(a2[0], k.size), np.repeat(t1, 4),
-                   np.repeat(t2, 4), q.real.ravel(), q.imag.ravel(), stat.ravel()]
+            j = i + k - starts[i]
+            q, stat = ts.two_time_correlations(state, dens, a1, a2, params, times[i][:, None],
+                                               times[j][:, None])
+            yield [*(IndexColumn(np.tile(c[0], k.size), labels) for c in codes),
+                   *(IndexColumn(np.repeat(t, 4), times) for t in (i, j)),
+                   q.real.ravel(), q.imag.ravel(), stat.ravel()]
 
     artifacts = {
         "mean_density.csv": (["a", "t", "mean"], [[mean_a, mean_t, mean]]),
@@ -585,12 +586,12 @@ def _run_force(cfg: ExperimentConfig):
     def trajectories(start=0):  # start: table index of the block's first reading
         # one (trajectory_id, step, reading) row per reading; one block of
         # records and one writer block of index columns exist at a time
-        rows = _block_rows([np.dtype(np.int64)] * 3)
+        rows, steps = _block_rows([np.dtype(np.int64)] * 3), np.arange(n + 1)
         for block in ms.sample_trajectories(sched, count, cfg.seed):
             flat = ms.unpack_readings(block, n + 1).reshape(-1)
             for lo in range(0, flat.size, rows):
                 index = np.arange(start + lo, start + min(lo + rows, flat.size), dtype=np.int64)
-                yield [index // (n + 1), index % (n + 1), flat[lo : lo + rows]]
+                yield [index // (n + 1), IndexColumn(index % (n + 1), steps), flat[lo : lo + rows]]
             start += flat.size
 
     if p["force.dump_trajectories"]:
@@ -608,8 +609,7 @@ def _run_jc(cfg: ExperimentConfig):
     from .fock import TRUNCATION_LEAK_BOUND, vacuum_truncation_leak
 
     p = cfg.parameters
-    omega = p["jc.omega"]
-    dim = p["jc.dim"]
+    omega, dim = p["jc.omega"], p["jc.dim"]
     params = jc.JCParams(nu=p["jc.nu_over_omega"] * omega, omega=omega,
                          g=p["jc.g_over_omega"] * omega)
     # distinguishability reports omega^3 and 2 |zeta_0|^2 omega^3 (** would
@@ -730,9 +730,10 @@ def _run_density(cfg: ExperimentConfig):
                     "the fluctuation ratio 1 / (ell^3 |psi|^2) - 1 or its numerator "
                     "m^2 |psi|^2 / ell^3 overflows on the profile", lambda: ratio[kept])
 
+    ix, ip = np.indices(grid.values.shape, np.int32).reshape(2, -1)  # row-major grid codes
     artifacts = {
-        "wigner.csv": (["x", "p", "w"], [[np.repeat(grid.x, grid.p.size),
-                                          np.tile(grid.p, grid.x.size), grid.values.ravel()]]),
+        "wigner.csv": (["x", "p", "w"], [[IndexColumn(ix, grid.x), IndexColumn(ip, grid.p),
+                                          grid.values.ravel()]]),
         "wigner_meta.json": {
             "columns": ["x", "p", "w"],
             "x_min": float(grid.x[0]), "x_max": float(grid.x[-1]), "x_count": int(grid.x.size),
@@ -769,8 +770,7 @@ def _run_density(cfg: ExperimentConfig):
     defects = [hist.additivity_defect(axis_state, sam, 0.1, 0.1 + dt, r1_comb,
                                       [0.0, p["density.sigma"]], mass)
                for dt, mass in zip(dts, masses)]
-    artifacts["kolmogorov_defect.csv"] = (["delta_t", "mass", "defect"],
-                                          [[dts, masses, defects]])
+    artifacts["kolmogorov_defect.csv"] = (["delta_t", "mass", "defect"], [[dts, masses, defects]])
     results = {"wigner_normalization": grid.meta.get("normalization"),
                "profile_points_dropped": int(np.count_nonzero(~kept)),
                "defect_comb_size": int(r1_comb.size)}

@@ -49,10 +49,8 @@ class PhaseSpaceGrid:
         self.p = np.asarray(self.p, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.x.size, self.p.size):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match axes "
-                f"({self.x.size}, {self.p.size})"
-            )
+            raise ValueError(f"values shape {self.values.shape} does not match axes "
+                             f"({self.x.size}, {self.p.size})")
 
     def normalization(self) -> float:
         """Integral dx dp / (2 pi) W by the trapezoid rule."""
@@ -114,18 +112,19 @@ def wigner_function(state, axes=None) -> PhaseSpaceGrid:
                       for a in (default_axes(state) if axes is None else axes))
     _check_size(x_axis.size, p_axis.size)
     # every state here has one real width, so each term separates in x and
-    # p and the grid is one (x, term) by (term, p) matrix product
+    # p and the grid is the real part of one (x, term) by (term, p) matrix
+    # product, taken as two real products: on a 257 x 321 grid they run on
+    # one thread, where the complex product woke OpenBLAS's worker thread
+    # and took most of the call's time
     w = wigner_terms(state)
     x, p = x_axis[:, None], p_axis[:, None]
     in_x = np.exp(w.c + x * (w.b[:, 0] - 0.5 * w.M[:, 0, 0] * x))
     in_p = np.exp(p * (w.b[:, 1] - 0.5 * w.M[:, 1, 1] * p))
-    values = (in_x @ in_p.T).real
+    values = in_x.real @ in_p.real.T - in_x.imag @ in_p.imag.T
     grid = PhaseSpaceGrid(x_axis, p_axis, values, meta={"state": repr(state)})
     norm = grid.normalization()
     if abs(norm - 1.0) > 1e-6:
-        raise GridAliasingError(
-            f"Wigner normalization {norm!r} deviates from 1 beyond 1e-6; "
-            "grid does not capture the state"
-        )
+        raise GridAliasingError(f"Wigner normalization {norm!r} deviates from 1 beyond 1e-6; "
+                                "grid does not capture the state")
     grid.meta["normalization"] = norm
     return grid

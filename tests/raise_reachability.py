@@ -32,6 +32,11 @@ ENTRIES = {"load_config", "resolve_config", "run_experiment"}
 UNREACHED = {
     ("harness", "chunks", "1-D real columns"):
         "write_csv's column check: every runner builds its columns, one per header name",
+    ("harness", "__init__", "1-D integer codes"):
+        "IndexColumn's check: the runners take codes from integer aranges and grid indices "
+        "into 1-D axes",
+    ("harness", "__init__", "codes must lie in"):
+        "IndexColumn's range check: each runner's codes index the axis they were built from",
     ("fock", "coherent_state", "coherent state has norm"):
         "D(zeta)|0> is unitary to rounding; the leak check bounds zeta before it is built",
     ("jc", "pointer_state", "sign must be +1 or -1"):

@@ -9,8 +9,10 @@ included), random decimal grids (values rounded to a few decimals, scaled
 by a power of ten, and evenly spaced grids) and constructed exact ties:
 m / 2^j with m odd and m 5^j of 18 digits, whose exact decimal has a 5 as
 its 18th and last significant digit, so that the 17-digit rounding goes to
-the even neighbour.  Exits 1 at the first chunk with a differing byte.
-Not a pytest module: it takes about half a minute.
+the even neighbour.  The first chunk is written a second time as a
+`harness.IndexColumn` of shuffled codes into its values, whose lines must
+be those values' lines in code order.  Exits 1 at the first chunk with a
+differing byte.  Not a pytest module: it takes about half a minute.
 """
 
 import argparse
@@ -72,8 +74,16 @@ def main(argv=None) -> int:
                       f"{values[i]!r}: wrote {got[i] if i < len(got) else None!r}, "
                       f"% gives {want[i]!r}")
                 return 1
+            if index == 0:  # the indexed pass, its codes from a stream of their own
+                codes = np.random.default_rng([args.seed, 1]).permutation(values.size)
+                column = harness.IndexColumn(codes, values)
+                got = harness.write_csv(path, ["v"], [[column]]).read_bytes().split(b"\n")[1:-1]
+                if got != [want[i] for i in codes.tolist()]:
+                    print(f"{source.__name__}: the indexed pass differs from %.17g")
+                    return 1
     print(f"{args.values} values match %.17g: {counts[0]} bit patterns, "
-          f"{counts[1]} decimal grid values, {counts[2]} constructed ties")
+          f"{counts[1]} decimal grid values, {counts[2]} constructed ties; the first "
+          "chunk also through shuffled index codes")
     return 0
 
 

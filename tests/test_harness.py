@@ -381,6 +381,152 @@ class TestCsvWriter:
         assert (tmp_path / "trajectories.csv").read_bytes().count(b"\n") == 2000 * 51 + 1
 
 
+class TestIndexColumns:
+    """An IndexColumn(codes, values) writes the bytes its plain column
+    values[codes] writes, and the bytes the row oracle writes."""
+
+    VALUES = {
+        "float64": np.concatenate([[np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
+                                    -1e-300, 0.1, 1.0 / 3.0, 12345678.0, 1e16, 1e17,
+                                    9.9999999999999991e-05, 1234567890123456.75,
+                                    1234567890123456.25, -123456789012345.125],
+                                   _NAN_BITS.view(np.float64)]),
+        "int64": np.array([0, -1, 7, 10**17 - 1, -(10**17), 2**63 - 1, -2**63]),
+        "uint64": np.array([0, 1, 2**63, 2**63 + 12345, 2**64 - 1, 10**17], dtype=np.uint64),
+        "bool": np.array([True, False]),
+        "float32": np.array([0.1, -2.5, np.inf, np.nan, 3.4e38, 1e-45, -0.0], dtype=np.float32),
+    }
+
+    @staticmethod
+    def _check(tmp_path, header, blocks):
+        """write_csv of `blocks` (a list of blocks) equals write_csv of the
+        same blocks with each index column replaced by values[codes], and
+        the row oracle over those plain columns."""
+        plain = [[c.values[c.codes] if isinstance(c, harness.IndexColumn) else c for c in block]
+                 for block in blocks]
+        got = harness.write_csv(tmp_path / "indexed.csv", header, iter(blocks)).read_bytes()
+        want = harness.write_csv(tmp_path / "plain.csv", header, plain).read_bytes()
+        rows = [row for block in plain for row in zip(*block)]
+        write_csv_rows_oracle(tmp_path / "rows.csv", header, rows)
+        assert got == want == (tmp_path / "rows.csv").read_bytes()
+        return got
+
+    @pytest.mark.parametrize("kind", sorted(VALUES))
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_matches_gathered_column(self, tmp_path, kind, position):
+        # repeated, unordered codes, every value used; the index column
+        # first (its cells take the newline) or later (they take the comma)
+        values = self.VALUES[kind]
+        rng = np.random.default_rng(position)
+        codes = rng.permutation(np.concatenate([np.arange(values.size),
+                                                rng.integers(0, values.size, 3 * values.size)]))
+        columns = [rng.normal(size=codes.size), np.arange(codes.size) - 5]
+        columns.insert(position, harness.IndexColumn(codes, values))
+        self._check(tmp_path, ["a", "b", "c"], [columns])
+
+    def test_code_dtypes(self, tmp_path):
+        values = self.VALUES["float64"]
+        for dtype in (np.int8, np.uint8, np.int32, np.uint64, np.int64):
+            codes = np.arange(values.size)[::-1].astype(dtype)
+            self._check(tmp_path, ["v", "w"], [[harness.IndexColumn(codes, values), codes]])
+
+    def test_tables_that_cross_block_boundaries(self, tmp_path):
+        # two index columns into one values array and one into another,
+        # over blocks longer than a writer block, then a short block
+        values, labels = np.linspace(-3.0, 7.0, 257), np.array([1, -1])
+        n = 2 * harness._block_rows([np.dtype(float)] * 3 + [np.dtype(np.int64)]) + 3
+        rng = np.random.default_rng(5)
+
+        def block(size):
+            return [harness.IndexColumn(rng.integers(0, 257, size), values),
+                    harness.IndexColumn(rng.integers(0, 257, size), values),
+                    harness.IndexColumn(rng.integers(0, 2, size), labels), rng.normal(size=size)]
+
+        got = self._check(tmp_path, ["x", "p", "a", "w"], [block(n), block(n), block(7)])
+        assert got.count(b"\n") == 2 * n + 7 + 1
+
+    def test_new_values_object_every_block(self, tmp_path):
+        # each block brings a new values array and drops the last one, so
+        # an array may take the id of one freed before
+        def blocks():
+            for b in range(40):
+                values = np.arange(5.0) + 0.1 * b
+                yield [harness.IndexColumn(np.arange(10) % 5, values), np.full(10, b)]
+
+        self._check(tmp_path, ["v", "b"], list(blocks()))
+        got = harness.write_csv(tmp_path / "gen.csv", ["v", "b"], blocks()).read_bytes()
+        assert got == (tmp_path / "plain.csv").read_bytes()
+
+    def test_shared_values_rendered_once_per_call(self, tmp_path, monkeypatch):
+        # two index columns into one values object, over three blocks
+        sizes, cell_words = [], harness._cell_words
+        monkeypatch.setattr(harness, "_cell_words", lambda c: sizes.append(c.size) or cell_words(c))
+        values = np.linspace(-1.0, 1.0, 7)
+        blocks = [[harness.IndexColumn(np.arange(7), values),
+                   harness.IndexColumn(np.arange(7)[::-1], values)]] * 3
+        harness.write_csv(tmp_path / "once.csv", ["a", "b"], blocks)
+        assert sizes == [7]
+        assert self._check(tmp_path, ["a", "b"], blocks) == (tmp_path / "once.csv").read_bytes()
+
+    def test_empty_table(self, tmp_path):
+        empty = np.array([], dtype=np.int64)
+        for values in (self.VALUES["float64"], np.array([])):
+            got = self._check(tmp_path, ["v", "t"], [[harness.IndexColumn(empty, values),
+                                                      np.array([])]])
+            assert got == b"v,t\n"
+
+    @pytest.mark.parametrize("codes,values", [
+        (np.array([0.0, 1.0]), np.arange(3.0)),
+        (np.array([True, False]), np.arange(3.0)),
+        (np.array([0, 3]), np.arange(3.0)),
+        (np.array([-1, 0]), np.arange(3.0)),
+        (np.array([0], dtype=np.uint64), np.array([])),
+        (np.array([[0, 1]]), np.arange(3.0)),
+        (np.array([0, 1]), np.arange(6.0).reshape(2, 3)),
+        (np.array([0, 1]), np.array([1j, 2j])),
+    ], ids=["float-codes", "bool-codes", "past-the-end", "negative", "into-empty", "2-D-codes",
+            "2-D-values", "complex-values"])
+    def test_bad_index_column_rejected(self, codes, values):
+        with pytest.raises(ValueError):
+            harness.IndexColumn(codes, values)
+
+    def test_index_column_of_another_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            harness.write_csv(tmp_path / "x.csv", ["a", "b"],
+                              [[harness.IndexColumn(np.arange(3), np.arange(3.0)), np.arange(4)]])
+
+    def test_g2s_sized_indexed_table_memory_bounded(self, tmp_path):
+        # the g2s-grid table as the runner hands it over: labels and times
+        # as index columns, drawn in the runner's blocks of pairs
+        import tracemalloc
+
+        i, j = np.triu_indices(200)
+        times, labels = np.linspace(0.0, 20.0, 200), np.array([1, -1])
+        rng = np.random.default_rng(2)
+        rest = rng.normal(size=(3, 4 * i.size))
+        per = 1598
+
+        def blocks():
+            for lo in range(0, i.size, per):
+                k = slice(lo, lo + per)
+                size = i[k].size
+                yield [harness.IndexColumn(np.tile([0, 0, 1, 1], size), labels),
+                       harness.IndexColumn(np.tile([0, 1, 0, 1], size), labels),
+                       harness.IndexColumn(np.repeat(i[k], 4), times),
+                       harness.IndexColumn(np.repeat(j[k], 4), times),
+                       *rest[:, 4 * lo : 4 * (lo + size)]]
+
+        harness.write_csv(tmp_path / "warm.csv", list("abcdefg"), blocks())
+        tracemalloc.start()
+        try:
+            harness.write_csv(tmp_path / "big.csv", list("abcdefg"), blocks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+        assert (tmp_path / "big.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = dict(G2S_CFG)
@@ -1660,6 +1806,20 @@ class TestDensityExperiment:
             expected = 2.0 * np.exp(-x**2 / (2 * sigma**2) - 2 * sigma**2 * p**2)
             worst = max(worst, abs(w - expected))
         assert worst < 1e-6
+
+    def test_wigner_rows_match_row_oracle(self, tmp_path):
+        # every row of a default cat run, formatted value by value from the
+        # grid the runner computes, by the former row writer
+        from gravcat.states import Packet
+        from gravcat.wigner import wigner_function
+
+        payload = {"density.state": "cat"}
+        run_experiment(resolve_config("density-suite", payload, output_dir=tmp_path / "o"))
+        grid = wigner_function(Packet(1.0, [(3.0, 0.0, 0.0), (-3.0, 0.0, 0.0)]).axis_state(0))
+        rows = ((x, p, w) for x, row in zip(grid.x, grid.values) for p, w in zip(grid.p, row))
+        write_csv_rows_oracle(tmp_path / "rows.csv", ["x", "p", "w"], rows)
+        assert (tmp_path / "o" / "wigner.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert grid.values.size == 257 * 321
 
     def test_static_mean_column_matches_density(self, tmp_path):
         cfg = resolve_config("density-suite", DENS_CFG, seed=0, output_dir=tmp_path)

@@ -305,3 +305,23 @@ class TestTransformOracle:
         assert np.max(np.abs(vals.imag)) <= 1e-15
         assert np.max(np.abs(vals.real - cat_wigner(x[:, 0], p[0], 0.7, 3.0,
                                                     cat(0.7, 3.0).norm_constant))) <= 1e-15
+
+
+class TestRealProducts:
+    """The grid is taken from two real products of the (x, term) and
+    (term, p) factors; the real part of their complex product is the oracle."""
+
+    @pytest.mark.parametrize("state", [gaussian(1.0), cat(1.0, 6.0), cat(1.0, 300.0)],
+                             ids=["gaussian", "cat-6", "cat-300"])
+    def test_matches_complex_product(self, state):
+        from gravcat.wigner import default_axes, wigner_terms
+
+        grid = wigner_function(state)
+        x_axis, p_axis = default_axes(state)
+        w = wigner_terms(state)
+        x, p = x_axis[:, None], p_axis[:, None]
+        in_x = np.exp(w.c + x * (w.b[:, 0] - 0.5 * w.M[:, 0, 0] * x))
+        in_p = np.exp(p * (w.b[:, 1] - 0.5 * w.M[:, 1, 1] * p))
+        oracle = (in_x @ in_p.T).real
+        assert grid.values.shape == oracle.shape
+        assert np.max(np.abs(grid.values - oracle)) <= 1e-15 * np.max(np.abs(oracle))
