@@ -90,7 +90,9 @@ _P10 = 10 ** np.arange(18, dtype=np.int64)
 
 class IndexColumn:
     """A write_csv column of 1-D integer `codes` into 1-D real `values`: row
-    r prints values[codes[r]].  Both are checked when it is made."""
+    r prints values[codes[r]].  Both are checked when it is made and kept
+    without a copy, so neither may change until write_csv has written the
+    block that holds it."""
 
     def __init__(self, codes, values):
         c, v = self.codes, self.values = np.asarray(codes), np.asarray(values)
@@ -112,15 +114,15 @@ def write_csv(path: Path, header: list[str], blocks) -> Artifact:
     word slots, NUL-padded, and the NULs are dropped before they are
     written.  The 17 digits of a float come from a double-double product
     (see _float_digits); a value that could round either way, and every
-    value the product does not cover, is printed by Python's % instead.  An
-    IndexColumn's rows are gathered by code from one rendering of its
-    values, kept while the blocks that follow hold the same values object.
+    value the product does not cover, is printed by Python's % instead.  The
+    values of a block's IndexColumns are rendered once when the block is
+    drawn, one rendering per values object, and its rows are gathered from
+    that rendering by code.
     """
     buf = bytearray(_CSV_BLOCK_BYTES)
 
     def chunks():  # each row starts with the newline that ends the line before it
         yield ",".join(header).encode("ascii")
-        tables = {}  # id(values) -> (values, table): holding the values keeps the id theirs
         for columns in blocks:
             columns = [c if isinstance(c, IndexColumn) else np.asarray(c) for c in columns]
             arrays = [getattr(c, "codes", c) for c in columns]
@@ -129,12 +131,12 @@ def write_csv(path: Path, header: list[str], blocks) -> Artifact:
                                                   or c.dtype.kind not in "biuf" for c in arrays):
                 raise ValueError(f"need {len(header)} 1-D real columns of equal length "
                                  f"for {path.name}")
-            held = {id(c.values): c.values for c in columns if isinstance(c, IndexColumn)}
-            tables = {i: tables.get(i) or (v, np.stack(_cell_words(v.astype(_render_type(v))),
-                                                       axis=1)) for i, v in held.items()}
+            values = {id(c.values): c.values for c in columns if isinstance(c, IndexColumn)}
+            tables = {i: np.stack(_cell_words(v.astype(_render_type(v))), axis=1)
+                      for i, v in values.items()}
             rows = _block_rows([getattr(c, "values", c).dtype for c in columns])
             for lo in range(0, n_rows, rows):
-                yield _render_rows([(tables[id(c.values)][1], a[lo : lo + rows]) if c is not a
+                yield _render_rows([(tables[id(c.values)], a[lo : lo + rows]) if c is not a
                                     else a[lo : lo + rows] for c, a in zip(columns, arrays)], buf)
         yield b"\n"
 
@@ -186,7 +188,9 @@ def _render_rows(columns, buf: bytearray) -> bytes:
 def _render_type(c):
     """The dtype a column is rendered in: every float and integer type fits
     float64 or int64 exactly, except uint64."""
-    return np.float64 if c.dtype.kind == "f" else np.uint64 if c.dtype == np.uint64 else np.int64
+    if c.dtype.kind == "f":
+        return np.float64
+    return np.uint64 if c.dtype == np.uint64 else np.int64
 
 
 def _lookup_tables():
@@ -289,6 +293,19 @@ def _float_digits(x):
     return digits, k, np.concatenate([odd[x[odd] != 0], tie])
 
 
+def _float_parts(x):
+    """(whole, frac, k + 400, fallback) of _float_digits: the digits before
+    the point, and those after it as a left-aligned 17-digit integer."""
+    t = _TABLES
+    digits, k, fallback = _float_digits(x)
+    k += 400
+    split = t.split[k]
+    whole = digits // split
+    digits -= whole * split
+    digits *= t.scale[k]
+    return whole, digits, k, fallback
+
+
 def _ascii8(n):
     """The 8 ASCII digits of n < 10^8, zero-padded, first digit in the low byte."""
     quad = _TABLES.quad
@@ -311,18 +328,23 @@ def _cell_words(c) -> list:
         nd = np.maximum(np.searchsorted(_P10, whole, side="right"), 1)
         neg, fmt = c < 0, b"%d"
     else:
-        frac, k, fallback = _float_digits(c)
-        k += 400
-        whole = frac // t.split[k]  # the digits before the point; those after it,
-        frac = (frac - whole * t.split[k]) * t.scale[k]  # left-aligned to 17 digits
+        whole, frac, k, fallback = _float_parts(c)
         nd = t.nd[k]
         neg, fmt = np.signbit(c), b"%.17g"
     extra = (int(nd.max(initial=1)) + 1) // 8  # words after the first
-    words = [_ascii8(whole // 10 ** (8 * i) % 10**8) & t.head[i][nd] for i in range(extra, -1, -1)]
+    words = [_ascii8(whole // 10 ** (8 * extra)) & t.head[extra][nd]]
+    words += [_ascii8(whole // 10 ** (8 * i) % 10**8) & t.head[i][nd]
+              for i in range(extra - 1, -1, -1)]
     words[0] |= neg * np.uint64(ord("-") << 8)
     if fmt == b"%.17g":
-        groups = [frac // s % 10**4 for s in (10**13, 10**9, 10**5, 10)] + [frac % 10 * 1000]
-        nsig = np.max([t.sig[j][g] for j, g in enumerate(groups)], axis=0)
+        groups = []
+        for scale in (10**13, 10**9, 10**5, 10, 1):
+            groups.append(frac // scale)
+            frac -= groups[-1] * scale
+        groups[-1] = groups[-1] * 1000
+        nsig = t.sig[0][groups[0]]
+        for j in range(1, 5):
+            np.maximum(nsig, t.sig[j][groups[j]], out=nsig)
         quad = [t.quad[g] for g in groups]
         words += [(quad[0] << 32 | t.lead[k]) & t.frac[0][nsig],
                   (quad[1] | quad[2] << 32) & t.frac[1][nsig],
@@ -345,9 +367,14 @@ def _json_safe(obj):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return f if np.isfinite(f) else None
+    return obj
 
 
 def write_json(path: Path, obj: dict) -> Artifact:
@@ -356,7 +383,8 @@ def write_json(path: Path, obj: dict) -> Artifact:
 
 
 def sha256_file(path: Path) -> str:
-    h, buf = hashlib.sha256(), bytearray(_HASH_CHUNK_BYTES)
+    h = hashlib.sha256()
+    buf = bytearray(_HASH_CHUNK_BYTES)
     view = memoryview(buf)
     with path.open("rb", buffering=0) as fh:
         while size := fh.readinto(buf):
@@ -586,12 +614,12 @@ def _run_force(cfg: ExperimentConfig):
     def trajectories(start=0):  # start: table index of the block's first reading
         # one (trajectory_id, step, reading) row per reading; one block of
         # records and one writer block of index columns exist at a time
-        rows, steps = _block_rows([np.dtype(np.int64)] * 3), np.arange(n + 1)
+        rows = _block_rows([np.dtype(np.int64)] * 3)
         for block in ms.sample_trajectories(sched, count, cfg.seed):
             flat = ms.unpack_readings(block, n + 1).reshape(-1)
             for lo in range(0, flat.size, rows):
                 index = np.arange(start + lo, start + min(lo + rows, flat.size), dtype=np.int64)
-                yield [index // (n + 1), IndexColumn(index % (n + 1), steps), flat[lo : lo + rows]]
+                yield [index // (n + 1), index % (n + 1), flat[lo : lo + rows]]
             start += flat.size
 
     if p["force.dump_trajectories"]:
@@ -609,7 +637,8 @@ def _run_jc(cfg: ExperimentConfig):
     from .fock import TRUNCATION_LEAK_BOUND, vacuum_truncation_leak
 
     p = cfg.parameters
-    omega, dim = p["jc.omega"], p["jc.dim"]
+    omega = p["jc.omega"]
+    dim = p["jc.dim"]
     params = jc.JCParams(nu=p["jc.nu_over_omega"] * omega, omega=omega,
                          g=p["jc.g_over_omega"] * omega)
     # distinguishability reports omega^3 and 2 |zeta_0|^2 omega^3 (** would
@@ -770,7 +799,8 @@ def _run_density(cfg: ExperimentConfig):
     defects = [hist.additivity_defect(axis_state, sam, 0.1, 0.1 + dt, r1_comb,
                                       [0.0, p["density.sigma"]], mass)
                for dt, mass in zip(dts, masses)]
-    artifacts["kolmogorov_defect.csv"] = (["delta_t", "mass", "defect"], [[dts, masses, defects]])
+    artifacts["kolmogorov_defect.csv"] = (["delta_t", "mass", "defect"],
+                                          [[dts, masses, defects]])
     results = {"wigner_normalization": grid.meta.get("normalization"),
                "profile_points_dropped": int(np.count_nonzero(~kept)),
                "defect_comb_size": int(r1_comb.size)}

@@ -49,8 +49,10 @@ class PhaseSpaceGrid:
         self.p = np.asarray(self.p, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.x.size, self.p.size):
-            raise ValueError(f"values shape {self.values.shape} does not match axes "
-                             f"({self.x.size}, {self.p.size})")
+            raise ValueError(
+                f"values shape {self.values.shape} does not match axes "
+                f"({self.x.size}, {self.p.size})"
+            )
 
     def normalization(self) -> float:
         """Integral dx dp / (2 pi) W by the trapezoid rule."""
@@ -124,7 +126,9 @@ def wigner_function(state, axes=None) -> PhaseSpaceGrid:
     grid = PhaseSpaceGrid(x_axis, p_axis, values, meta={"state": repr(state)})
     norm = grid.normalization()
     if abs(norm - 1.0) > 1e-6:
-        raise GridAliasingError(f"Wigner normalization {norm!r} deviates from 1 beyond 1e-6; "
-                                "grid does not capture the state")
+        raise GridAliasingError(
+            f"Wigner normalization {norm!r} deviates from 1 beyond 1e-6; "
+            "grid does not capture the state"
+        )
     grid.meta["normalization"] = norm
     return grid
